@@ -1,8 +1,16 @@
 # Build, verify and benchmark the FedProphet reproduction.
 #
 #   make ci      - everything the tier-1 gate runs: build, vet, lint, test,
-#                  race, codec fuzz pass, docs links
-#   make bench   - repository benchmarks (paper tables/figures) with -benchmem
+#                  race, codec fuzz pass, docs links, smokes (bench-smoke too)
+#   make bench-smoke    - the repository's one benchmark (bench/, declared in
+#                         BENCHMARK.json; see bench/README.md) at smoke sizes:
+#                         every workload and output check in <5 s, plus the
+#                         nested bench module's own tests (in ci)
+#   make bench   - paper tables/figures as go benchmarks with -benchmem
+#
+# The bench-conv/-json/-wire/-serve targets below regenerate BENCH_*.json with
+# cmd/bench*: historical one-off records, superseded by bench/ for every
+# performance claim.
 #   make bench-parallel - client-parallelism wall-clock benchmark
 #   make bench-conv     - direct vs GEMM convolution backend benchmark
 #   make bench-json     - record the conv-backend baseline to BENCH_conv.json
@@ -27,11 +35,12 @@
 #   make check-docs     - fail on dead relative links in README/docs
 #   make lint    - fplint: the repo's own analyzers (atomicfield, lockorder,
 #                  determinism, sentinelerr, poolleak) over the whole module
+#                  and the nested bench module
 #   make cover   - tests with coverage summary
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race fuzz check-docs smoke-serve smoke-edge smoke-pull smoke-wal ci bench bench-parallel bench-conv bench-json bench-wire bench-serve cover clean
+.PHONY: all build vet lint test test-race fuzz check-docs bench-smoke smoke-serve smoke-edge smoke-pull smoke-wal ci bench bench-parallel bench-conv bench-json bench-wire bench-serve cover clean
 
 all: ci
 
@@ -51,6 +60,7 @@ vet:
 lint:
 	$(GO) build -o bin/fplint ./cmd/fplint
 	./bin/fplint ./...
+	cd bench && ../bin/fplint ./...
 
 test:
 	$(GO) test ./...
@@ -58,9 +68,10 @@ test:
 # The concurrency-bearing packages (tensor worker pool + scratch arena,
 # parallel GEMM convolutions, client-parallel training, the HTTP transport
 # with sharded aggregation and concurrent compressed/raw clients, the pooled
-# streaming codec) under the race detector.
+# streaming codec, client workers sharing one cascade stage feature set) under
+# the race detector.
 test-race:
-	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/fldist/... ./internal/quant/...
+	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/fldist/... ./internal/quant/... ./internal/cascade/...
 
 # The wire-codec fuzz target: the checked-in seed corpus (raw, dense, sparse
 # and corrupted frames) plus a short live-fuzz pass, so adversarial frames
@@ -73,6 +84,14 @@ fuzz:
 # inside Go doc comments — fail the build.
 check-docs:
 	$(GO) run ./cmd/checkdocs -gosrc . README.md ROADMAP.md docs
+
+# The one benchmark at smoke sizes: all five workloads build, run and pass
+# their output checks (bit-identical reps, exact wire bytes, 0 failed) with no
+# timing meaning, then the nested module's unit tests. Builds into
+# .bench_build/ and writes under bench/out/, both gitignored.
+bench-smoke:
+	bash bench/run.sh --smoke
+	$(GO) -C bench test ./...
 
 # A ~2-second benchserve run (N=8 fleet, both server implementations, plus
 # the sync-vs-async straggler phases) so the concurrent push path and the
@@ -104,7 +123,7 @@ smoke-wal:
 
 # lint runs right after vet: invariant violations fail the build before the
 # minutes-long test/race/smoke stages spend their time.
-ci: build vet lint test test-race fuzz check-docs smoke-serve smoke-edge smoke-pull smoke-wal
+ci: build vet lint test test-race fuzz check-docs bench-smoke smoke-serve smoke-edge smoke-pull smoke-wal
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .

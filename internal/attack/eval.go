@@ -10,12 +10,13 @@ import (
 
 // CEGradFn adapts a model to a GradFn maximizing cross-entropy. The model is
 // evaluated in eval mode (running batch-norm statistics) so that attack
-// forward passes never pollute training statistics.
+// forward passes never pollute training statistics — and, by the nn.Layer
+// contract, so that the backward pass computes the input gradient only: no
+// parameter gradient is computed, touched or needs zeroing.
 func CEGradFn(model nn.Layer, labels []int) GradFn {
 	return func(x *tensor.Tensor) (float64, *tensor.Tensor) {
 		out := model.Forward(x, false)
 		loss, g := nn.SoftmaxCrossEntropy(out, labels)
-		nn.ZeroGrads(model)
 		return loss, model.Backward(g)
 	}
 }
@@ -25,7 +26,6 @@ func CWGradFn(model nn.Layer, labels []int) GradFn {
 	return func(x *tensor.Tensor) (float64, *tensor.Tensor) {
 		out := model.Forward(x, false)
 		loss, g := nn.CWMarginLoss(out, labels)
-		nn.ZeroGrads(model)
 		return loss, model.Backward(g)
 	}
 }

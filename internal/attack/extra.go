@@ -58,7 +58,6 @@ func TargetedCEGradFn(model nn.Layer, targets []int) GradFn {
 	return func(x *tensor.Tensor) (float64, *tensor.Tensor) {
 		out := model.Forward(x, false)
 		loss, g := nn.SoftmaxCrossEntropy(out, targets)
-		nn.ZeroGrads(model)
 		dx := model.Backward(g)
 		// Negate: maximizing the returned objective minimizes CE(targets).
 		dx.ScaleInPlace(-1)

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"fedprophet/internal/attack"
+	"fedprophet/internal/data"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
 	"fedprophet/internal/tensor"
@@ -27,6 +28,11 @@ type Module struct {
 	Aux      *nn.Sequential // flatten + linear; nil for the final module
 	InShape  []int          // per-sample input feature shape
 	OutShape []int          // per-sample output feature shape
+
+	// params lists the atoms' parameters followed by the aux head's, built
+	// once by Partition; the first nBackbone entries are the backbone's.
+	params    []*nn.Param
+	nBackbone int
 }
 
 // IsLast reports whether this module contains the backbone's own classifier.
@@ -49,25 +55,25 @@ func (m *Module) BackwardAtoms(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params returns the module's trainable parameters including the aux head.
-func (m *Module) Params() []*nn.Param {
-	var ps []*nn.Param
-	for _, a := range m.Atoms {
-		ps = append(ps, a.Params()...)
-	}
-	if m.Aux != nil {
-		ps = append(ps, m.Aux.Params()...)
-	}
-	return ps
-}
+// The slice is shared between calls and must not be modified.
+func (m *Module) Params() []*nn.Param { return m.params }
 
 // BackboneParams returns only the backbone atoms' parameters (what partial
-// averaging aggregates into the global model).
-func (m *Module) BackboneParams() []*nn.Param {
-	var ps []*nn.Param
+// averaging aggregates into the global model). The slice is shared between
+// calls and must not be modified.
+func (m *Module) BackboneParams() []*nn.Param { return m.params[:m.nBackbone:m.nBackbone] }
+
+// collectParams fills the parameter list once the module's atoms and aux
+// head are final.
+func (m *Module) collectParams() {
 	for _, a := range m.Atoms {
-		ps = append(ps, a.Params()...)
+		m.params = append(m.params, a.Params()...)
 	}
-	return ps
+	m.nBackbone = len(m.params)
+	if m.Aux != nil {
+		m.params = append(m.params, m.Aux.Params()...)
+	}
+	m.params = m.params[:len(m.params):len(m.params)]
 }
 
 // BNStats flattens the batch-norm running statistics of the module's atoms;
@@ -84,10 +90,43 @@ func (m *Module) BNStats() []float64 {
 func (m *Module) SetBNStats(v []float64) {
 	off := 0
 	for _, a := range m.Atoms {
-		n := len(nn.ExportBNStats(a))
+		n := nn.NumBNStats(a)
 		nn.ImportBNStats(a, v[off:off+n])
 		off += n
 	}
+}
+
+// MapFeatures runs every sample of in — a dataset of this module's input
+// features — through the module's atoms in eval mode, batch samples at a time,
+// and returns the dataset of its output features: X[i] is the module output
+// for in.X[i] and labels are shared with in. With the module's weights fixed
+// this is the frozen-prefix feature set of the next cascade stage. Eval-mode
+// layers treat the samples of a batch independently and reduce each output
+// element in a fixed order, so X[i] is bit-equal to the module's eval-mode
+// output for sample i in a batch of any size and composition. The result
+// holds in.Len()·|OutShape|·8 bytes and is read-only.
+func (m *Module) MapFeatures(in *data.Dataset, batch int) *data.Dataset {
+	out := &data.Dataset{
+		Name:       in.Name,
+		X:          make([]*tensor.Tensor, 0, in.Len()),
+		Y:          in.Y,
+		InShape:    append([]int(nil), m.OutShape...),
+		NumClasses: in.NumClasses,
+	}
+	idx := make([]int, 0, batch)
+	for start := 0; start < in.Len(); start += batch {
+		idx = idx[:0]
+		for i := start; i < start+batch && i < in.Len(); i++ {
+			idx = append(idx, i)
+		}
+		x, _ := data.Batch(in, idx)
+		z := m.ForwardAtoms(x, false)
+		per := z.Len() / len(idx)
+		for i := range idx {
+			out.X = append(out.X, tensor.FromSlice(z.Data[i*per:(i+1)*per:(i+1)*per], m.OutShape...))
+		}
+	}
+	return out
 }
 
 // Cascade is a partitioned backbone model.
@@ -96,6 +135,10 @@ type Cascade struct {
 	Modules    []*Module
 	NumClasses int
 	Batch      int // batch size assumed by the memory analysis
+
+	// rangeParams memoizes RangeParams for the most recent module range.
+	rangeFrom, rangeTo int
+	rangeParams        []*nn.Param
 }
 
 // NewAuxHead builds the auxiliary output model θm: flatten + one linear
@@ -170,6 +213,9 @@ func Partition(model *nn.Model, rminBytes int64, batch int, rng *rand.Rand) *Cas
 	// Attach aux heads to all but the final module.
 	for _, m := range c.Modules[:len(c.Modules)-1] {
 		m.Aux = NewAuxHead(m.OutShape, model.NumClasses, rng)
+	}
+	for _, m := range c.Modules {
+		m.collectParams()
 	}
 	return c
 }
@@ -252,7 +298,9 @@ func (c *Cascade) PrefixForwardFLOPs(mIdx int) int64 {
 }
 
 // ForwardPrefix computes the input feature z_{m-1} of module mIdx for raw
-// input x by running the (fixed) modules 0..mIdx-1 in eval mode.
+// input x by running the (fixed) modules 0..mIdx-1 in eval mode. Training
+// reads z_{m-1} from the stage's feature set instead (Module.MapFeatures);
+// this is the on-demand form for inputs outside the training set.
 func (c *Cascade) ForwardPrefix(x *tensor.Tensor, mIdx int) *tensor.Tensor {
 	for i := 0; i < mIdx; i++ {
 		x = c.Modules[i].ForwardAtoms(x, false)
@@ -284,7 +332,8 @@ func (c *Cascade) Full() nn.Layer { return c.Composite(len(c.Modules) - 1) }
 //
 // together with the gradient with respect to z. If train is true, parameter
 // gradients of the touched modules are accumulated (callers must zero them
-// first); in eval mode only the input gradient is produced.
+// first); in eval mode only the input gradient is produced and no parameter
+// gradient is touched (the nn.Layer contract), so eval callers zero nothing.
 func (c *Cascade) EarlyExitLoss(z *tensor.Tensor, labels []int, from, to int, mu float64, train bool) (float64, *tensor.Tensor) {
 	cur := z
 	for i := from; i <= to; i++ {
@@ -331,20 +380,27 @@ func (c *Cascade) EarlyExitLoss(z *tensor.Tensor, labels []int, from, to int, mu
 }
 
 // FeatureGradFn adapts the early-exit loss to an attack.GradFn over the
-// module-range input feature, for intermediate-feature PGD.
+// module-range input feature, for intermediate-feature PGD. It evaluates in
+// eval mode, so each attack step costs the input gradient only.
 func (c *Cascade) FeatureGradFn(labels []int, from, to int, mu float64) attack.GradFn {
 	return func(z *tensor.Tensor) (float64, *tensor.Tensor) {
-		c.zeroRangeGrads(from, to)
 		return c.EarlyExitLoss(z, labels, from, to, mu, false)
 	}
 }
 
-func (c *Cascade) zeroRangeGrads(from, to int) {
-	for i := from; i <= to; i++ {
-		for _, p := range c.Modules[i].Params() {
-			p.ZeroGrad()
+// RangeParams returns the trainable parameters of modules [from, to], aux
+// heads included, in module order. The slice is memoized for the most recent
+// range — a client trains one range for all its local iterations — and must
+// not be modified.
+func (c *Cascade) RangeParams(from, to int) []*nn.Param {
+	if c.rangeParams == nil || c.rangeFrom != from || c.rangeTo != to {
+		var ps []*nn.Param
+		for i := from; i <= to; i++ {
+			ps = append(ps, c.Modules[i].Params()...)
 		}
+		c.rangeFrom, c.rangeTo, c.rangeParams = from, to, ps
 	}
+	return c.rangeParams
 }
 
 // AdversarialStep performs one local adversarial training iteration on
@@ -356,12 +412,11 @@ func (c *Cascade) AdversarialStep(z *tensor.Tensor, labels []int, from, to int, 
 	if atk.Eps > 0 && atk.Steps > 0 {
 		adv = attack.Perturb(atk, z, c.FeatureGradFn(labels, from, to, mu), rng)
 	}
-	c.zeroRangeGrads(from, to)
-	loss, _ := c.EarlyExitLoss(adv, labels, from, to, mu, true)
-	var params []*nn.Param
-	for i := from; i <= to; i++ {
-		params = append(params, c.Modules[i].Params()...)
+	params := c.RangeParams(from, to)
+	for _, p := range params {
+		p.ZeroGrad()
 	}
+	loss, _ := c.EarlyExitLoss(adv, labels, from, to, mu, true)
 	opt.Step(params)
 	return loss
 }
@@ -376,9 +431,6 @@ func (c *Cascade) MaxOutputPerturbation(zin *tensor.Tensor, mIdx int, atk attack
 	cleanCopy := clean.Clone()
 
 	gradFn := func(z *tensor.Tensor) (float64, *tensor.Tensor) {
-		for _, p := range m.Params() {
-			p.ZeroGrad()
-		}
 		out := m.ForwardAtoms(z, false)
 		diff := tensor.Sub(out, cleanCopy)
 		obj := 0.5 * tensor.Dot(diff, diff)

@@ -170,7 +170,6 @@ func TestEarlyExitLossGradient(t *testing.T) {
 	// BatchNorm in eval mode needs warmed running stats for a fair check.
 	c.EarlyExitLoss(z, labels, mod, mod, mu, true)
 
-	c.zeroRangeGrads(mod, mod)
 	_, grad := c.EarlyExitLoss(z, labels, mod, mod, mu, false)
 
 	for trial := 0; trial < 10; trial++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -88,6 +89,11 @@ func (f *FedProphet) Name() string { return "FedProphet" }
 func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	o := f.Opts
 	rng := env.Rng
+	for k, sub := range env.Subsets {
+		if sub.Parent != env.Train {
+			return nil, fmt.Errorf("core: client %d's subset does not index env.Train", k)
+		}
+	}
 	// Every worker slot owns a structurally identical (model, cascade)
 	// replica built from the same seeds; clients load the global module
 	// stores into their slot's replica, so a round's clients train
@@ -145,7 +151,17 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 		return res, fl.PartialProgress(err, globalRound)
 	}
 
+	// stageSet is the frozen-prefix feature set of the current stage: X[i] is
+	// z_{m-1} of training sample i. Modules 0..m-1 are fixed for the whole
+	// stage and run in eval mode, so z_{m-1} is a constant of the stage: the
+	// server-side cascade, which holds the final globals of stage m-1 here,
+	// maps the previous stage's set through module m-1 once, and every client
+	// batch of the stage reads its rows instead of re-running the prefix.
+	stageSet := env.Train
 	for mIdx := range casc.Modules {
+		if mIdx > 0 {
+			stageSet = casc.Modules[mIdx-1].MapFeatures(stageSet, env.Cfg.EvalBatch)
+		}
 		prefixFwd := casc.PrefixForwardFLOPs(mIdx)
 		apa := NewAPAState(o.AlphaInit, o.DeltaAlpha, o.GammaThresh, basePert, prevRatio, o.UseAPA && mIdx > 0)
 		bestAdv, bestClean, sincImprove := -1.0, 0.0, 0
@@ -212,11 +228,7 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				loadGlobalsInto(c)
 				to := AssignModules(c, mIdx, snaps[i].budget, snaps[i].perf, perfMin, o.UseDMA)
 				opt := nn.NewSGD(lr, env.Cfg.Momentum, env.Cfg.WeightDecay)
-				var params []*nn.Param
-				for j := mIdx; j <= to; j++ {
-					params = append(params, c.Modules[j].Params()...)
-				}
-				nn.ResetMomentum(params)
+				nn.ResetMomentum(c.RangeParams(mIdx, to))
 
 				out := &outs[i]
 				sub := env.Subsets[selected[i]]
@@ -227,8 +239,7 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 						if iters >= env.Cfg.LocalIters {
 							break
 						}
-						x, y := data.Batch(sub.Parent, b)
-						z := c.ForwardPrefix(x, mIdx)
+						z, y := data.Batch(stageSet, b)
 						out.loss += c.AdversarialStep(z, y, mIdx, to, atkCfg, o.Mu, opt, crng)
 						out.lossN++
 						iters++
@@ -247,9 +258,10 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 					out.aux = &modVec{to, vec, bytes}
 				}
 
-				// Latency accounting: the prefix forward runs once per batch;
-				// the assigned range runs PGD attack passes plus the training
-				// pass.
+				// Latency accounting: a simulated device holds no feature set,
+				// so it is still charged the prefix forward once per batch, as
+				// in the paper; the assigned range runs PGD attack passes plus
+				// the training pass.
 				rangeFwd := c.RangeForwardFLOPs(mIdx, to)
 				flops := int64(iters) * (prefixFwd*int64(env.Cfg.Batch) +
 					memmodel.TrainingFLOPs(rangeFwd, env.Cfg.Batch, atkSteps(atkCfg)))

@@ -169,7 +169,7 @@ func Batch(ds *Dataset, idx []int) (*tensor.Tensor, []int) {
 	}
 	shape := append([]int{len(idx)}, ds.InShape...)
 	x := tensor.New(shape...)
-	per := tensor.New(ds.InShape...).Len()
+	per := x.Len() / len(idx)
 	labels := make([]int, len(idx))
 	for i, id := range idx {
 		copy(x.Data[i*per:(i+1)*per], ds.X[id].Data)

@@ -121,7 +121,8 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements the standard batch-norm gradient. In eval mode the
 // statistics are constants, which simplifies the input gradient to
-// gamma·invStd·grad — that path is used by PGD at evaluation time.
+// gamma·invStd·grad with no dγ/dβ — that path is used by PGD at training and
+// evaluation time.
 func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	bsz, c, h, w := grad.Dim(0), grad.Dim(1), grad.Dim(2), grad.Dim(3)
 	hw := h * w
@@ -131,6 +132,16 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for ch := 0; ch < c; ch++ {
 		g := bn.Gamma.Data.Data[ch]
 		invStd := bn.invStd[ch]
+		if !bn.trained {
+			scale := g * invStd
+			for b := 0; b < bsz; b++ {
+				base := (b*c + ch) * hw
+				for i := 0; i < hw; i++ {
+					dx.Data[base+i] = scale * grad.Data[base+i]
+				}
+			}
+			continue
+		}
 		var sumDy, sumDyXhat float64
 		for b := 0; b < bsz; b++ {
 			base := (b*c + ch) * hw
@@ -143,17 +154,6 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		bn.Beta.Grad.Data[ch] += sumDy
 		bn.Gamma.Grad.Data[ch] += sumDyXhat
 
-		if !bn.trained {
-			// Statistics are constants in eval mode.
-			scale := g * invStd
-			for b := 0; b < bsz; b++ {
-				base := (b*c + ch) * hw
-				for i := 0; i < hw; i++ {
-					dx.Data[base+i] = scale * grad.Data[base+i]
-				}
-			}
-			continue
-		}
 		for b := 0; b < bsz; b++ {
 			base := (b*c + ch) * hw
 			for i := 0; i < hw; i++ {

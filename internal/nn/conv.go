@@ -88,6 +88,9 @@ type Conv2D struct {
 	// stays consistent with it even if SetConvBackend flips the package
 	// default mid-flight.
 	usedGEMM bool
+	// trained latches the mode of the last Forward: only a train-mode
+	// Backward accumulates dW/dB (see Layer).
+	trained bool
 
 	// col caches the im2col unrolling of the last forward input, one
 	// (InC·K·K)×(outH·outW) block per image. Forward fills it, Backward
@@ -142,6 +145,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	oh, ow := c.outDims(h, w)
 	c.x, c.inH, c.inW, c.outH, c.outW = x, h, w, oh, ow
+	c.trained = train
 
 	out := tensor.New(bsz, c.OutC, oh, ow)
 	c.usedGEMM = c.backend() != ConvDirect
@@ -242,9 +246,11 @@ func (c *Conv2D) forwardDirect(x, out *tensor.Tensor, bsz, h, w, oh, ow int) {
 	}
 }
 
-// Backward accumulates weight/bias gradients and returns dL/dx. It always
-// uses the backend the matching Forward ran, so the cached state is
-// consistent even if the package default flips between the two calls.
+// Backward returns dL/dx and, after a train-mode Forward, accumulates the
+// weight/bias gradients; after an eval-mode Forward it computes the input
+// gradient only. It always uses the backend the matching Forward ran, so the
+// cached state is consistent even if the package default flips between the
+// two calls.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.usedGEMM {
 		return c.backwardGEMM(grad)
@@ -260,7 +266,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 //
 // dX parallelizes over images (disjoint writes) and dW over weight rows,
 // with each weight element accumulating images in ascending batch order —
-// so gradients are bit-deterministic at every GOMAXPROCS.
+// so gradients are bit-deterministic at every GOMAXPROCS. dW and dB are
+// skipped after an eval-mode Forward; dX does not depend on them.
 func (c *Conv2D) backwardGEMM(grad *tensor.Tensor) *tensor.Tensor {
 	bsz := grad.Dim(0)
 	h, w, oh, ow := c.inH, c.inW, c.outH, c.outW
@@ -273,9 +280,8 @@ func (c *Conv2D) backwardGEMM(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	dx := tensor.New(bsz, c.InC, h, w)
 	wd := c.W.Data.Data
-	wg := c.W.Grad.Data
 
-	if c.hasBias {
+	if c.hasBias && c.trained {
 		for b := 0; b < bsz; b++ {
 			gb := grad.Data[b*c.OutC*ohow : (b+1)*c.OutC*ohow]
 			for oc := 0; oc < c.OutC; oc++ {
@@ -298,6 +304,10 @@ func (c *Conv2D) backwardGEMM(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	})
 
+	if !c.trained {
+		return dx
+	}
+	wg := c.W.Grad.Data
 	tensor.ParallelFor(c.OutC, func(lo, hi int) {
 		for b := 0; b < bsz; b++ {
 			gb := grad.Data[b*c.OutC*ohow : (b+1)*c.OutC*ohow]
@@ -323,7 +333,7 @@ func (c *Conv2D) backwardDirect(grad *tensor.Tensor) *tensor.Tensor {
 		dxb := dx.Data[b*c.InC*h*w : (b+1)*c.InC*h*w]
 		for oc := 0; oc < c.OutC; oc++ {
 			gplane := gb[oc*oh*ow : (oc+1)*oh*ow]
-			if c.hasBias {
+			if c.hasBias && c.trained {
 				s := 0.0
 				for _, v := range gplane {
 					s += v
@@ -356,7 +366,9 @@ func (c *Conv2D) backwardDirect(grad *tensor.Tensor) *tensor.Tensor {
 								dxrow[ix] += g * wv
 							}
 						}
-						wg[wBase+kh*k+kw] += dwAcc
+						if c.trained {
+							wg[wBase+kh*k+kw] += dwAcc
+						}
 					}
 				}
 			}

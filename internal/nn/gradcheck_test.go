@@ -21,9 +21,35 @@ func numericalGrad(loss func() float64, v []float64, i int) float64 {
 	return (lp - lm) / (2 * h)
 }
 
-// checkLayerGrads validates both parameter gradients and the input gradient
-// of a layer against finite differences of a scalar loss L = Σ w ⊙ out
-// (random fixed weights w make the check sensitive to every output element).
+// gradSentinel pre-fills Param.Grad where a test asserts that a backward pass
+// leaves parameter gradients untouched.
+const gradSentinel = 12345.678
+
+func fillGrads(l Layer, v float64) {
+	for _, p := range l.Params() {
+		p.Grad.Fill(v)
+	}
+}
+
+// requireGradsUntouched fails if any Param.Grad element no longer holds the
+// sentinel bit for bit.
+func requireGradsUntouched(t *testing.T, l Layer) {
+	t.Helper()
+	for pi, p := range l.Params() {
+		for i, g := range p.Grad.Data {
+			if g != gradSentinel {
+				t.Fatalf("param %d (%s): grad[%d] = %v, eval-mode backward must leave it at the sentinel", pi, p.Name, i, g)
+			}
+		}
+	}
+}
+
+// checkLayerGrads validates the gradients of a layer against finite
+// differences of a scalar loss L = Σ w ⊙ out (random fixed weights w make the
+// check sensitive to every output element). The input gradient is checked in
+// either mode; parameter gradients exist only after a train-mode pass, so they
+// are checked against finite differences when train is true and required to
+// be untouched when it is false.
 func checkLayerGrads(t *testing.T, l Layer, x *tensor.Tensor, train bool, tol float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
@@ -38,9 +64,12 @@ func checkLayerGrads(t *testing.T, l Layer, x *tensor.Tensor, train bool, tol fl
 	}
 
 	// Analytic gradients.
-	loss0 := forwardLoss()
-	_ = loss0
-	ZeroGrads(l)
+	forwardLoss()
+	if train {
+		ZeroGrads(l)
+	} else {
+		fillGrads(l, gradSentinel)
+	}
 	dx := l.Backward(lossWeights.Clone())
 
 	// Check input gradient on a sample of positions.
@@ -53,6 +82,10 @@ func checkLayerGrads(t *testing.T, l Layer, x *tensor.Tensor, train bool, tol fl
 		}
 	}
 
+	if !train {
+		requireGradsUntouched(t, l)
+		return
+	}
 	// Check parameter gradients on a sample of positions.
 	for _, p := range l.Params() {
 		for trial := 0; trial < 8; trial++ {

@@ -42,7 +42,15 @@ func (p *Param) NumElems() int { return p.Data.Len() }
 
 // Layer is a differentiable unit. Forward consumes a batched input and
 // returns the batched output; Backward consumes dL/d(output) and returns
-// dL/d(input), accumulating parameter gradients along the way.
+// dL/d(input).
+//
+// Gradient demand follows the mode of the matching Forward: a train-mode
+// backward accumulates parameter gradients into Param.Grad (callers zero them
+// first), an eval-mode backward never does — it computes the input gradient
+// only and leaves every Param.Grad untouched. Attacks differentiate the loss
+// with respect to the input through eval-mode passes, so they neither pay for
+// dW nor need to zero anything. Every parameterised layer latches the mode in
+// Forward; containers inherit the rule from their children.
 //
 // OutShape and ForwardFLOPs describe the per-sample output geometry and
 // forward cost given a per-sample input shape (excluding the batch

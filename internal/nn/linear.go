@@ -14,7 +14,8 @@ type Linear struct {
 	W       *Param // (Out, In)
 	B       *Param // (Out)
 
-	x *tensor.Tensor // cached input
+	x       *tensor.Tensor // cached input
+	trained bool           // mode of the last Forward (see Layer)
 }
 
 // NewLinear constructs a Linear layer with Kaiming-uniform initialization.
@@ -32,7 +33,7 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 
 // Forward computes x·Wᵀ + b.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.x = x
+	l.x, l.trained = x, train
 	out := tensor.MatMulTransBPar(x, l.W.Data) // (B,In)·(Out,In)ᵀ = (B,Out)
 	bsz := x.Dim(0)
 	for i := 0; i < bsz; i++ {
@@ -44,17 +45,20 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward accumulates dW = gradᵀ·x, db = Σ grad, and returns grad·W.
+// Backward returns grad·W and, after a train-mode Forward, accumulates
+// dW = gradᵀ·x and db = Σ grad.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	// dW (Out,In) = gradᵀ (Out,B) · x (B,In)
-	dw := tensor.MatMulTransAPar(grad, l.x)
-	l.W.Grad.AddInPlace(dw)
+	if l.trained {
+		// dW (Out,In) = gradᵀ (Out,B) · x (B,In)
+		dw := tensor.MatMulTransAPar(grad, l.x)
+		l.W.Grad.AddInPlace(dw)
 
-	bsz := grad.Dim(0)
-	for i := 0; i < bsz; i++ {
-		row := grad.Data[i*l.Out : (i+1)*l.Out]
-		for j := 0; j < l.Out; j++ {
-			l.B.Grad.Data[j] += row[j]
+		bsz := grad.Dim(0)
+		for i := 0; i < bsz; i++ {
+			row := grad.Data[i*l.Out : (i+1)*l.Out]
+			for j := 0; j < l.Out; j++ {
+				l.B.Grad.Data[j] += row[j]
+			}
 		}
 	}
 	// dX (B,In) = grad (B,Out) · W (Out,In)

@@ -26,8 +26,9 @@ type LoRALinear struct {
 	A *Param // (Rank, In), Gaussian init
 	B *Param // (Out, Rank), zero init so training starts at the base model
 
-	x  *tensor.Tensor // cached input
-	xa *tensor.Tensor // cached x·Aᵀ
+	x       *tensor.Tensor // cached input
+	xa      *tensor.Tensor // cached x·Aᵀ
+	trained bool           // mode of the last Forward (see Layer)
 }
 
 // NewLoRALinear wraps an existing Linear layer with rank-r adapters; the
@@ -49,7 +50,7 @@ func NewLoRALinear(base *Linear, rank int, alpha float64, rng *rand.Rand) *LoRAL
 
 // Forward computes the adapted projection.
 func (l *LoRALinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.x = x
+	l.x, l.trained = x, train
 	out := tensor.MatMulTransB(x, l.W) // (B,Out)
 	l.xa = tensor.MatMulTransB(x, l.A.Data)
 	delta := tensor.MatMulTransB(l.xa, l.B.Data) // (B,Out)
@@ -64,16 +65,19 @@ func (l *LoRALinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward accumulates adapter gradients only; the base stays frozen.
+// Backward returns the input gradient and, after a train-mode Forward,
+// accumulates the adapter gradients; the base stays frozen.
 func (l *LoRALinear) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	// dB (Out,Rank) = scale · gradᵀ·xa
-	dB := tensor.MatMulTransA(grad, l.xa)
-	l.B.Grad.AxpyInPlace(l.Scale, dB)
-
-	// dA (Rank,In) = scale · (grad·B)ᵀ·x
 	gB := tensor.MatMul(grad, l.B.Data) // (B,Rank)
-	dA := tensor.MatMulTransA(gB, l.x)
-	l.A.Grad.AxpyInPlace(l.Scale, dA)
+	if l.trained {
+		// dB (Out,Rank) = scale · gradᵀ·xa
+		dB := tensor.MatMulTransA(grad, l.xa)
+		l.B.Grad.AxpyInPlace(l.Scale, dB)
+
+		// dA (Rank,In) = scale · (grad·B)ᵀ·x
+		dA := tensor.MatMulTransA(gB, l.x)
+		l.A.Grad.AxpyInPlace(l.Scale, dA)
+	}
 
 	// dx = grad·W + scale·(grad·B)·A
 	dx := tensor.MatMul(grad, l.W)

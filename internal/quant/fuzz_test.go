@@ -61,7 +61,7 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		if d.Len() > 1<<22 {
+		if d.Len() > maxTestFrameLen {
 			// Materializing n values densely is the harness's cost, not the
 			// decoder's, so skip the dense value comparison for huge n. Only
 			// a sparse frame can legitimately be accepted at this size from

@@ -328,7 +328,15 @@ func TestSparseDecodeRejectsCorruptFrames(t *testing.T) {
 		if !d.IsSparse() {
 			continue // corrupted into a non-sparse form; other tests cover it
 		}
-		dst := make([]float64, d.Len())
+		// The declared length is the attacker's: never materialize it. A
+		// receiver knows the vector length it expects, so a frame declaring
+		// more than any model here holds must die on ApplySparse's shape
+		// check against a short dst, before a payload byte is read.
+		n := d.Len()
+		if n > maxTestFrameLen {
+			n = 1
+		}
+		dst := make([]float64, n)
 		if err := d.ApplySparse(dst); err == nil {
 			// Streamed decoders cannot see trailing junk; strict framing is
 			// the buffered path's job.

@@ -339,7 +339,7 @@ func (d *StreamDecoder) ApplySparse(dst []float64) error {
 		return fmt.Errorf("quant: ApplySparse on a consumed frame")
 	}
 	if len(dst) != d.n {
-		return fmt.Errorf("quant: ApplySparse got %d-value dst, frame has %d", len(dst), d.n)
+		return fmt.Errorf("%w: ApplySparse got %d-value dst, frame declares %d", ErrCodec, len(dst), d.n)
 	}
 	return d.applySparse(dst)
 }

@@ -9,6 +9,11 @@ import (
 	"testing"
 )
 
+// maxTestFrameLen bounds every buffer a test sizes from a decoded header: a
+// frame's declared length is attacker-controlled (a forged header can declare
+// 2³²−1 values in 14 bytes), so tests never materialize more than this.
+const maxTestFrameLen = 1 << 20
+
 func randVec(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	v := make([]float64, n)
@@ -138,7 +143,7 @@ func TestStreamDecoderRejectsCorruption(t *testing.T) {
 	for name, b := range cases {
 		d, err := NewStreamDecoder(bytes.NewReader(b))
 		if err == nil {
-			dst := make([]float64, d.Len())
+			dst := make([]float64, min(d.Len(), maxTestFrameLen))
 			err = d.DecodeAll(dst)
 		}
 		if !errors.Is(err, ErrCodec) {
