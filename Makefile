@@ -33,6 +33,8 @@
 #                         mid-round twice, recovered, federation finished,
 #                         final model bit-identical (in ci)
 #   make check-docs     - fail on dead relative links in README/docs
+#   make cross   - cross-build for arm64 and vet tensor/nn there: the portable
+#                  GEMM path that every platform but amd64 runs (in ci)
 #   make lint    - fplint: the repo's own analyzers (atomicfield, lockorder,
 #                  determinism, sentinelerr, poolleak) over the whole module
 #                  and the nested bench module
@@ -40,7 +42,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race fuzz check-docs bench-smoke smoke-serve smoke-edge smoke-pull smoke-wal ci bench bench-parallel bench-conv bench-json bench-wire bench-serve cover clean
+.PHONY: all build vet cross lint test test-race fuzz check-docs bench-smoke smoke-serve smoke-edge smoke-pull smoke-wal ci bench bench-parallel bench-conv bench-json bench-wire bench-serve cover clean
 
 all: ci
 
@@ -49,6 +51,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# internal/tensor has one assembly file (gemm_amd64.s, checked by vet's
+# asmdecl above); every other platform runs its portable Go twin. Building
+# the module and vetting tensor/nn for arm64 — pure Go, offline, nothing is
+# executed — keeps a break of that path from landing unseen on an amd64 box.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/nn/...
 
 # fplint (cmd/fplint + internal/lint) machine-checks the invariants
 # docs/ARCHITECTURE.md documents in prose: atomic fields stay atomic, mutexes
@@ -123,7 +133,7 @@ smoke-wal:
 
 # lint runs right after vet: invariant violations fail the build before the
 # minutes-long test/race/smoke stages spend their time.
-ci: build vet lint test test-race fuzz check-docs bench-smoke smoke-serve smoke-edge smoke-pull smoke-wal
+ci: build vet cross lint test test-race fuzz check-docs bench-smoke smoke-serve smoke-edge smoke-pull smoke-wal
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .

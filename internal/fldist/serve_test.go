@@ -214,6 +214,20 @@ func TestPullAccounting(t *testing.T) {
 		return resp.StatusCode, body, resp.Header
 	}
 
+	// The handler charges its counters after Write returns, which can be after
+	// the client already holds the whole body: give the counter a moment to
+	// reach the expected value instead of racing the handler's last lines.
+	settled := func(read func(Stats) int64, want int64) int64 {
+		got := read(s.Stats())
+		for i := 0; i < 2000 && got != want; i++ {
+			time.Sleep(time.Millisecond)
+			got = read(s.Stats())
+		}
+		return got
+	}
+	outComp := func(st Stats) int64 { return st.BytesOutCompressed }
+	outRaw := func(st Stats) int64 { return st.BytesOutRaw }
+
 	comp := Compression{Bits: 8, Chunk: 64}
 	code, compBody, hdr := pull(codecValue(comp))
 	if code != http.StatusOK {
@@ -222,7 +236,7 @@ func TestPullAccounting(t *testing.T) {
 	if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(compBody)) {
 		t.Fatalf("compressed Content-Length %q, body %d bytes", cl, len(compBody))
 	}
-	if got := s.Stats().BytesOutCompressed; got != int64(len(compBody)) {
+	if got := settled(outComp, int64(len(compBody))); got != int64(len(compBody)) {
 		t.Fatalf("BytesOutCompressed = %d, want %d", got, len(compBody))
 	}
 
@@ -233,18 +247,17 @@ func TestPullAccounting(t *testing.T) {
 	if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(rawBody)) {
 		t.Fatalf("raw Content-Length %q, body %d bytes", cl, len(rawBody))
 	}
-	if got := s.Stats().BytesOutRaw; got != int64(len(rawBody)) {
+	if got := settled(outRaw, int64(len(rawBody))); got != int64(len(rawBody)) {
 		t.Fatalf("BytesOutRaw = %d, want %d", got, len(rawBody))
 	}
 	_, rawBody2, _ := pull("")
 	if !bytes.Equal(rawBody, rawBody2) {
 		t.Fatal("repeated raw pull served different bytes")
 	}
-	st := s.Stats()
-	if got := st.BytesOutRaw; got != 2*int64(len(rawBody)) {
+	if got := settled(outRaw, 2*int64(len(rawBody))); got != 2*int64(len(rawBody)) {
 		t.Fatalf("BytesOutRaw after second pull = %d, want %d", got, 2*len(rawBody))
 	}
-	if st.PullP99Micros <= 0 {
+	if st := s.Stats(); st.PullP99Micros <= 0 {
 		t.Fatalf("PullP99Micros = %v after 3 pulls, want > 0", st.PullP99Micros)
 	}
 }

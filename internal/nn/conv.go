@@ -92,10 +92,11 @@ type Conv2D struct {
 	// Backward accumulates dW/dB (see Layer).
 	trained bool
 
-	// col caches the im2col unrolling of the last forward input, one
-	// (InC·K·K)×(outH·outW) block per image. Forward fills it, Backward
-	// reads it, and it is reused across batches so the training hot loop
-	// stops allocating. ReleaseScratch returns it to tensor.Scratch.
+	// col caches the im2col unrolling of the last forward batch, folded into
+	// one (InC·K·K)-row matrix with outH·outW columns per image (see
+	// foldLayout). Forward fills it, a train-mode Backward reads it for dW,
+	// and it is reused across batches so the training hot loop stops
+	// allocating. ReleaseScratch returns it to tensor.Scratch.
 	col []float64
 }
 
@@ -131,9 +132,70 @@ func (c *Conv2D) backend() ConvBackend {
 // arena. Call it when the layer goes idle (end of a client's training turn);
 // the next Forward will transparently reacquire scratch.
 func (c *Conv2D) ReleaseScratch() {
-	if c.col != nil {
-		tensor.Scratch.Put(c.col)
-		c.col = nil
+	tensor.Scratch.Put(c.col[:cap(c.col)])
+	c.col = nil
+}
+
+// foldPanel caps how many folded columns one GEMM call multiplies (a single
+// feature map wider than this is a panel of its own). It bounds the transient
+// scratch of a layer at (OutC + InC·K²) × foldPanel values per worker whatever
+// the batch size, and it is the grain of parallelism: a worker takes whole
+// panels. At batch 8 only 16×16 feature maps need more than one.
+const foldPanel = 512
+
+// foldLayout places the images of a batch in the folded column matrix: per
+// consecutive images form a panel, a panel's maps sit side by side, ohow
+// columns each, and every panel starts stride columns after the previous one
+// — its columns rounded up to the GEMM tile's 8, so the vector kernel never
+// meets a column tail. The pad columns at the end of a panel hold zeros.
+type foldLayout struct {
+	ohow   int // columns per image: outH·outW
+	per    int // images per panel
+	stride int // columns from one panel to the next
+	panels int
+}
+
+func newFoldLayout(bsz, ohow int) foldLayout {
+	per := min(max(1, foldPanel/ohow), bsz)
+	return foldLayout{ohow: ohow, per: per, stride: roundUp8(per * ohow), panels: (bsz + per - 1) / per}
+}
+
+// roundUp8 rounds a column count up to whole 8-column GEMM tiles.
+func roundUp8(n int) int { return (n + 7) &^ 7 }
+
+// ld is the row stride of the whole folded matrix.
+func (l foldLayout) ld() int { return l.panels * l.stride }
+
+// col is the first column of image b.
+func (l foldLayout) col(b int) int { return b/l.per*l.stride + b%l.per*l.ohow }
+
+// forEachPanel calls f once per panel of a bsz-image batch with the panel's
+// images [b0, b1), the number of columns pw the GEMM covers for them (their
+// maps plus the pad up to whole tiles) and a scratch buffer of at least
+// rows × pw values, reused from panel to panel. Panels are spread over the
+// worker pool unless the layer is under the pool's multiply-add floor.
+func (c *Conv2D) forEachPanel(l foldLayout, bsz, rows int, f func(b0, b1, pw int, scratch []float64)) {
+	work := c.OutC * c.InC * c.Kernel * c.Kernel * bsz * l.ohow
+	tensor.ParallelForWork(l.panels, work, func(lo, hi int) {
+		scratch := tensor.Scratch.Get(rows * l.stride)
+		defer tensor.Scratch.Put(scratch)
+		for p := lo; p < hi; p++ {
+			b0, b1 := p*l.per, min((p+1)*l.per, bsz)
+			f(b0, b1, roundUp8((b1-b0)*l.ohow), scratch)
+		}
+	})
+}
+
+// zeroCols clears columns [lo, hi) of every row of m, a rows × ld matrix.
+func zeroCols(m []float64, rows, ld, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	for r := 0; r < rows; r++ {
+		pad := m[r*ld+lo : r*ld+hi]
+		for i := range pad {
+			pad[i] = 0
+		}
 	}
 }
 
@@ -157,36 +219,42 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// forwardGEMM lowers the convolution onto im2col + GEMM: each image's
-// receptive fields are unrolled into a column matrix and the whole layer
-// becomes W (OutC × InC·K²) times col (InC·K² × outH·outW), written straight
-// into the image's contiguous output block. Images run in parallel; each
-// per-element sum accumulates in the same (ic, kh, kw) order as the direct
-// loops, so the two backends produce bit-identical forward activations.
+// forwardGEMM lowers the convolution onto im2col + batch-folded GEMM: every
+// image's receptive fields are unrolled into its own columns of one
+// (InC·K²) × (bsz·outH·outW) matrix, the layer becomes W (OutC × InC·K²) times
+// that matrix, taken one panel of columns at a time (see forEachPanel), and
+// each panel's product is unfolded into NCHW. Folding only changes which
+// columns are in flight together: each per-element sum still accumulates in
+// the (ic, kh, kw) order of the direct loops, so the two backends produce
+// bit-identical forward activations at every batch size and worker count.
 func (c *Conv2D) forwardGEMM(x, out *tensor.Tensor, bsz, h, w, oh, ow int) {
 	k, st, pad := c.Kernel, c.Stride, c.Pad
 	ickk := c.InC * k * k
 	ohow := oh * ow
-	need := bsz * ickk * ohow
-	if cap(c.col) < need {
-		tensor.Scratch.Put(c.col)
-		c.col = tensor.Scratch.Get(need)
+	lay := newFoldLayout(bsz, ohow)
+	ld := lay.ld()
+	if cap(c.col) < ickk*ld {
+		tensor.Scratch.Put(c.col[:cap(c.col)])
+		c.col = tensor.Scratch.Get(ickk * ld)
 	}
-	c.col = c.col[:need]
-	wd := c.W.Data.Data
-	tensor.ParallelFor(bsz, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			colB := c.col[b*ickk*ohow : (b+1)*ickk*ohow]
-			tensor.Im2ColInto(colB, x.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], c.InC, h, w, k, st, pad)
+	c.col = c.col[:ickk*ld]
+	col, wd := c.col, c.W.Data.Data
+	c.forEachPanel(lay, bsz, c.OutC, func(b0, b1, pw int, prod []float64) {
+		j0 := lay.col(b0)
+		for b := b0; b < b1; b++ {
+			tensor.Im2ColStridedInto(col, x.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], c.InC, h, w, k, st, pad, ld, lay.col(b))
+		}
+		zeroCols(col, ickk, ld, j0+(b1-b0)*ohow, j0+pw)
+		tensor.MatMulStridedInto(prod, pw, wd, col[j0:], ld, c.OutC, ickk, pw)
+		for b := b0; b < b1; b++ {
 			outB := out.Data[b*c.OutC*ohow : (b+1)*c.OutC*ohow]
-			tensor.MatMulInto(outB, wd, colB, c.OutC, ickk, ohow)
-			if c.hasBias {
-				for oc := 0; oc < c.OutC; oc++ {
-					bias := c.B.Data.Data[oc]
-					if bias == 0 {
-						continue
-					}
-					oplane := outB[oc*ohow : (oc+1)*ohow]
+			for oc := 0; oc < c.OutC; oc++ {
+				oplane := outB[oc*ohow : (oc+1)*ohow]
+				copy(oplane, prod[oc*pw+(b-b0)*ohow:])
+				if !c.hasBias {
+					continue
+				}
+				if bias := c.B.Data.Data[oc]; bias != 0 {
 					for i := range oplane {
 						oplane[i] += bias
 					}
@@ -258,25 +326,27 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return c.backwardDirect(grad)
 }
 
-// backwardGEMM computes the three convolution gradients on the col buffer
-// cached by forwardGEMM:
+// backwardGEMM computes the three convolution gradients:
 //
-//	dW += dY_b · col_bᵀ   (MatMulTransBAcc, per image in batch order)
-//	dX  = Col2Im(Wᵀ · dY_b)   (MatMulTransA then adjoint scatter, per image)
+//	dX  = Col2Im(Wᵀ · dY)   (dY folded like col, one panel at a time; per-image scatter)
+//	dW += dY_b · col_bᵀ     (dot products on the cached col, per image in batch order)
 //
-// dX parallelizes over images (disjoint writes) and dW over weight rows,
-// with each weight element accumulating images in ascending batch order —
-// so gradients are bit-deterministic at every GOMAXPROCS. dW and dB are
-// skipped after an eval-mode Forward; dX does not depend on them.
+// dX splits over panels like the forward pass (disjoint writes: a worker
+// folds, multiplies and scatters its own images) and dW over weight rows,
+// with each weight element accumulating images in ascending batch order — so
+// gradients are bit-deterministic at every GOMAXPROCS. dW and dB are skipped
+// after an eval-mode Forward; dX does not depend on them.
 func (c *Conv2D) backwardGEMM(grad *tensor.Tensor) *tensor.Tensor {
 	bsz := grad.Dim(0)
 	h, w, oh, ow := c.inH, c.inW, c.outH, c.outW
 	k, st, pad := c.Kernel, c.Stride, c.Pad
 	ickk := c.InC * k * k
 	ohow := oh * ow
-	if len(c.col) != bsz*ickk*ohow {
+	lay := newFoldLayout(bsz, ohow)
+	ld := lay.ld()
+	if len(c.col) != ickk*ld {
 		panic(fmt.Sprintf("nn: Conv2D GEMM backward without matching forward (col %d, need %d)",
-			len(c.col), bsz*ickk*ohow))
+			len(c.col), ickk*ld))
 	}
 	dx := tensor.New(bsz, c.InC, h, w)
 	wd := c.W.Data.Data
@@ -294,25 +364,29 @@ func (c *Conv2D) backwardGEMM(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	tensor.ParallelFor(bsz, func(lo, hi int) {
-		dcol := tensor.Scratch.Get(ickk * ohow)
-		defer tensor.Scratch.Put(dcol)
-		for b := lo; b < hi; b++ {
+	c.forEachPanel(lay, bsz, c.OutC+ickk, func(b0, b1, pw int, scratch []float64) {
+		dy, dcol := scratch[:c.OutC*pw], scratch[c.OutC*pw:]
+		for b := b0; b < b1; b++ {
 			gb := grad.Data[b*c.OutC*ohow : (b+1)*c.OutC*ohow]
-			tensor.MatMulTransAInto(dcol, wd, gb, c.OutC, ickk, ohow)
-			tensor.Col2ImAccInto(dx.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], dcol, c.InC, h, w, k, st, pad)
+			for oc := 0; oc < c.OutC; oc++ {
+				copy(dy[oc*pw+(b-b0)*ohow:], gb[oc*ohow:(oc+1)*ohow])
+			}
+		}
+		zeroCols(dy, c.OutC, pw, (b1-b0)*ohow, pw)
+		tensor.MatMulTransAStridedInto(dcol, pw, wd, dy, pw, c.OutC, ickk, pw)
+		for b := b0; b < b1; b++ {
+			tensor.Col2ImAccStridedInto(dx.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], dcol, c.InC, h, w, k, st, pad, pw, (b-b0)*ohow)
 		}
 	})
 
 	if !c.trained {
 		return dx
 	}
-	wg := c.W.Grad.Data
-	tensor.ParallelFor(c.OutC, func(lo, hi int) {
+	wg, col := c.W.Grad.Data, c.col
+	tensor.ParallelForWork(c.OutC, c.OutC*ickk*bsz*ohow, func(lo, hi int) {
 		for b := 0; b < bsz; b++ {
 			gb := grad.Data[b*c.OutC*ohow : (b+1)*c.OutC*ohow]
-			colB := c.col[b*ickk*ohow : (b+1)*ickk*ohow]
-			tensor.MatMulTransBAccRowsInto(wg, gb, colB, ohow, ickk, lo, hi)
+			tensor.MatMulTransBAccRowsStridedInto(wg, gb, ohow, col[lay.col(b):], ld, ohow, ickk, lo, hi)
 		}
 	})
 	return dx

@@ -22,24 +22,46 @@ func ConvOutDims(h, w, k, stride, pad int) (oh, ow int) {
 	return oh, ow
 }
 
+// checkStridedCols panics unless a (rows × ohow) block fits at column off of a
+// matrix whose rows are ld elements apart and that holds n elements.
+func checkStridedCols(op string, n, rows, ohow, ld, off int) {
+	if off < 0 || off+ohow > ld {
+		panic(fmt.Sprintf("tensor: %s columns [%d,%d) outside row stride %d", op, off, off+ohow, ld))
+	}
+	if need := (rows-1)*ld + off + ohow; rows > 0 && n < need {
+		panic(fmt.Sprintf("tensor: %s column matrix has %d elements, need %d", op, n, need))
+	}
+}
+
 // Im2ColInto unrolls src, one C×H×W image, into dst, a row-major
 // (C·k·k) × (oh·ow) column matrix. Every dst element is written (padding
 // positions as zero), so dst needs no pre-clearing.
 func Im2ColInto(dst, src []float64, c, h, w, k, stride, pad int) {
 	oh, ow := ConvOutDims(h, w, k, stride, pad)
-	ohow := oh * ow
-	if len(dst) != c*k*k*ohow {
-		panic(fmt.Sprintf("tensor: Im2ColInto dst has %d elements, need %d", len(dst), c*k*k*ohow))
+	if len(dst) != c*k*k*oh*ow {
+		panic(fmt.Sprintf("tensor: Im2ColInto dst has %d elements, need %d", len(dst), c*k*k*oh*ow))
 	}
+	Im2ColStridedInto(dst, src, c, h, w, k, stride, pad, oh*ow, 0)
+}
+
+// Im2ColStridedInto unrolls src, one C×H×W image, into columns
+// [off, off+oh·ow) of dst, a (C·k·k)-row column matrix whose rows are ld
+// elements apart: the batch-folded layout, where every image of a batch owns
+// its own column range of one wide matrix. Only those columns are written,
+// each of them fully (padding positions as zero).
+func Im2ColStridedInto(dst, src []float64, c, h, w, k, stride, pad, ld, off int) {
+	oh, ow := ConvOutDims(h, w, k, stride, pad)
+	ohow := oh * ow
+	checkStridedCols("Im2ColStridedInto", len(dst), c*k*k, ohow, ld, off)
 	if len(src) != c*h*w {
-		panic(fmt.Sprintf("tensor: Im2ColInto src has %d elements, need %d", len(src), c*h*w))
+		panic(fmt.Sprintf("tensor: Im2ColStridedInto src has %d elements, need %d", len(src), c*h*w))
 	}
 	r := 0
 	for ic := 0; ic < c; ic++ {
 		plane := src[ic*h*w : (ic+1)*h*w]
 		for kh := 0; kh < k; kh++ {
 			for kw := 0; kw < k; kw++ {
-				drow := dst[r*ohow : (r+1)*ohow]
+				drow := dst[r*ld+off : r*ld+off+ohow]
 				r++
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*stride + kh - pad
@@ -96,19 +118,28 @@ func Im2ColInto(dst, src []float64, c, h, w, k, stride, pad int) {
 // receptive fields sum, making this the exact adjoint of Im2ColInto.
 func Col2ImAccInto(dst, col []float64, c, h, w, k, stride, pad int) {
 	oh, ow := ConvOutDims(h, w, k, stride, pad)
-	ohow := oh * ow
-	if len(col) != c*k*k*ohow {
-		panic(fmt.Sprintf("tensor: Col2ImAccInto col has %d elements, need %d", len(col), c*k*k*ohow))
+	if len(col) != c*k*k*oh*ow {
+		panic(fmt.Sprintf("tensor: Col2ImAccInto col has %d elements, need %d", len(col), c*k*k*oh*ow))
 	}
+	Col2ImAccStridedInto(dst, col, c, h, w, k, stride, pad, oh*ow, 0)
+}
+
+// Col2ImAccStridedInto scatter-adds columns [off, off+oh·ow) of col, a
+// (C·k·k)-row matrix whose rows are ld elements apart, into dst, a C×H×W
+// image: the adjoint of Im2ColStridedInto.
+func Col2ImAccStridedInto(dst, col []float64, c, h, w, k, stride, pad, ld, off int) {
+	oh, ow := ConvOutDims(h, w, k, stride, pad)
+	ohow := oh * ow
+	checkStridedCols("Col2ImAccStridedInto", len(col), c*k*k, ohow, ld, off)
 	if len(dst) != c*h*w {
-		panic(fmt.Sprintf("tensor: Col2ImAccInto dst has %d elements, need %d", len(dst), c*h*w))
+		panic(fmt.Sprintf("tensor: Col2ImAccStridedInto dst has %d elements, need %d", len(dst), c*h*w))
 	}
 	r := 0
 	for ic := 0; ic < c; ic++ {
 		plane := dst[ic*h*w : (ic+1)*h*w]
 		for kh := 0; kh < k; kh++ {
 			for kw := 0; kw < k; kw++ {
-				crow := col[r*ohow : (r+1)*ohow]
+				crow := col[r*ld+off : r*ld+off+ohow]
 				r++
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*stride + kh - pad

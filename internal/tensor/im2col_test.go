@@ -104,3 +104,69 @@ func TestConvOutDimsPanicsOnImpossibleGeometry(t *testing.T) {
 	}()
 	ConvOutDims(2, 2, 5, 1, 0)
 }
+
+// The strided forms place one image's columns inside a wider folded matrix.
+// For every geometry they must write (or read) exactly the columns the
+// per-image forms do, at the given offset, and leave the rest of the matrix
+// alone.
+func TestStridedIm2ColMatchesPerImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const sentinel = -777.25
+	for _, cs := range convCases {
+		oh, ow := ConvOutDims(cs.h, cs.w, cs.k, cs.stride, cs.pad)
+		ohow, rows := oh*ow, cs.c*cs.k*cs.k
+		for _, lay := range []struct{ ld, off int }{{ohow, 0}, {3*ohow + 5, ohow + 3}, {ohow + 1, 1}} {
+			x := Randn(rng, 1, cs.c, cs.h, cs.w)
+			want := Im2Col(x, cs.k, cs.stride, cs.pad)
+			wide := make([]float64, rows*lay.ld)
+			for i := range wide {
+				wide[i] = sentinel
+			}
+			Im2ColStridedInto(wide, x.Data, cs.c, cs.h, cs.w, cs.k, cs.stride, cs.pad, lay.ld, lay.off)
+			for r := 0; r < rows; r++ {
+				for j := 0; j < lay.ld; j++ {
+					got, exp := wide[r*lay.ld+j], sentinel
+					if j >= lay.off && j < lay.off+ohow {
+						exp = want.Data[r*ohow+j-lay.off]
+					}
+					if got != exp {
+						t.Fatalf("%+v %+v: strided col[%d,%d] = %v, want %v", cs, lay, r, j, got, exp)
+					}
+				}
+			}
+
+			cot := Randn(rng, 1, rows, ohow)
+			wantImg := Col2Im(cot, cs.c, cs.h, cs.w, cs.k, cs.stride, cs.pad)
+			for r := 0; r < rows; r++ {
+				copy(wide[r*lay.ld+lay.off:], cot.Data[r*ohow:(r+1)*ohow])
+			}
+			gotImg := New(cs.c, cs.h, cs.w)
+			Col2ImAccStridedInto(gotImg.Data, wide, cs.c, cs.h, cs.w, cs.k, cs.stride, cs.pad, lay.ld, lay.off)
+			for i := range wantImg.Data {
+				if gotImg.Data[i] != wantImg.Data[i] {
+					t.Fatalf("%+v %+v: strided col2im[%d] = %v, want %v", cs, lay, i, gotImg.Data[i], wantImg.Data[i])
+				}
+			}
+		}
+	}
+}
+
+func TestStridedIm2ColPanicsOutsideMatrix(t *testing.T) {
+	for name, call := range map[string]func(){
+		"columns past the row stride": func() {
+			Im2ColStridedInto(make([]float64, 9*20), make([]float64, 16), 1, 4, 4, 3, 1, 1, 20, 5)
+		},
+		"matrix one element short": func() {
+			Col2ImAccStridedInto(make([]float64, 16), make([]float64, 8*20+4+16-1), 1, 4, 4, 3, 1, 1, 20, 4)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected a panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

@@ -2,196 +2,200 @@ package tensor
 
 import "fmt"
 
-// Cache-blocked GEMM kernels and their goroutine-parallel wrappers.
+// GEMM kernels and their goroutine-parallel wrappers.
 //
 // Every kernel applies the contributions of the shared dimension p in
-// strictly ascending order to each output element, exactly like the naive
-// loops in MatMul/MatMulTransA/MatMulTransB. Register tiling only changes
-// *which elements* are in flight together, never the per-element accumulation
-// order, so for finite inputs the tiled and parallel variants are
-// bit-identical to the naive ones — the property the convolution backend's
-// equivalence tests rely on. Parallelism partitions output rows into
-// contiguous chunks with disjoint writes, so results are also independent of
-// worker count and scheduling.
+// strictly ascending order to each output element, starting from +0, exactly
+// like the naive loops in MatMul/MatMulTransA/MatMulTransB. Register tiling
+// only changes *which elements* are in flight together, never the per-element
+// accumulation order, so for finite inputs the tiled, vectorized and parallel
+// variants are bit-identical to the naive ones — the property the convolution
+// backend's equivalence tests rely on. Parallelism partitions the output into
+// contiguous row or column ranges with disjoint writes, so results are also
+// independent of worker count and scheduling.
 //
-// The micro-kernels compute 4×4 output tiles in registers: 16 multiply-adds
-// per 8 loads instead of the naive loop's 1 per 3, which is what lets the
-// single-threaded GEMM beat the direct convolution loops even on one core.
-// Column tiles are the outer loop so the active 4-column B panel (k×4) stays
-// L1-resident while A streams through.
+// A·B and Aᵀ·B share one tile driver, gemmBlock. It addresses the left
+// operand through two strides, op(A)[i][p] = a[i·aRow + p·aP] — (k, 1) reads
+// a row-major A, (1, m) reads its transpose in place — and walks the output
+// in 4-row × 8-column tiles. On amd64 with AVX2 a full tile runs
+// gemm4x8AVX2 (gemm_amd64.s); every other tile, and every tile on other
+// platforms, runs its portable twin gemmTileGo. Column tiles are the outer
+// loop so the active k×8 panel of B stays cache-resident while A streams
+// through.
 
-// parFLOPs is the approximate multiply-add count below which spawning
-// workers costs more than it saves.
-const parFLOPs = 1 << 15
+// gemmBlock computes rows [i0, i1) of the n-column product dst = op(A)·B,
+// where op(A)[i][p] = a[i·aRow + p·aP], B[p][j] = b[p·ldb + j] and
+// dst[i][j] = dst[i·ldc + j], overwriting those rows. op names the caller in
+// panics. All extents are checked here, once, because the assembly tile is
+// outside Go's bounds checks.
+func gemmBlock(op string, dst []float64, ldc int, a []float64, aRow, aP int, b []float64, ldb, k, n, i0, i1 int) {
+	if i0 < 0 || i1 < i0 || n < 0 || k < 0 || n > ldb || n > ldc || aRow < 0 || aP < 0 {
+		panic(fmt.Sprintf("tensor: %s bad shape rows [%d,%d) n %d k %d strides a (%d,%d) b %d dst %d",
+			op, i0, i1, n, k, aRow, aP, ldb, ldc))
+	}
+	if i1 == i0 || n == 0 {
+		return
+	}
+	if need := (i1-1)*ldc + n; len(dst) < need {
+		panic(fmt.Sprintf("tensor: %s dst has %d elements, need %d", op, len(dst), need))
+	}
+	if k == 0 {
+		for i := i0; i < i1; i++ {
+			row := dst[i*ldc : i*ldc+n]
+			for j := range row {
+				row[j] = 0
+			}
+		}
+		return
+	}
+	if need := (i1-1)*aRow + (k-1)*aP + 1; len(a) < need {
+		panic(fmt.Sprintf("tensor: %s a has %d elements, need %d", op, len(a), need))
+	}
+	if need := (k-1)*ldb + n; len(b) < need {
+		panic(fmt.Sprintf("tensor: %s b has %d elements, need %d", op, len(b), need))
+	}
+	for j := 0; j < n; j += 8 {
+		nc := min(8, n-j)
+		for i := i0; i < i1; i += 4 {
+			mr := min(4, i1-i)
+			if useAVX2 && mr == 4 && nc == 8 {
+				gemm4x8AVX2(&dst[i*ldc+j], ldc, &a[i*aRow], aRow, aP, &b[j], ldb, k)
+			} else {
+				gemmTileGo(dst[i*ldc+j:], ldc, a[i*aRow:], aRow, aP, b[j:], ldb, k, mr, nc)
+			}
+		}
+	}
+}
+
+// gemmTileGo is the portable twin of gemm4x8AVX2 and the reference the tests
+// hold it to: c[r·ldc + j] = Σ_p a[r·aRow + p·aP] · b[p·ldb + j] for r < mr,
+// j < nc, each sum taken in ascending p from +0 with a separately rounded
+// multiply and add. It also serves the edge tiles (mr < 4 or nc < 8). Full
+// rows of four run a 4×4 register tile per half; what is left falls to one
+// accumulator per element.
+func gemmTileGo(c []float64, ldc int, a []float64, aRow, aP int, b []float64, ldb, k, mr, nc int) {
+	j := 0
+	if mr == 4 {
+		a0, a1, a2, a3 := a, a[aRow:], a[2*aRow:], a[3*aRow:]
+		for ; j+4 <= nc; j += 4 {
+			var c00, c01, c02, c03 float64
+			var c10, c11, c12, c13 float64
+			var c20, c21, c22, c23 float64
+			var c30, c31, c32, c33 float64
+			for p, ia, ib := 0, 0, j; p < k; p, ia, ib = p+1, ia+aP, ib+ldb {
+				bp := b[ib : ib+4 : ib+4]
+				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+				v := a0[ia]
+				c00 += v * b0
+				c01 += v * b1
+				c02 += v * b2
+				c03 += v * b3
+				v = a1[ia]
+				c10 += v * b0
+				c11 += v * b1
+				c12 += v * b2
+				c13 += v * b3
+				v = a2[ia]
+				c20 += v * b0
+				c21 += v * b1
+				c22 += v * b2
+				c23 += v * b3
+				v = a3[ia]
+				c30 += v * b0
+				c31 += v * b1
+				c32 += v * b2
+				c33 += v * b3
+			}
+			d := c[j : j+4 : j+4]
+			d[0], d[1], d[2], d[3] = c00, c01, c02, c03
+			d = c[ldc+j : ldc+j+4 : ldc+j+4]
+			d[0], d[1], d[2], d[3] = c10, c11, c12, c13
+			d = c[2*ldc+j : 2*ldc+j+4 : 2*ldc+j+4]
+			d[0], d[1], d[2], d[3] = c20, c21, c22, c23
+			d = c[3*ldc+j : 3*ldc+j+4 : 3*ldc+j+4]
+			d[0], d[1], d[2], d[3] = c30, c31, c32, c33
+		}
+	}
+	for ; j < nc; j++ {
+		for r := 0; r < mr; r++ {
+			s := 0.0
+			for p, ia, ib := 0, r*aRow, j; p < k; p, ia, ib = p+1, ia+aP, ib+ldb {
+				s += a[ia] * b[ib]
+			}
+			c[r*ldc+j] = s
+		}
+	}
+}
 
 // MatMulRowsInto computes rows [i0, i1) of dst = A·B for row-major
 // a (≥i1×k), b (k×n), dst (≥i1×n), overwriting those dst rows.
 func MatMulRowsInto(dst, a, b []float64, k, n, i0, i1 int) {
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		i := i0
-		for ; i+4 <= i1; i += 4 {
-			a0 := a[(i+0)*k : (i+1)*k]
-			a1 := a[(i+1)*k : (i+2)*k]
-			a2 := a[(i+2)*k : (i+3)*k]
-			a3 := a[(i+3)*k : (i+4)*k]
-			var c00, c01, c02, c03 float64
-			var c10, c11, c12, c13 float64
-			var c20, c21, c22, c23 float64
-			var c30, c31, c32, c33 float64
-			for p := 0; p < k; p++ {
-				bp := b[p*n+j : p*n+j+4 : p*n+j+4]
-				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-				v := a0[p]
-				c00 += v * b0
-				c01 += v * b1
-				c02 += v * b2
-				c03 += v * b3
-				v = a1[p]
-				c10 += v * b0
-				c11 += v * b1
-				c12 += v * b2
-				c13 += v * b3
-				v = a2[p]
-				c20 += v * b0
-				c21 += v * b1
-				c22 += v * b2
-				c23 += v * b3
-				v = a3[p]
-				c30 += v * b0
-				c31 += v * b1
-				c32 += v * b2
-				c33 += v * b3
-			}
-			d0 := dst[(i+0)*n+j : (i+0)*n+j+4 : (i+0)*n+j+4]
-			d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-			d1 := dst[(i+1)*n+j : (i+1)*n+j+4 : (i+1)*n+j+4]
-			d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-			d2 := dst[(i+2)*n+j : (i+2)*n+j+4 : (i+2)*n+j+4]
-			d2[0], d2[1], d2[2], d2[3] = c20, c21, c22, c23
-			d3 := dst[(i+3)*n+j : (i+3)*n+j+4 : (i+3)*n+j+4]
-			d3[0], d3[1], d3[2], d3[3] = c30, c31, c32, c33
-		}
-		for ; i < i1; i++ {
-			arow := a[i*k : (i+1)*k]
-			var c0, c1, c2, c3 float64
-			for p, v := range arow {
-				bp := b[p*n+j : p*n+j+4 : p*n+j+4]
-				c0 += v * bp[0]
-				c1 += v * bp[1]
-				c2 += v * bp[2]
-				c3 += v * bp[3]
-			}
-			d := dst[i*n+j : i*n+j+4 : i*n+j+4]
-			d[0], d[1], d[2], d[3] = c0, c1, c2, c3
-		}
-	}
-	for ; j < n; j++ {
-		for i := i0; i < i1; i++ {
-			arow := a[i*k : (i+1)*k]
-			s := 0.0
-			for p, v := range arow {
-				s += v * b[p*n+j]
-			}
-			dst[i*n+j] = s
-		}
-	}
+	gemmBlock("MatMulRowsInto", dst, n, a, k, 1, b, n, k, n, i0, i1)
 }
 
 // MatMulInto computes dst = A·B for row-major a (m×k), b (k×n), dst (m×n).
 func MatMulInto(dst, a, b []float64, m, k, n int) {
-	MatMulRowsInto(dst, a, b, k, n, 0, m)
+	MatMulStridedInto(dst, n, a, b, n, m, k, n)
+}
+
+// MatMulStridedInto computes dst = A·B for row-major a (m×k), b (k×n) whose
+// rows are ldb elements apart and dst (m×n) whose rows are ldc apart: a
+// column range of a wider matrix is its sub-slice at the first column with
+// the wide matrix's row stride, which is how the batch-folded convolution
+// multiplies one panel of its column matrix at a time.
+func MatMulStridedInto(dst []float64, ldc int, a, b []float64, ldb, m, k, n int) {
+	gemmBlock("MatMulStridedInto", dst, ldc, a, k, 1, b, ldb, k, n, 0, m)
 }
 
 // MatMulTransARowsInto computes rows [i0, i1) of dst = Aᵀ·B for row-major
 // a (kk×m), b (kk×n), dst (m×n), overwriting those dst rows. Rows of dst
-// correspond to columns of a; both tile loads are contiguous.
+// correspond to columns of a, read in place through the tile's strides.
 func MatMulTransARowsInto(dst, a, b []float64, kk, m, n, i0, i1 int) {
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		i := i0
-		for ; i+4 <= i1; i += 4 {
-			var c00, c01, c02, c03 float64
-			var c10, c11, c12, c13 float64
-			var c20, c21, c22, c23 float64
-			var c30, c31, c32, c33 float64
-			for p := 0; p < kk; p++ {
-				ap := a[p*m+i : p*m+i+4 : p*m+i+4]
-				bp := b[p*n+j : p*n+j+4 : p*n+j+4]
-				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-				v := ap[0]
-				c00 += v * b0
-				c01 += v * b1
-				c02 += v * b2
-				c03 += v * b3
-				v = ap[1]
-				c10 += v * b0
-				c11 += v * b1
-				c12 += v * b2
-				c13 += v * b3
-				v = ap[2]
-				c20 += v * b0
-				c21 += v * b1
-				c22 += v * b2
-				c23 += v * b3
-				v = ap[3]
-				c30 += v * b0
-				c31 += v * b1
-				c32 += v * b2
-				c33 += v * b3
-			}
-			d0 := dst[(i+0)*n+j : (i+0)*n+j+4 : (i+0)*n+j+4]
-			d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-			d1 := dst[(i+1)*n+j : (i+1)*n+j+4 : (i+1)*n+j+4]
-			d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-			d2 := dst[(i+2)*n+j : (i+2)*n+j+4 : (i+2)*n+j+4]
-			d2[0], d2[1], d2[2], d2[3] = c20, c21, c22, c23
-			d3 := dst[(i+3)*n+j : (i+3)*n+j+4 : (i+3)*n+j+4]
-			d3[0], d3[1], d3[2], d3[3] = c30, c31, c32, c33
-		}
-		for ; i < i1; i++ {
-			var c0, c1, c2, c3 float64
-			for p := 0; p < kk; p++ {
-				v := a[p*m+i]
-				bp := b[p*n+j : p*n+j+4 : p*n+j+4]
-				c0 += v * bp[0]
-				c1 += v * bp[1]
-				c2 += v * bp[2]
-				c3 += v * bp[3]
-			}
-			d := dst[i*n+j : i*n+j+4 : i*n+j+4]
-			d[0], d[1], d[2], d[3] = c0, c1, c2, c3
-		}
-	}
-	for ; j < n; j++ {
-		for i := i0; i < i1; i++ {
-			s := 0.0
-			for p := 0; p < kk; p++ {
-				s += a[p*m+i] * b[p*n+j]
-			}
-			dst[i*n+j] = s
-		}
-	}
+	gemmBlock("MatMulTransARowsInto", dst, n, a, 1, m, b, n, kk, n, i0, i1)
 }
 
 // MatMulTransAInto computes dst = Aᵀ·B for a (kk×m), b (kk×n), dst (m×n).
 func MatMulTransAInto(dst, a, b []float64, kk, m, n int) {
-	MatMulTransARowsInto(dst, a, b, kk, m, n, 0, m)
+	MatMulTransAStridedInto(dst, n, a, b, n, kk, m, n)
 }
 
-// MatMulTransBAccRowsInto accumulates rows [i0, i1) of dst += A·Bᵀ for
-// row-major a (≥i1×k), b (n×k), dst (≥i1×n). Each dst element receives one
-// fully-reduced dot product, so repeated calls (e.g. once per image of a
-// batch) accumulate in caller-controlled order.
-func MatMulTransBAccRowsInto(dst, a, b []float64, k, n, i0, i1 int) {
+// MatMulTransAStridedInto computes dst = Aᵀ·B for row-major a (kk×m),
+// b (kk×n) whose rows are ldb elements apart and dst (m×n) whose rows are ldc
+// apart.
+func MatMulTransAStridedInto(dst []float64, ldc int, a, b []float64, ldb, kk, m, n int) {
+	gemmBlock("MatMulTransAStridedInto", dst, ldc, a, 1, m, b, ldb, kk, n, 0, m)
+}
+
+// MatMulTransBAccRowsStridedInto accumulates rows [i0, i1) of dst += A·Bᵀ for
+// a whose rows (≥i1 of them, k long) are lda elements apart, b whose rows (n
+// of them, k long) are ldb apart, and row-major dst (≥i1×n). Each dst element
+// receives one fully-reduced dot product, so repeated calls (e.g. once per
+// image of a batch) accumulate in caller-controlled order.
+func MatMulTransBAccRowsStridedInto(dst, a []float64, lda int, b []float64, ldb, k, n, i0, i1 int) {
+	if i0 < 0 || i1 < i0 || k < 0 || n < 0 || lda < k || ldb < k {
+		panic(fmt.Sprintf("tensor: MatMulTransBAccRowsStridedInto bad shape rows [%d,%d) k %d n %d strides %d, %d",
+			i0, i1, k, n, lda, ldb))
+	}
+	if i1 == i0 || n == 0 {
+		return
+	}
+	if need := (i1-1)*lda + k; len(a) < need {
+		panic(fmt.Sprintf("tensor: MatMulTransBAccRowsStridedInto a has %d elements, need %d", len(a), need))
+	}
+	if need := (n-1)*ldb + k; len(b) < need {
+		panic(fmt.Sprintf("tensor: MatMulTransBAccRowsStridedInto b has %d elements, need %d", len(b), need))
+	}
+	if need := i1 * n; len(dst) < need {
+		panic(fmt.Sprintf("tensor: MatMulTransBAccRowsStridedInto dst has %d elements, need %d", len(dst), need))
+	}
 	i := i0
 	for ; i+2 <= i1; i += 2 {
-		a0 := a[(i+0)*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
+		a0 := a[(i+0)*lda : (i+0)*lda+k]
+		a1 := a[(i+1)*lda : (i+1)*lda+k]
 		j := 0
 		for ; j+2 <= n; j += 2 {
-			b0 := b[(j+0)*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k]
+			b0 := b[(j+0)*ldb : (j+0)*ldb+k]
+			b1 := b[(j+1)*ldb : (j+1)*ldb+k]
 			var c00, c01, c10, c11 float64
 			for p, v0 := range a0 {
 				v1 := a1[p]
@@ -207,7 +211,7 @@ func MatMulTransBAccRowsInto(dst, a, b []float64, k, n, i0, i1 int) {
 			dst[(i+1)*n+j+1] += c11
 		}
 		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
+			brow := b[j*ldb : j*ldb+k]
 			var c0, c1 float64
 			for p, v0 := range a0 {
 				c0 += v0 * brow[p]
@@ -218,10 +222,10 @@ func MatMulTransBAccRowsInto(dst, a, b []float64, k, n, i0, i1 int) {
 		}
 	}
 	for ; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
+		arow := a[i*lda : i*lda+k]
 		orow := dst[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
+			brow := b[j*ldb : j*ldb+k]
 			s := 0.0
 			for p, av := range arow {
 				s += av * brow[p]
@@ -229,6 +233,12 @@ func MatMulTransBAccRowsInto(dst, a, b []float64, k, n, i0, i1 int) {
 			orow[j] += s
 		}
 	}
+}
+
+// MatMulTransBAccRowsInto is MatMulTransBAccRowsStridedInto for dense
+// row-major a (≥i1×k) and b (n×k).
+func MatMulTransBAccRowsInto(dst, a, b []float64, k, n, i0, i1 int) {
+	MatMulTransBAccRowsStridedInto(dst, a, k, b, k, k, n, i0, i1)
 }
 
 func check2D(a, b *Tensor, op string) {
@@ -247,11 +257,7 @@ func MatMulPar(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulPar shape mismatch %v x %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	if m*k*n < parFLOPs {
-		MatMulInto(out.Data, a.Data, b.Data, m, k, n)
-		return out
-	}
-	ParallelFor(m, func(lo, hi int) {
+	ParallelForWork(m, m*k*n, func(lo, hi int) {
 		MatMulRowsInto(out.Data, a.Data, b.Data, k, n, lo, hi)
 	})
 	return out
@@ -267,11 +273,7 @@ func MatMulTransAPar(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransAPar shape mismatch %v x %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	if m*kk*n < parFLOPs {
-		MatMulTransAInto(out.Data, a.Data, b.Data, kk, m, n)
-		return out
-	}
-	ParallelFor(m, func(lo, hi int) {
+	ParallelForWork(m, m*kk*n, func(lo, hi int) {
 		MatMulTransARowsInto(out.Data, a.Data, b.Data, kk, m, n, lo, hi)
 	})
 	return out
@@ -287,11 +289,7 @@ func MatMulTransBPar(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransBPar shape mismatch %v x %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	if m*k*n < parFLOPs {
-		MatMulTransBAccRowsInto(out.Data, a.Data, b.Data, k, n, 0, m)
-		return out
-	}
-	ParallelFor(m, func(lo, hi int) {
+	ParallelForWork(m, m*k*n, func(lo, hi int) {
 		MatMulTransBAccRowsInto(out.Data, a.Data, b.Data, k, n, lo, hi)
 	})
 	return out

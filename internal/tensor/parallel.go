@@ -76,3 +76,20 @@ func ParallelFor(n int, f func(lo, hi int)) {
 	}
 	wg.Wait()
 }
+
+// parFLOPs is the approximate multiply-add count below which handing work to
+// the pool costs more than it saves: about 25 µs of the vector GEMM tile, the
+// order of one worker wake-up and the wait for it.
+const parFLOPs = 1 << 18
+
+// ParallelForWork is ParallelFor for a job of about work multiply-adds in
+// total: below parFLOPs the whole range runs inline as f(0, n), so
+// microsecond jobs never pay for a worker wake-up. Whether it splits depends
+// only on work, and how it splits only on (n, GOMAXPROCS).
+func ParallelForWork(n, work int, f func(lo, hi int)) {
+	if n > 0 && work < parFLOPs {
+		f(0, n)
+		return
+	}
+	ParallelFor(n, f)
+}
