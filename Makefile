@@ -33,8 +33,10 @@
 #                         mid-round twice, recovered, federation finished,
 #                         final model bit-identical (in ci)
 #   make check-docs     - fail on dead relative links in README/docs
-#   make cross   - cross-build for arm64 and vet tensor/nn there: the portable
-#                  GEMM path that every platform but amd64 runs (in ci)
+#   make cross   - cross-build for arm64 and vet tensor/nn/quant there: the
+#                  portable GEMM path that every platform but amd64 runs, and
+#                  the codec kernels whose bytes must not depend on the
+#                  platform (in ci)
 #   make lint    - fplint: the repo's own analyzers (atomicfield, lockorder,
 #                  determinism, sentinelerr, poolleak) over the whole module
 #                  and the nested bench module
@@ -56,9 +58,11 @@ vet:
 # asmdecl above); every other platform runs its portable Go twin. Building
 # the module and vetting tensor/nn for arm64 — pure Go, offline, nothing is
 # executed — keeps a break of that path from landing unseen on an amd64 box.
+# internal/quant rides along: its kernels are pure Go on every platform, and
+# the frames they emit are a wire format.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/nn/...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/nn/... ./internal/quant/...
 
 # fplint (cmd/fplint + internal/lint) machine-checks the invariants
 # docs/ARCHITECTURE.md documents in prose: atomic fields stay atomic, mutexes
@@ -83,12 +87,15 @@ test:
 test-race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/fldist/... ./internal/quant/... ./internal/cascade/...
 
-# The wire-codec fuzz target: the checked-in seed corpus (raw, dense, sparse
-# and corrupted frames) plus a short live-fuzz pass, so adversarial frames
-# hitting quant.Decode/StreamDecoder keep returning ErrCodec instead of
-# panicking or over-allocating. ~5s; part of ci.
+# The wire-codec fuzz targets, a short live pass each on top of their seed
+# corpora: FuzzDecode (raw, dense, sparse and corrupted frames — adversarial
+# input to quant.Decode/StreamDecoder keeps returning ErrCodec instead of
+# panicking or over-allocating) and FuzzQuantizeMatchesReference (arbitrary
+# chunks — the quantize/pack/unpack kernels stay bit-identical to their
+# math.Round / bit-cursor references). ~10s; part of ci.
 fuzz:
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
+	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzQuantizeMatchesReference$$' -fuzztime 4s
 
 # Dead relative links in the markdown docs — and dead *.md references cited
 # inside Go doc comments — fail the build.

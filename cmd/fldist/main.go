@@ -197,7 +197,8 @@ func main() {
 		}
 		log.Printf("edge registry on %s → %s (cohorts %v, upstream IDs from %d, flush K=%d age=%s)",
 			*addr, *upstream, reg.Names(), idBase, *flushK, *flushAge)
-		hs := &http.Server{Addr: *addr, Handler: reg.Handler()}
+		hs := fldist.NewHTTPServer(reg.Handler())
+		hs.Addr = *addr
 		go func() {
 			<-ctx.Done()
 			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -814,7 +814,7 @@ func (e *Edge) Serve(ctx context.Context, ln net.Listener) error {
 			return err
 		}
 	}
-	hs := &http.Server{Handler: e.Handler()}
+	hs := NewHTTPServer(e.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

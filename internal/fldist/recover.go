@@ -543,7 +543,7 @@ func (s *Server) servedBaseForReplay(c Compression, round int, commitAt map[int]
 			break
 		}
 	}
-	sm := s.buildServed(rs.snap, prevErr, c)
+	sm := s.buildServed(rs.snap, prevErr, nil, c)
 	rs.served[c] = sm
 	return sm, nil
 }

@@ -58,7 +58,11 @@ const deltaHeaderSize = 4 + 1 + 4 + 4 + 4
 // seed the base registry. baseP/baseBN are the chain base *after* this
 // round's delta — the exact vectors a client holding this round reconstructs
 // — immutable once the entry is appended, so the push path may hold them
-// outside the chain lock.
+// outside the chain lock. finite records, proven once when the entry is
+// appended, that baseP holds no NaN or ±Inf (the origin copies the model,
+// later bases add dequantised deltas: finite unless the model itself has
+// overflowed) — what the sparse push path relies on instead of sweeping the
+// base per push.
 type deltaEntry struct {
 	round     int
 	prevRound int // -1 on the chain origin
@@ -66,6 +70,7 @@ type deltaEntry struct {
 	bnFrame   []byte
 	baseP     []float64
 	baseBN    []float64
+	finite    bool
 }
 
 // deltaChain is one delta-mode codec variant's downlink state. mu is the
@@ -124,25 +129,25 @@ func (s *Server) lookupDeltaChain(c Compression) *deltaChain {
 	return s.deltaChains[c]
 }
 
-// deltaBaseAt resolves the chain-base vectors a delta-mode client holding
-// the given round trained from — the per-round base registry lookup of the
-// push path. The returned slices are immutable entry state, safe to use
+// deltaBaseAt resolves the chain entry whose base vectors a delta-mode client
+// holding the given round trained from — the per-round base registry lookup
+// of the push path. The entry's slices are immutable state, safe to use
 // after the lock drops. Reports false when the variant has no chain or the
 // round fell out of the window (the push is rejected as stale; the client
 // re-pulls and retrains).
-func (s *Server) deltaBaseAt(c Compression, round int) ([]float64, []float64, bool) {
+func (s *Server) deltaBaseAt(c Compression, round int) (deltaEntry, bool) {
 	ch := s.lookupDeltaChain(c)
 	if ch == nil {
-		return nil, nil, false
+		return deltaEntry{}, false
 	}
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	for i := len(ch.entries) - 1; i >= 0; i-- {
 		if ch.entries[i].round == round {
-			return ch.entries[i].baseP, ch.entries[i].baseBN, true
+			return ch.entries[i], true
 		}
 	}
-	return nil, nil, false
+	return deltaEntry{}, false
 }
 
 // advanceDeltaChainLocked brings the chain to the snapshot's round: seeds an
@@ -158,6 +163,7 @@ func (s *Server) advanceDeltaChainLocked(ch *deltaChain, c Compression, snap *sn
 			prevRound: -1,
 			baseP:     append([]float64(nil), snap.params...),
 			baseBN:    append([]float64(nil), snap.bn...),
+			finite:    allFinite(snap.params),
 		})
 		ch.round = snap.round
 		ch.errP = make([]float64, len(snap.params))
@@ -223,6 +229,7 @@ func (s *Server) advanceDeltaChainLocked(ch *deltaChain, c Compression, snap *sn
 		bnFrame:   bnFrame,
 		baseP:     newP,
 		baseBN:    newBN,
+		finite:    allFinite(newP),
 	})
 	ch.round = snap.round
 	ch.coldBody = nil

@@ -193,6 +193,12 @@ type Server struct {
 	downErr  map[Compression][]float64
 	serveGen uint64
 
+	// errFree holds residual vectors that are provably dead — nothing can
+	// still read them — for the next builds to write their nextErr into
+	// instead of allocating (see advanceRound for the proof obligation).
+	// Bounded by maxCodecVariants; guarded by serveMu.
+	errFree [][]float64
+
 	// servedRO is the lock-free view of served for the pull fast path: every
 	// mutation of the map under serveMu (variant creation is copy-on-write;
 	// retire installs a fresh empty map) publishes the new map here, so a
@@ -207,6 +213,11 @@ type Server struct {
 	// served bytes are bit-identical at any value (the stitch identity —
 	// TestServeSegmentInvariance); tests pin it to cross-check counts.
 	buildSegments int
+
+	// headerTimeout, when positive, replaces readHeaderTimeout on the
+	// listener Serve starts. Test seam (the production bound is seconds); set
+	// before serving, never changed.
+	headerTimeout time.Duration
 
 	// buildHook, when non-nil, runs at the start of every served-model
 	// build, under the variant's latch but outside serveMu. Test seam for
@@ -293,6 +304,12 @@ type servedModel struct {
 	params  []float64
 	bn      []float64
 	nextErr []float64
+
+	// finite records that no value of params is NaN or ±Inf, proven once at
+	// build time. Dequantised codes are finite unless a chunk's maxCode·scale
+	// itself overflows (a model value within an ulp of MaxFloat64); the sparse
+	// push path relies on it instead of sweeping the base per push.
+	finite bool
 
 	// codec and clen are the response's codec-echo and Content-Length header
 	// values, formatted once at build time so the pull hot path writes
@@ -588,6 +605,10 @@ func (s *Server) getServed(c Compression, wantRound int) (*servedModel, error) {
 		}
 		prevErr := s.downErr[c]
 		gen := s.serveGen
+		var next []float64
+		if k := len(s.errFree); k > 0 {
+			next, s.errFree = s.errFree[k-1], s.errFree[:k-1]
+		}
 		s.serveMu.Unlock()
 
 		// Build outside serveMu, under the variant's own latch: racing pulls
@@ -602,7 +623,7 @@ func (s *Server) getServed(c Compression, wantRound int) (*servedModel, error) {
 		if s.buildHook != nil {
 			s.buildHook(c)
 		}
-		sm := s.buildServed(snap, prevErr, c)
+		sm := s.buildServed(snap, prevErr, next, c)
 		s.servedBuilds.Add(1)
 		// Publish only if no snapshot swap happened mid-build: a body built
 		// from a retired (snapshot, downErr) pairing must not be served as
@@ -612,6 +633,9 @@ func (s *Server) getServed(c Compression, wantRound int) (*servedModel, error) {
 		fresh := gen == s.serveGen
 		if fresh {
 			e.val.Store(sm)
+		} else {
+			// Never published, builder goroutines joined: unreferenced.
+			s.recycleErrLocked(sm.nextErr)
 		}
 		s.serveMu.Unlock()
 		e.mu.Unlock()
@@ -659,14 +683,16 @@ func (s *Server) baseAt(round int) (*snapshot, error) {
 // the result byte-identical to the sequential EncodeStream build at any
 // segment count and GOMAXPROCS; TestServeSegmentInvariance pins that end to
 // end.
-func (s *Server) buildServed(snap *snapshot, prevErr []float64, c Compression) *servedModel {
+func (s *Server) buildServed(snap *snapshot, prevErr, next []float64, c Compression) *servedModel {
 	n := len(snap.params)
 	sm := &servedModel{
 		round:  snap.round,
 		params: make([]float64, n),
 		bn:     snap.bn, // immutable snapshot slice — safe to share
 	}
-	next := make([]float64, n)
+	if len(next) != n {
+		next = make([]float64, n)
+	}
 	bnFrame := quant.EncodeRaw(snap.bn)
 	body := make([]byte, 9+quant.FrameBytes(n, c.Chunk, c.Bits)+len(bnFrame))
 	copy(body, modelMagic)
@@ -679,14 +705,20 @@ func (s *Server) buildServed(snap *snapshot, prevErr []float64, c Compression) *
 	payload := body[9+quant.FrameHeaderSize : len(body)-len(bnFrame)]
 	copy(body[len(body)-len(bnFrame):], bnFrame)
 
+	// Per segment: residual add, encode (which writes deq from the code in
+	// hand), residual fold with the finiteness verdict on deq riding along.
+	// Every element of next, sm.params and payload is overwritten, so a
+	// recycled next needs no clearing.
+	var nonFinite atomic.Bool
 	encodeSegment := func(lo, hi int) {
-		v := next[lo:hi]
-		copy(v, snap.params[lo:hi])
+		v, p := next[lo:hi], snap.params[lo:hi]
 		if len(prevErr) == n {
 			pe := prevErr[lo:hi]
 			for i := range v {
-				v[i] += pe[i]
+				v[i] = p[i] + pe[i]
 			}
+		} else {
+			copy(v, p)
 		}
 		blo := quant.SegmentBytes(lo, c.Chunk, c.Bits)
 		bhi := quant.SegmentBytes(hi, c.Chunk, c.Bits)
@@ -694,8 +726,11 @@ func (s *Server) buildServed(snap *snapshot, prevErr []float64, c Compression) *
 		if err := quant.EncodeSegmentInto(payload[blo:bhi], v, c.Bits, c.Chunk, deq); err != nil {
 			panic(fmt.Sprintf("fldist: building served model: %v", err))
 		}
-		for i := range v {
-			v[i] -= deq[i]
+		for i, d := range deq {
+			v[i] -= d
+			if !isFinite(d) {
+				nonFinite.Store(true)
+			}
 		}
 	}
 	segs := s.buildSegments
@@ -721,11 +756,26 @@ func (s *Server) buildServed(snap *snapshot, prevErr []float64, c Compression) *
 			encodeSegment(bounds[k], bounds[k+1])
 		}
 	}
+	sm.finite = !nonFinite.Load()
 	sm.nextErr = next
 	sm.body = body
 	sm.codec = codecValue(c)
 	sm.clen = strconv.Itoa(len(body))
 	return sm
+}
+
+// isFinite reports whether x is neither NaN nor ±Inf, in one comparison (NaN
+// fails every ordered comparison).
+func isFinite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
+
+// allFinite reports whether every value of v is finite.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if !isFinite(x) {
+			return false
+		}
+	}
+	return true
 }
 
 // bodyLimit caps one /update body at a generous multiple of the model size
@@ -781,13 +831,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	for _, vec := range [][]float64{u.Params, u.BN} {
-		for _, x := range vec {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				http.Error(w, "non-finite value in update", http.StatusBadRequest)
-				return
-			}
-		}
+	if !allFinite(u.Params) || !allFinite(u.BN) {
+		http.Error(w, "non-finite value in update", http.StatusBadRequest)
+		return
 	}
 	// The gob decoder already allocated the vectors; hand them to the shards
 	// directly (no pooled buffer to release).
@@ -950,9 +996,9 @@ func (s *Server) handleDeltaUpdate(w http.ResponseWriter, r *http.Request, start
 	// same values (buffered mode looks the entry up in the retained window
 	// instead).
 	var baseP, baseBN []float64
+	var baseFinite bool
 	if deltaPush {
-		var ok bool
-		baseP, baseBN, ok = s.deltaBaseAt(pushComp, round)
+		e, ok := s.deltaBaseAt(pushComp, round)
 		if !ok {
 			// No chain (the server restarted) or the round fell out of the
 			// window: the client must re-pull — landing cold on the fresh
@@ -964,6 +1010,7 @@ func (s *Server) handleDeltaUpdate(w http.ResponseWriter, r *http.Request, start
 			http.Error(w, fmt.Sprintf("stale round %d", round), http.StatusConflict)
 			return
 		}
+		baseP, baseBN, baseFinite = e.baseP, e.baseBN, e.finite
 	} else {
 		sm, err := s.getServed(comp, round)
 		if errors.Is(err, errStaleServe) {
@@ -978,28 +1025,29 @@ func (s *Server) handleDeltaUpdate(w http.ResponseWriter, r *http.Request, start
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		baseP, baseBN = sm.params, sm.bn
+		baseP, baseBN, baseFinite = sm.params, sm.bn, sm.finite
 	}
 
 	buf := s.bufPool.Get().(*updateBuf)
 	if dec.IsSparse() {
 		// Sparse top-k frame: every unsent coordinate is exactly zero delta,
 		// so reconstruction copies the base and scatter-adds the k stored
-		// values; one finiteness sweep then covers the whole vector (a wire
-		// scale can be hostile, so the added values are not trusted).
+		// values. Finiteness costs O(k), not O(n): the base was proven finite
+		// when it was built (servedModel.finite, deltaEntry.finite), so the
+		// reconstruction can only be non-finite at a coordinate the frame
+		// writes — a wire scale can be hostile — and ApplySparse rejects a
+		// non-finite sum there.
 		sparse = true
+		if !baseFinite {
+			s.bufPool.Put(buf)
+			http.Error(w, "non-finite value in update", http.StatusBadRequest)
+			return
+		}
 		copy(buf.params, baseP)
 		if err := dec.ApplySparse(buf.params); err != nil {
 			s.bufPool.Put(buf)
 			http.Error(w, fmt.Sprintf("fldist: update params frame: %v", err), http.StatusBadRequest)
 			return
-		}
-		for _, v := range buf.params {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				s.bufPool.Put(buf)
-				http.Error(w, "non-finite value in update", http.StatusBadRequest)
-				return
-			}
 		}
 	} else {
 		// Stream the dense delta chunks into the pooled buffer,
@@ -1016,7 +1064,7 @@ func (s *Server) handleDeltaUpdate(w http.ResponseWriter, r *http.Request, start
 			base := baseP[off : off+l]
 			for i := range dst {
 				v := dst[i] + base[i]
-				if math.IsNaN(v) || math.IsInf(v, 0) {
+				if !isFinite(v) {
 					s.bufPool.Put(buf)
 					http.Error(w, "non-finite value in update", http.StatusBadRequest)
 					return
@@ -1045,7 +1093,7 @@ func (s *Server) handleDeltaUpdate(w http.ResponseWriter, r *http.Request, start
 	}
 	for i := range buf.bn {
 		v := buf.bn[i] + baseBN[i]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !isFinite(v) {
 			s.bufPool.Put(buf)
 			http.Error(w, "non-finite value in update", http.StatusBadRequest)
 			return
@@ -1420,11 +1468,24 @@ func (s *Server) advanceRound() {
 	// swap happens inside both serveMu and pendMu so cache builders and
 	// update registrations each observe a consistent round; the generation
 	// bump voids any build still in flight against the old state.
+	//
+	// The residual a variant's build consumed this round dies here: a map
+	// entry is only ever read by builds that started under the generation it
+	// was installed for (getServed takes residual and generation in one
+	// critical section, and this function replaces the map wholesale at every
+	// bump), those builds are single-flight under the variant's latch, and
+	// c ∈ served means the one that ran has published — every later arrival
+	// finds val set and never builds. The WAL serialised it synchronously
+	// under this lock a round ago. So it is recycled as a future nextErr; a
+	// variant whose build is still in flight is not in served and its residual
+	// is left to the garbage collector. Bodies and params are never recycled:
+	// a pull handler may be mid-Write on a retired round's body.
 	s.serveMu.Lock()
 	served := s.collectServedLocked(old.round)
 	downErr := make(map[Compression][]float64, len(served))
 	for c, sm := range served {
 		downErr[c] = sm.nextErr
+		s.recycleErrLocked(s.downErr[c])
 	}
 	s.downErr = downErr
 	s.setServedLocked(map[Compression]*servedEntry{})
@@ -1461,6 +1522,14 @@ func (s *Server) logCommitLocked(next *snapshot) {
 		return c.downErr[i].comp.less(c.downErr[j].comp)
 	})
 	_ = s.wal.appendCommit(s.wal.reserve(), c)
+}
+
+// recycleErrLocked offers a dead residual vector to later builds. Caller holds
+// serveMu and owes the proof that nothing can still read it.
+func (s *Server) recycleErrLocked(v []float64) {
+	if v != nil && len(s.errFree) < maxCodecVariants {
+		s.errFree = append(s.errFree, v)
+	}
 }
 
 // subVec writes a−b into dst, element-wise.
@@ -1685,6 +1754,24 @@ func (s *Server) Snapshot() ([]float64, []float64) {
 	return append([]float64(nil), snap.params...), append([]float64(nil), snap.bn...)
 }
 
+// Slow-peer bounds on every listener this package's tiers run behind. A peer
+// gets readHeaderTimeout to deliver its request headers — one that opens a
+// connection and stalls is dropped, its goroutine with it — and a kept-alive
+// connection idleTimeout between requests. Bodies carry no deadline: a model
+// pull or push over a thin edge uplink is legitimately slow, and its size is
+// already bounded by the handlers.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server the tiers serve h on: the slow-peer
+// bounds above and nothing else set. Server.Serve, Edge.Serve and cmd/fldist's
+// edge registry all listen through it.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // ListenAndServe runs the parameter server on addr until ctx is canceled,
 // then shuts the HTTP server down gracefully (in-flight pulls and pushes
 // finish; new connections are refused). It returns nil on a clean
@@ -1702,7 +1789,10 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 // and so is the server (Close — the WAL is released for a successor).
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	defer s.Close()
-	hs := &http.Server{Handler: s.Handler()}
+	hs := NewHTTPServer(s.Handler())
+	if s.headerTimeout > 0 {
+		hs.ReadHeaderTimeout = s.headerTimeout
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

@@ -55,7 +55,7 @@ func QuantizeChunks(v []float64, bits, chunk int) Chunked {
 		part := v[i*chunk : i*chunk+chunkLen(len(v), chunk, i)]
 		c.Scales[i] = chunkScale(part, bits)
 		nb := codeBytes(len(part), bits)
-		packCodes(c.Codes[off:off+nb], part, c.Scales[i], bits)
+		packCodes(c.Codes[off:off+nb], nil, part, c.Scales[i], bits)
 		off += nb
 	}
 	return c

@@ -131,14 +131,11 @@ func EncodeSegmentInto(dst []byte, v []float64, bits, chunk int, deq []float64) 
 		scale := chunkScale(part, bits)
 		binary.LittleEndian.PutUint64(dst[off:off+8], math.Float64bits(scale))
 		nb := codeBytes(len(part), bits)
-		codes := dst[off+8 : off+8+nb]
-		for i := range codes {
-			codes[i] = 0
-		}
-		packCodes(codes, part, scale, bits)
+		var d []float64
 		if deq != nil {
-			unpackCodes(deq[lo:hi], codes, scale, bits)
+			d = deq[lo:hi]
 		}
+		packCodes(dst[off+8:off+8+nb], d, part, scale, bits)
 		off += 8 + nb
 	}
 	return nil

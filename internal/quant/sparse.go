@@ -63,7 +63,9 @@ func (s *SparseVec) AddTo(dst []float64) {
 	if len(dst) != s.N {
 		panic(fmt.Sprintf("quant: SparseVec.AddTo dst has %d values, want %d", len(dst), s.N))
 	}
-	vals := make([]float64, 0, s.Chunk)
+	// A group holds at most min(Chunk, k) values; Chunk alone is a wire
+	// field a hostile frame can set to 2^32−1.
+	vals := make([]float64, 0, min(s.Chunk, len(s.Idx)))
 	si, off := 0, 0
 	for i := 0; i < len(s.Idx); {
 		j := groupEnd(s.Idx, i, s.Chunk)
@@ -414,7 +416,7 @@ func EncodeSparseSegmentInto(payload []byte, v []float64, idx []int, seg SparseS
 		off += binary.PutUvarint(payload[off:], uint64(idx[i]-prev))
 		prev = idx[i]
 	}
-	vals := make([]float64, 0, chunk)
+	vals := make([]float64, 0, min(chunk, seg.IHi-seg.ILo))
 	boff := seg.BlockOff
 	for i := seg.ILo; i < seg.IHi; {
 		j := groupEnd(idx, i, chunk)
@@ -426,14 +428,11 @@ func EncodeSparseSegmentInto(payload []byte, v []float64, idx []int, seg SparseS
 		scale := chunkScale(vals, bits)
 		binary.LittleEndian.PutUint64(payload[boff:boff+8], math.Float64bits(scale))
 		nb := codeBytes(m, bits)
-		codes := payload[boff+8 : boff+8+nb]
-		for t := range codes {
-			codes[t] = 0
-		}
-		packCodes(codes, vals, scale, bits)
+		var d []float64
 		if deq != nil {
-			unpackCodes(deq[i:j], codes, scale, bits)
+			d = deq[i:j]
 		}
+		packCodes(payload[boff+8:boff+8+nb], d, vals, scale, bits)
 		boff += 8 + nb
 		i = j
 	}

@@ -102,16 +102,9 @@ func (e *StreamEncoder) WriteChunk(vals, deq []float64) error {
 	buf := getScratch(8 + nb)
 	defer putScratch(buf)
 	binary.LittleEndian.PutUint64((*buf)[:8], math.Float64bits(scale))
-	codes := (*buf)[8:]
-	for i := range codes {
-		codes[i] = 0
-	}
-	packCodes(codes, vals, scale, e.bits)
+	packCodes((*buf)[8:], deq, vals, scale, e.bits)
 	if _, err := e.w.Write(*buf); err != nil {
 		return fmt.Errorf("quant: stream encoder chunk: %w", err)
-	}
-	if deq != nil {
-		unpackCodes(deq, codes, scale, e.bits)
 	}
 	e.done += len(vals)
 	return nil
@@ -313,7 +306,7 @@ func (d *StreamDecoder) DecodeAll(dst []float64) error {
 		for i := range dst {
 			dst[i] = 0
 		}
-		return d.applySparse(dst)
+		return d.applySparse(dst, false)
 	}
 	off := 0
 	for l := d.NextLen(); l > 0; l = d.NextLen() {
@@ -328,9 +321,13 @@ func (d *StreamDecoder) DecodeAll(dst []float64) error {
 // ApplySparse consumes a sparse frame, scatter-adding its stored dequantized
 // values onto dst (which must hold Len() values) and leaving every unstored
 // coordinate untouched — the error-feedback apply: pass the base vector in,
-// get base + decoded delta out. Structural violations wrap ErrCodec, and the
-// decoder's allocations stay proportional to the bytes actually read, so an
-// adversarial header cannot force an oversized buffer.
+// get base + decoded delta out. A sum that is NaN or ±Inf is rejected at the
+// coordinate it would be written to (a wire scale can be hostile), so a dst
+// that was finite on entry is finite wherever ApplySparse returns nil — the
+// caller need not sweep the n−k coordinates the frame never touched. On any
+// error dst is left partially applied. Structural violations wrap ErrCodec,
+// and the decoder's allocations stay proportional to the bytes actually
+// read, so an adversarial header cannot force an oversized buffer.
 func (d *StreamDecoder) ApplySparse(dst []float64) error {
 	if !d.sparse {
 		return fmt.Errorf("quant: ApplySparse on a non-sparse frame")
@@ -341,7 +338,7 @@ func (d *StreamDecoder) ApplySparse(dst []float64) error {
 	if len(dst) != d.n {
 		return fmt.Errorf("%w: ApplySparse got %d-value dst, frame declares %d", ErrCodec, len(dst), d.n)
 	}
-	return d.applySparse(dst)
+	return d.applySparse(dst, true)
 }
 
 // byteReaderAdapter lifts a plain io.Reader to io.ByteReader for varint
@@ -381,7 +378,10 @@ func readUvarintCanonical(br io.ByteReader) (uint64, error) {
 	return 0, fmt.Errorf("%w: varint longer than 5 bytes", ErrCodec)
 }
 
-func (d *StreamDecoder) applySparse(dst []float64) error {
+// applySparse scatter-adds the frame onto dst. finite selects ApplySparse's
+// contract — reject a non-finite sum; DecodeAll, which must accept exactly
+// what Decode accepts, passes false and materializes whatever the frame says.
+func (d *StreamDecoder) applySparse(dst []float64, finite bool) error {
 	var cnt [4]byte
 	if _, err := io.ReadFull(d.r, cnt[:]); err != nil {
 		return fmt.Errorf("%w: sparse count: %v", ErrCodec, err)
@@ -420,7 +420,10 @@ func (d *StreamDecoder) applySparse(dst []float64) error {
 		idx = append(idx, uint32(ix))
 		prev = ix
 	}
-	vals := make([]float64, 0, d.chunk)
+	// A group holds at most min(chunk, k) values, and every index cost a
+	// wire byte: sizing by the header's chunk alone would let 18 hostile
+	// bytes ask for 32 GiB.
+	vals := make([]float64, 0, min(d.chunk, len(idx)))
 	for i := 0; i < len(idx); {
 		c := int(idx[i]) / d.chunk
 		j := i + 1
@@ -442,8 +445,12 @@ func (d *StreamDecoder) applySparse(dst []float64) error {
 		vals = vals[:m]
 		unpackCodes(vals, (*buf)[8:], scale, d.bits)
 		putScratch(buf)
-		for t := 0; t < m; t++ {
-			dst[idx[i+t]] += vals[t]
+		for t, x := range vals {
+			sum := dst[idx[i+t]] + x
+			if finite && !(math.Abs(sum) <= math.MaxFloat64) {
+				return fmt.Errorf("%w: sparse value at index %d makes a non-finite sum", ErrCodec, idx[i+t])
+			}
+			dst[idx[i+t]] = sum
 		}
 		i = j
 	}
