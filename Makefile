@@ -1,50 +1,25 @@
 # Build, verify and benchmark the FedProphet reproduction.
 #
-#   make ci      - everything the tier-1 gate runs: build, vet, lint, test,
-#                  race, codec fuzz pass, docs links, smokes (bench-smoke too)
+#   make ci      - everything the tier-1 gate runs: build, vet, cross, lint,
+#                  test, race, codec fuzz pass, docs links, bench-smoke
 #   make bench-smoke    - the repository's one benchmark (bench/, declared in
 #                         BENCHMARK.json; see bench/README.md) at smoke sizes:
 #                         every workload and output check in <5 s, plus the
 #                         nested bench module's own tests (in ci)
 #   make bench   - paper tables/figures as go benchmarks with -benchmem
-#
-# The bench-conv/-json/-wire/-serve targets below regenerate BENCH_*.json with
-# cmd/bench*: historical one-off records, superseded by bench/ for every
-# performance claim.
-#   make bench-parallel - client-parallelism wall-clock benchmark
-#   make bench-conv     - direct vs GEMM convolution backend benchmark
-#   make bench-json     - record the conv-backend baseline to BENCH_conv.json
-#   make bench-wire     - record the wire-protocol baseline to BENCH_wire.json
-#                         (bytes/round + round latency at raw/8/4/2 bits)
-#   make bench-serve    - record the parameter-server baseline to BENCH_serve.json
-#                         (updates/sec + push latency + allocs/op, single-mutex
-#                         vs sharded, at N=4/16/64 concurrent clients, plus the
-#                         straggler phases: sync quorum vs buffered async with
-#                         one 4x-slow client, recording wasted training passes,
-#                         plus the pull-heavy phase: 256 concurrent pullers of
-#                         a ~1M-parameter model under cache churn;
-#                         pinned to GOMAXPROCS=4 so the concurrency plane is
-#                         exercised even on smaller CI hosts)
-#   make smoke-edge     - 2-tier hierarchical topology check: edge-aggregated
-#                         vs flat fleet, bit-identical final models (in ci)
-#   make smoke-pull     - ~2s serve-path check: high-fan-out pull phase under
-#                         cache churn against both servers (in ci)
-#   make smoke-wal      - ~2s crash drill: WAL-backed server SIGKILLed
-#                         mid-round twice, recovered, federation finished,
-#                         final model bit-identical (in ci)
 #   make check-docs     - fail on dead relative links in README/docs
 #   make cross   - cross-build for arm64 and vet tensor/nn/quant there: the
 #                  portable GEMM path that every platform but amd64 runs, and
 #                  the codec kernels whose bytes must not depend on the
 #                  platform (in ci)
 #   make lint    - fplint: the repo's own analyzers (atomicfield, lockorder,
-#                  determinism, sentinelerr, poolleak) over the whole module
-#                  and the nested bench module
+#                  determinism, sentinelerr, poolleak, unusedexport) over the
+#                  whole module and the nested bench module, as one program
 #   make cover   - tests with coverage summary
 
 GO ?= go
 
-.PHONY: all build vet cross lint test test-race fuzz check-docs bench-smoke smoke-serve smoke-edge smoke-pull smoke-wal ci bench bench-parallel bench-conv bench-json bench-wire bench-serve cover clean
+.PHONY: all build vet cross lint test test-race fuzz check-docs bench-smoke ci bench cover clean
 
 all: ci
 
@@ -66,15 +41,17 @@ cross:
 
 # fplint (cmd/fplint + internal/lint) machine-checks the invariants
 # docs/ARCHITECTURE.md documents in prose: atomic fields stay atomic, mutexes
-# respect the declared hierarchy, deterministic packages stay clock- and
-# map-order-free, sentinel errors are matched with errors.Is, and pooled
-# buffers are always returned. Built from this module with the standard
-# library only — pinned, offline, no tool downloads. Also runnable as
-# `go vet -vettool=$(CURDIR)/bin/fplint ./...`.
+# respect the declared hierarchy, deterministic packages stay clock-, env- and
+# map-order-free, sentinel errors are matched with errors.Is, pooled buffers
+# are always returned, and no internal/ export outlives its last non-test
+# caller. Run from bench/, the pattern fedprophet/... loads the root module
+# and the nested bench module as one program, so the benchmark's uses count.
+# Built from this module with the standard library only — pinned, offline, no
+# tool downloads. Also runnable (without the whole-program unusedexport pass)
+# as `go vet -vettool=$(CURDIR)/bin/fplint ./...`.
 lint:
 	$(GO) build -o bin/fplint ./cmd/fplint
-	./bin/fplint ./...
-	cd bench && ../bin/fplint ./...
+	cd bench && ../bin/fplint fedprophet/...
 
 test:
 	$(GO) test ./...
@@ -110,57 +87,12 @@ bench-smoke:
 	bash bench/run.sh --smoke
 	$(GO) -C bench test ./...
 
-# A ~2-second benchserve run (N=8 fleet, both server implementations, plus
-# the sync-vs-async straggler phases) so the concurrent push path and the
-# buffered-aggregation plane are exercised on every build, not just when
-# someone records a baseline.
-smoke-serve:
-	GOMAXPROCS=4 $(GO) run ./cmd/benchserve -smoke
-
-# A ~2-second hierarchical topology check over real HTTP: 2 edge aggregators
-# × 4 clients vs the same 8 clients flat, asserting the final models are
-# bit-identical and the root saw 4x fewer push admissions.
-smoke-edge:
-	GOMAXPROCS=4 $(GO) run ./cmd/benchserve -smoke-edge
-
-# A ~2-second pull-fan-out check: 64 concurrent pullers over mixed codec
-# variants against both server implementations while rounds advance and the
-# served cache churns — asserts the serve path survives fan-out (every
-# puller completes, bytes flow), with no throughput assertion (CI machines
-# are not benchmarking machines).
-smoke-pull:
-	GOMAXPROCS=4 $(GO) run ./cmd/benchserve -smoke-pull
-
-# The ~2-second WAL crash drill: a child-process server is kill -9'd
-# mid-round with admitted-but-uncommitted updates buffered, recovered (twice),
-# the federation finishes, and the final recovered model must be bit-identical
-# to the last served snapshot.
-smoke-wal:
-	GOMAXPROCS=4 $(GO) run ./cmd/benchserve -smoke-wal
-
 # lint runs right after vet: invariant violations fail the build before the
-# minutes-long test/race/smoke stages spend their time.
-ci: build vet cross lint test test-race fuzz check-docs bench-smoke smoke-serve smoke-edge smoke-pull smoke-wal
+# minutes-long test/race/benchmark stages spend their time.
+ci: build vet cross lint test test-race fuzz check-docs bench-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
-
-bench-parallel:
-	$(GO) test -bench=ClientParallelism -benchmem -benchtime=1x ./pkg/fedprophet
-
-bench-conv:
-	$(GO) test -bench=ConvBackends -benchmem -benchtime=2s -run '^$$' .
-
-bench-json:
-	$(GO) run ./cmd/benchconv -out BENCH_conv.json
-
-bench-wire:
-	$(GO) run ./cmd/benchwire -out BENCH_wire.json \
-		-timestamp $$(date -u +%Y-%m-%dT%H:%M:%SZ)
-
-bench-serve:
-	GOMAXPROCS=4 $(GO) run ./cmd/benchserve -duration 5s -out BENCH_serve.json \
-		-timestamp $$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
 cover:
 	$(GO) test -cover ./...

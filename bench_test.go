@@ -7,21 +7,17 @@
 // Each benchmark corresponds to one paper artifact; docs/ARCHITECTURE.md
 // maps the packages they exercise. Absolute values come from the synthetic
 // substrate; the shapes — method orderings, latency breakdowns, memory
-// reductions — are the reproduction targets, with the measured systems
-// baselines tracked in BENCH_conv.json, BENCH_wire.json and
-// BENCH_serve.json.
+// reductions — are the reproduction targets. System performance is measured
+// by the benchmark under bench/ (declared in BENCHMARK.json), not here.
 package fedprophet_test
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"fedprophet/internal/core"
 	"fedprophet/internal/device"
 	"fedprophet/internal/exp"
-	"fedprophet/internal/nn"
-	"fedprophet/internal/tensor"
 )
 
 // benchScale is the trimmed sweep scale shared with cmd/experiments.
@@ -136,27 +132,5 @@ func BenchmarkAblationQuantizedUploads(b *testing.B) {
 			b.Logf("uploadBits=%d clean=%.1f%% pgd=%.1f%% comm=%.1f KB",
 				bits, res.CleanAcc*100, res.PGDAcc*100, res.Extra["comm_up_bytes"]/1024)
 		}
-	}
-}
-
-// BenchmarkConvBackends measures the tentpole perf lever: forward+backward
-// of a representative mid-stack convolution at batch 16, direct loops vs the
-// im2col/GEMM fast path. `make bench-json` records the same comparison to
-// BENCH_conv.json.
-func BenchmarkConvBackends(b *testing.B) {
-	for _, backend := range []nn.ConvBackend{nn.ConvDirect, nn.ConvGEMM} {
-		b.Run(backend.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			c := nn.NewConv2D(32, 32, 3, 1, 1, false, rng)
-			c.Backend = backend
-			x := tensor.Randn(rng, 1, 16, 32, 8, 8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := c.Forward(x, true)
-				nn.ZeroGrads(c)
-				c.Backward(out)
-			}
-		})
 	}
 }

@@ -1,15 +1,19 @@
 // Command fplint machine-checks the repository's concurrency and determinism
 // invariants (docs/ARCHITECTURE.md, "Static analysis"): atomicfield,
-// lockorder, determinism, sentinelerr and poolleak, with //lint:ignore
-// hygiene enforced by the runner.
+// lockorder, determinism, sentinelerr, poolleak and unusedexport, with
+// //lint:ignore hygiene enforced by the runner.
 //
 // Two modes share one engine (internal/lint):
 //
-//	fplint ./...                   # standalone, from the module root
+//	cd bench && fplint fedprophet/...          # standalone, both modules
 //	go vet -vettool=$(pwd)/bin/fplint ./...   # driven by the go command
 //
 // Standalone mode resolves the patterns itself via `go list -export` and
-// analyzes every matched package. Vet-tool mode speaks cmd/go's unitchecker
+// analyzes every matched package as one program: unusedexport counts
+// references among the loaded packages only, so load everything that imports
+// internal/ — from bench/, fedprophet/... covers the root module and the
+// nested bench module. Vet-tool mode sees one package at a time, so
+// unusedexport reports nothing there; it speaks cmd/go's unitchecker
 // protocol: -V=full prints the version for build caching, -flags advertises
 // no extra flags, and otherwise the single argument is a *.cfg JSON file
 // describing one package (sources, import map, export data) prepared by the
@@ -33,7 +37,7 @@ import (
 
 // version is the cache key `go vet` uses to decide whether prior results are
 // still valid; bump it when analyzer behavior changes.
-const version = "fplint-1"
+const version = "fplint-2"
 
 func main() {
 	args := os.Args[1:]

@@ -10,7 +10,7 @@
 // under parameter-range sharding: every push decodes and admits in parallel,
 // a /stats poll never blocks a round, and the global model is bit-identical
 // to single-shard (and pre-shard) aggregation. The final report reads the
-// same /stats the benchmark (cmd/benchserve) and operators use.
+// same /stats the benchmark (bench/) and operators use.
 package main
 
 import (

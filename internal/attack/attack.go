@@ -5,6 +5,8 @@
 // for the layer map). Attacks operate on any
 // differentiable loss via a GradFn, so the same code perturbs raw images
 // (ε = 8/255 in ℓ∞) and intermediate cascade features (ℓ2 balls).
+//
+//lint:deterministic
 package attack
 
 import (
@@ -48,6 +50,12 @@ func PGDConfig(eps float64, steps int) Config {
 		Eps: eps, StepSize: eps / 4, Steps: steps, Norm: LInf,
 		RandomStart: true, ClampMin: 0, ClampMax: 1,
 	}
+}
+
+// FGSMConfig returns the single-step sign attack: ℓ∞ PGD with one
+// full-budget step and no random start, clamped to [0,1].
+func FGSMConfig(eps float64) Config {
+	return Config{Eps: eps, StepSize: eps, Steps: 1, Norm: LInf, ClampMin: 0, ClampMax: 1}
 }
 
 // FeaturePGDConfig returns the intermediate-feature attack used by
@@ -173,11 +181,4 @@ func projectAndClamp(cfg Config, adv, x *tensor.Tensor) {
 	if cfg.clampEnabled() {
 		adv.ClampInPlace(cfg.ClampMin, cfg.ClampMax)
 	}
-}
-
-// FGSM is the single-step sign attack: PGD with one full-budget step and no
-// random start.
-func FGSM(eps float64, x *tensor.Tensor, grad GradFn, rng *rand.Rand) *tensor.Tensor {
-	cfg := Config{Eps: eps, StepSize: eps, Steps: 1, Norm: LInf, ClampMin: 0, ClampMax: 1}
-	return Perturb(cfg, x, grad, rng)
 }

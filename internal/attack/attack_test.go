@@ -17,7 +17,10 @@ func quadGrad(target *tensor.Tensor) GradFn {
 	return func(x *tensor.Tensor) (float64, *tensor.Tensor) {
 		g := tensor.Sub(target, x) // gradient of −½‖x−t‖² is (t−x)
 		l := -0.5 * math.Pow(tensor.Sub(x, target).L2Norm(), 2)
-		return l, g.ScaleInPlace(2)
+		for i := range g.Data {
+			g.Data[i] *= 2
+		}
+		return l, g
 	}
 }
 
@@ -114,7 +117,7 @@ func TestFGSMEqualsOneStepSign(t *testing.T) {
 		}
 		return 0, gr
 	}
-	adv := FGSM(0.05, x, g, rng)
+	adv := Perturb(FGSMConfig(0.05), x, g, rng)
 	for i := range adv.Data {
 		want := x.Data[i] + 0.05
 		if i%2 == 1 {

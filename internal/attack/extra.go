@@ -49,44 +49,6 @@ func MIFGSM(eps float64, steps int, decay float64, x *tensor.Tensor, grad GradFn
 	return adv
 }
 
-// TargetedCEGradFn adapts a model to a GradFn that DECREASES the
-// cross-entropy toward attacker-chosen target labels: ascending this
-// gradient pushes predictions toward the targets. Real AutoAttack's APGD-T
-// member works this way; targeted attacks often break models that resist
-// untargeted ones.
-func TargetedCEGradFn(model nn.Layer, targets []int) GradFn {
-	return func(x *tensor.Tensor) (float64, *tensor.Tensor) {
-		out := model.Forward(x, false)
-		loss, g := nn.SoftmaxCrossEntropy(out, targets)
-		dx := model.Backward(g)
-		// Negate: maximizing the returned objective minimizes CE(targets).
-		dx.ScaleInPlace(-1)
-		return -loss, dx
-	}
-}
-
-// TargetedPGD runs PGD toward each sample's most confusable wrong class
-// (the runner-up of the clean prediction), a cheap stand-in for APGD-T's
-// per-class sweep.
-func TargetedPGD(cfg Config, model nn.Layer, x *tensor.Tensor, labels []int, rng *rand.Rand) *tensor.Tensor {
-	out := model.Forward(x, false)
-	bsz, k := out.Dim(0), out.Dim(1)
-	targets := make([]int, bsz)
-	for b := 0; b < bsz; b++ {
-		best, bestV := -1, 0.0
-		for j := 0; j < k; j++ {
-			if j == labels[b] {
-				continue
-			}
-			if v := out.At(b, j); best < 0 || v > bestV {
-				best, bestV = j, v
-			}
-		}
-		targets[b] = best
-	}
-	return Perturb(cfg, x, TargetedCEGradFn(model, targets), rng)
-}
-
 // LossFn evaluates only the attacked loss (no gradient), for gradient-free
 // attacks.
 type LossFn func(x *tensor.Tensor) float64

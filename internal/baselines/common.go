@@ -5,6 +5,8 @@
 // Federated Robustness Propagation (FedRBN). All of them share the fl.Method
 // interface, the local PGD adversarial-training loop, and the latency
 // accounting of internal/simlat.
+//
+//lint:deterministic
 package baselines
 
 import (

@@ -4,6 +4,8 @@
 // heads, the strongly-convex early-exit loss of Eq. (9), adversarial training
 // on intermediate features, and the measurement of output-feature
 // perturbations that drives Adaptive Perturbation Adjustment.
+//
+//lint:deterministic
 package cascade
 
 import (
@@ -34,9 +36,6 @@ type Module struct {
 	params    []*nn.Param
 	nBackbone int
 }
-
-// IsLast reports whether this module contains the backbone's own classifier.
-func (m *Module) IsLast() bool { return m.Aux == nil }
 
 // ForwardAtoms runs only the backbone atoms (not the aux head).
 func (m *Module) ForwardAtoms(x *tensor.Tensor, train bool) *tensor.Tensor {

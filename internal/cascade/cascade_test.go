@@ -58,7 +58,7 @@ func TestPartitionModuleShapesChain(t *testing.T) {
 	}
 	// Final module outputs class logits and has no aux head.
 	last := c.Modules[len(c.Modules)-1]
-	if !last.IsLast() {
+	if last.Aux != nil {
 		t.Fatal("final module must have no aux head")
 	}
 	if last.OutShape[0] != 10 {
@@ -115,7 +115,7 @@ func TestPartitionDegeneratesToSingleModule(t *testing.T) {
 	if len(c.Modules) != 1 {
 		t.Fatalf("huge Rmin should yield 1 module, got %d", len(c.Modules))
 	}
-	if !c.Modules[0].IsLast() {
+	if c.Modules[0].Aux != nil {
 		t.Fatal("single module must be final")
 	}
 }

@@ -54,7 +54,9 @@ func TestLemma1StrongConvexityBound(t *testing.T) {
 			p.ZeroGrad()
 		}
 		gz := mod.Aux.Backward(g)
-		gz.AxpyInPlace(mu, zout)
+		for i, v := range zout.Data {
+			gz.Data[i] += mu * v
+		}
 		return gz
 	}
 

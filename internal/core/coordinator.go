@@ -3,6 +3,8 @@
 // training coordinator with Adaptive Perturbation Adjustment (APA, §6.2,
 // Eqs. 11–12) and Differentiated Module Assignment (DMA, §6.3, Eqs. 14–15),
 // and the partial-average model aggregator (§6.4, Eqs. 16–17).
+//
+//lint:deterministic
 package core
 
 import (

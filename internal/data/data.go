@@ -10,6 +10,8 @@
 // these tasks while standard-trained models remain genuinely vulnerable to
 // ℓ∞-bounded attacks, which is the property every FedProphet experiment
 // depends on.
+//
+//lint:deterministic
 package data
 
 import (

@@ -116,30 +116,6 @@ func PartitionNonIID(ds *Dataset, cfg PartitionConfig) []*Subset {
 	return subsets
 }
 
-// ClassHistogram counts samples per class in a subset.
-func ClassHistogram(s *Subset) []int {
-	h := make([]int, s.Parent.NumClasses)
-	for _, i := range s.Indices {
-		h[s.Parent.Y[i]]++
-	}
-	return h
-}
-
-// MajorityMass returns the fraction of a subset's samples held by its top-m
-// most frequent classes.
-func MajorityMass(s *Subset, m int) float64 {
-	h := ClassHistogram(s)
-	sort.Sort(sort.Reverse(sort.IntSlice(h)))
-	top := 0
-	for i := 0; i < m && i < len(h); i++ {
-		top += h[i]
-	}
-	if len(s.Indices) == 0 {
-		return 0
-	}
-	return float64(top) / float64(len(s.Indices))
-}
-
 // SplitHoldout removes a fraction of ds into a held-out set (used as the
 // server validation set for APA and the public distillation set for the KD
 // baselines). Returns (remaining, holdout).

@@ -153,17 +153,3 @@ func (f *Fleet) PoolMaxMemGB() float64 {
 	}
 	return m
 }
-
-// MinPeakMemGB returns the smallest peak memory across the fleet's clients.
-func (f *Fleet) MinPeakMemGB() float64 {
-	if len(f.Devices) == 0 {
-		return 0
-	}
-	m := f.Devices[0].PeakMemGB
-	for _, d := range f.Devices {
-		if d.PeakMemGB < m {
-			m = d.PeakMemGB
-		}
-	}
-	return m
-}

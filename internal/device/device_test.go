@@ -80,8 +80,10 @@ func TestPoolMaxAndMin(t *testing.T) {
 	if f.PoolMaxMemGB() != 16 {
 		t.Fatalf("PoolMaxMemGB = %v", f.PoolMaxMemGB())
 	}
-	if f.MinPeakMemGB() <= 0 || f.MinPeakMemGB() > 16 {
-		t.Fatalf("MinPeakMemGB = %v", f.MinPeakMemGB())
+	for _, d := range f.Devices {
+		if d.PeakMemGB <= 0 || d.PeakMemGB > f.PoolMaxMemGB() {
+			t.Fatalf("device peak memory %v outside (0, %v]", d.PeakMemGB, f.PoolMaxMemGB())
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func (FGSMAttack) Name() string { return "fgsm" }
 
 // Config builds the FGSM configuration.
 func (FGSMAttack) Config(eps float64, _ int) attack.Config {
-	return attack.Config{Eps: eps, StepSize: eps, Steps: 1, Norm: attack.LInf, ClampMin: 0, ClampMax: 1}
+	return attack.FGSMConfig(eps)
 }
 
 // NoAttack disables adversarial training entirely (standard FedAvg-style

@@ -91,11 +91,3 @@ func MethodNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// HasMethod reports whether name is registered.
-func HasMethod(name string) bool {
-	methodRegistry.RLock()
-	defer methodRegistry.RUnlock()
-	_, ok := methodRegistry.factories[name]
-	return ok
-}

@@ -738,7 +738,7 @@ func (c *Client) Round(ctx context.Context) (int, error) {
 // The jitter matters at fleet scale: a synchronous round releases every
 // client at the same instant, so a fixed backoff schedule keeps the whole
 // fleet polling /round in lockstep — a thundering herd that shows up clearly
-// at benchserve N=64. Drawing each sleep uniformly from [backoff/2, backoff)
+// at 64 concurrent clients. Drawing each sleep uniformly from [backoff/2, backoff)
 // decorrelates the fleet while keeping the same mean. It returns when the
 // aggregation that includes this client's update has completed, or with
 // ctx's error on cancellation.

@@ -60,7 +60,6 @@ type edgeConfig struct {
 	window   int
 	shards   int
 	walDir   string
-	hc       *http.Client
 }
 
 // EdgeOption configures NewEdge.
@@ -121,12 +120,6 @@ func WithEdgeWAL(dir string) EdgeOption {
 	return func(c *edgeConfig) { c.walDir = dir }
 }
 
-// WithEdgeHTTPClient sets the http.Client used for upstream pulls and
-// pushes. Default http.DefaultClient.
-func WithEdgeHTTPClient(hc *http.Client) EdgeOption {
-	return func(c *edgeConfig) { c.hc = hc }
-}
-
 // EdgeIDSpan is the block of upstream client IDs each edge owns: an edge
 // configured with client ID id pushes under IDs in [id, id+EdgeIDSpan).
 // Successive committed batches cycle through the block, so two *different*
@@ -177,7 +170,6 @@ type Edge struct {
 	upstream string
 	name     string
 	clientID int
-	hc       *http.Client
 
 	flushK   int
 	flushAge time.Duration
@@ -242,7 +234,6 @@ func NewEdge(upstream string, opts ...EdgeOption) *Edge {
 		flushK:   8,
 		flushAge: 500 * time.Millisecond,
 		window:   8,
-		hc:       http.DefaultClient,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -260,7 +251,6 @@ func NewEdge(upstream string, opts ...EdgeOption) *Edge {
 		upstream: upstream,
 		name:     cfg.name,
 		clientID: cfg.clientID,
-		hc:       cfg.hc,
 		flushK:   cfg.flushK,
 		flushAge: cfg.flushAge,
 		window:   cfg.window,
@@ -405,9 +395,6 @@ func (e *Edge) Stats() Stats {
 	}
 	return st
 }
-
-// Round returns the edge's local (cohort-facing) round. Lock-free.
-func (e *Edge) Round() int { return e.inner.Round() }
 
 // flusher is the edge's only committing goroutine: it watches the admission
 // signal, applies the K/age flush policy, and runs each flush to completion
@@ -683,7 +670,7 @@ func rebaseVec(newBase, vec, oldBase []float64) []float64 {
 // retry with the same jittered backoff as the client fleet's round polling.
 // Caller holds flushMu.
 func (e *Edge) resyncLocked(ctx context.Context, pushedRound int) {
-	probe := &Client{ID: e.clientID, BaseURL: e.upstream, HTTP: e.hc}
+	probe := &Client{ID: e.clientID, BaseURL: e.upstream, HTTP: http.DefaultClient}
 	for {
 		err := probe.awaitRoundAfter(ctx, pushedRound)
 		if err == nil {
@@ -735,7 +722,7 @@ func (e *Edge) pullUpstream(ctx context.Context) (*ModelBlob, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fldist: edge pull: %w", err)
 	}
-	resp, err := e.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("fldist: edge pull: %w", err)
 	}
@@ -773,7 +760,7 @@ func (e *Edge) pushUpstream(ctx context.Context, u Update) error {
 		return fmt.Errorf("fldist: edge push: %w", err)
 	}
 	req.Header.Set("Content-Type", contentTypeGob)
-	resp, err := e.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("fldist: edge push: %w", err)
 	}

@@ -159,9 +159,10 @@ func startEdge(t *testing.T, upstream string, opts ...EdgeOption) (*Edge, string
 	return e, ets.URL
 }
 
-// The headline tentpole pin, in the -race suite: a 2-tier tree over a fixed
+// The headline tier pin, in the -race suite: a 2-tier tree over a fixed
 // admitted multiset commits bit-identically to the flat fleet, across shard
-// counts, GOMAXPROCS, and edge/direct mixes.
+// counts, GOMAXPROCS, and edge/direct mixes, with the root admitting one push
+// per edge rather than one per client.
 func TestTwoTierCommitBitIdenticalToFlatFleet(t *testing.T) {
 	const nParams, nBN = 257, 6
 	init := gridVec(nParams, 1)
@@ -229,6 +230,13 @@ func TestTwoTierCommitBitIdenticalToFlatFleet(t *testing.T) {
 				if up.Pushes != 1 || up.FlushK != 1 || up.FlushAge != 0 {
 					t.Fatalf("edge %d upstream stats: %+v", i, up)
 				}
+			}
+			// The root admitted one push per edge, not one per client. Every
+			// push has been answered by now, and the root counts an update
+			// before it answers.
+			st := root.Stats()
+			if got, want := st.UpdatesRaw+st.UpdatesCompressed, int64(len(tc.cohorts)+len(tc.direct)); got != want {
+				t.Fatalf("root admitted %d updates, want %d (one per edge plus one per direct client)", got, want)
 			}
 		})
 	}
@@ -707,7 +715,7 @@ func TestEdgeDrainTwiceFromOneBaseNotDeduped(t *testing.T) {
 	if root.Round() != 1 {
 		t.Fatalf("root round = %d after two drains, want 1 (second drain batch dedup-dropped?)", root.Round())
 	}
-	if n := root.DuplicatesDropped(); n != 0 {
+	if n := root.Stats().DuplicatesDropped; n != 0 {
 		t.Fatalf("root dedup swallowed a drain batch: %d duplicates dropped", n)
 	}
 	gotP, gotBN := root.Snapshot()

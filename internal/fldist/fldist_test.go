@@ -305,7 +305,7 @@ func TestDuplicateUpdateNotDoubleCounted(t *testing.T) {
 	if srv.Round() != 0 {
 		t.Fatal("duplicate must not count toward the quorum")
 	}
-	if got := srv.DuplicatesDropped(); got != 1 {
+	if got := srv.Stats().DuplicatesDropped; got != 1 {
 		t.Fatalf("DuplicatesDropped = %d, want 1", got)
 	}
 	if counted, err := c1.Push(ctx, 0); err != nil || !counted {

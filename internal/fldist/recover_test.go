@@ -291,7 +291,7 @@ func TestEdgeRestartRepushDeduped(t *testing.T) {
 	if up.Round() != 1 {
 		t.Fatalf("upstream at round %d after the first push, want 1", up.Round())
 	}
-	dupsBefore := up.DuplicatesDropped()
+	dupsBefore := up.Stats().DuplicatesDropped
 
 	// The restarted edge: same identity, same WAL dir. Start recovers the
 	// parked batch and re-pushes it before anything else.
@@ -303,7 +303,7 @@ func TestEdgeRestartRepushDeduped(t *testing.T) {
 	}
 	defer func() { cancel2(); <-e2.done }()
 
-	if got := up.DuplicatesDropped(); got != dupsBefore+1 {
+	if got := up.Stats().DuplicatesDropped; got != dupsBefore+1 {
 		t.Fatalf("upstream dropped %d duplicates, want %d — the re-push was not deduplicated", got, dupsBefore+1)
 	}
 	if up.Round() != 1 {
@@ -368,7 +368,7 @@ func TestEdgeCrashBeforePushRepushesOnce(t *testing.T) {
 	if up.Round() != 1 {
 		t.Fatalf("upstream at round %d after recovery push, want 1", up.Round())
 	}
-	if d := up.DuplicatesDropped(); d != 0 {
+	if d := up.Stats().DuplicatesDropped; d != 0 {
 		t.Fatalf("%d duplicates dropped, want 0", d)
 	}
 	p, bn := up.Snapshot()

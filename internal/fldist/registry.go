@@ -3,8 +3,7 @@ package fldist
 // Registry is the multi-tenant mux of the tier: several named aggregators —
 // root Servers, Edges, anything exposing an http.Handler — mounted behind
 // one listener, each under its own path prefix. cmd/fldist -edge uses it to
-// host one edge per cohort on a single port, and benchserve's topology
-// phases spin fleets of tenants the same way.
+// host one edge per cohort on a single port.
 
 import (
 	"encoding/json"
@@ -19,8 +18,7 @@ import (
 // the prefix stripped — a tenant mounted as "cohort-a" serves exactly the
 // routes it would serve at the root of its own listener, so clients just
 // append the tenant prefix to their base URL. GET / lists the tenant names
-// as JSON. Safe for concurrent use; tenants may be added and removed while
-// serving.
+// as JSON. Safe for concurrent use; tenants may be added while serving.
 type Registry struct {
 	mu      sync.RWMutex
 	tenants map[string]http.Handler
@@ -41,13 +39,6 @@ func (reg *Registry) Add(name string, h http.Handler) error {
 	reg.tenants[name] = h
 	reg.mu.Unlock()
 	return nil
-}
-
-// Remove unmounts the named tenant; unknown names are a no-op.
-func (reg *Registry) Remove(name string) {
-	reg.mu.Lock()
-	delete(reg.tenants, name)
-	reg.mu.Unlock()
 }
 
 // Get returns the named tenant's handler, or nil.

@@ -90,17 +90,4 @@ func TestRegistryListsAndRejects(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown tenant: status %d, want 404", resp.StatusCode)
 	}
-
-	reg.Remove("beta")
-	resp, err = http.Get(ts.URL + "/beta/anything")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("removed tenant: status %d, want 404", resp.StatusCode)
-	}
-	if names := reg.Names(); len(names) != 1 || names[0] != "alpha" {
-		t.Fatalf("names after remove = %v", names)
-	}
 }

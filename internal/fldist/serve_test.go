@@ -185,16 +185,19 @@ func TestRacingPullsSingleBuild(t *testing.T) {
 	}
 }
 
-// TestPullAccounting pins the satellite fixes: compressed and raw pulls both
-// carry Content-Length, the byte counters charge exactly what was written,
-// pull percentiles populate from the serve ring, and a repeated raw pull
-// reuses the snapshot's cached gob body byte-for-byte.
+// TestPullAccounting pins the pull-side accounting: compressed and raw pulls
+// both carry Content-Length, the byte and pull counters charge exactly what
+// was written — already when the client holds the whole body, since they are
+// charged before the body leaves — pull percentiles populate from the serve
+// ring, and a repeated raw pull reuses the snapshot's cached gob body
+// byte-for-byte.
 func TestPullAccounting(t *testing.T) {
 	s := NewServer(synthVec(4096, 7), synthVec(16, 8), 2)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	pull := func(codec string) (int, []byte, http.Header) {
+	pull := func(codec string) []byte {
+		t.Helper()
 		req, err := http.NewRequest(http.MethodGet, ts.URL+"/model", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -211,53 +214,108 @@ func TestPullAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, body, resp.Header
-	}
-
-	// The handler charges its counters after Write returns, which can be after
-	// the client already holds the whole body: give the counter a moment to
-	// reach the expected value instead of racing the handler's last lines.
-	settled := func(read func(Stats) int64, want int64) int64 {
-		got := read(s.Stats())
-		for i := 0; i < 2000 && got != want; i++ {
-			time.Sleep(time.Millisecond)
-			got = read(s.Stats())
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pull %q: %d", codec, resp.StatusCode)
 		}
-		return got
-	}
-	outComp := func(st Stats) int64 { return st.BytesOutCompressed }
-	outRaw := func(st Stats) int64 { return st.BytesOutRaw }
-
-	comp := Compression{Bits: 8, Chunk: 64}
-	code, compBody, hdr := pull(codecValue(comp))
-	if code != http.StatusOK {
-		t.Fatalf("compressed pull: %d", code)
-	}
-	if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(compBody)) {
-		t.Fatalf("compressed Content-Length %q, body %d bytes", cl, len(compBody))
-	}
-	if got := settled(outComp, int64(len(compBody))); got != int64(len(compBody)) {
-		t.Fatalf("BytesOutCompressed = %d, want %d", got, len(compBody))
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			t.Fatalf("pull %q: Content-Length %q, body %d bytes", codec, cl, len(body))
+		}
+		return body
 	}
 
-	code, rawBody, hdr := pull("")
-	if code != http.StatusOK {
-		t.Fatalf("raw pull: %d", code)
+	var want Stats
+	check := func(what string) {
+		t.Helper()
+		st := s.Stats()
+		if st.BytesOutRaw != want.BytesOutRaw || st.BytesOutCompressed != want.BytesOutCompressed ||
+			st.BytesOutDelta != want.BytesOutDelta || st.BytesOutCold != want.BytesOutCold ||
+			st.DeltaPulls != want.DeltaPulls || st.ColdPulls != want.ColdPulls {
+			t.Fatalf("after %s: counters raw %d comp %d delta %d/%d cold %d/%d, clients read raw %d comp %d delta %d/%d cold %d/%d",
+				what, st.BytesOutRaw, st.BytesOutCompressed, st.BytesOutDelta, st.DeltaPulls, st.BytesOutCold, st.ColdPulls,
+				want.BytesOutRaw, want.BytesOutCompressed, want.BytesOutDelta, want.DeltaPulls, want.BytesOutCold, want.ColdPulls)
+		}
 	}
-	if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(rawBody)) {
-		t.Fatalf("raw Content-Length %q, body %d bytes", cl, len(rawBody))
-	}
-	if got := settled(outRaw, int64(len(rawBody))); got != int64(len(rawBody)) {
-		t.Fatalf("BytesOutRaw = %d, want %d", got, len(rawBody))
-	}
-	_, rawBody2, _ := pull("")
-	if !bytes.Equal(rawBody, rawBody2) {
-		t.Fatal("repeated raw pull served different bytes")
-	}
-	if got := settled(outRaw, 2*int64(len(rawBody))); got != 2*int64(len(rawBody)) {
-		t.Fatalf("BytesOutRaw after second pull = %d, want %d", got, 2*len(rawBody))
+
+	dense := codecValue(Compression{Bits: 8, Chunk: 64})
+	delta := codecValue(Compression{Bits: 8, Chunk: 64, Delta: true})
+	var rawBody []byte
+	for i := 0; i < 2000; i++ {
+		switch i % 4 {
+		case 0:
+			body := pull("")
+			if rawBody != nil && !bytes.Equal(body, rawBody) {
+				t.Fatal("repeated raw pull served different bytes")
+			}
+			rawBody = body
+			want.BytesOutRaw += int64(len(body))
+		case 1:
+			want.BytesOutCompressed += int64(len(pull(dense)))
+		case 2:
+			n := int64(len(pull(delta)))
+			want.BytesOutCompressed += n
+			want.BytesOutCold += n
+			want.ColdPulls++
+		case 3:
+			n := int64(len(pull(delta + ";base=0")))
+			want.BytesOutCompressed += n
+			want.BytesOutDelta += n
+			want.DeltaPulls++
+		}
+		check(fmt.Sprintf("pull %d", i))
 	}
 	if st := s.Stats(); st.PullP99Micros <= 0 {
-		t.Fatalf("PullP99Micros = %v after 3 pulls, want > 0", st.PullP99Micros)
+		t.Fatalf("PullP99Micros = %v after 2000 pulls, want > 0", st.PullP99Micros)
 	}
+
+	// Handler-direct, without the scheduling luck the loop above needs: at
+	// the moment a body is handed to Write the counters already hold all of
+	// it, and a puller that hangs up mid-body leaves them at exactly the
+	// bytes that left. The indices are Stats' raw, compressed, delta and cold
+	// byte counters.
+	outs := func() [4]int64 {
+		st := s.Stats()
+		return [4]int64{st.BytesOutRaw, st.BytesOutCompressed, st.BytesOutDelta, st.BytesOutCold}
+	}
+	for _, tc := range []struct {
+		codec   string
+		charged []int
+	}{
+		{"", []int{0}}, {dense, []int{1}}, {delta, []int{1, 3}}, {delta + ";base=0", []int{1, 2}},
+	} {
+		before := outs()
+		var during [4]int64
+		sent := -1
+		w := hangupWriter{ResponseWriter: httptest.NewRecorder(), onWrite: func(b []byte) {
+			during, sent = outs(), len(b)
+		}}
+		req := httptest.NewRequest(http.MethodGet, "/model", nil)
+		if tc.codec != "" {
+			req.Header.Set(codecHeader, tc.codec)
+		}
+		s.Handler().ServeHTTP(w, req)
+		if sent <= 0 {
+			t.Fatalf("pull %q wrote no body", tc.codec)
+		}
+		after := outs()
+		for _, i := range tc.charged {
+			if got := during[i] - before[i]; got != int64(sent) {
+				t.Fatalf("pull %q: counter %d charged %d of a %d-byte body before Write", tc.codec, i, got, sent)
+			}
+			if got := after[i] - before[i]; got != int64(sent/2) {
+				t.Fatalf("pull %q: counter %d ends at %d after %d of %d bytes left", tc.codec, i, got, sent/2, sent)
+			}
+		}
+	}
+}
+
+// hangupWriter hands each body to onWrite, then accepts only its first half,
+// as a puller that hangs up mid-body does.
+type hangupWriter struct {
+	http.ResponseWriter
+	onWrite func([]byte)
+}
+
+func (w hangupWriter) Write(b []byte) (int, error) {
+	w.onWrite(b)
+	return len(b) / 2, io.ErrShortWrite
 }

@@ -398,14 +398,12 @@ func (s *Server) handleDeltaModel(w http.ResponseWriter, c Compression, baseR in
 		w.Header().Set("Content-Type", contentTypeModel)
 	}
 	w.Header().Set("Content-Length", clen)
-	n, _ := w.Write(body)
-	s.bytesOutComp.Add(int64(n))
 	if delta {
 		s.deltaPulls.Add(1)
-		s.bytesOutDelta.Add(int64(n))
+		writeCharged(w, body, &s.bytesOutComp, &s.bytesOutDelta)
 	} else {
 		s.coldPulls.Add(1)
-		s.bytesOutCold.Add(int64(n))
+		writeCharged(w, body, &s.bytesOutComp, &s.bytesOutCold)
 	}
 	//lint:ignore determinism latency histogram only; /stats is observability, not state
 	s.pullLat.record(time.Since(start))

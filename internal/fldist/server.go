@@ -505,8 +505,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(codecHeader, sm.codec)
 		w.Header().Set("Content-Type", contentTypeModel)
 		w.Header().Set("Content-Length", sm.clen)
-		n, _ := w.Write(sm.body)
-		s.bytesOutComp.Add(int64(n))
+		writeCharged(w, sm.body, &s.bytesOutComp)
 		//lint:ignore determinism latency histogram only; /stats is observability, not state
 		s.pullLat.record(time.Since(start))
 		return
@@ -516,10 +515,25 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	body := s.model.Load().gobBody()
 	w.Header().Set("Content-Type", contentTypeGob)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	n, _ := w.Write(body)
-	s.bytesOutRaw.Add(int64(n))
+	writeCharged(w, body, &s.bytesOutRaw)
 	//lint:ignore determinism latency histogram only; /stats is observability, not state
 	s.pullLat.record(time.Since(start))
+}
+
+// writeCharged writes a pull body after charging its full length to every
+// counter, then refunds whatever a short write did not deliver. A client can
+// hold the whole Content-Length body before Write returns, so charging after
+// the write let a /stats reader see the pull without its bytes; a puller that
+// hangs up mid-body still ends at exactly the bytes written.
+func writeCharged(w io.Writer, body []byte, counters ...*atomic.Int64) {
+	for _, c := range counters {
+		c.Add(int64(len(body)))
+	}
+	if n, _ := w.Write(body); n < len(body) {
+		for _, c := range counters {
+			c.Add(int64(n - len(body)))
+		}
+	}
 }
 
 // gobBody returns the snapshot's raw-protocol pull body, gob-encoding it on
@@ -1743,10 +1757,6 @@ func (s *Server) Round() int { return s.model.Load().round }
 
 // RoundsCompleted returns how many aggregations have happened. Lock-free.
 func (s *Server) RoundsCompleted() int { return int(s.roundsCompleted.Load()) }
-
-// DuplicatesDropped returns how many same-round retries were idempotently
-// ignored. Lock-free.
-func (s *Server) DuplicatesDropped() int { return int(s.duplicatesDropped.Load()) }
 
 // Snapshot returns a copy of the current global parameters and BN stats.
 func (s *Server) Snapshot() ([]float64, []float64) {

@@ -241,8 +241,9 @@ func encodeUpdateEnvelope(clientID, round int, weight float64, params, bn []byte
 // directly as BytesInRaw+BytesOutRaw vs BytesInCompressed+BytesOutCompressed.
 // AdmitP50Micros/AdmitP99Micros are per-update admit-time percentiles
 // (receive → counted toward the round) over a sliding window of recent
-// admitted pushes — the same numbers cmd/benchserve reports, so operators
-// and the benchmark read one source. Every field is backed by an atomic or
+// admitted pushes — the same numbers the benchmark reports as
+// fldist.admit_p50_us / fldist.admit_p99_us, so operators and the benchmark
+// read one source. Every field is backed by an atomic or
 // the immutable model snapshot: polling /stats never blocks aggregation.
 type Stats struct {
 	Round              int     `json:"round"`

@@ -9,11 +9,13 @@ import (
 // DeterminismAnalyzer guards the replayability contract: a package that marks
 // itself deterministic with a //lint:deterministic comment promises that its
 // outputs are a pure function of its inputs, so WAL replay, crash recovery,
-// and cross-node aggregation all reconverge bit-for-bit. Two things break
+// and cross-node aggregation all reconverge bit-for-bit. Three things break
 // that silently:
 //
 //   - reading the wall clock (time.Now, time.Since) or the seeded-by-default
 //     global math/rand source — each run sees different values;
+//   - reading the environment (os.Getenv, os.LookupEnv, os.Environ) — a
+//     process-global switch that two runs of the same call need not share;
 //   - ranging over a map and folding the iteration into model or aggregate
 //     state (accumulating into a variable, appending to a slice) — Go
 //     randomizes map order per run, so the fold's result depends on it.
@@ -29,7 +31,7 @@ import (
 // not produce replayed state.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "flags wall-clock reads, global math/rand use, and order-dependent map-iteration folds in packages marked //lint:deterministic",
+	Doc:  "flags wall-clock reads, global math/rand use, environment reads, and order-dependent map-iteration folds in packages marked //lint:deterministic",
 	Run:  runDeterminism,
 }
 
@@ -83,6 +85,13 @@ func checkNondetCall(pass *Pass, info *types.Info, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(),
 			"global %s.%s in a deterministic package; use an explicitly seeded *rand.Rand or annotate with //lint:ignore determinism <reason>",
 			pathBase(fn.Pkg().Path()), fn.Name())
+	case "os":
+		switch fn.Name() {
+		case "Getenv", "LookupEnv", "Environ":
+			pass.Reportf(call.Pos(),
+				"os.%s in a deterministic package; take the setting as an explicit parameter or annotate with //lint:ignore determinism <reason>",
+				fn.Name())
+		}
 	}
 }
 

@@ -9,12 +9,14 @@
 //   - lockorder: mutex acquisitions respect the canonical lock hierarchy,
 //     declared once in the code under //lint:lockorder.
 //   - determinism: packages marked //lint:deterministic neither read the
-//     wall clock or the global math/rand source, nor serialize map
-//     iterations into order-dependent state without a sort.
+//     wall clock, the global math/rand source or the environment, nor
+//     serialize map iterations into order-dependent state without a sort.
 //   - sentinelerr: module error sentinels are matched with errors.Is, never
 //     == or !=.
 //   - poolleak: every sync.Pool.Get has a Put or an ownership transfer on
 //     every return path.
+//   - unusedexport: every export of an internal/ package is referenced by a
+//     non-test file somewhere in the program loaded with it.
 //
 // A justified exception is annotated at the offending line (or the line
 // above) as:
@@ -79,6 +81,7 @@ func Analyzers() []*Analyzer {
 		DeterminismAnalyzer,
 		SentinelErrAnalyzer,
 		PoolLeakAnalyzer,
+		UnusedExportAnalyzer,
 	}
 }
 

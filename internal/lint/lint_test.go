@@ -27,17 +27,23 @@ func TestPoolLeak(t *testing.T) {
 	linttest.Run(t, "testdata", "./src/poolleak", lint.Analyzers())
 }
 
+func TestUnusedExport(t *testing.T) {
+	linttest.Run(t, "testdata", "./src/unusedexport/...", lint.Analyzers())
+}
+
 func TestIgnoreDirectiveHygiene(t *testing.T) {
 	linttest.Run(t, "testdata", "./src/directives", lint.Analyzers())
 }
 
 // TestModuleClean is the smoke test the CI lint target mirrors: the full
-// analyzer suite over the whole module must come back without a finding.
+// analyzer suite over the whole module and the nested bench module, loaded as
+// one program so the benchmark's references count, must come back without a
+// finding.
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the entire module")
 	}
-	pkgs, err := lint.Load("../..", "./...")
+	pkgs, err := lint.Load("../../bench", "fedprophet/...")
 	if err != nil {
 		t.Fatal(err)
 	}

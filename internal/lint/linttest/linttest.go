@@ -35,6 +35,8 @@ type posKey struct {
 
 // Run loads the fixture package matched by pattern under dir, runs the given
 // analyzers, and matches diagnostics against the fixtures' want comments.
+//
+//lint:ignore unusedexport this package exists for the lint package's tests
 func Run(t *testing.T, dir, pattern string, analyzers []*lint.Analyzer) {
 	t.Helper()
 	pkgs, err := lint.Load(dir, pattern)

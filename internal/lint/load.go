@@ -43,6 +43,9 @@ type Package struct {
 
 	// testFiles marks which of Files are _test.go sources.
 	testFiles map[*ast.File]bool
+	// program is every package type-checked by the same Load; nil for a
+	// package built by hand (unusedexport then has nothing to resolve in).
+	program *program
 }
 
 // IsTestFile reports whether f is one of the package's _test.go sources.
@@ -75,7 +78,9 @@ type listedPkg struct {
 // Load lists patterns in dir (module mode, tests included) and returns the
 // matched packages type-checked. When a package has in-package test files,
 // only its test variant is returned — it is a superset of the plain build, so
-// analyzing both would double every diagnostic in the non-test files.
+// analyzing both would double every diagnostic in the non-test files. The
+// returned packages form one program: the scope unusedexport resolves
+// references in.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := []string{
 		"list", "-e", "-test", "-export", "-deps",
@@ -132,6 +137,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
+	}
+	prog := &program{pkgs: pkgs}
+	for _, pkg := range pkgs {
+		pkg.program = prog
 	}
 	return pkgs, nil
 }

@@ -5,6 +5,7 @@ package determinism
 
 import (
 	"math/rand"
+	"os"
 	"sort"
 	"time"
 )
@@ -19,6 +20,10 @@ func sinceBad(t0 time.Time) time.Duration {
 
 func globalRandBad() int {
 	return rand.Intn(10) // want `global rand.Intn in a deterministic package`
+}
+
+func envBad() string {
+	return os.Getenv("BACKEND") // want `os.Getenv in a deterministic package`
 }
 
 func seededRandOK() int {

@@ -4,68 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"strings"
-	"sync/atomic"
 
 	"fedprophet/internal/tensor"
 )
-
-// ConvBackend selects the convolution implementation.
-type ConvBackend int
-
-const (
-	// ConvAuto follows the package-wide default (see SetConvBackend).
-	ConvAuto ConvBackend = iota
-	// ConvDirect is the original direct-loop implementation, kept as the
-	// reference the GEMM path is verified against.
-	ConvDirect
-	// ConvGEMM lowers the convolution onto im2col plus cache-blocked,
-	// batch-parallel GEMM — the default, and the fast path for training.
-	ConvGEMM
-)
-
-// String names the backend for logs and errors.
-func (b ConvBackend) String() string {
-	switch b {
-	case ConvDirect:
-		return "direct"
-	case ConvGEMM:
-		return "gemm"
-	default:
-		return "auto"
-	}
-}
-
-// defaultConvBackend holds the process-wide backend used by convolutions
-// whose Backend field is ConvAuto. Atomic because client workers may be
-// mid-forward when a caller flips it.
-var defaultConvBackend atomic.Int32
-
-func init() {
-	b := ConvGEMM
-	switch v := strings.ToLower(os.Getenv("FEDPROPHET_CONV_BACKEND")); v {
-	case "direct":
-		b = ConvDirect
-	case "", "gemm":
-	default:
-		fmt.Fprintf(os.Stderr, "nn: ignoring unknown FEDPROPHET_CONV_BACKEND=%q (want direct or gemm)\n", v)
-	}
-	defaultConvBackend.Store(int32(b))
-}
-
-// SetConvBackend sets the process-wide default convolution backend. The
-// environment variable FEDPROPHET_CONV_BACKEND=direct selects the direct
-// loops at startup without code changes.
-func SetConvBackend(b ConvBackend) {
-	if b == ConvAuto {
-		b = ConvGEMM
-	}
-	defaultConvBackend.Store(int32(b))
-}
-
-// DefaultConvBackend reports the current process-wide default.
-func DefaultConvBackend() ConvBackend { return ConvBackend(defaultConvBackend.Load()) }
 
 // Conv2D is a 2-D convolution over NCHW inputs with square kernels,
 // configurable stride and zero padding.
@@ -76,18 +17,10 @@ type Conv2D struct {
 	Pad       int
 	W         *Param // (OutC, InC, K, K)
 	B         *Param // (OutC)
-	// Backend overrides the implementation for this layer; leave ConvAuto
-	// (the zero value) to follow the package default.
-	Backend ConvBackend
 
 	hasBias    bool
-	x          *tensor.Tensor // cached input
 	inH, inW   int
 	outH, outW int
-	// usedGEMM latches which backend the last Forward ran, so Backward
-	// stays consistent with it even if SetConvBackend flips the package
-	// default mid-flight.
-	usedGEMM bool
 	// trained latches the mode of the last Forward: only a train-mode
 	// Backward accumulates dW/dB (see Layer).
 	trained bool
@@ -119,13 +52,6 @@ func NewConv2D(inC, outC, kernel, stride, pad int, bias bool, rng *rand.Rand) *C
 
 func (c *Conv2D) outDims(h, w int) (int, int) {
 	return tensor.ConvOutDims(h, w, c.Kernel, c.Stride, c.Pad)
-}
-
-func (c *Conv2D) backend() ConvBackend {
-	if c.Backend != ConvAuto {
-		return c.Backend
-	}
-	return DefaultConvBackend()
 }
 
 // ReleaseScratch returns the layer's cached im2col buffer to the shared
@@ -199,35 +125,25 @@ func zeroCols(m []float64, rows, ld, lo, hi int) {
 	}
 }
 
-// Forward performs the convolution. Inputs are NCHW.
+// Forward performs the convolution on NCHW inputs, lowered onto im2col +
+// batch-folded GEMM: every image's receptive fields are unrolled into its own
+// columns of one (InC·K²) × (bsz·outH·outW) matrix, the layer becomes W
+// (OutC × InC·K²) times that matrix, taken one panel of columns at a time (see
+// forEachPanel), and each panel's product is unfolded into NCHW. Folding only
+// changes which columns are in flight together: each per-element sum still
+// accumulates in (ic, kh, kw) order, so the activations are bit-identical to
+// the direct-loop reference the tests keep (convref_test.go) at every batch
+// size and worker count.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bsz, inC, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if inC != c.InC {
 		panic("nn: Conv2D channel mismatch")
 	}
 	oh, ow := c.outDims(h, w)
-	c.x, c.inH, c.inW, c.outH, c.outW = x, h, w, oh, ow
+	c.inH, c.inW, c.outH, c.outW = h, w, oh, ow
 	c.trained = train
 
 	out := tensor.New(bsz, c.OutC, oh, ow)
-	c.usedGEMM = c.backend() != ConvDirect
-	if c.usedGEMM {
-		c.forwardGEMM(x, out, bsz, h, w, oh, ow)
-	} else {
-		c.forwardDirect(x, out, bsz, h, w, oh, ow)
-	}
-	return out
-}
-
-// forwardGEMM lowers the convolution onto im2col + batch-folded GEMM: every
-// image's receptive fields are unrolled into its own columns of one
-// (InC·K²) × (bsz·outH·outW) matrix, the layer becomes W (OutC × InC·K²) times
-// that matrix, taken one panel of columns at a time (see forEachPanel), and
-// each panel's product is unfolded into NCHW. Folding only changes which
-// columns are in flight together: each per-element sum still accumulates in
-// the (ic, kh, kw) order of the direct loops, so the two backends produce
-// bit-identical forward activations at every batch size and worker count.
-func (c *Conv2D) forwardGEMM(x, out *tensor.Tensor, bsz, h, w, oh, ow int) {
 	k, st, pad := c.Kernel, c.Stride, c.Pad
 	ickk := c.InC * k * k
 	ohow := oh * ow
@@ -262,71 +178,12 @@ func (c *Conv2D) forwardGEMM(x, out *tensor.Tensor, bsz, h, w, oh, ow int) {
 			}
 		}
 	})
-}
-
-// forwardDirect is the original direct-loop implementation.
-func (c *Conv2D) forwardDirect(x, out *tensor.Tensor, bsz, h, w, oh, ow int) {
-	inC := c.InC
-	k, st, pad := c.Kernel, c.Stride, c.Pad
-	wd := c.W.Data.Data
-	for b := 0; b < bsz; b++ {
-		xb := x.Data[b*inC*h*w : (b+1)*inC*h*w]
-		ob := out.Data[b*c.OutC*oh*ow : (b+1)*c.OutC*oh*ow]
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := 0.0
-			if c.hasBias {
-				bias = c.B.Data.Data[oc]
-			}
-			oplane := ob[oc*oh*ow : (oc+1)*oh*ow]
-			for ic := 0; ic < inC; ic++ {
-				xplane := xb[ic*h*w : (ic+1)*h*w]
-				wBase := ((oc*inC + ic) * k) * k
-				for kh := 0; kh < k; kh++ {
-					for kw := 0; kw < k; kw++ {
-						wv := wd[wBase+kh*k+kw]
-						if wv == 0 {
-							continue
-						}
-						for oy := 0; oy < oh; oy++ {
-							iy := oy*st + kh - pad
-							if iy < 0 || iy >= h {
-								continue
-							}
-							xrow := xplane[iy*w : (iy+1)*w]
-							orow := oplane[oy*ow : (oy+1)*ow]
-							for ox := 0; ox < ow; ox++ {
-								ix := ox*st + kw - pad
-								if ix < 0 || ix >= w {
-									continue
-								}
-								orow[ox] += wv * xrow[ix]
-							}
-						}
-					}
-				}
-			}
-			if bias != 0 {
-				for i := range oplane {
-					oplane[i] += bias
-				}
-			}
-		}
-	}
+	return out
 }
 
 // Backward returns dL/dx and, after a train-mode Forward, accumulates the
 // weight/bias gradients; after an eval-mode Forward it computes the input
-// gradient only. It always uses the backend the matching Forward ran, so the
-// cached state is consistent even if the package default flips between the
-// two calls.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.usedGEMM {
-		return c.backwardGEMM(grad)
-	}
-	return c.backwardDirect(grad)
-}
-
-// backwardGEMM computes the three convolution gradients:
+// gradient only. The three gradients are:
 //
 //	dX  = Col2Im(Wᵀ · dY)   (dY folded like col, one panel at a time; per-image scatter)
 //	dW += dY_b · col_bᵀ     (dot products on the cached col, per image in batch order)
@@ -336,7 +193,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // with each weight element accumulating images in ascending batch order — so
 // gradients are bit-deterministic at every GOMAXPROCS. dW and dB are skipped
 // after an eval-mode Forward; dX does not depend on them.
-func (c *Conv2D) backwardGEMM(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	bsz := grad.Dim(0)
 	h, w, oh, ow := c.inH, c.inW, c.outH, c.outW
 	k, st, pad := c.Kernel, c.Stride, c.Pad
@@ -345,7 +202,7 @@ func (c *Conv2D) backwardGEMM(grad *tensor.Tensor) *tensor.Tensor {
 	lay := newFoldLayout(bsz, ohow)
 	ld := lay.ld()
 	if len(c.col) != ickk*ld {
-		panic(fmt.Sprintf("nn: Conv2D GEMM backward without matching forward (col %d, need %d)",
+		panic(fmt.Sprintf("nn: Conv2D backward without matching forward (col %d, need %d)",
 			len(c.col), ickk*ld))
 	}
 	dx := tensor.New(bsz, c.InC, h, w)
@@ -389,65 +246,6 @@ func (c *Conv2D) backwardGEMM(grad *tensor.Tensor) *tensor.Tensor {
 			tensor.MatMulTransBAccRowsStridedInto(wg, gb, ohow, col[lay.col(b):], ld, ohow, ickk, lo, hi)
 		}
 	})
-	return dx
-}
-
-// backwardDirect is the original direct-loop implementation.
-func (c *Conv2D) backwardDirect(grad *tensor.Tensor) *tensor.Tensor {
-	bsz := grad.Dim(0)
-	h, w, oh, ow := c.inH, c.inW, c.outH, c.outW
-	k, st, pad := c.Kernel, c.Stride, c.Pad
-	dx := tensor.New(bsz, c.InC, h, w)
-	wd := c.W.Data.Data
-	wg := c.W.Grad.Data
-
-	for b := 0; b < bsz; b++ {
-		xb := c.x.Data[b*c.InC*h*w : (b+1)*c.InC*h*w]
-		gb := grad.Data[b*c.OutC*oh*ow : (b+1)*c.OutC*oh*ow]
-		dxb := dx.Data[b*c.InC*h*w : (b+1)*c.InC*h*w]
-		for oc := 0; oc < c.OutC; oc++ {
-			gplane := gb[oc*oh*ow : (oc+1)*oh*ow]
-			if c.hasBias && c.trained {
-				s := 0.0
-				for _, v := range gplane {
-					s += v
-				}
-				c.B.Grad.Data[oc] += s
-			}
-			for ic := 0; ic < c.InC; ic++ {
-				xplane := xb[ic*h*w : (ic+1)*h*w]
-				dxplane := dxb[ic*h*w : (ic+1)*h*w]
-				wBase := ((oc*c.InC + ic) * k) * k
-				for kh := 0; kh < k; kh++ {
-					for kw := 0; kw < k; kw++ {
-						wv := wd[wBase+kh*k+kw]
-						dwAcc := 0.0
-						for oy := 0; oy < oh; oy++ {
-							iy := oy*st + kh - pad
-							if iy < 0 || iy >= h {
-								continue
-							}
-							xrow := xplane[iy*w : (iy+1)*w]
-							dxrow := dxplane[iy*w : (iy+1)*w]
-							grow := gplane[oy*ow : (oy+1)*ow]
-							for ox := 0; ox < ow; ox++ {
-								ix := ox*st + kw - pad
-								if ix < 0 || ix >= w {
-									continue
-								}
-								g := grow[ox]
-								dwAcc += g * xrow[ix]
-								dxrow[ix] += g * wv
-							}
-						}
-						if c.trained {
-							wg[wBase+kh*k+kw] += dwAcc
-						}
-					}
-				}
-			}
-		}
-	}
 	return dx
 }
 

@@ -28,30 +28,29 @@ var convCases = []struct {
 	{"kernelExceedsInput", 1, 2, 6, 1, 2, false, 1, 2, 2},
 }
 
-func newConvPair(t *testing.T, seed int64, inC, outC, k, stride, pad int, bias bool) (direct, gemm *Conv2D) {
+// newConvPair builds two identically initialised convolutions: the layer
+// itself and the direct-loop reference (convref_test.go).
+func newConvPair(t *testing.T, seed int64, inC, outC, k, stride, pad int, bias bool) (direct *directConv, gemm *Conv2D) {
 	t.Helper()
-	direct = NewConv2D(inC, outC, k, stride, pad, bias, rand.New(rand.NewSource(seed)))
+	direct = &directConv{Conv2D: NewConv2D(inC, outC, k, stride, pad, bias, rand.New(rand.NewSource(seed)))}
 	gemm = NewConv2D(inC, outC, k, stride, pad, bias, rand.New(rand.NewSource(seed)))
-	direct.Backend = ConvDirect
-	gemm.Backend = ConvGEMM
 	return direct, gemm
 }
 
-// The GEMM backend must pass the same finite-difference gradient checks as
-// the direct loops, on every geometry.
+// The GEMM convolution must pass the same finite-difference gradient checks
+// as the direct loops, on every geometry.
 func TestConvGEMMGradients(t *testing.T) {
 	for i, cs := range convCases {
 		t.Run(cs.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(100 + int64(i)))
 			c := NewConv2D(cs.inC, cs.outC, cs.k, cs.stride, cs.pad, cs.bias, rng)
-			c.Backend = ConvGEMM
 			x := tensor.Randn(rng, 1, cs.bsz, cs.inC, cs.h, cs.w)
 			checkLayerGrads(t, c, x, true, 1e-6)
 		})
 	}
 }
 
-// Forward activations must be BIT-identical between backends: the GEMM
+// Forward activations must be BIT-identical to the reference: the GEMM
 // kernels accumulate each output element over (ic, kh, kw) in exactly the
 // direct loops' order, and padding contributes exact-zero terms.
 func TestConvBackendsForwardBitIdentical(t *testing.T) {
@@ -72,8 +71,8 @@ func TestConvBackendsForwardBitIdentical(t *testing.T) {
 	}
 }
 
-// Weight and bias gradients accumulate in the same order in both backends and
-// must be bit-identical; the input gradient groups its sum differently (the
+// Weight and bias gradients accumulate in the same order in the layer and the
+// reference and must be bit-identical; the input gradient groups its sum differently (the
 // GEMM path reduces over output channels first) and must agree to ≤1e-9
 // relative error — the tolerance the gradcheck contract allows.
 func TestConvBackendsBackwardEquivalent(t *testing.T) {
@@ -118,7 +117,6 @@ func TestConvBackendsBackwardEquivalent(t *testing.T) {
 func TestConvGEMMScratchLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := NewConv2D(2, 3, 3, 1, 1, false, rng)
-	c.Backend = ConvGEMM
 	for _, bsz := range []int{4, 1, 8, 2} {
 		x := tensor.Randn(rng, 1, bsz, 2, 6, 6)
 		out := c.Forward(x, true)
@@ -167,20 +165,21 @@ func TestReleaseScratchWalksTree(t *testing.T) {
 	}
 }
 
-// A full model forward/backward must agree across backends within gradcheck
-// tolerance, train and eval mode alike.
+// A full model forward/backward must agree with the same model whose
+// convolutions run the direct-loop reference over the same Params, within
+// gradcheck tolerance, train and eval mode alike.
 func TestModelBackendsAgree(t *testing.T) {
-	build := func(backend ConvBackend) (*Model, *tensor.Tensor) {
-		rng := rand.New(rand.NewSource(77))
-		m := CNN3([]int{3, 16, 16}, 10, 4, rng)
-		for _, c := range CollectConvs(m) {
-			c.Backend = backend
-		}
+	build := func() (*Model, *tensor.Tensor) {
+		m := CNN3([]int{3, 16, 16}, 10, 4, rand.New(rand.NewSource(77)))
 		x := tensor.Randn(rand.New(rand.NewSource(78)), 1, 4, 3, 16, 16)
 		return m, x
 	}
-	md, xd := build(ConvDirect)
-	mg, xg := build(ConvGEMM)
+	md, xd := build()
+	mg, xg := build()
+	swapDirectConvs(md)
+	if n := len(CollectConvs(md)); n != 0 {
+		t.Fatalf("%d convolutions left unswapped", n)
+	}
 	for _, train := range []bool{true, false} {
 		outD := md.Forward(xd, train)
 		outG := mg.Forward(xg, train)
@@ -197,39 +196,6 @@ func TestModelBackendsAgree(t *testing.T) {
 			if math.Abs(dxD.Data[j]-dxG.Data[j]) > 1e-9*(1+math.Abs(dxD.Data[j])) {
 				t.Fatalf("train=%v: dX[%d] diverges: %v vs %v", train, j, dxD.Data[j], dxG.Data[j])
 			}
-		}
-	}
-}
-
-// Flipping the package default between Forward and Backward must not desync
-// the cached state: Backward always runs the backend its Forward used.
-func TestBackendFlipBetweenForwardAndBackward(t *testing.T) {
-	prev := DefaultConvBackend()
-	defer SetConvBackend(prev)
-
-	rng := rand.New(rand.NewSource(21))
-	ref := NewConv2D(2, 3, 3, 1, 1, false, rng)
-	flip := NewConv2D(2, 3, 3, 1, 1, false, rand.New(rand.NewSource(21)))
-	x := tensor.Randn(rand.New(rand.NewSource(22)), 1, 2, 2, 5, 5)
-
-	SetConvBackend(ConvGEMM)
-	outRef := ref.Forward(x, true)
-	ZeroGrads(ref)
-	dxRef := ref.Backward(outRef.Clone())
-
-	outFlip := flip.Forward(x, true)
-	SetConvBackend(ConvDirect) // flipped mid-flight
-	ZeroGrads(flip)
-	dxFlip := flip.Backward(outFlip.Clone())
-
-	for i := range dxRef.Data {
-		if dxRef.Data[i] != dxFlip.Data[i] {
-			t.Fatalf("dX[%d] diverges after mid-flight backend flip", i)
-		}
-	}
-	for i := range ref.W.Grad.Data {
-		if ref.W.Grad.Data[i] != flip.W.Grad.Data[i] {
-			t.Fatalf("dW[%d] diverges after mid-flight backend flip", i)
 		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 
 // perImageConv is the GEMM lowering as it was before the batch fold, kept
 // here as the reference: one im2col, one W·col, one Wᵀ·dY + col2im and one
-// dY·colᵀ per image, in batch order, built only from tensor's public per-image
-// functions. The folded layer must reproduce every value bit for bit.
+// dY·colᵀ per image, in batch order, built only from tensor's exported
+// functions applied one image at a time. The folded layer must reproduce
+// every value bit for bit.
 func perImageConv(c *Conv2D, x, grad *tensor.Tensor) (out, dx *tensor.Tensor, dw, db []float64) {
 	bsz, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := tensor.ConvOutDims(h, w, c.Kernel, c.Stride, c.Pad)
@@ -44,8 +45,8 @@ func perImageConv(c *Conv2D, x, grad *tensor.Tensor) (out, dx *tensor.Tensor, dw
 			}
 			db[oc] += s
 		}
-		tensor.MatMulTransAInto(dcol, c.W.Data.Data, gb, c.OutC, ickk, ohow)
-		tensor.Col2ImAccInto(dx.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], dcol, c.InC, h, w, c.Kernel, c.Stride, c.Pad)
+		tensor.MatMulTransAStridedInto(dcol, ohow, c.W.Data.Data, gb, ohow, c.OutC, ickk, ohow)
+		tensor.Col2ImAccStridedInto(dx.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], dcol, c.InC, h, w, c.Kernel, c.Stride, c.Pad, ohow, 0)
 		tensor.MatMulTransBAccRowsInto(dw, gb, col, ohow, ickk, 0, c.OutC)
 	}
 	return out, dx, dw, db
@@ -103,7 +104,6 @@ func TestFoldedConvBitEqualsPerImage(t *testing.T) {
 				t.Run(fmt.Sprintf("procs%d/%s/batch%d", procs, cs.name, bsz), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(900 + int64(ci)))
 					c := NewConv2D(cs.inC, cs.outC, cs.k, cs.stride, cs.pad, cs.bias, rng)
-					c.Backend = ConvGEMM
 					if cs.bias {
 						for i := range c.B.Data.Data {
 							c.B.Data.Data[i] = rng.NormFloat64()
@@ -140,7 +140,6 @@ func TestFoldedConvBitEqualsPerImage(t *testing.T) {
 func TestFoldScratchBoundedByPanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	c := NewConv2D(3, 4, 3, 1, 1, false, rng)
-	c.Backend = ConvGEMM
 	rows := c.OutC + c.InC*9
 	for _, bsz := range []int{8, 32, 128} {
 		var panels atomic.Int32 // panels of the larger batches run on several workers

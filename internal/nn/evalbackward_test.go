@@ -63,15 +63,20 @@ func checkEvalBackwardContract(t *testing.T, build func() Layer, x *tensor.Tenso
 
 func TestConvEvalBackwardInputGradOnly(t *testing.T) {
 	for i, cs := range convCases {
-		for _, backend := range []ConvBackend{ConvGEMM, ConvDirect} {
-			t.Run(cs.name+"/"+backend.String(), func(t *testing.T) {
+		for _, impl := range []struct {
+			name string
+			wrap func(*Conv2D) Layer
+		}{
+			{"gemm", func(c *Conv2D) Layer { return c }},
+			{"direct", func(c *Conv2D) Layer { return &directConv{Conv2D: c} }},
+		} {
+			t.Run(cs.name+"/"+impl.name, func(t *testing.T) {
 				build := func() Layer {
 					c := NewConv2D(cs.inC, cs.outC, cs.k, cs.stride, cs.pad, cs.bias, rand.New(rand.NewSource(600+int64(i))))
-					c.Backend = backend
 					if cs.bias {
 						c.B.Data.Fill(0.25)
 					}
-					return c
+					return impl.wrap(c)
 				}
 				x := tensor.Randn(rand.New(rand.NewSource(700+int64(i))), 1, cs.bsz, cs.inC, cs.h, cs.w)
 				checkEvalBackwardContract(t, build, x, true)
@@ -83,19 +88,6 @@ func TestConvEvalBackwardInputGradOnly(t *testing.T) {
 func TestLinearEvalBackwardInputGradOnly(t *testing.T) {
 	build := func() Layer { return NewLinear(6, 4, rand.New(rand.NewSource(1))) }
 	x := tensor.Randn(rand.New(rand.NewSource(2)), 1, 3, 6)
-	checkEvalBackwardContract(t, build, x, true)
-}
-
-func TestLoRAEvalBackwardInputGradOnly(t *testing.T) {
-	build := func() Layer {
-		rng := rand.New(rand.NewSource(3))
-		l := NewLoRALinear(NewLinear(5, 3, rng), 2, 2, rng)
-		for i := range l.B.Data.Data {
-			l.B.Data.Data[i] = rng.NormFloat64() * 0.1
-		}
-		return l
-	}
-	x := tensor.Randn(rand.New(rand.NewSource(4)), 1, 4, 5)
 	checkEvalBackwardContract(t, build, x, true)
 }
 

@@ -8,13 +8,11 @@
 // return the gradient with respect to the layer input. That input gradient is
 // what powers both PGD adversarial-example generation and cascade learning's
 // intermediate-feature perturbations.
+//
+//lint:deterministic
 package nn
 
-import (
-	"fmt"
-
-	"fedprophet/internal/tensor"
-)
+import "fedprophet/internal/tensor"
 
 // Param is a trainable tensor together with its gradient accumulator and
 // optimizer state (momentum buffer, managed by SGD).
@@ -78,21 +76,6 @@ func NumParams(l Layer) int {
 		n += p.NumElems()
 	}
 	return n
-}
-
-// CopyParams copies parameter values from src to dst. The two layers must
-// have structurally identical parameter lists.
-func CopyParams(dst, src Layer) {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		panic(fmt.Sprintf("nn: CopyParams arity mismatch %d vs %d", len(dp), len(sp)))
-	}
-	for i := range dp {
-		if dp[i].Data.Len() != sp[i].Data.Len() {
-			panic(fmt.Sprintf("nn: CopyParams size mismatch at %s", dp[i].Name))
-		}
-		copy(dp[i].Data.Data, sp[i].Data.Data)
-	}
 }
 
 func prodInts(s []int) int {

@@ -114,18 +114,3 @@ func KLDivergence(logits, teacherProbs *tensor.Tensor) (float64, *tensor.Tensor)
 	}
 	return loss, grad
 }
-
-// Accuracy returns the fraction of rows whose argmax equals the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	bsz := logits.Dim(0)
-	if bsz == 0 {
-		return 0
-	}
-	correct := 0
-	for b := 0; b < bsz; b++ {
-		if logits.ArgMaxRow(b) == labels[b] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(bsz)
-}

@@ -138,15 +138,6 @@ func TestSGDWeightDecayShrinksWeights(t *testing.T) {
 	}
 }
 
-func TestSGDDecay(t *testing.T) {
-	opt := NewSGD(1.0, 0, 0)
-	opt.Decay(0.5)
-	opt.Decay(0.5)
-	if math.Abs(opt.LR-0.25) > 1e-15 {
-		t.Fatalf("LR = %v, want 0.25", opt.LR)
-	}
-}
-
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := Softmax(tensor.Randn(rng, 3, 5, 7))
@@ -199,4 +190,20 @@ func TestOverfitSingleBatch(t *testing.T) {
 	if acc := Accuracy(out, labels); acc < 0.99 {
 		t.Fatalf("train accuracy %v after overfit", acc)
 	}
+}
+
+// Accuracy, the tests' fit measure, returns the fraction of rows whose argmax
+// equals the label.
+func Accuracy(logits *tensor.Tensor, labels []int) float64 {
+	bsz := logits.Dim(0)
+	if bsz == 0 {
+		return 0
+	}
+	correct := 0
+	for b := 0; b < bsz; b++ {
+		if logits.ArgMaxRow(b) == labels[b] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(bsz)
 }

@@ -42,9 +42,6 @@ func (o *SGD) Step(params []*Param) {
 	}
 }
 
-// Decay multiplies the learning rate by factor (ηt = γ^t · η0 in the paper).
-func (o *SGD) Decay(factor float64) { o.LR *= factor }
-
 // ResetMomentum clears the optimizer state of the given parameters. Federated
 // clients start each local training phase with fresh optimizer state.
 func ResetMomentum(params []*Param) {

@@ -100,12 +100,3 @@ func (c Chunked) MaxError() float64 {
 	}
 	return m / 2
 }
-
-// CompressRatio returns float32-bytes / wire-bytes, the communication saving
-// relative to uncompressed float32 uploads.
-func (c Chunked) CompressRatio() float64 {
-	if c.Bytes() == 0 {
-		return 0
-	}
-	return float64(4*c.N) / float64(c.Bytes())
-}

@@ -57,29 +57,6 @@ func (f *Frame) IsRaw() bool { return f.Bits == RawBits }
 // IsSparse reports whether the frame stores only selected coordinates.
 func (f *Frame) IsSparse() bool { return f.Sparse != nil }
 
-// Len returns the number of float64 values the frame describes.
-func (f *Frame) Len() int {
-	if f.IsSparse() {
-		return f.Sparse.N
-	}
-	if f.IsRaw() {
-		return len(f.Raw)
-	}
-	return f.Q.N
-}
-
-// Vector materializes the frame's values: a copy of Raw, the dequantized
-// chunks, or the scatter of a sparse frame's stored values over zeros.
-func (f *Frame) Vector() []float64 {
-	if f.IsSparse() {
-		return f.Sparse.Dequantize()
-	}
-	if f.IsRaw() {
-		return append([]float64(nil), f.Raw...)
-	}
-	return f.Q.Dequantize()
-}
-
 // Encode serializes a chunk-quantized vector into a frame. The inverse of
 // Decode: Decode(Encode(c)) yields a frame whose re-encoding is
 // byte-identical. Panics on a structurally invalid Chunked (wrong scale or

@@ -135,7 +135,7 @@ func TestDecodeFirstSequencing(t *testing.T) {
 }
 
 // The wire overhead at 8 bits and chunk 256 stays near 1 byte/value, the
-// budget the ≥7× round-bytes reduction in BENCH_wire.json depends on.
+// budget an 8-bit frame's ≥7× saving over raw float64 depends on.
 func TestFrameOverhead(t *testing.T) {
 	v := make([]float64, 4096)
 	rng := rand.New(rand.NewSource(9))
@@ -147,4 +147,31 @@ func TestFrameOverhead(t *testing.T) {
 	if perValue > 1.05 {
 		t.Fatalf("8-bit wire cost %.3f bytes/value, want ≤ 1.05", perValue)
 	}
+}
+
+// Len and Vector read a decoded frame back as a plain vector for the tests.
+
+// Len returns the number of float64 values the frame describes.
+func (f *Frame) Len() int {
+	if f.IsSparse() {
+		return f.Sparse.N
+	}
+	if f.IsRaw() {
+		return len(f.Raw)
+	}
+	return f.Q.N
+}
+
+// Vector materializes the frame's values: a copy of Raw, the dequantized
+// chunks, or the scatter of a sparse frame's stored values over zeros.
+func (f *Frame) Vector() []float64 {
+	if f.IsSparse() {
+		out := make([]float64, f.Sparse.N)
+		f.Sparse.AddTo(out)
+		return out
+	}
+	if f.IsRaw() {
+		return append([]float64(nil), f.Raw...)
+	}
+	return f.Q.Dequantize()
 }

@@ -189,8 +189,8 @@ func TestFusedDeqEqualsDecode(t *testing.T) {
 				}
 
 				deq := make([]float64, n)
-				seg, err := EncodeSegment(v, bits, chunk, deq)
-				if err != nil {
+				seg := make([]byte, SegmentBytes(n, chunk, bits))
+				if err := EncodeSegmentInto(seg, v, bits, chunk, deq); err != nil {
 					t.Fatal(err)
 				}
 				frame := append(appendHeader(nil, bits, n, chunk), seg...)

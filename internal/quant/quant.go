@@ -220,17 +220,5 @@ func (q Quantized) Dequantize() []float64 {
 
 // Bytes returns the wire size of the quantized vector including an honest
 // header: 1 byte for Bits, 4 bytes for N (a full 32-bit length — charging
-// less inflates CompressRatio), and 8 bytes for the float64 scale.
+// less would overstate the saving), and 8 bytes for the float64 scale.
 func (q Quantized) Bytes() int { return len(q.Codes) + 1 /*bits*/ + 4 /*n*/ + 8 /*scale*/ }
-
-// MaxError returns the worst-case absolute reconstruction error, Scale/2.
-func (q Quantized) MaxError() float64 { return q.Scale / 2 }
-
-// CompressRatio returns float32-bytes / quantized-bytes, the communication
-// saving relative to uncompressed uploads.
-func (q Quantized) CompressRatio() float64 {
-	if q.Bytes() == 0 {
-		return 0
-	}
-	return float64(4*q.N) / float64(q.Bytes())
-}

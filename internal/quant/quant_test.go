@@ -76,9 +76,6 @@ func TestBytesAndCompressRatio(t *testing.T) {
 	if got, want := q4.Bytes(), 400+13; got != want {
 		t.Fatalf("4-bit size = %d, want %d", got, want)
 	}
-	if q4.CompressRatio() < 7 { // 3200/413 ≈ 7.75
-		t.Fatalf("4-bit compression ratio too low: %v", q4.CompressRatio())
-	}
 }
 
 func TestExtremesSaturate(t *testing.T) {

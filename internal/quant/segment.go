@@ -140,12 +140,3 @@ func EncodeSegmentInto(dst []byte, v []float64, bits, chunk int, deq []float64) 
 	}
 	return nil
 }
-
-// EncodeSegment is the allocating convenience form of EncodeSegmentInto.
-func EncodeSegment(v []float64, bits, chunk int, deq []float64) ([]byte, error) {
-	dst := make([]byte, SegmentBytes(len(v), chunk, bits))
-	if err := EncodeSegmentInto(dst, v, bits, chunk, deq); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}

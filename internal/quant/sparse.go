@@ -53,9 +53,6 @@ type SparseVec struct {
 	Codes []byte
 }
 
-// Len returns the dense vector length the frame describes.
-func (s *SparseVec) Len() int { return s.N }
-
 // AddTo scatter-adds the stored dequantized values onto dst, which must hold
 // N values. Unstored coordinates are untouched — this is the error-feedback
 // apply: dst starts as the base vector and ends as base + decoded delta.
@@ -82,16 +79,10 @@ func (s *SparseVec) AddTo(dst []float64) {
 	}
 }
 
-// Dequantize reconstructs the dense vector: stored values at their indices,
-// exact zeros elsewhere.
-func (s *SparseVec) Dequantize() []float64 {
-	out := make([]float64, s.N)
-	s.AddTo(out)
-	return out
-}
-
 // Encode re-serializes the sparse vector into its wire frame. Decoding and
 // re-encoding a valid sparse frame is byte-identical (varints are canonical).
+//
+//lint:ignore unusedexport the quant and fldist tests forge and round-trip sparse frames with it
 func (s *SparseVec) Encode() []byte {
 	buf := make([]byte, 0, frameHeaderSize+sparsePayloadSize(s.Idx, s.Chunk, s.Bits))
 	buf = appendHeader(buf, sparseFlag|s.Bits, s.N, s.Chunk)
@@ -112,11 +103,6 @@ func (s *SparseVec) Encode() []byte {
 		i = j
 	}
 	return buf
-}
-
-// Bytes returns the serialized frame size, len(Encode()).
-func (s *SparseVec) Bytes() int {
-	return frameHeaderSize + sparsePayloadSize(s.Idx, s.Chunk, s.Bits)
 }
 
 // groupEnd returns the end of the run of indices sharing idx[i]'s chunk.

@@ -34,7 +34,7 @@ func NewArena() *Arena { return &Arena{free: make(map[int][][]float64)} }
 var Scratch = NewArena()
 
 // Get returns a buffer of length n with undefined contents. Callers that
-// need zeroed memory must clear it (or use GetTensor).
+// need zeroed memory must clear it.
 func (a *Arena) Get(n int) []float64 {
 	a.mu.Lock()
 	if bufs := a.free[n]; len(bufs) > 0 {
@@ -60,26 +60,4 @@ func (a *Arena) Put(b []float64) {
 		a.bytes += 8 * len(b)
 	}
 	a.mu.Unlock()
-}
-
-// GetTensor returns a zero-filled tensor drawn from the arena's free list,
-// interchangeable with New. Release it with PutTensor when its lifetime ends.
-func (a *Arena) GetTensor(shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	buf := a.Get(n)
-	for i := range buf {
-		buf[i] = 0
-	}
-	return FromSlice(buf, shape...)
-}
-
-// PutTensor returns a tensor's buffer to the arena. The tensor (and any
-// Reshape sharing its buffer) must not be used afterwards.
-func (a *Arena) PutTensor(t *Tensor) {
-	if t != nil {
-		a.Put(t.Data)
-	}
 }

@@ -19,25 +19,6 @@ func TestArenaReusesBuffers(t *testing.T) {
 	}
 }
 
-func TestArenaGetTensorIsZeroedAndShaped(t *testing.T) {
-	a := NewArena()
-	dirty := a.Get(12)
-	for i := range dirty {
-		dirty[i] = 99
-	}
-	a.Put(dirty)
-	tt := a.GetTensor(3, 4)
-	if tt.Dim(0) != 3 || tt.Dim(1) != 4 {
-		t.Fatalf("bad shape %v", tt.Shape())
-	}
-	for i, v := range tt.Data {
-		if v != 0 {
-			t.Fatalf("GetTensor must zero recycled memory, found %v at %d", v, i)
-		}
-	}
-	a.PutTensor(tt)
-}
-
 func TestArenaBoundsPerSizeClass(t *testing.T) {
 	a := NewArena()
 	for i := 0; i < 4*arenaMaxPerSize; i++ {

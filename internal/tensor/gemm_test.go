@@ -129,7 +129,7 @@ func TestGEMMMatchesScalarDefinition(t *testing.T) {
 			ab, atb := make([]float64, len(want)), make([]float64, len(want))
 			run := func() {
 				MatMulInto(ab, a, b, d.m, d.k, d.n)
-				MatMulTransAInto(atb, at, b, d.k, d.m, d.n)
+				MatMulTransAStridedInto(atb, d.n, at, b, d.n, d.k, d.m, d.n)
 			}
 			if portable {
 				forcePortable(run)
@@ -137,7 +137,7 @@ func TestGEMMMatchesScalarDefinition(t *testing.T) {
 				run()
 			}
 			check(fmt.Sprintf("MatMulInto portable=%v", portable), ab)
-			check(fmt.Sprintf("MatMulTransAInto portable=%v", portable), atb)
+			check(fmt.Sprintf("MatMulTransAStridedInto portable=%v", portable), atb)
 		}
 	}
 }
@@ -157,9 +157,9 @@ func TestGEMMWrappersPanicOnShortSlices(t *testing.T) {
 		{"MatMulInto short b", func() { MatMulInto(full(m*n), full(m*k), full(k*n-1), m, k, n) }},
 		{"MatMulRowsInto rows past a", func() { MatMulRowsInto(full((m+4)*n), full(m*k), full(k*n), k, n, m, m+4) }},
 		{"MatMulRowsInto negative row", func() { MatMulRowsInto(full(m*n), full(m*k), full(k*n), k, n, -1, m) }},
-		{"MatMulTransAInto short a", func() { MatMulTransAInto(full(m*n), full(k*m-1), full(k*n), k, m, n) }},
-		{"MatMulTransAInto short b", func() { MatMulTransAInto(full(m*n), full(k*m), full(k*n-1), k, m, n) }},
-		{"MatMulTransAInto short dst", func() { MatMulTransAInto(full(m*n-1), full(k*m), full(k*n), k, m, n) }},
+		{"MatMulTransAStridedInto short a", func() { MatMulTransAStridedInto(full(m*n), n, full(k*m-1), full(k*n), n, k, m, n) }},
+		{"MatMulTransAStridedInto short b", func() { MatMulTransAStridedInto(full(m*n), n, full(k*m), full(k*n-1), n, k, m, n) }},
+		{"MatMulTransAStridedInto short dst", func() { MatMulTransAStridedInto(full(m*n-1), n, full(k*m), full(k*n), n, k, m, n) }},
 		{"MatMulStridedInto n beyond ldb", func() { MatMulStridedInto(full(m*n), n, full(m*k), full(k*n), n-1, m, k, n) }},
 		{"MatMulStridedInto n beyond ldc", func() { MatMulStridedInto(full(m*n), n-1, full(m*k), full(k*n), n, m, k, n) }},
 		{"MatMulStridedInto short strided b", func() { MatMulStridedInto(full(m*n), n, full(m*k), full((k-1)*(n+8)+n-1), n+8, m, k, n) }},
@@ -279,7 +279,7 @@ func BenchmarkGEMMShapes(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("%s/dX/%s/n=%d", s.name, fold.name, fold.n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					MatMulTransAInto(dcol, w, dy, s.outC, s.ickk, fold.n)
+					MatMulTransAStridedInto(dcol, fold.n, w, dy, fold.n, s.outC, s.ickk, fold.n)
 				}
 				report(b)
 			})

@@ -113,17 +113,6 @@ func Im2ColStridedInto(dst, src []float64, c, h, w, k, stride, pad, ld, off int)
 	}
 }
 
-// Col2ImAccInto scatter-adds col, a row-major (C·k·k) × (oh·ow) matrix, back
-// into dst, a C×H×W image. dst is accumulated into, not cleared: overlapping
-// receptive fields sum, making this the exact adjoint of Im2ColInto.
-func Col2ImAccInto(dst, col []float64, c, h, w, k, stride, pad int) {
-	oh, ow := ConvOutDims(h, w, k, stride, pad)
-	if len(col) != c*k*k*oh*ow {
-		panic(fmt.Sprintf("tensor: Col2ImAccInto col has %d elements, need %d", len(col), c*k*k*oh*ow))
-	}
-	Col2ImAccStridedInto(dst, col, c, h, w, k, stride, pad, oh*ow, 0)
-}
-
 // Col2ImAccStridedInto scatter-adds columns [off, off+oh·ow) of col, a
 // (C·k·k)-row matrix whose rows are ld elements apart, into dst, a C×H×W
 // image: the adjoint of Im2ColStridedInto.
@@ -173,27 +162,4 @@ func Col2ImAccStridedInto(dst, col []float64, c, h, w, k, stride, pad, ld, off i
 			}
 		}
 	}
-}
-
-// Im2Col unrolls a (C,H,W) tensor into a (C·k·k, oh·ow) column matrix.
-func Im2Col(x *Tensor, k, stride, pad int) *Tensor {
-	if x.NumDims() != 3 {
-		panic(fmt.Sprintf("tensor: Im2Col requires a (C,H,W) tensor, got %v", x.Shape()))
-	}
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh, ow := ConvOutDims(h, w, k, stride, pad)
-	col := New(c*k*k, oh*ow)
-	Im2ColInto(col.Data, x.Data, c, h, w, k, stride, pad)
-	return col
-}
-
-// Col2Im scatter-adds a (C·k·k, oh·ow) column matrix into a fresh (C,H,W)
-// tensor, the adjoint of Im2Col.
-func Col2Im(col *Tensor, c, h, w, k, stride, pad int) *Tensor {
-	if col.NumDims() != 2 {
-		panic(fmt.Sprintf("tensor: Col2Im requires a 2-D column matrix, got %v", col.Shape()))
-	}
-	img := New(c, h, w)
-	Col2ImAccInto(img.Data, col.Data, c, h, w, k, stride, pad)
-	return img
 }

@@ -154,11 +154,6 @@ func MatMulTransARowsInto(dst, a, b []float64, kk, m, n, i0, i1 int) {
 	gemmBlock("MatMulTransARowsInto", dst, n, a, 1, m, b, n, kk, n, i0, i1)
 }
 
-// MatMulTransAInto computes dst = Aᵀ·B for a (kk×m), b (kk×n), dst (m×n).
-func MatMulTransAInto(dst, a, b []float64, kk, m, n int) {
-	MatMulTransAStridedInto(dst, n, a, b, n, kk, m, n)
-}
-
 // MatMulTransAStridedInto computes dst = Aᵀ·B for row-major a (kk×m),
 // b (kk×n) whose rows are ldb elements apart and dst (m×n) whose rows are ldc
 // apart.

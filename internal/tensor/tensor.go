@@ -119,11 +119,6 @@ func (t *Tensor) At(idx ...int) float64 {
 	return t.Data[t.offset(idx)]
 }
 
-// Set stores v at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.shape))
@@ -170,32 +165,6 @@ func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
 	return t
 }
 
-// MulInPlace computes t *= o elementwise (Hadamard product).
-func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
-	mustMatch(t, o, "MulInPlace")
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-	return t
-}
-
-// ScaleInPlace computes t *= a.
-func (t *Tensor) ScaleInPlace(a float64) *Tensor {
-	for i := range t.Data {
-		t.Data[i] *= a
-	}
-	return t
-}
-
-// AxpyInPlace computes t += a*o elementwise.
-func (t *Tensor) AxpyInPlace(a float64, o *Tensor) *Tensor {
-	mustMatch(t, o, "AxpyInPlace")
-	for i, v := range o.Data {
-		t.Data[i] += a * v
-	}
-	return t
-}
-
 // Add returns t + o as a new tensor.
 func Add(t, o *Tensor) *Tensor {
 	mustMatch(t, o, "Add")
@@ -210,19 +179,6 @@ func Sub(t, o *Tensor) *Tensor {
 	return r.SubInPlace(o)
 }
 
-// Mul returns the elementwise product t ⊙ o as a new tensor.
-func Mul(t, o *Tensor) *Tensor {
-	mustMatch(t, o, "Mul")
-	r := t.Clone()
-	return r.MulInPlace(o)
-}
-
-// Scale returns a*t as a new tensor.
-func Scale(t *Tensor, a float64) *Tensor {
-	r := t.Clone()
-	return r.ScaleInPlace(a)
-}
-
 // ClampInPlace clips every element into [lo, hi].
 func (t *Tensor) ClampInPlace(lo, hi float64) *Tensor {
 	for i, v := range t.Data {
@@ -233,23 +189,6 @@ func (t *Tensor) ClampInPlace(lo, hi float64) *Tensor {
 		}
 	}
 	return t
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
 }
 
 // Dot returns the inner product of t and o viewed as flat vectors.
@@ -263,35 +202,14 @@ func Dot(t, o *Tensor) float64 {
 }
 
 // L2Norm returns the Euclidean norm of the flattened tensor.
+//
+//lint:ignore unusedexport the attack, cascade and nn tests measure perturbations and weights with it
 func (t *Tensor) L2Norm() float64 {
 	s := 0.0
 	for _, v := range t.Data {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// LInfNorm returns the maximum absolute element.
-func (t *Tensor) LInfNorm() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// MaxAbsIndex returns the index (flat) of the element with the largest
-// absolute value, and that value.
-func (t *Tensor) MaxAbsIndex() (int, float64) {
-	bi, bv := -1, -1.0
-	for i, v := range t.Data {
-		if a := math.Abs(v); a > bv {
-			bi, bv = i, a
-		}
-	}
-	return bi, bv
 }
 
 // ArgMaxRow returns, for a 2-D tensor, the argmax of row r.
@@ -308,119 +226,6 @@ func (t *Tensor) ArgMaxRow(r int) int {
 		}
 	}
 	return best
-}
-
-// MatMul computes the matrix product A·B for 2-D tensors
-// A (m×k) and B (k×n), returning an m×n tensor. The inner loops are ordered
-// ikj for cache efficiency.
-func MatMul(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMul requires 2-D tensors")
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out
-}
-
-// MatMulTransA computes Aᵀ·B for A (k×m) and B (k×n), returning m×n.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulTransA requires 2-D tensors")
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch %v x %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*m : (p+1)*m]
-		brow := b.Data[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out
-}
-
-// MatMulTransB computes A·Bᵀ for A (m×k) and B (n×k), returning m×n.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulTransB requires 2-D tensors")
-	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %v x %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			orow[j] = s
-		}
-	}
-	return out
-}
-
-// SignInPlace replaces every element with its sign (−1, 0 or +1).
-func (t *Tensor) SignInPlace() *Tensor {
-	for i, v := range t.Data {
-		switch {
-		case v > 0:
-			t.Data[i] = 1
-		case v < 0:
-			t.Data[i] = -1
-		default:
-			t.Data[i] = 0
-		}
-	}
-	return t
-}
-
-// ProjectL2Ball scales t so that its L2 norm does not exceed eps.
-func (t *Tensor) ProjectL2Ball(eps float64) *Tensor {
-	n := t.L2Norm()
-	if n > eps && n > 0 {
-		t.ScaleInPlace(eps / n)
-	}
-	return t
-}
-
-// ProjectLInfBall clips every element into [−eps, eps].
-func (t *Tensor) ProjectLInfBall(eps float64) *Tensor {
-	return t.ClampInPlace(-eps, eps)
 }
 
 func mustMatch(a, b *Tensor, op string) {

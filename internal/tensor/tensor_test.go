@@ -75,35 +75,15 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Sub(b, a).Data; got[0] != 3 || got[2] != 3 {
 		t.Fatalf("Sub wrong: %v", got)
 	}
-	if got := Mul(a, b).Data; got[1] != 10 {
-		t.Fatalf("Mul wrong: %v", got)
-	}
-	if got := Scale(a, 2).Data; got[2] != 6 {
-		t.Fatalf("Scale wrong: %v", got)
-	}
-	c := a.Clone()
-	c.AxpyInPlace(10, b)
-	if c.Data[0] != 41 {
-		t.Fatalf("Axpy wrong: %v", c.Data)
-	}
 }
 
 func TestSumMeanDotNorms(t *testing.T) {
 	a := FromSlice([]float64{3, -4}, 2)
-	if a.Sum() != -1 {
-		t.Fatalf("Sum = %v", a.Sum())
-	}
-	if a.Mean() != -0.5 {
-		t.Fatalf("Mean = %v", a.Mean())
-	}
 	if got := Dot(a, a); got != 25 {
 		t.Fatalf("Dot = %v", got)
 	}
 	if !almostEq(a.L2Norm(), 5, 1e-12) {
 		t.Fatalf("L2 = %v", a.L2Norm())
-	}
-	if a.LInfNorm() != 4 {
-		t.Fatalf("LInf = %v", a.LInfNorm())
 	}
 }
 
@@ -162,26 +142,6 @@ func TestMatMulTransposeVariantsAgree(t *testing.T) {
 	}
 }
 
-func TestSignAndProjections(t *testing.T) {
-	a := FromSlice([]float64{-3, 0, 2}, 3)
-	a.SignInPlace()
-	if a.Data[0] != -1 || a.Data[1] != 0 || a.Data[2] != 1 {
-		t.Fatalf("Sign wrong: %v", a.Data)
-	}
-
-	b := FromSlice([]float64{3, 4}, 2) // norm 5
-	b.ProjectL2Ball(1)
-	if !almostEq(b.L2Norm(), 1, 1e-12) {
-		t.Fatalf("ProjectL2Ball norm = %v", b.L2Norm())
-	}
-
-	c := FromSlice([]float64{-0.5, 0.2, 0.9}, 3)
-	c.ProjectLInfBall(0.3)
-	if c.LInfNorm() > 0.3+1e-15 {
-		t.Fatalf("ProjectLInfBall LInf = %v", c.LInfNorm())
-	}
-}
-
 func TestArgMaxRow(t *testing.T) {
 	a := FromSlice([]float64{0, 5, 2, 9, 1, 3}, 2, 3)
 	if a.ArgMaxRow(0) != 1 {
@@ -215,7 +175,7 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 	}
 }
 
-// Property: Add is commutative and Scale distributes over Add.
+// Property: Add is commutative and Sub undoes it.
 func TestLinearAlgebraProperties(t *testing.T) {
 	f := func(seed int64, alpha float64) bool {
 		if math.IsNaN(alpha) || math.IsInf(alpha, 0) || math.Abs(alpha) > 1e6 {
@@ -232,36 +192,9 @@ func TestLinearAlgebraProperties(t *testing.T) {
 				return false
 			}
 		}
-		lhs := Scale(Add(a, b), alpha)
-		rhs := Add(Scale(a, alpha), Scale(b, alpha))
-		for i := range lhs.Data {
-			if !almostEq(lhs.Data[i], rhs.Data[i], 1e-6*(1+math.Abs(lhs.Data[i]))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: projection onto the L2 ball never increases the norm and is
-// idempotent.
-func TestProjectL2BallProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(16)
-		eps := 0.1 + r.Float64()*3
-		x := Randn(r, 2, n)
-		x.ProjectL2Ball(eps)
-		if x.L2Norm() > eps*(1+1e-12) {
-			return false
-		}
-		before := x.Clone()
-		x.ProjectL2Ball(eps)
-		for i := range x.Data {
-			if !almostEq(x.Data[i], before.Data[i], 1e-12*(1+math.Abs(before.Data[i]))) {
+		back := Sub(ab, b)
+		for i := range back.Data {
+			if !almostEq(back.Data[i], a.Data[i], 1e-12*(1+math.Abs(a.Data[i]))) {
 				return false
 			}
 		}
@@ -288,14 +221,11 @@ func TestElementwiseOpsRejectShapeMismatch(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2)
 	for name, f := range map[string]func(){
-		"Add":         func() { Add(a, b) },
-		"Sub":         func() { Sub(a, b) },
-		"Mul":         func() { Mul(a, b) },
-		"Dot":         func() { Dot(a, b) },
-		"AddInPlace":  func() { a.Clone().AddInPlace(b) },
-		"SubInPlace":  func() { a.Clone().SubInPlace(b) },
-		"MulInPlace":  func() { a.Clone().MulInPlace(b) },
-		"AxpyInPlace": func() { a.Clone().AxpyInPlace(2, b) },
+		"Add":        func() { Add(a, b) },
+		"Sub":        func() { Sub(a, b) },
+		"Dot":        func() { Dot(a, b) },
+		"AddInPlace": func() { a.Clone().AddInPlace(b) },
+		"SubInPlace": func() { a.Clone().SubInPlace(b) },
 	} {
 		func() {
 			defer func() {

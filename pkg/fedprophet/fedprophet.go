@@ -40,7 +40,6 @@ import (
 	"fedprophet/internal/device"
 	"fedprophet/internal/exp"
 	"fedprophet/internal/fl"
-	"fedprophet/internal/nn"
 )
 
 // Re-exported contract types. The interfaces are satisfied by user code to
@@ -97,29 +96,6 @@ func Register(name string, factory MethodFactory) {
 
 // Methods lists the registered training methods in sorted order.
 func Methods() []string { return fl.MethodNames() }
-
-// SetConvBackend selects the process-wide convolution implementation:
-// "gemm" (the default im2col + blocked parallel GEMM fast path) or "direct"
-// (the reference loops). The setting is global and consulted on every
-// forward pass: all convolution layers that have not pinned a per-layer
-// backend follow it, existing models included. The environment variable
-// FEDPROPHET_CONV_BACKEND=direct selects the reference path at startup.
-// Both backends produce gradcheck-equivalent results; seeded runs remain
-// deterministic under either.
-func SetConvBackend(name string) error {
-	switch name {
-	case "gemm":
-		nn.SetConvBackend(nn.ConvGEMM)
-	case "direct":
-		nn.SetConvBackend(nn.ConvDirect)
-	default:
-		return fmt.Errorf("fedprophet: unknown conv backend %q (gemm or direct)", name)
-	}
-	return nil
-}
-
-// ConvBackend reports the current process-wide convolution backend name.
-func ConvBackend() string { return nn.DefaultConvBackend().String() }
 
 // Workloads lists the accepted WithWorkload names.
 func Workloads() []string { return []string{"cifar", "caltech"} }
