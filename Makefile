@@ -60,19 +60,26 @@ test:
 # parallel GEMM convolutions, client-parallel training, the HTTP transport
 # with sharded aggregation and concurrent compressed/raw clients, the pooled
 # streaming codec, client workers sharing one cascade stage feature set) under
-# the race detector.
+# the race detector — plus the public transport surface, filtered to the tests
+# that route a tenant registry to an edge over real HTTP (~1 s under -race;
+# the whole package takes over a minute).
 test-race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/fldist/... ./internal/quant/... ./internal/cascade/...
+	$(GO) test -race -run 'EdgeAggregatorPublicSurface|ParamServerBufferedAggregation|WireCompressionOptions' ./pkg/fedprophet/
 
 # The wire-codec fuzz targets, a short live pass each on top of their seed
 # corpora: FuzzDecode (raw, dense, sparse and corrupted frames — adversarial
 # input to quant.Decode/StreamDecoder keeps returning ErrCodec instead of
 # panicking or over-allocating) and FuzzQuantizeMatchesReference (arbitrary
 # chunks — the quantize/pack/unpack kernels stay bit-identical to their
-# math.Round / bit-cursor references). ~10s; part of ci.
+# math.Round / bit-cursor references), plus FuzzUpdateEnvelope (arbitrary
+# POST /update bodies against a synchronous and a buffered server — the one
+# push handler covers every push form: no panic, only 200/400/409, a finite
+# model after every 200). ~13s; part of ci.
 fuzz:
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzQuantizeMatchesReference$$' -fuzztime 4s
+	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzUpdateEnvelope$$' -fuzztime 3s
 
 # Dead relative links in the markdown docs — and dead *.md references cited
 # inside Go doc comments — fail the build.

@@ -98,7 +98,7 @@ func main() {
 		rounds    = flag.Int("rounds", 5, "rounds to participate in")
 		pgd       = flag.Int("pgd", 3, "PGD steps for adversarial training (0 = standard)")
 		seed      = flag.Int64("seed", 1, "random seed (must match across processes)")
-		bits      = flag.Int("bits", 0, "compressed delta wire protocol bit width, 2..8 (0 = raw gob)")
+		bits      = flag.Int("bits", 0, "compressed delta wire protocol bit width, 2..8 (0 = exact raw frames)")
 		chunk     = flag.Int("chunk", 0, "values per quantization scale (0 = default 256)")
 		topk      = flag.Int("topk", 0, "client mode with -bits: send only the top-k coordinates of each error-fed delta uplink (0 = dense)")
 		deltaPull = flag.Bool("delta-pull", false, "client mode with -bits: pull only the quantized global delta against the last held round (cold pull on the first round)")
@@ -292,7 +292,7 @@ func main() {
 			PGDSteps: *pgd,
 			Async:    *async,
 		}
-		wire := "raw gob"
+		wire := "raw frames"
 		if *bits != 0 {
 			c.Compression = &fldist.Compression{Bits: *bits, Chunk: *chunk, TopK: *topk, Delta: *deltaPull}
 			wire = fmt.Sprintf("%d-bit error-fed deltas", *bits)

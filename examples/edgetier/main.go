@@ -107,7 +107,7 @@ func main() {
 				Cfg:     cfg,
 				Rng:     rand.New(rand.NewSource(seed + int64(id))),
 			}
-			wire := "raw gob"
+			wire := "raw frames"
 			if id%fanIn == 0 {
 				c.Compression = &fldist.Compression{Bits: 8}
 				wire = "8-bit deltas"

@@ -4,7 +4,7 @@
 //
 //	go run ./examples/paramserver
 //
-// Six clients (half on the raw gob protocol, half pushing 8-bit error-fed
+// Six clients (half pushing exact raw frames, half pushing 8-bit error-fed
 // compressed deltas) train a CNN3 on non-IID shards of the synthetic
 // CIFAR10-S workload for five synchronous rounds. The server aggregates
 // under parameter-range sharding: every push decodes and admits in parallel,
@@ -79,7 +79,7 @@ func main() {
 				Cfg:     cfg,
 				Rng:     rand.New(rand.NewSource(seed + int64(id))),
 			}
-			wire := "raw gob"
+			wire := "raw frames"
 			if id%2 == 0 {
 				c.Compression = &fldist.Compression{Bits: 8}
 				wire = "8-bit deltas"

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -48,19 +48,20 @@ type Client struct {
 	// stragglers.
 	StaleRetrains int
 
-	// Compression, when non-nil, requests the compressed delta wire
-	// protocol: Pull asks for a chunk-quantized global model and Push sends
-	// quantized deltas against the pulled base with error feedback. If the
-	// server does not echo the codec negotiation header, the client falls
-	// back to the raw gob protocol transparently.
+	// Compression, when non-nil, requests the compressed delta form of the
+	// wire protocol: Pull asks for a chunk-quantized global model and Push
+	// sends quantized deltas against the pulled base with error feedback. If
+	// the server does not echo the codec negotiation header, the client falls
+	// back to raw frames transparently.
 	Compression *Compression
 
 	// negotiated reports whether the last Pull established the compressed
-	// protocol with the server.
+	// protocol with the server (the server echoed the codec header).
 	negotiated bool
 	// baseParams/baseBN are the exact (dequantized) global values the last
-	// compressed Pull delivered — the base the next Push's delta is taken
-	// against, and the base the server will reconstruct with.
+	// Pull delivered — for a compressed client the base the next Push's delta
+	// is taken against, and the base the server will reconstruct with.
+	// Reused across pulls.
 	baseParams, baseBN []float64
 	// errParams carries the quantization residual of the previous
 	// compressed Push into the next round's parameter delta (error
@@ -92,12 +93,46 @@ type Client struct {
 }
 
 // Pull fetches the current global model and loads it into the local replica.
-// It returns the server round the blob belongs to. Canceling ctx aborts the
+// It returns the server round the model belongs to. Canceling ctx aborts the
 // request. With Compression set, Pull negotiates the compressed protocol:
 // it requests a chunk-quantized model, remembers the exact dequantized base
-// for the next Push's delta, and falls back to the raw gob protocol if the
-// server does not acknowledge the codec.
+// for the next Push's delta, and falls back to raw frames if the server does
+// not echo the codec.
 func (c *Client) Pull(ctx context.Context) (int, error) {
+	round, err := c.pull(ctx, nn.NumParams(c.Model), nn.NumBNStats(c.Model))
+	if err != nil {
+		return 0, err
+	}
+	nn.ImportParams(c.Model, c.baseParams)
+	if len(c.baseBN) > 0 {
+		nn.ImportBNStats(c.Model, c.baseBN)
+	}
+	return round, nil
+}
+
+// Caps on the response bodies the client reads into memory whole: /round is
+// one decimal, and an error body is only ever quoted in an error message. A
+// broken or hostile server streaming more is cut off at the cap.
+const (
+	maxRoundBody = 64
+	maxErrorBody = 1 << 10
+)
+
+// errorBody reads at most maxErrorBody bytes of a non-200 response for the
+// error message.
+func errorBody(r io.Reader) []byte {
+	b, _ := io.ReadAll(io.LimitReader(r, maxErrorBody))
+	return b
+}
+
+// pull is the client's wire core for GET /model: it decodes the model into
+// c.baseParams / c.baseBN — buffers reused across pulls, so a caller that
+// keeps a pulled vector past the next pull must copy it — and needs no local
+// model: wantP/wantB are the expected vector lengths, negative to accept the
+// server's shape on first contact. The compressed protocol is in force
+// exactly when the server echoes the codec header; without the echo the
+// frames are raw and Push sends raw frames.
+func (c *Client) pull(ctx context.Context, wantP, wantB int) (int, error) {
 	var comp Compression
 	if c.Compression != nil {
 		var err error
@@ -124,65 +159,41 @@ func (c *Client) Pull(ctx context.Context) (int, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return 0, fmt.Errorf("fldist: pull: %s: %s", resp.Status, body)
+		return 0, fmt.Errorf("fldist: pull: %s: %s", resp.Status, errorBody(resp.Body))
 	}
-	switch resp.Header.Get("Content-Type") {
-	case contentTypeModel:
-		round, err := c.streamModelEnvelope(resp.Body)
-		if err != nil {
-			return 0, fmt.Errorf("fldist: pull: %w", err)
-		}
-		if comp.Delta {
-			// A cold delta-mode pull lands exactly on the chain head; later
-			// pulls catch up from here.
-			c.hasChain = true
-			c.heldRound = round
-		}
-		nn.ImportParams(c.Model, c.baseParams)
-		if len(c.baseBN) > 0 {
-			nn.ImportBNStats(c.Model, c.baseBN)
-		}
-		return round, nil
-	case contentTypeModelDelta:
-		round, err := c.streamDeltaEnvelope(resp.Body)
-		if err != nil {
-			return 0, fmt.Errorf("fldist: pull: %w", err)
-		}
-		nn.ImportParams(c.Model, c.baseParams)
-		if len(c.baseBN) > 0 {
-			nn.ImportBNStats(c.Model, c.baseBN)
-		}
-		return round, nil
+	echoed := c.Compression != nil && resp.Header.Get(codecHeader) != ""
+	var round int
+	if resp.Header.Get("Content-Type") == contentTypeModelDelta {
+		round, err = c.streamDeltaEnvelope(resp.Body, wantP, wantB)
+	} else {
+		round, err = c.streamModelEnvelope(resp.Body, wantP, wantB)
 	}
-	var blob ModelBlob
-	if err := gob.NewDecoder(resp.Body).Decode(&blob); err != nil {
-		return 0, fmt.Errorf("fldist: decoding model: %w", err)
+	if err != nil {
+		return 0, fmt.Errorf("fldist: pull: %w", err)
 	}
-	if err := c.checkModelShape(len(blob.Params), len(blob.BN)); err != nil {
-		return 0, err
-	}
-	c.negotiated = false
-	c.hasChain = false
-	nn.ImportParams(c.Model, blob.Params)
-	if len(blob.BN) > 0 {
-		nn.ImportBNStats(c.Model, blob.BN)
-	}
-	return blob.Round, nil
+	c.negotiated = echoed
+	// A cold delta-mode pull lands exactly on the chain head; later pulls
+	// catch up from here. Without the echo there is no chain.
+	c.hasChain = echoed && comp.Delta
+	c.heldRound = round
+	return round, nil
 }
 
-// streamModelEnvelope decodes a compressed pull body incrementally: the
-// 9-byte envelope header, then the params and BN frames chunk-by-chunk into
-// c.baseParams / c.baseBN — which are reused across rounds, so a
-// steady-state client pulls with O(chunk) transient allocation instead of
-// buffering the wire body and materializing fresh vectors every round.
-func (c *Client) streamModelEnvelope(body io.Reader) (int, error) {
+// streamModelEnvelope decodes an FPM1 pull body incrementally: the 9-byte
+// envelope header, then the params and BN frames — raw or quantized —
+// chunk-by-chunk into c.baseParams / c.baseBN, which are reused across
+// rounds, so a steady-state client pulls with O(chunk) transient allocation
+// instead of buffering the wire body and materializing fresh vectors every
+// round. wantP/wantB are the expected lengths (negative: any).
+func (c *Client) streamModelEnvelope(body io.Reader, wantP, wantB int) (int, error) {
 	// The reused base buffers are overwritten in place below, so a pull that
 	// fails mid-stream leaves them half-old/half-new. Dropping `negotiated`
-	// up front (restored only on full success) makes that state harmless: a
-	// caller that pushes after a failed pull takes the raw path, which
-	// carries exact parameters and needs no base.
+	// and `hasChain` up front (restored only on full success) makes that
+	// state harmless: a caller that pushes after a failed pull takes the raw
+	// path, which carries exact parameters and needs no base, and the next
+	// delta-mode pull goes cold.
 	c.negotiated = false
+	c.hasChain = false
 	var hdr [9]byte
 	if _, err := io.ReadFull(body, hdr[:]); err != nil {
 		return 0, fmt.Errorf("model envelope header: %w", err)
@@ -200,9 +211,7 @@ func (c *Client) streamModelEnvelope(body io.Reader) (int, error) {
 	}
 	// Shape-check before decoding so a server seeded with a different
 	// architecture is an error, not a corrupted local replica.
-	wantP := nn.NumParams(c.Model)
-	wantB := nn.NumBNStats(c.Model)
-	if pd.Len() != wantP {
+	if wantP >= 0 && pd.Len() != wantP {
 		return 0, fmt.Errorf("server model has %d params, local replica has %d", pd.Len(), wantP)
 	}
 	c.baseParams = resize(c.baseParams, pd.Len())
@@ -213,7 +222,7 @@ func (c *Client) streamModelEnvelope(body io.Reader) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("model bn frame: %w", err)
 	}
-	if bd.Len() != wantB {
+	if wantB >= 0 && bd.Len() != wantB {
 		return 0, fmt.Errorf("server model has %d bn stats, local replica has %d", bd.Len(), wantB)
 	}
 	c.baseBN = resize(c.baseBN, bd.Len())
@@ -227,7 +236,6 @@ func (c *Client) streamModelEnvelope(body io.Reader) (int, error) {
 	if _, err := io.ReadFull(body, one[:]); err != io.EOF {
 		return 0, fmt.Errorf("model envelope has trailing bytes")
 	}
-	c.negotiated = true
 	return round, nil
 }
 
@@ -240,7 +248,7 @@ func (c *Client) streamModelEnvelope(body io.Reader) (int, error) {
 // (and therefore to what a cold-pulling client receives whole), which is
 // what lets the next push's delta resolve against the server-side base
 // registry exactly.
-func (c *Client) streamDeltaEnvelope(body io.Reader) (int, error) {
+func (c *Client) streamDeltaEnvelope(body io.Reader, wantP, wantB int) (int, error) {
 	// As in streamModelEnvelope, the in-place mutation of the base buffers
 	// makes a mid-stream failure leave them torn: dropping negotiated AND
 	// hasChain up front (both restored only on full success) forces the next
@@ -263,8 +271,9 @@ func (c *Client) streamDeltaEnvelope(body io.Reader) (int, error) {
 	if from != c.heldRound {
 		return 0, fmt.Errorf("model delta from round %d, client holds %d", from, c.heldRound)
 	}
-	wantP := nn.NumParams(c.Model)
-	wantB := nn.NumBNStats(c.Model)
+	if wantP < 0 {
+		wantP, wantB = len(c.baseParams), len(c.baseBN)
+	}
 	if len(c.baseParams) != wantP || len(c.baseBN) != wantB {
 		return 0, fmt.Errorf("model delta against a base of %d+%d values, replica has %d+%d",
 			len(c.baseParams), len(c.baseBN), wantP, wantB)
@@ -294,9 +303,6 @@ func (c *Client) streamDeltaEnvelope(body io.Reader) (int, error) {
 	if _, err := io.ReadFull(body, one[:]); err != io.EOF {
 		return 0, fmt.Errorf("model delta has trailing bytes")
 	}
-	c.heldRound = to
-	c.hasChain = true
-	c.negotiated = true
 	return to, nil
 }
 
@@ -312,7 +318,7 @@ func applyDeltaFrame(body io.Reader, dst []float64, want int) (err error) {
 		return fmt.Errorf("frame carries %d values, want %d", d.Len(), want)
 	}
 	if d.IsSparse() {
-		return d.ApplySparse(dst)
+		return d.ApplySparse(dst, math.MaxFloat64)
 	}
 	if d.IsRaw() {
 		return fmt.Errorf("raw frame on a delta chain")
@@ -340,19 +346,6 @@ func resize(v []float64, n int) []float64 {
 		return v[:n]
 	}
 	return make([]float64, n)
-}
-
-// checkModelShape rejects a pulled model whose vector lengths do not match
-// the local replica — a server seeded with a different architecture — as an
-// error instead of letting nn.ImportParams panic the client process.
-func (c *Client) checkModelShape(nParams, nBN int) error {
-	wantP := nn.NumParams(c.Model)
-	wantB := nn.NumBNStats(c.Model)
-	if nParams != wantP || nBN != wantB {
-		return fmt.Errorf("fldist: pull: server model shape %d params + %d bn stats, local replica has %d + %d",
-			nParams, nBN, wantP, wantB)
-	}
-	return nil
 }
 
 // TrainLocal runs the configured number of local (adversarial) SGD
@@ -405,18 +398,12 @@ func (c *Client) Push(ctx context.Context, round int) (counted bool, err error) 
 	if c.Compression != nil && c.negotiated {
 		return c.pushDelta(ctx, round)
 	}
-	u := Update{
-		ClientID: c.ID,
-		Round:    round,
-		Weight:   float64(c.Subset.Len()),
-		Params:   nn.ExportParams(c.Model),
-		BN:       nn.ExportBNStats(c.Model),
+	body, err := rawUpdate(c.ID, round, float64(c.Subset.Len()),
+		nn.ExportParams(c.Model), nn.ExportBNStats(c.Model))
+	if err != nil {
+		return false, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(u); err != nil {
-		return false, fmt.Errorf("fldist: encoding update: %w", err)
-	}
-	return c.postUpdate(ctx, contentTypeGob, "", buf.Bytes())
+	return c.postUpdate(ctx, "", body)
 }
 
 // pushDelta sends the compressed update: the quantized difference between
@@ -496,7 +483,7 @@ func (c *Client) pushDelta(ctx context.Context, round int) (counted bool, err er
 	if comp.Delta {
 		codec = codecValue(comp)
 	}
-	counted, err = c.postUpdate(ctx, contentTypeDelta, codec, body)
+	counted, err = c.postUpdate(ctx, codec, body)
 	if err == nil && c.residualRound != round+1 {
 		// 200 (counted, or duplicate of an already-counted push of this
 		// same delta whose response was lost): the quantized delta is part
@@ -533,45 +520,61 @@ func deltaQuantize(params, base, residual []float64, comp Compression) (quant.Ch
 	return q, d
 }
 
-// postUpdate POSTs one update body and maps the server's verdict to the
-// (counted, err) contract shared by both wire protocols. A 409 carrying the
-// retry marker is a transient server-side stall (a buffered commit still
-// publishing), not a staleness verdict — the identical body is re-sent a
-// few times before the push is given up as stale, so a fresh training pass
-// is not discarded over a slow commit.
-func (c *Client) postUpdate(ctx context.Context, contentType, codec string, body []byte) (bool, error) {
+// postUpdate is the fleet client's push policy over post: a 409 carrying
+// the retry marker is a transient server-side stall (a buffered commit still
+// publishing), not a staleness verdict — the identical body is re-sent a few
+// times before the push is given up as stale, so a fresh training pass is not
+// discarded over a slow commit.
+func (c *Client) postUpdate(ctx context.Context, codec string, body []byte) (bool, error) {
 	const retries = 3
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/update",
-			bytes.NewReader(body))
-		if err != nil {
-			return false, fmt.Errorf("fldist: push: %w", err)
-		}
-		req.Header.Set("Content-Type", contentType)
-		if codec != "" {
-			req.Header.Set(codecHeader, codec)
-		}
-		resp, err := c.HTTP.Do(req)
-		if err != nil {
-			return false, fmt.Errorf("fldist: push: %w", err)
-		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			counted := resp.Header.Get("X-Fldist-Duplicate") == ""
-			resp.Body.Close()
-			return counted, nil
-		case http.StatusConflict:
-			retry := resp.Header.Get(retryHeader) != ""
-			resp.Body.Close()
-			if retry && attempt < retries {
+		counted, err := c.post(ctx, codec, body)
+		if errors.Is(err, errRetryPush) {
+			if attempt < retries {
 				continue
 			}
 			return false, ErrStaleRound
-		default:
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			return false, fmt.Errorf("fldist: push: %s: %s", resp.Status, b)
 		}
+		return counted, err
+	}
+}
+
+// errRetryPush reports a 409 carrying the retry marker: the server could not
+// admit the update right now (a commit still in flight, a full tier buffer),
+// and the identical body may be re-sent. It is never a staleness verdict, so
+// a caller must not rebase or retrain on it.
+var errRetryPush = errors.New("fldist: push: server busy, retry the same body")
+
+// post is the client's wire core for POST /update: it sends one FPU1 body
+// once and maps the server's verdict — (counted, nil) on 200, where counted
+// is false for a duplicate of an already-counted push; ErrStaleRound on a
+// plain 409; errRetryPush on a retry-marked 409; any other status or a
+// transport failure as a plain error. Retry policy is the caller's.
+func (c *Client) post(ctx context.Context, codec string, body []byte) (bool, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/update",
+		bytes.NewReader(body))
+	if err != nil {
+		return false, fmt.Errorf("fldist: push: %w", err)
+	}
+	req.Header.Set("Content-Type", contentTypeDelta)
+	if codec != "" {
+		req.Header.Set(codecHeader, codec)
+	}
+	resp, err := c.HTTP.Do(req)
+	if err != nil {
+		return false, fmt.Errorf("fldist: push: %w", err)
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return resp.Header.Get("X-Fldist-Duplicate") == "", nil
+	case http.StatusConflict:
+		if resp.Header.Get(retryHeader) != "" {
+			return false, errRetryPush
+		}
+		return false, ErrStaleRound
+	default:
+		return false, fmt.Errorf("fldist: push: %s: %s", resp.Status, errorBody(resp.Body))
 	}
 }
 
@@ -713,12 +716,17 @@ func (c *Client) Round(ctx context.Context) (int, error) {
 		return 0, fmt.Errorf("fldist: round: %w", err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("fldist: round: %s: %s", resp.Status, errorBody(resp.Body))
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRoundBody))
 	if err != nil {
 		return 0, fmt.Errorf("fldist: round: %w", err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("fldist: round: %s: %s", resp.Status, body)
+	if len(body) == maxRoundBody {
+		// No decimal round comes near the cap: whatever fills it is garbage,
+		// and the rest of it stays unread.
+		return 0, fmt.Errorf("fldist: round: body of %d bytes or more is not a round number", maxRoundBody)
 	}
 	// strconv.Atoi over the trimmed body, not fmt.Sscanf: Sscanf("%d") stops
 	// at the first non-digit and would silently accept a corrupted body like
@@ -757,7 +765,7 @@ func (c *Client) awaitRoundAfter(ctx context.Context, round int) error {
 		case <-ctx.Done():
 			return fmt.Errorf("fldist: client %d canceled waiting for round %d: %w",
 				c.ID, round+1, ctx.Err())
-		case <-time.After(c.jitter(backoff)):
+		case <-time.After(jitterDur(backoff)):
 		}
 		if backoff < maxBackoff {
 			backoff *= 2
@@ -765,18 +773,14 @@ func (c *Client) awaitRoundAfter(ctx context.Context, round int) error {
 	}
 }
 
-// jitter draws a sleep uniformly from [d/2, d). It deliberately does NOT use
-// c.Rng: the number of polls depends on wall-clock timing, so consuming the
-// training RNG here would make a seeded client's batch order — and therefore
-// its trained parameters — timing-dependent. The global source is
-// thread-safe and only influences sleep lengths, never results.
-func (c *Client) jitter(d time.Duration) time.Duration {
-	return jitterDur(d)
-}
-
 // jitterDur draws a duration uniformly from [d/2, d) off the global RNG —
 // shared by the client's round polling and the edge aggregator's upstream
-// retries, so every backoff in the tree is decorrelated the same way.
+// retries, so every backoff in the tree is decorrelated the same way. It
+// deliberately does NOT use Client.Rng: the number of polls depends on
+// wall-clock timing, so consuming the training RNG here would make a seeded
+// client's batch order — and therefore its trained parameters —
+// timing-dependent. The global source is thread-safe and only influences
+// sleep lengths, never results.
 func jitterDur(d time.Duration) time.Duration {
 	half := int64(d / 2)
 	if half <= 0 {

@@ -3,7 +3,6 @@ package fldist
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"io"
 	"math"
 	"net"
@@ -199,7 +198,7 @@ func TestBuildRecyclesOnlyDeadResiduals(t *testing.T) {
 		prevErr = wantNext
 
 		params, bn = perturb(initP, 0, r), perturb(initBN, 0, r)
-		if out := s.register(0, r, 1, &updateBuf{params: params, bn: bn}, false); out != regAdmittedLast {
+		if out, _ := s.register(0, r, 1, &updateBuf{params: params, bn: bn}, s.model.Load().params, s.model.Load().bn, nil); out != regAdmittedLast {
 			t.Fatalf("register outcome %v", out)
 		}
 		s.advanceRound()
@@ -252,7 +251,7 @@ func TestBuildRecyclingUnderChurn(t *testing.T) {
 	}
 	for r := 0; r < rounds; r++ {
 		buf := &updateBuf{params: perturb(initP, 0, r), bn: perturb(initBN, 0, r)}
-		if out := s.register(0, r, 1, buf, false); out != regAdmittedLast {
+		if out, _ := s.register(0, r, 1, buf, s.model.Load().params, s.model.Load().bn, nil); out != regAdmittedLast {
 			t.Fatalf("register outcome %v", out)
 		}
 		s.advanceRound()
@@ -302,7 +301,7 @@ func TestSlowPullSurvivesLaterBuilds(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := &updateBuf{params: perturb(initP, 0, r), bn: perturb(initBN, 0, r)}
-		if out := s.register(0, r, 1, buf, false); out != regAdmittedLast {
+		if out, _ := s.register(0, r, 1, buf, s.model.Load().params, s.model.Load().bn, nil); out != regAdmittedLast {
 			t.Fatalf("register outcome %v", out)
 		}
 		s.advanceRound()
@@ -374,12 +373,9 @@ func TestStalledPeerDropped(t *testing.T) {
 	}
 
 	// The honest push, while the other connection sits mid-header.
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(Update{ClientID: 0, Round: 0, Weight: 1, Params: perturb(initParams, 0, 0)}); err != nil {
-		t.Fatal(err)
-	}
+	body := rawBodyT(t, 0, 0, 1, perturb(initParams, 0, 0), nil)
 	hc := &http.Client{}
-	resp, err := hc.Post("http://"+ln.Addr().String()+"/update", contentTypeGob, &body)
+	resp, err := hc.Post("http://"+ln.Addr().String()+"/update", contentTypeDelta, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

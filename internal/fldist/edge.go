@@ -8,13 +8,14 @@ package fldist
 //     admits cohort pushes with the very same shard fold, staleness window,
 //     dedup horizon and 1/(1+s) down-weighting as the root — edge.go adds no
 //     second aggregation algorithm.
-//   - To its upstream it is an ordinary client. Each flush pre-folds the
-//     buffered cohort updates into ONE combined update — weight = the sum of
-//     the cohort's effective weights, base round = the upstream round the
-//     edge last adopted — and pushes it as a plain raw wire update
-//     (docs/WIRE.md is unchanged; the root cannot tell an edge from a big
-//     client, and its staleness down-weighting of an old base round applies
-//     to tier deltas for free).
+//   - To its upstream it is an ordinary Client — the same wire core as the
+//     fleet's, with the edge's own retry policy around it. Each flush
+//     pre-folds the buffered cohort updates into ONE combined update —
+//     weight = the sum of the cohort's effective weights, base round = the
+//     upstream round the edge last adopted — and pushes it as a plain raw
+//     update (the root cannot tell an edge from a big client, and its
+//     staleness down-weighting of an old base round applies to tier deltas
+//     for free).
 //
 // The pre-fold IS the embedded server's buffered commit, run in manual mode:
 // cohort admissions never auto-commit; the edge's single flusher goroutine
@@ -36,13 +37,10 @@ package fldist
 // of N.
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -167,9 +165,15 @@ type unpushedBatch struct {
 // it), and point cohort clients — plain fldist.Clients, raw or compressed —
 // at its Handler. See the package comment at the top of this file.
 type Edge struct {
-	upstream string
 	name     string
 	clientID int
+
+	// up is the edge's client of its upstream: every pull, push and round
+	// poll goes through its wire core (Client.pull / post /
+	// awaitRoundAfter). Used only under flushMu, or by the still
+	// single-threaded Start; its BaseURL is the upstream URL, fixed at
+	// construction.
+	up *Client
 
 	flushK   int
 	flushAge time.Duration
@@ -248,9 +252,9 @@ func NewEdge(upstream string, opts ...EdgeOption) *Edge {
 		panic(fmt.Sprintf("fldist: edge staleness window %d outside [0,%d]", cfg.window, maxStalenessLimit))
 	}
 	return &Edge{
-		upstream: upstream,
 		name:     cfg.name,
 		clientID: cfg.clientID,
+		up:       &Client{ID: cfg.clientID, BaseURL: upstream, HTTP: http.DefaultClient},
 		flushK:   cfg.flushK,
 		flushAge: cfg.flushAge,
 		window:   cfg.window,
@@ -280,12 +284,12 @@ func (e *Edge) Start(ctx context.Context) error {
 			return err
 		}
 	}
-	blob, err := e.pullUpstreamRetry(ctx)
+	round, params, bn, err := e.pullUpstreamRetry(ctx, -1, -1)
 	if err != nil {
 		e.started.Store(false)
 		return fmt.Errorf("fldist: edge initial pull: %w", err)
 	}
-	inner := NewServer(blob.Params, blob.BN, 1,
+	inner := NewServer(params, bn, 1,
 		WithShards(e.shards), WithBufferedAggregation(e.flushK, e.window))
 	inner.manual = true
 	inner.flushSignal = make(chan struct{}, 1)
@@ -297,7 +301,7 @@ func (e *Edge) Start(ctx context.Context) error {
 	inner.manualCap = 4 * e.flushK
 	e.inner = inner
 	e.innerHandler = inner.Handler()
-	e.setBase(blob)
+	e.setBase(round, params, bn)
 	go e.flusher(ctx)
 	return nil
 }
@@ -335,16 +339,16 @@ func (e *Edge) recoverParkedBatch(ctx context.Context) error {
 	return nil
 }
 
-// setBase records blob as the adopted upstream state. Caller holds flushMu
-// or is the still-single-threaded Start.
-func (e *Edge) setBase(blob *ModelBlob) {
-	e.baseRound = blob.Round
-	e.baseParams = blob.Params
-	e.baseBN = blob.BN
-	e.lastPushedP = blob.Params
-	e.lastPushedB = blob.BN
+// setBase records a pulled upstream model as the adopted upstream state.
+// Caller holds flushMu or is the still-single-threaded Start.
+func (e *Edge) setBase(round int, params, bn []float64) {
+	e.baseRound = round
+	e.baseParams = params
+	e.baseBN = bn
+	e.lastPushedP = params
+	e.lastPushedB = bn
 	e.cleanBase = true
-	e.baseRoundA.Store(int64(blob.Round))
+	e.baseRoundA.Store(int64(round))
 }
 
 // Handler returns the edge's HTTP routes: the embedded cohort server's
@@ -381,7 +385,7 @@ func (e *Edge) handleStats(w http.ResponseWriter, r *http.Request) {
 func (e *Edge) Stats() Stats {
 	st := e.inner.Stats()
 	st.Upstream = &UpstreamStats{
-		URL:         e.upstream,
+		URL:         e.up.BaseURL,
 		Cohort:      e.name,
 		BaseRound:   int(e.baseRoundA.Load()),
 		Pushes:      e.upPushes.Load(),
@@ -576,11 +580,11 @@ func (e *Edge) Drain(ctx context.Context) error {
 }
 
 // pushBatchLocked pushes e.unpushed upstream, retrying transport failures
-// with jittered exponential backoff and rebasing on a staleness 409, then —
-// when resync is set — waits for the upstream round that includes the push
-// and adopts the fresh upstream model as the next base. Caller holds
-// flushMu. It returns nil exactly when the push was acknowledged; e.unpushed
-// is cleared then and kept otherwise.
+// and retry-marked 409s with jittered exponential backoff and rebasing on a
+// staleness 409, then — when resync is set — waits for the upstream round
+// that includes the push and adopts the fresh upstream model as the next
+// base. Caller holds flushMu. It returns nil exactly when the push was
+// acknowledged; e.unpushed is cleared then and kept otherwise.
 func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 	u := e.unpushed
 	backoff := 10 * time.Millisecond
@@ -588,13 +592,13 @@ func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		err := e.pushUpstream(ctx, Update{
-			ClientID: u.pushID,
-			Round:    u.baseRound,
-			Weight:   u.batch.weight,
-			Params:   u.payloadP,
-			BN:       u.payloadB,
-		})
+		body, err := rawUpdate(u.pushID, u.baseRound, u.batch.weight, u.payloadP, u.payloadB)
+		if err != nil {
+			return err
+		}
+		// A duplicate 200 means an earlier attempt of this same batch already
+		// counted — equally done.
+		_, err = e.up.post(ctx, "", body)
 		switch {
 		case err == nil:
 			e.upPushes.Add(1)
@@ -623,24 +627,23 @@ func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 			// cohort delta at a fresh (possibly zero) staleness. The parked
 			// slot (and its WAL record) is rewritten before the re-push so
 			// durable state always matches what the wire will carry.
-			blob, perr := e.pullUpstreamRetry(ctx)
+			round, params, bn, perr := e.pullUpstreamRetry(ctx, len(u.payloadP), len(u.payloadB))
 			if perr != nil {
 				return perr
 			}
-			if len(blob.Params) != len(u.payloadP) || len(blob.BN) != len(u.payloadB) {
-				return fmt.Errorf("fldist: edge push: upstream model shape changed")
-			}
-			u.payloadP = rebaseVec(blob.Params, u.payloadP, u.baseP)
-			u.payloadB = rebaseVec(blob.BN, u.payloadB, u.baseB)
-			u.baseRound = blob.Round
-			u.baseP, u.baseB = blob.Params, blob.BN
+			u.payloadP = rebaseVec(params, u.payloadP, u.baseP)
+			u.payloadB = rebaseVec(bn, u.payloadB, u.baseB)
+			u.baseRound = round
+			u.baseP, u.baseB = params, bn
 			e.persistUnpushedLocked()
 			e.upRebased.Add(1)
 		default:
-			// Transport failure or upstream commit stall: the upstream is
-			// unreachable or busy. Retry forever (bounded only by ctx) —
-			// meanwhile the embedded server keeps admitting cohort pushes
-			// and serving cached pulls; nothing downstream notices.
+			// Transport failure, upstream commit stall or full buffer
+			// (errRetryPush — never a rebase: b + (p − b) ≠ p in floating
+			// point): the upstream is unreachable or busy. Retry the same
+			// body forever (bounded only by ctx) — meanwhile the embedded
+			// server keeps admitting cohort pushes and serving cached pulls;
+			// nothing downstream notices.
 			e.upRetries.Add(1)
 			if !sleepCtx(ctx, jitterDur(backoff)) {
 				return ctx.Err()
@@ -670,9 +673,8 @@ func rebaseVec(newBase, vec, oldBase []float64) []float64 {
 // retry with the same jittered backoff as the client fleet's round polling.
 // Caller holds flushMu.
 func (e *Edge) resyncLocked(ctx context.Context, pushedRound int) {
-	probe := &Client{ID: e.clientID, BaseURL: e.upstream, HTTP: http.DefaultClient}
 	for {
-		err := probe.awaitRoundAfter(ctx, pushedRound)
+		err := e.up.awaitRoundAfter(ctx, pushedRound)
 		if err == nil {
 			break
 		}
@@ -684,98 +686,39 @@ func (e *Edge) resyncLocked(ctx context.Context, pushedRound int) {
 			return
 		}
 	}
-	blob, err := e.pullUpstreamRetry(ctx)
+	snap := e.inner.model.Load()
+	round, params, bn, err := e.pullUpstreamRetry(ctx, len(snap.params), len(snap.bn))
 	if err != nil {
 		return
 	}
-	e.inner.adopt(blob.Params, blob.BN)
-	e.setBase(blob)
+	e.inner.adopt(params, bn)
+	e.setBase(round, params, bn)
 }
 
-// pullUpstreamRetry pulls the upstream model, retrying transport failures
-// with jittered exponential backoff until ctx is canceled.
-func (e *Edge) pullUpstreamRetry(ctx context.Context) (*ModelBlob, error) {
+// pullUpstreamRetry pulls the upstream model raw — the edge's base must be
+// the upstream's exact float64 state for the tier algebra to be exact;
+// cohort links are where compression pays — retrying failures with jittered
+// exponential backoff until ctx is canceled. wantP/wantB are the expected
+// shape (negative before the first pull). The vectors are copies the edge
+// owns: the client core reuses its pull buffers, and the edge keeps these as
+// its base, its last push and a parked batch's base.
+func (e *Edge) pullUpstreamRetry(ctx context.Context, wantP, wantB int) (int, []float64, []float64, error) {
 	backoff := 10 * time.Millisecond
 	for {
-		blob, err := e.pullUpstream(ctx)
+		round, err := e.up.pull(ctx, wantP, wantB)
 		if err == nil {
-			return blob, nil
+			return round, append([]float64(nil), e.up.baseParams...), append([]float64(nil), e.up.baseBN...), nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+			return 0, nil, nil, cerr
 		}
 		e.upRetries.Add(1)
 		if !sleepCtx(ctx, jitterDur(backoff)) {
-			return nil, ctx.Err()
+			return 0, nil, nil, ctx.Err()
 		}
 		if backoff < 2*time.Second {
 			backoff *= 2
 		}
-	}
-}
-
-// pullUpstream fetches the upstream model over the raw protocol. The edge
-// always pulls raw: its base must be the upstream's exact float64 state for
-// the tier algebra to be exact; cohort links are where compression pays.
-func (e *Edge) pullUpstream(ctx context.Context) (*ModelBlob, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.upstream+"/model", nil)
-	if err != nil {
-		return nil, fmt.Errorf("fldist: edge pull: %w", err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fldist: edge pull: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("fldist: edge pull: %s: %s", resp.Status, body)
-	}
-	var blob ModelBlob
-	if err := gob.NewDecoder(resp.Body).Decode(&blob); err != nil {
-		return nil, fmt.Errorf("fldist: edge pull: decoding model: %w", err)
-	}
-	if e.inner != nil {
-		snap := e.inner.model.Load()
-		if len(blob.Params) != len(snap.params) || len(blob.BN) != len(snap.bn) {
-			return nil, fmt.Errorf("fldist: edge pull: upstream model shape changed")
-		}
-	}
-	return &blob, nil
-}
-
-// pushUpstream POSTs one raw update and maps the verdict: nil on 200 (a
-// duplicate 200 means an earlier retry of this same push already counted —
-// equally done), ErrStaleRound on a staleness 409, and a plain error on a
-// retry-marked 409 (upstream commit stall) or any transport failure, both of
-// which the caller retries with the identical body.
-func (e *Edge) pushUpstream(ctx context.Context, u Update) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(u); err != nil {
-		return fmt.Errorf("fldist: edge push: encoding: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.upstream+"/update",
-		bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return fmt.Errorf("fldist: edge push: %w", err)
-	}
-	req.Header.Set("Content-Type", contentTypeGob)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("fldist: edge push: %w", err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return nil
-	case http.StatusConflict:
-		if resp.Header.Get(retryHeader) != "" {
-			return fmt.Errorf("fldist: edge push: upstream commit in flight")
-		}
-		return ErrStaleRound
-	default:
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("fldist: edge push: %s: %s", resp.Status, body)
 	}
 }
 
@@ -899,11 +842,7 @@ func (s *Server) adopt(params, bn []float64) int {
 
 	s.pendMu.Lock()
 	s.model.Store(next)
-	for r := range s.admitted {
-		if r < next.round-s.maxStale {
-			delete(s.admitted, r)
-		}
-	}
+	s.evictAdmittedLocked(next.round)
 	s.pendMu.Unlock()
 	s.serveMu.Unlock()
 	return next.round

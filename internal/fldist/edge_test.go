@@ -3,7 +3,6 @@ package fldist
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"math/rand"
 	"net"
@@ -59,16 +58,11 @@ func addVecs(a, b []float64) []float64 {
 	return out
 }
 
-// pushRawT pushes a raw gob update and returns the HTTP status.
+// pushRawT pushes a raw update and returns the HTTP status.
 func pushRawT(t *testing.T, hc *http.Client, baseURL string, id, round int, weight float64, params, bn []float64) int {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(Update{
-		ClientID: id, Round: round, Weight: weight, Params: params, BN: bn,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := hc.Post(baseURL+"/update", contentTypeGob, bytes.NewReader(buf.Bytes()))
+	resp, err := hc.Post(baseURL+"/update", contentTypeDelta,
+		bytes.NewReader(rawBodyT(t, id, round, weight, params, bn)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +81,11 @@ func pullRawT(t *testing.T, hc *http.Client, baseURL string) (int, []float64, []
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pull: %s", resp.Status)
 	}
-	var blob ModelBlob
-	if err := gob.NewDecoder(resp.Body).Decode(&blob); err != nil {
+	round, params, bn, err := decodeModelEnvelopeT(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return blob.Round, blob.Params, blob.BN
+	return round, params, bn
 }
 
 // awaitFn polls f until it reports true, failing the test after deadline.
@@ -772,15 +766,8 @@ func TestEdgeAdmissionCappedWhileUpstreamDown(t *testing.T) {
 			t.Fatalf("cohort client %d within the cap: status %d", id, st)
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(Update{
-		ClientID: 10, Round: round, Weight: 1,
-		Params: addVecs(base, gridDelta(nParams, 10)),
-		BN:     addVecs(baseBN, gridDelta(nBN, 10)),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Post(edgeURL+"/update", contentTypeGob, bytes.NewReader(buf.Bytes()))
+	body := rawBodyT(t, 10, round, 1, addVecs(base, gridDelta(nParams, 10)), addVecs(baseBN, gridDelta(nBN, 10)))
+	resp, err := ts.Client().Post(edgeURL+"/update", contentTypeDelta, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

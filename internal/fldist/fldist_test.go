@@ -3,14 +3,16 @@ package fldist
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,6 +191,73 @@ func TestRoundParsingRejectsGarbage(t *testing.T) {
 	}
 }
 
+// countingBody counts the response bytes the client actually consumed.
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// countingTransport wraps every response body in a countingBody.
+type countingTransport struct {
+	base http.RoundTripper
+	n    *atomic.Int64
+}
+
+func (c countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := c.base.RoundTrip(r)
+	if err == nil {
+		resp.Body = countingBody{resp.Body, c.n}
+	}
+	return resp, err
+}
+
+// A broken or hostile server streaming megabytes cannot make the client —
+// or an edge, which pulls and pushes through the same wire core — allocate
+// without limit: the /round body, and the error text of a failed pull or
+// push, are read up to a small cap and the client errors out.
+func TestClientBoundsResponseBodies(t *testing.T) {
+	chunk := bytes.Repeat([]byte("7"), 64<<10)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/round" {
+			w.WriteHeader(http.StatusInternalServerError)
+		}
+		for i := 0; i < 64; i++ { // 4 MiB
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer ts.Close()
+	var read atomic.Int64
+	hc := ts.Client()
+	hc.Transport = countingTransport{base: hc.Transport, n: &read}
+	c := &Client{ID: 0, BaseURL: ts.URL, HTTP: hc}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		cap  int64
+		call func() error
+	}{
+		{"round", maxRoundBody, func() error { _, err := c.Round(ctx); return err }},
+		{"pull error", maxErrorBody, func() error { _, err := c.pull(ctx, -1, -1); return err }},
+		{"push error", maxErrorBody, func() error { _, err := c.post(ctx, "", []byte("FPU1")); return err }},
+	} {
+		read.Store(0)
+		if err := tc.call(); err == nil {
+			t.Fatalf("%s: a 4 MiB body was accepted", tc.name)
+		}
+		if n := read.Load(); n > tc.cap {
+			t.Fatalf("%s: client read %d bytes, cap %d", tc.name, n, tc.cap)
+		}
+	}
+}
+
 func TestMalformedAndWrongShapeUpdates(t *testing.T) {
 	_, _, _, build := testSetup(t, 2, 7)
 	m := build()
@@ -206,15 +275,52 @@ func TestMalformedAndWrongShapeUpdates(t *testing.T) {
 		t.Fatalf("garbage update: status %d", resp.StatusCode)
 	}
 
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(Update{Round: 0, Weight: 1, Params: []float64{1, 2}})
-	resp2, err := ts.Client().Post(ts.URL+"/update", "application/octet-stream", &buf)
+	resp2, err := ts.Client().Post(ts.URL+"/update", "application/octet-stream",
+		bytes.NewReader(rawBodyT(t, 0, 0, 1, []float64{1, 2}, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("wrong-shape update: status %d", resp2.StatusCode)
+	}
+
+	// The wire break is a clean refusal: a body from the retired gob
+	// protocol (this one is the gob encoding of an update with two params),
+	// and raw FPU1 pushes carrying a NaN or the wrong number of values. So
+	// are pushes outside the admission bounds, each finite but able to make
+	// this quorum-of-1 commit non-finite: a subnormal weight (1/Σw is +Inf)
+	// and a value that overflows once weighted.
+	gobBody := []byte("I\x7f\x03\x01\x01\x06Update\x01\xff\x80\x00\x01\x05\x01\bClientID\x01\x04\x00" +
+		"\x01\x05Round\x01\x04\x00\x01\x06Weight\x01\b\x00\x01\x06Params\x01\xff\x82\x00\x01\x02BN" +
+		"\x01\xff\x82\x00\x00\x00\x17\xff\x81\x02\x01\x01\t[]float64\x01\xff\x82\x00\x01\b\x00\x00" +
+		"\r\xff\x80\x03\xfe\xf0?\x01\x02\xfe\xf0?@\x00")
+	params, bn := nn.ExportParams(m), nn.ExportBNStats(m)
+	nan := append([]float64(nil), params...)
+	nan[len(nan)/2] = math.NaN()
+	huge := append([]float64(nil), params...)
+	huge[0] = 1e300
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"gob-era body", gobBody},
+		{"raw push with a NaN", rawBodyT(t, 0, 0, 1, nan, bn)},
+		{"raw push of the wrong length", rawBodyT(t, 0, 0, 1, params[1:], bn)},
+		{"raw push with a subnormal weight", rawBodyT(t, 0, 0, 5e-324, params, bn)},
+		{"raw push beyond the value bound", rawBodyT(t, 0, 0, 1e9, huge, bn)},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/update", "application/octet-stream", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+	if srv.Round() != 0 || srv.Stats().UpdatesRaw != 0 {
+		t.Fatalf("refused bodies moved the server: round %d, raw updates %d", srv.Round(), srv.Stats().UpdatesRaw)
 	}
 }
 

@@ -1,0 +1,62 @@
+package fldist
+
+import (
+	"bytes"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"fedprophet/internal/quant"
+)
+
+// FuzzUpdateEnvelope drives the one push handler with arbitrary POST /update
+// bodies — seeded with a raw, a dense 8-bit and a sparse 4-bit FPU1 push —
+// against a synchronous and a buffered server, each committing on every
+// admission: the handler never panics, answers only 200, 400 or 409, and the
+// model it commits after a 200 stays finite.
+func FuzzUpdateEnvelope(f *testing.F) {
+	const nP, nBN, chunk = 96, 4, 32
+	initP, initBN := synthVec(nP, 1), synthVec(nBN, 2)
+	d, dBN := make([]float64, nP), make([]float64, nBN)
+	for i := range d {
+		d[i] = 1e-2 * float64(i%7-3)
+	}
+	for i := range dBN {
+		dBN[i] = 1e-3 * float64(i+1)
+	}
+	dense, err := encodeUpdateEnvelope(1, 0, 2, quant.Encode(quant.QuantizeChunks(d, 8, chunk)), quant.EncodeRaw(dBN))
+	if err != nil {
+		f.Fatal(err)
+	}
+	sparse, err := encodeUpdateEnvelope(2, 0, 3,
+		quant.EncodeSparse(d, quant.TopKIndices(d, 12), 4, chunk, nil),
+		quant.Encode(quant.QuantizeChunks(dBN, bnDeltaBits, chunk)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rawBodyT(f, 0, 0, 1, perturb(initP, 0, 0), perturb(initBN, 0, 0)))
+	f.Add(dense)
+	f.Add(sparse)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, srv := range []*Server{
+			NewServer(initP, initBN, 1, WithShards(2)),
+			NewServer(initP, initBN, 1, WithShards(2), WithBufferedAggregation(1, 1)),
+		} {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body)))
+			switch rec.Code {
+			case http.StatusOK:
+				p, bn := srv.Snapshot()
+				for _, x := range append(p, bn...) {
+					if math.IsNaN(x) || math.IsInf(x, 0) {
+						t.Fatalf("buffered=%v: a 200 committed a non-finite model", srv.async)
+					}
+				}
+			case http.StatusBadRequest, http.StatusConflict:
+			default:
+				t.Fatalf("buffered=%v: status %d", srv.async, rec.Code)
+			}
+		}
+	})
+}

@@ -17,7 +17,7 @@ package fldist
 //
 // Replay is bit-identical to never having crashed, by two arguments:
 //
-// Delta-form admissions (raw-gob pushes) log d = vals−base. The fold consumes
+// Delta-form admissions (raw and delta-downlink pushes) log d = vals−base. The fold consumes
 // each contribution only as weight·(vals−base) per element, so replaying as
 // (d, 0) feeds the identical difference through the identical
 // (baseRound, clientID)-ordered fold.
@@ -370,16 +370,17 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 				return nil, fmt.Errorf("%w: admission (client %d, base %d, at %d) outside window",
 					ErrWAL, a.clientID, a.baseRound, a.admitRound)
 			}
-			if a.baseRound >= R-m.maxStale {
-				set := s.admitted[a.baseRound]
-				if set == nil {
-					set = map[int]bool{}
-					s.admitted[a.baseRound] = set
-				}
-				set[a.clientID] = true
-			}
 			if a.admitRound != R {
-				continue // folded by a later logged commit
+				// Folded by a later logged commit: only its dedup mark lives on.
+				if a.baseRound >= R-m.maxStale {
+					set := s.admitted[a.baseRound]
+					if set == nil {
+						set = map[int]bool{}
+						s.admitted[a.baseRound] = set
+					}
+					set[a.clientID] = true
+				}
+				continue
 			}
 			if !(a.effW > 0) || math.IsInf(a.effW, 0) {
 				return nil, fmt.Errorf("%w: admission weight %v", ErrWAL, a.effW)
@@ -401,27 +402,15 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 				copy(buf.params, a.dp)
 				copy(buf.bn, a.db)
 			}
-			s.pendingN++
-			s.pendingW += a.effW
-			s.pendingBufs = append(s.pendingBufs, buf)
-			s.bufferedNow.Add(1)
-			s.stalenessHist[stale].Add(1)
+			// The logged effective weight parks as-is: it is the discount the
+			// live registry applied, and re-deriving it from the raw weight
+			// would not round-trip.
+			s.parkLocked(a.clientID, a.baseRound, stale, a.effW, buf, baseP, baseBN)
 			if a.comp {
 				s.updatesComp.Add(1)
 			} else {
 				s.updatesRaw.Add(1)
 			}
-			for i := range s.shards {
-				sh := &s.shards[i]
-				sh.add(contrib{clientID: a.clientID, baseRound: a.baseRound, weight: a.effW,
-					vals: buf.params[sh.lo:sh.hi], base: baseP[sh.lo:sh.hi]})
-			}
-			s.bnShard.add(contrib{clientID: a.clientID, baseRound: a.baseRound, weight: a.effW,
-				vals: buf.bn, base: baseBN})
-		}
-		if s.pendingN > 0 {
-			//lint:ignore determinism admission age clock paces edge flushes; replayed state is unaffected
-			s.oldestAdmit.Store(time.Now().UnixNano())
 		}
 	}
 
@@ -444,7 +433,7 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 // frame-form admission record: stream-decode the logged wire frames, add the
 // served base the client pulled (rebuilt if the crash took it), and hand back
 // the reconstructed full vectors plus the base they fold against — exactly
-// the (vals, base) pair registerAsync saw before the crash.
+// the (vals, base) pair register saw before the crash.
 func (s *Server) replayFrameAdmit(a *walAdmit, commitAt map[int]*walCommit, m walMeta) (*servedModel, *updateBuf, error) {
 	br := bytes.NewReader(a.frames)
 	var pd quant.StreamDecoder
@@ -474,7 +463,7 @@ func (s *Server) replayFrameAdmit(a *walAdmit, commitAt map[int]*walCommit, m wa
 		// Mirror the live handler's sparse branch bit-for-bit: copy the
 		// served base whole, then scatter-add the frame's stored values.
 		copy(buf.params, sm.params)
-		if err := pd.ApplySparse(buf.params); err != nil {
+		if err := pd.ApplySparse(buf.params, maxValue); err != nil {
 			return fail(fmt.Errorf("%w: admit params frame: %v", ErrWAL, err))
 		}
 	} else {

@@ -97,7 +97,7 @@ func TestServeSegmentInvariance(t *testing.T) {
 					// One raw quorum-of-1 update advances the round so the
 					// next build runs the committed-EF path.
 					buf := &updateBuf{params: perturb(initP, 0, r), bn: perturb(initBN, 0, r)}
-					if out := s.register(0, r, 1, buf, false); out != regAdmittedLast {
+					if out, _ := s.register(0, r, 1, buf, s.model.Load().params, s.model.Load().bn, nil); out != regAdmittedLast {
 						t.Fatalf("register outcome %v", out)
 					}
 					s.advanceRound()
@@ -189,7 +189,7 @@ func TestRacingPullsSingleBuild(t *testing.T) {
 // both carry Content-Length, the byte and pull counters charge exactly what
 // was written — already when the client holds the whole body, since they are
 // charged before the body leaves — pull percentiles populate from the serve
-// ring, and a repeated raw pull reuses the snapshot's cached gob body
+// ring, and a repeated raw pull reuses the snapshot's cached raw body
 // byte-for-byte.
 func TestPullAccounting(t *testing.T) {
 	s := NewServer(synthVec(4096, 7), synthVec(16, 8), 2)

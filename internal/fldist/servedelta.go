@@ -59,10 +59,9 @@ const deltaHeaderSize = 4 + 1 + 4 + 4 + 4
 // round's delta — the exact vectors a client holding this round reconstructs
 // — immutable once the entry is appended, so the push path may hold them
 // outside the chain lock. finite records, proven once when the entry is
-// appended, that baseP holds no NaN or ±Inf (the origin copies the model,
-// later bases add dequantised deltas: finite unless the model itself has
-// overflowed) — what the sparse push path relies on instead of sweeping the
-// base per push.
+// appended, that baseP is inside the admission range (inRange: the origin
+// copies the model, later bases add dequantised deltas) — what the sparse
+// push path relies on instead of sweeping the base per push.
 type deltaEntry struct {
 	round     int
 	prevRound int // -1 on the chain origin
@@ -163,7 +162,7 @@ func (s *Server) advanceDeltaChainLocked(ch *deltaChain, c Compression, snap *sn
 			prevRound: -1,
 			baseP:     append([]float64(nil), snap.params...),
 			baseBN:    append([]float64(nil), snap.bn...),
-			finite:    allFinite(snap.params),
+			finite:    allInRange(snap.params),
 		})
 		ch.round = snap.round
 		ch.errP = make([]float64, len(snap.params))
@@ -229,7 +228,7 @@ func (s *Server) advanceDeltaChainLocked(ch *deltaChain, c Compression, snap *sn
 		bnFrame:   bnFrame,
 		baseP:     newP,
 		baseBN:    newBN,
-		finite:    allFinite(newP),
+		finite:    allInRange(newP),
 	})
 	ch.round = snap.round
 	ch.coldBody = nil
@@ -268,29 +267,11 @@ func (s *Server) encodeSparseFrame(v []float64, idx []int, bits, chunk int, deq 
 	}
 	bounds := quant.SegmentBounds(n, chunk, segsN)
 	segs := quant.SparseSegments(idx, bounds, chunk, bits)
-	encode := func(sg quant.SparseSegment) {
-		if err := quant.EncodeSparseSegmentInto(payload, v, idx, sg, bits, chunk, deq); err != nil {
+	fanOut(len(segs), func(k int) {
+		if err := quant.EncodeSparseSegmentInto(payload, v, idx, segs[k], bits, chunk, deq); err != nil {
 			panic(fmt.Sprintf("fldist: building sparse delta frame: %v", err))
 		}
-	}
-	if len(segs) > 1 && runtime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		for k := 0; k+1 < len(segs); k++ {
-			sg := segs[k]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				encode(sg)
-			}()
-		}
-		// The last segment runs on the calling goroutine.
-		encode(segs[len(segs)-1])
-		wg.Wait()
-	} else {
-		for _, sg := range segs {
-			encode(sg)
-		}
-	}
+	})
 	return frame
 }
 
@@ -347,18 +328,8 @@ func (ch *deltaChain) catchUpLocked(baseR int) []byte {
 func (ch *deltaChain) coldLocked() ([]byte, string) {
 	if ch.coldBody == nil {
 		head := &ch.entries[len(ch.entries)-1]
-		pf := quant.EncodeRaw(head.baseP)
-		bf := quant.EncodeRaw(head.baseBN)
-		body := make([]byte, 0, 9+len(pf)+len(bf))
-		body = append(body, modelMagic...)
-		body = append(body, envVersion)
-		var rb [4]byte
-		binary.LittleEndian.PutUint32(rb[:], uint32(head.round))
-		body = append(body, rb[:]...)
-		body = append(body, pf...)
-		body = append(body, bf...)
-		ch.coldBody = body
-		ch.coldCLen = strconv.Itoa(len(body))
+		ch.coldBody = rawModelEnvelope(head.round, head.baseP, head.baseBN)
+		ch.coldCLen = strconv.Itoa(len(ch.coldBody))
 	}
 	return ch.coldBody, ch.coldCLen
 }

@@ -20,23 +20,23 @@ import (
 // snapshot is one round's immutable global model state. Nothing mutates a
 // snapshot after it is published; pulls, pushes and stats all read it without
 // locks. Snapshots are always handled by pointer (rawOnce makes a value copy
-// a vet error), and the raw-protocol pull body is built lazily once per
-// snapshot (gobBody in server.go) so raw pulls after the first are one write
-// of a shared immutable slice.
+// a vet error), and the raw pull body is built lazily once per snapshot
+// (rawBody in server.go) so raw pulls after the first are one write of a
+// shared immutable slice.
 type snapshot struct {
 	round  int
 	params []float64
 	bn     []float64
 
 	rawOnce sync.Once
-	rawBody []byte
+	raw     []byte
 }
 
 // contrib is one admitted client's contribution restricted to a shard's
-// value range. In synchronous mode only (clientID, weight, vals) are set.
-// In buffered mode baseRound tags the round of the base the client trained
-// from, weight is the staleness-discounted effective weight, and base is the
-// exact base values (for this shard's range) the update is a delta against.
+// value range: baseRound tags the round of the base the client trained from,
+// weight is the staleness-discounted effective weight, and base is the exact
+// base values (for this shard's range) the update is a delta against. The
+// synchronous fold reads only (clientID, weight, vals).
 type contrib struct {
 	clientID  int
 	baseRound int
@@ -73,14 +73,7 @@ func (sh *shard) add(c contrib) {
 func (sh *shard) foldInto(dst []float64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// Insertion sort by clientID: pending lists are quorum-sized (tens of
-	// entries) and this avoids sort.Slice's per-call closure allocation on
-	// the round barrier.
-	for i := 1; i < len(sh.pend); i++ {
-		for j := i; j > 0 && sh.pend[j].clientID < sh.pend[j-1].clientID; j-- {
-			sh.pend[j], sh.pend[j-1] = sh.pend[j-1], sh.pend[j]
-		}
-	}
+	sh.sortPend() // one base round under the quorum: clientID order
 	out := dst[sh.lo:sh.hi]
 	total := 0.0
 	for _, c := range sh.pend {
@@ -114,11 +107,7 @@ func (sh *shard) foldInto(dst []float64) {
 func (sh *shard) foldAsyncInto(dst, cur []float64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for i := 1; i < len(sh.pend); i++ {
-		for j := i; j > 0 && less(sh.pend[j], sh.pend[j-1]); j-- {
-			sh.pend[j], sh.pend[j-1] = sh.pend[j-1], sh.pend[j]
-		}
-	}
+	sh.sortPend()
 	out := dst[sh.lo:sh.hi]
 	cur = cur[sh.lo:sh.hi]
 	total := 0.0
@@ -137,6 +126,18 @@ func (sh *shard) foldAsyncInto(dst, cur []float64) {
 		copy(out, cur)
 	}
 	sh.reset()
+}
+
+// sortPend orders the pending list by (baseRound, clientID) — a key the
+// dedup horizon makes unique within a buffer. Insertion sort: pending lists
+// are buffer-sized (tens of entries), and it avoids sort.Slice's per-call
+// closure allocation on the commit path. Caller holds sh.mu.
+func (sh *shard) sortPend() {
+	for i := 1; i < len(sh.pend); i++ {
+		for j := i; j > 0 && less(sh.pend[j], sh.pend[j-1]); j-- {
+			sh.pend[j], sh.pend[j-1] = sh.pend[j-1], sh.pend[j]
+		}
+	}
 }
 
 // less orders contributions by (baseRound, clientID).

@@ -3,7 +3,6 @@ package fldist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -44,7 +43,18 @@ func perturb(base []float64, id, round int) []float64 {
 	return out
 }
 
-// decodeModelEnvelopeT parses a compressed pull body — the test-side
+// rawBodyT frames a raw push — the trained vectors themselves, as two raw
+// frames in an FPU1 envelope: the one hand-rolled raw body of these tests.
+func rawBodyT(t testing.TB, id, round int, weight float64, params, bn []float64) []byte {
+	t.Helper()
+	body, err := rawUpdate(id, round, weight, params, bn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// decodeModelEnvelopeT parses a pull body — the test-side
 // counterpart of Client.streamModelEnvelope, built on the same streaming
 // decoder so the wire format has exactly one parser per direction.
 func decodeModelEnvelopeT(body io.Reader) (round int, params, bn []float64, err error) {
@@ -69,7 +79,7 @@ func decodeModelEnvelopeT(body io.Reader) (round int, params, bn []float64, err 
 	return round, params, bn, nil
 }
 
-// synthClient is a hand-rolled protocol participant: raw gob when comp is
+// synthClient is a hand-rolled protocol participant: raw frames when comp is
 // nil, compressed deltas (with client-side error feedback) otherwise.
 type synthClient struct {
 	id     int
@@ -100,22 +110,13 @@ func (c *synthClient) pull(t *testing.T, ts *httptest.Server) int {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("client %d pull: %s: %s", c.id, resp.Status, b)
 	}
-	if c.comp != nil {
-		round, params, bn, err := decodeModelEnvelopeT(resp.Body)
-		if err != nil {
-			t.Fatalf("client %d pull: %v", c.id, err)
-		}
-		c.base = params
-		c.baseBN = bn
-		return round
+	round, params, bn, err := decodeModelEnvelopeT(resp.Body)
+	if err != nil {
+		t.Fatalf("client %d pull: %v", c.id, err)
 	}
-	var blob ModelBlob
-	if err := gob.NewDecoder(resp.Body).Decode(&blob); err != nil {
-		t.Fatal(err)
-	}
-	c.base = blob.Params
-	c.baseBN = blob.BN
-	return blob.Round
+	c.base = params
+	c.baseBN = bn
+	return round
 }
 
 // push trains (perturbs) and uploads for the given round, returning the HTTP
@@ -125,7 +126,6 @@ func (c *synthClient) push(t *testing.T, ts *httptest.Server, round int) (status
 	t.Helper()
 	params = perturb(c.base, c.id, round)
 	bn = perturb(c.baseBN, c.id, round)
-	var contentType string
 	var body []byte
 	if c.comp != nil {
 		q, next := deltaQuantize(params, c.base, c.residual, *c.comp)
@@ -137,7 +137,7 @@ func (c *synthClient) push(t *testing.T, ts *httptest.Server, round int) (status
 		if err != nil {
 			t.Fatal(err)
 		}
-		contentType, body = contentTypeDelta, env
+		body = env
 		// The server reconstructs base + deq(delta).
 		deq := q.Dequantize()
 		for i := range params {
@@ -145,15 +145,9 @@ func (c *synthClient) push(t *testing.T, ts *httptest.Server, round int) (status
 		}
 		c.residual = next
 	} else {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(Update{
-			ClientID: c.id, Round: round, Weight: c.weight, Params: params, BN: bn,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		contentType, body = contentTypeGob, buf.Bytes()
+		body = rawBodyT(t, c.id, round, c.weight, params, bn)
 	}
-	resp, err := ts.Client().Post(ts.URL+"/update", contentType, bytes.NewReader(body))
+	resp, err := ts.Client().Post(ts.URL+"/update", contentTypeDelta, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,11 +151,11 @@ type walCommit struct {
 
 // walAdmit is one buffered-mode admission, captured in one of two forms:
 //
-// Delta form (raw-gob pushes): the update's *delta* against its base
-// (vals − base), computed at admission. The commit fold only ever consumes
-// weight·(vals−base) per element, so replaying the contribution as
-// (delta, zero-base) feeds the identical difference into the identical fold —
-// without persisting any base vector.
+// Delta form (raw and delta-downlink pushes): the update's *delta* against
+// its base (vals − base), computed at admission. The commit fold only ever
+// consumes weight·(vals−base) per element, so replaying the contribution as
+// (delta, zero-base) feeds the identical difference into the identical fold
+// — without persisting any base vector.
 //
 // Frame form (compressed pushes): the client's wire frames, verbatim — the
 // quantized params frame and the raw BN frame exactly as they crossed the
@@ -621,7 +621,7 @@ func newWAL(dir string, f, lf *os.File, m walMeta, policy WALSyncPolicy) *wal {
 	w.cond = sync.NewCond(&w.mu)
 	w.closeCh = make(chan struct{})
 	// Captures start empty: the frame form never touches dp/db, so the
-	// model-sized delta scratch is allocated lazily by the first raw-gob
+	// model-sized delta scratch is allocated lazily by the first delta-form
 	// capture a pooled object serves (and kept across reuses).
 	w.admitPool.New = func() any { return new(walAdmit) }
 	return w

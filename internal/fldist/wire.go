@@ -6,11 +6,13 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"fedprophet/internal/quant"
 )
 
-// Compression configures the compressed delta wire protocol of a client:
-// model bodies travel as chunk-quantized binary frames instead of gob
-// float64 blobs, and pushes carry quantized *deltas* against the pulled
+// Compression configures the compressed delta form of a client's wire
+// protocol: model bodies travel as chunk-quantized frames instead of raw
+// float64 frames, and pushes carry quantized *deltas* against the pulled
 // global model with client-side error feedback. See docs/WIRE.md for the
 // byte-level specification.
 type Compression struct {
@@ -98,8 +100,8 @@ func (c Compression) serveKey() Compression {
 // compression sends `X-Fldist-Codec: fpq1;bits=B;chunk=C` on GET /model;
 // a server that honors it echoes the same header on the response and will
 // accept a delta-encoded POST /update at those parameters for that round.
-// Absent the echo, the client must fall back to the raw gob protocol —
-// that is how old clients and old servers interoperate.
+// Absent the echo, the body's frames are raw and the client pushes raw
+// frames — that is how a codec client and a server without it interoperate.
 const (
 	codecHeader = "X-Fldist-Codec"
 	codecName   = "fpq1"
@@ -110,7 +112,6 @@ const (
 	// the 409 as stale still behave correctly, just wastefully.
 	retryHeader = "X-Fldist-Retry"
 
-	contentTypeGob   = "application/octet-stream"
 	contentTypeModel = "application/x-fldist-model"
 	contentTypeDelta = "application/x-fldist-delta"
 	// contentTypeModelDelta marks a catch-up pull body: an FPD1 envelope of
@@ -201,24 +202,24 @@ func parseCodec(v string) (c Compression, base int, ok bool, err error) {
 	return c, base, true, nil
 }
 
-// encodeModelEnvelope frames a global-model pull: a fixed header carrying
-// the round, then one quant frame for the parameters and one for the BN
-// statistics.
-func encodeModelEnvelope(round int, params, bn []byte) []byte {
-	buf := make([]byte, 0, 9+len(params)+len(bn))
+// rawModelEnvelope frames a model pull whose two frames are raw: a fixed
+// header carrying the round, then the exact parameter and BN-statistics
+// vectors. It is the body of every uncompressed pull — the snapshot's, and a
+// delta chain's cold head.
+func rawModelEnvelope(round int, params, bn []float64) []byte {
+	buf := make([]byte, 0, 9+2*quant.FrameHeaderSize+8*(len(params)+len(bn)))
 	buf = append(buf, modelMagic...)
 	buf = append(buf, envVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(round))
-	buf = append(buf, params...)
-	buf = append(buf, bn...)
-	return buf
+	buf = quant.AppendRaw(buf, params)
+	return quant.AppendRaw(buf, bn)
 }
 
 // Decoding of these envelopes is streaming-only: the server parses pushes in
-// handleDeltaUpdate and the client parses pulls in streamModelEnvelope, both
-// on quant.StreamDecoder, so there is exactly one parser per direction.
+// handleUpdate and the client parses pulls in streamModelEnvelope, both on
+// quant.StreamDecoder, so there is exactly one parser per direction.
 
-// encodeUpdateEnvelope frames a compressed push.
+// encodeUpdateEnvelope frames a push; rawUpdate is its raw-frame form.
 func encodeUpdateEnvelope(clientID, round int, weight float64, params, bn []byte) ([]byte, error) {
 	if clientID < 0 || int64(clientID) > math.MaxUint32 {
 		return nil, fmt.Errorf("fldist: client id %d not representable on the wire", clientID)
@@ -232,6 +233,12 @@ func encodeUpdateEnvelope(clientID, round int, weight float64, params, bn []byte
 	buf = append(buf, params...)
 	buf = append(buf, bn...)
 	return buf, nil
+}
+
+// rawUpdate frames a raw push: the trained vectors themselves, exact, as two
+// raw frames — what a client without a negotiated codec, and an edge, send.
+func rawUpdate(clientID, round int, weight float64, params, bn []float64) ([]byte, error) {
+	return encodeUpdateEnvelope(clientID, round, weight, quant.EncodeRaw(params), quant.EncodeRaw(bn))
 }
 
 // Stats is a point-in-time snapshot of the server's traffic and progress

@@ -16,7 +16,7 @@ import (
 	"fedprophet/internal/quant"
 )
 
-// mkClient builds a test client; comp == nil means the raw gob protocol.
+// mkClient builds a test client; comp == nil means raw frames.
 func mkClient(t *testing.T, ts *httptest.Server, id int, seed int64, comp *Compression) *Client {
 	t.Helper()
 	_, _, subs, build := testSetup(t, 3, 3)
@@ -391,7 +391,7 @@ func TestFallbackToRawAgainstOldServer(t *testing.T) {
 }
 
 // /stats must report the wire saving: compressed pull+push bytes well below
-// the raw gob equivalent for the same model.
+// the raw-frame equivalent for the same model.
 func TestStatsEndpointCountsBytes(t *testing.T) {
 	_, _, subs, build := testSetup(t, 2, 11)
 	m := build()
@@ -442,7 +442,7 @@ func TestStatsEndpointCountsBytes(t *testing.T) {
 		}
 	}
 	// Same model, same directionality: the compressed path must be several
-	// times cheaper than gob float64 on both legs.
+	// times cheaper than raw float64 frames on both legs.
 	if st.BytesOutCompressed*4 > st.BytesOutRaw {
 		t.Fatalf("compressed pull %d B not ≪ raw pull %d B", st.BytesOutCompressed, st.BytesOutRaw)
 	}

@@ -319,7 +319,7 @@ func BenchmarkCodecKernels(b *testing.B) {
 			if err := d.Reset(bytes.NewReader(frame)); err != nil {
 				b.Fatal(err)
 			}
-			if err := d.ApplySparse(dst); err != nil {
+			if err := d.ApplySparse(dst, math.MaxFloat64); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -231,13 +231,13 @@ func TestStreamSparseApply(t *testing.T) {
 			t.Fatalf("%s: sparse header misparsed", name)
 		}
 		got := append([]float64(nil), base...)
-		if err := d.ApplySparse(got); err != nil {
+		if err := d.ApplySparse(got, math.MaxFloat64); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: ApplySparse disagrees with buffered decode", name)
 		}
-		if err := d.ApplySparse(got); err == nil {
+		if err := d.ApplySparse(got, math.MaxFloat64); err == nil {
 			t.Fatalf("%s: second ApplySparse must fail", name)
 		}
 	}
@@ -337,7 +337,7 @@ func TestSparseDecodeRejectsCorruptFrames(t *testing.T) {
 			n = 1
 		}
 		dst := make([]float64, n)
-		if err := d.ApplySparse(dst); err == nil {
+		if err := d.ApplySparse(dst, math.MaxFloat64); err == nil {
 			// Streamed decoders cannot see trailing junk; strict framing is
 			// the buffered path's job.
 			if name != "trailing junk" {

@@ -306,7 +306,7 @@ func (d *StreamDecoder) DecodeAll(dst []float64) error {
 		for i := range dst {
 			dst[i] = 0
 		}
-		return d.applySparse(dst, false)
+		return d.applySparse(dst, math.Inf(1))
 	}
 	off := 0
 	for l := d.NextLen(); l > 0; l = d.NextLen() {
@@ -321,14 +321,16 @@ func (d *StreamDecoder) DecodeAll(dst []float64) error {
 // ApplySparse consumes a sparse frame, scatter-adding its stored dequantized
 // values onto dst (which must hold Len() values) and leaving every unstored
 // coordinate untouched — the error-feedback apply: pass the base vector in,
-// get base + decoded delta out. A sum that is NaN or ±Inf is rejected at the
-// coordinate it would be written to (a wire scale can be hostile), so a dst
-// that was finite on entry is finite wherever ApplySparse returns nil — the
-// caller need not sweep the n−k coordinates the frame never touched. On any
+// get base + decoded delta out. A sum whose magnitude exceeds limit — NaN and
+// ±Inf always do — is rejected at the coordinate it would be written to (a
+// wire scale can be hostile), so a dst within limit on entry is within limit
+// wherever ApplySparse returns nil — the caller need not sweep the n−k
+// coordinates the frame never touched. limit = math.MaxFloat64 asks for
+// finiteness alone. On any
 // error dst is left partially applied. Structural violations wrap ErrCodec,
 // and the decoder's allocations stay proportional to the bytes actually
 // read, so an adversarial header cannot force an oversized buffer.
-func (d *StreamDecoder) ApplySparse(dst []float64) error {
+func (d *StreamDecoder) ApplySparse(dst []float64, limit float64) error {
 	if !d.sparse {
 		return fmt.Errorf("quant: ApplySparse on a non-sparse frame")
 	}
@@ -338,7 +340,7 @@ func (d *StreamDecoder) ApplySparse(dst []float64) error {
 	if len(dst) != d.n {
 		return fmt.Errorf("%w: ApplySparse got %d-value dst, frame declares %d", ErrCodec, len(dst), d.n)
 	}
-	return d.applySparse(dst, true)
+	return d.applySparse(dst, limit)
 }
 
 // byteReaderAdapter lifts a plain io.Reader to io.ByteReader for varint
@@ -378,10 +380,11 @@ func readUvarintCanonical(br io.ByteReader) (uint64, error) {
 	return 0, fmt.Errorf("%w: varint longer than 5 bytes", ErrCodec)
 }
 
-// applySparse scatter-adds the frame onto dst. finite selects ApplySparse's
-// contract — reject a non-finite sum; DecodeAll, which must accept exactly
-// what Decode accepts, passes false and materializes whatever the frame says.
-func (d *StreamDecoder) applySparse(dst []float64, finite bool) error {
+// applySparse scatter-adds the frame onto dst, rejecting a sum beyond limit
+// (ApplySparse's contract); DecodeAll, which must accept exactly what Decode
+// accepts, passes +Inf — onto its zeroed dst a finite scale decodes to at
+// worst ±Inf, never NaN — and materializes whatever the frame says.
+func (d *StreamDecoder) applySparse(dst []float64, limit float64) error {
 	var cnt [4]byte
 	if _, err := io.ReadFull(d.r, cnt[:]); err != nil {
 		return fmt.Errorf("%w: sparse count: %v", ErrCodec, err)
@@ -447,8 +450,8 @@ func (d *StreamDecoder) applySparse(dst []float64, finite bool) error {
 		putScratch(buf)
 		for t, x := range vals {
 			sum := dst[idx[i+t]] + x
-			if finite && !(math.Abs(sum) <= math.MaxFloat64) {
-				return fmt.Errorf("%w: sparse value at index %d makes a non-finite sum", ErrCodec, idx[i+t])
+			if !(math.Abs(sum) <= limit) {
+				return fmt.Errorf("%w: sparse value at index %d makes a sum beyond %g", ErrCodec, idx[i+t], limit)
 			}
 			dst[idx[i+t]] = sum
 		}

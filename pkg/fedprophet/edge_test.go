@@ -3,14 +3,27 @@ package fedprophet
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"fedprophet/internal/fldist"
+	"fedprophet/internal/quant"
 )
+
+// RawUpdateBody frames a raw push for POST /update (docs/WIRE.md, "Update
+// envelope"): the FPU1 header, then the parameter and BN vectors as raw FPQ1
+// frames. Exported from this test file so the external tests share it.
+func RawUpdateBody(id, round int, weight float64, params, bn []float64) []byte {
+	b := []byte("FPU1\x01")
+	b = binary.LittleEndian.AppendUint32(b, uint32(id))
+	b = binary.LittleEndian.AppendUint32(b, uint32(round))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(weight))
+	b = quant.AppendRaw(b, params)
+	return quant.AppendRaw(b, bn)
+}
 
 // The public hierarchical surface end-to-end: a root ParamServer, an
 // EdgeAggregator in front of it mounted in a TenantRegistry, and a cohort
@@ -48,14 +61,8 @@ func TestEdgeAggregatorPublicSurface(t *testing.T) {
 		for i := range params {
 			params[i] = init[i] + float64(id+1)/256
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(fldist.Update{
-			ClientID: id, Round: 0, Weight: 1, Params: params,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ets.URL+"/plant-7/update", "application/octet-stream",
-			bytes.NewReader(buf.Bytes()))
+		resp, err := http.Post(ets.URL+"/plant-7/update", "application/x-fldist-delta",
+			bytes.NewReader(RawUpdateBody(id, 0, 1, params, nil)))
 		if err != nil {
 			t.Fatal(err)
 		}

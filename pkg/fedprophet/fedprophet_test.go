@@ -3,7 +3,6 @@ package fedprophet_test
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -277,14 +276,8 @@ func TestParamServerBufferedAggregation(t *testing.T) {
 
 	push := func(id, round int) int {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(fldist.Update{
-			ClientID: id, Round: round, Weight: 1,
-			Params: []float64{0.1, 0.1, 0.1, 0.1, 0.1},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Post(ts.URL+"/update", "application/octet-stream", &buf)
+		body := fedprophet.RawUpdateBody(id, round, 1, []float64{0.1, 0.1, 0.1, 0.1, 0.1}, nil)
+		resp, err := ts.Client().Post(ts.URL+"/update", "application/x-fldist-delta", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

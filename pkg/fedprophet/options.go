@@ -142,8 +142,8 @@ func WithWireDeltaPull() Option { return func(c *runConfig) { c.wireDelta = true
 
 // WireCompression resolves the wire-facing options to the codec a real
 // fleet passes to fldist.Client.Compression (what cmd/fldist builds from
-// -bits/-chunk/-topk/-delta-pull). nil with no error means the raw gob
-// protocol (no compression configured).
+// -bits/-chunk/-topk/-delta-pull). nil with no error means exact raw frames
+// (no compression configured).
 func WireCompression(opts ...Option) (*fldist.Compression, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {

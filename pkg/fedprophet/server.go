@@ -10,8 +10,8 @@ import (
 
 // The distributed deployment surface: a real HTTP parameter server for
 // fleets that federate over the network instead of in-process. The server
-// speaks the wire protocol of docs/WIRE.md (raw gob and compressed
-// error-fed deltas, negotiated per client) and aggregates under
+// speaks the wire protocol of docs/WIRE.md (one envelope format carrying
+// exact raw frames or compressed error-fed deltas, negotiated per client) and aggregates under
 // parameter-range sharding — concurrent pushes decode and admit in
 // parallel, a stats poll never blocks aggregation, and the aggregate is
 // bit-identical at any shard count.
