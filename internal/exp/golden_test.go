@@ -25,19 +25,33 @@ func modelDigest(l nn.Layer) uint64 {
 	return h.Sum64()
 }
 
-// The golden pin: the trained models of a seeded trimmed-scale FedProphet run
-// (APA and DMA on) and of a jFAT run, recorded on the commit before the
-// eval-mode backward stopped computing parameter gradients and before the
-// cascade client loop started reading per-stage frozen-prefix feature sets.
-// Both are pure wall-clock changes, so the digests must never move; a change
-// that moves them has altered the arithmetic of training, not just its cost.
+// The golden pin: the trained model of every registered method on one seeded
+// trimmed-scale run. FedProphet (APA and DMA on) and jFAT were recorded on the
+// commit before the eval-mode backward stopped computing parameter gradients
+// and before the cascade client loop started reading per-stage frozen-prefix
+// feature sets; the six other baselines on the commit before their round
+// loops moved onto fl's shared local step and round schedule. All of those
+// are pure refactors or wall-clock changes, so the digests must never move; a
+// change that moves them has altered the arithmetic of training, not just its
+// cost or its code layout.
 func TestGoldenModelDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	golden := map[string]uint64{
-		"FedProphet": 0xa779567eaef5e4fa,
-		"jFAT":       0x698f389210b68847,
+		"FedProphet":  0xa779567eaef5e4fa,
+		"jFAT":        0x698f389210b68847,
+		"FedDF-AT":    0xd7704d5f12f3ec5f,
+		"FedET-AT":    0xa50a0ec42e6c6892,
+		"HeteroFL-AT": 0x1b5681cb074d2214,
+		"FedDrop-AT":  0xe301797f5bcc1c7d,
+		"FedRolex-AT": 0xdc26cd9110a1a4e8,
+		"FedRBN":      0xfa27cfdef52b86f6,
+	}
+	for _, name := range fl.MethodNames() {
+		if _, ok := golden[name]; !ok {
+			t.Errorf("registered method %s has no golden digest", name)
+		}
 	}
 	w, s := CIFAR10S(), TrimmedScale()
 	for method, want := range golden {
