@@ -30,8 +30,8 @@
 // admitted (down-weighted by 1/(1+staleness)) instead of rejected, and the
 // model commits every K admitted updates — no round barrier, so a
 // straggler's training pass is never thrown away while it stays inside the
-// window. Run the clients with -async to pipeline pull→train→push against
-// such a server. The wire protocol is identical in both modes.
+// window. Clients run one loop in both modes (against a buffered server it
+// pipelines pull→train→push), and the wire protocol is identical.
 //
 // Passing -wal <dir> makes the server crash-safe: commits (and, in buffered
 // mode, every admission between commits) are appended to a write-ahead log in
@@ -105,7 +105,6 @@ func main() {
 		shards    = flag.Int("shards", 0, "server aggregation shards (0 = GOMAXPROCS; result is identical at any count)")
 		buffer    = flag.Int("buffer", 0, "buffered bounded-staleness aggregation: commit every K admitted updates (0 = synchronous quorum)")
 		stale     = flag.Int("staleness", 4, "buffered mode: admit updates up to this many rounds behind, down-weighted 1/(1+staleness)")
-		async     = flag.Bool("async", false, "client mode: pipeline pull→train→push for a buffered server (no round barrier)")
 		pprof     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060) for live profiling")
 		edge      = flag.Bool("edge", false, "run an edge aggregator between a client cohort and -upstream")
 		upstream  = flag.String("upstream", "", "edge mode: upstream server URL (root or another edge)")
@@ -290,7 +289,6 @@ func main() {
 			Cfg:      cfg,
 			Rng:      rand.New(rand.NewSource(*seed + int64(*clientID))),
 			PGDSteps: *pgd,
-			Async:    *async,
 		}
 		wire := "raw frames"
 		if *bits != 0 {
@@ -305,12 +303,8 @@ func main() {
 		} else if *topk > 0 || *deltaPull {
 			log.Fatal("fldist: -topk and -delta-pull require -bits (they ride the compressed codec)")
 		}
-		loop := "sync"
-		if *async {
-			loop = "async pipeline"
-		}
-		log.Printf("client %d: %d local samples, PGD-%d, %d rounds (%s), wire: %s",
-			*clientID, subs[*clientID].Len(), *pgd, *rounds, loop, wire)
+		log.Printf("client %d: %d local samples, PGD-%d, %d rounds, wire: %s",
+			*clientID, subs[*clientID].Len(), *pgd, *rounds, wire)
 		if err := c.RunRounds(ctx, *rounds, 0.04); err != nil {
 			log.Fatal(err)
 		}

@@ -3,57 +3,21 @@
 // training (jFAT), the partial-training family (HeteroFL-AT, FedDrop-AT,
 // FedRolex-AT), the knowledge-distillation family (FedDF-AT, FedET-AT), and
 // Federated Robustness Propagation (FedRBN). All of them share the fl.Method
-// interface, the local PGD adversarial-training loop, and the latency
-// accounting of internal/simlat.
+// interface, fl's round schedule (Env.DrawRound) and local PGD
+// adversarial-training step (fl.LocalTrain), and the latency accounting of
+// internal/simlat.
 //
 //lint:deterministic
 package baselines
 
 import (
-	"math"
 	"math/rand"
 
-	"fedprophet/internal/attack"
-	"fedprophet/internal/data"
 	"fedprophet/internal/fl"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
 	"fedprophet/internal/simlat"
 )
-
-// localTrain runs E local iterations of (adversarially) perturbed SGD on
-// `model` over the client subset and reports the mean training loss and the
-// number of iterations executed. A zero-step attack config selects standard
-// training.
-func localTrain(model nn.Layer, sub *data.Subset, cfg fl.Config, lr float64, atk attack.Config, rng *rand.Rand) (float64, int) {
-	opt := nn.NewSGD(lr, cfg.Momentum, cfg.WeightDecay)
-	nn.ResetMomentum(model.Params())
-	batches := data.Batches(sub.Indices, cfg.Batch, rng)
-	if len(batches) == 0 {
-		return 0, 0
-	}
-	totalLoss := 0.0
-	iters := 0
-	for iters < cfg.LocalIters {
-		for _, b := range batches {
-			if iters >= cfg.LocalIters {
-				break
-			}
-			x, y := data.Batch(sub.Parent, b)
-			if atk.Steps > 0 {
-				x = attack.Perturb(atk, x, attack.CEGradFn(model, y), rng)
-			}
-			out := model.Forward(x, true)
-			loss, g := nn.SoftmaxCrossEntropy(out, y)
-			nn.ZeroGrads(model)
-			model.Backward(g)
-			opt.Step(model.Params())
-			totalLoss += loss
-			iters++
-		}
-	}
-	return totalLoss / float64(iters), iters
-}
 
 // clientWork builds the simlat work unit for one client's local training.
 func clientWork(forwardPerSample int64, memReq, budget int64, iters, batch, pgdSteps int, swap bool) simlat.Work {
@@ -64,11 +28,6 @@ func clientWork(forwardPerSample int64, memReq, budget int64, iters, batch, pgdS
 		Passes:    int64(iters) * simlat.PassesPerBatch(pgdSteps),
 		Swap:      swap,
 	}
-}
-
-// decayedLR returns ηt = γ^t·η0.
-func decayedLR(cfg fl.Config, round int) float64 {
-	return cfg.LR * math.Pow(cfg.LRDecay, float64(round))
 }
 
 // finishResult evaluates the final model and fills the result.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 
-	"fedprophet/internal/device"
 	"fedprophet/internal/fl"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
@@ -31,8 +30,7 @@ func (f *FedRBN) Name() string { return "FedRBN" }
 
 // Run executes the federated rounds.
 func (f *FedRBN) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
-	rng := env.Rng
-	modelSeed := rng.Int63()
+	modelSeed := env.Rng.Int63()
 	replicas := buildReplicas(f.Build, env.ClientWorkers(), modelSeed)
 	model := replicas[0]
 	cost := memmodel.MemReqModel(model, env.Cfg.Batch)
@@ -51,13 +49,7 @@ func (f *FedRBN) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	var commBytes int64
 
 	for round := 0; round < env.Cfg.Rounds; round++ {
-		selected := env.Sample(rng)
-		seeds := fl.RoundSeeds(rng, len(selected))
-		snaps := make([]device.Snapshot, len(selected))
-		for i, k := range selected {
-			snaps[i] = env.Fleet.Snapshot(k, rng)
-		}
-		lr := decayedLR(env.Cfg, round)
+		r := env.DrawRound(round)
 
 		type clientOut struct {
 			doAT  bool
@@ -67,9 +59,9 @@ func (f *FedRBN) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			lat   simlat.Latency
 			bytes int64
 		}
-		outs := make([]clientOut, len(selected))
-		err := fl.ForEachClient(ctx, env.ClientWorkers(), len(selected), seeds, func(slot, i int, crng *rand.Rand) {
-			budget := cal.Budget(snaps[i].AvailMemGB)
+		outs := make([]clientOut, len(r.Clients))
+		err := fl.ForEachClient(ctx, env.ClientWorkers(), len(r.Clients), r.Seeds, func(slot, i int, crng *rand.Rand) {
+			budget := cal.Budget(r.Devices[i].AvailMemGB)
 			doAT := float64(budget) >= atFactor*float64(cost.TotalBytes)
 			catk := atk
 			if !doAT {
@@ -78,12 +70,12 @@ func (f *FedRBN) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			m := replicas[slot]
 			nn.ImportParams(m, global)
 			nn.ImportBNStats(m, globalBN)
-			loss, iters := localTrain(m, env.Subsets[selected[i]], env.Cfg, lr, catk, crng)
+			loss, iters := fl.LocalTrain(m, env.Subsets[r.Clients[i]], env.Cfg, r.LR, catk, crng)
 			vec := nn.ExportParams(m)
 			bn := nn.ExportBNStats(m)
 			w := clientWork(cost.ForwardFLOPs, cost.TotalBytes, budget,
 				iters, env.Cfg.Batch, catk.Steps, true /* full model may swap */)
-			outs[i] = clientOut{doAT, loss, vec, bn, simlat.ClientLatency(w, snaps[i]),
+			outs[i] = clientOut{doAT, loss, vec, bn, simlat.ClientLatency(w, r.Devices[i]),
 				int64(4 * (len(vec) + len(bn)))}
 		})
 		if err != nil {
@@ -98,7 +90,7 @@ func (f *FedRBN) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 		var lats []simlat.Latency
 		roundLoss := 0.0
 		for i, o := range outs {
-			weight := float64(env.Subsets[selected[i]].Len())
+			weight := float64(env.Subsets[r.Clients[i]].Len())
 			vecs = append(vecs, o.vec)
 			ws = append(ws, weight)
 			if o.doAT {
@@ -117,16 +109,15 @@ func (f *FedRBN) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 		if len(robustBN) > 0 {
 			globalBN = env.Aggregate(robustBN, robustW)
 		}
-		roundLat := simlat.RoundLatency(lats)
-		res.Latency.Add(roundLat)
-		env.Record(res, fl.RoundMetrics{
-			Round: round, Loss: roundLoss / float64(len(selected)), Latency: roundLat,
-		})
+		env.Record(res, lats, fl.RoundMetrics{Round: round, Loss: roundLoss / float64(len(r.Clients))})
 	}
 	nn.ImportParams(model, global)
 	nn.ImportBNStats(model, globalBN)
 	res.Extra["mem_full_bytes"] = float64(cost.TotalBytes)
-	res.Extra["at_client_frac"] = float64(atClients) / float64(totalClients)
+	res.Extra["at_client_frac"] = 0
+	if totalClients > 0 {
+		res.Extra["at_client_frac"] = float64(atClients) / float64(totalClients)
+	}
 	res.Extra["comm_up_bytes"] = float64(commBytes)
 	return finishResult(res, model, env), nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 
-	"fedprophet/internal/device"
 	"fedprophet/internal/fl"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
@@ -24,8 +23,7 @@ func (j *JFAT) Name() string { return "jFAT" }
 
 // Run executes the federated rounds.
 func (j *JFAT) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
-	rng := env.Rng
-	modelSeed := rng.Int63()
+	modelSeed := env.Rng.Int63()
 	replicas := buildReplicas(j.Build, env.ClientWorkers(), modelSeed)
 	model := replicas[0]
 	cost := memmodel.MemReqModel(model, env.Cfg.Batch)
@@ -37,13 +35,7 @@ func (j *JFAT) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	globalBN := nn.ExportBNStats(model)
 	var commBytes int64
 	for round := 0; round < env.Cfg.Rounds; round++ {
-		selected := env.Sample(rng)
-		seeds := fl.RoundSeeds(rng, len(selected))
-		snaps := make([]device.Snapshot, len(selected))
-		for i, k := range selected {
-			snaps[i] = env.Fleet.Snapshot(k, rng)
-		}
-		lr := decayedLR(env.Cfg, round)
+		r := env.DrawRound(round)
 
 		type clientOut struct {
 			loss  float64
@@ -52,17 +44,17 @@ func (j *JFAT) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			lat   simlat.Latency
 			bytes int64
 		}
-		outs := make([]clientOut, len(selected))
-		err := fl.ForEachClient(ctx, env.ClientWorkers(), len(selected), seeds, func(slot, i int, crng *rand.Rand) {
+		outs := make([]clientOut, len(r.Clients))
+		err := fl.ForEachClient(ctx, env.ClientWorkers(), len(r.Clients), r.Seeds, func(slot, i int, crng *rand.Rand) {
 			m := replicas[slot]
 			nn.ImportParams(m, global)
 			nn.ImportBNStats(m, globalBN)
-			loss, iters := localTrain(m, env.Subsets[selected[i]], env.Cfg, lr, atk, crng)
+			loss, iters := fl.LocalTrain(m, env.Subsets[r.Clients[i]], env.Cfg, r.LR, atk, crng)
 			vec := nn.ExportParams(m)
 			bn := nn.ExportBNStats(m)
-			w := clientWork(cost.ForwardFLOPs, cost.TotalBytes, cal.Budget(snaps[i].AvailMemGB),
+			w := clientWork(cost.ForwardFLOPs, cost.TotalBytes, cal.Budget(r.Devices[i].AvailMemGB),
 				iters, env.Cfg.Batch, atk.Steps, true /* swap when constrained */)
-			outs[i] = clientOut{loss, vec, bn, simlat.ClientLatency(w, snaps[i]), int64(4 * (len(vec) + len(bn)))}
+			outs[i] = clientOut{loss, vec, bn, simlat.ClientLatency(w, r.Devices[i]), int64(4 * (len(vec) + len(bn)))}
 		})
 		if err != nil {
 			nn.ImportParams(model, global)
@@ -81,14 +73,10 @@ func (j *JFAT) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			roundLoss += o.loss
 			commBytes += o.bytes
 		}
-		weights := fl.SubsetWeights(env.Subsets, selected)
+		weights := fl.SubsetWeights(env.Subsets, r.Clients)
 		global = env.Aggregate(vecs, weights)
 		globalBN = env.Aggregate(bnVecs, weights)
-		roundLat := simlat.RoundLatency(lats)
-		res.Latency.Add(roundLat)
-		env.Record(res, fl.RoundMetrics{
-			Round: round, Loss: roundLoss / float64(len(selected)), Latency: roundLat,
-		})
+		env.Record(res, lats, fl.RoundMetrics{Round: round, Loss: roundLoss / float64(len(r.Clients))})
 	}
 	nn.ImportParams(model, global)
 	nn.ImportBNStats(model, globalBN)

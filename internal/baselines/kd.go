@@ -6,7 +6,6 @@ import (
 
 	"fedprophet/internal/attack"
 	"fedprophet/internal/data"
-	"fedprophet/internal/device"
 	"fedprophet/internal/fl"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
@@ -89,13 +88,7 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	var commBytes int64
 
 	for round := 0; round < env.Cfg.Rounds; round++ {
-		selected := env.Sample(rng)
-		seeds := fl.RoundSeeds(rng, len(selected))
-		snaps := make([]device.Snapshot, len(selected))
-		for i, c := range selected {
-			snaps[i] = env.Fleet.Snapshot(c, rng)
-		}
-		lr := decayedLR(env.Cfg, round)
+		r := env.DrawRound(round)
 
 		type clientOut struct {
 			pick  int
@@ -105,9 +98,9 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			lat   simlat.Latency
 			bytes int64
 		}
-		outs := make([]clientOut, len(selected))
-		err := fl.ForEachClient(ctx, env.ClientWorkers(), len(selected), seeds, func(slot, i int, crng *rand.Rand) {
-			budget := cal.Budget(snaps[i].AvailMemGB)
+		outs := make([]clientOut, len(r.Clients))
+		err := fl.ForEachClient(ctx, env.ClientWorkers(), len(r.Clients), r.Seeds, func(slot, i int, crng *rand.Rand) {
+			budget := cal.Budget(r.Devices[i].AvailMemGB)
 			// Largest family member that fits.
 			pick := 0
 			for j := range models {
@@ -118,12 +111,12 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			m := replicas[slot][pick]
 			nn.ImportParams(m, globals[pick])
 			nn.ImportBNStats(m, globalsBN[pick])
-			loss, iters := localTrain(m, env.Subsets[selected[i]], env.Cfg, lr, atk, crng)
+			loss, iters := fl.LocalTrain(m, env.Subsets[r.Clients[i]], env.Cfg, r.LR, atk, crng)
 			vec := nn.ExportParams(m)
 			bn := nn.ExportBNStats(m)
 			w := clientWork(costs[pick].ForwardFLOPs, costs[pick].TotalBytes, budget,
 				iters, env.Cfg.Batch, atk.Steps, false)
-			outs[i] = clientOut{pick, loss, vec, bn, simlat.ClientLatency(w, snaps[i]),
+			outs[i] = clientOut{pick, loss, vec, bn, simlat.ClientLatency(w, r.Devices[i]),
 				int64(4 * (len(vec) + len(bn)))}
 		})
 		if err != nil {
@@ -139,7 +132,7 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 		for i, o := range outs {
 			vecs[o.pick] = append(vecs[o.pick], o.vec)
 			bnVecs[o.pick] = append(bnVecs[o.pick], o.bn)
-			weights[o.pick] = append(weights[o.pick], float64(env.Subsets[selected[i]].Len()))
+			weights[o.pick] = append(weights[o.pick], float64(env.Subsets[r.Clients[i]].Len()))
 			lats = append(lats, o.lat)
 			roundLoss += o.loss
 			commBytes += o.bytes
@@ -156,15 +149,11 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 		}
 
 		// Server-side ensemble distillation into the big model.
-		k.distill(models, big, env, distillIters, lr, rng)
+		k.distill(models, big, env, distillIters, r.LR, rng)
 		globals[len(globals)-1] = nn.ExportParams(big)
 		globalsBN[len(globalsBN)-1] = nn.ExportBNStats(big)
 
-		roundLat := simlat.RoundLatency(lats)
-		res.Latency.Add(roundLat)
-		env.Record(res, fl.RoundMetrics{
-			Round: round, Loss: roundLoss / float64(len(selected)), Latency: roundLat,
-		})
+		env.Record(res, lats, fl.RoundMetrics{Round: round, Loss: roundLoss / float64(len(r.Clients))})
 	}
 	nn.ImportParams(big, globals[len(globals)-1])
 	nn.ImportBNStats(big, globalsBN[len(globalsBN)-1])

@@ -163,6 +163,13 @@ func TestFedRBNRuns(t *testing.T) {
 	if !ok || frac < 0 || frac > 1 {
 		t.Fatalf("at_client_frac missing or invalid: %v", frac)
 	}
+	// No round, no client: the fraction is 0, not 0/0.
+	env = microEnv(t, 19)
+	env.Cfg.Rounds = 0
+	res = mustRun(t, &FedRBN{Build: microBuild, ATCostFactor: 1}, env)
+	if frac := res.Extra["at_client_frac"]; frac != 0 {
+		t.Fatalf("at_client_frac with 0 rounds = %v, want 0", frac)
+	}
 }
 
 func TestLocalTrainReducesLoss(t *testing.T) {
@@ -171,18 +178,19 @@ func TestLocalTrainReducesLoss(t *testing.T) {
 	m := microBuild(rng)
 	cfg := env.Cfg
 	cfg.LocalIters = 30
-	first, _ := localTrain(m, env.Subsets[0], cfg, 0.05, attack.Config{}, rng)
-	last, _ := localTrain(m, env.Subsets[0], cfg, 0.05, attack.Config{}, rng)
+	first, _ := fl.LocalTrain(m, env.Subsets[0], cfg, 0.05, attack.Config{}, rng)
+	last, _ := fl.LocalTrain(m, env.Subsets[0], cfg, 0.05, attack.Config{}, rng)
 	if last >= first {
 		t.Fatalf("local training loss did not decrease: %g -> %g", first, last)
 	}
-}
-
-func TestDecayedLR(t *testing.T) {
-	cfg := fl.DefaultConfig()
-	cfg.LR = 1
-	cfg.LRDecay = 0.5
-	if decayedLR(cfg, 0) != 1 || decayedLR(cfg, 2) != 0.25 {
-		t.Fatal("decayedLR wrong")
+	// No iteration runs — no local iterations configured, or the zero Config
+	// a bare fldist.Client carries (batch 0 forms no batch): loss 0, not 0/0.
+	noIters := env.Cfg
+	noIters.LocalIters = 0
+	for _, c := range []fl.Config{noIters, {}} {
+		if loss, iters := fl.LocalTrain(m, env.Subsets[0], c, 0.05, attack.Config{}, rng); loss != 0 || iters != 0 {
+			t.Fatalf("LocalIters %d, Batch %d: (loss, iters) = (%v, %d), want (0, 0)",
+				c.LocalIters, c.Batch, loss, iters)
+		}
 	}
 }

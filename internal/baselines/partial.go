@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 
-	"fedprophet/internal/device"
 	"fedprophet/internal/fl"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
@@ -80,8 +79,7 @@ func lastLinear(m *nn.Model) *nn.Linear {
 
 // Run executes the federated rounds.
 func (p *PartialTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
-	rng := env.Rng
-	global := p.Build(rng)
+	global := p.Build(env.Rng)
 	fullCost := memmodel.MemReqModel(global, env.Cfg.Batch)
 	cal := simlat.NewMemCalibration(env.Fleet.PoolMaxMemGB(), fullCost.TotalBytes)
 	res := &fl.Result{Method: p.Name(), Extra: map[string]float64{}}
@@ -89,13 +87,7 @@ func (p *PartialTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, err
 	var commBytes int64
 
 	for round := 0; round < env.Cfg.Rounds; round++ {
-		selected := env.Sample(rng)
-		seeds := fl.RoundSeeds(rng, len(selected))
-		snaps := make([]device.Snapshot, len(selected))
-		for i, k := range selected {
-			snaps[i] = env.Fleet.Snapshot(k, rng)
-		}
-		lr := decayedLR(env.Cfg, round)
+		r := env.DrawRound(round)
 
 		// Sub-model extraction only reads the global tensors, so clients
 		// run concurrently; their updates are scattered back sequentially
@@ -106,9 +98,9 @@ func (p *PartialTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, err
 			lat   simlat.Latency
 			bytes int64
 		}
-		outs := make([]clientOut, len(selected))
-		err := fl.ForEachClient(ctx, env.ClientWorkers(), len(selected), seeds, func(slot, i int, crng *rand.Rand) {
-			budget := cal.Budget(snaps[i].AvailMemGB)
+		outs := make([]clientOut, len(r.Clients))
+		err := fl.ForEachClient(ctx, env.ClientWorkers(), len(r.Clients), r.Seeds, func(slot, i int, crng *rand.Rand) {
+			budget := cal.Budget(r.Devices[i].AvailMemGB)
 			frac := float64(budget) / float64(fullCost.TotalBytes)
 			if frac > 1 {
 				frac = 1
@@ -117,11 +109,11 @@ func (p *PartialTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, err
 				frac = 0.1
 			}
 			sub := extractSub(global, frac, p.picker(round, crng), crng)
-			loss, iters := localTrain(sub.model, env.Subsets[selected[i]], env.Cfg, lr, atk, crng)
+			loss, iters := fl.LocalTrain(sub.model, env.Subsets[r.Clients[i]], env.Cfg, r.LR, atk, crng)
 			subCost := memmodel.MemReqModel(sub.model, env.Cfg.Batch)
 			w := clientWork(subCost.ForwardFLOPs, subCost.TotalBytes, budget,
 				iters, env.Cfg.Batch, atk.Steps, false /* sub-model avoids swapping */)
-			outs[i] = clientOut{loss, sub, simlat.ClientLatency(w, snaps[i]),
+			outs[i] = clientOut{loss, sub, simlat.ClientLatency(w, r.Devices[i]),
 				int64(4 * (nn.NumParams(sub.model) + len(nn.ExportBNStats(sub.model))))}
 		})
 		if err != nil {
@@ -133,17 +125,13 @@ func (p *PartialTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, err
 		var lats []simlat.Latency
 		roundLoss := 0.0
 		for i, o := range outs {
-			o.sub.scatter(acc, float64(env.Subsets[selected[i]].Len()))
+			o.sub.scatter(acc, float64(env.Subsets[r.Clients[i]].Len()))
 			lats = append(lats, o.lat)
 			roundLoss += o.loss
 			commBytes += o.bytes
 		}
 		acc.apply()
-		roundLat := simlat.RoundLatency(lats)
-		res.Latency.Add(roundLat)
-		env.Record(res, fl.RoundMetrics{
-			Round: round, Loss: roundLoss / float64(len(selected)), Latency: roundLat,
-		})
+		env.Record(res, lats, fl.RoundMetrics{Round: round, Loss: roundLoss / float64(len(r.Clients))})
 	}
 	res.Extra["mem_full_bytes"] = float64(fullCost.TotalBytes)
 	res.Extra["comm_up_bytes"] = float64(commBytes)

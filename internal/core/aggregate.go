@@ -1,35 +1,5 @@
 package core
 
-import (
-	"fedprophet/internal/nn"
-)
-
-// exportParams flattens a parameter list into one vector.
-func exportParams(ps []*nn.Param) []float64 {
-	n := 0
-	for _, p := range ps {
-		n += p.Data.Len()
-	}
-	out := make([]float64, 0, n)
-	for _, p := range ps {
-		out = append(out, p.Data.Data...)
-	}
-	return out
-}
-
-// importParams loads a vector produced by exportParams.
-func importParams(ps []*nn.Param, v []float64) {
-	off := 0
-	for _, p := range ps {
-		n := p.Data.Len()
-		copy(p.Data.Data, v[off:off+n])
-		off += n
-	}
-	if off != len(v) {
-		panic("core: importParams length mismatch")
-	}
-}
-
 // moduleUpdate is one client's trained parameters for one module.
 type moduleUpdate struct {
 	vec    []float64

@@ -181,8 +181,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := nn.NewLinear(4, 3, rng)
 	b := nn.NewLinear(4, 3, rand.New(rand.NewSource(3)))
-	importParams(b.Params(), exportParams(a.Params()))
-	av, bv := exportParams(a.Params()), exportParams(b.Params())
+	nn.ImportParamList(b.Params(), nn.ExportParamList(a.Params()))
+	av, bv := nn.ExportParamList(a.Params()), nn.ExportParamList(b.Params())
 	for i := range av {
 		if av[i] != bv[i] {
 			t.Fatal("round trip mismatch")

@@ -9,7 +9,6 @@ import (
 	"fedprophet/internal/attack"
 	"fedprophet/internal/cascade"
 	"fedprophet/internal/data"
-	"fedprophet/internal/device"
 	"fedprophet/internal/fl"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
@@ -123,18 +122,18 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	globalAux := map[int][]float64{}
 	globalBN := map[int][]float64{}
 	for i, m := range casc.Modules {
-		globalBackbone[i] = exportParams(m.BackboneParams())
+		globalBackbone[i] = nn.ExportParamList(m.BackboneParams())
 		globalBN[i] = m.BNStats()
 		if m.Aux != nil {
-			globalAux[i] = exportParams(m.Aux.Params())
+			globalAux[i] = nn.ExportParamList(m.Aux.Params())
 		}
 	}
 	loadGlobalsInto := func(c *cascade.Cascade) {
 		for i, m := range c.Modules {
-			importParams(m.BackboneParams(), globalBackbone[i])
+			nn.ImportParamList(m.BackboneParams(), globalBackbone[i])
 			m.SetBNStats(globalBN[i])
 			if m.Aux != nil {
-				importParams(m.Aux.Params(), globalAux[i])
+				nn.ImportParamList(m.Aux.Params(), globalAux[i])
 			}
 		}
 	}
@@ -188,25 +187,11 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				atkCfg = attack.FeaturePGDConfig(epsNow, featSteps)
 			}
 
-			selected := env.Sample(rng)
-			seeds := fl.RoundSeeds(rng, len(selected))
-			snaps := make([]struct {
-				budget int64
-				perf   float64
-				snap   device.Snapshot
-			}, len(selected))
+			r := env.DrawRound(globalRound)
 			perfMin := math.Inf(1)
-			for i, k := range selected {
-				s := env.Fleet.Snapshot(k, rng)
-				snaps[i].budget = cal.Budget(s.AvailMemGB)
-				snaps[i].perf = s.AvailPerf
-				snaps[i].snap = s
-				if s.AvailPerf < perfMin {
-					perfMin = s.AvailPerf
-				}
+			for _, s := range r.Devices {
+				perfMin = math.Min(perfMin, s.AvailPerf)
 			}
-
-			lr := env.Cfg.LR * math.Pow(env.Cfg.LRDecay, float64(globalRound))
 
 			type modVec struct {
 				j     int
@@ -222,16 +207,17 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				aux      *modVec
 				lat      simlat.Latency
 			}
-			outs := make([]clientOut, len(selected))
-			err := fl.ForEachClient(ctx, workers, len(selected), seeds, func(slot, i int, crng *rand.Rand) {
+			outs := make([]clientOut, len(r.Clients))
+			err := fl.ForEachClient(ctx, workers, len(r.Clients), r.Seeds, func(slot, i int, crng *rand.Rand) {
 				c := cascs[slot]
 				loadGlobalsInto(c)
-				to := AssignModules(c, mIdx, snaps[i].budget, snaps[i].perf, perfMin, o.UseDMA)
-				opt := nn.NewSGD(lr, env.Cfg.Momentum, env.Cfg.WeightDecay)
+				budget := cal.Budget(r.Devices[i].AvailMemGB)
+				to := AssignModules(c, mIdx, budget, r.Devices[i].AvailPerf, perfMin, o.UseDMA)
+				opt := nn.NewSGD(r.LR, env.Cfg.Momentum, env.Cfg.WeightDecay)
 				nn.ResetMomentum(c.RangeParams(mIdx, to))
 
 				out := &outs[i]
-				sub := env.Subsets[selected[i]]
+				sub := env.Subsets[r.Clients[i]]
 				batches := data.Batches(sub.Indices, env.Cfg.Batch, crng)
 				iters := 0
 				for iters < env.Cfg.LocalIters && len(batches) > 0 {
@@ -248,13 +234,13 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 
 				out.weight = float64(sub.Len())
 				for j := mIdx; j <= to; j++ {
-					vec, bytes := f.encodeUpload(exportParams(c.Modules[j].BackboneParams()))
+					vec, bytes := f.encodeUpload(nn.ExportParamList(c.Modules[j].BackboneParams()))
 					out.backbone = append(out.backbone, modVec{j, vec, bytes})
 					bn := c.Modules[j].BNStats()
 					out.bn = append(out.bn, modVec{j, bn, int64(4 * len(bn))})
 				}
 				if aux := c.Modules[to].Aux; aux != nil {
-					vec, bytes := f.encodeUpload(exportParams(aux.Params()))
+					vec, bytes := f.encodeUpload(nn.ExportParamList(aux.Params()))
 					out.aux = &modVec{to, vec, bytes}
 				}
 
@@ -268,10 +254,10 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				out.lat = simlat.ClientLatency(simlat.Work{
 					FLOPs:     flops,
 					MemReq:    c.RangeMemReq(mIdx, to),
-					MemBudget: snaps[i].budget,
+					MemBudget: budget,
 					Passes:    int64(iters) * simlat.PassesPerBatch(atkSteps(atkCfg)),
 					Swap:      false, // DMA never exceeds the budget
-				}, snaps[i].snap)
+				}, r.Devices[i])
 			})
 			if err != nil {
 				return finishPartial(err)
@@ -313,16 +299,13 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				attack.PGDConfig(env.Cfg.Eps, o.ValPGD), rng)
 			apa.Update(cAcc, aAcc)
 
-			roundLat := simlat.RoundLatency(lats)
-			res.Latency.Add(roundLat)
 			avgLoss := 0.0
 			if lossN > 0 {
 				avgLoss = roundLoss / float64(lossN)
 			}
-			env.Record(res, fl.RoundMetrics{
+			env.Record(res, lats, fl.RoundMetrics{
 				Round:      globalRound,
 				Loss:       avgLoss,
-				Latency:    roundLat,
 				PerDimPert: perDimPert(epsNow, casc.Modules[mIdx].InShape, mIdx),
 				Module:     mIdx,
 			})

@@ -186,6 +186,9 @@ func Batch(ds *Dataset, idx []int) (*tensor.Tensor, []int) {
 func Batches(indices []int, bs int, rng *rand.Rand) [][]int {
 	idx := append([]int(nil), indices...)
 	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	if bs < 2 {
+		return nil // no batch of ≥ 2 fits, and bs ≤ 0 would never advance
+	}
 	var out [][]int
 	for start := 0; start < len(idx); start += bs {
 		end := start + bs

@@ -3,6 +3,12 @@
 // degradation of available memory and performance caused by co-running
 // applications, and the balanced/unbalanced systematic-heterogeneity
 // samplings of §7.1.
+//
+// The package is deterministic: fleet assignment and per-round availability
+// are drawn only from the caller's RNG, so a seeded run's device snapshots —
+// and the module assignments DMA derives from them — reproduce exactly.
+//
+//lint:deterministic
 package device
 
 import (

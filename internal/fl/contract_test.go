@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"fedprophet/internal/device"
 )
 
 func TestRoundSeedsAdvanceParentIdentically(t *testing.T) {
@@ -19,6 +21,39 @@ func TestRoundSeedsAdvanceParentIdentically(t *testing.T) {
 	}
 	if r1.Int63() != r2.Int63() {
 		t.Fatal("parent streams must stay in lock-step")
+	}
+}
+
+// DrawRound is the one round schedule: cohort, then seeds, then one device
+// snapshot per client in sampling order, all off Env.Rng, and ηt = γ^t·η0.
+func TestDrawRoundOrderAndLR(t *testing.T) {
+	const n, c = 12, 4
+	fleet := device.NewFleet(device.CIFARPool(), n, device.Balanced, rand.New(rand.NewSource(1)))
+	e := &Env{Fleet: fleet, Rng: rand.New(rand.NewSource(9)),
+		Cfg: Config{NumClients: n, ClientsPerRound: c, LR: 1, LRDecay: 0.5}}
+	if lr := e.DrawRound(0).LR; lr != 1 {
+		t.Fatalf("η0 = %v, want 1", lr)
+	}
+	ref := rand.New(rand.NewSource(9))
+	SampleClients(n, c, ref)
+	RoundSeeds(ref, c)
+	for i := 0; i < c; i++ {
+		fleet.Snapshot(0, ref)
+	}
+	r := e.DrawRound(2)
+	if r.LR != 0.25 {
+		t.Fatalf("η2 = %v, want 0.25", r.LR)
+	}
+	clients := SampleClients(n, c, ref)
+	seeds := RoundSeeds(ref, c)
+	for i, k := range clients {
+		if r.Clients[i] != k || r.Seeds[i] != seeds[i] || r.Devices[i] != fleet.Snapshot(k, ref) {
+			t.Fatalf("client %d: drew (%d, %d, %+v), want (%d, %d) in the fixed order",
+				i, r.Clients[i], r.Seeds[i], r.Devices[i], k, seeds[i])
+		}
+	}
+	if e.Rng.Int63() != ref.Int63() {
+		t.Fatal("DrawRound must consume exactly cohort, seeds and snapshots")
 	}
 }
 

@@ -1,6 +1,8 @@
-// Package fl provides the federated-learning core shared by FedProphet and
-// every baseline: the experiment environment (federated data split, device
-// fleet, hyperparameters), client sampling, weighted parameter aggregation
+// Package fl provides the federated-learning core shared by FedProphet, every
+// baseline and the wire client of internal/fldist: the experiment environment
+// (federated data split, device fleet, hyperparameters), the round schedule
+// (DrawRound: cohort, per-client seeds, device snapshots, learning rate), the
+// local adversarial-SGD step (LocalTrain), weighted parameter aggregation
 // (FedAvg), the Method/Result training contract, the method registry, and
 // the bounded worker pool that trains a round's clients concurrently.
 //
@@ -135,9 +137,13 @@ func (e *Env) Aggregate(vecs [][]float64, weights []float64) []float64 {
 	return WeightedAverage(vecs, weights)
 }
 
-// Record appends one round of telemetry to the result history and streams
-// it to the Hook, if any.
-func (e *Env) Record(res *Result, m RoundMetrics) {
+// Record closes one round: its synchronous latency is the slowest of the
+// cohort's client latencies (simlat.RoundLatency), which Record sets in m
+// and accumulates into res.Latency; it then appends m to the result history
+// and streams it to the Hook, if any.
+func (e *Env) Record(res *Result, lats []simlat.Latency, m RoundMetrics) {
+	m.Latency = simlat.RoundLatency(lats)
+	res.Latency.Add(m.Latency)
 	res.History = append(res.History, m)
 	if e.Hook != nil {
 		e.Hook(m)

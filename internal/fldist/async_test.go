@@ -327,7 +327,10 @@ func TestAsyncStalenessWindowSemantics(t *testing.T) {
 
 // The straggler regression the buffered mode exists for: under the
 // synchronous quorum a slow client's training pass is discarded (409 →
-// retrain); inside the buffered staleness window it never is.
+// retrain); inside the buffered staleness window it never is. The same
+// client loop runs against both servers, and in both it pulls exactly once
+// per push: every pull is followed by one push, counted, duplicate or stale.
+// (The number of /round polls depends on timing and is not asserted.)
 func TestAsyncStragglerNoWastedPasses(t *testing.T) {
 	run := func(t *testing.T, async bool) (slowRetrains int, counted int64) {
 		_, _, subs, build := testSetup(t, 3, 23)
@@ -337,15 +340,21 @@ func TestAsyncStragglerNoWastedPasses(t *testing.T) {
 			opts = append(opts, WithBufferedAggregation(2, 8))
 		}
 		srv := NewServer(nn.ExportParams(m), nn.ExportBNStats(m), 2, opts...)
-		ts := httptest.NewServer(srv.Handler())
+		var pulls atomic.Int64
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && r.URL.Path == "/model" {
+				pulls.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
 		defer ts.Close()
 
 		mk := func(id int) *Client {
 			return &Client{
 				ID: id, BaseURL: ts.URL, HTTP: ts.Client(),
 				Model: build(), Subset: subs[id], Cfg: clientCfg(),
-				Rng:   rand.New(rand.NewSource(int64(70 + id))),
-				Async: async,
+				Rng: rand.New(rand.NewSource(int64(70 + id))),
 			}
 		}
 		fast0, fast1, slow := mk(0), mk(1), mk(2)
@@ -381,7 +390,13 @@ func TestAsyncStragglerNoWastedPasses(t *testing.T) {
 			}
 		}
 		st := srv.Stats()
-		return slow.StaleRetrains, st.UpdatesRaw + st.UpdatesCompressed
+		counted = st.UpdatesRaw + st.UpdatesCompressed
+		stale := int64(fast0.StaleRetrains + fast1.StaleRetrains + slow.StaleRetrains)
+		if got, want := pulls.Load(), counted+int64(st.DuplicatesDropped)+stale; got != want {
+			t.Errorf("buffered=%v: %d pulls, want counted %d + duplicates %d + stale retrains %d = %d",
+				async, got, counted, st.DuplicatesDropped, stale, want)
+		}
+		return slow.StaleRetrains, counted
 	}
 
 	syncRetrains, _ := run(t, false)
@@ -534,7 +549,6 @@ func TestAsyncConvergesNearSync(t *testing.T) {
 					Model: build(), Subset: subs[id], Cfg: clientCfg(),
 					Rng:         rand.New(rand.NewSource(int64(100 + id))),
 					Compression: comps[id],
-					Async:       async,
 				}
 				n := syncRounds
 				if async {

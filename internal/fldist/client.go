@@ -33,14 +33,6 @@ type Client struct {
 	Rng      *rand.Rand
 	PGDSteps int // 0 = standard training
 
-	// Async switches RunRounds to the buffered-aggregation pipeline —
-	// pull → train → push with no round barrier — for servers running
-	// WithBufferedAggregation. A push is counted as long as its base round
-	// is inside the server's staleness window, so a slow client's training
-	// pass is not discarded just because faster clients committed rounds
-	// meanwhile.
-	Async bool
-
 	// StaleRetrains counts training passes RunRounds had to throw away
 	// because the server had aggregated past the pushed base round (HTTP
 	// 409): every increment is wasted client compute. Against a buffered
@@ -348,37 +340,17 @@ func resize(v []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// TrainLocal runs the configured number of local (adversarial) SGD
-// iterations on the local subset, mirroring the in-process trainers.
+// TrainLocal runs the client's local step — fl.LocalTrain, the step every
+// in-process method runs — on the replica over the local subset: PGD
+// adversarial training with PGDSteps steps at budget Cfg.Eps, or standard
+// training when PGDSteps is 0. It returns the mean training loss.
 func (c *Client) TrainLocal(lr float64) float64 {
-	opt := nn.NewSGD(lr, c.Cfg.Momentum, c.Cfg.WeightDecay)
-	nn.ResetMomentum(c.Model.Params())
-	batches := data.Batches(c.Subset.Indices, c.Cfg.Batch, c.Rng)
-	if len(batches) == 0 {
-		return 0
+	var atk attack.Config
+	if c.PGDSteps > 0 {
+		atk = attack.PGDConfig(c.Cfg.Eps, c.PGDSteps)
 	}
-	total := 0.0
-	iters := 0
-	for iters < c.Cfg.LocalIters {
-		for _, b := range batches {
-			if iters >= c.Cfg.LocalIters {
-				break
-			}
-			x, y := data.Batch(c.Subset.Parent, b)
-			if c.PGDSteps > 0 {
-				x = attack.Perturb(attack.PGDConfig(c.Cfg.Eps, c.PGDSteps), x,
-					attack.CEGradFn(c.Model, y), c.Rng)
-			}
-			out := c.Model.Forward(x, true)
-			loss, g := nn.SoftmaxCrossEntropy(out, y)
-			nn.ZeroGrads(c.Model)
-			c.Model.Backward(g)
-			opt.Step(c.Model.Params())
-			total += loss
-			iters++
-		}
-	}
-	return total / float64(iters)
+	loss, _ := fl.LocalTrain(c.Model, c.Subset, c.Cfg, lr, atk, c.Rng)
+	return loss
 }
 
 // Push uploads the trained replica for the given round. counted reports
@@ -584,30 +556,30 @@ func (c *Client) post(ctx context.Context, codec string, body []byte) (bool, err
 // intermediaries are free to wrap it.
 var ErrStaleRound = errors.New("fldist: update for a stale round")
 
-// RunRounds participates in n federated rounds: pull, train, push, retrying
-// on stale rounds (each such retrain is tallied in StaleRetrains).
-//
-// Against the default synchronous server, after a counted push the client
-// waits for the round to advance before pulling again — otherwise a fast
-// client would retrain on the unchanged global model and push updates the
-// server idempotently drops as duplicates (and mistake those for progress).
-//
-// With Async set (a server running WithBufferedAggregation), the loop
-// pipelines pull → train → push with no round polling between rounds: a
-// counted push immediately flows into the next pull, because the buffered
-// server accepts the next update even if its base round is a little stale.
-// The client only falls back to polling /round when it outruns the buffer —
-// its own update is the newest thing on the server and pushing again from
-// the same base would be dropped as a duplicate.
+// RunRounds participates in n federated rounds: pull, train, push, with one
+// loop for both server modes. After a push the server accepted — counted, or
+// a duplicate of an already-counted one — the client waits for the round to
+// move past the pushed round before pulling again: a push from the same base
+// would only be dropped as a duplicate, so training on it would be wasted
+// work. Against a synchronous server that wait is the round barrier; against
+// a buffered one (WithBufferedAggregation) it returns at its first /round
+// probe whenever a commit has landed since, so pull → train → push pipelines
+// with no barrier and a slow client's push still counts inside the staleness
+// window. A stale push (HTTP 409) re-pulls and retrains at once; each such
+// retrain is tallied in StaleRetrains.
 //
 // Canceling ctx stops between steps and aborts in-flight requests.
 func (c *Client) RunRounds(ctx context.Context, n int, lr float64) error {
-	if c.Async {
-		return c.runRoundsAsync(ctx, n, lr)
-	}
+	pushed := -1 // round of the last accepted push not yet waited out
 	for done := 0; done < n; {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("fldist: client %d stopped after %d rounds: %w", c.ID, done, err)
+		}
+		if pushed >= 0 {
+			if err := c.awaitRoundAfter(ctx, pushed); err != nil {
+				return err
+			}
+			pushed = -1
 		}
 		round, err := c.Pull(ctx)
 		if err != nil {
@@ -616,79 +588,13 @@ func (c *Client) RunRounds(ctx context.Context, n int, lr float64) error {
 		c.trainPass(lr)
 		counted, err := c.Push(ctx, round)
 		switch {
-		case err == nil && counted:
-			done++
-			if done < n {
-				if err := c.awaitRoundAfter(ctx, round); err != nil {
-					return err
-				}
-			}
 		case err == nil:
-			// Duplicate: an earlier update of ours already counted toward
-			// this round. Wait out the aggregation instead of spinning.
-			if err := c.awaitRoundAfter(ctx, round); err != nil {
-				return err
+			if counted {
+				done++
 			}
+			pushed = round
 		case errors.Is(err, ErrStaleRound):
 			c.StaleRetrains++
-			continue // re-pull and retrain on the fresh model
-		default:
-			return err
-		}
-	}
-	return nil
-}
-
-// runRoundsAsync is the buffered-aggregation participation loop: see
-// RunRounds.
-func (c *Client) runRoundsAsync(ctx context.Context, n int, lr float64) error {
-	lastCounted := -1 // base round of our last counted push
-	for done := 0; done < n; {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("fldist: client %d stopped after %d rounds: %w", c.ID, done, err)
-		}
-		if lastCounted >= 0 {
-			// Our previous push counted. If no commit has landed since, a
-			// second push from the same base would be dropped as a
-			// duplicate, so training now would be wasted work — and so
-			// would re-downloading the model just to find that out. Probe
-			// the cheap /round first and wait out the commit if needed.
-			cur, err := c.Round(ctx)
-			if err != nil {
-				return err
-			}
-			if cur == lastCounted {
-				if err := c.awaitRoundAfter(ctx, lastCounted); err != nil {
-					return err
-				}
-			}
-		}
-		round, err := c.Pull(ctx)
-		if err != nil {
-			return err
-		}
-		if round == lastCounted {
-			// Unreachable while rounds only advance (the probe above saw a
-			// newer round before the pull); kept as defense so a surprise
-			// never turns into duplicate-push training waste.
-			if err := c.awaitRoundAfter(ctx, round); err != nil {
-				return err
-			}
-			continue
-		}
-		c.trainPass(lr)
-		counted, err := c.Push(ctx, round)
-		switch {
-		case err == nil && counted:
-			done++
-			lastCounted = round
-		case err == nil:
-			// Duplicate: a retried push from this base already counted.
-			lastCounted = round
-		case errors.Is(err, ErrStaleRound):
-			// Only past the staleness window — this training pass is lost.
-			c.StaleRetrains++
-			continue
 		default:
 			return err
 		}

@@ -67,18 +67,29 @@ func (m *Model) Name() string { return m.Label }
 
 // ExportParams flattens all parameter values into a single vector, in a
 // stable order. Used to ship local updates to the server.
-func ExportParams(l Layer) []float64 {
-	var out []float64
-	for _, p := range l.Params() {
+func ExportParams(l Layer) []float64 { return ExportParamList(l.Params()) }
+
+// ImportParams loads a vector produced by ExportParams back into the layer.
+func ImportParams(l Layer, v []float64) { ImportParamList(l.Params(), v) }
+
+// ExportParamList flattens a parameter list into one vector, in list order.
+func ExportParamList(ps []*Param) []float64 {
+	n := 0
+	for _, p := range ps {
+		n += p.Data.Len()
+	}
+	out := make([]float64, 0, n)
+	for _, p := range ps {
 		out = append(out, p.Data.Data...)
 	}
 	return out
 }
 
-// ImportParams loads a vector produced by ExportParams back into the layer.
-func ImportParams(l Layer, v []float64) {
+// ImportParamList loads a vector produced by ExportParamList back into the
+// parameter list.
+func ImportParamList(ps []*Param, v []float64) {
 	off := 0
-	for _, p := range l.Params() {
+	for _, p := range ps {
 		n := p.Data.Len()
 		if off+n > len(v) {
 			panic("nn: ImportParams vector too short")

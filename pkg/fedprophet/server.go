@@ -46,9 +46,11 @@ func WithServerShards(n int) ParamServerOption { return fldist.WithShards(n) }
 // not gated by the slowest client and a straggler's training pass inside
 // the window is never thrown away. k replaces updatesPerRound as the commit
 // threshold; maxStaleness must be in [0, 64] (each tolerated round retains
-// one model snapshot server-side). Run fleet clients with Async pipelining
-// (fldist.Client.Async / cmd/fldist -async) to exploit it; ServerStats
-// gains a per-staleness admission histogram. The wire protocol is unchanged
+// one model snapshot server-side). Fleet clients need no mode switch: the
+// one client loop (fldist.Client.RunRounds, cmd/fldist -connect) waits only
+// for a commit past its own push, so against this server it pipelines
+// pull → train → push; ServerStats gains a per-staleness admission
+// histogram. The wire protocol is unchanged
 // — updates always carried their base round.
 func WithBufferedAggregation(k, maxStaleness int) ParamServerOption {
 	return fldist.WithBufferedAggregation(k, maxStaleness)
