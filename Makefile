@@ -1,7 +1,8 @@
 # Build, verify and benchmark the FedProphet reproduction.
 #
 #   make ci      - everything the tier-1 gate runs: build, vet, cross, lint,
-#                  test, race, codec fuzz pass, docs links, bench-smoke
+#                  test, race, codec and kernel fuzz pass, docs links,
+#                  bench-smoke
 #   make bench-smoke    - the repository's one benchmark (bench/, declared in
 #                         BENCHMARK.json; see bench/README.md) at smoke sizes:
 #                         every workload and output check in <5 s, plus the
@@ -75,11 +76,14 @@ test-race:
 # math.Round / bit-cursor references), plus FuzzUpdateEnvelope (arbitrary
 # POST /update bodies against a synchronous and a buffered server — the one
 # push handler covers every push form: no panic, only 200/400/409, a finite
-# model after every 200). ~13s; part of ci.
+# model after every 200), plus FuzzConvKernelsMatchNaive (arbitrary conv
+# geometries — unroll, scatter, forward GEMM and dW stay bit-equal to their
+# naive references on the AVX2 tile and the portable twin). ~16s; part of ci.
 fuzz:
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzQuantizeMatchesReference$$' -fuzztime 4s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzUpdateEnvelope$$' -fuzztime 3s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzConvKernelsMatchNaive$$' -fuzztime 3s
 
 # Dead relative links in the markdown docs — and dead *.md references cited
 # inside Go doc comments — fail the build.

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"fedprophet/internal/tensor"
 )
 
@@ -12,33 +14,43 @@ type ReLU struct {
 // NewReLU constructs a ReLU activation.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward zeroes negative entries, caching the activation mask.
+// Forward writes x where !(x <= 0) and +0 elsewhere into a fresh output,
+// recording the activation mask in the same pass. NaN is kept.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
+	out := tensor.New(x.Shape()...)
+	if cap(r.mask) < len(x.Data) {
+		r.mask = make([]bool, len(x.Data))
 	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
-		if v <= 0 {
-			out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
-		}
+	mask, o := r.mask[:len(x.Data)], out.Data[:len(x.Data)]
+	r.mask = mask
+	for i, v := range x.Data {
+		keep := !(v <= 0)
+		mask[i] = keep
+		o[i] = keepOrZero(v, keep)
 	}
 	return out
 }
 
-// Backward zeroes the gradient where the activation was clipped.
+// Backward passes the gradient where the activation was kept and +0 where it
+// was clipped, into a fresh output.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	for i := range out.Data {
-		if !r.mask[i] {
-			out.Data[i] = 0
-		}
+	out := tensor.New(grad.Shape()...)
+	mask, o := r.mask[:len(grad.Data)], out.Data[:len(grad.Data)]
+	for i, v := range grad.Data {
+		o[i] = keepOrZero(v, mask[i])
 	}
 	return out
+}
+
+// keepOrZero returns v if keep and +0 otherwise, as a bit mask rather than a
+// branch: about half of a layer's activations are clipped, in no pattern a
+// branch predictor could learn.
+func keepOrZero(v float64, keep bool) float64 {
+	var k uint64
+	if keep {
+		k = 1
+	}
+	return math.Float64frombits(math.Float64bits(v) & -k)
 }
 
 // Params returns nil: ReLU is parameter-free.

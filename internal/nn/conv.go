@@ -157,9 +157,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	col, wd := c.col, c.W.Data.Data
 	c.forEachPanel(lay, bsz, c.OutC, func(b0, b1, pw int, prod []float64) {
 		j0 := lay.col(b0)
-		for b := b0; b < b1; b++ {
-			tensor.Im2ColStridedInto(col, x.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], c.InC, h, w, k, st, pad, ld, lay.col(b))
-		}
+		tensor.Im2ColStridedInto(col, x.Data[b0*c.InC*h*w:b1*c.InC*h*w], c.InC, h, w, k, st, pad, ld, j0)
 		zeroCols(col, ickk, ld, j0+(b1-b0)*ohow, j0+pw)
 		tensor.MatMulStridedInto(prod, pw, wd, col[j0:], ld, c.OutC, ickk, pw)
 		for b := b0; b < b1; b++ {
@@ -185,14 +183,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // weight/bias gradients; after an eval-mode Forward it computes the input
 // gradient only. The three gradients are:
 //
-//	dX  = Col2Im(Wᵀ · dY)   (dY folded like col, one panel at a time; per-image scatter)
-//	dW += dY_b · col_bᵀ     (dot products on the cached col, per image in batch order)
+//	dX   = Col2Im(Wᵀ · dY)     (dY folded like col, one panel at a time)
+//	dWᵀ += col_b · dY_bᵀ       (per image in batch order, on the cached col)
 //
 // dX splits over panels like the forward pass (disjoint writes: a worker
-// folds, multiplies and scatters its own images) and dW over weight rows,
-// with each weight element accumulating images in ascending batch order — so
-// gradients are bit-deterministic at every GOMAXPROCS. dW and dB are skipped
-// after an eval-mode Forward; dX does not depend on them.
+// folds, multiplies and scatters its own images). dW is formed transposed
+// (see accumulateDW), yet each weight element still receives one sum per
+// image, from +0, in ascending batch order, and its work splits over weight
+// columns — so gradients are bit-deterministic at every GOMAXPROCS. dW and dB
+// are skipped after an eval-mode Forward; dX does not depend on them.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	bsz := grad.Dim(0)
 	h, w, oh, ow := c.inH, c.inW, c.outH, c.outW
@@ -231,22 +230,60 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		zeroCols(dy, c.OutC, pw, (b1-b0)*ohow, pw)
 		tensor.MatMulTransAStridedInto(dcol, pw, wd, dy, pw, c.OutC, ickk, pw)
-		for b := b0; b < b1; b++ {
-			tensor.Col2ImAccStridedInto(dx.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], dcol, c.InC, h, w, k, st, pad, pw, (b-b0)*ohow)
-		}
+		tensor.Col2ImAccStridedInto(dx.Data[b0*c.InC*h*w:b1*c.InC*h*w], dcol, c.InC, h, w, k, st, pad, pw, 0)
 	})
 
-	if !c.trained {
-		return dx
+	if c.trained {
+		c.accumulateDW(grad, lay)
 	}
-	wg, col := c.W.Grad.Data, c.col
-	tensor.ParallelForWork(c.OutC, c.OutC*ickk*bsz*ohow, func(lo, hi int) {
+	return dx
+}
+
+// accumulateDW adds every image's dY_b·col_bᵀ to W.Grad in batch order, as
+// dWᵀ += col_b·dY_bᵀ in the GEMM tile's accumulate mode: col_b is the left
+// operand read in place, and only dY — the size of the layer's output — is
+// packed, once. The tile sums each image over its output positions from +0
+// and then adds that sum, which is what a per-image dot product does. Both
+// transposed matrices are OutC rounded up to a whole 8-column tile wide (zero
+// pad columns in dYᵀ, dropped ones in dWᵀ), so OutC = 4 layers still take the
+// vector tile. dWᵀ is seeded from W.Grad and written back once; workers take
+// whole 4-row tiles of it.
+func (c *Conv2D) accumulateDW(grad *tensor.Tensor, lay foldLayout) {
+	bsz, ohow := grad.Dim(0), lay.ohow
+	ickk, n := c.InC*c.Kernel*c.Kernel, roundUp8(c.OutC)
+	dyT := tensor.Scratch.Get(bsz * ohow * n)
+	dwT := tensor.Scratch.Get(ickk * n)
+	defer tensor.Scratch.Put(dyT)
+	defer tensor.Scratch.Put(dwT)
+	wg := c.W.Grad.Data
+	for oc := 0; oc < c.OutC; oc++ {
+		for r := 0; r < ickk; r++ {
+			dwT[r*n+oc] = wg[oc*ickk+r]
+		}
 		for b := 0; b < bsz; b++ {
-			gb := grad.Data[b*c.OutC*ohow : (b+1)*c.OutC*ohow]
-			tensor.MatMulTransBAccRowsStridedInto(wg, gb, ohow, col[lay.col(b):], ld, ohow, ickk, lo, hi)
+			gb := grad.Data[(b*c.OutC+oc)*ohow : (b*c.OutC+oc+1)*ohow]
+			t := dyT[b*ohow*n+oc:]
+			for p, v := range gb {
+				t[p*n] = v
+			}
+		}
+	}
+	if n > c.OutC {
+		zeroCols(dyT, bsz*ohow, n, c.OutC, n)
+	}
+	col, ld := c.col, lay.ld()
+	blocks := (ickk + 3) / 4 // whole 4-row tiles per worker
+	tensor.ParallelForWork(blocks, c.OutC*ickk*bsz*ohow, func(lo, hi int) {
+		r0, r1 := 4*lo, min(4*hi, ickk)
+		for b := 0; b < bsz; b++ {
+			tensor.MatMulAccRowsInto(dwT, n, col[lay.col(b):], ld, dyT[b*ohow*n:], n, ohow, n, r0, r1)
 		}
 	})
-	return dx
+	for oc := 0; oc < c.OutC; oc++ {
+		for r := 0; r < ickk; r++ {
+			wg[oc*ickk+r] = dwT[r*n+oc]
+		}
+	}
 }
 
 // Params returns weight (and bias if present).

@@ -11,11 +11,12 @@ import (
 	"fedprophet/internal/tensor"
 )
 
-// perImageConv is the GEMM lowering as it was before the batch fold, kept
-// here as the reference: one im2col, one W·col, one Wᵀ·dY + col2im and one
-// dY·colᵀ per image, in batch order, built only from tensor's exported
-// functions applied one image at a time. The folded layer must reproduce
-// every value bit for bit.
+// perImageConv is the reference the folded layer must reproduce bit for
+// bit: the convolution written from its definition, one image at a time in
+// batch order. It unrolls with naiveUnroll, forms W·col, Wᵀ·dY and dY·colᵀ
+// with plain loops — each sum from +0 in ascending order of its index, the dW
+// sum per image then added to dW — and scatters with naiveScatter. It calls no
+// tensor kernel, so it cannot inherit a fault from the ones it checks.
 func perImageConv(c *Conv2D, x, grad *tensor.Tensor) (out, dx *tensor.Tensor, dw, db []float64) {
 	bsz, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := tensor.ConvOutDims(h, w, c.Kernel, c.Stride, c.Pad)
@@ -24,14 +25,20 @@ func perImageConv(c *Conv2D, x, grad *tensor.Tensor) (out, dx *tensor.Tensor, dw
 	dx = tensor.New(bsz, c.InC, h, w)
 	dw = make([]float64, c.OutC*ickk)
 	db = make([]float64, c.OutC)
-	col := make([]float64, ickk*ohow)
+	wd := c.W.Data.Data
 	dcol := make([]float64, ickk*ohow)
 	for b := 0; b < bsz; b++ {
-		tensor.Im2ColInto(col, x.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], c.InC, h, w, c.Kernel, c.Stride, c.Pad)
+		col := naiveUnroll(x.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], c.InC, h, w, c.Kernel, c.Stride, c.Pad)
 		outB := out.Data[b*c.OutC*ohow : (b+1)*c.OutC*ohow]
-		tensor.MatMulInto(outB, c.W.Data.Data, col, c.OutC, ickk, ohow)
 		gb := grad.Data[b*c.OutC*ohow : (b+1)*c.OutC*ohow]
 		for oc := 0; oc < c.OutC; oc++ {
+			for p := 0; p < ohow; p++ {
+				s := 0.0
+				for r := 0; r < ickk; r++ {
+					s += wd[oc*ickk+r] * col[r*ohow+p]
+				}
+				outB[oc*ohow+p] = s
+			}
 			if c.hasBias {
 				if bias := c.B.Data.Data[oc]; bias != 0 {
 					for i := oc * ohow; i < (oc+1)*ohow; i++ {
@@ -44,12 +51,60 @@ func perImageConv(c *Conv2D, x, grad *tensor.Tensor) (out, dx *tensor.Tensor, dw
 				s += v
 			}
 			db[oc] += s
+			for r := 0; r < ickk; r++ {
+				s := 0.0
+				for p := 0; p < ohow; p++ {
+					s += gb[oc*ohow+p] * col[r*ohow+p]
+				}
+				dw[oc*ickk+r] += s
+			}
 		}
-		tensor.MatMulTransAStridedInto(dcol, ohow, c.W.Data.Data, gb, ohow, c.OutC, ickk, ohow)
-		tensor.Col2ImAccStridedInto(dx.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], dcol, c.InC, h, w, c.Kernel, c.Stride, c.Pad, ohow, 0)
-		tensor.MatMulTransBAccRowsInto(dw, gb, col, ohow, ickk, 0, c.OutC)
+		for r := 0; r < ickk; r++ {
+			for p := 0; p < ohow; p++ {
+				s := 0.0
+				for oc := 0; oc < c.OutC; oc++ {
+					s += wd[oc*ickk+r] * gb[oc*ohow+p]
+				}
+				dcol[r*ohow+p] = s
+			}
+		}
+		naiveScatter(dx.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], dcol, c.InC, h, w, c.Kernel, c.Stride, c.Pad)
 	}
 	return out, dx, dw, db
+}
+
+// naiveUnroll is im2col from its definition: row (ic, kh, kw), column
+// (oy, ox) holds x[ic][oy·stride+kh−pad][ox·stride+kw−pad], or +0 outside.
+func naiveUnroll(x []float64, c, h, w, k, stride, pad int) []float64 {
+	oh, ow := tensor.ConvOutDims(h, w, k, stride, pad)
+	col := make([]float64, c*k*k*oh*ow)
+	for r := range c * k * k {
+		ic, kh, kw := r/(k*k), r/k%k, r%k
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				if iy, ix := oy*stride+kh-pad, ox*stride+kw-pad; iy >= 0 && iy < h && ix >= 0 && ix < w {
+					col[(r*oh+oy)*ow+ox] = x[(ic*h+iy)*w+ix]
+				}
+			}
+		}
+	}
+	return col
+}
+
+// naiveScatter is col2im from its definition: every column-matrix value is
+// added to the input element it was read from, in (ic, kh, kw, oy, ox) order.
+func naiveScatter(img, col []float64, c, h, w, k, stride, pad int) {
+	oh, ow := tensor.ConvOutDims(h, w, k, stride, pad)
+	for r := range c * k * k {
+		ic, kh, kw := r/(k*k), r/k%k, r%k
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				if iy, ix := oy*stride+kh-pad, ox*stride+kw-pad; iy >= 0 && iy < h && ix >= 0 && ix < w {
+					img[(ic*h+iy)*w+ix] += col[(r*oh+oy)*ow+ox]
+				}
+			}
+		}
+	}
 }
 
 type foldCase struct {
@@ -60,11 +115,13 @@ type foldCase struct {
 }
 
 // foldCases are every convCases geometry plus 3×3 convolutions whose output
-// maps are 1×1, 2×2, 4×4 (several images share one 8-column GEMM tile) and
-// 16×16 (a batch spans several panels, and with these channel counts the
-// layer is over the pool's floor, so at GOMAXPROCS 4 the panels really run on
-// different workers), a 24×24 strided map (wider than a panel: one image
-// each) and a 7×7 map (49 columns: ten images to a panel, padded to 496).
+// maps are 1×1, 2×2 (VGG16-S conv8–13), 4×4 (several images share one
+// 8-column GEMM tile) and 16×16 (a batch spans several panels, and with these
+// channel counts the layer is over the pool's floor, so at GOMAXPROCS 4 the
+// panels really run on different workers), a 24×24 strided map (wider than a
+// panel: one image each), a 7×7 map (49 columns: ten images to a panel,
+// padded to 496), 5×5 kernels with same and wider padding, a padded 1×1
+// kernel, and a 5×5 stride-2 kernel.
 func foldCases() []foldCase {
 	var cases []foldCase
 	for _, cs := range convCases {
@@ -77,7 +134,13 @@ func foldCases() []foldCase {
 	}
 	return append(cases,
 		foldCase{"stridedMap24x24", 2, 4, 3, 2, 1, true, 48, 48},
-		foldCase{"map7x7", 3, 6, 3, 1, 1, false, 7, 7})
+		foldCase{"map7x7", 3, 6, 3, 1, 1, false, 7, 7},
+		foldCase{"k5same", 2, 9, 5, 1, 2, false, 6, 5},
+		foldCase{"k5same2x2", 3, 4, 5, 1, 2, true, 2, 2},
+		foldCase{"k5widePad", 2, 3, 5, 1, 3, false, 4, 4},
+		foldCase{"k3widePad1x1", 2, 3, 3, 1, 2, false, 1, 1},
+		foldCase{"k1padded", 3, 4, 1, 1, 1, true, 3, 3},
+		foldCase{"k5stride2", 2, 5, 5, 2, 2, false, 9, 9})
 }
 
 func TestFoldedConvBitEqualsPerImage(t *testing.T) {

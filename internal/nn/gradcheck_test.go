@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fedprophet/internal/tensor"
@@ -229,6 +230,37 @@ func TestCWMarginLossGradients(t *testing.T) {
 			t.Fatalf("CW grad mismatch at %d: numeric %g analytic %g", i, ng, grad.Data[i])
 		}
 	}
+}
+
+// A row whose other logits are all NaN has no runner-up above −Inf; its
+// +1/B must still land in its own row (it used to land on the previous
+// sample's last logit, or index −1 for the first sample), and a single class
+// has no margin at all.
+func TestCWMarginLossNaNRowAndOneClass(t *testing.T) {
+	nan := math.NaN()
+	for _, cs := range []struct {
+		logits []float64
+		labels []int
+		want   []float64
+	}{
+		{[]float64{1, 0, 2, nan, nan, 0}, []int{0, 2}, []float64{-0.5, 0, 0.5, 0.5, 0, -0.5}},
+		{[]float64{nan, nan, 0}, []int{2}, []float64{1, 0, -1}},
+		{[]float64{nan, 3, nan}, []int{0}, []float64{-1, 1, 0}},
+	} {
+		k := len(cs.logits) / len(cs.labels)
+		_, grad := CWMarginLoss(tensor.FromSlice(cs.logits, len(cs.labels), k), cs.labels)
+		for i, w := range cs.want {
+			if grad.Data[i] != w {
+				t.Fatalf("logits %v labels %v: grad %v, want %v", cs.logits, cs.labels, grad.Data, cs.want)
+			}
+		}
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "at least 2 classes") {
+			t.Fatalf("K = 1: panic %q, want one naming the class count", msg)
+		}
+	}()
+	CWMarginLoss(tensor.FromSlice([]float64{0.5}, 1, 1), []int{0})
 }
 
 func TestKLDivergenceGradients(t *testing.T) {

@@ -31,10 +31,20 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	}
 }
 
-// Forward computes x·Wᵀ + b.
+// Forward computes x·Wᵀ + b, packing Wᵀ (In·Out values) so the product runs
+// on the one GEMM tile; each output is the sum over In from +0, as a dot
+// product of x's row with W's row would take it.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x, l.trained = x, train
-	out := tensor.MatMulTransBPar(x, l.W.Data) // (B,In)·(Out,In)ᵀ = (B,Out)
+	wt := tensor.Scratch.Get(l.In * l.Out)
+	defer tensor.Scratch.Put(wt)
+	wd := l.W.Data.Data
+	for o := 0; o < l.Out; o++ {
+		for i, v := range wd[o*l.In : (o+1)*l.In] {
+			wt[i*l.Out+o] = v
+		}
+	}
+	out := tensor.MatMulPar(x, tensor.FromSlice(wt, l.In, l.Out)) // (B,In)·(In,Out) = (B,Out)
 	bsz := x.Dim(0)
 	for i := 0; i < bsz; i++ {
 		row := out.Data[i*l.Out : (i+1)*l.Out]

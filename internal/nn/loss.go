@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"fedprophet/internal/tensor"
@@ -71,16 +72,24 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 // CWMarginLoss computes the Carlini–Wagner margin loss
 // mean_b (max_{j≠y} z_j − z_y) and its gradient with respect to the logits.
 // Maximizing this loss drives misclassification; it is the second attack in
-// our AutoAttack-style ensemble.
+// our AutoAttack-style ensemble. The runner-up j is the first j ≠ y holding
+// the largest logit; when no other logit exceeds −Inf (a diverged model's NaN
+// row), it is the first j ≠ y, so the gradient stays in the sample's own row.
 func CWMarginLoss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	bsz, k := logits.Dim(0), logits.Dim(1)
+	if k < 2 {
+		panic(fmt.Sprintf("nn: CWMarginLoss needs at least 2 classes, got %d", k))
+	}
 	grad := tensor.New(bsz, k)
 	loss := 0.0
 	inv := 1.0 / float64(bsz)
 	for b := 0; b < bsz; b++ {
 		row := logits.Data[b*k : (b+1)*k]
 		y := labels[b]
-		bestJ, bestV := -1, math.Inf(-1)
+		bestJ, bestV := 0, math.Inf(-1)
+		if y == 0 {
+			bestJ = 1
+		}
 		for j, v := range row {
 			if j != y && v > bestV {
 				bestJ, bestV = j, v

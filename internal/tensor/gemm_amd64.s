@@ -1,15 +1,18 @@
 #include "textflag.h"
 
-// func gemm4x8AVX2(c *float64, ldc int, a *float64, aRow, aP int, b *float64, ldb, k int)
+// func gemm4x8AVX2(c *float64, ldc int, a *float64, aRow, aP int, b *float64, ldb, k int, acc bool)
 //
-// C[r·ldc + 0..8) = Σ_{p<k} A[r·aRow + p·aP] · B[p·ldb + 0..8) for r = 0..3.
+// S[r][0..8) = Σ_{p<k} A[r·aRow + p·aP] · B[p·ldb + 0..8) for r = 0..3, then
+// C[r·ldc + 0..8) = S[r], or with acc C[r·ldc + 0..8) += S[r].
 //
 // Eight YMM accumulators hold the 4×8 tile; lanes are output columns. Every
 // element is acc = round(acc + round(a·b)) for p = 0, 1, 2, … from +0: a
 // separate VMULPD and VADDPD, never a fused multiply-add, so the result is the
 // bit pattern of the scalar Go loop (see gemmTileGo). Loads are unaligned; the
-// caller has checked every extent, since nothing here is bounds-checked.
-TEXT ·gemm4x8AVX2(SB), NOSPLIT, $0-64
+// caller has checked every extent, since nothing here is bounds-checked. The
+// accumulate mode adds each finished sum to C with one more VADDPD, the
+// rounding a scalar `c += s` makes.
+TEXT ·gemm4x8AVX2(SB), NOSPLIT, $0-65
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R8
 	MOVQ a+16(FP), SI
@@ -79,6 +82,21 @@ loop:
 	JNZ  loop
 
 store:
+	CMPB acc+64(FP), $0
+	JEQ  put
+	LEAQ (DI)(R8*1), AX
+	LEAQ (DI)(R8*2), BX
+	LEAQ (AX)(R8*2), R12
+	VADDPD (DI), Y0, Y0
+	VADDPD 32(DI), Y1, Y1
+	VADDPD (AX), Y2, Y2
+	VADDPD 32(AX), Y3, Y3
+	VADDPD (BX), Y4, Y4
+	VADDPD 32(BX), Y5, Y5
+	VADDPD (R12), Y6, Y6
+	VADDPD 32(R12), Y7, Y7
+
+put:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	ADDQ    R8, DI

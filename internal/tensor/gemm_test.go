@@ -33,10 +33,10 @@ func gemmTestValues(rng *rand.Rand, s []float64) {
 }
 
 // The assembly tile and its portable twin must agree in every bit, for both
-// stride forms of the left operand, on operands that start at odd element
-// offsets of a larger buffer (so no load is 32-byte aligned) and whose rows are
-// wider than the product. Rows and columns outside the product must not be
-// written.
+// stride forms of the left operand and in accumulate mode, on operands that
+// start at odd element offsets of a larger buffer (so no load is 32-byte
+// aligned) and whose rows are wider than the product. Rows and columns
+// outside the product must not be written.
 func TestGEMMTileBitEqualsPortableTwin(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no assembly tile on this machine: every path is already the portable twin")
@@ -55,18 +55,26 @@ func TestGEMMTileBitEqualsPortableTwin(t *testing.T) {
 				gemmTestValues(rng, abuf)
 				gemmTestValues(rng, bbuf)
 				a, b := abuf[3:3+m*k], bbuf[1:]
-				for _, form := range []string{"A·B", "Aᵀ·B"} {
+				seed := make([]float64, m*ldc)
+				gemmTestValues(rng, seed)
+				for _, form := range []string{"A·B", "Aᵀ·B", "C+=A·B"} {
 					run := func(dst []float64) {
-						if form == "A·B" {
+						switch form {
+						case "A·B":
 							MatMulStridedInto(dst, ldc, a, b, ldb, m, k, n)
-						} else {
+						case "Aᵀ·B":
 							MatMulTransAStridedInto(dst, ldc, a, b, ldb, k, m, n)
+						default:
+							MatMulAccRowsInto(dst, ldc, a, k, b, ldb, k, n, 0, m)
 						}
 					}
 					newDst := func() []float64 {
 						d := make([]float64, m*ldc+5)
 						for i := range d {
 							d[i] = sentinel
+						}
+						for i := 0; i < m; i++ {
+							copy(d[5+i*ldc:5+i*ldc+n], seed[i*ldc:])
 						}
 						return d
 					}
@@ -93,7 +101,8 @@ func TestGEMMTileBitEqualsPortableTwin(t *testing.T) {
 }
 
 // The twin itself is held to the definition: one scalar accumulator per
-// element, ascending p, starting from +0 (so a sum of −0 terms is +0).
+// element, ascending p, starting from +0 (so a sum of −0 terms is +0), then
+// stored — or, in accumulate mode, added to what dst held.
 func TestGEMMMatchesScalarDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, d := range []struct{ m, k, n int }{{1, 1, 1}, {4, 3, 8}, {5, 7, 9}, {27, 4, 40}, {8, 36, 17}} {
@@ -125,11 +134,19 @@ func TestGEMMMatchesScalarDefinition(t *testing.T) {
 				}
 			}
 		}
+		seed := make([]float64, len(want))
+		gemmTestValues(rng, seed)
+		wantAcc := make([]float64, len(want))
+		for i := range wantAcc {
+			wantAcc[i] = seed[i] + want[i]
+		}
 		for _, portable := range []bool{false, true} {
 			ab, atb := make([]float64, len(want)), make([]float64, len(want))
+			acc := append([]float64(nil), seed...)
 			run := func() {
 				MatMulInto(ab, a, b, d.m, d.k, d.n)
 				MatMulTransAStridedInto(atb, d.n, at, b, d.n, d.k, d.m, d.n)
+				MatMulAccRowsInto(acc, d.n, a, d.k, b, d.n, d.k, d.n, 0, d.m)
 			}
 			if portable {
 				forcePortable(run)
@@ -138,6 +155,11 @@ func TestGEMMMatchesScalarDefinition(t *testing.T) {
 			}
 			check(fmt.Sprintf("MatMulInto portable=%v", portable), ab)
 			check(fmt.Sprintf("MatMulTransAStridedInto portable=%v", portable), atb)
+			for i := range wantAcc {
+				if math.Float64bits(acc[i]) != math.Float64bits(wantAcc[i]) {
+					t.Fatalf("MatMulAccRowsInto portable=%v %+v: element %d is %v, want %v", portable, d, i, acc[i], wantAcc[i])
+				}
+			}
 		}
 	}
 }
@@ -166,10 +188,11 @@ func TestGEMMWrappersPanicOnShortSlices(t *testing.T) {
 		{"MatMulTransAStridedInto short strided dst", func() {
 			MatMulTransAStridedInto(full((m-1)*(n+8)+n-1), n+8, full(k*m), full(k*n), n, k, m, n)
 		}},
-		{"MatMulTransBAccRowsInto short b", func() { MatMulTransBAccRowsInto(full(m*n), full(m*k), full(n*k-1), k, n, 0, m) }},
-		{"MatMulTransBAccRowsStridedInto stride under k", func() {
-			MatMulTransBAccRowsStridedInto(full(m*n), full(m*k), k-1, full(n*k), k, k, n, 0, m)
+		{"MatMulAccRowsInto short a", func() { MatMulAccRowsInto(full(m*n), n, full(m*k-1), k, full(k*n), n, k, n, 0, m) }},
+		{"MatMulAccRowsInto short strided b", func() {
+			MatMulAccRowsInto(full(m*n), n, full(m*k), k, full((k-1)*(n+8)+n-1), n+8, k, n, 0, m)
 		}},
+		{"MatMulAccRowsInto short dst", func() { MatMulAccRowsInto(full(m*n-1), n, full(m*k), k, full(k*n), n, k, n, 0, m) }},
 	}
 	for _, cs := range cases {
 		for _, portable := range []bool{false, true} {
@@ -194,25 +217,38 @@ func TestGEMMWrappersPanicOnShortSlices(t *testing.T) {
 	}
 }
 
-// The row-strided dW kernel on sub-matrices of wider buffers must accumulate
-// exactly what the dense form does on packed copies.
-func TestMatMulTransBAccStridedMatchesDense(t *testing.T) {
+// The accumulate kernel, reading A as a row block of a wider matrix (the
+// layout of one image inside the folded column matrix) and called once per
+// image, must leave dst + Σ_b A_b·B_b summed image by image: each image's
+// product exactly as the naive MatMulTransB forms it against B_bᵀ, added in
+// call order.
+func TestMatMulAccRowsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, d := range []struct{ m, k, n int }{{1, 1, 1}, {3, 4, 5}, {4, 16, 9}, {7, 1, 2}} {
-		lda, ldb := d.k+3, d.k+6
-		a := Randn(rng, 1, d.m*lda+2).Data[2:]
-		b := Randn(rng, 1, d.n*ldb+1).Data[1:]
-		ap, bp := make([]float64, d.m*d.k), make([]float64, d.n*d.k)
-		for i := 0; i < d.m; i++ {
-			copy(ap[i*d.k:(i+1)*d.k], a[i*lda:])
+	for _, d := range []struct{ m, k, n, images int }{{1, 1, 1, 1}, {3, 4, 5, 2}, {4, 16, 9, 3}, {7, 1, 2, 4}, {27, 256, 8, 2}} {
+		lda := d.images*d.k + 5
+		a := make([]float64, d.m*lda+2)
+		gemmTestValues(rng, a)
+		a = a[2:]
+		got := make([]float64, d.m*d.n)
+		gemmTestValues(rng, got)
+		want := append([]float64(nil), got...)
+		for img := 0; img < d.images; img++ {
+			ai, bt := New(d.m, d.k), New(d.n, d.k)
+			for i := 0; i < d.m; i++ {
+				copy(ai.Data[i*d.k:(i+1)*d.k], a[i*lda+img*d.k:])
+			}
+			gemmTestValues(rng, bt.Data)
+			b := make([]float64, d.k*d.n) // the row-major k×n B of bt
+			for j := 0; j < d.n; j++ {
+				for p := 0; p < d.k; p++ {
+					b[p*d.n+j] = bt.Data[j*d.k+p]
+				}
+			}
+			for i, v := range MatMulTransB(ai, bt).Data {
+				want[i] += v
+			}
+			MatMulAccRowsInto(got, d.n, a[img*d.k:], lda, b, d.n, d.k, d.n, 0, d.m)
 		}
-		for j := 0; j < d.n; j++ {
-			copy(bp[j*d.k:(j+1)*d.k], b[j*ldb:])
-		}
-		got, want := Randn(rng, 1, d.m*d.n).Data, make([]float64, d.m*d.n)
-		copy(want, got)
-		MatMulTransBAccRowsStridedInto(got, a, lda, b, ldb, d.k, d.n, 0, d.m)
-		MatMulTransBAccRowsInto(want, ap, bp, d.k, d.n, 0, d.m)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%+v: element %d is %v, want %v", d, i, got[i], want[i])
@@ -236,6 +272,8 @@ func TestPortablePathPassesKernelSuites(t *testing.T) {
 		t.Run("Col2ImIsAdjointOfIm2Col", TestCol2ImIsAdjointOfIm2Col)
 		t.Run("Col2ImCountsOverlaps", TestCol2ImCountsOverlaps)
 		t.Run("StridedIm2ColMatchesPerImage", TestStridedIm2ColMatchesPerImage)
+		t.Run("GEMMMatchesScalarDefinition", TestGEMMMatchesScalarDefinition)
+		t.Run("MatMulAccRowsMatchesNaive", TestMatMulAccRowsMatchesNaive)
 	})
 }
 
@@ -252,36 +290,50 @@ var vggShapes = []struct {
 	{"conv11-13", 32, 288, 1},
 }
 
-// BenchmarkGEMMShapes reports GFLOP/s for the forward (W·col) and dX (Wᵀ·dY)
+// BenchmarkGEMMShapes reports GFLOP/s for the forward (W·col), dX (Wᵀ·dY)
+// and dW (dWᵀ += col_b·dY_bᵀ, image by image, OutC padded to a whole tile)
 // GEMM of every VGG16-S layer shape, as one image's n = oh·ow columns and as
 // the batch-8 fold's N = 8·oh·ow: the per-shape baseline for kernel work.
+// FLOPs count the layer's own OutC, not the dW tile's padding.
 func BenchmarkGEMMShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range vggShapes {
 		for _, fold := range []struct {
-			name string
-			n    int
-		}{{"image", s.ohow}, {"fold8", (8*s.ohow + 7) &^ 7}} {
+			name   string
+			images int
+		}{{"image", 1}, {"fold8", 8}} {
+			n := (fold.images*s.ohow + 7) &^ 7
 			w := Randn(rng, 1, s.outC*s.ickk).Data
-			col := Randn(rng, 1, s.ickk*fold.n).Data
-			dy := Randn(rng, 1, s.outC*fold.n).Data
-			out := make([]float64, s.outC*fold.n)
-			dcol := make([]float64, s.ickk*fold.n)
-			flops := 2 * float64(s.outC*s.ickk*fold.n)
-			report := func(b *testing.B) {
+			col := Randn(rng, 1, s.ickk*n).Data
+			dy := Randn(rng, 1, s.outC*n).Data
+			out := make([]float64, s.outC*n)
+			dcol := make([]float64, s.ickk*n)
+			nT := (s.outC + 7) &^ 7
+			dyT := Randn(rng, 1, fold.images*s.ohow*nT).Data
+			dwT := make([]float64, s.ickk*nT)
+			flops := 2 * float64(s.outC*s.ickk*n)
+			report := func(b *testing.B, flops float64) {
 				b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 			}
-			b.Run(fmt.Sprintf("%s/fwd/%s/n=%d", s.name, fold.name, fold.n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/fwd/%s/n=%d", s.name, fold.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					MatMulInto(out, w, col, s.outC, s.ickk, fold.n)
+					MatMulInto(out, w, col, s.outC, s.ickk, n)
 				}
-				report(b)
+				report(b, flops)
 			})
-			b.Run(fmt.Sprintf("%s/dX/%s/n=%d", s.name, fold.name, fold.n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/dX/%s/n=%d", s.name, fold.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					MatMulTransAStridedInto(dcol, fold.n, w, dy, fold.n, s.outC, s.ickk, fold.n)
+					MatMulTransAStridedInto(dcol, n, w, dy, n, s.outC, s.ickk, n)
 				}
-				report(b)
+				report(b, flops)
+			})
+			b.Run(fmt.Sprintf("%s/dW/%s/n=%d", s.name, fold.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for img := 0; img < fold.images; img++ {
+						MatMulAccRowsInto(dwT, nT, col[img*s.ohow:], n, dyT[img*s.ohow*nT:], nT, s.ohow, nT, 0, s.ickk)
+					}
+				}
+				report(b, 2*float64(s.outC*s.ickk*fold.images*s.ohow))
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -47,6 +48,8 @@ func TestMatMulParFamilyBitIdentical(t *testing.T) {
 			}
 		}
 
+		// A·Bᵀ is A times a packed transpose (how nn.Linear forms x·Wᵀ): the
+		// same sums as the naive dot products.
 		bt := New(d.n, d.k)
 		for i := 0; i < d.k; i++ {
 			for j := 0; j < d.n; j++ {
@@ -54,10 +57,10 @@ func TestMatMulParFamilyBitIdentical(t *testing.T) {
 			}
 		}
 		wantTB := MatMulTransB(a, bt)
-		gotTB := MatMulTransBPar(a, bt)
+		gotTB := MatMulPar(a, b)
 		for i := range wantTB.Data {
-			if gotTB.Data[i] != wantTB.Data[i] {
-				t.Fatalf("MatMulTransBPar (%d,%d,%d) differs at %d", d.m, d.k, d.n, i)
+			if math.Float64bits(gotTB.Data[i]) != math.Float64bits(wantTB.Data[i]) {
+				t.Fatalf("MatMulPar of packed Bᵀ (%d,%d,%d) differs from MatMulTransB at %d", d.m, d.k, d.n, i)
 			}
 		}
 	}
@@ -83,18 +86,13 @@ func TestRowRangeKernelsCompose(t *testing.T) {
 		}
 	}
 
-	bt := New(n, k)
-	for i := 0; i < k; i++ {
-		for j := 0; j < n; j++ {
-			bt.Set(b.At(i, j), j, i)
-		}
-	}
 	acc := make([]float64, m*n)
-	MatMulTransBAccRowsInto(acc, a.Data, bt.Data, k, n, 0, m)
-	MatMulTransBAccRowsInto(acc, a.Data, bt.Data, k, n, 0, m)
+	MatMulAccRowsInto(acc, n, a.Data, k, b.Data, n, k, n, 0, 4)
+	MatMulAccRowsInto(acc, n, a.Data, k, b.Data, n, k, n, 4, m)
+	MatMulAccRowsInto(acc, n, a.Data, k, b.Data, n, k, n, 0, m)
 	for i := range full {
 		if acc[i] != 2*full[i] {
-			t.Fatalf("MatMulTransBAccRowsInto must accumulate: got %v want %v at %d",
+			t.Fatalf("MatMulAccRowsInto must accumulate: got %v want %v at %d",
 				acc[i], 2*full[i], i)
 		}
 	}
