@@ -69,20 +69,25 @@ test-race:
 	$(GO) test -race -run 'EdgeAggregatorPublicSurface|ParamServerBufferedAggregation|WireCompressionOptions' ./pkg/fedprophet/
 
 # The wire-codec fuzz targets, a short live pass each on top of their seed
-# corpora: FuzzDecode (raw, dense, sparse and corrupted frames — adversarial
-# input to quant.Decode/StreamDecoder keeps returning ErrCodec instead of
-# panicking or over-allocating) and FuzzQuantizeMatchesReference (arbitrary
-# chunks — the quantize/pack/unpack kernels stay bit-identical to their
-# math.Round / bit-cursor references), plus FuzzUpdateEnvelope (arbitrary
-# POST /update bodies against a synchronous and a buffered server — the one
-# push handler covers every push form: no panic, only 200/400/409, a finite
-# model after every 200), plus FuzzConvKernelsMatchNaive (arbitrary conv
-# geometries — unroll, scatter, forward GEMM and dW stay bit-equal to their
-# naive references on the AVX2 tile and the portable twin). ~16s; part of ci.
+# corpora: FuzzDecode (raw, dense, sparse and corrupted frames through the
+# one parser, quant.StreamDecoder — Decode, DecodeAll and ApplyDelta keep
+# returning ErrCodec instead of panicking or over-allocating, agree with each
+# other value for value, and accepted frames re-encode canonically) and
+# FuzzQuantizeMatchesReference (arbitrary chunks — the quantize/pack/unpack
+# kernels stay bit-identical to their math.Round / bit-cursor references),
+# plus FuzzUpdateEnvelope (arbitrary POST /update bodies against a synchronous
+# and a buffered server — the one push handler covers every push form: no
+# panic, only 200/400/409, a finite model after every 200) and
+# FuzzCodecHeader (arbitrary X-Fldist-Codec values, ;topk=K;delta=1;base=R
+# included — no panic, base ≥ −1, an accepted codec's echo re-parses to
+# itself), plus FuzzConvKernelsMatchNaive (arbitrary conv geometries —
+# unroll, scatter, forward GEMM and dW stay bit-equal to their naive
+# references on the AVX2 tile and the portable twin). ~18s; part of ci.
 fuzz:
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzQuantizeMatchesReference$$' -fuzztime 4s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzUpdateEnvelope$$' -fuzztime 3s
+	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzCodecHeader$$' -fuzztime 2s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzConvKernelsMatchNaive$$' -fuzztime 3s
 
 # Dead relative links in the markdown docs — and dead *.md references cited

@@ -17,7 +17,6 @@ import (
 	"fedprophet/internal/cascade"
 	"fedprophet/internal/core"
 	"fedprophet/internal/device"
-	"fedprophet/internal/fldist"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
 	"fedprophet/internal/quant"
@@ -65,8 +64,8 @@ func main() {
 			// delta codec at 8 and 4 bits (docs/WIRE.md).
 			vec := rangeParams(casc, 0, to)
 			rawWire += int64(2 * 8 * len(vec))
-			wire8 += int64(2 * quant.QuantizeChunks(vec, 8, fldist.DefaultChunk).Bytes())
-			wire4 += int64(2 * quant.QuantizeChunks(vec, 4, fldist.DefaultChunk).Bytes())
+			wire8 += int64(2 * quant.NewEncoder(8, quant.DefaultChunk, len(vec), 1).Size())
+			wire4 += int64(2 * quant.NewEncoder(4, quant.DefaultChunk, len(vec), 1).Size())
 			fwd := casc.RangeForwardFLOPs(0, to)
 			flops := 8 * memmodel.TrainingFLOPs(fwd, 8, 10)
 			lat := simlat.ClientLatency(simlat.Work{

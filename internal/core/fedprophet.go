@@ -46,11 +46,9 @@ type Options struct {
 	// parameter-level compression §8 describes as complementary to module
 	// partitioning. 0 disables quantization.
 	UploadBits int
-	// UploadChunk, when > 0 (with UploadBits set), quantizes uploads with
-	// one scale per chunk of UploadChunk values instead of one scale for
-	// the whole vector, matching the distributed wire codec
-	// (quant.QuantizeChunks); comm-bytes accounting then charges the
-	// codec's true frame size.
+	// UploadChunk is the number of values per quantization scale of an
+	// upload (0 selects quant.DefaultChunk), matching the distributed wire
+	// codec; comm-bytes accounting charges the codec's true frame size.
 	UploadChunk int
 }
 
@@ -360,19 +358,20 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 
 // encodeUpload applies the optional low-bit quantization to one upload
 // vector, returning the (possibly lossy) vector the server will aggregate
-// and its wire size in bytes. With UploadChunk set it uses the wire codec's
-// per-chunk quantization, which confines each outlier weight's damage to
-// its own chunk.
+// and its wire size in bytes: the wire codec's dense frame, one scale per
+// UploadChunk values (quant.DefaultChunk when unset), which confines each
+// outlier weight's damage to its own chunk.
 func (f *FedProphet) encodeUpload(vec []float64) ([]float64, int64) {
 	if f.Opts.UploadBits < 2 || f.Opts.UploadBits > 8 {
 		return vec, int64(4 * len(vec))
 	}
-	if f.Opts.UploadChunk > 0 {
-		c := quant.QuantizeChunks(vec, f.Opts.UploadBits, f.Opts.UploadChunk)
-		return c.Dequantize(), int64(c.Bytes())
+	chunk := f.Opts.UploadChunk
+	if chunk <= 0 {
+		chunk = quant.DefaultChunk
 	}
-	q := quant.Quantize(vec, f.Opts.UploadBits)
-	return q.Dequantize(), int64(q.Bytes())
+	deq := make([]float64, len(vec))
+	frame := quant.NewEncoder(f.Opts.UploadBits, chunk, len(vec), 1).EncodeAll(vec, deq)
+	return deq, int64(len(frame))
 }
 
 // atkSteps reports the PGD step count of a configured attack.

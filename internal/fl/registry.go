@@ -40,9 +40,8 @@ type MethodParams struct {
 	ValSize         int
 	ValPGD          int
 	UploadBits      int
-	// UploadChunk, when > 0, switches upload quantization from one scale
-	// per vector to one scale per chunk of UploadChunk values (the wire
-	// codec's form; see internal/quant.QuantizeChunks).
+	// UploadChunk is the number of values per upload quantization scale,
+	// the wire codec's form; 0 selects internal/quant.DefaultChunk.
 	UploadChunk int
 }
 

@@ -197,28 +197,11 @@ func (c *Client) streamModelEnvelope(body io.Reader, wantP, wantB int) (int, err
 		return 0, fmt.Errorf("model envelope version %d, want %d", hdr[4], envVersion)
 	}
 	round := int(binary.LittleEndian.Uint32(hdr[5:9]))
-	pd, err := quant.NewStreamDecoder(body)
-	if err != nil {
+	var err error
+	if c.baseParams, err = decodeFrame(body, c.baseParams, wantP); err != nil {
 		return 0, fmt.Errorf("model params frame: %w", err)
 	}
-	// Shape-check before decoding so a server seeded with a different
-	// architecture is an error, not a corrupted local replica.
-	if wantP >= 0 && pd.Len() != wantP {
-		return 0, fmt.Errorf("server model has %d params, local replica has %d", pd.Len(), wantP)
-	}
-	c.baseParams = resize(c.baseParams, pd.Len())
-	if err := pd.DecodeAll(c.baseParams); err != nil {
-		return 0, fmt.Errorf("model params frame: %w", err)
-	}
-	bd, err := quant.NewStreamDecoder(body)
-	if err != nil {
-		return 0, fmt.Errorf("model bn frame: %w", err)
-	}
-	if wantB >= 0 && bd.Len() != wantB {
-		return 0, fmt.Errorf("server model has %d bn stats, local replica has %d", bd.Len(), wantB)
-	}
-	c.baseBN = resize(c.baseBN, bd.Len())
-	if err := bd.DecodeAll(c.baseBN); err != nil {
+	if c.baseBN, err = decodeFrame(body, c.baseBN, wantB); err != nil {
 		return 0, fmt.Errorf("model bn frame: %w", err)
 	}
 	// io.ReadFull distinguishes "no byte left" (0, io.EOF) from a reader
@@ -234,12 +217,11 @@ func (c *Client) streamModelEnvelope(body io.Reader, wantP, wantB int) (int, err
 // streamDeltaEnvelope decodes an FPD1 catch-up body: the 17-byte header
 // (magic, version, from-round, to-round, entry count), then per entry a
 // round number and two quantized delta frames — params, then BN — each
-// applied onto the held chain base in place. Sparse frames scatter-add their
-// k values directly; dense frames stream chunk-by-chunk through an O(chunk)
-// scratch. The applied bases are bit-identical to the server's chain entries
-// (and therefore to what a cold-pulling client receives whole), which is
-// what lets the next push's delta resolve against the server-side base
-// registry exactly.
+// applied onto the held chain base in place: sparse frames scatter-add their
+// k values, dense frames add chunk by chunk. The applied bases are
+// bit-identical to the server's chain entries (and therefore to what a
+// cold-pulling client receives whole), which is what lets the next push's
+// delta resolve against the server-side base registry exactly.
 func (c *Client) streamDeltaEnvelope(body io.Reader, wantP, wantB int) (int, error) {
 	// As in streamModelEnvelope, the in-place mutation of the base buffers
 	// makes a mid-stream failure leave them torn: dropping negotiated AND
@@ -298,10 +280,42 @@ func (c *Client) streamDeltaEnvelope(body io.Reader, wantP, wantB int) (int, err
 	return to, nil
 }
 
-// applyDeltaFrame streams one quantized delta frame and adds it onto dst:
-// sparse frames scatter-add their stored coordinates, dense frames stream
-// chunk-by-chunk through a scratch bounded by the chunk size.
-func applyDeltaFrame(body io.Reader, dst []float64, want int) (err error) {
+// decodeFrame decodes one model frame into dst (reused when large enough)
+// and returns it. With an expected length (want ≥ 0) the frame must carry
+// exactly that many values — a server seeded with a different architecture is
+// an error, not a corrupted local replica — and is checked before any
+// payload byte is read. With none (an edge's first contact) the length is the
+// frame's own claim, so nothing is sized from it: the frame is read whole into
+// buffers that grow only as its payload arrives.
+func decodeFrame(body io.Reader, dst []float64, want int) ([]float64, error) {
+	d, err := quant.NewStreamDecoder(body)
+	if err != nil {
+		return nil, err
+	}
+	if want >= 0 {
+		if d.Len() != want {
+			return nil, fmt.Errorf("server model has %d values, local replica has %d", d.Len(), want)
+		}
+		dst = resize(dst, want)
+		return dst, d.DecodeAll(dst)
+	}
+	if d.IsSparse() {
+		return nil, fmt.Errorf("%w: sparse frame in a model envelope", quant.ErrCodec)
+	}
+	f, err := d.Frame()
+	if err != nil {
+		return nil, err
+	}
+	if f.IsRaw() {
+		return f.Raw, nil
+	}
+	return f.Q.Dequantize(), nil
+}
+
+// applyDeltaFrame streams one quantized delta frame, dense or sparse, and
+// adds it onto dst under the finiteness limit: a hostile scale cannot write
+// ±Inf into the chain base.
+func applyDeltaFrame(body io.Reader, dst []float64, want int) error {
 	d, err := quant.NewStreamDecoder(body)
 	if err != nil {
 		return err
@@ -309,26 +323,7 @@ func applyDeltaFrame(body io.Reader, dst []float64, want int) (err error) {
 	if d.Len() != want {
 		return fmt.Errorf("frame carries %d values, want %d", d.Len(), want)
 	}
-	if d.IsSparse() {
-		return d.ApplySparse(dst, math.MaxFloat64)
-	}
-	if d.IsRaw() {
-		return fmt.Errorf("raw frame on a delta chain")
-	}
-	scratch := make([]float64, min(d.Chunk(), want))
-	off := 0
-	for l := d.NextLen(); l > 0; l = d.NextLen() {
-		buf := scratch[:l]
-		if err := d.Next(buf); err != nil {
-			return err
-		}
-		out := dst[off : off+l]
-		for i := range out {
-			out[i] += buf[i]
-		}
-		off += l
-	}
-	return nil
+	return d.ApplyDelta(dst, dst, math.MaxFloat64)
 }
 
 // resize returns v with exactly length n, reusing its backing array when it
@@ -416,9 +411,7 @@ func (c *Client) pushDelta(ctx context.Context, round int) (counted bool, err er
 		}
 		eP = d
 	} else {
-		var qP quant.Chunked
-		qP, eP = deltaQuantize(params, c.baseParams, c.errParams, comp)
-		pFrame = quant.Encode(qP)
+		pFrame, eP = deltaQuantize(params, c.baseParams, c.errParams, comp.Bits, comp.Chunk)
 	}
 	// The BN statistics delta: raw on a dense push — a handful of values
 	// whose quantization damage (running variances crushed toward zero) far
@@ -432,14 +425,7 @@ func (c *Client) pushDelta(ctx context.Context, round int) (counted bool, err er
 		if len(c.errBN) != len(bn) {
 			c.errBN = nil
 		}
-		dB := formDelta(bn, c.baseBN, c.errBN)
-		qB := quant.QuantizeChunks(dB, bnDeltaBits, comp.Chunk)
-		bnFrame = quant.Encode(qB)
-		deqB := qB.Dequantize()
-		for i := range dB {
-			dB[i] -= deqB[i]
-		}
-		eBN = dB
+		bnFrame, eBN = deltaQuantize(bn, c.baseBN, c.errBN, bnDeltaBits, comp.Chunk)
 	} else {
 		dB := formDelta(bn, c.baseBN, nil)
 		bnFrame = quant.EncodeRaw(dB)
@@ -479,17 +465,18 @@ func formDelta(trained, base, residual []float64) []float64 {
 	return d
 }
 
-// deltaQuantize forms the error-fed delta d = (params − base) + residual,
-// quantizes it, and returns the quantized form together with the next
-// residual d − dequantize(q).
-func deltaQuantize(params, base, residual []float64, comp Compression) (quant.Chunked, []float64) {
+// deltaQuantize forms the error-fed delta d = (params − base) + residual and
+// encodes it as one dense frame, returning the frame and the next residual
+// d − dequantize(frame) — the encoder writes the dequantized values as it
+// packs them, so this is one pass over d, not three.
+func deltaQuantize(params, base, residual []float64, bits, chunk int) ([]byte, []float64) {
 	d := formDelta(params, base, residual)
-	q := quant.QuantizeChunks(d, comp.Bits, comp.Chunk)
-	deq := q.Dequantize()
+	deq := make([]float64, len(d))
+	frame := quant.NewEncoder(bits, chunk, len(d), 1).EncodeAll(d, deq)
 	for i := range d {
 		d[i] -= deq[i]
 	}
-	return q, d
+	return frame, d
 }
 
 // postUpdate is the fleet client's push policy over post: a 409 carrying

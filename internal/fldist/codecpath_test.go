@@ -3,11 +3,14 @@ package fldist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -40,6 +43,22 @@ func postDelta(t *testing.T, ts *httptest.Server, env []byte, comp *Compression)
 	return resp.StatusCode, string(b)
 }
 
+// hostileSparse forges a 4-bit, chunk-64 sparse frame of an n-value vector
+// storing coordinates 3 (chunk 0) and 70, 71 (chunk 1) with codes +7 and +7,
+// −7, whose two chunk scales are then overwritten with scales.
+func hostileSparse(n int, scales []float64) []byte {
+	v := make([]float64, n)
+	v[3], v[70], v[71] = 1, 1, -1
+	frame := quant.EncodeSparse(v, []int{3, 70, 71}, 4, 64, nil)
+	// Header, k, three 1-byte index varints, then per chunk: scale, one code byte.
+	off := quant.FrameHeaderSize + 4 + 3
+	for _, s := range scales {
+		binary.LittleEndian.PutUint64(frame[off:], math.Float64bits(s))
+		off += 8 + 1
+	}
+	return frame
+}
+
 // TestSparsePushHostileCoordinateRejected pins the sparse path's finiteness
 // rule now that the O(n) sweep is gone: a frame whose wire scale makes one
 // written coordinate overflow is a 400 that admits nothing, and the pooled
@@ -59,15 +78,11 @@ func TestSparsePushHostileCoordinateRejected(t *testing.T) {
 		"+Inf sum":             {1e-3, math.MaxFloat64},
 		"first chunk overflow": {math.MaxFloat64, 1e-3},
 	} {
-		// Three stored coordinates in two chunks; honest-looking codes, one
-		// hostile scale. 7·MaxFloat64 and −7·MaxFloat64 overflow.
-		hostile := &quant.SparseVec{
-			Bits: 4, Chunk: 64, N: len(initParams),
-			Idx:    []int{3, 70, 71},
-			Scales: scales,
-			Codes:  []byte{0x05, 0x97}, // chunk 0: +5; chunk 1: +7, −7
-		}
-		env, err := encodeUpdateEnvelope(9, 0, 1, hostile.Encode(), quant.EncodeRaw(make([]float64, len(initBN))))
+		// Three stored coordinates in two chunks; honest codes (+7; +7, −7),
+		// one hostile scale patched in. 7·MaxFloat64 and −7·MaxFloat64
+		// overflow.
+		hostile := hostileSparse(len(initParams), scales)
+		env, err := encodeUpdateEnvelope(9, 0, 1, hostile, quant.EncodeRaw(make([]float64, len(initBN))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,5 +416,68 @@ func TestStalledPeerDropped(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("shutdown still waiting on a connection: the stalled peer's goroutine did not exit")
+	}
+}
+
+// TestFirstPullHeaderOnlyBoundedAlloc pins the unknown-shape pull (an edge's
+// first contact, pull(ctx, -1, -1)): a model envelope whose params frame
+// declares 2³²−1 values but carries no payload must fail with ErrCodec after
+// allocating what its bytes back — not 32 GiB sized from the header.
+func TestFirstPullHeaderOnlyBoundedAlloc(t *testing.T) {
+	envelope := func(bits byte, chunk uint32) []byte {
+		b := append([]byte(modelMagic), envVersion, 0, 0, 0, 0)
+		b = append(b, "FPQ1"...)
+		b = append(b, 1, bits)
+		b = binary.LittleEndian.AppendUint32(b, math.MaxUint32)
+		return binary.LittleEndian.AppendUint32(b, chunk)
+	}
+	for name, body := range map[string][]byte{
+		"raw":             envelope(quant.RawBits, 0),
+		"dense":           envelope(8, quant.DefaultChunk),
+		"dense one chunk": envelope(4, math.MaxUint32),
+		"sparse":          envelope(0x80|4, quant.DefaultChunk),
+	} {
+		c := &Client{}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := c.streamModelEnvelope(bytes.NewReader(body), -1, -1)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, quant.ErrCodec) {
+			t.Fatalf("%s: error %v, want ErrCodec", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: a %d-byte body allocated %d bytes", name, len(body), grew)
+		}
+	}
+}
+
+// TestDeltaPullHostileDenseEntryRejected pins the range check on dense
+// delta frames: an FPD1 entry whose dense params frame has a scale near
+// MaxFloat64 would add ±Inf into the chain base; the client must reject it
+// before writing, exactly as it rejects a hostile sparse entry.
+func TestDeltaPullHostileDenseEntryRejected(t *testing.T) {
+	const n, nBN = 300, 4
+	base := synthVec(n, 81)
+	c := &Client{baseParams: append([]float64(nil), base...), baseBN: make([]float64, nBN), heldRound: 3}
+
+	delta := synthVec(n, 82)
+	pFrame := quant.Encode(quant.QuantizeChunks(delta, 8, 64))
+	// Every chunk's scale becomes MaxFloat64: any code ≥ 2 overflows.
+	for off := quant.FrameHeaderSize; off < len(pFrame); off += 8 + 64 {
+		binary.LittleEndian.PutUint64(pFrame[off:], math.Float64bits(math.MaxFloat64))
+	}
+	body := appendDeltaHeader(nil, 3, 4, 1)
+	body = binary.LittleEndian.AppendUint32(body, 4)
+	body = append(body, pFrame...)
+	body = append(body, quant.Encode(quant.QuantizeChunks(make([]float64, nBN), 8, 64))...)
+
+	_, err := c.streamDeltaEnvelope(bytes.NewReader(body), n, nBN)
+	if !errors.Is(err, quant.ErrCodec) {
+		t.Fatalf("hostile dense delta entry: error %v, want ErrCodec", err)
+	}
+	for i, x := range c.baseParams {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			t.Fatalf("chain base[%d] = %v after a rejected entry", i, x)
+		}
 	}
 }

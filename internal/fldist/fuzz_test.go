@@ -60,3 +60,36 @@ func FuzzUpdateEnvelope(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCodecHeader drives parseCodec with arbitrary X-Fldist-Codec values —
+// seeded with every parameter a client sends, `;topk=K;delta=1;base=R`
+// included. Invariants: no panic; a rejected value reports ok=false; the
+// declared base is −1 (absent) or a round; and an accepted value's
+// codecValue re-parses to the same Compression, so the echo a server sends
+// back is exactly what it negotiated.
+func FuzzCodecHeader(f *testing.F) {
+	for _, v := range []string{
+		"", "fpq1;bits=8;chunk=256", "fpq1;bits=4", "fpq1;bits=4;chunk=64;topk=30;delta=1;base=7",
+		" fpq1 ; bits=2 ;chunk=1;base=0", "fpq1;bits=9", "fpq1;delta=2", "fpq1;base=-1", "gzip",
+		"fpq1;bits=+8;chunk=0x10", "fpq1;topk=99999999999999999999",
+	} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		c, base, ok, err := parseCodec(v)
+		if err != nil || !ok {
+			if ok {
+				t.Fatalf("%q: error %v with ok=true", v, err)
+			}
+			return
+		}
+		if base < -1 {
+			t.Fatalf("%q: base %d below −1", v, base)
+		}
+		re, reBase, reOK, reErr := parseCodec(codecValue(c))
+		if reErr != nil || !reOK || re != c || reBase != -1 {
+			t.Fatalf("%q parsed to %+v, whose codecValue %q re-parses to %+v (base %d, ok %v, err %v)",
+				v, c, codecValue(c), re, reBase, reOK, reErr)
+		}
+	})
+}

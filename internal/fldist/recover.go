@@ -459,26 +459,9 @@ func (s *Server) replayFrameAdmit(a *walAdmit, commitAt map[int]*walCommit, m wa
 		s.bufPool.Put(buf)
 		return nil, nil, err
 	}
-	if pd.IsSparse() {
-		// Mirror the live handler's sparse branch bit-for-bit: copy the
-		// served base whole, then scatter-add the frame's stored values.
-		copy(buf.params, sm.params)
-		if err := pd.ApplySparse(buf.params, maxValue); err != nil {
-			return fail(fmt.Errorf("%w: admit params frame: %v", ErrWAL, err))
-		}
-	} else {
-		off := 0
-		for l := pd.NextLen(); l > 0; l = pd.NextLen() {
-			dst := buf.params[off : off+l]
-			if err := pd.Next(dst); err != nil {
-				return fail(fmt.Errorf("%w: admit params frame: %v", ErrWAL, err))
-			}
-			base := sm.params[off : off+l]
-			for i := range dst {
-				dst[i] = dst[i] + base[i] // bit-for-bit the live handler's add
-			}
-			off += l
-		}
+	// Mirror the live handler bit-for-bit: the served base plus the frame.
+	if err := pd.ApplyDelta(buf.params, sm.params, maxValue); err != nil {
+		return fail(fmt.Errorf("%w: admit params frame: %v", ErrWAL, err))
 	}
 	var bd quant.StreamDecoder
 	if err := bd.Reset(br); err != nil {

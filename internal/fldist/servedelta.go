@@ -29,7 +29,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -191,15 +190,18 @@ func (s *Server) advanceDeltaChainLocked(ch *deltaChain, c Compression, snap *sn
 	if c.TopK > 0 {
 		idx := quant.TopKIndices(d, c.TopK)
 		deq := make([]float64, len(idx))
-		pFrame = s.encodeSparseFrame(d, idx, c.Bits, c.Chunk, deq)
+		e := quant.NewSparseEncoder(c.Bits, c.Chunk, n, idx, s.segments())
+		pFrame = make([]byte, e.Size())
+		encodeFrame(e, pFrame, d, deq, nil, nil)
 		for j, ix := range idx {
 			newP[ix] += deq[j]
 			d[ix] -= deq[j]
 		}
 	} else {
-		q := quant.QuantizeChunks(d, c.Bits, c.Chunk)
-		pFrame = quant.Encode(q)
-		deq := q.Dequantize()
+		deq := make([]float64, n)
+		e := quant.NewEncoder(c.Bits, c.Chunk, n, s.segments())
+		pFrame = make([]byte, e.Size())
+		encodeFrame(e, pFrame, d, deq, nil, nil)
 		for i := range newP {
 			newP[i] += deq[i]
 			d[i] -= deq[i]
@@ -211,9 +213,8 @@ func (s *Server) advanceDeltaChainLocked(ch *deltaChain, c Compression, snap *sn
 	for i := range db {
 		db[i] = snap.bn[i] - lastBN[i] + ch.errBN[i]
 	}
-	qb := quant.QuantizeChunks(db, bnDeltaBits, c.Chunk)
-	bnFrame := quant.Encode(qb)
-	deqb := qb.Dequantize()
+	deqb := make([]float64, len(db))
+	bnFrame := quant.NewEncoder(bnDeltaBits, c.Chunk, len(db), 1).EncodeAll(db, deqb)
 	newBN := append([]float64(nil), lastBN...)
 	for i := range newBN {
 		newBN[i] += deqb[i]
@@ -243,36 +244,6 @@ func (s *Server) advanceDeltaChainLocked(ch *deltaChain, c Compression, snap *sn
 	if lo > 0 {
 		ch.entries = append(ch.entries[:0:0], ch.entries[lo:]...)
 	}
-}
-
-// encodeSparseFrame builds one sparse FPQ1 frame segment-parallel: the frame
-// size is closed-form (quant.SparseFrameBytes), the header and k field are
-// written in place, and each chunk-aligned segment's varints and blocks are
-// encoded by its own goroutine into disjoint byte ranges of the one buffer.
-// The stitch identity (TestSparseSegmentStitchIdentity) makes the bytes
-// identical to the sequential quant.EncodeSparse at any segment count and
-// GOMAXPROCS. deq, when non-nil, receives the dequantized value per selected
-// index — the error-feedback subtraction the caller folds back.
-func (s *Server) encodeSparseFrame(v []float64, idx []int, bits, chunk int, deq []float64) []byte {
-	n := len(v)
-	frame := make([]byte, quant.SparseFrameBytes(idx, chunk, bits))
-	if err := quant.PutSparseFrameHeader(frame[:quant.FrameHeaderSize+4], bits, n, chunk, len(idx)); err != nil {
-		// bits/chunk validated by normalize(), idx by TopKIndices; unreachable.
-		panic(fmt.Sprintf("fldist: building sparse delta frame: %v", err))
-	}
-	payload := frame[quant.FrameHeaderSize:]
-	segsN := s.buildSegments
-	if segsN <= 0 {
-		segsN = runtime.GOMAXPROCS(0)
-	}
-	bounds := quant.SegmentBounds(n, chunk, segsN)
-	segs := quant.SparseSegments(idx, bounds, chunk, bits)
-	fanOut(len(segs), func(k int) {
-		if err := quant.EncodeSparseSegmentInto(payload, v, idx, segs[k], bits, chunk, deq); err != nil {
-			panic(fmt.Sprintf("fldist: building sparse delta frame: %v", err))
-		}
-	})
-	return frame
 }
 
 // appendDeltaHeader appends the FPD1 catch-up envelope prefix.

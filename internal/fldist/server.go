@@ -662,16 +662,15 @@ func (s *Server) baseAt(round int) (*snapshot, error) {
 }
 
 // buildServed constructs one codec variant's served model from an immutable
-// snapshot, segment-parallel: the frame sizes are closed-form
-// (quant.FrameBytes / quant.SegmentBytes), so the exact-size body is
-// allocated up front, the envelope and frame headers written in place, and
-// each chunk-aligned segment encoded by its own goroutine into its disjoint
-// byte range — EF-residual add before the encode and residual fold after it
-// both happen per segment, so no pass over the model is serial. The stitch
-// identity (quant.EncodeSegmentInto doc, TestSegmentStitchGoldenBytes) makes
-// the result byte-identical to the sequential EncodeStream build at any
-// segment count and GOMAXPROCS; TestServeSegmentInvariance pins that end to
-// end.
+// snapshot, segment-parallel: the frame size follows from the codec
+// parameters (quant.Encoder), so the exact-size body is allocated up front,
+// the envelope header written in place, and each chunk-aligned segment
+// encoded by its own goroutine into its disjoint byte range — EF-residual
+// add before the encode and residual fold after it both happen per segment,
+// so no pass over the model is serial. The stitch identity
+// (TestSegmentStitchGoldenBytes) makes the result byte-identical to a
+// one-segment encode at any segment count and GOMAXPROCS;
+// TestServeSegmentInvariance pins that end to end.
 func (s *Server) buildServed(snap *snapshot, prevErr, next []float64, c Compression) *servedModel {
 	n := len(snap.params)
 	sm := &servedModel{
@@ -682,24 +681,20 @@ func (s *Server) buildServed(snap *snapshot, prevErr, next []float64, c Compress
 	if len(next) != n {
 		next = make([]float64, n)
 	}
+	e := quant.NewEncoder(c.Bits, c.Chunk, n, s.segments())
 	bnFrame := quant.EncodeRaw(snap.bn)
-	body := make([]byte, 9+quant.FrameBytes(n, c.Chunk, c.Bits)+len(bnFrame))
+	body := make([]byte, 9+e.Size()+len(bnFrame))
 	copy(body, modelMagic)
 	body[4] = envVersion
 	binary.LittleEndian.PutUint32(body[5:9], uint32(snap.round))
-	if err := quant.PutFrameHeader(body[9:9+quant.FrameHeaderSize], c.Bits, n, c.Chunk); err != nil {
-		// c was validated by normalize() and n fits a frame; unreachable.
-		panic(fmt.Sprintf("fldist: building served model: %v", err))
-	}
-	payload := body[9+quant.FrameHeaderSize : len(body)-len(bnFrame)]
-	copy(body[len(body)-len(bnFrame):], bnFrame)
+	copy(body[9+e.Size():], bnFrame)
 
 	// Per segment: residual add, encode (which writes deq from the code in
 	// hand), residual fold with the finiteness verdict on deq riding along.
-	// Every element of next, sm.params and payload is overwritten, so a
+	// Every element of next, sm.params and the frame is overwritten, so a
 	// recycled next needs no clearing.
 	var nonFinite atomic.Bool
-	encodeSegment := func(lo, hi int) {
+	encodeFrame(e, body[9:9+e.Size()], next, sm.params, func(lo, hi int) {
 		v, p := next[lo:hi], snap.params[lo:hi]
 		if len(prevErr) == n {
 			pe := prevErr[lo:hi]
@@ -709,31 +704,47 @@ func (s *Server) buildServed(snap *snapshot, prevErr, next []float64, c Compress
 		} else {
 			copy(v, p)
 		}
-		blo := quant.SegmentBytes(lo, c.Chunk, c.Bits)
-		bhi := quant.SegmentBytes(hi, c.Chunk, c.Bits)
-		deq := sm.params[lo:hi]
-		if err := quant.EncodeSegmentInto(payload[blo:bhi], v, c.Bits, c.Chunk, deq); err != nil {
-			panic(fmt.Sprintf("fldist: building served model: %v", err))
-		}
-		for i, d := range deq {
+	}, func(lo, hi int) {
+		v := next[lo:hi]
+		for i, d := range sm.params[lo:hi] {
 			v[i] -= d
 			if !inRange(d) {
 				nonFinite.Store(true)
 			}
 		}
-	}
-	segs := s.buildSegments
-	if segs <= 0 {
-		segs = runtime.GOMAXPROCS(0)
-	}
-	bounds := quant.SegmentBounds(n, c.Chunk, segs)
-	fanOut(len(bounds)-1, func(k int) { encodeSegment(bounds[k], bounds[k+1]) })
+	})
 	sm.finite = !nonFinite.Load()
 	sm.nextErr = next
 	sm.body = body
 	sm.codec = codecValue(c)
 	sm.clen = strconv.Itoa(len(body))
 	return sm
+}
+
+// segments is how many segments a served build or delta-chain frame is
+// encoded in: the configured count, or one per processor.
+func (s *Server) segments() int {
+	if s.buildSegments > 0 {
+		return s.buildSegments
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// encodeFrame encodes v into frame (e.Size() bytes), one goroutine per
+// segment of e — the one fan-out of the served build and the delta chain.
+// pre and post, when non-nil, run on each segment's value range [lo, hi) on
+// its goroutine, before and after its encode.
+func encodeFrame(e *quant.Encoder, frame []byte, v, deq []float64, pre, post func(lo, hi int)) {
+	b := e.Bounds()
+	fanOut(len(b)-1, func(k int) {
+		if pre != nil {
+			pre(b[k], b[k+1])
+		}
+		e.EncodeSegment(frame, v, deq, k)
+		if post != nil {
+			post(b[k], b[k+1])
+		}
+	})
 }
 
 // Admission bounds. Finite values alone do not keep a commit finite: the
@@ -950,52 +961,31 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.bufPool.Put(buf)
 		http.Error(w, msg, http.StatusBadRequest)
 	}
-	if sparse {
-		// Sparse top-k frame: every unsent coordinate is exactly zero delta,
-		// so reconstruction copies the base and scatter-adds the k stored
-		// values. The range check costs O(k), not O(n): the base was proven
-		// in range when it was built (servedModel.finite, deltaEntry.finite),
-		// so the reconstruction can only leave the range at a coordinate the
-		// frame writes — a wire scale can be hostile — and ApplySparse
-		// rejects such a sum there.
-		if !baseFinite {
-			fail("value out of range in update")
-			return
-		}
-		copy(buf.params, baseP)
-		if err := dec.ApplySparse(buf.params, maxValue); err != nil {
+	switch {
+	case raw:
+		// A raw frame is the trained vector itself, range-checked whole.
+		if err := dec.DecodeAll(buf.params); err != nil {
 			fail(fmt.Sprintf("fldist: update params frame: %v", err))
 			return
 		}
-	} else {
-		// Stream the frame block by block into the pooled buffer — a raw
-		// block is the value itself, a quantized chunk is a delta added onto
-		// the base — rejecting out-of-range results (NaN and ±Inf among them)
-		// as each block lands.
-		off := 0
-		for l := dec.NextLen(); l > 0; l = dec.NextLen() {
-			dst := buf.params[off : off+l]
-			if err := dec.Next(dst); err != nil {
-				fail(fmt.Sprintf("fldist: update params frame: %v", err))
-				return
-			}
-			if raw {
-				if !allInRange(dst) {
-					fail("value out of range in update")
-					return
-				}
-			} else {
-				base := baseP[off : off+l]
-				for i := range dst {
-					v := dst[i] + base[i]
-					if !inRange(v) {
-						fail("value out of range in update")
-						return
-					}
-					dst[i] = v
-				}
-			}
-			off += l
+		if !allInRange(buf.params) {
+			fail("value out of range in update")
+			return
+		}
+	case sparse && !baseFinite:
+		// A sparse frame's range check costs O(k), not O(n): it sees only
+		// the coordinates the frame writes, so it relies on the base having
+		// been proven in range when it was built (servedModel.finite,
+		// deltaEntry.finite).
+		fail("value out of range in update")
+		return
+	default:
+		// A quantized frame, dense or sparse, is a delta: base + frame,
+		// rejecting out-of-range sums (NaN and ±Inf among them — a wire
+		// scale can be hostile) where they land.
+		if err := dec.ApplyDelta(buf.params, baseP, maxValue); err != nil {
+			fail(fmt.Sprintf("fldist: update params frame: %v", err))
+			return
 		}
 	}
 

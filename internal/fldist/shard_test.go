@@ -128,22 +128,18 @@ func (c *synthClient) push(t *testing.T, ts *httptest.Server, round int) (status
 	bn = perturb(c.baseBN, c.id, round)
 	var body []byte
 	if c.comp != nil {
-		q, next := deltaQuantize(params, c.base, c.residual, *c.comp)
+		var frame []byte
+		// The server reconstructs base + deq(delta).
+		frame, params, c.residual = denseDelta(params, c.base, c.residual, *c.comp)
 		dBN := make([]float64, len(bn))
 		for i := range dBN {
 			dBN[i] = bn[i] - c.baseBN[i]
 		}
-		env, err := encodeUpdateEnvelope(c.id, round, c.weight, quant.Encode(q), quant.EncodeRaw(dBN))
+		env, err := encodeUpdateEnvelope(c.id, round, c.weight, frame, quant.EncodeRaw(dBN))
 		if err != nil {
 			t.Fatal(err)
 		}
 		body = env
-		// The server reconstructs base + deq(delta).
-		deq := q.Dequantize()
-		for i := range params {
-			params[i] = c.base[i] + deq[i]
-		}
-		c.residual = next
 	} else {
 		body = rawBodyT(t, c.id, round, c.weight, params, bn)
 	}
@@ -218,13 +214,8 @@ func referenceRun(initParams, initBN []float64, rounds int) ([]float64, []float6
 			comp, _ := c.comp.normalize()
 			base := bases[comp]
 			p := perturb(base, c.id, r)
-			q, next := deltaQuantize(p, base, c.residual, comp)
+			_, rec, next := denseDelta(p, base, c.residual, comp)
 			c.residual = next
-			deq := q.Dequantize()
-			rec := make([]float64, len(base))
-			for i := range rec {
-				rec[i] = base[i] + deq[i]
-			}
 			vecs = append(vecs, rec)
 			bns = append(bns, perturb(bn, c.id, r))
 			weights = append(weights, c.weight)

@@ -92,6 +92,22 @@ func sparseDelta(trained, base, residual []float64, comp Compression) (frame []b
 	return frame, rec, d
 }
 
+// denseDelta is sparseDelta's dense counterpart: the client's deltaQuantize
+// frame, what the server reconstructs from it (base + the decoded delta) and
+// the next residual.
+func denseDelta(trained, base, residual []float64, comp Compression) (frame []byte, rec, next []float64) {
+	frame, next = deltaQuantize(trained, base, residual, comp.Bits, comp.Chunk)
+	f, err := quant.Decode(frame)
+	if err != nil {
+		panic(err) // a frame the encoder just wrote; unreachable
+	}
+	rec = f.Q.Dequantize()
+	for i := range rec {
+		rec[i] = base[i] + rec[i]
+	}
+	return frame, rec, next
+}
+
 // sparsePush is the synthetic client's top-k uplink: params as a sparse
 // frame, BN as a raw delta (exact). Mirrors synthClient.push for the dense
 // case.
@@ -391,13 +407,7 @@ func sparseReferenceRun(initParams, initBN []float64, rounds int) ([]float64, []
 			if comp.TopK > 0 {
 				_, rec, c.residual = sparseDelta(p, base, c.residual, comp)
 			} else {
-				q, next := deltaQuantize(p, base, c.residual, comp)
-				c.residual = next
-				deq := q.Dequantize()
-				rec = make([]float64, len(base))
-				for i := range rec {
-					rec[i] = base[i] + deq[i]
-				}
+				_, rec, c.residual = denseDelta(p, base, c.residual, comp)
 			}
 			vecs = append(vecs, rec)
 			bns = append(bns, perturb(bn, c.id, r))

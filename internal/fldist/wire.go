@@ -19,7 +19,7 @@ type Compression struct {
 	// Bits is the quantization width, 2..8.
 	Bits int
 	// Chunk is the number of values per quantization scale; 0 selects
-	// DefaultChunk. Smaller chunks confine outliers better but spend one
+	// quant.DefaultChunk. Smaller chunks confine outliers better but spend one
 	// float64 scale per chunk of wire space.
 	Chunk int
 	// TopK, when > 0, sparsifies the uplink: each push carries only the K
@@ -51,11 +51,6 @@ func (c Compression) less(o Compression) bool {
 	return !c.Delta && o.Delta
 }
 
-// DefaultChunk is the chunk size used when Compression.Chunk is 0: 8 bytes
-// of scale amortized over 256 values costs ~3% overhead while still
-// isolating outliers to 256-value neighborhoods.
-const DefaultChunk = 256
-
 // maxChunk bounds the accepted chunk size: beyond a million values per
 // scale, chunking is indistinguishable from whole-vector quantization and
 // huge header-supplied values only serve to stress the server.
@@ -69,7 +64,7 @@ const maxTopK = 1 << 24
 // normalize applies defaults and validates the configuration.
 func (c Compression) normalize() (Compression, error) {
 	if c.Chunk == 0 {
-		c.Chunk = DefaultChunk
+		c.Chunk = quant.DefaultChunk
 	}
 	if c.Bits < 2 || c.Bits > 8 {
 		return c, fmt.Errorf("fldist: compression bits %d outside [2,8]", c.Bits)

@@ -69,11 +69,7 @@ func TestCompressedPullPushRoundTrip(t *testing.T) {
 	c.TrainLocal(0.05)
 	trained := nn.ExportParams(c.Model)
 	// Recompute the exact reconstruction the server must produce.
-	qd, _ := deltaQuantize(trained, c.baseParams, nil, comp)
-	want := qd.Dequantize()
-	for i := range want {
-		want[i] += wantBase[i]
-	}
+	_, want, _ := denseDelta(trained, c.baseParams, nil, comp)
 	counted, err := c.Push(ctx, 0)
 	if err != nil || !counted {
 		t.Fatalf("push: counted=%v err=%v", counted, err)
@@ -127,11 +123,7 @@ func TestMixedFleetAggregatesCorrectly(t *testing.T) {
 
 	// Expected contributions, computed independently of the server.
 	trained := nn.ExportParams(cc.Model)
-	qd, _ := deltaQuantize(trained, cc.baseParams, nil, comp)
-	pc := qd.Dequantize()
-	for i := range pc {
-		pc[i] += cc.baseParams[i]
-	}
+	_, pc, _ := denseDelta(trained, cc.baseParams, nil, comp)
 	pr := nn.ExportParams(cr.Model)
 
 	if counted, err := cc.Push(ctx, 0); err != nil || !counted {
@@ -179,7 +171,7 @@ func TestErrorFeedbackCarriesResidual(t *testing.T) {
 	}
 	c.TrainLocal(0.05)
 	trained := nn.ExportParams(c.Model)
-	_, wantResidual := deltaQuantize(trained, c.baseParams, nil, comp)
+	_, wantResidual := deltaQuantize(trained, c.baseParams, nil, comp.Bits, comp.Chunk)
 	if _, err := c.Push(ctx, round); err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +197,7 @@ func TestErrorFeedbackCarriesResidual(t *testing.T) {
 	}
 	c.TrainLocal(0.05)
 	trained = nn.ExportParams(c.Model)
-	qd, _ := deltaQuantize(trained, c.baseParams, wantResidual, comp)
-	want := qd.Dequantize()
-	for i := range want {
-		want[i] += c.baseParams[i]
-	}
+	_, want, _ := denseDelta(trained, c.baseParams, wantResidual, comp)
 	if _, err := c.Push(ctx, round); err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +242,8 @@ func TestCorruptDeltaRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.TrainLocal(0.05)
-	qP, _ := deltaQuantize(nn.ExportParams(c.Model), c.baseParams, nil, comp)
-	env, err := encodeUpdateEnvelope(0, 0, 1, quant.Encode(qP),
+	pFrame, _ := deltaQuantize(nn.ExportParams(c.Model), c.baseParams, nil, comp.Bits, comp.Chunk)
+	env, err := encodeUpdateEnvelope(0, 0, 1, pFrame,
 		quant.EncodeRaw(make([]float64, len(c.baseBN))))
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +265,7 @@ func TestCorruptDeltaRejected(t *testing.T) {
 	}
 	// Attacker-shaped float64 bits must not poison the aggregate: a NaN
 	// weight and a NaN value in the raw BN delta frame are both rejected.
-	nanWeight, err := encodeUpdateEnvelope(0, 0, math.NaN(), quant.Encode(qP),
+	nanWeight, err := encodeUpdateEnvelope(0, 0, math.NaN(), pFrame,
 		quant.EncodeRaw(make([]float64, len(c.baseBN))))
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +277,7 @@ func TestCorruptDeltaRejected(t *testing.T) {
 	if len(nanBN) > 0 {
 		nanBN[0] = math.NaN()
 	}
-	nanBNEnv, err := encodeUpdateEnvelope(0, 0, 1, quant.Encode(qP), quant.EncodeRaw(nanBN))
+	nanBNEnv, err := encodeUpdateEnvelope(0, 0, 1, pFrame, quant.EncodeRaw(nanBN))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,11 @@ package quant
 
 import "fmt"
 
+// DefaultChunk is the chunk size every caller uses unless it asks for
+// another: 8 bytes of scale per 256 values (3% overhead at 4 bits), fine
+// enough that an outlier weight coarsens only its own 256 neighbours.
+const DefaultChunk = 256
+
 // Chunked is a per-chunk symmetric quantization of a float64 vector: the
 // vector is split into fixed-size chunks of Chunk values (the last chunk may
 // be shorter) and each chunk carries its own scale, so one outlier weight
@@ -33,32 +38,14 @@ func NumChunks(n, chunk int) int {
 // QuantizeChunks compresses v at the given bit width (2..8) with an
 // independent symmetric scale per chunk of `chunk` values. All-zero chunks
 // (and chunks containing non-finite values) encode with scale 0 and
-// dequantize to exact zeros.
+// dequantize to exact zeros. A chunk ≥ len(v) fits one scale to the whole
+// vector. It is the frame Encoder's output read back by Decode.
 func QuantizeChunks(v []float64, bits, chunk int) Chunked {
-	if bits < 2 || bits > 8 {
-		panic(fmt.Sprintf("quant: bits must be in [2,8], got %d", bits))
+	f, err := Decode(NewEncoder(bits, chunk, len(v), 1).EncodeAll(v, nil))
+	if err != nil {
+		panic(err) // a frame the encoder just wrote; unreachable
 	}
-	nc := NumChunks(len(v), chunk)
-	c := Chunked{
-		Bits:   bits,
-		Chunk:  chunk,
-		N:      len(v),
-		Scales: make([]float64, nc),
-	}
-	total := 0
-	for i := 0; i < nc; i++ {
-		total += codeBytes(chunkLen(len(v), chunk, i), bits)
-	}
-	c.Codes = make([]byte, total)
-	off := 0
-	for i := 0; i < nc; i++ {
-		part := v[i*chunk : i*chunk+chunkLen(len(v), chunk, i)]
-		c.Scales[i] = chunkScale(part, bits)
-		nb := codeBytes(len(part), bits)
-		packCodes(c.Codes[off:off+nb], nil, part, c.Scales[i], bits)
-		off += nb
-	}
-	return c
+	return f.Q
 }
 
 // chunkLen returns the value count of chunk i of an n-value vector.
@@ -86,7 +73,7 @@ func (c Chunked) Dequantize() []float64 {
 // header plus one float64 scale and the packed codes per chunk. It equals
 // len(Encode(c)).
 func (c Chunked) Bytes() int {
-	return frameHeaderSize + 8*len(c.Scales) + len(c.Codes)
+	return FrameHeaderSize + 8*len(c.Scales) + len(c.Codes)
 }
 
 // MaxError returns the worst-case absolute reconstruction error across all

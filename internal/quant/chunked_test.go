@@ -44,12 +44,12 @@ func TestChunkingConfinesOutlierDamage(t *testing.T) {
 	}
 	v[500] = 1000 // outlier in the last chunk
 
-	whole := Quantize(v, 8)
+	wq := whole(v, 8)
 	chunked := QuantizeChunks(v, 8, 128)
 
 	// Per-vector scale is dominated by the outlier: every small value
 	// collapses to code 0.
-	wholeOut := whole.Dequantize()
+	wholeOut := wq.Dequantize()
 	chunkedOut := chunked.Dequantize()
 	var wholeErr, chunkedErr float64
 	for i := 0; i < 128; i++ { // first chunk, far from the outlier
@@ -112,11 +112,11 @@ func TestNonFiniteChunkDegradesToZero(t *testing.T) {
 	}
 }
 
-// The full-vector Quantize path shares the degenerate-scale guard.
+// The whole-vector form shares the degenerate-scale guard.
 func TestQuantizeNonFiniteVector(t *testing.T) {
-	q := Quantize([]float64{math.NaN(), 1, 2}, 4)
-	if q.Scale != 0 {
-		t.Fatalf("NaN input must yield scale 0, got %v", q.Scale)
+	q := whole([]float64{math.NaN(), 1, 2}, 4)
+	if len(q.Scales) != 1 || q.Scales[0] != 0 {
+		t.Fatalf("NaN input must yield one scale 0, got %v", q.Scales)
 	}
 	for i, x := range q.Dequantize() {
 		if x != 0 {

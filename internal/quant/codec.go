@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,9 +28,11 @@ import (
 // top-k form, whose payload layout lives in sparse.go — receivers that
 // predate it reject the flagged value as out of range instead of misparsing.
 const (
-	frameMagic      = "FPQ1"
-	frameVersion    = 1
-	frameHeaderSize = 14
+	frameMagic   = "FPQ1"
+	frameVersion = 1
+
+	// FrameHeaderSize is the fixed byte size of a frame header.
+	FrameHeaderSize = 14
 
 	// RawBits is the bits field of an uncompressed float64 frame.
 	RawBits = 0
@@ -89,7 +92,7 @@ func Encode(c Chunked) []byte {
 // fallback body for receivers that did not negotiate compression, and the
 // format of the server's global-model pulls when compression is off.
 func EncodeRaw(v []float64) []byte {
-	return AppendRaw(make([]byte, 0, frameHeaderSize+8*len(v)), v)
+	return AppendRaw(make([]byte, 0, FrameHeaderSize+8*len(v)), v)
 }
 
 // AppendRaw appends v's exact float64 frame onto dst and returns the extended
@@ -142,90 +145,20 @@ func Decode(b []byte) (*Frame, error) {
 	return f, nil
 }
 
-// DecodeFirst parses the frame at the head of b and returns it together
-// with the remaining bytes. All structural violations — short buffer, wrong
-// magic, unknown version, bits outside {0, 2..8}, zero chunk on a quantized
-// frame, truncated payload, non-finite scale — return an error wrapping
-// ErrCodec; no input panics.
+// DecodeFirst parses the frame at the head of b with a StreamDecoder and
+// returns it together with the remaining bytes. Every structural violation
+// — short buffer, wrong magic, unknown version, bits outside {0, 2..8}, zero
+// chunk on a quantized frame, truncated payload, non-finite scale, bad
+// sparse indices — returns an error wrapping ErrCodec; no input panics.
 func DecodeFirst(b []byte) (*Frame, []byte, error) {
-	if len(b) < frameHeaderSize {
-		return nil, nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrCodec, len(b), frameHeaderSize)
+	r := bytes.NewReader(b)
+	d, err := NewStreamDecoder(r)
+	if err != nil {
+		return nil, nil, err
 	}
-	if string(b[:4]) != frameMagic {
-		return nil, nil, fmt.Errorf("%w: magic %q, want %q", ErrCodec, b[:4], frameMagic)
+	f, err := d.Frame()
+	if err != nil {
+		return nil, nil, err
 	}
-	if b[4] != frameVersion {
-		return nil, nil, fmt.Errorf("%w: version %d, want %d", ErrCodec, b[4], frameVersion)
-	}
-	bits := int(b[5])
-	n := int(binary.LittleEndian.Uint32(b[6:10]))
-	chunk := int(binary.LittleEndian.Uint32(b[10:14]))
-	body := b[frameHeaderSize:]
-
-	if bits&sparseFlag != 0 {
-		base := bits &^ sparseFlag
-		if base < 2 || base > 8 {
-			return nil, nil, fmt.Errorf("%w: sparse bits %d outside [2,8]", ErrCodec, base)
-		}
-		if chunk < 1 {
-			return nil, nil, fmt.Errorf("%w: sparse frame with chunk %d", ErrCodec, chunk)
-		}
-		s, rest, err := decodeSparseBody(body, base, n, chunk)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &Frame{Bits: base, Chunk: chunk, Sparse: s}, rest, nil
-	}
-
-	if bits == RawBits {
-		if chunk != 0 {
-			return nil, nil, fmt.Errorf("%w: raw frame with chunk %d", ErrCodec, chunk)
-		}
-		need := int64(8) * int64(n)
-		if int64(len(body)) < need {
-			return nil, nil, fmt.Errorf("%w: raw payload %d bytes, want %d", ErrCodec, len(body), need)
-		}
-		f := &Frame{Bits: RawBits, Raw: make([]float64, n)}
-		for i := range f.Raw {
-			f.Raw[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-		}
-		return f, body[need:], nil
-	}
-
-	if bits < 2 || bits > 8 {
-		return nil, nil, fmt.Errorf("%w: bits %d outside {0, 2..8}", ErrCodec, bits)
-	}
-	if chunk < 1 {
-		return nil, nil, fmt.Errorf("%w: quantized frame with chunk %d", ErrCodec, chunk)
-	}
-	nc := NumChunks(n, chunk)
-	need := quantPayloadSize(n, chunk, bits)
-	if int64(len(body)) < need {
-		return nil, nil, fmt.Errorf("%w: quantized payload %d bytes, want %d", ErrCodec, len(body), need)
-	}
-	f := &Frame{
-		Bits:  bits,
-		Chunk: chunk,
-		Q: Chunked{
-			Bits:   bits,
-			Chunk:  chunk,
-			N:      n,
-			Scales: make([]float64, nc),
-			Codes:  make([]byte, need-8*int64(nc)),
-		},
-	}
-	src, dst := 0, 0
-	for i := 0; i < nc; i++ {
-		s := math.Float64frombits(binary.LittleEndian.Uint64(body[src:]))
-		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
-			return nil, nil, fmt.Errorf("%w: chunk %d scale %v not a finite non-negative value", ErrCodec, i, s)
-		}
-		f.Q.Scales[i] = s
-		src += 8
-		nb := codeBytes(chunkLen(n, chunk, i), bits)
-		copy(f.Q.Codes[dst:dst+nb], body[src:src+nb])
-		src += nb
-		dst += nb
-	}
-	return f, body[need:], nil
+	return f, b[len(b)-r.Len():], nil
 }

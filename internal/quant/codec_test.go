@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -71,7 +72,7 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	good := Encode(QuantizeChunks([]float64{1, -2, 3, 0.5, -0.25}, 4, 2))
 	cases := map[string][]byte{
 		"empty":         {},
-		"short header":  good[:frameHeaderSize-1],
+		"short header":  good[:FrameHeaderSize-1],
 		"bad magic":     append([]byte("NOPE"), good[4:]...),
 		"bad version":   flip(good, 4, 99),
 		"bits=1":        flip(good, 5, 1),
@@ -86,21 +87,34 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	cases["raw with chunk"] = rawBadChunk
 	// NaN scale.
 	nanScale := append([]byte{}, good...)
-	binary.LittleEndian.PutUint64(nanScale[frameHeaderSize:], math.Float64bits(math.NaN()))
+	binary.LittleEndian.PutUint64(nanScale[FrameHeaderSize:], math.Float64bits(math.NaN()))
 	cases["NaN scale"] = nanScale
 	// Negative scale.
 	negScale := append([]byte{}, good...)
-	binary.LittleEndian.PutUint64(negScale[frameHeaderSize:], math.Float64bits(-1.0))
+	binary.LittleEndian.PutUint64(negScale[FrameHeaderSize:], math.Float64bits(-1.0))
 	cases["negative scale"] = negScale
-	// Huge claimed n with a tiny payload must fail the length check, not
-	// allocate gigabytes.
+	// Huge claimed n (and chunk) with a tiny payload must fail on the
+	// missing bytes, not allocate gigabytes first.
 	hugeN := append([]byte{}, good...)
 	binary.LittleEndian.PutUint32(hugeN[6:10], math.MaxUint32)
 	cases["huge n truncated"] = hugeN
+	hugeChunk := append([]byte{}, hugeN...)
+	binary.LittleEndian.PutUint32(hugeChunk[10:14], math.MaxUint32)
+	cases["huge chunk truncated"] = hugeChunk
+	rawHugeN := EncodeRaw([]float64{1, 2})
+	binary.LittleEndian.PutUint32(rawHugeN[6:10], math.MaxUint32)
+	cases["raw huge n truncated"] = rawHugeN
 
 	for name, b := range cases {
-		if _, err := Decode(b); !errors.Is(err, ErrCodec) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(b)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCodec) {
 			t.Fatalf("%s: want ErrCodec, got %v", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Fatalf("%s: a %d-byte frame allocated %d bytes", name, len(b), grew)
 		}
 	}
 }

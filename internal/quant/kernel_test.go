@@ -189,11 +189,11 @@ func TestFusedDeqEqualsDecode(t *testing.T) {
 				}
 
 				deq := make([]float64, n)
-				seg := make([]byte, SegmentBytes(n, chunk, bits))
-				if err := EncodeSegmentInto(seg, v, bits, chunk, deq); err != nil {
-					t.Fatal(err)
+				e := NewEncoder(bits, chunk, n, 3)
+				frame := make([]byte, e.Size())
+				for k := len(e.Bounds()) - 2; k >= 0; k-- {
+					e.EncodeSegment(frame, v, deq, k)
 				}
-				frame := append(appendHeader(nil, bits, n, chunk), seg...)
 				fr, err := Decode(frame)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -262,7 +262,8 @@ func FuzzQuantizeMatchesReference(f *testing.F) {
 // MB/s is comparable across rows) and "copy" is the baseline — the codec's
 // arithmetic is one divide, one round and one multiply per value on top of
 // it. Encode rows are the served-model build's form (segment encode with the
-// fused deq); decode rows are the push handler's (StreamDecoder.DecodeAll).
+// fused deq); decode rows are StreamDecoder.DecodeAll, apply rows the push
+// handler's StreamDecoder.ApplyDelta onto a base.
 func BenchmarkCodecKernels(b *testing.B) {
 	const n, chunk = 250_000, 256
 	v := randVec(n, 1)
@@ -275,13 +276,12 @@ func BenchmarkCodecKernels(b *testing.B) {
 	})
 	for _, bits := range []int{8, 4, 3} {
 		b.Run(fmt.Sprintf("encode%d", bits), func(b *testing.B) {
-			dst := make([]byte, SegmentBytes(n, chunk, bits))
+			e := NewEncoder(bits, chunk, n, 1)
+			dst := make([]byte, e.Size())
 			deq := make([]float64, n)
 			b.SetBytes(8 * n)
 			for i := 0; i < b.N; i++ {
-				if err := EncodeSegmentInto(dst, v, bits, chunk, deq); err != nil {
-					b.Fatal(err)
-				}
+				e.EncodeSegment(dst, v, deq, 0)
 			}
 		})
 	}
@@ -303,25 +303,30 @@ func BenchmarkCodecKernels(b *testing.B) {
 	}
 	idx := TopKIndices(v, n/64)
 	b.Run("sparse-encode", func(b *testing.B) {
-		dst := make([]byte, 0, SparseFrameBytes(idx, chunk, 4))
+		e := NewSparseEncoder(4, chunk, n, idx, 1)
+		dst := make([]byte, e.Size())
 		deq := make([]float64, len(idx))
 		b.SetBytes(8 * n)
 		for i := 0; i < b.N; i++ {
-			AppendSparse(dst, v, idx, 4, chunk, deq)
+			e.EncodeSegment(dst, v, deq, 0)
 		}
 	})
-	b.Run("apply-sparse", func(b *testing.B) {
-		frame := EncodeSparse(v, idx, 4, chunk, nil)
-		dst := make([]float64, n)
-		var d StreamDecoder
-		b.SetBytes(8 * n)
-		for i := 0; i < b.N; i++ {
-			if err := d.Reset(bytes.NewReader(frame)); err != nil {
-				b.Fatal(err)
+	for name, frame := range map[string][]byte{
+		"apply8":       Encode(QuantizeChunks(v, 8, chunk)),
+		"apply-sparse": EncodeSparse(v, idx, 4, chunk, nil),
+	} {
+		b.Run(name, func(b *testing.B) {
+			dst, base := make([]float64, n), randVec(n, 2)
+			var d StreamDecoder
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				if err := d.Reset(bytes.NewReader(frame)); err != nil {
+					b.Fatal(err)
+				}
+				if err := d.ApplyDelta(dst, base, math.MaxFloat64); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if err := d.ApplySparse(dst, math.MaxFloat64); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

@@ -4,14 +4,14 @@
 // can upload quantized module updates and the server dequantizes before
 // partial averaging.
 //
-// Two granularities are provided. Quantize fits one scale to the whole
-// vector — simple, but a single outlier weight destroys the resolution of
-// every other value. QuantizeChunks fits an independent scale per fixed-size
-// chunk, confining each outlier's damage to its own chunk; this is the form
-// the distributed transport (internal/fldist) puts on the wire. Encode and
-// Decode serialize chunked vectors into a self-describing binary frame with
-// a magic+version header (see docs/WIRE.md for the byte-level layout), so
-// non-Go clients can interoperate.
+// Every vector is quantized with an independent scale per fixed-size chunk
+// (a chunk as long as the vector is the whole-vector form), confining each
+// outlier weight's damage to its own chunk. Frames are self-describing binary
+// records with a magic+version header (see docs/WIRE.md for the byte-level
+// layout), so non-Go clients can interoperate. One Encoder writes every
+// quantized frame, dense or sparse, whole or as parallel segments; one
+// StreamDecoder reads every frame, and Decode/DecodeFirst run it over a
+// byte slice.
 //
 // The package is deterministic: identical input vectors produce identical
 // codes and frames on every run, which the wire-level golden tests and the
@@ -20,35 +20,10 @@
 //lint:deterministic
 package quant
 
-import (
-	"fmt"
-	"math"
-)
-
-// Quantized is a symmetric per-vector quantization of a float64 slice:
-// value ≈ Scale · code with code ∈ [−(2^(Bits−1)−1), 2^(Bits−1)−1].
-type Quantized struct {
-	Scale float64
-	Bits  int
-	N     int
-	// Codes are bit-packed little-endian into bytes.
-	Codes []byte
-}
+import "math"
 
 // maxCode returns the largest representable magnitude for b bits.
 func maxCode(bits int) int { return (1 << (bits - 1)) - 1 }
-
-// Quantize compresses v at the given bit width (2..8).
-func Quantize(v []float64, bits int) Quantized {
-	if bits < 2 || bits > 8 {
-		panic(fmt.Sprintf("quant: bits must be in [2,8], got %d", bits))
-	}
-	scale := chunkScale(v, bits)
-	q := Quantized{Scale: scale, Bits: bits, N: len(v)}
-	q.Codes = make([]byte, codeBytes(len(v), bits))
-	packCodes(q.Codes, nil, v, scale, bits)
-	return q
-}
 
 // codeBytes returns the packed size of n codes at the given bit width.
 func codeBytes(n, bits int) int { return (n*bits + 7) / 8 }
@@ -210,15 +185,3 @@ func unpackCodes(dst []float64, src []byte, scale float64, bits int) {
 		}
 	}
 }
-
-// Dequantize reconstructs the approximate float vector.
-func (q Quantized) Dequantize() []float64 {
-	out := make([]float64, q.N)
-	unpackCodes(out, q.Codes, q.Scale, q.Bits)
-	return out
-}
-
-// Bytes returns the wire size of the quantized vector including an honest
-// header: 1 byte for Bits, 4 bytes for N (a full 32-bit length — charging
-// less would overstate the saving), and 8 bytes for the float64 scale.
-func (q Quantized) Bytes() int { return len(q.Codes) + 1 /*bits*/ + 4 /*n*/ + 8 /*scale*/ }

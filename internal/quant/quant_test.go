@@ -7,6 +7,10 @@ import (
 	"testing/quick"
 )
 
+// whole quantizes v with one scale for the whole vector: the one-chunk case
+// of QuantizeChunks, a chunk ≥ len(v).
+func whole(v []float64, bits int) Chunked { return QuantizeChunks(v, bits, max(1, len(v))) }
+
 func TestRoundTripErrorBound(t *testing.T) {
 	f := func(seed int64, bitsRaw uint8) bool {
 		bits := 2 + int(bitsRaw%7) // 2..8
@@ -16,13 +20,13 @@ func TestRoundTripErrorBound(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64() * 3
 		}
-		q := Quantize(v, bits)
+		q := whole(v, bits)
 		out := q.Dequantize()
 		if len(out) != n {
 			return false
 		}
 		for i := range v {
-			if math.Abs(out[i]-v[i]) > q.Scale/2+1e-12 {
+			if math.Abs(out[i]-v[i]) > q.Scales[0]/2+1e-12 {
 				return false
 			}
 		}
@@ -34,7 +38,7 @@ func TestRoundTripErrorBound(t *testing.T) {
 }
 
 func TestZeroVector(t *testing.T) {
-	q := Quantize(make([]float64, 17), 4)
+	q := whole(make([]float64, 17), 4)
 	out := q.Dequantize()
 	for _, v := range out {
 		if v != 0 {
@@ -50,7 +54,7 @@ func TestMoreBitsLessError(t *testing.T) {
 		v[i] = rng.NormFloat64()
 	}
 	errAt := func(bits int) float64 {
-		q := Quantize(v, bits)
+		q := whole(v, bits)
 		out := q.Dequantize()
 		s := 0.0
 		for i := range v {
@@ -65,22 +69,22 @@ func TestMoreBitsLessError(t *testing.T) {
 
 func TestBytesAndCompressRatio(t *testing.T) {
 	v := make([]float64, 800)
-	q8 := Quantize(v, 8)
-	q4 := Quantize(v, 4)
-	q2 := Quantize(v, 2)
+	q8 := whole(v, 8)
+	q4 := whole(v, 4)
+	q2 := whole(v, 2)
 	if q8.Bytes() <= q4.Bytes() || q4.Bytes() <= q2.Bytes() {
 		t.Fatalf("bytes must grow with bits: %d %d %d", q2.Bytes(), q4.Bytes(), q8.Bytes())
 	}
 	// 4-bit packs two codes per byte: 800 codes = 400 bytes, plus the
-	// 13-byte header (1 bits + 4 n + 8 scale).
-	if got, want := q4.Bytes(), 400+13; got != want {
+	// 14-byte frame header and the one 8-byte scale.
+	if got, want := q4.Bytes(), 400+14+8; got != want {
 		t.Fatalf("4-bit size = %d, want %d", got, want)
 	}
 }
 
 func TestExtremesSaturate(t *testing.T) {
 	v := []float64{-10, -5, 0, 5, 10}
-	q := Quantize(v, 3) // max code 3, scale 10/3
+	q := whole(v, 3) // max code 3, scale 10/3
 	out := q.Dequantize()
 	if math.Abs(out[4]-10) > 1e-9 || math.Abs(out[0]+10) > 1e-9 {
 		t.Fatalf("extremes must be exactly representable: %v", out)
@@ -96,17 +100,17 @@ func TestBitsOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Quantize([]float64{1}, 9)
+	whole([]float64{1}, 9)
 }
 
 func TestSignedValuesAcrossByteBoundaries(t *testing.T) {
 	// 3-bit codes straddle byte boundaries; verify negative values survive.
 	v := []float64{-3, 3, -1, 1, -2, 2, -3, 3, -1}
-	q := Quantize(v, 3)
+	q := whole(v, 3)
 	out := q.Dequantize()
 	for i := range v {
-		if math.Abs(out[i]-v[i]) > q.Scale/2+1e-12 {
-			t.Fatalf("value %d: %v -> %v (scale %v)", i, v[i], out[i], q.Scale)
+		if math.Abs(out[i]-v[i]) > q.Scales[0]/2+1e-12 {
+			t.Fatalf("value %d: %v -> %v (scale %v)", i, v[i], out[i], q.Scales[0])
 		}
 	}
 }

@@ -26,9 +26,9 @@ func segVec(n int, seed int64) []float64 {
 	return v
 }
 
-// The golden-bytes pin of the tentpole: a frame assembled from concurrently
-// encoded chunk-aligned segments is byte-identical to the sequential
-// EncodeStream output (which is itself pinned byte-identical to
+// The golden-bytes pin of segment encoding: a frame assembled from
+// concurrently encoded chunk-aligned segments is byte-identical to the
+// EncodeStream output (itself pinned byte-identical to
 // Encode(QuantizeChunks(...)) in stream_test.go), for ragged and exact
 // chunkings, at segment counts {1, 4, 8} and GOMAXPROCS {1, 4} — and the
 // per-segment dequantized values match the sequential ones exactly.
@@ -54,34 +54,19 @@ func TestSegmentStitchGoldenBytes(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			for _, segs := range []int{1, 4, 8} {
-				bounds := SegmentBounds(tc.n, tc.chunk, segs)
-				if bounds[0] != 0 || bounds[len(bounds)-1] != tc.n {
-					t.Fatalf("bounds %v do not cover [0,%d]", bounds, tc.n)
-				}
-				body := make([]byte, FrameBytes(tc.n, tc.chunk, tc.bits))
-				if err := PutFrameHeader(body[:FrameHeaderSize], tc.bits, tc.n, tc.chunk); err != nil {
-					t.Fatal(err)
-				}
+				e := NewEncoder(tc.bits, tc.chunk, tc.n, segs)
+				frame := make([]byte, e.Size())
 				deq := make([]float64, tc.n)
 				var wg sync.WaitGroup
-				errs := make([]error, len(bounds)-1)
-				for k := 0; k+1 < len(bounds); k++ {
-					lo, hi := bounds[k], bounds[k+1]
+				for k := 0; k+1 < len(e.Bounds()); k++ {
 					wg.Add(1)
-					go func(k, lo, hi int) {
+					go func(k int) {
 						defer wg.Done()
-						blo := FrameHeaderSize + SegmentBytes(lo, tc.chunk, tc.bits)
-						bhi := FrameHeaderSize + SegmentBytes(hi, tc.chunk, tc.bits)
-						errs[k] = EncodeSegmentInto(body[blo:bhi], v[lo:hi], tc.bits, tc.chunk, deq[lo:hi])
-					}(k, lo, hi)
+						e.EncodeSegment(frame, v, deq, k)
+					}(k)
 				}
 				wg.Wait()
-				for k, err := range errs {
-					if err != nil {
-						t.Fatalf("segment %d: %v", k, err)
-					}
-				}
-				if !bytes.Equal(body, want.Bytes()) {
+				if !bytes.Equal(frame, want.Bytes()) {
 					t.Fatalf("n=%d chunk=%d bits=%d segs=%d procs=%d: stitched frame differs from sequential encode",
 						tc.n, tc.chunk, tc.bits, segs, procs)
 				}
@@ -96,15 +81,15 @@ func TestSegmentStitchGoldenBytes(t *testing.T) {
 	}
 }
 
-// SegmentBounds must produce chunk-aligned interior boundaries and clamp the
-// segment count.
+// Segment bounds must cover [0, n] with chunk-aligned interior boundaries,
+// and the segment count is clamped to the chunk count.
 func TestSegmentBoundsAlignment(t *testing.T) {
 	for _, tc := range []struct {
 		n, chunk, segs int
 	}{
 		{1003, 64, 4}, {1003, 64, 100}, {5, 8, 3}, {0, 4, 4}, {256, 256, 8},
 	} {
-		bounds := SegmentBounds(tc.n, tc.chunk, tc.segs)
+		bounds := NewEncoder(8, tc.chunk, tc.n, tc.segs).Bounds()
 		if bounds[0] != 0 || bounds[len(bounds)-1] != tc.n {
 			t.Fatalf("%+v: bounds %v do not span [0,%d]", tc, bounds, tc.n)
 		}
@@ -116,29 +101,37 @@ func TestSegmentBoundsAlignment(t *testing.T) {
 				t.Fatalf("%+v: bounds %v not monotone", tc, bounds)
 			}
 		}
-		if got := len(bounds) - 1; got > tc.segs || (tc.n > 0 && got < 1) {
+		if got := len(bounds) - 1; got > tc.segs || got < 1 {
 			t.Fatalf("%+v: %d segments", tc, got)
 		}
 	}
 }
 
-// Structural misuse must error, not corrupt: wrong dst size, wrong deq size,
-// bad bits/chunk.
-func TestEncodeSegmentIntoValidation(t *testing.T) {
+// Structural misuse of the encoder is a programming error and panics —
+// wrong frame, vector or deq size, bad bits/chunk, unsorted or out-of-range
+// sparse indices (EncodeStream reports the same as an error; see
+// TestStreamEncoderMisuse).
+func TestEncoderValidation(t *testing.T) {
 	v := segVec(100, 1)
-	if err := EncodeSegmentInto(make([]byte, 10), v, 8, 64, nil); err == nil {
-		t.Fatal("wrong dst size accepted")
-	}
-	if err := EncodeSegmentInto(make([]byte, SegmentBytes(100, 64, 8)), v, 8, 64, make([]float64, 5)); err == nil {
-		t.Fatal("wrong deq size accepted")
-	}
-	if err := EncodeSegmentInto(nil, nil, 1, 64, nil); err == nil {
-		t.Fatal("bits=1 accepted")
-	}
-	if err := EncodeSegmentInto(nil, nil, 8, 0, nil); err == nil {
-		t.Fatal("chunk=0 accepted")
-	}
-	if err := PutFrameHeader(make([]byte, 3), 8, 100, 64); err == nil {
-		t.Fatal("short header dst accepted")
+	e := NewEncoder(8, 64, 100, 1)
+	for name, f := range map[string]func(){
+		"short frame":      func() { e.EncodeSegment(make([]byte, 10), v, nil, 0) },
+		"short vector":     func() { e.EncodeSegment(make([]byte, e.Size()), v[:99], nil, 0) },
+		"short deq":        func() { e.EncodeSegment(make([]byte, e.Size()), v, make([]float64, 5), 0) },
+		"bits=1":           func() { NewEncoder(1, 64, 100, 1) },
+		"bits=9":           func() { NewSparseEncoder(9, 64, 100, nil, 1) },
+		"chunk=0":          func() { NewEncoder(8, 0, 100, 1) },
+		"unsorted indices": func() { NewSparseEncoder(8, 64, 100, []int{5, 3}, 1) },
+		"index past n":     func() { NewSparseEncoder(8, 64, 100, []int{100}, 1) },
+		"sparse deq":       func() { EncodeSparse(v, []int{1, 2}, 8, 64, make([]float64, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

@@ -1,7 +1,6 @@
 package quant
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -79,32 +78,6 @@ func (s *SparseVec) AddTo(dst []float64) {
 	}
 }
 
-// Encode re-serializes the sparse vector into its wire frame. Decoding and
-// re-encoding a valid sparse frame is byte-identical (varints are canonical).
-//
-//lint:ignore unusedexport the quant and fldist tests forge and round-trip sparse frames with it
-func (s *SparseVec) Encode() []byte {
-	buf := make([]byte, 0, frameHeaderSize+sparsePayloadSize(s.Idx, s.Chunk, s.Bits))
-	buf = appendHeader(buf, sparseFlag|s.Bits, s.N, s.Chunk)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Idx)))
-	prev := 0
-	for _, ix := range s.Idx {
-		buf = binary.AppendUvarint(buf, uint64(ix-prev))
-		prev = ix
-	}
-	si, off := 0, 0
-	for i := 0; i < len(s.Idx); {
-		j := groupEnd(s.Idx, i, s.Chunk)
-		nb := codeBytes(j-i, s.Bits)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Scales[si]))
-		buf = append(buf, s.Codes[off:off+nb]...)
-		si++
-		off += nb
-		i = j
-	}
-	return buf
-}
-
 // groupEnd returns the end of the run of indices sharing idx[i]'s chunk.
 func groupEnd(idx []int, i, chunk int) int {
 	c := idx[i] / chunk
@@ -126,7 +99,7 @@ func finiteNonzero(x float64) bool {
 // k-th largest magnitude, every strictly larger value is taken, and ties at
 // the threshold are broken by ascending index. Exact zeros (and non-finite
 // values) are never selected, so fewer than k indices may be returned; k ≤ 0
-// returns nil. The result feeds EncodeSparse/AppendSparse unchanged.
+// returns nil. The result feeds NewSparseEncoder unchanged.
 func TopKIndices(v []float64, k int) []int {
 	if k <= 0 {
 		return nil
@@ -234,313 +207,4 @@ func uvarintLen(x uint64) int {
 		n++
 	}
 	return n
-}
-
-// uvarint32 decodes one canonical uvarint of at most 5 bytes (enough for any
-// uint32-range value) from b, returning the value and bytes consumed. It
-// rejects truncated input, overlong (non-canonical) encodings, and varints
-// longer than 5 bytes — all as errors wrapping ErrCodec.
-func uvarint32(b []byte) (uint64, int, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < len(b) && i < 5; i++ {
-		c := b[i]
-		if c < 0x80 {
-			if i > 0 && c == 0 {
-				return 0, 0, fmt.Errorf("%w: overlong varint", ErrCodec)
-			}
-			return x | uint64(c)<<s, i + 1, nil
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-	}
-	if len(b) >= 5 {
-		return 0, 0, fmt.Errorf("%w: varint longer than 5 bytes", ErrCodec)
-	}
-	return 0, 0, fmt.Errorf("%w: truncated varint", ErrCodec)
-}
-
-// checkSparseIdx panics unless idx is strictly increasing within [0, n) —
-// the encoder-side structural contract (TopKIndices always satisfies it).
-func checkSparseIdx(idx []int, n int) {
-	prev := -1
-	for _, ix := range idx {
-		if ix <= prev || ix >= n {
-			panic(fmt.Sprintf("quant: sparse index %d out of order or outside [0,%d)", ix, n))
-		}
-		prev = ix
-	}
-}
-
-// sparsePayloadSize returns the payload size (k field + index varints +
-// per-occupied-chunk scale and codes) of a sparse frame storing idx.
-func sparsePayloadSize(idx []int, chunk, bits int) int {
-	sz := 4
-	prev := 0
-	for _, ix := range idx {
-		sz += uvarintLen(uint64(ix - prev))
-		prev = ix
-	}
-	for i := 0; i < len(idx); {
-		j := groupEnd(idx, i, chunk)
-		sz += 8 + codeBytes(j-i, bits)
-		i = j
-	}
-	return sz
-}
-
-// SparseFrameBytes returns the full encoded frame size of a sparse frame
-// storing idx at the given codec parameters — len(EncodeSparse(...)) without
-// encoding. Serve-plane builders use it to allocate exact-size bodies.
-func SparseFrameBytes(idx []int, chunk, bits int) int {
-	return frameHeaderSize + sparsePayloadSize(idx, chunk, bits)
-}
-
-// PutSparseFrameHeader writes the sparse frame header plus the k field into
-// dst, which must be exactly FrameHeaderSize+4 bytes — the prefix before the
-// payload ranges that EncodeSparseSegmentInto fills. The bits argument is
-// the base code width; the wire flag bit is set here.
-func PutSparseFrameHeader(dst []byte, bits, n, chunk, k int) error {
-	if len(dst) != frameHeaderSize+4 {
-		return fmt.Errorf("quant: PutSparseFrameHeader dst %d bytes, want %d", len(dst), frameHeaderSize+4)
-	}
-	if bits < 2 || bits > 8 {
-		return fmt.Errorf("quant: PutSparseFrameHeader bits %d outside [2,8]", bits)
-	}
-	if chunk < 1 {
-		return fmt.Errorf("quant: PutSparseFrameHeader chunk %d must be ≥ 1", chunk)
-	}
-	if n < 0 || n > math.MaxUint32 {
-		return fmt.Errorf("quant: PutSparseFrameHeader n %d outside [0,2^32)", n)
-	}
-	if k < 0 || k > n {
-		return fmt.Errorf("quant: PutSparseFrameHeader k %d outside [0,%d]", k, n)
-	}
-	appendHeader(dst[:0], sparseFlag|bits, n, chunk)
-	binary.LittleEndian.PutUint32(dst[frameHeaderSize:], uint32(k))
-	return nil
-}
-
-// SparseSegment describes one chunk-aligned piece of a sparse frame for the
-// segment-parallel encoder: the index sub-range it owns and the byte offsets
-// of its varint run and its chunk-block run inside the frame payload (the
-// bytes after the 14-byte header). Segments own disjoint byte ranges, so S
-// goroutines can encode into one buffer — same contract as EncodeSegmentInto.
-type SparseSegment struct {
-	ILo, IHi int // sub-range of the selected index slice
-	VarOff   int // payload offset of this segment's index varints
-	BlockOff int // payload offset of this segment's chunk blocks
-}
-
-// SparseSegments splits the selected indices along the chunk-aligned value
-// bounds produced by SegmentBounds (offsets [0, b₁, …, n]) and returns each
-// segment's index sub-range and closed-form payload byte offsets. Because
-// every boundary is chunk-aligned, no occupied chunk straddles two segments,
-// and because index deltas restart from the previous segment's last index,
-// the concatenation of segment encodings is byte-identical to the sequential
-// AppendSparse output (TestSparseSegmentStitchIdentity pins it). Panics on a
-// structurally invalid index slice, like Encode.
-func SparseSegments(idx []int, bounds []int, chunk, bits int) []SparseSegment {
-	n := bounds[len(bounds)-1]
-	checkSparseIdx(idx, n)
-	segs := make([]SparseSegment, len(bounds)-1)
-	varBytes := make([]int, len(segs))
-	blockBytes := make([]int, len(segs))
-	i := 0
-	prev := 0
-	for s := range segs {
-		segs[s].ILo = i
-		for i < len(idx) && idx[i] < bounds[s+1] {
-			varBytes[s] += uvarintLen(uint64(idx[i] - prev))
-			prev = idx[i]
-			i++
-		}
-		segs[s].IHi = i
-		for t := segs[s].ILo; t < i; {
-			j := groupEnd(idx, t, chunk)
-			blockBytes[s] += 8 + codeBytes(j-t, bits)
-			t = j
-		}
-	}
-	varOff := 4
-	for s := range segs {
-		segs[s].VarOff = varOff
-		varOff += varBytes[s]
-	}
-	blockOff := varOff
-	for s := range segs {
-		segs[s].BlockOff = blockOff
-		blockOff += blockBytes[s]
-	}
-	return segs
-}
-
-// EncodeSparseSegmentInto encodes one segment's index varints and chunk
-// blocks into its disjoint ranges of payload (the sparse frame's bytes after
-// the header; the caller writes the header and the k field). v is the full
-// dense vector and idx the full selected index slice — the segment touches
-// only idx[ILo:IHi]. If deq is non-nil it must have len(idx); deq[j] receives
-// the dequantized value of idx[j] for j in [ILo, IHi), the per-coordinate
-// reconstruction error feedback subtracts. Safe to call concurrently for the
-// segments of one SparseSegments partition.
-func EncodeSparseSegmentInto(payload []byte, v []float64, idx []int, seg SparseSegment, bits, chunk int, deq []float64) error {
-	if bits < 2 || bits > 8 {
-		return fmt.Errorf("quant: sparse segment encoder bits %d outside [2,8]", bits)
-	}
-	if chunk < 1 {
-		return fmt.Errorf("quant: sparse segment encoder chunk %d must be ≥ 1", chunk)
-	}
-	if deq != nil && len(deq) != len(idx) {
-		return fmt.Errorf("quant: sparse segment encoder deq length %d, want %d", len(deq), len(idx))
-	}
-	off := seg.VarOff
-	prev := 0
-	if seg.ILo > 0 {
-		prev = idx[seg.ILo-1]
-	}
-	for i := seg.ILo; i < seg.IHi; i++ {
-		off += binary.PutUvarint(payload[off:], uint64(idx[i]-prev))
-		prev = idx[i]
-	}
-	vals := make([]float64, 0, min(chunk, seg.IHi-seg.ILo))
-	boff := seg.BlockOff
-	for i := seg.ILo; i < seg.IHi; {
-		j := groupEnd(idx, i, chunk)
-		m := j - i
-		vals = vals[:m]
-		for t := 0; t < m; t++ {
-			vals[t] = v[idx[i+t]]
-		}
-		scale := chunkScale(vals, bits)
-		binary.LittleEndian.PutUint64(payload[boff:boff+8], math.Float64bits(scale))
-		nb := codeBytes(m, bits)
-		var d []float64
-		if deq != nil {
-			d = deq[i:j]
-		}
-		packCodes(payload[boff+8:boff+8+nb], d, vals, scale, bits)
-		boff += 8 + nb
-		i = j
-	}
-	return nil
-}
-
-// AppendSparse appends the sparse frame storing v's values at idx (sorted,
-// unique, within [0, len(v))) onto dst and returns the extended slice. If
-// deq is non-nil it must have len(idx) and receives the dequantized stored
-// values — the error-feedback residual of a sparse send is the input vector
-// with deq[j] subtracted at idx[j] and everything else kept whole. Panics on
-// structurally invalid arguments, like Encode; wire corruption is the
-// decoder's concern.
-func AppendSparse(dst []byte, v []float64, idx []int, bits, chunk int, deq []float64) []byte {
-	if bits < 2 || bits > 8 {
-		panic(fmt.Sprintf("quant: AppendSparse: bits %d out of range", bits))
-	}
-	if chunk < 1 {
-		panic(fmt.Sprintf("quant: AppendSparse: chunk %d must be ≥ 1", chunk))
-	}
-	if deq != nil && len(deq) != len(idx) {
-		panic(fmt.Sprintf("quant: AppendSparse: deq length %d, want %d", len(deq), len(idx)))
-	}
-	checkSparseIdx(idx, len(v))
-	payload := sparsePayloadSize(idx, chunk, bits)
-	base := len(dst)
-	dst = append(dst, make([]byte, frameHeaderSize+payload)...)
-	buf := dst[base:]
-	appendHeader(buf[:0], sparseFlag|bits, len(v), chunk)
-	binary.LittleEndian.PutUint32(buf[frameHeaderSize:frameHeaderSize+4], uint32(len(idx)))
-	seg := SparseSegment{ILo: 0, IHi: len(idx), VarOff: 4}
-	seg.BlockOff = 4
-	prev := 0
-	for _, ix := range idx {
-		seg.BlockOff += uvarintLen(uint64(ix - prev))
-		prev = ix
-	}
-	if err := EncodeSparseSegmentInto(buf[frameHeaderSize:], v, idx, seg, bits, chunk, deq); err != nil {
-		panic(err) // arguments validated above; unreachable
-	}
-	return dst
-}
-
-// EncodeSparse is the allocating convenience form of AppendSparse.
-func EncodeSparse(v []float64, idx []int, bits, chunk int, deq []float64) []byte {
-	return AppendSparse(make([]byte, 0, SparseFrameBytes(idx, chunk, bits)), v, idx, bits, chunk, deq)
-}
-
-// decodeSparseBody parses a sparse frame's payload (the bytes after the
-// 14-byte header) given its validated base bits, n and chunk, returning the
-// sparse vector and the bytes following the frame. Every structural
-// violation wraps ErrCodec, and no allocation exceeds a small multiple of
-// the bytes actually present — index and code buffers are sized only after
-// the payload is proven long enough to hold them.
-func decodeSparseBody(body []byte, bits, n, chunk int) (*SparseVec, []byte, error) {
-	if len(body) < 4 {
-		return nil, nil, fmt.Errorf("%w: sparse payload %d bytes, count needs 4", ErrCodec, len(body))
-	}
-	k := int(binary.LittleEndian.Uint32(body[:4]))
-	if k > n {
-		return nil, nil, fmt.Errorf("%w: sparse count %d exceeds n %d", ErrCodec, k, n)
-	}
-	if k > len(body)-4 {
-		return nil, nil, fmt.Errorf("%w: sparse count %d exceeds payload capacity %d", ErrCodec, k, len(body)-4)
-	}
-	idx := make([]int, 0, k)
-	off := 4
-	prev := 0
-	for i := 0; i < k; i++ {
-		x, m, err := uvarint32(body[off:])
-		if err != nil {
-			return nil, nil, fmt.Errorf("index %d: %w", i, err)
-		}
-		if i > 0 && x == 0 {
-			return nil, nil, fmt.Errorf("%w: sparse index %d repeats its predecessor", ErrCodec, i)
-		}
-		if x > uint64(n) {
-			return nil, nil, fmt.Errorf("%w: sparse index delta %d exceeds n %d", ErrCodec, x, n)
-		}
-		ix := prev + int(x)
-		if i == 0 {
-			ix = int(x)
-		}
-		if ix >= n {
-			return nil, nil, fmt.Errorf("%w: sparse index %d outside [0,%d)", ErrCodec, ix, n)
-		}
-		idx = append(idx, ix)
-		prev = ix
-		off += m
-	}
-	groups := 0
-	codeTotal := 0
-	for i := 0; i < k; {
-		j := groupEnd(idx, i, chunk)
-		groups++
-		codeTotal += codeBytes(j-i, bits)
-		i = j
-	}
-	need := 8*groups + codeTotal
-	if len(body)-off < need {
-		return nil, nil, fmt.Errorf("%w: sparse blocks %d bytes, want %d", ErrCodec, len(body)-off, need)
-	}
-	s := &SparseVec{
-		Bits:   bits,
-		Chunk:  chunk,
-		N:      n,
-		Idx:    idx,
-		Scales: make([]float64, 0, groups),
-		Codes:  make([]byte, 0, codeTotal),
-	}
-	for i := 0; i < k; {
-		j := groupEnd(idx, i, chunk)
-		sc := math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
-		if math.IsNaN(sc) || math.IsInf(sc, 0) || sc < 0 {
-			return nil, nil, fmt.Errorf("%w: sparse chunk scale %v not a finite non-negative value", ErrCodec, sc)
-		}
-		s.Scales = append(s.Scales, sc)
-		off += 8
-		nb := codeBytes(j-i, bits)
-		s.Codes = append(s.Codes, body[off:off+nb]...)
-		off += nb
-		i = j
-	}
-	return s, body[off:], nil
 }

@@ -108,7 +108,7 @@ func TestSparseRoundTrip(t *testing.T) {
 		idx := TopKIndices(v, 1+int(kRaw)%60)
 		deq := make([]float64, len(idx))
 		enc := EncodeSparse(v, idx, bits, chunk, deq)
-		if len(enc) != SparseFrameBytes(idx, chunk, bits) {
+		if len(enc) != NewSparseEncoder(bits, chunk, n, idx, 1).Size() {
 			return false
 		}
 		fr, err := Decode(enc)
@@ -118,7 +118,7 @@ func TestSparseRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(fr.Sparse.Idx, idx) {
 			return false
 		}
-		if !bytes.Equal(fr.Sparse.Encode(), enc) {
+		if !bytes.Equal(encodeSparseVec(fr.Sparse), enc) {
 			return false
 		}
 		dense := fr.Vector()
@@ -160,8 +160,8 @@ func TestSparseEmptySelection(t *testing.T) {
 }
 
 // Segment-parallel sparse encoding must stitch byte-identically to the
-// sequential AppendSparse output, including the per-index deq values — the
-// identity the fldist serve plane's parallel delta builds rely on.
+// one-segment encode, including the per-index deq values — the identity the
+// fldist serve plane's parallel delta builds rely on.
 func TestSparseSegmentStitchIdentity(t *testing.T) {
 	for _, n := range []int{1, 7, 256, 1000, 2254} {
 		for _, segments := range []int{1, 2, 3, 5, 8} {
@@ -171,23 +171,18 @@ func TestSparseSegmentStitchIdentity(t *testing.T) {
 			wantDeq := make([]float64, len(idx))
 			want := EncodeSparse(v, idx, bits, chunk, wantDeq)
 
-			bounds := SegmentBounds(n, chunk, segments)
-			segs := SparseSegments(idx, bounds, chunk, bits)
-			got := make([]byte, SparseFrameBytes(idx, chunk, bits))
-			if err := PutSparseFrameHeader(got[:FrameHeaderSize+4], bits, n, chunk, len(idx)); err != nil {
-				t.Fatal(err)
-			}
+			e := NewSparseEncoder(bits, chunk, n, idx, segments)
+			got := make([]byte, e.Size())
 			gotDeq := make([]float64, len(idx))
-			done := make(chan error, len(segs))
-			for _, seg := range segs {
-				go func(seg SparseSegment) {
-					done <- EncodeSparseSegmentInto(got[FrameHeaderSize:], v, idx, seg, bits, chunk, gotDeq)
-				}(seg)
+			done := make(chan struct{})
+			for k := 0; k+1 < len(e.Bounds()); k++ {
+				go func(k int) {
+					e.EncodeSegment(got, v, gotDeq, k)
+					done <- struct{}{}
+				}(k)
 			}
-			for range segs {
-				if err := <-done; err != nil {
-					t.Fatal(err)
-				}
+			for k := 0; k+1 < len(e.Bounds()); k++ {
+				<-done
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("n=%d segments=%d: stitched bytes differ from sequential encode", n, segments)
@@ -199,9 +194,9 @@ func TestSparseSegmentStitchIdentity(t *testing.T) {
 	}
 }
 
-// Streaming sparse decode must agree with the buffered path, through both a
-// native io.ByteReader and a bare io.Reader, and must honor the EF apply
-// semantics (scatter-add onto a non-zero base).
+// Streaming sparse decode must agree with Decode, through both a
+// native io.ByteReader and a bare io.Reader, and ApplyDelta must honor the
+// EF apply semantics (scatter-add onto a non-zero base).
 func TestStreamSparseApply(t *testing.T) {
 	n := 777
 	v := sparseTestVec(n, 5)
@@ -231,14 +226,27 @@ func TestStreamSparseApply(t *testing.T) {
 			t.Fatalf("%s: sparse header misparsed", name)
 		}
 		got := append([]float64(nil), base...)
-		if err := d.ApplySparse(got, math.MaxFloat64); err != nil {
+		if err := d.ApplyDelta(got, got, math.MaxFloat64); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: ApplySparse disagrees with buffered decode", name)
+			t.Fatalf("%s: ApplyDelta disagrees with Decode", name)
 		}
-		if err := d.ApplySparse(got, math.MaxFloat64); err == nil {
-			t.Fatalf("%s: second ApplySparse must fail", name)
+		if err := d.ApplyDelta(got, got, math.MaxFloat64); err == nil {
+			t.Fatalf("%s: second ApplyDelta must fail", name)
+		}
+		// Into a separate dst, the unstored coordinates come from base,
+		// which is left as it was.
+		d, err = NewStreamDecoder(mk())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out, keep := make([]float64, n), append([]float64(nil), base...)
+		if err := d.ApplyDelta(out, base, math.MaxFloat64); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(out, want) || !reflect.DeepEqual(base, keep) {
+			t.Fatalf("%s: ApplyDelta into a separate dst disagrees or wrote base", name)
 		}
 	}
 
@@ -255,10 +263,7 @@ func TestStreamSparseApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, dense) {
-		t.Fatal("DecodeAll on sparse frame disagrees with buffered decode")
-	}
-	if d.NextLen() != 0 {
-		t.Fatal("sparse NextLen must be 0")
+		t.Fatal("DecodeAll on sparse frame disagrees with Decode")
 	}
 }
 
@@ -273,35 +278,35 @@ func TestSparseDecodeRejectsCorruptFrames(t *testing.T) {
 		"sparse raw bits":  flip(good, 5, 0x80),   // flag with base bits 0
 		"sparse bits 9":    flip(good, 5, 0x80|9), // flag with base out of range
 		"zero chunk":       flip(flip(good, 10, 0), 11, 0),
-		"count only":       good[:frameHeaderSize+2], // truncated k field
-		"truncated index":  good[:frameHeaderSize+4+3],
+		"count only":       good[:FrameHeaderSize+2], // truncated k field
+		"truncated index":  good[:FrameHeaderSize+4+3],
 		"truncated blocks": good[:len(good)-5],
 		"trailing junk":    append(append([]byte{}, good...), 0x00),
 	}
 	// k exceeding n must fail before any index allocation.
 	hugeK := append([]byte{}, good...)
-	binary.LittleEndian.PutUint32(hugeK[frameHeaderSize:], math.MaxUint32)
+	binary.LittleEndian.PutUint32(hugeK[FrameHeaderSize:], math.MaxUint32)
 	cases["huge count"] = hugeK
 	// k exceeding the bytes present must fail even when k ≤ n.
 	bigN := append([]byte{}, good...)
 	binary.LittleEndian.PutUint32(bigN[6:10], math.MaxUint32)
-	binary.LittleEndian.PutUint32(bigN[frameHeaderSize:], math.MaxUint32)
+	binary.LittleEndian.PutUint32(bigN[FrameHeaderSize:], math.MaxUint32)
 	cases["count past payload"] = bigN
 	// A zero delta after the first index duplicates its predecessor.
 	dupIdx := append([]byte{}, good...)
-	dupIdx[frameHeaderSize+4+1] = 0
+	dupIdx[FrameHeaderSize+4+1] = 0
 	cases["duplicate index"] = dupIdx
 	// An index delta pushing past n.
 	overIdx := append([]byte{}, good...)
-	overIdx[frameHeaderSize+4] = 0xAC // 5-byte varint: way past n
-	overIdx[frameHeaderSize+4+1] = 0xDA
-	overIdx[frameHeaderSize+4+2] = 0xBC
-	overIdx[frameHeaderSize+4+3] = 0x8A
+	overIdx[FrameHeaderSize+4] = 0xAC // 5-byte varint: way past n
+	overIdx[FrameHeaderSize+4+1] = 0xDA
+	overIdx[FrameHeaderSize+4+2] = 0xBC
+	overIdx[FrameHeaderSize+4+3] = 0x8A
 	cases["index out of range"] = overIdx
 	// Overlong (non-canonical) varint encoding of a small delta.
 	overlong := append([]byte{}, good...)
-	overlong[frameHeaderSize+4] = 0x80
-	overlong[frameHeaderSize+4+1] = 0x00
+	overlong[FrameHeaderSize+4] = 0x80
+	overlong[FrameHeaderSize+4+1] = 0x00
 	cases["overlong varint"] = overlong
 	// Non-finite chunk scale: locate the first block (after the varints).
 	varBytes := 0
@@ -311,7 +316,7 @@ func TestSparseDecodeRejectsCorruptFrames(t *testing.T) {
 		prev = ix
 	}
 	badScale := append([]byte{}, good...)
-	binary.LittleEndian.PutUint64(badScale[frameHeaderSize+4+varBytes:], math.Float64bits(math.NaN()))
+	binary.LittleEndian.PutUint64(badScale[FrameHeaderSize+4+varBytes:], math.Float64bits(math.NaN()))
 	cases["NaN scale"] = badScale
 
 	for name, b := range cases {
@@ -330,16 +335,16 @@ func TestSparseDecodeRejectsCorruptFrames(t *testing.T) {
 		}
 		// The declared length is the attacker's: never materialize it. A
 		// receiver knows the vector length it expects, so a frame declaring
-		// more than any model here holds must die on ApplySparse's shape
+		// more than any model here holds must die on ApplyDelta's shape
 		// check against a short dst, before a payload byte is read.
 		n := d.Len()
 		if n > maxTestFrameLen {
 			n = 1
 		}
 		dst := make([]float64, n)
-		if err := d.ApplySparse(dst, math.MaxFloat64); err == nil {
+		if err := d.ApplyDelta(dst, dst, math.MaxFloat64); err == nil {
 			// Streamed decoders cannot see trailing junk; strict framing is
-			// the buffered path's job.
+			// strict Decode's job.
 			if name != "trailing junk" {
 				t.Fatalf("stream %s: want error, got nil", name)
 			}

@@ -5,159 +5,38 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
+	"slices"
 )
 
-// Streaming frame codec: the same wire format as Encode/Decode (docs/WIRE.md),
-// produced and consumed incrementally through io.Writer/io.Reader. Chunk
-// frames are self-delimiting — the 14-byte header fixes n/chunk/bits, and
-// every chunk's size follows in closed form — so a frame can be emitted or
-// parsed one chunk at a time with O(chunk) working memory instead of
-// materializing the whole payload. This is what lets the fldist parameter
-// server stream pull bodies straight into http.ResponseWriter and decode push
-// bodies chunk-by-chunk under MaxBytesReader. No protocol change: a streamed
-// frame is byte-identical to Encode(QuantizeChunks(v, bits, chunk)).
+// The one parser: every frame form is read here, incrementally from an
+// io.Reader. Frames are self-delimiting — the 14-byte header fixes
+// n/chunk/bits, and every block's size follows from it (and, for sparse
+// frames, from the index varints) — so a frame is consumed one block at a
+// time with working memory bounded by the block, never by the whole payload.
+// This is what lets the fldist parameter server decode push bodies
+// block-by-block off the HTTP request; Decode and DecodeFirst run the same
+// parser over a byte slice.
 
-// scratchPool recycles the per-chunk byte buffers of the streaming codec, so
-// a steady-state server encodes and decodes frames with near-zero allocation.
-var scratchPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
-
-// getScratch returns a pooled byte slice of length n.
-func getScratch(n int) *[]byte {
-	p := scratchPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putScratch(p *[]byte) { scratchPool.Put(p) }
-
-// StreamEncoder emits one quantized frame incrementally: the header at
-// construction, then one chunk per WriteChunk call in order. The output is
-// byte-identical to Encode(QuantizeChunks(v, bits, chunk)) over the
-// concatenation of the WriteChunk inputs.
-type StreamEncoder struct {
-	w     io.Writer
-	bits  int
-	chunk int
-	n     int
-	done  int // values written so far
-	hdr   [frameHeaderSize + 8]byte
-}
-
-// NewStreamEncoder writes the frame header for an n-value vector quantized at
-// the given bits/chunk and returns an encoder for its chunks.
-func NewStreamEncoder(w io.Writer, bits, chunk, n int) (*StreamEncoder, error) {
-	if bits < 2 || bits > 8 {
-		return nil, fmt.Errorf("quant: stream encoder bits %d outside [2,8]", bits)
-	}
-	if chunk < 1 {
-		return nil, fmt.Errorf("quant: stream encoder chunk %d must be ≥ 1", chunk)
-	}
-	if n < 0 || n > math.MaxUint32 {
-		return nil, fmt.Errorf("quant: stream encoder n %d outside [0,2^32)", n)
-	}
-	e := &StreamEncoder{w: w, bits: bits, chunk: chunk, n: n}
-	hdr := appendHeader(e.hdr[:0], bits, n, chunk)
-	if _, err := w.Write(hdr); err != nil {
-		return nil, fmt.Errorf("quant: stream encoder header: %w", err)
-	}
-	return e, nil
-}
-
-// NextLen returns the value count of the next chunk to write, 0 when the
-// frame is complete.
-func (e *StreamEncoder) NextLen() int {
-	if e.done >= e.n {
-		return 0
-	}
-	if rem := e.n - e.done; rem < e.chunk {
-		return rem
-	}
-	return e.chunk
-}
-
-// WriteChunk quantizes vals — which must be exactly the next NextLen() values
-// of the vector — and writes the chunk's scale and packed codes. If deq is
-// non-nil it must have len(vals) and receives the dequantized values (what a
-// decoder will reconstruct), letting callers compute error-feedback residuals
-// without a second pass.
-func (e *StreamEncoder) WriteChunk(vals, deq []float64) error {
-	want := e.NextLen()
-	if want == 0 {
-		return fmt.Errorf("quant: WriteChunk past the end of a %d-value frame", e.n)
-	}
-	if len(vals) != want {
-		return fmt.Errorf("quant: WriteChunk got %d values, next chunk holds %d", len(vals), want)
-	}
-	if deq != nil && len(deq) != len(vals) {
-		return fmt.Errorf("quant: WriteChunk deq length %d, want %d", len(deq), len(vals))
-	}
-	scale := chunkScale(vals, e.bits)
-	nb := codeBytes(len(vals), e.bits)
-	buf := getScratch(8 + nb)
-	defer putScratch(buf)
-	binary.LittleEndian.PutUint64((*buf)[:8], math.Float64bits(scale))
-	packCodes((*buf)[8:], deq, vals, scale, e.bits)
-	if _, err := e.w.Write(*buf); err != nil {
-		return fmt.Errorf("quant: stream encoder chunk: %w", err)
-	}
-	e.done += len(vals)
-	return nil
-}
-
-// Close verifies the full vector was written. It does not close the
-// underlying writer.
-func (e *StreamEncoder) Close() error {
-	if e.done != e.n {
-		return fmt.Errorf("quant: stream encoder closed after %d of %d values", e.done, e.n)
-	}
-	return nil
-}
-
-// EncodeStream writes v as one quantized frame to w via the streaming
-// encoder. If deq is non-nil (len(v)), it receives the dequantized
-// reconstruction. The bytes written are identical to
-// Encode(QuantizeChunks(v, bits, chunk)).
-func EncodeStream(w io.Writer, v []float64, bits, chunk int, deq []float64) error {
-	e, err := NewStreamEncoder(w, bits, chunk, len(v))
-	if err != nil {
-		return err
-	}
-	off := 0
-	for l := e.NextLen(); l > 0; l = e.NextLen() {
-		var d []float64
-		if deq != nil {
-			d = deq[off : off+l]
-		}
-		if err := e.WriteChunk(v[off:off+l], d); err != nil {
-			return err
-		}
-		off += l
-	}
-	return e.Close()
-}
-
-// rawBlock is how many float64 values a raw-frame stream decode reads per
-// step; it bounds the scratch buffer exactly like chunk does for quantized
-// frames.
+// rawBlock is how many float64 values one raw-frame block holds; it bounds
+// the scratch exactly like the chunk does for quantized frames.
 const rawBlock = 512
 
-// StreamDecoder consumes one frame incrementally from an io.Reader: the
-// header at construction, then one block of values per Next call. Structural
-// violations return errors wrapping ErrCodec, exactly as Decode does, and the
-// decoder never reads past the end of its frame — trailing bytes stay in r.
+// StreamDecoder consumes one frame from an io.Reader: the header at
+// construction (or Reset), then the payload through exactly one of
+// DecodeAll, ApplyDelta or Frame. Structural violations return errors
+// wrapping ErrCodec, the decoder never reads past the end of its frame —
+// trailing bytes stay in r — and its allocations grow only with payload
+// bytes actually read, whatever the header declares.
 type StreamDecoder struct {
 	r      io.Reader
 	bits   int
 	chunk  int
 	n      int
-	done   int
 	sparse bool
+	spent  bool
+	hdr    [FrameHeaderSize]byte
+	buf    []byte    // block scratch, reused across Reset
+	vals   []float64 // decoded-block scratch, reused across Reset
 }
 
 // NewStreamDecoder reads and validates a frame header from r.
@@ -170,11 +49,12 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 }
 
 // Reset re-initializes the decoder onto a new frame from r, reading and
-// validating its header, so callers can pool decoders across frames instead
-// of allocating one per frame.
+// validating its header, so callers can pool decoders (and their scratch)
+// across frames.
 func (d *StreamDecoder) Reset(r io.Reader) error {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	d.r, d.spent = r, false
+	hdr := d.hdr[:]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return fmt.Errorf("%w: reading header: %v", ErrCodec, err)
 	}
 	if string(hdr[:4]) != frameMagic {
@@ -183,32 +63,19 @@ func (d *StreamDecoder) Reset(r io.Reader) error {
 	if hdr[4] != frameVersion {
 		return fmt.Errorf("%w: version %d, want %d", ErrCodec, hdr[4], frameVersion)
 	}
-	d.r = r
 	d.bits = int(hdr[5])
 	d.n = int(binary.LittleEndian.Uint32(hdr[6:10]))
 	d.chunk = int(binary.LittleEndian.Uint32(hdr[10:14]))
-	d.done = 0
 	d.sparse = d.bits&sparseFlag != 0
-	if d.sparse {
-		d.bits &^= sparseFlag
-		if d.bits < 2 || d.bits > 8 {
-			return fmt.Errorf("%w: sparse bits %d outside [2,8]", ErrCodec, d.bits)
-		}
-		if d.chunk < 1 {
-			return fmt.Errorf("%w: sparse frame with chunk %d", ErrCodec, d.chunk)
-		}
-		return nil
-	}
-	if d.bits == RawBits {
+	d.bits &^= sparseFlag
+	switch {
+	case d.bits == RawBits && !d.sparse:
 		if d.chunk != 0 {
 			return fmt.Errorf("%w: raw frame with chunk %d", ErrCodec, d.chunk)
 		}
-		return nil
-	}
-	if d.bits < 2 || d.bits > 8 {
-		return fmt.Errorf("%w: bits %d outside {0, 2..8}", ErrCodec, d.bits)
-	}
-	if d.chunk < 1 {
+	case d.bits < 2 || d.bits > 8:
+		return fmt.Errorf("%w: bits %d (sparse %v) outside {0, 2..8}", ErrCodec, d.bits, d.sparse)
+	case d.chunk < 1:
 		return fmt.Errorf("%w: quantized frame with chunk %d", ErrCodec, d.chunk)
 	}
 	return nil
@@ -224,123 +91,257 @@ func (d *StreamDecoder) Chunk() int { return d.chunk }
 func (d *StreamDecoder) Len() int { return d.n }
 
 // IsRaw reports whether the frame carries exact float64 values.
-func (d *StreamDecoder) IsRaw() bool { return d.bits == RawBits && !d.sparse }
+func (d *StreamDecoder) IsRaw() bool { return d.bits == RawBits }
 
-// IsSparse reports whether the frame is the sparse top-k form. Sparse frames
-// are consumed whole via ApplySparse (or DecodeAll), not block-by-block —
-// their occupied chunks are not knowable from the header alone.
+// IsSparse reports whether the frame is the sparse top-k form.
 func (d *StreamDecoder) IsSparse() bool { return d.sparse }
 
-// NextLen returns the value count of the next Next call's block: the next
-// chunk for quantized frames, up to rawBlock values for raw frames, 0 once
-// the frame is fully decoded. Sparse frames report 0 — use ApplySparse.
-func (d *StreamDecoder) NextLen() int {
-	if d.sparse {
-		return 0
+// read returns the next nb frame bytes in the decoder's scratch. The buffer
+// grows only as bytes arrive — in steps that double from 4 KiB — so a
+// header's size claims allocate nothing their payload has not backed.
+func (d *StreamDecoder) read(nb int) ([]byte, error) {
+	b := d.buf[:0]
+	for len(b) < nb {
+		step := min(nb-len(b), max(len(b), 4096))
+		if cap(b) < len(b)+step {
+			b = append(make([]byte, 0, len(b)+step), b...)
+		}
+		got, err := io.ReadFull(d.r, b[len(b):len(b)+step])
+		b = b[:len(b)+got]
+		if err != nil {
+			d.buf = b
+			return nil, fmt.Errorf("%w: payload %d of %d bytes: %v", ErrCodec, len(b), nb, err)
+		}
 	}
-	rem := d.n - d.done
-	if rem <= 0 {
-		return 0
-	}
-	step := d.chunk
-	if d.IsRaw() {
-		step = rawBlock
-	}
-	if rem < step {
-		return rem
-	}
-	return step
+	d.buf = b
+	return b, nil
 }
 
-// Next decodes the next block of values into dst, which must hold exactly
-// NextLen() values. It returns io.EOF (with no values written) once the
-// frame is complete.
-func (d *StreamDecoder) Next(dst []float64) error {
-	if d.sparse {
-		return fmt.Errorf("quant: stream decoder Next on a sparse frame; use ApplySparse")
-	}
-	want := d.NextLen()
-	if want == 0 {
-		return io.EOF
-	}
-	if len(dst) != want {
-		return fmt.Errorf("quant: stream decoder Next got %d-value dst, next block holds %d", len(dst), want)
-	}
-	if d.IsRaw() {
-		buf := getScratch(8 * want)
-		defer putScratch(buf)
-		if _, err := io.ReadFull(d.r, *buf); err != nil {
-			return fmt.Errorf("%w: raw payload: %v", ErrCodec, err)
-		}
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64((*buf)[8*i:]))
-		}
-		d.done += want
-		return nil
-	}
-	nb := codeBytes(want, d.bits)
-	buf := getScratch(8 + nb)
-	defer putScratch(buf)
-	if _, err := io.ReadFull(d.r, *buf); err != nil {
-		return fmt.Errorf("%w: quantized payload: %v", ErrCodec, err)
-	}
-	scale := math.Float64frombits(binary.LittleEndian.Uint64((*buf)[:8]))
-	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
-		return fmt.Errorf("%w: chunk scale %v not a finite non-negative value", ErrCodec, scale)
-	}
-	unpackCodes(dst, (*buf)[8:], scale, d.bits)
-	d.done += want
-	return nil
+// block is one unit of payload: up to rawBlock exact values of a raw frame,
+// one chunk of a dense frame, or one occupied chunk's stored values of a
+// sparse frame. at is the first value's position (raw, dense) or the offset
+// of the first stored index in idx (sparse); m is the value count.
+type block struct {
+	at, m int
+	scale float64
+	codes []byte // quantized: packed codes; raw: m float64 LE
 }
 
-// DecodeAll decodes the frame's remaining values into dst, which must hold
-// exactly Len()−(values already decoded) values, block by block with pooled
-// O(chunk) scratch. A sparse frame decodes as its dense materialization:
-// stored values at their indices, exact zeros elsewhere.
-func (d *StreamDecoder) DecodeAll(dst []float64) error {
-	if len(dst) != d.n-d.done {
-		return fmt.Errorf("quant: stream decoder DecodeAll got %d-value dst, frame has %d left",
-			len(dst), d.n-d.done)
+// blocks reads the payload and calls f on every block in frame order,
+// handing it the stored indices of a sparse frame (nil otherwise). A block's
+// codes live in scratch that the next block overwrites.
+func (d *StreamDecoder) blocks(f func(b block, idx []uint32) error) error {
+	if d.spent {
+		return fmt.Errorf("quant: stream decoder reused without Reset")
 	}
+	d.spent = true
 	if d.sparse {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return d.applySparse(dst, math.Inf(1))
+		return d.sparseBlocks(f)
 	}
-	off := 0
-	for l := d.NextLen(); l > 0; l = d.NextLen() {
-		if err := d.Next(dst[off : off+l]); err != nil {
+	for at := 0; at < d.n; {
+		var b block
+		var err error
+		if d.IsRaw() {
+			b.at, b.m = at, min(rawBlock, d.n-at)
+			b.codes, err = d.read(8 * b.m)
+		} else {
+			b, err = d.quantBlock(at, min(d.chunk, d.n-at))
+		}
+		if err == nil {
+			err = f(b, nil)
+		}
+		if err != nil {
 			return err
 		}
-		off += l
+		at += b.m
 	}
 	return nil
 }
 
-// ApplySparse consumes a sparse frame, scatter-adding its stored dequantized
-// values onto dst (which must hold Len() values) and leaving every unstored
-// coordinate untouched — the error-feedback apply: pass the base vector in,
-// get base + decoded delta out. A sum whose magnitude exceeds limit — NaN and
-// ±Inf always do — is rejected at the coordinate it would be written to (a
-// wire scale can be hostile), so a dst within limit on entry is within limit
-// wherever ApplySparse returns nil — the caller need not sweep the n−k
-// coordinates the frame never touched. limit = math.MaxFloat64 asks for
-// finiteness alone. On any
-// error dst is left partially applied. Structural violations wrap ErrCodec,
-// and the decoder's allocations stay proportional to the bytes actually
-// read, so an adversarial header cannot force an oversized buffer.
-func (d *StreamDecoder) ApplySparse(dst []float64, limit float64) error {
-	if !d.sparse {
-		return fmt.Errorf("quant: ApplySparse on a non-sparse frame")
+// sparseBlocks reads a sparse payload: the stored count, the index varints
+// (the slice grows as they arrive: every index costs a wire byte, so an
+// adversarial count buys no memory), then one block per occupied chunk.
+func (d *StreamDecoder) sparseBlocks(f func(b block, idx []uint32) error) error {
+	p, err := d.read(4)
+	if err != nil {
+		return err
 	}
-	if d.done != 0 {
-		return fmt.Errorf("quant: ApplySparse on a consumed frame")
+	k := int(binary.LittleEndian.Uint32(p))
+	if k > d.n {
+		return fmt.Errorf("%w: sparse count %d exceeds n %d", ErrCodec, k, d.n)
 	}
+	br, ok := d.r.(io.ByteReader)
+	if !ok {
+		br = &byteReaderAdapter{r: d.r}
+	}
+	var idx []uint32
+	for i := 0; i < k; i++ {
+		x, err := readUvarint(br)
+		if err != nil {
+			return fmt.Errorf("sparse index %d: %w", i, err)
+		}
+		if i > 0 {
+			if x == 0 {
+				return fmt.Errorf("%w: sparse index %d repeats its predecessor", ErrCodec, i)
+			}
+			x += uint64(idx[i-1])
+		}
+		if x >= uint64(d.n) {
+			return fmt.Errorf("%w: sparse index %d outside [0,%d)", ErrCodec, x, d.n)
+		}
+		idx = append(idx, uint32(x))
+	}
+	for i := 0; i < k; {
+		j := i + 1
+		for j < k && idx[j]/uint32(d.chunk) == idx[i]/uint32(d.chunk) {
+			j++
+		}
+		b, err := d.quantBlock(i, j-i)
+		if err == nil {
+			err = f(b, idx)
+		}
+		if err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
+}
+
+// quantBlock reads one quantized block of m values: its scale, which must
+// be finite and non-negative, then its packed codes.
+func (d *StreamDecoder) quantBlock(at, m int) (block, error) {
+	p, err := d.read(8 + codeBytes(m, d.bits))
+	if err != nil {
+		return block{}, err
+	}
+	b := block{at: at, m: m, scale: math.Float64frombits(binary.LittleEndian.Uint64(p)), codes: p[8:]}
+	if !(b.scale >= 0 && b.scale <= math.MaxFloat64) {
+		return block{}, fmt.Errorf("%w: chunk scale %v not a finite non-negative value", ErrCodec, b.scale)
+	}
+	return b, nil
+}
+
+// unpack decodes a block's m values into dst.
+func (d *StreamDecoder) unpack(dst []float64, b block) {
+	if d.IsRaw() {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b.codes[8*i:]))
+		}
+		return
+	}
+	unpackCodes(dst, b.codes, b.scale, d.bits)
+}
+
+// scratch returns the decoder's value scratch resized to m values.
+func (d *StreamDecoder) scratch(m int) []float64 {
+	if cap(d.vals) < m {
+		d.vals = make([]float64, m)
+	}
+	return d.vals[:m]
+}
+
+// DecodeAll decodes the whole frame into dst, which must hold exactly Len()
+// values. A sparse frame decodes as its dense materialization: stored values
+// at their indices, exact zeros elsewhere.
+func (d *StreamDecoder) DecodeAll(dst []float64) error {
 	if len(dst) != d.n {
-		return fmt.Errorf("%w: ApplySparse got %d-value dst, frame declares %d", ErrCodec, len(dst), d.n)
+		return fmt.Errorf("quant: DecodeAll got %d-value dst, frame has %d", len(dst), d.n)
 	}
-	return d.applySparse(dst, limit)
+	if d.sparse {
+		// Onto zeros a finite scale decodes to at worst ±Inf, never NaN, so
+		// the limit +Inf materializes whatever the frame says.
+		clear(dst)
+		return d.ApplyDelta(dst, dst, math.Inf(1))
+	}
+	return d.blocks(func(b block, _ []uint32) error {
+		d.unpack(dst[b.at:b.at+b.m], b)
+		return nil
+	})
+}
+
+// ApplyDelta consumes a quantized frame, dense or sparse, writing base plus
+// its dequantized values into dst — both Len() values; base may be dst
+// itself, to apply in place. A sparse frame carries every unstored
+// coordinate of base over unchanged. A sum whose magnitude exceeds limit —
+// NaN and ±Inf always do — is rejected at the coordinate it would be written
+// to (a wire scale can be hostile), so a base within limit gives a dst within
+// limit wherever ApplyDelta returns nil; limit = math.MaxFloat64 asks for
+// finiteness alone. A raw frame is not a delta and is refused. On any error
+// dst is left partially written.
+func (d *StreamDecoder) ApplyDelta(dst, base []float64, limit float64) error {
+	if d.IsRaw() {
+		return fmt.Errorf("%w: raw frame where a delta belongs", ErrCodec)
+	}
+	if len(dst) != d.n || len(base) != d.n {
+		return fmt.Errorf("%w: delta of %d values onto a %d-value base into %d values", ErrCodec, d.n, len(base), len(dst))
+	}
+	if d.sparse && d.n > 0 && &dst[0] != &base[0] {
+		copy(dst, base)
+	}
+	beyond := func(i int) error {
+		return fmt.Errorf("%w: value at index %d makes a sum beyond %g", ErrCodec, i, limit)
+	}
+	return d.blocks(func(b block, idx []uint32) error {
+		vals := d.scratch(b.m)
+		d.unpack(vals, b)
+		if idx == nil {
+			in, out := base[b.at:b.at+len(vals)], dst[b.at:b.at+len(vals)]
+			for t, x := range vals {
+				sum := in[t] + x
+				if !(math.Abs(sum) <= limit) {
+					return beyond(b.at + t)
+				}
+				out[t] = sum
+			}
+			return nil
+		}
+		for t, x := range vals {
+			i := idx[b.at+t]
+			sum := dst[i] + x
+			if !(math.Abs(sum) <= limit) {
+				return beyond(int(i))
+			}
+			dst[i] = sum
+		}
+		return nil
+	})
+}
+
+// Frame reads the whole frame into a Frame holding its wire content — the
+// exact values, or the scales, packed codes and stored indices — in buffers
+// that, like the decoder's, grow only as payload bytes arrive.
+func (d *StreamDecoder) Frame() (*Frame, error) {
+	f := &Frame{Bits: d.bits, Chunk: d.chunk}
+	if d.IsRaw() {
+		f.Raw = []float64{}
+	}
+	var scales []float64
+	var codes []byte
+	var stored []uint32
+	err := d.blocks(func(b block, idx []uint32) error {
+		if d.IsRaw() {
+			f.Raw = slices.Grow(f.Raw, b.m)[:b.at+b.m]
+			d.unpack(f.Raw[b.at:], b)
+			return nil
+		}
+		scales, codes, stored = append(scales, b.scale), append(codes, b.codes...), idx
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case d.sparse:
+		s := &SparseVec{Bits: d.bits, Chunk: d.chunk, N: d.n, Idx: make([]int, len(stored)), Scales: scales, Codes: codes}
+		for i, ix := range stored {
+			s.Idx[i] = int(ix)
+		}
+		f.Sparse = s
+	case !d.IsRaw():
+		f.Q = Chunked{Bits: d.bits, Chunk: d.chunk, N: d.n, Scales: scales, Codes: codes}
+	}
+	return f, nil
 }
 
 // byteReaderAdapter lifts a plain io.Reader to io.ByteReader for varint
@@ -358,9 +359,10 @@ func (b *byteReaderAdapter) ReadByte() (byte, error) {
 	return b.buf[0], nil
 }
 
-// readUvarintCanonical decodes one canonical uvarint of at most 5 bytes —
-// the streaming twin of uvarint32, with identical acceptance.
-func readUvarintCanonical(br io.ByteReader) (uint64, error) {
+// readUvarint decodes one canonical uvarint of at most 5 bytes (enough for
+// any uint32-range value). It rejects truncated input, overlong
+// (non-canonical) encodings and longer varints, all wrapping ErrCodec.
+func readUvarint(br io.ByteReader) (uint64, error) {
 	var x uint64
 	var s uint
 	for i := 0; i < 5; i++ {
@@ -378,85 +380,4 @@ func readUvarintCanonical(br io.ByteReader) (uint64, error) {
 		s += 7
 	}
 	return 0, fmt.Errorf("%w: varint longer than 5 bytes", ErrCodec)
-}
-
-// applySparse scatter-adds the frame onto dst, rejecting a sum beyond limit
-// (ApplySparse's contract); DecodeAll, which must accept exactly what Decode
-// accepts, passes +Inf — onto its zeroed dst a finite scale decodes to at
-// worst ±Inf, never NaN — and materializes whatever the frame says.
-func (d *StreamDecoder) applySparse(dst []float64, limit float64) error {
-	var cnt [4]byte
-	if _, err := io.ReadFull(d.r, cnt[:]); err != nil {
-		return fmt.Errorf("%w: sparse count: %v", ErrCodec, err)
-	}
-	k := int(binary.LittleEndian.Uint32(cnt[:]))
-	if k > d.n {
-		return fmt.Errorf("%w: sparse count %d exceeds n %d", ErrCodec, k, d.n)
-	}
-	br, ok := d.r.(io.ByteReader)
-	if !ok {
-		br = &byteReaderAdapter{r: d.r}
-	}
-	// Grow the index slice as varints arrive instead of trusting k upfront:
-	// every stored index costs at least one wire byte, so memory stays
-	// proportional to input actually read even under an adversarial count.
-	var idx []uint32
-	prev := 0
-	for i := 0; i < k; i++ {
-		x, err := readUvarintCanonical(br)
-		if err != nil {
-			return fmt.Errorf("sparse index %d: %w", i, err)
-		}
-		if i > 0 && x == 0 {
-			return fmt.Errorf("%w: sparse index %d repeats its predecessor", ErrCodec, i)
-		}
-		if x > uint64(d.n) {
-			return fmt.Errorf("%w: sparse index delta %d exceeds n %d", ErrCodec, x, d.n)
-		}
-		ix := prev + int(x)
-		if i == 0 {
-			ix = int(x)
-		}
-		if ix >= d.n {
-			return fmt.Errorf("%w: sparse index %d outside [0,%d)", ErrCodec, ix, d.n)
-		}
-		idx = append(idx, uint32(ix))
-		prev = ix
-	}
-	// A group holds at most min(chunk, k) values, and every index cost a
-	// wire byte: sizing by the header's chunk alone would let 18 hostile
-	// bytes ask for 32 GiB.
-	vals := make([]float64, 0, min(d.chunk, len(idx)))
-	for i := 0; i < len(idx); {
-		c := int(idx[i]) / d.chunk
-		j := i + 1
-		for j < len(idx) && int(idx[j])/d.chunk == c {
-			j++
-		}
-		m := j - i
-		nb := codeBytes(m, d.bits)
-		buf := getScratch(8 + nb)
-		if _, err := io.ReadFull(d.r, *buf); err != nil {
-			putScratch(buf)
-			return fmt.Errorf("%w: sparse chunk block: %v", ErrCodec, err)
-		}
-		scale := math.Float64frombits(binary.LittleEndian.Uint64((*buf)[:8]))
-		if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
-			putScratch(buf)
-			return fmt.Errorf("%w: sparse chunk scale %v not a finite non-negative value", ErrCodec, scale)
-		}
-		vals = vals[:m]
-		unpackCodes(vals, (*buf)[8:], scale, d.bits)
-		putScratch(buf)
-		for t, x := range vals {
-			sum := dst[idx[i+t]] + x
-			if !(math.Abs(sum) <= limit) {
-				return fmt.Errorf("%w: sparse value at index %d makes a sum beyond %g", ErrCodec, idx[i+t], limit)
-			}
-			dst[idx[i+t]] = sum
-		}
-		i = j
-	}
-	d.done = d.n
-	return nil
 }

@@ -1,6 +1,9 @@
 package fedprophet
 
-import "fedprophet/internal/fldist"
+import (
+	"fedprophet/internal/fldist"
+	"fedprophet/internal/quant"
+)
 
 // Option configures a Runner or a single Run call. Options compose left to
 // right; later options win.
@@ -99,12 +102,6 @@ func WithAPA(on bool) Option { return func(c *runConfig) { c.apa = on } }
 // Default on.
 func WithDMA(on bool) Option { return func(c *runConfig) { c.dma = on } }
 
-// WithUploadBits enables low-bit quantization of FedProphet client uploads
-// (2–8 bits; 0 disables) with a single scale per upload vector. Prefer
-// WithWireCompression, which also sets the chunked form the distributed
-// transport puts on the wire.
-func WithUploadBits(bits int) Option { return func(c *runConfig) { c.uploadBits = bits } }
-
 // WithWireCompression configures the compressed wire protocol parameters:
 // client uploads are quantized at `bits` (2–8) with one scale per `chunk`
 // values (0 selects the transport default of 256), exactly as
@@ -117,7 +114,7 @@ func WithWireCompression(bits, chunk int) Option {
 	return func(c *runConfig) {
 		c.uploadBits = bits
 		if bits != 0 && chunk == 0 {
-			chunk = fldist.DefaultChunk
+			chunk = quant.DefaultChunk
 		}
 		c.uploadChunk = chunk
 	}
