@@ -80,14 +80,18 @@ test-race:
 # panic, only 200/400/409, a finite model after every 200) and
 # FuzzCodecHeader (arbitrary X-Fldist-Codec values, ;topk=K;delta=1;base=R
 # included — no panic, base ≥ −1, an accepted codec's echo re-parses to
-# itself), plus FuzzConvKernelsMatchNaive (arbitrary conv geometries —
-# unroll, scatter, forward GEMM and dW stay bit-equal to their naive
-# references on the AVX2 tile and the portable twin). ~18s; part of ci.
+# itself) and FuzzWALAdmitReplay (one admission record of a valid buffered
+# WAL mutated and CRC-resealed — recovery never panics, errors wrap ErrWAL,
+# the replayed buffer and the commit forced from it stay finite), plus
+# FuzzConvKernelsMatchNaive (arbitrary conv geometries — unroll, scatter,
+# forward GEMM and dW stay bit-equal to their naive references on the AVX2
+# tile and the portable twin). ~20s; part of ci.
 fuzz:
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzQuantizeMatchesReference$$' -fuzztime 4s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzUpdateEnvelope$$' -fuzztime 3s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzCodecHeader$$' -fuzztime 2s
+	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzWALAdmitReplay$$' -fuzztime 2s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzConvKernelsMatchNaive$$' -fuzztime 3s
 
 # Dead relative links in the markdown docs — and dead *.md references cited

@@ -199,7 +199,8 @@ func SampleClients(n, c int, rng *rand.Rand) []int {
 }
 
 // WeightedAverage aggregates parameter vectors with the given non-negative
-// weights (FedAvg, Eq. 1): result = Σ qk·vk / Σ qk.
+// weights (FedAvg, Eq. 1): result = Σ qk·vk / Σ qk — FoldAverage over the
+// whole vector.
 func WeightedAverage(vecs [][]float64, weights []float64) []float64 {
 	if len(vecs) == 0 {
 		return nil
@@ -208,29 +209,72 @@ func WeightedAverage(vecs [][]float64, weights []float64) []float64 {
 		panic("fl: vectors and weights length mismatch")
 	}
 	n := len(vecs[0])
-	out := make([]float64, n)
-	total := 0.0
 	for k, v := range vecs {
 		if len(v) != n {
 			panic("fl: inconsistent vector lengths")
 		}
-		w := weights[k]
-		if w < 0 {
+		if weights[k] < 0 {
 			panic("fl: negative weight")
 		}
+	}
+	out := make([]float64, n)
+	FoldAverage(out, vecs, weights, 0, n)
+	return out
+}
+
+// The fold family. Each fold writes one index range [lo, hi) of its result
+// into out[lo:hi], which must arrive zeroed, and runs one fixed IEEE-754
+// sequence per element — accumulate in vecs order, then scale by the
+// reciprocal of the weight sum — so a fold over a range is bit-identical to
+// the same range of a fold over the whole vector. That is what lets the
+// parameter server's shards (internal/fldist), each folding its own range,
+// reproduce the in-process aggregate exactly. The two folds are different
+// sequences (the delta fold subtracts before it weights), so neither is
+// expressed through the other.
+
+// FoldAverage is the FedAvg fold Σₖ wₖ·vₖ / Σₖ wₖ over [lo, hi). A zero weight
+// sum leaves the zeros.
+func FoldAverage(out []float64, vecs [][]float64, weights []float64, lo, hi int) {
+	o := out[lo:hi]
+	total := 0.0
+	for k, v := range vecs {
+		w := weights[k]
 		total += w
-		for i, x := range v {
-			out[i] += w * x
+		for i, x := range v[lo:hi] {
+			o[i] += w * x
 		}
 	}
 	if total == 0 {
-		return out
+		return
 	}
 	inv := 1.0 / total
-	for i := range out {
-		out[i] *= inv
+	for i := range o {
+		o[i] *= inv
 	}
-	return out
+}
+
+// FoldDelta is the FedBuff fold g + Σₖ wₖ·(vₖ − baseₖ) / Σₖ wₖ over [lo, hi):
+// each update applied as its weighted delta against the base it trained
+// from, onto the current model g. A zero weight sum copies g.
+func FoldDelta(out, g []float64, vecs, bases [][]float64, weights []float64, lo, hi int) {
+	o := out[lo:hi]
+	total := 0.0
+	for k, v := range vecs {
+		w, b := weights[k], bases[k][lo:hi]
+		total += w
+		for i, x := range v[lo:hi] {
+			o[i] += w * (x - b[i])
+		}
+	}
+	g = g[lo:hi]
+	if total == 0 {
+		copy(o, g)
+		return
+	}
+	inv := 1.0 / total
+	for i := range o {
+		o[i] = g[i] + o[i]*inv
+	}
 }
 
 // SubsetWeights returns the FedAvg data-size weights qk for the selected

@@ -128,6 +128,54 @@ func TestWeightedAverageZeroWeightIgnored(t *testing.T) {
 	}
 }
 
+// TestFoldRangesTileTheWholeFold pins the range form: folding a vector as
+// disjoint ranges, in any split, is bit-identical to one fold over the whole
+// vector — for FoldAverage against WeightedAverage, and for FoldDelta
+// against the element-wise g + Σw(v−b)/Σw it documents.
+func TestFoldRangesTileTheWholeFold(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const k, n = 5, 103
+	vecs, bases := make([][]float64, k), make([][]float64, k)
+	weights := make([]float64, k)
+	g := make([]float64, n)
+	for j := range vecs {
+		vecs[j], bases[j] = make([]float64, n), make([]float64, n)
+		for i := range vecs[j] {
+			vecs[j][i], bases[j][i] = r.NormFloat64(), r.NormFloat64()
+		}
+		weights[j] = 0.5 + 10*r.Float64()
+	}
+	for i := range g {
+		g[i] = r.NormFloat64()
+	}
+	want := WeightedAverage(vecs, weights)
+	wantDelta := make([]float64, n)
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	for i := range wantDelta {
+		acc := 0.0
+		for j := range vecs {
+			acc += weights[j] * (vecs[j][i] - bases[j][i])
+		}
+		wantDelta[i] = g[i] + acc*(1/total)
+	}
+	for _, cuts := range [][]int{{0, n}, {0, 1, n}, {0, 40, 41, 77, n}} {
+		avg, delta := make([]float64, n), make([]float64, n)
+		for c := 1; c < len(cuts); c++ {
+			FoldAverage(avg, vecs, weights, cuts[c-1], cuts[c])
+			FoldDelta(delta, g, vecs, bases, weights, cuts[c-1], cuts[c])
+		}
+		for i := range want {
+			if math.Float64bits(avg[i]) != math.Float64bits(want[i]) ||
+				math.Float64bits(delta[i]) != math.Float64bits(wantDelta[i]) {
+				t.Fatalf("cuts %v [%d]: fold %v / %v, want %v / %v", cuts, i, avg[i], delta[i], want[i], wantDelta[i])
+			}
+		}
+	}
+}
+
 func TestSubsetWeights(t *testing.T) {
 	parent := &data.Dataset{Y: []int{0, 0, 0, 0, 0}, NumClasses: 1}
 	subs := []*data.Subset{

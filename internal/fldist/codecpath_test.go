@@ -177,46 +177,59 @@ func TestSparsePushNonFiniteBaseRejected(t *testing.T) {
 // TestBuildRecyclesOnlyDeadResiduals drives one variant through enough rounds
 // that builds write their residual into recycled (dirty) vectors, and holds
 // every served body, base and carried residual to the sequential oracle. It
-// also pins which buffer comes back: the residual consumed two builds ago —
-// never a body or a base.
+// also pins which buffer comes back: the residual consumed by the previous
+// build — never a body or a base. One round passes with nobody pulling the
+// variant: its residual must carry across that round into the next build in
+// both modes, the synchronous quorum and the buffered server alike.
 func TestBuildRecyclesOnlyDeadResiduals(t *testing.T) {
-	const rounds = 6
+	const rounds, skipped = 8, 3
 	initP := synthVec(3*256+41, 81)
 	initBN := synthVec(8, 82)
 	comp := Compression{Bits: 4, Chunk: 256}
-	s := NewServer(initP, initBN, 1, WithShards(2))
-	params, bn := initP, initBN
-	var prevErr []float64
-	var residuals [][]float64 // nextErr of each round's build, as served
-	for r := 0; r < rounds; r++ {
-		wantDeq, wantNext, wantBody := seqServedBody(r, params, bn, prevErr, comp)
-		sm, err := s.getServed(comp, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sm.body, wantBody) {
-			t.Fatalf("round %d: served body differs from the sequential encoder", r)
-		}
-		for i := range wantDeq {
-			if math.Float64bits(sm.params[i]) != math.Float64bits(wantDeq[i]) ||
-				math.Float64bits(sm.nextErr[i]) != math.Float64bits(wantNext[i]) {
-				t.Fatalf("round %d [%d]: base %v residual %v, want %v %v", r, i, sm.params[i], sm.nextErr[i], wantDeq[i], wantNext[i])
+	for _, mode := range []struct {
+		name string
+		opts []ServerOption
+	}{
+		{"sync", nil},
+		{"buffered", []ServerOption{WithBufferedAggregation(1, 2)}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			s := NewServer(initP, initBN, 1, append(mode.opts, WithShards(2))...)
+			var prevErr []float64
+			var residuals [][]float64 // nextErr of each build, as served
+			for r := 0; r < rounds; r++ {
+				snap := s.model.Load()
+				if r != skipped {
+					wantDeq, wantNext, wantBody := seqServedBody(r, snap.params, snap.bn, prevErr, comp)
+					sm, err := s.getServed(comp, -1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(sm.body, wantBody) {
+						t.Fatalf("round %d: served body differs from the sequential encoder", r)
+					}
+					for i := range wantDeq {
+						if math.Float64bits(sm.params[i]) != math.Float64bits(wantDeq[i]) ||
+							math.Float64bits(sm.nextErr[i]) != math.Float64bits(wantNext[i]) {
+							t.Fatalf("round %d [%d]: base %v residual %v, want %v %v", r, i, sm.params[i], sm.nextErr[i], wantDeq[i], wantNext[i])
+						}
+					}
+					if !sm.finite {
+						t.Fatalf("round %d: finite model built a base marked non-finite", r)
+					}
+					if j := len(residuals); j >= 2 && &sm.nextErr[0] != &residuals[j-2][0] {
+						t.Fatalf("round %d: build did not reuse the residual the previous build consumed", r)
+					}
+					residuals = append(residuals, sm.nextErr)
+					prevErr = wantNext
+				}
+				buf := &updateBuf{params: perturb(initP, 0, r), bn: perturb(initBN, 0, r)}
+				if out, _ := s.register(0, r, 1, buf, snap.params, snap.bn, nil); out != regAdmittedLast {
+					t.Fatalf("register outcome %v", out)
+				}
+				s.commit()
 			}
-		}
-		if !sm.finite {
-			t.Fatalf("round %d: finite model built a base marked non-finite", r)
-		}
-		if r >= 2 && &sm.nextErr[0] != &residuals[r-2][0] {
-			t.Fatalf("round %d: build did not reuse the residual consumed at round %d", r, r-1)
-		}
-		residuals = append(residuals, sm.nextErr)
-		prevErr = wantNext
-
-		params, bn = perturb(initP, 0, r), perturb(initBN, 0, r)
-		if out, _ := s.register(0, r, 1, &updateBuf{params: params, bn: bn}, s.model.Load().params, s.model.Load().bn, nil); out != regAdmittedLast {
-			t.Fatalf("register outcome %v", out)
-		}
-		s.advanceRound()
+		})
 	}
 }
 
@@ -269,7 +282,7 @@ func TestBuildRecyclingUnderChurn(t *testing.T) {
 		if out, _ := s.register(0, r, 1, buf, s.model.Load().params, s.model.Load().bn, nil); out != regAdmittedLast {
 			t.Fatalf("register outcome %v", out)
 		}
-		s.advanceRound()
+		s.commit()
 	}
 	close(stop)
 	wg.Wait()
@@ -319,7 +332,7 @@ func TestSlowPullSurvivesLaterBuilds(t *testing.T) {
 		if out, _ := s.register(0, r, 1, buf, s.model.Load().params, s.model.Load().bn, nil); out != regAdmittedLast {
 			t.Fatalf("register outcome %v", out)
 		}
-		s.advanceRound()
+		s.commit()
 	}
 	advance(0)
 	advance(1) // round 2's build below reads a carried residual

@@ -818,7 +818,7 @@ func (s *Server) commitNow() (commitInfo, bool) {
 		weight:  s.pendingW,
 	}
 	s.pendMu.Unlock()
-	s.commitBuffer() // clears committing when it resets the registry
+	s.commit() // clears committing when it resets the registry
 	return info, true
 }
 

@@ -17,21 +17,26 @@ package fldist
 //
 // Replay is bit-identical to never having crashed, by two arguments:
 //
-// Delta-form admissions (raw and delta-downlink pushes) log d = vals−base. The fold consumes
-// each contribution only as weight·(vals−base) per element, so replaying as
-// (d, 0) feeds the identical difference through the identical
-// (baseRound, clientID)-ordered fold.
+// Delta-form admissions (raw and delta-downlink pushes) log d = vals−base.
+// The fold consumes each contribution only as weight·(vals−base) per
+// element, so replaying as (d, 0) feeds the identical difference through the
+// identical (baseRound, clientID)-ordered fold.
 //
 // Frame-form admissions (compressed pushes) log the client's wire frames
-// verbatim. Replay re-runs the live handler's own arithmetic — stream-decode,
-// add the served base the client pulled — against that base rebuilt from the
-// base round's commit record: buildServed is a byte-deterministic function of
-// (snapshot, entry residual, codec), and the commit record carries exactly
-// those inputs. (d = (base⊕dq)⊖base generally ≠ dq in IEEE-754, which is why
-// the frames must be replayed through the add, not substituted for a delta.)
+// verbatim, and replay runs them through the push handler's own decoder
+// (decodeUpdate) — the same decode, base add and admission checks — against
+// the served base rebuilt from the base round's commit record: buildServed
+// is a byte-deterministic function of (snapshot, entry residual, codec), and
+// the commit record carries exactly those inputs. (d = (base⊕dq)⊖base
+// generally ≠ dq in IEEE-754, which is why the frames must be replayed
+// through the add, not substituted for a delta.)
 //
-// TestRecoverBitIdentical* pin both across modes, shard counts, and crash
-// points.
+// Either way replay refuses, with ErrWAL, what the live server could never
+// have admitted: values outside the admission range, deltas beyond the
+// difference of two in-range vectors, effective weights outside the
+// registry's discounted weight bounds. TestRecoverBitIdentical* pin
+// bit-identity across modes, shard counts and crash points;
+// TestRecoverRefusesOutOfRangeAdmit and FuzzWALAdmitReplay the refusals.
 
 import (
 	"bytes"
@@ -40,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -220,7 +224,7 @@ func openWALForRecovery(dir string) (*wal, *walRecovered, error) {
 		lf.Close()
 		return nil, nil, err
 	}
-	w := newWAL(dir, f, lf, st.meta, WALSyncCommit)
+	w := newWAL(dir, f, lf, st.meta)
 	w.off = end
 	w.nextSeq = st.lastSeq + 1
 	w.writeSeq = st.lastSeq + 1
@@ -242,7 +246,7 @@ func openWALForRecovery(dir string) (*wal, *walRecovered, error) {
 // logged after it re-enter the buffer, and the log stays open for the
 // recovered server's own appends. The aggregation mode, commit threshold and
 // staleness window come from the log's meta record; opts may tune the
-// runtime-only settings (shards, sync policy) but not the aggregation mode.
+// runtime-only settings (shards) but not the aggregation mode.
 // It returns ErrWALLocked while another live process holds the log — see
 // Handoff for waiting that out.
 func RecoverServer(dir string, opts ...ServerOption) (*Server, error) {
@@ -293,7 +297,6 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 	if cfg.bufferK != 0 || cfg.maxStale != 0 {
 		return nil, errors.New("fldist: aggregation mode is fixed by the WAL meta record")
 	}
-	w.policy = cfg.walSync
 
 	last := st.commits[len(st.commits)-1]
 	if len(last.c.params) != m.nParams || len(last.c.bn) != m.nBN {
@@ -356,14 +359,13 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 		// restart is still answered idempotently, never double-counted. Then
 		// replay the admissions of the round in flight (admitted after the
 		// last commit) into the buffer: delta form as (delta, zero-base)
-		// contributions, frame form through the live handler's own decode
+		// contributions, frame form through the live handler's own decoder
 		// against the served base rebuilt from the base round's commit record.
 		commitAt := make(map[int]*walCommit, len(st.commits))
 		for i := range st.commits {
 			commitAt[st.commits[i].c.round] = &st.commits[i].c
 		}
-		zeroP := make([]float64, m.nParams)
-		zeroBN := make([]float64, m.nBN)
+		zero := updateBase{p: make([]float64, m.nParams), bn: make([]float64, m.nBN)}
 		for _, a := range st.admits {
 			stale := a.admitRound - a.baseRound
 			if stale < 0 || stale > m.maxStale || a.admitRound > R {
@@ -382,30 +384,32 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 				}
 				continue
 			}
-			if !(a.effW > 0) || math.IsInf(a.effW, 0) {
+			// The logged effective weight parks as-is: it is the discount the
+			// live registry applied, and re-deriving it from the raw weight
+			// would not round-trip. IEEE division is monotone, so every weight
+			// checkWeight admits discounts into these bounds.
+			if d := float64(1 + stale); !(a.effW >= minWeight/d && a.effW <= maxWeight/d) {
 				return nil, fmt.Errorf("%w: admission weight %v", ErrWAL, a.effW)
 			}
-			var buf *updateBuf
-			baseP, baseBN := zeroP, zeroBN
+			buf := s.bufPool.Get().(*updateBuf)
+			base := zero
+			var err error
 			if len(a.frames) > 0 {
-				sm, b, err := s.replayFrameAdmit(a, commitAt, m)
-				if err != nil {
-					return nil, err
-				}
-				buf, baseP, baseBN = b, sm.params, sm.bn
+				base, err = s.replayFrames(a, buf, commitAt)
+			} else if len(a.dp) != m.nParams || len(a.db) != m.nBN {
+				err = fmt.Errorf("delta shape (%d,%d), want (%d,%d)", len(a.dp), len(a.db), m.nParams, m.nBN)
+			} else if !allWithin(a.dp, 2*maxValue) || !allWithin(a.db, 2*maxValue) {
+				// A delta of two in-range vectors stays within 2·maxValue.
+				err = errOutOfRange
 			} else {
-				if len(a.dp) != m.nParams || len(a.db) != m.nBN {
-					return nil, fmt.Errorf("%w: admission delta shape (%d,%d), want (%d,%d)",
-						ErrWAL, len(a.dp), len(a.db), m.nParams, m.nBN)
-				}
-				buf = s.bufPool.Get().(*updateBuf)
 				copy(buf.params, a.dp)
 				copy(buf.bn, a.db)
 			}
-			// The logged effective weight parks as-is: it is the discount the
-			// live registry applied, and re-deriving it from the raw weight
-			// would not round-trip.
-			s.parkLocked(a.clientID, a.baseRound, stale, a.effW, buf, baseP, baseBN)
+			if err != nil {
+				s.bufPool.Put(buf)
+				return nil, fmt.Errorf("%w: admission (client %d, base %d): %v", ErrWAL, a.clientID, a.baseRound, err)
+			}
+			s.parkLocked(a.clientID, a.baseRound, stale, a.effW, buf, base.p, base.bn)
 			if a.comp {
 				s.updatesComp.Add(1)
 			} else {
@@ -424,62 +428,32 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 	// also advances their downlink-EF residuals exactly as the dead process
 	// would have.
 	if s.async && s.pendingN >= s.bufferK {
-		s.commitBuffer()
+		s.commit()
 	}
 	return s, nil
 }
 
-// replayFrameAdmit re-runs the live delta handler's arithmetic on a
-// frame-form admission record: stream-decode the logged wire frames, add the
-// served base the client pulled (rebuilt if the crash took it), and hand back
-// the reconstructed full vectors plus the base they fold against — exactly
-// the (vals, base) pair register saw before the crash.
-func (s *Server) replayFrameAdmit(a *walAdmit, commitAt map[int]*walCommit, m walMeta) (*servedModel, *updateBuf, error) {
-	br := bytes.NewReader(a.frames)
-	var pd quant.StreamDecoder
-	if err := pd.Reset(br); err != nil {
-		return nil, nil, fmt.Errorf("%w: admit frames (client %d): %v", ErrWAL, a.clientID, err)
-	}
-	if pd.IsRaw() {
-		return nil, nil, fmt.Errorf("%w: frame-form admit carries a raw params frame", ErrWAL)
-	}
-	comp, err := Compression{Bits: pd.Bits(), Chunk: pd.Chunk()}.normalize()
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: admit frames: %v", ErrWAL, err)
-	}
-	if pd.Len() != m.nParams {
-		return nil, nil, fmt.Errorf("%w: admit frames carry %d params, want %d", ErrWAL, pd.Len(), m.nParams)
-	}
-	sm, err := s.servedBaseForReplay(comp, a.baseRound, commitAt)
-	if err != nil {
-		return nil, nil, err
-	}
-	buf := s.bufPool.Get().(*updateBuf)
-	fail := func(err error) (*servedModel, *updateBuf, error) {
-		s.bufPool.Put(buf)
-		return nil, nil, err
-	}
-	// Mirror the live handler bit-for-bit: the served base plus the frame.
-	if err := pd.ApplyDelta(buf.params, sm.params, maxValue); err != nil {
-		return fail(fmt.Errorf("%w: admit params frame: %v", ErrWAL, err))
-	}
-	var bd quant.StreamDecoder
-	if err := bd.Reset(br); err != nil {
-		return fail(fmt.Errorf("%w: admit bn frame: %v", ErrWAL, err))
-	}
-	if bd.Len() != m.nBN {
-		return fail(fmt.Errorf("%w: admit frames carry %d bn values, want %d", ErrWAL, bd.Len(), m.nBN))
-	}
-	if err := bd.DecodeAll(buf.bn); err != nil {
-		return fail(fmt.Errorf("%w: admit bn frame: %v", ErrWAL, err))
-	}
-	for i := range buf.bn {
-		buf.bn[i] = buf.bn[i] + sm.bn[i]
-	}
-	if br.Len() != 0 {
-		return fail(fmt.Errorf("%w: %d trailing bytes after admit frames", ErrWAL, br.Len()))
-	}
-	return sm, buf, nil
+// replayFrames runs a frame-form admission's logged wire frames through the
+// push handler's decoder into buf, against the served base the client
+// pulled (rebuilt if the crash took it), and returns that base — exactly the
+// (vals, base) pair register saw before the crash. The writer logs raw
+// pushes in delta form, so a raw params frame here is corruption.
+func (s *Server) replayFrames(a *walAdmit, buf *updateBuf, commitAt map[int]*walCommit) (updateBase, error) {
+	var pd, bd quant.StreamDecoder
+	return decodeUpdate(bytes.NewReader(a.frames), &pd, &bd, buf, func(pd *quant.StreamDecoder) (updateBase, error) {
+		if pd.IsRaw() {
+			return updateBase{}, errors.New("frame-form admission carries a raw params frame")
+		}
+		comp, err := Compression{Bits: pd.Bits(), Chunk: pd.Chunk()}.normalize()
+		if err != nil {
+			return updateBase{}, err
+		}
+		sm, err := s.servedBaseForReplay(comp, a.baseRound, commitAt)
+		if err != nil {
+			return updateBase{}, err
+		}
+		return sm.base(), nil
+	})
 }
 
 // servedBaseForReplay resolves the served codec variant (c, round) a logged
@@ -494,16 +468,12 @@ func (s *Server) replayFrameAdmit(a *walAdmit, commitAt map[int]*walCommit, m wa
 // codec parameters — find it like the live server's clients did.
 func (s *Server) servedBaseForReplay(c Compression, round int, commitAt map[int]*walCommit) (*servedModel, error) {
 	if round == s.model.Load().round {
-		sm, err := s.getServed(c, round)
-		if err != nil {
-			return nil, fmt.Errorf("fldist: WAL replay: %w", err)
-		}
-		return sm, nil
+		return s.getServed(c, round)
 	}
 	rs := s.history[round]
 	cp := commitAt[round]
 	if rs == nil || cp == nil {
-		return nil, fmt.Errorf("%w: no retained commit for admitted base round %d", ErrWAL, round)
+		return nil, fmt.Errorf("no retained commit for admitted base round %d", round)
 	}
 	if sm := rs.served[c]; sm != nil {
 		return sm, nil

@@ -2,7 +2,9 @@ package fldist
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -548,5 +550,47 @@ func TestRecoverStaleCompressedAdmit(t *testing.T) {
 		if bn[i] != refBN[i] {
 			t.Fatalf("bn[%d] = %v, want %v", i, bn[i], refBN[i])
 		}
+	}
+}
+
+// TestRecoverRefusesOutOfRangeAdmit pins that WAL replay admits nothing the
+// live handler would refuse: a CRC-valid frame-form admission whose raw BN
+// frame holds +Inf, a delta-form admission holding NaN, and an effective
+// weight no registry discount produces each fail recovery with ErrWAL
+// instead of parking a value the next commit would publish.
+func TestRecoverRefusesOutOfRangeAdmit(t *testing.T) {
+	log, admits := bufferedAdmitLog(t)
+	if srv, err := recoverLog(t, log); err != nil {
+		t.Fatalf("unmutated log: %v", err)
+	} else {
+		srv.Close()
+	}
+	mutate := func(p []byte, f func(a *walAdmit)) []byte {
+		a, err := parseWALAdmit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f(a)
+		return appendWALAdmit(nil, a)
+	}
+	for _, tc := range []struct {
+		name    string
+		admit   loggedAdmit
+		payload []byte
+	}{
+		{"frame-form BN +Inf", admits[1], infBNAdmit(t, admits[1].payload)},
+		{"delta-form NaN", admits[0], mutate(admits[0].payload, func(a *walAdmit) { a.dp[5] = math.NaN() })},
+		{"weight beyond the discount bounds", admits[0], mutate(admits[0].payload, func(a *walAdmit) { a.effW = 1e300 })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := recoverLog(t, withAdmitPayload(log, tc.admit, tc.payload))
+			if err == nil {
+				srv.Close()
+				t.Fatal("recovered instead of refusing the admission")
+			}
+			if !errors.Is(err, ErrWAL) {
+				t.Fatalf("error %v does not wrap ErrWAL", err)
+			}
+		})
 	}
 }

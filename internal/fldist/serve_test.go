@@ -100,7 +100,7 @@ func TestServeSegmentInvariance(t *testing.T) {
 					if out, _ := s.register(0, r, 1, buf, s.model.Load().params, s.model.Load().bn, nil); out != regAdmittedLast {
 						t.Fatalf("register outcome %v", out)
 					}
-					s.advanceRound()
+					s.commit()
 				}
 			}
 		}

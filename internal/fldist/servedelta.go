@@ -161,7 +161,7 @@ func (s *Server) advanceDeltaChainLocked(ch *deltaChain, c Compression, snap *sn
 			prevRound: -1,
 			baseP:     append([]float64(nil), snap.params...),
 			baseBN:    append([]float64(nil), snap.bn...),
-			finite:    allInRange(snap.params),
+			finite:    allWithin(snap.params, maxValue),
 		})
 		ch.round = snap.round
 		ch.errP = make([]float64, len(snap.params))
@@ -229,7 +229,7 @@ func (s *Server) advanceDeltaChainLocked(ch *deltaChain, c Compression, snap *sn
 		bnFrame:   bnFrame,
 		baseP:     newP,
 		baseBN:    newBN,
-		finite:    allInRange(newP),
+		finite:    allWithin(newP, maxValue),
 	})
 	ch.round = snap.round
 	ch.coldBody = nil

@@ -33,10 +33,11 @@
 // weight discounted by 1/(1+staleness), and the model commits every bufferK
 // admitted updates — a straggler's training pass is never discarded while it
 // stays inside the window, and fleet throughput is no longer gated by the
-// slowest client. Both modes admit through one registry: the quorum is the
-// buffer with window 0 and K = quorum. Only the commit kernels differ (see
-// advanceRound and commitBuffer). The wire protocol is identical in both
-// modes (the update envelope always carried its base round; see
+// slowest client. Both modes admit through one registry and commit through
+// one function: the quorum is the buffer with window 0 and K = quorum, and
+// commit's only branch is the fold kernel — fl's FedAvg fold for the quorum,
+// its FedBuff delta fold for the buffer. The wire protocol is identical in
+// both modes (the update envelope always carried its base round; see
 // docs/WIRE.md).
 //
 // The package is marked deterministic: commits, WAL records, and served
@@ -105,7 +106,7 @@ type Server struct {
 	// The admission policy. bufferK is the commit threshold and maxStale the
 	// admission window in rounds: the synchronous quorum is bufferK =
 	// quorum, maxStale = 0. async selects buffered mode
-	// (WithBufferedAggregation) — its commit kernel, round retention and
+	// (WithBufferedAggregation) — its fold kernel, round retention and
 	// admission log.
 	async    bool
 	bufferK  int
@@ -170,7 +171,7 @@ type Server struct {
 	// O(model) work, so distinct variants build concurrently and a build
 	// never stalls an unrelated pull. downErr is the downlink error-feedback
 	// residual per codec variant, committed from the served cache when the
-	// round advances (see advanceRound). serveGen increments at every
+	// round retires (see retireRoundLocked). serveGen increments at every
 	// snapshot swap; a build publishes only if the generation it started
 	// under is still current, so a body built from a retired (snapshot,
 	// downErr) pair is discarded instead of served.
@@ -181,9 +182,12 @@ type Server struct {
 
 	// errFree holds residual vectors that are provably dead — nothing can
 	// still read them — for the next builds to write their nextErr into
-	// instead of allocating (see advanceRound for the proof obligation).
-	// Bounded by maxCodecVariants; guarded by serveMu.
-	errFree [][]float64
+	// instead of allocating (see retireRoundLocked for the proof obligation).
+	// Bounded by maxCodecVariants; guarded by serveMu. errShared marks the
+	// downErr entries a build of an earlier generation may still be reading
+	// (retireRoundLocked); those are never recycled. Guarded by serveMu.
+	errFree   [][]float64
+	errShared map[Compression]bool
 
 	// servedRO is the lock-free view of served for the pull fast path: every
 	// mutation of the map under serveMu (variant creation is copy-on-write;
@@ -352,6 +356,7 @@ func NewServer(initParams, initBN []float64, updatesPerRound int, opts ...Server
 		bnShard:     shard{lo: 0, hi: len(initBN)},
 		served:      map[Compression]*servedEntry{},
 		downErr:     map[Compression][]float64{},
+		errShared:   map[Compression]bool{},
 		deltaChains: map[Compression]*deltaChain{},
 	}
 	s.setServedLocked(s.served)
@@ -387,7 +392,7 @@ func NewServer(initParams, initBN []float64, updatesPerRound int, opts ...Server
 			nParams:   len(initParams),
 			nBN:       len(initBN),
 		}
-		w, err := createWAL(cfg.walDir, m, cfg.walSync)
+		w, err := createWAL(cfg.walDir, m)
 		if err != nil {
 			panic(fmt.Sprintf("fldist: WAL: %v", err))
 		}
@@ -751,7 +756,7 @@ func encodeFrame(e *quant.Encoder, frame []byte, v, deq []float64, pre, post fun
 // folds form Σw·x (or Σw·(x−base)) over the buffer and 1/Σw, and a large
 // weight times a large value — or the reciprocal of a subnormal weight —
 // overflows. Weights in [2^-64, 2^64] and values of magnitude ≤ 2^256 keep
-// every intermediate of both commit kernels finite for any buffer a server
+// every intermediate of both folds finite for any buffer a server
 // holds; no trained model comes near either bound, so no admitted bit moves.
 const (
 	minWeight = 0x1p-64
@@ -763,10 +768,11 @@ const (
 // (NaN fails every ordered comparison).
 func inRange(x float64) bool { return math.Abs(x) <= maxValue }
 
-// allInRange reports whether every value of v is inside the admission range.
-func allInRange(v []float64) bool {
+// allWithin reports whether every value of v has magnitude at most limit —
+// for limit maxValue, whether v is inside the admission range.
+func allWithin(v []float64, limit float64) bool {
 	for _, x := range v {
-		if !inRange(x) {
+		if !(math.Abs(x) <= limit) {
 			return false
 		}
 	}
@@ -796,9 +802,9 @@ var pushScratchPool = sync.Pool{
 // quantized frame, dense or sparse, carries a delta the server applies to
 // the exact base it served at the same codec parameters — or, for a
 // delta-downlink client, to the chain entry of its round. The body is
-// stream-decoded chunk-by-chunk — O(chunk) transient memory, never the whole
-// wire body — into a pooled buffer, and all forms leave through one
-// admission tail (finishUpdate).
+// stream-decoded chunk-by-chunk (decodeUpdate) — O(chunk) transient memory,
+// never the whole wire body — into a pooled buffer, and all forms leave
+// through one admission tail (finishUpdate).
 //
 // No MaxBytesReader is needed: every read is closed-form bounded before it
 // happens — the fixed 21-byte envelope header, two 14-byte frame headers,
@@ -876,11 +882,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 	// With an admission log, tee the rest of the body — the wire frames,
 	// verbatim — into a pooled admission capture as the decoders stream it:
-	// the log's frame-form record replays them through this same handler
-	// arithmetic on recovery (recover.go). ~50µs of memcpy for an 8-bit
-	// frame, against the ~ms of delta capture and raw-frame encode the
-	// delta-form record would cost on the same push. Speculative: rejected
-	// pushes release the capture unwritten.
+	// the log's frame-form record replays them through this same decoder on
+	// recovery (recover.go). ~50µs of memcpy for an 8-bit frame, against the
+	// ~ms of delta capture and raw-frame encode the delta-form record would
+	// cost on the same push. Speculative: rejected pushes release the capture
+	// unwritten.
 	var wrec *walAdmit
 	src := io.Reader(&sc.cr)
 	if s.logsAdmits() && !deltaPush {
@@ -894,133 +900,155 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		src = io.TeeReader(src, &sc.tee)
 	}
 	sc.br.Reset(src)
-	br := sc.br
 
-	dec := &sc.pd
-	if err := dec.Reset(br); err != nil {
-		http.Error(w, fmt.Sprintf("fldist: update params frame: %v", err), http.StatusBadRequest)
-		return
-	}
-	if dec.Len() != len(snap.params) {
-		http.Error(w, "shape mismatch", http.StatusBadRequest)
-		return
-	}
-	raw, sparse = dec.IsRaw(), dec.IsSparse()
 	// The base the client trained from: for a raw push, the snapshot of its
 	// round; for a delta-mode client, the chain entry at its held round (the
 	// per-round base registry, servedelta.go); otherwise the base round's
 	// served dequantized model at the same codec parameters — deterministic,
 	// so recomputing on a cache miss yields the same values (buffered mode
 	// looks the entry up in the retained window instead).
-	var baseP, baseBN []float64
-	var baseFinite bool
-	switch {
-	case raw:
-		// The delta-form record (finishUpdate) logs a raw push — replay
-		// admits only quantized frames — so the capture teed so far goes.
-		if wrec != nil {
-			sc.tee.b = nil
-			wrec.frames = wrec.frames[:0]
+	buf := s.bufPool.Get().(*updateBuf)
+	base, err := decodeUpdate(sc.br, &sc.pd, &sc.bd, buf, func(pd *quant.StreamDecoder) (updateBase, error) {
+		raw, sparse = pd.IsRaw(), pd.IsSparse()
+		switch {
+		case raw:
+			// The delta-form record (finishUpdate) logs a raw push — replay
+			// admits only quantized frames — so the capture teed so far goes.
+			if wrec != nil {
+				sc.tee.b = nil
+				wrec.frames = wrec.frames[:0]
+			}
+			b, err := s.baseAt(round)
+			if err != nil {
+				return updateBase{}, err
+			}
+			return updateBase{p: b.params, bn: b.bn}, nil
+		case deltaPush:
+			e, ok := s.deltaBaseAt(pushComp, round)
+			if !ok {
+				// No chain (the server restarted) or the round fell out of
+				// the window: the client must re-pull — landing cold on the
+				// fresh chain — and retrain.
+				return updateBase{}, errStaleServe
+			}
+			return updateBase{p: e.baseP, bn: e.baseBN, finite: e.finite}, nil
 		}
-		base, err := s.baseAt(round)
+		comp, err := Compression{Bits: pd.Bits(), Chunk: pd.Chunk()}.normalize()
 		if err != nil {
-			s.rejectStale(w, round)
-			return
-		}
-		baseP, baseBN = base.params, base.bn
-	case deltaPush:
-		e, ok := s.deltaBaseAt(pushComp, round)
-		if !ok {
-			// No chain (the server restarted) or the round fell out of the
-			// window: the client must re-pull — landing cold on the fresh
-			// chain — and retrain.
-			s.rejectStale(w, round)
-			return
-		}
-		baseP, baseBN, baseFinite = e.baseP, e.baseBN, e.finite
-	default:
-		comp, err := Compression{Bits: dec.Bits(), Chunk: dec.Chunk()}.normalize()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return updateBase{}, err
 		}
 		sm, err := s.getServed(comp, round)
+		if err != nil {
+			return updateBase{}, err
+		}
+		return sm.base(), nil
+	})
+	if err != nil {
+		s.bufPool.Put(buf)
 		if errors.Is(err, errStaleServe) {
 			s.rejectStale(w, round)
 			return
 		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		baseP, baseBN, baseFinite = sm.params, sm.bn, sm.finite
-	}
-
-	buf := s.bufPool.Get().(*updateBuf)
-	fail := func(msg string) {
-		s.bufPool.Put(buf)
-		http.Error(w, msg, http.StatusBadRequest)
-	}
-	switch {
-	case raw:
-		// A raw frame is the trained vector itself, range-checked whole.
-		if err := dec.DecodeAll(buf.params); err != nil {
-			fail(fmt.Sprintf("fldist: update params frame: %v", err))
-			return
-		}
-		if !allInRange(buf.params) {
-			fail("value out of range in update")
-			return
-		}
-	case sparse && !baseFinite:
-		// A sparse frame's range check costs O(k), not O(n): it sees only
-		// the coordinates the frame writes, so it relies on the base having
-		// been proven in range when it was built (servedModel.finite,
-		// deltaEntry.finite).
-		fail("value out of range in update")
-		return
-	default:
-		// A quantized frame, dense or sparse, is a delta: base + frame,
-		// rejecting out-of-range sums (NaN and ±Inf among them — a wire
-		// scale can be hostile) where they land.
-		if err := dec.ApplyDelta(buf.params, baseP, maxValue); err != nil {
-			fail(fmt.Sprintf("fldist: update params frame: %v", err))
-			return
-		}
-	}
-
-	bnDec := &sc.bd
-	if err := bnDec.Reset(br); err != nil {
-		fail(fmt.Sprintf("fldist: update bn frame: %v", err))
-		return
-	}
-	if bnDec.Len() != len(snap.bn) {
-		fail("shape mismatch")
-		return
-	}
-	if err := bnDec.DecodeAll(buf.bn); err != nil {
-		fail(fmt.Sprintf("fldist: update bn frame: %v", err))
-		return
-	}
-	for i := range buf.bn {
-		v := buf.bn[i]
-		if !raw {
-			v += baseBN[i]
-		}
-		if !inRange(v) {
-			fail("value out of range in update")
-			return
-		}
-		buf.bn[i] = v
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		fail("fldist: update envelope has trailing bytes")
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	rec := wrec
 	wrec = nil // ownership passes; finishUpdate releases on rejection
-	s.finishUpdate(w, clientID, round, weight, buf, baseP, baseBN, raw, sparse, start, rec)
+	s.finishUpdate(w, clientID, round, weight, buf, base.p, base.bn, raw, sparse, start, rec)
 }
+
+// updateBase is the base an update decodes against: the parameters a
+// quantized params frame is a delta onto, the BN statistics a non-raw
+// update's BN frame is added to, and whether every base parameter is proven
+// inside the admission range — what a sparse frame needs, since its range
+// check sees only the coordinates it writes (servedModel.finite,
+// deltaEntry.finite).
+type updateBase struct {
+	p, bn  []float64
+	finite bool
+}
+
+// base is the served model as the base of the deltas pushed against it.
+func (sm *servedModel) base() updateBase {
+	return updateBase{p: sm.params, bn: sm.bn, finite: sm.finite}
+}
+
+// decodeUpdate is the one decoder of an update's frames: the push handler
+// runs it over the request body, WAL replay over a logged frame-form
+// admission. It reads the params frame header from r, asks resolve for the
+// base the update trained from (resolve inspects the frame's form and
+// codec), and decodes into buf: a raw frame is the trained vector itself, a
+// dense or sparse quantized frame a delta added onto the base. The BN frame
+// follows — absolute after a raw params frame, a delta onto the base's BN
+// otherwise — and must end r. Both frames must match buf's shape, every
+// value must land inside the admission range (NaN and ±Inf among the
+// refused — a wire scale can be hostile), and a sparse frame needs a base
+// proven in range. pd and bd are the caller's (pooled) frame decoders; on
+// error buf holds garbage and resolve's own errors come back unwrapped.
+func decodeUpdate(r frameReader, pd, bd *quant.StreamDecoder, buf *updateBuf,
+	resolve func(pd *quant.StreamDecoder) (updateBase, error)) (updateBase, error) {
+	if err := pd.Reset(r); err != nil {
+		return updateBase{}, fmt.Errorf("fldist: update params frame: %v", err)
+	}
+	if pd.Len() != len(buf.params) {
+		return updateBase{}, errShapeMismatch
+	}
+	base, err := resolve(pd)
+	if err != nil {
+		return updateBase{}, err
+	}
+	switch {
+	case pd.IsRaw():
+		if err := pd.DecodeAll(buf.params); err != nil {
+			return updateBase{}, fmt.Errorf("fldist: update params frame: %v", err)
+		}
+		if !allWithin(buf.params, maxValue) {
+			return updateBase{}, errOutOfRange
+		}
+	case pd.IsSparse() && !base.finite:
+		return updateBase{}, errOutOfRange
+	default:
+		// Out-of-range sums are refused where they land.
+		if err := pd.ApplyDelta(buf.params, base.p, maxValue); err != nil {
+			return updateBase{}, fmt.Errorf("fldist: update params frame: %v", err)
+		}
+	}
+	if err := bd.Reset(r); err != nil {
+		return updateBase{}, fmt.Errorf("fldist: update bn frame: %v", err)
+	}
+	if bd.Len() != len(buf.bn) {
+		return updateBase{}, errShapeMismatch
+	}
+	if err := bd.DecodeAll(buf.bn); err != nil {
+		return updateBase{}, fmt.Errorf("fldist: update bn frame: %v", err)
+	}
+	for i, v := range buf.bn {
+		if !pd.IsRaw() {
+			v += base.bn[i]
+		}
+		if !inRange(v) {
+			return updateBase{}, errOutOfRange
+		}
+		buf.bn[i] = v
+	}
+	if _, err := r.ReadByte(); err != io.EOF {
+		return updateBase{}, errors.New("fldist: update has trailing bytes after its frames")
+	}
+	return base, nil
+}
+
+// frameReader is what decodeUpdate reads: the push handler's buffered body
+// or a logged admission's bytes.
+type frameReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// The decoder's verdicts on an update whose frames parse but do not fit.
+var (
+	errShapeMismatch = errors.New("fldist: update frames do not match the model shape")
+	errOutOfRange    = errors.New("fldist: value out of range in update")
+)
 
 // logsAdmits reports whether admissions are written to the WAL: buffered
 // mode only — the synchronous quorum logs its commits alone.
@@ -1144,8 +1172,9 @@ func (s *Server) register(clientID, baseRound int, weight float64, buf *updateBu
 }
 
 // parkLocked enters one admitted contribution into the buffer: the dedup
-// mark, the count and weight sum, and the per-shard slices the next commit
-// folds. buf is leased from bufPool and released by the commit's reset.
+// mark, the count and weight sum, and the per-shard contributions the next
+// commit folds. buf is leased from bufPool and released by the commit's
+// reset.
 // Caller holds pendMu — or is recovery, replaying logged admissions before
 // the server serves.
 func (s *Server) parkLocked(clientID, baseRound, stale int, effW float64, buf *updateBuf, baseP, baseBN []float64) {
@@ -1161,13 +1190,12 @@ func (s *Server) parkLocked(clientID, baseRound, stale int, effW float64, buf *u
 		s.oldestAdmit.Store(time.Now().UnixNano())
 	}
 	s.pendingBufs = append(s.pendingBufs, buf)
+	c := contrib{clientID: clientID, baseRound: baseRound, weight: effW, vals: buf.params, base: baseP}
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.add(contrib{clientID: clientID, baseRound: baseRound, weight: effW,
-			vals: buf.params[sh.lo:sh.hi], base: baseP[sh.lo:sh.hi]})
+		s.shards[i].add(c)
 	}
-	s.bnShard.add(contrib{clientID: clientID, baseRound: baseRound, weight: effW,
-		vals: buf.bn, base: baseBN})
+	c.vals, c.base = buf.bn, baseBN
+	s.bnShard.add(c)
 	s.pendingW += effW
 	s.bufferedNow.Add(1)
 	s.stalenessHist[stale].Add(1)
@@ -1264,11 +1292,7 @@ func (s *Server) finishUpdate(w http.ResponseWriter, clientID, baseRound int, we
 			_ = s.wal.appendAdmit(wrec) // failure warns once and sticks; serving continues
 		}
 		if outcome == regAdmittedLast {
-			if s.async {
-				s.commitBuffer()
-			} else {
-				s.advanceRound()
-			}
+			s.commit()
 		}
 		if s.manual {
 			s.signalFlush()
@@ -1300,66 +1324,40 @@ func (s *Server) awaitRoundAdvance(round int) {
 	}
 }
 
-// advanceRound is the synchronous quorum's commit kernel: it folds every
-// shard's pending contributions into a fresh snapshot as Σwp/Σw (shards fold
-// concurrently, each under its own lock, each in clientID order — see
-// shard.foldInto for the determinism argument), commits the downlink
-// error-feedback residuals of the codec variants served this round, and
-// hands the snapshot to the shared publish tail. Only the handler whose
-// update filled the quorum runs this; concurrent registrations observe
-// either the full old round (and get 409) or the fresh empty one.
-func (s *Server) advanceRound() {
+// commit is the round barrier of both aggregation modes. It folds every
+// shard's pending contributions into a fresh snapshot — shards fold
+// concurrently, each under its own lock, with the BN fold on this goroutine
+// (see shard.fold for the determinism argument) — and retires the round's
+// serve plane (retireRoundLocked). Then, under pendMu, it logs the commit
+// record ahead of its effect, publishes the snapshot, evicts the dedup
+// horizon that fell out of the window and releases the folded buffers, so
+// racing registrations observe either the full old buffer (and wait the
+// commit out) or the fresh empty one. Its only branch is the fold kernel:
+// the synchronous quorum folds the FedAvg Σwp/Σw, buffered mode the
+// staleness-weighted deltas onto the current model. The handler whose update
+// filled the quorum or buffer runs it, as do an edge's commitNow and a
+// recovery whose replay filled the buffer.
+func (s *Server) commit() {
 	old := s.model.Load()
 	next := &snapshot{
 		round:  old.round + 1,
 		params: make([]float64, len(old.params)),
 		bn:     make([]float64, len(old.bn)),
 	}
-	s.foldShards(
-		func(sh *shard) { sh.foldInto(next.params) },
-		func() { s.bnShard.foldInto(next.bn) },
-	)
-
-	// Commit the downlink error-feedback residuals of the codec variants
-	// actually served this round (bounded by maxCodecVariants), replacing
-	// last round's state, and drop the round's served cache. The snapshot
-	// swap happens inside both serveMu and pendMu so cache builders and
-	// update registrations each observe a consistent round; the generation
-	// bump voids any build still in flight against the old state.
-	//
-	// The residual a variant's build consumed this round dies here: a map
-	// entry is only ever read by builds that started under the generation it
-	// was installed for (getServed takes residual and generation in one
-	// critical section, and this function replaces the map wholesale at every
-	// bump), those builds are single-flight under the variant's latch, and
-	// c ∈ served means the one that ran has published — every later arrival
-	// finds val set and never builds. The WAL serialised it synchronously
-	// under this lock a round ago. So it is recycled as a future nextErr; a
-	// variant whose build is still in flight is not in served and its residual
-	// is left to the garbage collector. Bodies and params are never recycled:
-	// a pull handler may be mid-Write on a retired round's body.
-	s.serveMu.Lock()
-	served := s.collectServedLocked(old.round)
-	downErr := make(map[Compression][]float64, len(served))
-	for c, sm := range served {
-		downErr[c] = sm.nextErr
-		s.recycleErrLocked(s.downErr[c])
+	curP, curBN := old.params, old.bn
+	if !s.async {
+		curP, curBN = nil, nil // the quorum averages; nothing to apply deltas onto
 	}
-	s.downErr = downErr
-	s.setServedLocked(map[Compression]*servedEntry{})
-	s.serveGen++
-	s.publishLocked(next)
-	s.serveMu.Unlock()
+	fanOut(len(s.shards)+1, func(i int) {
+		if i == len(s.shards) {
+			s.bnShard.fold(next.bn, curBN)
+			return
+		}
+		s.shards[i].fold(next.params, curP)
+	})
 
-	s.roundsCompleted.Add(1)
-}
-
-// publishLocked is the tail both commit kernels share: write the commit
-// record ahead of its effect, publish the snapshot, evict the dedup horizon
-// that fell out of the window, and release the folded buffers. Caller holds
-// serveMu; the registry swap happens under pendMu so registrations observe
-// either the full old buffer or the fresh empty one.
-func (s *Server) publishLocked(next *snapshot) {
+	s.serveMu.Lock()
+	s.retireRoundLocked(old, next.round)
 	s.pendMu.Lock()
 	if s.wal != nil {
 		s.logCommitLocked(next)
@@ -1368,6 +1366,9 @@ func (s *Server) publishLocked(next *snapshot) {
 	s.evictAdmittedLocked(next.round)
 	s.resetPendingLocked()
 	s.pendMu.Unlock()
+	s.serveMu.Unlock()
+
+	s.roundsCompleted.Add(1)
 }
 
 // evictAdmittedLocked drops the dedup sets of base rounds that fell out of
@@ -1429,25 +1430,52 @@ func (s *Server) collectServedLocked(round int) map[Compression]*servedModel {
 	return out
 }
 
-// retireRoundLocked is the serve-plane half of a buffered-mode round
-// transition, shared by commitBuffer and the edge tier's adopt: it advances
-// the downlink error-feedback chain of the variants served in the retiring
-// round (variants that skipped the round — buffered commits can outpace a
-// slow puller — keep their previous residual instead of losing the chain;
-// if that ever grows the map past the per-round variant bound, the unserved
-// entries are the ones dropped), retains the retiring round's snapshot and
-// served cache for stale-push reconstruction, evicts rounds that fell out
-// of the staleness window, resets the served map, and voids in-flight
-// builds via the generation bump. Caller holds serveMu.
+// retireRoundLocked is the serve-plane half of a round transition, shared by
+// commit and the edge tier's adopt. It advances the downlink error-feedback
+// chain of the variants served in the retiring round; a variant nobody
+// pulled that round — buffered commits can outpace a slow puller, and a
+// quorum round can pass without a codec's clients — keeps its previous
+// residual instead of restarting its chain from zero (if that grows the map
+// past the per-round variant bound, the unserved entries are the ones
+// dropped). It retains the retiring round's snapshot and served cache for
+// stale-push reconstruction, evicts rounds that fell out of the staleness
+// window (the quorum's window 0 retains none), resets the served map, and
+// voids in-flight builds via the generation bump. Caller holds serveMu.
+//
+// The residual a served variant's build consumed is recycled as a future
+// nextErr, under this proof obligation: nothing can still read it. A
+// residual is read only by builds, each of which takes it together with its
+// generation in one serveMu critical section — the same one that creates or
+// finds the variant's entry in the generation's map. Builds of the retiring
+// generation are single-flight under the entry's latch, and c ∈ served means
+// the one that ran has published: every later arrival finds val set and
+// never reads its residual. A build of an earlier generation can be reading
+// it only if the residual was carried across a retire while that build was
+// in flight — its entry present but unpublished — and such residuals are
+// marked in errShared and left to the garbage collector instead. The WAL
+// serialised the residual synchronously under this lock when it was
+// committed, and the retained served models that still point at it
+// (history) are never read for their residual. Bodies and params are
+// never recycled: a pull handler may be mid-Write on a retired round's body.
 func (s *Server) retireRoundLocked(old *snapshot, nextRound int) {
 	served := s.collectServedLocked(old.round)
 	for c, sm := range served {
+		if !s.errShared[c] {
+			s.recycleErrLocked(s.downErr[c])
+		}
+		delete(s.errShared, c)
 		s.downErr[c] = sm.nextErr
+	}
+	for c := range s.served {
+		if _, ok := served[c]; !ok && s.downErr[c] != nil {
+			s.errShared[c] = true // its build is still in flight
+		}
 	}
 	if len(s.downErr) > maxCodecVariants {
 		for c := range s.downErr {
 			if _, ok := served[c]; !ok {
 				delete(s.downErr, c)
+				delete(s.errShared, c)
 			}
 		}
 	}
@@ -1467,18 +1495,6 @@ func (s *Server) retireRoundLocked(old *snapshot, nextRound int) {
 func (s *Server) setServedLocked(m map[Compression]*servedEntry) {
 	s.served = m
 	s.servedRO.Store(&m)
-}
-
-// foldShards runs fold over every parameter shard and then the small BN
-// fold, fanned out (fanOut) with the BN fold on the calling goroutine.
-func (s *Server) foldShards(fold func(*shard), foldBN func()) {
-	fanOut(len(s.shards)+1, func(i int) {
-		if i == len(s.shards) {
-			foldBN()
-			return
-		}
-		fold(&s.shards[i])
-	})
 }
 
 // fanOut runs f(0), …, f(n−1) and returns when every call has: concurrently
@@ -1521,35 +1537,6 @@ func (s *Server) resetPendingLocked() {
 		s.pendingBufs[i] = nil
 	}
 	s.pendingBufs = s.pendingBufs[:0]
-}
-
-// commitBuffer is buffered mode's round barrier: it folds the bufferK
-// buffered contributions — each a staleness-discounted delta against its own
-// base round — onto the current model (shards fold concurrently, each in
-// (baseRound, clientID) order; see shard.foldAsyncInto for the determinism
-// argument), retains the committed round's snapshot and served cache for the
-// staleness window, evicts state that fell out of the window, and publishes
-// the new snapshot. Only the handler whose update filled the buffer runs
-// this; racing registrations observe either the full old buffer (and wait
-// the commit out) or the fresh empty one.
-func (s *Server) commitBuffer() {
-	old := s.model.Load()
-	next := &snapshot{
-		round:  old.round + 1,
-		params: make([]float64, len(old.params)),
-		bn:     make([]float64, len(old.bn)),
-	}
-	s.foldShards(
-		func(sh *shard) { sh.foldAsyncInto(next.params, old.params) },
-		func() { s.bnShard.foldAsyncInto(next.bn, old.bn) },
-	)
-
-	s.serveMu.Lock()
-	s.retireRoundLocked(old, next.round)
-	s.publishLocked(next)
-	s.serveMu.Unlock()
-
-	s.roundsCompleted.Add(1)
 }
 
 // handleStats serves the traffic and progress counters as JSON. Counters are

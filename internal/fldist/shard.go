@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fedprophet/internal/fl"
 )
 
 // The sharded aggregation plane of the parameter server. The flat weight
@@ -32,11 +34,12 @@ type snapshot struct {
 	raw     []byte
 }
 
-// contrib is one admitted client's contribution restricted to a shard's
-// value range: baseRound tags the round of the base the client trained from,
-// weight is the staleness-discounted effective weight, and base is the exact
-// base values (for this shard's range) the update is a delta against. The
-// synchronous fold reads only (clientID, weight, vals).
+// contrib is one admitted client's contribution: baseRound tags the round of
+// the base the client trained from, weight is the staleness-discounted
+// effective weight, and vals and base are the whole reconstructed update and
+// the exact base values it is a delta against — each shard folds only its
+// own range of them. The synchronous fold reads only (clientID, weight,
+// vals).
 type contrib struct {
 	clientID  int
 	baseRound int
@@ -48,7 +51,7 @@ type contrib struct {
 // shard owns one contiguous range [lo, hi) of the flat parameter vector (or
 // the whole BN-statistics vector) and the round's pending contributions for
 // it. Its mutex guards only pend: appends are O(1) pointer pushes, and the
-// O(range) fold work happens once per round inside foldInto.
+// O(range) fold work happens once per round inside fold.
 type shard struct {
 	mu   sync.Mutex
 	lo   int
@@ -63,67 +66,31 @@ func (sh *shard) add(c contrib) {
 	sh.mu.Unlock()
 }
 
-// foldInto weight-averages the shard's pending contributions into
-// dst[lo:hi] and resets the pending list. Contributions are folded in
-// ascending clientID order, which makes the result a pure function of the
-// round's admitted (clientID, weight, values) set — independent of arrival
-// order, shard count, and GOMAXPROCS — and element-for-element identical to
-// fl.WeightedAverage over the same clients in ID order (the pre-shard
-// aggregation path).
-func (sh *shard) foldInto(dst []float64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.sortPend() // one base round under the quorum: clientID order
-	out := dst[sh.lo:sh.hi]
-	total := 0.0
-	for _, c := range sh.pend {
-		total += c.weight
-		for i, x := range c.vals {
-			out[i] += c.weight * x
-		}
-	}
-	if total != 0 {
-		inv := 1.0 / total
-		for i := range out {
-			out[i] *= inv
-		}
-	}
-	sh.reset()
-}
-
-// foldAsyncInto applies the shard's buffered contributions as
-// staleness-weighted deltas on top of cur[lo:hi], writing the result into
-// dst[lo:hi] (which arrives zeroed):
-//
-//	dst = cur + Σ wₖ·(valsₖ − baseₖ) / Σ wₖ
-//
-// where each wₖ is the effective (already staleness-discounted) weight and
-// baseₖ the exact base the client trained from. Contributions are folded in
-// ascending (baseRound, clientID) order — the per-(baseRound, client) dedup
-// horizon makes that key unique within a buffer — so the committed model is
-// a pure function of the buffer's admitted multiset, independent of arrival
-// order, shard count and GOMAXPROCS, with one fixed per-element operation
-// sequence.
-func (sh *shard) foldAsyncInto(dst, cur []float64) {
+// fold runs a commit's fold kernel over the shard's range of dst (zeroed on
+// entry) and resets the pending list: with cur nil, the synchronous quorum's
+// FedAvg fold Σwp/Σw (fl.FoldAverage); otherwise buffered mode's FedBuff
+// fold of the staleness-weighted deltas onto cur, cur + Σw(p−base)/Σw
+// (fl.FoldDelta). Contributions fold in ascending (baseRound, clientID)
+// order — the per-(baseRound, client) dedup horizon makes that key unique
+// within a buffer, and under the quorum's single base round it is clientID
+// order — so the committed model is a pure function of the admitted set,
+// independent of arrival order, shard count and GOMAXPROCS. The kernel is
+// fl's own range form, so the quorum's commit is fl.WeightedAverage over the
+// same clients in ID order by construction.
+func (sh *shard) fold(dst, cur []float64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.sortPend()
-	out := dst[sh.lo:sh.hi]
-	cur = cur[sh.lo:sh.hi]
-	total := 0.0
-	for _, c := range sh.pend {
-		total += c.weight
-		for i, x := range c.vals {
-			out[i] += c.weight * (x - c.base[i])
-		}
+	weights := make([]float64, len(sh.pend))
+	vals := make([][]float64, len(sh.pend))
+	bases := make([][]float64, len(sh.pend))
+	for k, c := range sh.pend {
+		weights[k], vals[k], bases[k] = c.weight, c.vals, c.base
 	}
-	if total != 0 {
-		inv := 1.0 / total
-		for i := range out {
-			out[i] = cur[i] + out[i]*inv
-		}
+	if cur == nil {
+		fl.FoldAverage(dst, vals, weights, sh.lo, sh.hi)
 	} else {
-		copy(out, cur)
+		fl.FoldDelta(dst, cur, vals, bases, weights, sh.lo, sh.hi)
 	}
 	sh.reset()
 }
@@ -178,7 +145,6 @@ type serverConfig struct {
 	bufferK  int
 	maxStale int
 	walDir   string
-	walSync  WALSyncPolicy
 	warnf    func(format string, args ...any)
 }
 
@@ -225,17 +191,10 @@ func WithShards(n int) ServerOption {
 // RecoverServer (or hands it to a live successor via Handoff). The dir must
 // not already hold a WAL; NewServer panics otherwise (recovery, not
 // re-creation, is the path there — cmd/fldist switches on WALExists). See
-// docs/ARCHITECTURE.md ("Durability") for the record format, fsync policy
+// docs/ARCHITECTURE.md ("Durability") for the record format, fsync pacing
 // and recovery guarantees.
 func WithWAL(dir string) ServerOption {
 	return func(c *serverConfig) { c.walDir = dir }
-}
-
-// WithWALSyncPolicy tunes when the WAL fsyncs (default WALSyncCommit:
-// commits are power-loss durable, admissions process-crash durable). Only
-// meaningful together with WithWAL, or as a RecoverServer option.
-func WithWALSyncPolicy(p WALSyncPolicy) ServerOption {
-	return func(c *serverConfig) { c.walSync = p }
 }
 
 // withWarnf routes the server's operational warnings (WAL write failures,

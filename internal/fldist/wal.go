@@ -11,17 +11,15 @@ package fldist
 // snapshot is published to any client, and every admission record the commit
 // folded precedes it in the file — so a recoverable commit always has its
 // full input history. A process crash (SIGKILL) loses nothing: the kernel
-// holds the written pages. Against power loss, the default WALSyncCommit
-// policy group-commits: a background goroutine fsyncs after commit records,
-// rate-limited to one fsync per walGroupSyncEvery (each fsync seals every
-// record before it, so commits become power-durable within that interval
-// without ever stalling admissions on device latency — an fsync's writeback
-// contends with concurrent appends through the filesystem journal, so pacing
-// it is what keeps the log off the admission path's critical budget). If
-// power fails inside the window, recovery resumes from the last fsynced
-// commit plus the admissions logged after it — the same torn-tail case it
-// already handles. WALSyncAlways makes every record synchronously durable
-// instead.
+// holds the written pages. Against power loss, the log group-commits: a
+// background goroutine fsyncs after commit records, rate-limited to one
+// fsync per walGroupSyncEvery (each fsync seals every record before it, so
+// commits become power-durable within that interval without ever stalling
+// admissions on device latency — an fsync's writeback contends with
+// concurrent appends through the filesystem journal, so pacing it is what
+// keeps the log off the admission path's critical budget). If power fails
+// inside the window, recovery resumes from the last fsynced commit plus the
+// admissions logged after it — the same torn-tail case it already handles.
 
 import (
 	"encoding/binary"
@@ -56,7 +54,7 @@ const (
 	walLockName = "wal.lock"
 )
 
-// walGroupSyncEvery paces the WALSyncCommit background fsync: at most one
+// walGroupSyncEvery paces the background fsync: at most one
 // fsync starts per interval, coalescing every commit that lands in between.
 // The power-loss exposure window is bounded by this interval plus one device
 // flush; shrinking it buys tighter durability at the price of more journal
@@ -87,26 +85,6 @@ var ErrWALLocked = errors.New("fldist: WAL held by another process")
 // walCRC is the Castagnoli table; CRC32C has hardware support on the
 // platforms this serves from.
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// WALSyncPolicy picks when the log fsyncs.
-type WALSyncPolicy int
-
-const (
-	// WALSyncCommit (the default) fsyncs after commit records only, on a
-	// background goroutine rate-limited to one fsync per walGroupSyncEvery
-	// (group commit): a commit is durable against power loss once its fsync
-	// lands — within the pacing interval plus one device flush — without
-	// stalling admissions on device latency or journal contention. Admission
-	// records between commits ride the page cache until the next fsync seals
-	// them.
-	WALSyncCommit WALSyncPolicy = iota
-	// WALSyncAlways fsyncs every record.
-	WALSyncAlways
-	// WALSyncNone never fsyncs; the OS flushes on its own schedule. Still
-	// recovers everything written before a process crash (the kernel holds
-	// the pages), but not necessarily before a power loss.
-	WALSyncNone
-)
 
 // walFile is the sink a WAL writes through — *os.File in production, wrapped
 // by the crash-injection tests to fail, short-write, or truncate at exact
@@ -512,12 +490,11 @@ type walIdxEntry struct {
 // order always equals admission order and a commit record is always preceded
 // by every admission it folded.
 type wal struct {
-	dir    string
-	f      *os.File
-	sink   walFile // f, possibly wrapped by the fault-injection seam
-	lockF  *os.File
-	policy WALSyncPolicy
-	keep   int // commits retained in the idx (staleness window + 1)
+	dir   string
+	f     *os.File
+	sink  walFile // f, possibly wrapped by the fault-injection seam
+	lockF *os.File
+	keep  int // commits retained in the idx (staleness window + 1)
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -580,7 +557,7 @@ func WALExists(dir string) bool {
 // createWAL starts a fresh log in dir: meta record first, then the caller
 // logs the initial commit. It refuses a dir that already holds log content —
 // recovery, not re-creation, is the path there (RecoverServer).
-func createWAL(dir string, m walMeta, policy WALSyncPolicy) (*wal, error) {
+func createWAL(dir string, m walMeta) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -596,23 +573,22 @@ func createWAL(dir string, m walMeta, policy WALSyncPolicy) (*wal, error) {
 		lf.Close()
 		return nil, err
 	}
-	w := newWAL(dir, f, lf, m, policy)
+	w := newWAL(dir, f, lf, m)
 	seq := w.reserve()
 	rec := appendWALRecord(nil, walRecMeta, seq, appendWALMeta(nil, m))
-	if _, err := w.append(seq, walRecMeta, rec, true); err != nil {
+	if _, err := w.append(seq, walRecMeta, rec); err != nil {
 		w.Close()
 		return nil, err
 	}
 	return w, nil
 }
 
-func newWAL(dir string, f, lf *os.File, m walMeta, policy WALSyncPolicy) *wal {
+func newWAL(dir string, f, lf *os.File, m walMeta) *wal {
 	w := &wal{
-		dir:    dir,
-		f:      f,
-		lockF:  lf,
-		policy: policy,
-		keep:   m.maxStale + 1,
+		dir:   dir,
+		f:     f,
+		lockF: lf,
+		keep:  m.maxStale + 1,
 	}
 	w.sink = walFile(f)
 	if walWrapFile != nil {
@@ -644,9 +620,10 @@ func (w *wal) reserve() uint64 {
 // failure happened is the end of the recoverable log, and every later append
 // is refused with the same error rather than scribbling records after a
 // hole. The slot always advances — a failure never wedges later writers
-// waiting on the gate. The uncommitted-admissions gauge is maintained here,
-// under the write gate, so it tracks the exact record order on disk.
-func (w *wal) append(seq uint64, typ byte, rec []byte, syncNow bool) (int64, error) {
+// waiting on the gate. Every record but an admission schedules the paced
+// fsync. The uncommitted-admissions gauge is maintained here, under the
+// write gate, so it tracks the exact record order on disk.
+func (w *wal) append(seq uint64, typ byte, rec []byte) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.writeSeq != seq {
@@ -667,9 +644,7 @@ func (w *wal) append(seq uint64, typ byte, rec []byte, syncNow bool) (int64, err
 	if err == nil && n < len(rec) {
 		err = io.ErrShortWrite
 	}
-	if err == nil && w.policy == WALSyncAlways {
-		err = w.sink.Sync()
-	} else if err == nil && syncNow && w.policy == WALSyncCommit {
+	if err == nil && typ != walRecAdmit {
 		// Group commit: the fsync runs on a background goroutine so the
 		// admission pipeline — the caller holds serveMu and pendMu across a
 		// commit append — is never stalled on device flush latency. A commit
@@ -718,7 +693,7 @@ func (w *wal) appendAdmit(a *walAdmit) error {
 	enc = appendWALAdmit(enc, a)
 	finishWALRecord(enc, 0, walRecAdmit, a.seq)
 	a.enc = enc
-	_, err := w.append(a.seq, walRecAdmit, a.enc, false)
+	_, err := w.append(a.seq, walRecAdmit, a.enc)
 	w.releaseAdmit(a)
 	if err != nil {
 		w.warnWriteErr(err)
@@ -730,15 +705,15 @@ func (w *wal) appendAdmit(a *walAdmit) error {
 
 // appendCommit appends one commit record and rewrites the idx checkpoint.
 // Called with serveMu and pendMu held, just before the commit's snapshot is
-// published — log-then-publish is the write-ahead property. The fsync (under
-// the default policy) also seals every admission record this commit folded:
-// they precede it in the file.
+// published — log-then-publish is the write-ahead property. The paced fsync
+// it schedules also seals every admission record this commit folded: they
+// precede it in the file.
 func (w *wal) appendCommit(seq uint64, c walCommit) error {
 	rec := reserveWALHeader(w.commitEnc[:0])
 	rec = appendWALCommit(rec, c)
 	finishWALRecord(rec, 0, walRecCommit, seq)
 	w.commitEnc = rec
-	off, err := w.append(seq, walRecCommit, rec, w.policy != WALSyncNone)
+	off, err := w.append(seq, walRecCommit, rec)
 	if err != nil {
 		w.warnWriteErr(err)
 		return err
@@ -893,22 +868,32 @@ func writeWALIdx(dir string, entries []walIdxEntry) error {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.off))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, walCRC))
-	tmp, err := os.CreateTemp(dir, walIdxName+".tmp*")
+	return replaceFile(dir, walIdxName, buf)
+}
+
+// replaceFile atomically replaces dir/name with data — temp file in dir,
+// write, fsync, close, rename — so a crash at any instant leaves either the
+// previous file or the new one whole. The temp file never outlives a
+// failure.
+func replaceFile(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(buf)
-	if serr := tmp.Sync(); werr == nil {
-		werr = serr
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if werr != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		return werr
 	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, walIdxName))
+	return err
 }
 
 func readWALIdx(dir string) ([]walIdxEntry, error) {
@@ -959,22 +944,10 @@ func writeEdgeWAL(dir string, b walEdgeBatch) error {
 		return fmt.Errorf("fldist: edge wal: %w", err)
 	}
 	rec := appendWALRecord(nil, walRecEdgeBatch, 0, appendWALEdgeBatch(nil, b))
-	tmp, err := os.CreateTemp(dir, edgeWALName+".tmp*")
-	if err != nil {
+	if err := replaceFile(dir, edgeWALName, rec); err != nil {
 		return fmt.Errorf("fldist: edge wal: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	_, werr := tmp.Write(rec)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("fldist: edge wal: %w", werr)
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, edgeWALName))
+	return nil
 }
 
 // readEdgeWAL loads dir's parked batch. ok is false when the slot is empty

@@ -63,28 +63,8 @@ func WithBufferedAggregation(k, maxStaleness int) ParamServerOption {
 // RecoverParamServer, replaying the admissions its buffer held; clients never
 // observe a model older than one they already pulled. The dir must not
 // already hold a WAL (recover, don't re-create). See docs/ARCHITECTURE.md
-// ("Durability") for the record format, fsync policy and guarantees.
+// ("Durability") for the record format, fsync pacing and guarantees.
 func WithServerWAL(dir string) ParamServerOption { return fldist.WithWAL(dir) }
-
-// ServerWALSyncPolicy selects when the write-ahead log fsyncs; see the
-// WALSync constants.
-type ServerWALSyncPolicy = fldist.WALSyncPolicy
-
-// The WAL fsync policies: WALSyncCommit (the default) makes commits
-// power-loss durable and admissions process-crash durable; WALSyncAlways
-// fsyncs every record; WALSyncNone leaves durability to the OS page cache
-// (process crashes still lose nothing).
-const (
-	WALSyncCommit = fldist.WALSyncCommit
-	WALSyncAlways = fldist.WALSyncAlways
-	WALSyncNone   = fldist.WALSyncNone
-)
-
-// WithServerWALSync tunes the WAL fsync policy (default WALSyncCommit). Only
-// meaningful together with WithServerWAL or RecoverParamServer.
-func WithServerWALSync(p ServerWALSyncPolicy) ParamServerOption {
-	return fldist.WithWALSyncPolicy(p)
-}
 
 // ParamServerWALExists reports whether dir holds a write-ahead log — the
 // switch between NewParamServer(..., WithServerWAL(dir)) on first boot and
