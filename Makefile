@@ -85,7 +85,10 @@ test-race:
 # the replayed buffer and the commit forced from it stay finite), plus
 # FuzzConvKernelsMatchNaive (arbitrary conv geometries — unroll, scatter,
 # forward GEMM and dW stay bit-equal to their naive references on the AVX2
-# tile and the portable twin). ~20s; part of ci.
+# tile and the portable twin) and FuzzEvalEpilogueMatchesLayers (arbitrary
+# channel counts, map sizes, bias/pool choices and raw float64 values — the
+# fused eval-mode Conv→BN→ReLU[→MaxPool] run stays bit-equal to the
+# layer-by-layer pass: output, mask, argmax and dX). ~22s; part of ci.
 fuzz:
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzQuantizeMatchesReference$$' -fuzztime 4s
@@ -93,6 +96,7 @@ fuzz:
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzCodecHeader$$' -fuzztime 2s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzWALAdmitReplay$$' -fuzztime 2s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzConvKernelsMatchNaive$$' -fuzztime 3s
+	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzEvalEpilogueMatchesLayers$$' -fuzztime 2s
 
 # Dead relative links in the markdown docs — and dead *.md references cited
 # inside Go doc comments — fail the build.

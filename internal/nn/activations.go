@@ -18,11 +18,8 @@ func NewReLU() *ReLU { return &ReLU{} }
 // recording the activation mask in the same pass. NaN is kept.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	mask, o := r.mask[:len(x.Data)], out.Data[:len(x.Data)]
-	r.mask = mask
+	r.mask = grow(r.mask, len(x.Data))
+	mask, o := r.mask, out.Data[:len(x.Data)]
 	for i, v := range x.Data {
 		keep := !(v <= 0)
 		mask[i] = keep

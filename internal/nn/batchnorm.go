@@ -23,8 +23,8 @@ type BatchNorm2D struct {
 	RunningMean *tensor.Tensor
 	RunningVar  *tensor.Tensor
 
-	// caches for backward
-	x       *tensor.Tensor
+	// Caches for backward. xhat is written only by a train-mode Forward,
+	// the one pass whose Backward reads it.
 	xhat    []float64
 	mean    []float64
 	invStd  []float64
@@ -48,28 +48,24 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 
 // Forward normalizes x; in train mode it uses batch statistics and updates
 // the running averages, in eval mode it uses the running statistics.
+// Every multiply-add rounds its product (float64(a*b) + c), so no platform
+// fuses it, and eval mode equals the fused run's epilogue (evalRun).
 func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bsz, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if c != bn.C {
 		panic("nn: BatchNorm2D channel mismatch")
 	}
-	n := bsz * h * w
-	bn.x, bn.trained = x, train
-	if cap(bn.mean) < c {
-		bn.mean = make([]float64, c)
-		bn.invStd = make([]float64, c)
+	n, hw := bsz*h*w, h*w
+	if train {
+		bn.trained = true
+		bn.mean, bn.invStd = grow(bn.mean, c), grow(bn.invStd, c)
+		bn.xhat = grow(bn.xhat, x.Len())
+	} else {
+		bn.useRunningStats()
 	}
-	bn.mean = bn.mean[:c]
-	bn.invStd = bn.invStd[:c]
-	if cap(bn.xhat) < x.Len() {
-		bn.xhat = make([]float64, x.Len())
-	}
-	bn.xhat = bn.xhat[:x.Len()]
 
 	out := tensor.New(bsz, c, h, w)
-	hw := h * w
 	for ch := 0; ch < c; ch++ {
-		var mean, varr float64
 		if train {
 			s := 0.0
 			for b := 0; b < bsz; b++ {
@@ -78,16 +74,16 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					s += x.Data[base+i]
 				}
 			}
-			mean = s / float64(n)
+			mean := s / float64(n)
 			v := 0.0
 			for b := 0; b < bsz; b++ {
 				base := (b*c + ch) * hw
 				for i := 0; i < hw; i++ {
 					d := x.Data[base+i] - mean
-					v += d * d
+					v += float64(d * d)
 				}
 			}
-			varr = v / float64(n)
+			varr := v / float64(n)
 			// The biased (÷n) variance normalizes the batch, but the running
 			// statistic uses the unbiased (÷(n−1)) estimator as PyTorch does,
 			// so eval-mode outputs are not systematically sharpened at small
@@ -96,27 +92,36 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			if n > 1 {
 				runVar = v / float64(n-1)
 			}
-			bn.RunningMean.Data[ch] = (1-bn.Momentum)*bn.RunningMean.Data[ch] + bn.Momentum*mean
-			bn.RunningVar.Data[ch] = (1-bn.Momentum)*bn.RunningVar.Data[ch] + bn.Momentum*runVar
-		} else {
-			mean = bn.RunningMean.Data[ch]
-			varr = bn.RunningVar.Data[ch]
+			m := bn.Momentum
+			bn.RunningMean.Data[ch] = float64((1-m)*bn.RunningMean.Data[ch]) + float64(m*mean)
+			bn.RunningVar.Data[ch] = float64((1-m)*bn.RunningVar.Data[ch]) + float64(m*runVar)
+			bn.mean[ch], bn.invStd[ch] = mean, 1.0/math.Sqrt(varr+bn.Eps)
 		}
-		invStd := 1.0 / math.Sqrt(varr+bn.Eps)
-		bn.mean[ch] = mean
-		bn.invStd[ch] = invStd
+		mean, invStd := bn.mean[ch], bn.invStd[ch]
 		g := bn.Gamma.Data.Data[ch]
 		be := bn.Beta.Data.Data[ch]
 		for b := 0; b < bsz; b++ {
 			base := (b*c + ch) * hw
 			for i := 0; i < hw; i++ {
 				xh := (x.Data[base+i] - mean) * invStd
-				bn.xhat[base+i] = xh
-				out.Data[base+i] = g*xh + be
+				if train {
+					bn.xhat[base+i] = xh
+				}
+				out.Data[base+i] = float64(g*xh) + be
 			}
 		}
 	}
 	return out
+}
+
+// useRunningStats readies an eval-mode pass: bn.mean and bn.invStd hold each
+// channel's running mean and 1/√(running var + ε), and eval mode is latched.
+func (bn *BatchNorm2D) useRunningStats() {
+	bn.trained = false
+	bn.mean, bn.invStd = grow(bn.mean, bn.C), grow(bn.invStd, bn.C)
+	for ch := range bn.mean {
+		bn.mean[ch], bn.invStd[ch] = bn.RunningMean.Data[ch], 1.0/math.Sqrt(bn.RunningVar.Data[ch]+bn.Eps)
+	}
 }
 
 // Backward implements the standard batch-norm gradient. In eval mode the
@@ -148,7 +153,7 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			for i := 0; i < hw; i++ {
 				dy := grad.Data[base+i]
 				sumDy += dy
-				sumDyXhat += dy * bn.xhat[base+i]
+				sumDyXhat += float64(dy * bn.xhat[base+i])
 			}
 		}
 		bn.Beta.Grad.Data[ch] += sumDy

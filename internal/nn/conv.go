@@ -9,7 +9,9 @@ import (
 )
 
 // Conv2D is a 2-D convolution over NCHW inputs with square kernels,
-// configurable stride and zero padding.
+// configurable stride and zero padding. An eval-mode Sequential that opens
+// with Conv2D → BatchNorm2D → ReLU [→ MaxPool2D] runs the rest of that chain
+// in the layer's own forward copy-out and backward dY packing (evalRun).
 type Conv2D struct {
 	InC, OutC int
 	Kernel    int
@@ -135,6 +137,12 @@ func zeroCols(m []float64, rows, ld, lo, hi int) {
 // the direct-loop reference the tests keep (convref_test.go) at every batch
 // size and worker count.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return c.forward(x, train, nil)
+}
+
+// forward is Forward with an optional eval-mode epilogue: with run, each
+// finished output plane goes to run.forwardPlane instead of the copy-out.
+func (c *Conv2D) forward(x *tensor.Tensor, train bool, run *evalRun) *tensor.Tensor {
 	bsz, inC, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if inC != c.InC {
 		panic("nn: Conv2D channel mismatch")
@@ -143,7 +151,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.inH, c.inW, c.outH, c.outW = h, w, oh, ow
 	c.trained = train
 
-	out := tensor.New(bsz, c.OutC, oh, ow)
+	var out *tensor.Tensor
+	if run != nil {
+		out = run.begin(bsz, oh, ow)
+	} else {
+		out = tensor.New(bsz, c.OutC, oh, ow)
+	}
 	k, st, pad := c.Kernel, c.Stride, c.Pad
 	ickk := c.InC * k * k
 	ohow := oh * ow
@@ -161,14 +174,19 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		zeroCols(col, ickk, ld, j0+(b1-b0)*ohow, j0+pw)
 		tensor.MatMulStridedInto(prod, pw, wd, col[j0:], ld, c.OutC, ickk, pw)
 		for b := b0; b < b1; b++ {
-			outB := out.Data[b*c.OutC*ohow : (b+1)*c.OutC*ohow]
 			for oc := 0; oc < c.OutC; oc++ {
-				oplane := outB[oc*ohow : (oc+1)*ohow]
-				copy(oplane, prod[oc*pw+(b-b0)*ohow:])
-				if !c.hasBias {
+				src, p := prod[oc*pw+(b-b0)*ohow:][:ohow], b*c.OutC+oc
+				bias := 0.0
+				if c.hasBias {
+					bias = c.B.Data.Data[oc]
+				}
+				if run != nil {
+					run.forwardPlane(out.Data, src, p, bias)
 					continue
 				}
-				if bias := c.B.Data.Data[oc]; bias != 0 {
+				oplane := out.Data[p*ohow : (p+1)*ohow]
+				copy(oplane, src)
+				if bias != 0 {
 					for i := range oplane {
 						oplane[i] += bias
 					}
@@ -193,6 +211,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // columns — so gradients are bit-deterministic at every GOMAXPROCS. dW and dB
 // are skipped after an eval-mode Forward; dX does not depend on them.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.backward(grad, nil)
+}
+
+// backward is Backward with an optional eval-mode prologue: with run, grad is
+// the run's output gradient, and run.backwardPlane packs each plane of dY.
+func (c *Conv2D) backward(grad *tensor.Tensor, run *evalRun) *tensor.Tensor {
 	bsz := grad.Dim(0)
 	h, w, oh, ow := c.inH, c.inW, c.outH, c.outW
 	k, st, pad := c.Kernel, c.Stride, c.Pad
@@ -223,9 +247,13 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.forEachPanel(lay, bsz, c.OutC+ickk, func(b0, b1, pw int, scratch []float64) {
 		dy, dcol := scratch[:c.OutC*pw], scratch[c.OutC*pw:]
 		for b := b0; b < b1; b++ {
-			gb := grad.Data[b*c.OutC*ohow : (b+1)*c.OutC*ohow]
 			for oc := 0; oc < c.OutC; oc++ {
-				copy(dy[oc*pw+(b-b0)*ohow:], gb[oc*ohow:(oc+1)*ohow])
+				d, p := dy[oc*pw+(b-b0)*ohow:][:ohow], b*c.OutC+oc
+				if run != nil {
+					run.backwardPlane(d, grad.Data, p)
+				} else {
+					copy(d, grad.Data[p*ohow:(p+1)*ohow])
+				}
 			}
 		}
 		zeroCols(dy, c.OutC, pw, (b1-b0)*ohow, pw)

@@ -50,6 +50,10 @@ func (p *Param) NumElems() int { return p.Data.Len() }
 // dW nor need to zero anything. Every parameterised layer latches the mode in
 // Forward; containers inherit the rule from their children.
 //
+// A container may run layers as one operator where no bit moves: an eval-mode
+// Sequential so runs a leading Conv2D → BatchNorm2D → ReLU [→ MaxPool2D]
+// (evalRun), leaving each layer the state its own Forward would leave.
+//
 // OutShape and ForwardFLOPs describe the per-sample output geometry and
 // forward cost given a per-sample input shape (excluding the batch
 // dimension); they drive the memory/FLOPs cost model of internal/memmodel.
@@ -76,6 +80,14 @@ func NumParams(l Layer) int {
 		n += p.NumElems()
 	}
 	return n
+}
+
+// grow reslices a layer's per-batch cache to n, reallocating only if short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func prodInts(s []int) int {

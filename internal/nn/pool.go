@@ -21,44 +21,45 @@ func NewMaxPool2D(k int) *MaxPool2D { return &MaxPool2D{Kernel: k} }
 // Forward computes the pooled output and caches the winning indices.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bsz, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	k := m.Kernel
-	if h%k != 0 || w%k != 0 {
-		panic(fmt.Sprintf("nn: MaxPool2D input %dx%d is not divisible by kernel %d; trailing rows/cols would be silently dropped", h, w, k))
-	}
-	oh, ow := h/k, w/k
-	m.inShape = append(m.inShape[:0], x.Shape()...)
-	out := tensor.New(bsz, c, oh, ow)
-	if cap(m.argmax) < out.Len() {
-		m.argmax = make([]int, out.Len())
-	}
-	m.argmax = m.argmax[:out.Len()]
-
-	oi := 0
-	for b := 0; b < bsz; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bestIdx, bestVal := -1, 0.0
-					for ky := 0; ky < k; ky++ {
-						iy := oy*k + ky
-						for kx := 0; kx < k; kx++ {
-							ix := ox*k + kx
-							idx := base + iy*w + ix
-							v := x.Data[idx]
-							if bestIdx < 0 || v > bestVal {
-								bestIdx, bestVal = idx, v
-							}
-						}
-					}
-					out.Data[oi] = bestVal
-					m.argmax[oi] = bestIdx
-					oi++
-				}
-			}
-		}
+	out := m.begin(bsz, c, h, w)
+	ohow := (h / m.Kernel) * (w / m.Kernel)
+	for p := 0; p < bsz*c; p++ {
+		m.poolPlane(out.Data[p*ohow:(p+1)*ohow], x.Data[p*h*w:(p+1)*h*w], p, w)
 	}
 	return out
+}
+
+// begin caches the input shape of a forward pass, sizes argmax for it and
+// returns the pooled output tensor.
+func (m *MaxPool2D) begin(bsz, c, h, w int) *tensor.Tensor {
+	if k := m.Kernel; h%k != 0 || w%k != 0 {
+		panic(fmt.Sprintf("nn: MaxPool2D input %dx%d is not divisible by kernel %d; trailing rows/cols would be silently dropped", h, w, k))
+	}
+	m.inShape = append(m.inShape[:0], bsz, c, h, w)
+	m.argmax = grow(m.argmax, bsz*c*(h/m.Kernel)*(w/m.Kernel))
+	return tensor.New(bsz, c, h/m.Kernel, w/m.Kernel)
+}
+
+// poolPlane pools plane p (image·channels + channel) of the input, in (w
+// wide), into out: each window's first maximum in row-major order, a NaN in
+// first place kept. The winners' flat input indices go to plane p of argmax.
+func (m *MaxPool2D) poolPlane(out, in []float64, p, w int) {
+	k := m.Kernel
+	ow := w / k
+	argmax := m.argmax[p*len(out) : (p+1)*len(out)]
+	for j, y0 := 0, 0; j < len(out); j, y0 = j+ow, y0+k {
+		for ox := 0; ox < ow; ox++ {
+			bestIdx, bestVal := -1, 0.0
+			for iy := y0; iy < y0+k; iy++ {
+				for ix := ox * k; ix < (ox+1)*k; ix++ {
+					if v := in[iy*w+ix]; bestIdx < 0 || v > bestVal {
+						bestIdx, bestVal = iy*w+ix, v
+					}
+				}
+			}
+			out[j+ox], argmax[j+ox] = bestVal, p*len(in)+bestIdx
+		}
+	}
 }
 
 // Backward routes each output gradient to the winning input position.

@@ -10,6 +10,7 @@ import (
 type Sequential struct {
 	Layers []Layer
 	label  string
+	run    evalRun // the fused run of the last Forward; run.n = 0 for none
 }
 
 // NewSequential constructs a chain of layers with a diagnostic label.
@@ -17,20 +18,126 @@ func NewSequential(label string, layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers, label: label}
 }
 
-// Forward applies each layer in order.
+// Forward applies each layer in order. In eval mode a leading Conv2D →
+// BatchNorm2D → ReLU [→ MaxPool2D] runs as one operator (evalRun) whose
+// output is bit-identical to the layer-by-layer pass.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
+	if s.run = leadingRun(s.Layers, train); s.run.n > 0 {
+		x = s.run.conv.forward(x, false, &s.run)
+	}
+	for _, l := range s.Layers[s.run.n:] {
 		x = l.Forward(x, train)
 	}
 	return x
 }
 
-// Backward applies the layers' backward passes in reverse order.
+// Backward applies the layers' backward passes in reverse order, the fused
+// run's as one.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+	for i := len(s.Layers) - 1; i >= s.run.n; i-- {
 		grad = s.Layers[i].Backward(grad)
 	}
+	if s.run.n > 0 {
+		grad = s.run.conv.backward(grad, &s.run)
+	}
 	return grad
+}
+
+// evalRun is an eval-mode Conv2D → BatchNorm2D → ReLU [→ MaxPool2D] run as
+// one operator on the convolution's panel loops. Forward: the conv's copy-out
+// hands each finished output plane, still in cache, to forwardPlane (conv
+// bias, BN's affine, ReLU's mask, then the window max and argmax when
+// pooled), and only the run's output is allocated. Backward: the conv's dY
+// packing calls backwardPlane (the pool's scatter onto +0, ReLU's mask, BN's
+// γ·invStd). Every element sees the layers' operations in their order, so no
+// bit moves, and the mask, argmax and statistics land in the layers' own
+// caches: each layer is left as its own Forward would leave it.
+type evalRun struct {
+	conv *Conv2D
+	bn   *BatchNorm2D
+	relu *ReLU
+	pool *MaxPool2D // nil when the run ends at the ReLU
+	n    int        // layers covered: 3 or 4, 0 for no run
+}
+
+// leadingRun returns the run that opens layers in eval mode, if any.
+func leadingRun(layers []Layer, train bool) (r evalRun) {
+	if len(layers) >= 3 && !train {
+		r.conv, _ = layers[0].(*Conv2D)
+		r.bn, _ = layers[1].(*BatchNorm2D)
+		r.relu, _ = layers[2].(*ReLU)
+	}
+	if r.conv == nil || r.bn == nil || r.relu == nil {
+		return evalRun{}
+	}
+	if r.n = 3; len(layers) > 3 {
+		if r.pool, _ = layers[3].(*MaxPool2D); r.pool != nil {
+			r.n = 4
+		}
+	}
+	return r
+}
+
+// begin readies the run for bsz convolution outputs of oh×ow and returns the
+// tensor it writes.
+func (r *evalRun) begin(bsz, oh, ow int) *tensor.Tensor {
+	c := r.conv.OutC
+	if c != r.bn.C {
+		panic("nn: BatchNorm2D channel mismatch")
+	}
+	r.bn.useRunningStats()
+	r.relu.mask = grow(r.relu.mask, bsz*c*oh*ow)
+	if r.pool == nil {
+		return tensor.New(bsz, c, oh, ow)
+	}
+	return r.pool.begin(bsz, c, oh, ow)
+}
+
+// forwardPlane finishes plane p (image·OutC + channel) of the convolution,
+// src, into out. src is the conv's scratch: a pooled run finishes the plane
+// in place and pools it from there.
+func (r *evalRun) forwardPlane(out, src []float64, p int, bias float64) {
+	n, ch := len(src), p%r.bn.C
+	mean, invStd := r.bn.mean[ch], r.bn.invStd[ch]
+	g, be := r.bn.Gamma.Data.Data[ch], r.bn.Beta.Data.Data[ch]
+	mask, dst := r.relu.mask[p*n:(p+1)*n], src
+	if r.pool == nil {
+		dst = out[p*n : (p+1)*n]
+	}
+	for i, v := range src {
+		if bias != 0 {
+			v += bias
+		}
+		v = float64(g*((v-mean)*invStd)) + be
+		keep := !(v <= 0)
+		mask[i] = keep
+		dst[i] = keepOrZero(v, keep)
+	}
+	if r.pool != nil {
+		po := n / (r.pool.Kernel * r.pool.Kernel)
+		r.pool.poolPlane(out[p*po:(p+1)*po], dst, p, r.conv.outW)
+	}
+}
+
+// backwardPlane writes plane p of dL/d(conv output) into dy from grad, the
+// gradient of the run's output.
+func (r *evalRun) backwardPlane(dy, grad []float64, p int) {
+	n, ch := len(dy), p%r.bn.C
+	src := dy
+	if r.pool == nil {
+		src = grad[p*n : (p+1)*n]
+	} else {
+		po := n / (r.pool.Kernel * r.pool.Kernel)
+		clear(dy)
+		for j, v := range grad[p*po : (p+1)*po] {
+			dy[r.pool.argmax[p*po+j]-p*n] += v
+		}
+	}
+	scale := r.bn.Gamma.Data.Data[ch] * r.bn.invStd[ch]
+	mask := r.relu.mask[p*n : (p+1)*n]
+	for i, v := range src {
+		dy[i] = scale * keepOrZero(v, mask[i])
+	}
 }
 
 // Params concatenates the parameters of all layers.
@@ -88,7 +195,7 @@ func (b *BasicBlock) OutShape(in []int) []int {
 // ForwardFLOPs sums both branches.
 func (b *BasicBlock) ForwardFLOPs(in []int) int64 {
 	mid := b.Conv1.OutShape(in)
-	total := b.Conv1.ForwardFLOPs(in) + b.BN1.ForwardFLOPs(mid) + b.relu1FLOPs(mid)
+	total := b.Conv1.ForwardFLOPs(in) + b.BN1.ForwardFLOPs(mid) + int64(prodInts(mid))
 	out := b.Conv2.OutShape(mid)
 	total += b.Conv2.ForwardFLOPs(mid) + b.BN2.ForwardFLOPs(out)
 	if b.DownConv != nil {
@@ -97,8 +204,6 @@ func (b *BasicBlock) ForwardFLOPs(in []int) int64 {
 	total += 2 * int64(prodInts(out)) // residual add + final relu
 	return total
 }
-
-func (b *BasicBlock) relu1FLOPs(in []int) int64 { return int64(prodInts(in)) }
 
 // Forward runs the two-branch computation, caching for backward.
 func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
