@@ -82,19 +82,23 @@ test-race:
 # included — no panic, base ≥ −1, an accepted codec's echo re-parses to
 # itself) and FuzzWALAdmitReplay (one admission record of a valid buffered
 # WAL mutated and CRC-resealed — recovery never panics, errors wrap ErrWAL,
-# the replayed buffer and the commit forced from it stay finite), plus
+# the replayed buffer and the commit forced from it stay finite) and
+# FuzzWALCommitReplay (the commit record of the retained round an uncommitted
+# frame-form admission decodes against, mutated and CRC-resealed — the same
+# invariants, with the base rebuilt from that record), plus
 # FuzzConvKernelsMatchNaive (arbitrary conv geometries — unroll, scatter,
 # forward GEMM and dW stay bit-equal to their naive references on the AVX2
 # tile and the portable twin) and FuzzEvalEpilogueMatchesLayers (arbitrary
 # channel counts, map sizes, bias/pool choices and raw float64 values — the
 # fused eval-mode Conv→BN→ReLU[→MaxPool] run stays bit-equal to the
-# layer-by-layer pass: output, mask, argmax and dX). ~22s; part of ci.
+# layer-by-layer pass: output, mask, argmax and dX). ~24s; part of ci.
 fuzz:
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzQuantizeMatchesReference$$' -fuzztime 4s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzUpdateEnvelope$$' -fuzztime 3s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzCodecHeader$$' -fuzztime 2s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzWALAdmitReplay$$' -fuzztime 2s
+	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzWALCommitReplay$$' -fuzztime 2s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzConvKernelsMatchNaive$$' -fuzztime 3s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzEvalEpilogueMatchesLayers$$' -fuzztime 2s
 

@@ -180,7 +180,9 @@ func TestSparsePushNonFiniteBaseRejected(t *testing.T) {
 // also pins which buffer comes back: the residual consumed by the previous
 // build — never a body or a base. One round passes with nobody pulling the
 // variant: its residual must carry across that round into the next build in
-// both modes, the synchronous quorum and the buffered server alike.
+// both modes, the synchronous quorum and the buffered server alike, and
+// once consumed it is not recycled — a late build on the unbuilt round may
+// still read it — so the build after that one allocates.
 func TestBuildRecyclesOnlyDeadResiduals(t *testing.T) {
 	const rounds, skipped = 8, 3
 	initP := synthVec(3*256+41, 81)
@@ -217,8 +219,11 @@ func TestBuildRecyclesOnlyDeadResiduals(t *testing.T) {
 					if !sm.finite {
 						t.Fatalf("round %d: finite model built a base marked non-finite", r)
 					}
-					if j := len(residuals); j >= 2 && &sm.nextErr[0] != &residuals[j-2][0] {
-						t.Fatalf("round %d: build did not reuse the residual the previous build consumed", r)
+					if j := len(residuals); j >= 2 {
+						reused := &sm.nextErr[0] == &residuals[j-2][0]
+						if want := r != skipped+2; reused != want {
+							t.Fatalf("round %d: build reused the residual the previous build consumed: %v, want %v", r, reused, want)
+						}
 					}
 					residuals = append(residuals, sm.nextErr)
 					prevErr = wantNext

@@ -824,8 +824,8 @@ func (s *Server) commitNow() (commitInfo, bool) {
 
 // adopt installs an externally supplied model — the tier's freshly pulled
 // upstream state — as the new current snapshot, advancing the local round by
-// one and retaining the replaced round (snapshot, served codec cache,
-// downlink feedback chain) for the staleness window exactly like a commit.
+// one and retaining the replaced round (its snapshot, served variants and
+// downlink residuals) for the staleness window exactly like a commit.
 // The pending buffer is NOT touched: contributions admitted while the flush
 // was in flight keep their retained bases and fold onto the adopted model at
 // the next commit — FedBuff's apply-to-latest semantics, one tier up.
@@ -838,7 +838,7 @@ func (s *Server) adopt(params, bn []float64) int {
 		params: append([]float64(nil), params...),
 		bn:     append([]float64(nil), bn...),
 	}
-	s.retireRoundLocked(old, next.round)
+	s.retireRoundLocked(old, next)
 
 	s.pendMu.Lock()
 	s.model.Store(next)

@@ -97,12 +97,55 @@ func FuzzCodecHeader(f *testing.F) {
 	})
 }
 
-// loggedAdmit is one admission record inside a finished log: its byte span,
-// its sequence number and its payload.
-type loggedAdmit struct {
+// loggedRecord is one record inside a finished log: its type, its byte
+// span, its sequence number and its payload.
+type loggedRecord struct {
+	typ      byte
 	off, end int
 	seq      uint64
 	payload  []byte
+}
+
+// recordsOf returns the records of type typ in a finished log, in log order.
+func recordsOf(tb testing.TB, log []byte, typ byte) []loggedRecord {
+	tb.Helper()
+	var recs []loggedRecord
+	for off := 0; off < len(log); {
+		t, seq, payload, n, err := parseWALRecord(log[off:])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if t == typ {
+			recs = append(recs, loggedRecord{typ: t, off: off, end: off + n, seq: seq, payload: payload})
+		}
+		off += n
+	}
+	return recs
+}
+
+// readLog closes srv and returns its log's bytes.
+func readLog(tb testing.TB, srv *Server) []byte {
+	tb.Helper()
+	if err := srv.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(srv.wal.dir, walLogName))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return log
+}
+
+// testDelta is a small deterministic parameter and BN delta.
+func testDelta(nP, nBN int) (d, dBN []float64) {
+	d, dBN = make([]float64, nP), make([]float64, nBN)
+	for i := range d {
+		d[i] = 1e-2 * float64(i%7-3)
+	}
+	for i := range dBN {
+		dBN[i] = 1e-3 * float64(i+1)
+	}
+	return d, dBN
 }
 
 // bufferedAdmitLog writes a buffered WAL (K = 3, window 2) through the live
@@ -110,61 +153,100 @@ type loggedAdmit struct {
 // raw push, logged in delta form, and a dense 8-bit push with a raw BN frame,
 // logged as its wire frames. It returns the log's bytes and those two
 // records, in log order.
-func bufferedAdmitLog(tb testing.TB) ([]byte, []loggedAdmit) {
+func bufferedAdmitLog(tb testing.TB) ([]byte, []loggedRecord) {
 	tb.Helper()
 	const nP, nBN = 96, 4
 	initP, initBN := synthVec(nP, 1), synthVec(nBN, 2)
-	dir := tb.TempDir()
-	srv := NewServer(initP, initBN, 1, WithShards(2), WithBufferedAggregation(3, 2), WithWAL(dir),
+	srv := NewServer(initP, initBN, 1, WithShards(2), WithBufferedAggregation(3, 2), WithWAL(tb.TempDir()),
 		withWarnf(func(string, ...any) {}))
-	d, dBN := make([]float64, nP), make([]float64, nBN)
-	for i := range d {
-		d[i] = 1e-2 * float64(i%7-3)
-	}
-	for i := range dBN {
-		dBN[i] = 1e-3 * float64(i+1)
-	}
+	d, dBN := testDelta(nP, nBN)
 	dense, err := encodeUpdateEnvelope(1, 0, 2, quant.Encode(quant.QuantizeChunks(d, 8, 64)), quant.EncodeRaw(dBN))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for _, body := range [][]byte{rawBodyT(tb, 0, 0, 3, perturb(initP, 0, 0), perturb(initBN, 0, 0)), dense} {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			tb.Fatalf("push: status %d: %s", rec.Code, rec.Body)
-		}
+		postOK(tb, srv, body)
 	}
-	if err := srv.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	log, err := os.ReadFile(filepath.Join(dir, walLogName))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var admits []loggedAdmit
-	for off := 0; off < len(log); {
-		typ, seq, payload, n, err := parseWALRecord(log[off:])
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if typ == walRecAdmit {
-			admits = append(admits, loggedAdmit{off: off, end: off + n, seq: seq, payload: payload})
-		}
-		off += n
-	}
+	log := readLog(tb, srv)
+	admits := recordsOf(tb, log, walRecAdmit)
 	if len(admits) != 2 {
 		tb.Fatalf("log holds %d admission records, want 2", len(admits))
 	}
 	return log, admits
 }
 
-// withAdmitPayload returns a copy of log whose admission record a carries
-// payload instead, framed and CRC-sealed like the writer would.
-func withAdmitPayload(log []byte, a loggedAdmit, payload []byte) []byte {
-	out := append([]byte(nil), log[:a.off]...)
-	out = appendWALRecord(out, walRecAdmit, a.seq, payload)
-	return append(out, log[a.end:]...)
+// postOK runs one push through srv's handler and requires a 200.
+func postOK(tb testing.TB, srv *Server, body []byte) {
+	tb.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("push: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// withPayload returns a copy of log whose record r carries payload instead,
+// framed and CRC-sealed like the writer would.
+func withPayload(log []byte, r loggedRecord, payload []byte) []byte {
+	out := append([]byte(nil), log[:r.off]...)
+	out = appendWALRecord(out, r.typ, r.seq, payload)
+	return append(out, log[r.end:]...)
+}
+
+// retainedCommitLog writes a buffered WAL (K = 2, window 2) through the live
+// server whose last record is an uncommitted dense 8-bit push against round
+// 1 — retained, not the newest commit — whose commit record carries the
+// residual of the variant built in round 0. It returns the log and round 1's
+// commit record.
+func retainedCommitLog(tb testing.TB) ([]byte, loggedRecord) {
+	tb.Helper()
+	const nP, nBN = 96, 4
+	initP, initBN := synthVec(nP, 1), synthVec(nBN, 2)
+	srv := NewServer(initP, initBN, 1, WithShards(2), WithBufferedAggregation(2, 2), WithWAL(tb.TempDir()),
+		withWarnf(func(string, ...any) {}))
+	for r := 0; r < 2; r++ {
+		if _, err := srv.getServed(Compression{Bits: 8, Chunk: 64}, -1); err != nil {
+			tb.Fatal(err)
+		}
+		for id := 0; id < 2; id++ {
+			postOK(tb, srv, rawBodyT(tb, id, r, 1, perturb(initP, id, r), perturb(initBN, id, r)))
+		}
+	}
+	d, dBN := testDelta(nP, nBN)
+	dense, err := encodeUpdateEnvelope(2, 1, 2, quant.Encode(quant.QuantizeChunks(d, 8, 64)), quant.EncodeRaw(dBN))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	postOK(tb, srv, dense)
+	log := readLog(tb, srv)
+	commits := recordsOf(tb, log, walRecCommit)
+	if len(commits) != 3 {
+		tb.Fatalf("log holds %d commit records, want 3", len(commits))
+	}
+	return log, commits[1]
+}
+
+// misshapenCommits are retained-commit shapes recovery must refuse: one
+// value short in params, in BN and in a variant residual.
+var misshapenCommits = []struct {
+	name   string
+	mutate func(c *walCommit)
+}{
+	{"short params", func(c *walCommit) { c.params = c.params[:len(c.params)-1] }},
+	{"short bn", func(c *walCommit) { c.bn = c.bn[:len(c.bn)-1] }},
+	{"short residual", func(c *walCommit) { v := &c.downErr[0]; v.residual = v.residual[:len(v.residual)-1] }},
+}
+
+// mutatedCommit returns the commit payload p parsed, changed by mutate and
+// re-encoded.
+func mutatedCommit(tb testing.TB, p []byte, mutate func(c *walCommit)) []byte {
+	tb.Helper()
+	c, err := parseWALCommit(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mutate(&c)
+	return appendWALCommit(nil, c)
 }
 
 // recoverLog recovers a server from a directory holding just log.
@@ -213,7 +295,51 @@ func FuzzWALAdmitReplay(f *testing.F) {
 		if len(payload) == 0 {
 			return // not a record the framing can carry
 		}
-		srv, err := recoverLog(t, withAdmitPayload(log, admits[int(which)%len(admits)], payload))
+		srv, err := recoverLog(t, withPayload(log, admits[int(which)%len(admits)], payload))
+		if err != nil {
+			if !errors.Is(err, ErrWAL) {
+				t.Fatalf("recovery error does not wrap ErrWAL: %v", err)
+			}
+			return
+		}
+		defer srv.Close()
+		finite := func(what string, v []float64) {
+			for i, x := range v {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("%s[%d] = %v", what, i, x)
+				}
+			}
+		}
+		for _, b := range srv.pendingBufs {
+			finite("buffered params", b.params)
+			finite("buffered bn", b.bn)
+		}
+		if srv.pendingN > 0 {
+			srv.commit()
+		}
+		p, bn := srv.Snapshot()
+		finite("committed params", p)
+		finite("committed bn", bn)
+	})
+}
+
+// FuzzWALCommitReplay mutates the commit record of the retained round an
+// uncommitted frame-form admission decodes against — seeded with the record
+// as written and with each misshapen commit — re-seals its CRC, and
+// recovers. Recovery never panics, any error wraps ErrWAL, every buffered
+// value it replays is finite, and so is the model a commit of the recovered
+// buffer publishes.
+func FuzzWALCommitReplay(f *testing.F) {
+	log, commit := retainedCommitLog(f)
+	f.Add(commit.payload)
+	for _, m := range misshapenCommits {
+		f.Add(mutatedCommit(f, commit.payload, m.mutate))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if len(payload) == 0 {
+			return // not a record the framing can carry
+		}
+		srv, err := recoverLog(t, withPayload(log, commit, payload))
 		if err != nil {
 			if !errors.Is(err, ErrWAL) {
 				t.Fatalf("recovery error does not wrap ErrWAL: %v", err)

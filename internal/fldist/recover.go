@@ -298,59 +298,40 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 		return nil, errors.New("fldist: aggregation mode is fixed by the WAL meta record")
 	}
 
-	last := st.commits[len(st.commits)-1]
-	if len(last.c.params) != m.nParams || len(last.c.bn) != m.nBN {
-		return nil, fmt.Errorf("%w: commit shape (%d,%d) does not match meta (%d,%d)",
-			ErrWAL, len(last.c.params), len(last.c.bn), m.nParams, m.nBN)
+	// Every snapshot recovery installs — the newest commit's and, in buffered
+	// mode, the retained rounds' — is rebuilt from its own commit record,
+	// residuals included, so a served variant of any of them builds exactly
+	// the bytes the dead process served, on demand, through the live
+	// getServed. Only those records are checked against the meta shape: older
+	// commits never reach a snapshot.
+	cur, err := snapshotFromCommit(st.commits[len(st.commits)-1].c, m)
+	if err != nil {
+		return nil, err
 	}
-	R := last.c.round
+	R := cur.round
 
 	all := []ServerOption{WithShards(cfg.shards)}
 	if m.async {
 		all = append(all, WithBufferedAggregation(m.quorumOrK, m.maxStale))
 	}
-	s := NewServer(last.c.params, last.c.bn, max(m.quorumOrK, 1), all...)
+	s := NewServer(cur.params, cur.bn, max(m.quorumOrK, 1), all...)
 	if cfg.warnf != nil {
 		s.warnf = cfg.warnf
 	}
-	cur := &snapshot{
-		round:  R,
-		params: append([]float64(nil), last.c.params...),
-		bn:     append([]float64(nil), last.c.bn...),
-	}
 	s.model.Store(cur)
 
-	// Downlink error-feedback residuals of the last commit: the EF chain of
-	// each served codec variant continues bit-stably across the restart.
-	for _, v := range last.c.downErr {
-		if len(v.residual) != m.nParams {
-			return nil, fmt.Errorf("%w: variant residual length %d, want %d", ErrWAL, len(v.residual), m.nParams)
-		}
-		nc, nerr := v.comp.normalize()
-		if nerr != nil {
-			return nil, fmt.Errorf("%w: variant codec: %v", ErrWAL, nerr)
-		}
-		s.downErr[nc] = append([]float64(nil), v.residual...)
-	}
-
-	// Retained rounds inside the staleness window, so post-recovery raw
-	// pushes against an older base still reconstruct. Served codec bodies
-	// are not persisted — they are rebuilt on demand: frame-form replay
-	// below rebuilds the variants the buffered pushes decoded against
-	// (servedBaseForReplay); a stale delta push for a variant nothing
-	// rebuilt answers 409 and its client re-pulls — a liveness, not a
-	// correctness, cost. docs/ARCHITECTURE.md.
+	// Retained rounds inside the staleness window, so post-recovery pushes
+	// against an older base still reconstruct. Served variants are not
+	// persisted: frame-form replay below builds the ones the buffered pushes
+	// decoded against, and any other builds when first asked for.
 	if m.async {
 		for _, cp := range st.commits[:len(st.commits)-1] {
 			if cp.c.round >= R-m.maxStale {
-				s.history[cp.c.round] = &roundState{
-					snap: &snapshot{
-						round:  cp.c.round,
-						params: append([]float64(nil), cp.c.params...),
-						bn:     append([]float64(nil), cp.c.bn...),
-					},
-					served: map[Compression]*servedModel{},
+				sn, err := snapshotFromCommit(cp.c, m)
+				if err != nil {
+					return nil, err
 				}
+				s.history[sn.round] = sn
 			}
 		}
 
@@ -360,11 +341,7 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 		// replay the admissions of the round in flight (admitted after the
 		// last commit) into the buffer: delta form as (delta, zero-base)
 		// contributions, frame form through the live handler's own decoder
-		// against the served base rebuilt from the base round's commit record.
-		commitAt := make(map[int]*walCommit, len(st.commits))
-		for i := range st.commits {
-			commitAt[st.commits[i].c.round] = &st.commits[i].c
-		}
+		// against the base round's served variant.
 		zero := updateBase{p: make([]float64, m.nParams), bn: make([]float64, m.nBN)}
 		for _, a := range st.admits {
 			stale := a.admitRound - a.baseRound
@@ -395,7 +372,7 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 			base := zero
 			var err error
 			if len(a.frames) > 0 {
-				base, err = s.replayFrames(a, buf, commitAt)
+				base, err = s.replayFrames(a, buf)
 			} else if len(a.dp) != m.nParams || len(a.db) != m.nBN {
 				err = fmt.Errorf("delta shape (%d,%d), want (%d,%d)", len(a.dp), len(a.db), m.nParams, m.nBN)
 			} else if !allWithin(a.dp, 2*maxValue) || !allWithin(a.db, 2*maxValue) {
@@ -433,12 +410,38 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 	return s, nil
 }
 
+// snapshotFromCommit rebuilds the snapshot a commit record published, with
+// the downlink residuals it entered its round with, refusing with ErrWAL a
+// record whose vectors or variant codecs do not fit the meta record. The
+// parsed vectors are the record's own, so no residual is shared with another
+// snapshot.
+func snapshotFromCommit(c walCommit, m walMeta) (*snapshot, error) {
+	if len(c.params) != m.nParams || len(c.bn) != m.nBN {
+		return nil, fmt.Errorf("%w: round %d commit shape (%d,%d) does not match meta (%d,%d)",
+			ErrWAL, c.round, len(c.params), len(c.bn), m.nParams, m.nBN)
+	}
+	sn := &snapshot{round: c.round, params: c.params, bn: c.bn, downErr: map[Compression]residual{}}
+	for _, v := range c.downErr {
+		if len(v.residual) != m.nParams {
+			return nil, fmt.Errorf("%w: round %d variant residual length %d, want %d",
+				ErrWAL, c.round, len(v.residual), m.nParams)
+		}
+		nc, err := v.comp.normalize()
+		if err != nil {
+			return nil, fmt.Errorf("%w: round %d variant codec: %v", ErrWAL, c.round, err)
+		}
+		sn.downErr[nc] = residual{v: v.residual}
+	}
+	return sn, nil
+}
+
 // replayFrames runs a frame-form admission's logged wire frames through the
-// push handler's decoder into buf, against the served base the client
-// pulled (rebuilt if the crash took it), and returns that base — exactly the
-// (vals, base) pair register saw before the crash. The writer logs raw
-// pushes in delta form, so a raw params frame here is corruption.
-func (s *Server) replayFrames(a *walAdmit, buf *updateBuf, commitAt map[int]*walCommit) (updateBase, error) {
+// push handler's decoder into buf, against the served variant of the base
+// round the client pulled — built now if the crash took it — and returns
+// that base: exactly the (vals, base) pair register saw before the crash.
+// The writer logs raw pushes in delta form, so a raw params frame here is
+// corruption.
+func (s *Server) replayFrames(a *walAdmit, buf *updateBuf) (updateBase, error) {
 	var pd, bd quant.StreamDecoder
 	return decodeUpdate(bytes.NewReader(a.frames), &pd, &bd, buf, func(pd *quant.StreamDecoder) (updateBase, error) {
 		if pd.IsRaw() {
@@ -448,44 +451,10 @@ func (s *Server) replayFrames(a *walAdmit, buf *updateBuf, commitAt map[int]*wal
 		if err != nil {
 			return updateBase{}, err
 		}
-		sm, err := s.servedBaseForReplay(comp, a.baseRound, commitAt)
+		sm, err := s.getServed(comp, a.baseRound)
 		if err != nil {
 			return updateBase{}, err
 		}
 		return sm.base(), nil
 	})
-}
-
-// servedBaseForReplay resolves the served codec variant (c, round) a logged
-// frame-form admission decoded against. The round in flight builds (and
-// publishes) through getServed — the same call the live pull path made, from
-// the same restored entry residuals. A retained older round rebuilds from its
-// commit record: the snapshot plus the variant's entry residual are exactly
-// buildServed's inputs at the time, and buildServed is byte-deterministic, so
-// the rebuilt base is bit-identical to the one the dead process served. The
-// rebuilt variant is published into the round's history, where later
-// admissions of the same variant — and post-recovery stale pushes at these
-// codec parameters — find it like the live server's clients did.
-func (s *Server) servedBaseForReplay(c Compression, round int, commitAt map[int]*walCommit) (*servedModel, error) {
-	if round == s.model.Load().round {
-		return s.getServed(c, round)
-	}
-	rs := s.history[round]
-	cp := commitAt[round]
-	if rs == nil || cp == nil {
-		return nil, fmt.Errorf("no retained commit for admitted base round %d", round)
-	}
-	if sm := rs.served[c]; sm != nil {
-		return sm, nil
-	}
-	var prevErr []float64
-	for _, v := range cp.downErr {
-		if nc, err := v.comp.normalize(); err == nil && nc == c {
-			prevErr = v.residual
-			break
-		}
-	}
-	sm := s.buildServed(rs.snap, prevErr, nil, c)
-	rs.served[c] = sm
-	return sm, nil
 }

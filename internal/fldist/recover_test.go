@@ -472,7 +472,7 @@ func TestCloseWarnsAboutAbandonedUpdates(t *testing.T) {
 // uncommitted frame-form admission whose base round is no longer the head.
 // Recovery must re-run the handler's decode against the identical served
 // base, rebuilt from the base round's logged snapshot and entry residual
-// (servedBaseForReplay's history branch), and the finished federation must
+// (getServed on a retained snapshot), and the finished federation must
 // land bit-identical to a never-crashed run of the same script.
 func TestRecoverStaleCompressedAdmit(t *testing.T) {
 	initP, initBN := synthVec(257, 81), synthVec(5, 82)
@@ -575,7 +575,7 @@ func TestRecoverRefusesOutOfRangeAdmit(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		admit   loggedAdmit
+		admit   loggedRecord
 		payload []byte
 	}{
 		{"frame-form BN +Inf", admits[1], infBNAdmit(t, admits[1].payload)},
@@ -583,10 +583,37 @@ func TestRecoverRefusesOutOfRangeAdmit(t *testing.T) {
 		{"weight beyond the discount bounds", admits[0], mutate(admits[0].payload, func(a *walAdmit) { a.effW = 1e300 })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, err := recoverLog(t, withAdmitPayload(log, tc.admit, tc.payload))
+			srv, err := recoverLog(t, withPayload(log, tc.admit, tc.payload))
 			if err == nil {
 				srv.Close()
 				t.Fatal("recovered instead of refusing the admission")
+			}
+			if !errors.Is(err, ErrWAL) {
+				t.Fatalf("error %v does not wrap ErrWAL", err)
+			}
+		})
+	}
+}
+
+// TestRecoverRefusesMisshapenRetainedCommit pins that recovery checks every
+// commit record it rebuilds a snapshot from, not just the newest: a retained
+// round's commit one value short in params, in BN or in a variant residual —
+// CRC-valid, with a frame-form admission decoding against that round after
+// it — fails with ErrWAL instead of panicking in the decode or silently
+// dropping the residual from the rebuilt base.
+func TestRecoverRefusesMisshapenRetainedCommit(t *testing.T) {
+	log, commit := retainedCommitLog(t)
+	if srv, err := recoverLog(t, log); err != nil {
+		t.Fatalf("unmutated log: %v", err)
+	} else {
+		srv.Close()
+	}
+	for _, m := range misshapenCommits {
+		t.Run(m.name, func(t *testing.T) {
+			srv, err := recoverLog(t, withPayload(log, commit, mutatedCommit(t, commit.payload, m.mutate)))
+			if err == nil {
+				srv.Close()
+				t.Fatal("recovered instead of refusing the commit")
 			}
 			if !errors.Is(err, ErrWAL) {
 				t.Fatalf("error %v does not wrap ErrWAL", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -318,4 +319,82 @@ type hangupWriter struct {
 func (w hangupWriter) Write(b []byte) (int, error) {
 	w.onWrite(b)
 	return len(b) / 2, io.ErrShortWrite
+}
+
+// TestRetainedRoundBuildsOnDemand pins that a served variant belongs to its
+// snapshot: on a buffered server, the first build of a variant for a round
+// that has already retired equals byte for byte (body, base, finite) the
+// variant a twin server built while that round was current, and a dense push
+// against it is admitted with bit-identical buffered values on both.
+func TestRetainedRoundBuildsOnDemand(t *testing.T) {
+	initP, initBN := synthVec(3*256+41, 95), synthVec(8, 96)
+	comp := Compression{Bits: 8, Chunk: 256}
+	mk := func() *Server { return NewServer(initP, initBN, 1, WithShards(2), WithBufferedAggregation(3, 2)) }
+	eager, lazy := mk(), mk()
+	advance := func(s *Server, r int) {
+		t.Helper()
+		snap := s.model.Load()
+		buf := &updateBuf{params: perturb(initP, 0, r), bn: perturb(initBN, 0, r)}
+		if out, _ := s.register(0, r, 1, buf, snap.params, snap.bn, nil); out != regAdmitted {
+			t.Fatalf("register outcome %v", out)
+		}
+		s.commit()
+	}
+	served := func(s *Server, round int) *servedModel {
+		t.Helper()
+		sm, err := s.getServed(comp, round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sm
+	}
+	// Both build in round 0, so round 1 enters with a real residual; only
+	// eager builds round 1 while it is current.
+	for _, s := range []*Server{eager, lazy} {
+		served(s, -1)
+		advance(s, 0)
+	}
+	want := served(eager, -1)
+	advance(eager, 1)
+	advance(lazy, 1)
+
+	got := served(lazy, 1)
+	if n := lazy.servedBuilds.Load(); n != 2 {
+		t.Fatalf("lazy server ran %d builds, want 2", n)
+	}
+	if got.round != 1 || !bytes.Equal(got.body, want.body) || got.finite != want.finite {
+		t.Fatalf("retained build: round %d finite %v, want round 1 finite %v and the twin's body",
+			got.round, got.finite, want.finite)
+	}
+	for i := range want.params {
+		if math.Float64bits(got.params[i]) != math.Float64bits(want.params[i]) {
+			t.Fatalf("retained base[%d] = %v, want %v", i, got.params[i], want.params[i])
+		}
+	}
+
+	d := make([]float64, len(initP))
+	for i := range d {
+		d[i] = 1e-2 * float64(i%7-3)
+	}
+	body, err := encodeUpdateEnvelope(7, 1, 2, quant.Encode(quant.QuantizeChunks(d, comp.Bits, comp.Chunk)),
+		quant.EncodeRaw(synthVec(len(initBN), 97)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bufs []*updateBuf
+	for _, s := range []*Server{eager, lazy} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK || s.pendingN != 1 {
+			t.Fatalf("push against retained round 1: status %d, %d buffered", rec.Code, s.pendingN)
+		}
+		bufs = append(bufs, s.pendingBufs[0])
+	}
+	for _, v := range [][2][]float64{{bufs[0].params, bufs[1].params}, {bufs[0].bn, bufs[1].bn}} {
+		for i := range v[0] {
+			if math.Float64bits(v[0][i]) != math.Float64bits(v[1][i]) {
+				t.Fatalf("buffered value [%d]: %v on the lazy server, %v on the eager one", i, v[1][i], v[0][i])
+			}
+		}
+	}
 }

@@ -62,7 +62,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -90,14 +89,15 @@ import (
 // declaration below is the single source of truth fplint's lockorder
 // analyzer checks every acquisition against:
 //
-// model is an atomic copy-on-write snapshot — reads take no lock at all.
+// model is an atomic copy-on-write snapshot — reads take no lock at all, and
+// neither does a pull or push whose served variant of the current round is
+// already built. A variant's build latch (servedEntry.mu) is held across its
+// O(model) build. serveMu guards the retained-round window, the free residual
+// list and the creation of a snapshot's variant slots — never O(model) work.
 // pendMu guards only the small admission registry (dedup set + buffer
 // counter); the model-sized decode/validate/reconstruct work of every push
 // happens before it, concurrently across requests. Each shard's mutex guards
-// that shard's pending-contribution list. serveMu guards the per-codec
-// served-model cache and downlink error-feedback state, touched once per
-// client per round on pulls, never on the push fast path. All counters are
-// atomics.
+// that shard's pending-contribution list. All counters are atomics.
 //
 //lint:lockorder servedEntry.mu -> Server.serveMu -> Server.pendMu -> shard.mu
 type Server struct {
@@ -131,9 +131,9 @@ type Server struct {
 	manualCap int
 
 	// model is the current immutable global state; round advance installs a
-	// fresh snapshot. The swap happens under pendMu (and, for the serving
-	// state, under serveMu) so registrations and cache builds always observe
-	// a consistent (round, pending, served) triple.
+	// fresh snapshot. The swap happens under serveMu and pendMu, so
+	// registrations see a consistent (round, pending) pair and baseAt finds
+	// the retiring round either current or retained.
 	model atomic.Pointer[snapshot]
 
 	// pendMu guards the admission registry: how many updates are buffered
@@ -160,43 +160,22 @@ type Server struct {
 	shards  []shard
 	bnShard shard
 
-	// served caches, per (bits, chunk) requested this round, the encoded
-	// compressed model body and the dequantized base the clients actually
-	// received, each behind a servedEntry: an atomic pointer read lock-free
-	// by pulls plus a per-variant single-flight latch held across the build.
-	// Building an entry is a pure function of (snapshot, downErr, codec
-	// params), so a cache miss recomputes identical bytes. serveMu guards
-	// only the variant-map bookkeeping (entry lookup/create, the variant
-	// cap, reading downErr, the generation counter) — it never spans
-	// O(model) work, so distinct variants build concurrently and a build
-	// never stalls an unrelated pull. downErr is the downlink error-feedback
-	// residual per codec variant, committed from the served cache when the
-	// round retires (see retireRoundLocked). serveGen increments at every
-	// snapshot swap; a build publishes only if the generation it started
-	// under is still current, so a body built from a retired (snapshot,
-	// downErr) pair is discarded instead of served.
-	serveMu  sync.Mutex
-	served   map[Compression]*servedEntry
-	downErr  map[Compression][]float64
-	serveGen uint64
+	// serveMu guards history, errFree and the creation of variant slots on a
+	// snapshot (snapshot.served). It never spans O(model) work, so distinct
+	// variants build concurrently and a build never stalls an unrelated pull.
+	serveMu sync.Mutex
+
+	// history (buffered mode) retains, per base round still inside the
+	// staleness window, the round's snapshot — the base of its raw pushes,
+	// and through its served variants the base of its compressed ones.
+	// Evicted with the window at each round retire.
+	history map[int]*snapshot
 
 	// errFree holds residual vectors that are provably dead — nothing can
 	// still read them — for the next builds to write their nextErr into
-	// instead of allocating (see retireRoundLocked for the proof obligation).
-	// Bounded by maxCodecVariants; guarded by serveMu. errShared marks the
-	// downErr entries a build of an earlier generation may still be reading
-	// (retireRoundLocked); those are never recycled. Guarded by serveMu.
-	errFree   [][]float64
-	errShared map[Compression]bool
-
-	// servedRO is the lock-free view of served for the pull fast path: every
-	// mutation of the map under serveMu (variant creation is copy-on-write;
-	// retire installs a fresh empty map) publishes the new map here, so a
-	// current-round pull that finds its variant already built touches no lock
-	// at all. A pull racing a round commit may resolve the retiring round's
-	// body through the old map — indistinguishable from the pull having
-	// arrived a moment earlier, and the window closes at the pointer swap.
-	servedRO atomic.Pointer[map[Compression]*servedEntry]
+	// instead of allocating (see retireRoundLocked for the rule). Bounded by
+	// maxCodecVariants.
+	errFree [][]float64
 
 	// buildSegments fixes how many chunk-aligned segments a served-model
 	// build encodes concurrently; 0 (the default) tracks GOMAXPROCS. The
@@ -214,20 +193,13 @@ type Server struct {
 	// pinning build concurrency; set before serving, never changed.
 	buildHook func(Compression)
 
-	// history (buffered mode) retains, per base round still inside the
-	// staleness window, the round's immutable snapshot and its served-model
-	// cache, so a stale push can be reconstructed against the exact base its
-	// client pulled. Guarded by serveMu; evicted with the window at each
-	// commit.
-	history map[int]*roundState
-
 	// deltaChains holds the delta-downlink state per codec variant that
 	// negotiated delta=1 (servedelta.go). deltaMu guards only the map; each
 	// chain's own mutex is the single-flight latch across its O(model)
 	// advances, so distinct variants advance concurrently. The chains are a
-	// separate subsystem from served/downErr on purpose: they advance lazily
-	// at pull time from the immutable snapshot, so round transitions never
-	// touch them.
+	// separate subsystem from the served variants on purpose: they advance
+	// lazily at pull time from the immutable snapshot, so round transitions
+	// never touch them.
 	deltaMu     sync.Mutex
 	deltaChains map[Compression]*deltaChain
 
@@ -308,24 +280,15 @@ type servedModel struct {
 	clen  string
 }
 
-// servedEntry is one codec variant's slot in the round's served cache. val
-// is the immutable built model, read lock-free; mu is the variant's
-// single-flight latch, held across the O(model) build so N racing pulls for
-// one variant run exactly one build while pulls for other variants (their
-// own entries) and everything on serveMu proceed untouched. Entries are
-// created under serveMu and the map is replaced wholesale when the round
-// retires, so a live entry's val is always nil or the current round's body.
+// servedEntry is codec variant c's slot on a snapshot. val is the immutable
+// built model, read lock-free; mu is the variant's single-flight latch, held
+// across the O(model) build so N racing pulls for one variant run exactly
+// one build while pulls for other variants (their own entries) and
+// everything on serveMu proceed untouched.
 type servedEntry struct {
+	c   Compression
 	mu  sync.Mutex
 	val atomic.Pointer[servedModel]
-}
-
-// roundState is one committed round's retained state in buffered mode: the
-// immutable snapshot (the base of that round's raw pushes) and the codec
-// variants actually served (the bases of its delta pushes).
-type roundState struct {
-	snap   *snapshot
-	served map[Compression]*servedModel
 }
 
 // maxCodecVariants bounds how many distinct (bits, chunk) parameter sets
@@ -351,15 +314,11 @@ func NewServer(initParams, initBN []float64, updatesPerRound int, opts ...Server
 		nShards:     nShards,
 		bufferK:     updatesPerRound,
 		admitted:    map[int]map[int]bool{},
-		history:     map[int]*roundState{},
+		history:     map[int]*snapshot{},
 		shards:      makeShards(len(initParams), nShards),
 		bnShard:     shard{lo: 0, hi: len(initBN)},
-		served:      map[Compression]*servedEntry{},
-		downErr:     map[Compression][]float64{},
-		errShared:   map[Compression]bool{},
 		deltaChains: map[Compression]*deltaChain{},
 	}
-	s.setServedLocked(s.served)
 	if cfg.bufferK != 0 || cfg.maxStale != 0 {
 		if cfg.bufferK < 1 {
 			panic("fldist: buffered aggregation needs a commit threshold ≥ 1")
@@ -533,110 +492,77 @@ func (sn *snapshot) rawBody() []byte {
 	return sn.raw
 }
 
-// getServed returns (building on first use this round) the compressed pull
-// body for the given codec parameters and the exact client-visible base
-// values it exposes. wantRound ≥ 0 demands the entry belong to that round —
-// the delta-update path uses this so a push never reconstructs against a
-// base from a different round; wantRound < 0 accepts the current round.
+// getServed returns the compressed pull body for the given codec parameters
+// and the exact client-visible base values it exposes, as a variant of one
+// snapshot built on first use. round ≥ 0 names the snapshot through baseAt —
+// the current round or, in buffered mode, a retained one — so a push
+// reconstructs against the base its client pulled; round < 0 takes the
+// current round. A pull racing a commit serves the round it loaded, as if it
+// had arrived a moment earlier.
 //
 // Parameters are chunk-quantized with downlink error feedback: the residual
 // of quantizing the previous round's model at these codec parameters is
 // folded in before quantizing, so pull-side compression error cancels over
 // rounds instead of re-truncating the model to the quantization grid every
-// round. The residual is only *read* here — the new one (nextErr) is
-// committed when the round advances — so rebuilding within a round is
-// idempotent and every participant sees the same base. The BatchNorm
-// statistics travel as a raw frame — they are a few dozen values whose
-// distortion (a running variance crushed toward zero) destabilizes
+// round. The residual is the snapshot's own (snapshot.downErr) and only
+// *read* here — the new one (nextErr) passes to the next snapshot when the
+// round retires — so a variant is a pure function of (snapshot, codec)
+// whenever it is built, and every participant sees the same base. The
+// BatchNorm statistics travel as a raw frame — they are a few dozen values
+// whose distortion (a running variance crushed toward zero) destabilizes
 // normalization out of all proportion to the bytes saved.
-func (s *Server) getServed(c Compression, wantRound int) (*servedModel, error) {
-	// Lock-free fast path: a current-round pull whose variant is already
-	// built resolves through the published map view without touching any
-	// lock — two atomic loads and it holds the immutable body.
-	if wantRound < 0 {
-		if e := (*s.servedRO.Load())[c]; e != nil {
-			if sm := e.val.Load(); sm != nil {
-				return sm, nil
-			}
+func (s *Server) getServed(c Compression, round int) (*servedModel, error) {
+	snap := s.model.Load()
+	if round >= 0 {
+		var err error
+		if snap, err = s.baseAt(round); err != nil {
+			return nil, err
 		}
 	}
-	for {
+	// A built variant resolves with atomic loads alone.
+	e, _ := snap.variant(c)
+	if e == nil {
+		var free int
 		s.serveMu.Lock()
-		snap := s.model.Load()
-		if wantRound >= 0 && snap.round != wantRound {
-			// Buffered mode: a delta push may reconstruct against a base up
-			// to maxStale rounds old. Its client pulled before pushing, so if
-			// the round is still retained, the variant's served entry exists.
-			// (The quorum retains no rounds.)
-			if rs := s.history[wantRound]; rs != nil {
-				if sm := rs.served[c]; sm != nil {
-					s.serveMu.Unlock()
-					return sm, nil
-				}
-			}
-			s.serveMu.Unlock()
-			return nil, errStaleServe
-		}
-		e, ok := s.served[c]
-		if !ok {
-			if len(s.served) >= maxCodecVariants {
-				s.serveMu.Unlock()
-				return nil, fmt.Errorf("fldist: more than %d codec variants in one round", maxCodecVariants)
-			}
-			e = &servedEntry{}
-			next := make(map[Compression]*servedEntry, len(s.served)+1)
-			for k, v := range s.served {
-				next[k] = v
-			}
-			next[c] = e
-			s.setServedLocked(next)
-		}
-		if sm := e.val.Load(); sm != nil {
-			// Entries never outlive their round (the map is replaced at
-			// retire, under this lock), so a published value is current.
-			s.serveMu.Unlock()
-			return sm, nil
-		}
-		prevErr := s.downErr[c]
-		gen := s.serveGen
-		var next []float64
-		if k := len(s.errFree); k > 0 {
-			next, s.errFree = s.errFree[k-1], s.errFree[:k-1]
+		if e, free = snap.variant(c); e == nil && free < maxCodecVariants {
+			e = &servedEntry{c: c}
+			snap.served[free].Store(e)
 		}
 		s.serveMu.Unlock()
+		if e == nil {
+			return nil, fmt.Errorf("fldist: more than %d codec variants in one round", maxCodecVariants)
+		}
+	}
+	if sm := e.val.Load(); sm != nil {
+		return sm, nil
+	}
+	// Build under the variant's own latch: racing pulls for this variant
+	// queue here and find val set; pulls for other variants, and everything
+	// on serveMu, never wait on this O(model) work.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if sm := e.val.Load(); sm != nil {
+		return sm, nil
+	}
+	if s.buildHook != nil {
+		s.buildHook(c)
+	}
+	sm := s.buildServed(snap, c)
+	s.servedBuilds.Add(1)
+	e.val.Store(sm)
+	return sm, nil
+}
 
-		// Build outside serveMu, under the variant's own latch: racing pulls
-		// for this variant queue here and find val set; pulls for other
-		// variants, and everything else on serveMu, never wait on this
-		// O(model) work.
-		e.mu.Lock()
-		if sm := e.val.Load(); sm != nil {
-			e.mu.Unlock()
-			return sm, nil
-		}
-		if s.buildHook != nil {
-			s.buildHook(c)
-		}
-		sm := s.buildServed(snap, prevErr, next, c)
-		s.servedBuilds.Add(1)
-		// Publish only if no snapshot swap happened mid-build: a body built
-		// from a retired (snapshot, downErr) pairing must not be served as
-		// the new round's state. The stale build is discarded and the loop
-		// re-resolves against the current round.
-		s.serveMu.Lock()
-		fresh := gen == s.serveGen
-		if fresh {
-			e.val.Store(sm)
-		} else {
-			// Never published, builder goroutines joined: unreferenced.
-			s.recycleErrLocked(sm.nextErr)
-		}
-		s.serveMu.Unlock()
-		e.mu.Unlock()
-		if fresh {
-			return sm, nil
+// variant returns c's slot on the snapshot, or nil and the index of the
+// first free slot (maxCodecVariants when all are taken).
+func (sn *snapshot) variant(c Compression) (*servedEntry, int) {
+	for i := range sn.served {
+		e := sn.served[i].Load()
+		if e == nil || e.c == c {
+			return e, i
 		}
 	}
+	return nil, maxCodecVariants
 }
 
 // errStaleServe reports a served-base lookup for a round the server has
@@ -644,24 +570,19 @@ func (s *Server) getServed(c Compression, wantRound int) (*servedModel, error) {
 // window (buffered mode). Matched with errors.Is so wrapping stays safe.
 var errStaleServe = errors.New("fldist: served base for a stale round")
 
-// baseAt resolves the global snapshot a raw push with the given base round
-// trained from: the current model (lock-free — the common case must not
-// queue the push fast path behind serveMu, where a concurrent pull may be
-// running an O(model) served-cache build), or — in buffered mode — a
-// retained round inside the staleness window.
+// baseAt resolves the snapshot of the given base round: the current model
+// (lock-free — the common case), or in buffered mode a retained round
+// inside the staleness window. A base round is never ahead of the model the
+// caller checked it against, and rounds only advance, so a round that is not
+// current now is retained or gone.
 func (s *Server) baseAt(round int) (*snapshot, error) {
 	if snap := s.model.Load(); round == snap.round {
 		return snap, nil
 	}
 	s.serveMu.Lock()
 	defer s.serveMu.Unlock()
-	// Re-read under the lock: the round may have advanced since the
-	// lock-free check, moving the wanted snapshot into history.
-	if snap := s.model.Load(); round == snap.round {
+	if snap := s.history[round]; snap != nil {
 		return snap, nil
-	}
-	if rs := s.history[round]; rs != nil {
-		return rs.snap, nil
 	}
 	return nil, errStaleServe
 }
@@ -676,13 +597,20 @@ func (s *Server) baseAt(round int) (*snapshot, error) {
 // (TestSegmentStitchGoldenBytes) makes the result byte-identical to a
 // one-segment encode at any segment count and GOMAXPROCS;
 // TestServeSegmentInvariance pins that end to end.
-func (s *Server) buildServed(snap *snapshot, prevErr, next []float64, c Compression) *servedModel {
+func (s *Server) buildServed(snap *snapshot, c Compression) *servedModel {
 	n := len(snap.params)
+	prevErr := snap.downErr[c].v
 	sm := &servedModel{
 		round:  snap.round,
 		params: make([]float64, n),
 		bn:     snap.bn, // immutable snapshot slice — safe to share
 	}
+	var next []float64
+	s.serveMu.Lock()
+	if k := len(s.errFree); k > 0 {
+		next, s.errFree = s.errFree[k-1], s.errFree[:k-1]
+	}
+	s.serveMu.Unlock()
 	if len(next) != n {
 		next = make([]float64, n)
 	}
@@ -903,10 +831,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 	// The base the client trained from: for a raw push, the snapshot of its
 	// round; for a delta-mode client, the chain entry at its held round (the
-	// per-round base registry, servedelta.go); otherwise the base round's
-	// served dequantized model at the same codec parameters — deterministic,
-	// so recomputing on a cache miss yields the same values (buffered mode
-	// looks the entry up in the retained window instead).
+	// per-round base registry, servedelta.go); otherwise the served
+	// dequantized model of that snapshot at the same codec parameters —
+	// deterministic, so building it on first use yields the values its
+	// client pulled.
 	buf := s.bufPool.Get().(*updateBuf)
 	base, err := decodeUpdate(sc.br, &sc.pd, &sc.bd, buf, func(pd *quant.StreamDecoder) (updateBase, error) {
 		raw, sparse = pd.IsRaw(), pd.IsSparse()
@@ -1357,7 +1285,7 @@ func (s *Server) commit() {
 	})
 
 	s.serveMu.Lock()
-	s.retireRoundLocked(old, next.round)
+	s.retireRoundLocked(old, next)
 	s.pendMu.Lock()
 	if s.wal != nil {
 		s.logCommitLocked(next)
@@ -1382,31 +1310,19 @@ func (s *Server) evictAdmittedLocked(round int) {
 }
 
 // logCommitLocked appends the commit record — the new snapshot plus the
-// downlink error-feedback residual of every codec variant carried forward —
-// to the WAL, before the snapshot is published: log-then-publish is what
-// makes a served round always recoverable. Caller holds serveMu and pendMu
-// (the reservation under pendMu orders the record after every admission it
+// downlink error-feedback residual of every codec variant it carries — to
+// the WAL, before the snapshot is published: log-then-publish is what makes
+// a served round always recoverable. Caller holds serveMu and pendMu (the
+// reservation under pendMu orders the record after every admission it
 // folded; the record's fsync seals them all). A write failure warns once and
 // degrades the server to in-memory durability; it never blocks the commit.
 func (s *Server) logCommitLocked(next *snapshot) {
 	c := walCommit{round: next.round, params: next.params, bn: next.bn}
-	for comp, res := range s.downErr {
-		c.downErr = append(c.downErr, walVariantErr{comp: comp, residual: res})
+	for comp, r := range next.downErr {
+		//lint:ignore determinism appendWALCommit sorts the variants, so the record's bytes do not depend on this order
+		c.downErr = append(c.downErr, walVariantErr{comp: comp, residual: r.v})
 	}
-	// The record must be byte-identical across runs for replay to reconverge;
-	// map iteration order is not.
-	sort.Slice(c.downErr, func(i, j int) bool {
-		return c.downErr[i].comp.less(c.downErr[j].comp)
-	})
 	_ = s.wal.appendCommit(s.wal.reserve(), c)
-}
-
-// recycleErrLocked offers a dead residual vector to later builds. Caller holds
-// serveMu and owes the proof that nothing can still read it.
-func (s *Server) recycleErrLocked(v []float64) {
-	if v != nil && len(s.errFree) < maxCodecVariants {
-		s.errFree = append(s.errFree, v)
-	}
 }
 
 // subVec writes a−b into dst, element-wise.
@@ -1416,85 +1332,59 @@ func subVec(dst, a, b []float64) {
 	}
 }
 
-// collectServedLocked gathers the codec variants actually built for the
-// given round out of the entry map — an entry whose build is still in
-// flight (val unset) has served nobody and is skipped; the generation bump
-// at retire makes that build discard itself. Caller holds serveMu.
-func (s *Server) collectServedLocked(round int) map[Compression]*servedModel {
-	out := make(map[Compression]*servedModel, len(s.served))
-	for c, e := range s.served {
-		if sm := e.val.Load(); sm != nil && sm.round == round {
-			out[c] = sm
-		}
-	}
-	return out
-}
-
 // retireRoundLocked is the serve-plane half of a round transition, shared by
-// commit and the edge tier's adopt. It advances the downlink error-feedback
-// chain of the variants served in the retiring round; a variant nobody
-// pulled that round — buffered commits can outpace a slow puller, and a
-// quorum round can pass without a codec's clients — keeps its previous
-// residual instead of restarting its chain from zero (if that grows the map
-// past the per-round variant bound, the unserved entries are the ones
-// dropped). It retains the retiring round's snapshot and served cache for
-// stale-push reconstruction, evicts rounds that fell out of the staleness
-// window (the quorum's window 0 retains none), resets the served map, and
-// voids in-flight builds via the generation bump. Caller holds serveMu.
+// commit and the edge tier's adopt. It gives next, not yet published, its
+// downlink residuals: for each variant built on old, that build's nextErr; a
+// variant not built on old — buffered commits can outpace a slow puller, a
+// quorum round can pass without a codec's clients, a build may still be in
+// flight — carries old's residual forward instead of restarting its chain
+// from zero (if that grows the map past the per-round variant bound, the
+// carried entries are the ones dropped). It then retains old for the
+// staleness window and evicts rounds that fell out of it (the quorum's
+// window 0 retains none). Caller holds serveMu.
 //
-// The residual a served variant's build consumed is recycled as a future
-// nextErr, under this proof obligation: nothing can still read it. A
-// residual is read only by builds, each of which takes it together with its
-// generation in one serveMu critical section — the same one that creates or
-// finds the variant's entry in the generation's map. Builds of the retiring
-// generation are single-flight under the entry's latch, and c ∈ served means
-// the one that ran has published: every later arrival finds val set and
-// never reads its residual. A build of an earlier generation can be reading
-// it only if the residual was carried across a retire while that build was
-// in flight — its entry present but unpublished — and such residuals are
-// marked in errShared and left to the garbage collector instead. The WAL
-// serialised the residual synchronously under this lock when it was
-// committed, and the retained served models that still point at it
-// (history) are never read for their residual. Bodies and params are
-// never recycled: a pull handler may be mid-Write on a retired round's body.
-func (s *Server) retireRoundLocked(old *snapshot, nextRound int) {
-	served := s.collectServedLocked(old.round)
-	for c, sm := range served {
-		if !s.errShared[c] {
-			s.recycleErrLocked(s.downErr[c])
-		}
-		delete(s.errShared, c)
-		s.downErr[c] = sm.nextErr
+// old.downErr[c] is recycled as a future nextErr only if (a) old built c and
+// (b) the vector was not itself carried, so old's parent built c too. Then
+// nothing reads it again: builds of c on old are its only readers, and the
+// one that ran has published — every later request finds val set — while
+// the parent's build that wrote it has finished and the WAL serialised it
+// synchronously at the parent's retire. A carried vector is also the
+// parent's input, which a late build on the parent — a retained round, a
+// pull racing a commit — may still read, so it is left to the garbage
+// collector. Bodies and params are never recycled: a pull handler may be
+// mid-Write on a retired round's body.
+func (s *Server) retireRoundLocked(old, next *snapshot) {
+	next.downErr = make(map[Compression]residual, len(old.downErr))
+	for c, r := range old.downErr {
+		next.downErr[c] = residual{v: r.v, carried: true}
 	}
-	for c := range s.served {
-		if _, ok := served[c]; !ok && s.downErr[c] != nil {
-			s.errShared[c] = true // its build is still in flight
+	for i := range old.served {
+		e := old.served[i].Load()
+		if e == nil {
+			break
 		}
+		sm := e.val.Load()
+		if sm == nil {
+			continue
+		}
+		if r := old.downErr[e.c]; r.v != nil && !r.carried && len(s.errFree) < maxCodecVariants {
+			s.errFree = append(s.errFree, r.v)
+		}
+		next.downErr[e.c] = residual{v: sm.nextErr}
 	}
-	if len(s.downErr) > maxCodecVariants {
-		for c := range s.downErr {
-			if _, ok := served[c]; !ok {
-				delete(s.downErr, c)
-				delete(s.errShared, c)
+	if len(next.downErr) > maxCodecVariants {
+		for c, r := range next.downErr {
+			if r.carried {
+				delete(next.downErr, c)
 			}
 		}
 	}
-	s.history[old.round] = &roundState{snap: old, served: served}
+	s.history[old.round] = old
 	for r := range s.history {
-		if r < nextRound-s.maxStale {
+		if r < next.round-s.maxStale {
 			delete(s.history, r)
 		}
 	}
-	s.setServedLocked(map[Compression]*servedEntry{})
-	s.serveGen++
-}
-
-// setServedLocked replaces the served-variant map and publishes the new map
-// to the lock-free reader view. Caller holds serveMu; the map passed in must
-// never be mutated afterwards — readers hold it without a lock.
-func (s *Server) setServedLocked(m map[Compression]*servedEntry) {
-	s.served = m
-	s.servedRO.Store(&m)
 }
 
 // fanOut runs f(0), …, f(n−1) and returns when every call has: concurrently

@@ -25,6 +25,12 @@ import (
 // a vet error), and the raw pull body is built lazily once per snapshot
 // (rawBody in server.go) so raw pulls after the first are one write of a
 // shared immutable slice.
+//
+// The compressed pull bodies belong to the snapshot the same way: served
+// holds the codec variants built (or building) on it, and downErr the
+// downlink residual each variant's build folds in — everything a build
+// reads, so a variant of any snapshot, current or retained, builds the same
+// bytes whenever it is first asked for (getServed in server.go).
 type snapshot struct {
 	round  int
 	params []float64
@@ -32,6 +38,24 @@ type snapshot struct {
 
 	rawOnce sync.Once
 	raw     []byte
+
+	// downErr is set before the snapshot is published — by the retire of its
+	// parent (retireRoundLocked) or by recovery from its commit record — and
+	// never changes after.
+	downErr map[Compression]residual
+
+	// served is filled front to back, one slot per variant, under
+	// Server.serveMu and read lock-free; a nil slot ends the list. The fixed
+	// size is the per-round variant bound.
+	served [maxCodecVariants]atomic.Pointer[servedEntry]
+}
+
+// residual is one codec variant's downlink error-feedback input on a
+// snapshot. carried marks a vector the parent snapshot never built from, so
+// handed on unconsumed — a late build on the parent may still read it.
+type residual struct {
+	v       []float64
+	carried bool
 }
 
 // contrib is one admitted client's contribution: baseRound tags the round of

@@ -301,15 +301,11 @@ func appendWALCommit(dst []byte, c walCommit) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.round))
 	dst = quant.AppendRaw(dst, c.params)
 	dst = quant.AppendRaw(dst, c.bn)
-	// Variants in (bits, chunk) order, so a commit's bytes are a pure
-	// function of its logical content (maps iterate randomly).
-	vs := append([]walVariantErr(nil), c.downErr...)
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].comp.Bits != vs[j].comp.Bits {
-			return vs[i].comp.Bits < vs[j].comp.Bits
-		}
-		return vs[i].comp.Chunk < vs[j].comp.Chunk
-	})
+	// Variants in codec order (sorted in place), so a commit's bytes are a
+	// pure function of its logical content: its writer gathers them from a
+	// map, which iterates randomly.
+	vs := c.downErr
+	sort.Slice(vs, func(i, j int) bool { return vs[i].comp.less(vs[j].comp) })
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vs)))
 	for _, v := range vs {
 		dst = append(dst, byte(v.comp.Bits))
