@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"sort"
 	"testing"
 
 	"fedprophet/internal/device"
@@ -25,6 +26,35 @@ func modelDigest(l nn.Layer) uint64 {
 	return h.Sum64()
 }
 
+// resultDigest hashes everything else a run reports, bit for bit: the three
+// accuracies, the accumulated latency, every History entry and Extra in
+// sorted key order — Figure 7's latencies, Figure 10's perturbation series,
+// Table 3/4's totals and the upload accounting.
+func resultDigest(res *fl.Result) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(xs ...float64) {
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	put(res.CleanAcc, res.PGDAcc, res.AAAcc, res.Latency.Compute, res.Latency.DataAccess)
+	for _, m := range res.History {
+		put(float64(m.Round), m.Loss, m.Latency.Compute, m.Latency.DataAccess, m.PerDimPert, float64(m.Module))
+	}
+	keys := make([]string, 0, len(res.Extra))
+	for k := range res.Extra {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		h.Write([]byte(k))
+		put(res.Extra[k])
+	}
+	return h.Sum64()
+}
+
 // The golden pin: the trained model of every registered method on one seeded
 // trimmed-scale run. FedProphet (APA and DMA on) and jFAT were recorded on the
 // commit before the eval-mode backward stopped computing parameter gradients
@@ -33,7 +63,10 @@ func modelDigest(l nn.Layer) uint64 {
 // loops moved onto fl's shared local step and round schedule. All of those
 // are pure refactors or wall-clock changes, so the digests must never move; a
 // change that moves them has altered the arithmetic of training, not just its
-// cost or its code layout.
+// cost or its code layout. The second digest of each run (resultDigest) was
+// recorded on the commit before the eight round loops moved onto fl's one
+// round driver; it pins the accuracies, latencies, telemetry and Extra of the
+// same runs.
 func TestGoldenModelDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -47,6 +80,16 @@ func TestGoldenModelDigests(t *testing.T) {
 		"FedDrop-AT":  0xe301797f5bcc1c7d,
 		"FedRolex-AT": 0xdc26cd9110a1a4e8,
 		"FedRBN":      0xfa27cfdef52b86f6,
+	}
+	goldenResult := map[string]uint64{
+		"FedProphet":  0x696f7a4af5c61b6a,
+		"jFAT":        0xc7ef20782190dd40,
+		"FedDF-AT":    0x1e3e0dace60609ee,
+		"FedET-AT":    0x22b7dad025454792,
+		"HeteroFL-AT": 0x8fbd33b2bdc0812d,
+		"FedDrop-AT":  0x6a35ff471b1c1cb7,
+		"FedRolex-AT": 0xf87d9e3657cfbd5c,
+		"FedRBN":      0xab368c1ce248be1c,
 	}
 	for _, name := range fl.MethodNames() {
 		if _, ok := golden[name]; !ok {
@@ -67,6 +110,9 @@ func TestGoldenModelDigests(t *testing.T) {
 		}
 		if got := modelDigest(res.Model); got != want {
 			t.Errorf("%s: model digest %#016x, want %#016x", method, got, want)
+		}
+		if got, want := resultDigest(res), goldenResult[method]; got != want {
+			t.Errorf("%s: result digest %#016x, want %#016x", method, got, want)
 		}
 	}
 }
