@@ -62,11 +62,14 @@ test:
 # with sharded aggregation and concurrent compressed/raw clients, the pooled
 # streaming codec, client workers sharing one cascade stage feature set) under
 # the race detector — plus the public transport surface, filtered to the tests
-# that route a tenant registry to an edge over real HTTP (~1 s under -race;
-# the whole package takes over a minute).
+# that route a tenant registry to an edge over real HTTP, and one real method
+# through fl's round driver: internal/fl races the driver only with toy
+# client steps, so jFAT's subtest of TestParallelMatchesSequential runs a
+# method's client step on 4 workers (~10 s under -race together; the whole
+# package takes over a minute, all eight methods alone ~50 s).
 test-race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/fldist/... ./internal/quant/... ./internal/cascade/...
-	$(GO) test -race -run 'EdgeAggregatorPublicSurface|ParamServerBufferedAggregation|WireCompressionOptions' ./pkg/fedprophet/
+	$(GO) test -race -run 'EdgeAggregatorPublicSurface|ParamServerBufferedAggregation|WireCompressionOptions|ParallelMatchesSequential/jFAT' ./pkg/fedprophet/
 
 # The wire-codec fuzz targets, a short live pass each on top of their seed
 # corpora: FuzzDecode (raw, dense, sparse and corrupted frames through the

@@ -32,55 +32,14 @@ func CWGradFn(model nn.Layer, labels []int) GradFn {
 
 // CleanAccuracy evaluates the model on the whole dataset in batches.
 func CleanAccuracy(model nn.Layer, ds *data.Dataset, batch int) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	for start := 0; start < ds.Len(); start += batch {
-		end := start + batch
-		if end > ds.Len() {
-			end = ds.Len()
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, y := data.Batch(ds, idx)
-		out := model.Forward(x, false)
-		for b := range y {
-			if out.ArgMaxRow(b) == y[b] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(ds.Len())
+	return robustFraction(model, ds, batch, func(x *tensor.Tensor, _ []int) *tensor.Tensor { return x })
 }
 
 // AdvAccuracy evaluates robust accuracy under a single PGD configuration.
 func AdvAccuracy(model nn.Layer, ds *data.Dataset, batch int, cfg Config, rng *rand.Rand) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	for start := 0; start < ds.Len(); start += batch {
-		end := start + batch
-		if end > ds.Len() {
-			end = ds.Len()
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, y := data.Batch(ds, idx)
-		adv := Perturb(cfg, x, CEGradFn(model, y), rng)
-		out := model.Forward(adv, false)
-		for b := range y {
-			if out.ArgMaxRow(b) == y[b] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(ds.Len())
+	return robustFraction(model, ds, batch, func(x *tensor.Tensor, y []int) *tensor.Tensor {
+		return Perturb(cfg, x, CEGradFn(model, y), rng)
+	})
 }
 
 // AutoAttackAccuracy is the AutoAttack surrogate: a sample counts as robust
@@ -89,6 +48,29 @@ func AdvAccuracy(model nn.Layer, ds *data.Dataset, batch int, cfg Config, rng *r
 // attack (mirroring real AutoAttack's APGD-CE / APGD-DLR / black-box trio).
 // By construction the result is ≤ plain PGD accuracy with the same budget.
 func AutoAttackAccuracy(model nn.Layer, ds *data.Dataset, batch int, eps float64, steps int, rng *rand.Rand) float64 {
+	cfg := PGDConfig(eps, steps)
+	pgd := func(x *tensor.Tensor, y []int) *tensor.Tensor { return Perturb(cfg, x, CEGradFn(model, y), rng) }
+	attacks := []func(x *tensor.Tensor, y []int) *tensor.Tensor{
+		pgd, pgd,
+		func(x *tensor.Tensor, y []int) *tensor.Tensor { return Perturb(cfg, x, CWGradFn(model, y), rng) },
+		func(x *tensor.Tensor, y []int) *tensor.Tensor {
+			return MIFGSM(eps, steps, 1.0, x, CEGradFn(model, y), rng)
+		},
+	}
+	if len(ds.InShape) == 3 {
+		attacks = append(attacks, func(x *tensor.Tensor, y []int) *tensor.Tensor {
+			return SquareAttack(eps, 2*steps, x, CELossFn(model, y), rng)
+		})
+	}
+	return robustFraction(model, ds, batch, attacks...)
+}
+
+// robustFraction is the one evaluation walk: each attack in turn walks ds in
+// consecutive batches of at most batch samples, restricted to the samples
+// every earlier attack left correctly classified, and breaks each sample the
+// model misclassifies on the input the attack returns for its batch. It
+// reports the fraction never broken (0 for an empty dataset).
+func robustFraction(model nn.Layer, ds *data.Dataset, batch int, attacks ...func(x *tensor.Tensor, y []int) *tensor.Tensor) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
@@ -96,27 +78,19 @@ func AutoAttackAccuracy(model nn.Layer, ds *data.Dataset, batch int, eps float64
 	for i := range robust {
 		robust[i] = true
 	}
-
-	// forEachSurvivingBatch applies an attack to the still-robust samples
-	// and records newly broken ones.
-	forEachSurvivingBatch := func(run func(x *tensor.Tensor, y []int) *tensor.Tensor) {
+	for _, run := range attacks {
 		for start := 0; start < ds.Len(); start += batch {
-			end := start + batch
-			if end > ds.Len() {
-				end = ds.Len()
-			}
-			idx := make([]int, 0, end-start)
-			for i := start; i < end; i++ {
+			var idx []int
+			for i := start; i < min(start+batch, ds.Len()); i++ {
 				if robust[i] {
 					idx = append(idx, i)
 				}
 			}
-			if len(idx) < 1 {
+			if len(idx) == 0 {
 				continue
 			}
 			x, y := data.Batch(ds, idx)
-			adv := run(x, y)
-			out := model.Forward(adv, false)
+			out := model.Forward(run(x, y), false)
 			for b, id := range idx {
 				if out.ArgMaxRow(b) != y[b] {
 					robust[id] = false
@@ -124,25 +98,6 @@ func AutoAttackAccuracy(model nn.Layer, ds *data.Dataset, batch int, eps float64
 			}
 		}
 	}
-
-	cfg := PGDConfig(eps, steps)
-	for restart := 0; restart < 2; restart++ {
-		forEachSurvivingBatch(func(x *tensor.Tensor, y []int) *tensor.Tensor {
-			return Perturb(cfg, x, CEGradFn(model, y), rng)
-		})
-	}
-	forEachSurvivingBatch(func(x *tensor.Tensor, y []int) *tensor.Tensor {
-		return Perturb(cfg, x, CWGradFn(model, y), rng)
-	})
-	forEachSurvivingBatch(func(x *tensor.Tensor, y []int) *tensor.Tensor {
-		return MIFGSM(eps, steps, 1.0, x, CEGradFn(model, y), rng)
-	})
-	if ds.InShape != nil && len(ds.InShape) == 3 {
-		forEachSurvivingBatch(func(x *tensor.Tensor, y []int) *tensor.Tensor {
-			return SquareAttack(eps, 2*steps, x, CELossFn(model, y), rng)
-		})
-	}
-
 	n := 0
 	for _, r := range robust {
 		if r {

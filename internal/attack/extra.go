@@ -122,10 +122,3 @@ func CELossFn(model nn.Layer, labels []int) LossFn {
 		return l
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

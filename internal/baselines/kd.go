@@ -9,7 +9,6 @@ import (
 	"fedprophet/internal/fl"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
-	"fedprophet/internal/simlat"
 	"fedprophet/internal/tensor"
 )
 
@@ -51,6 +50,12 @@ func (k *KDTraining) Name() string {
 	return "FedDF-AT"
 }
 
+// kdUpdate is a client's upload of the family member it trained.
+type kdUpdate struct {
+	update
+	pick int
+}
+
 // Run executes the federated rounds.
 func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	rng := env.Rng
@@ -70,9 +75,9 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			replicas[s][i] = build(rand.New(rand.NewSource(replicaSeed)))
 		}
 	}
-	big := models[len(models)-1]
-	cal := simlat.NewMemCalibration(env.Fleet.PoolMaxMemGB(), costs[len(costs)-1].TotalBytes)
-	res := &fl.Result{Method: k.Name(), Extra: map[string]float64{}}
+	last := len(models) - 1
+	big := models[last]
+	run := env.Start(k.Name(), costs[last].TotalBytes)
 	atk := env.TrainAttackConfig(env.Cfg.TrainPGD)
 
 	globals := make([][]float64, len(models))
@@ -85,81 +90,40 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	if distillIters <= 0 {
 		distillIters = 16
 	}
-	var commBytes int64
 
-	for round := 0; round < env.Cfg.Rounds; round++ {
-		r := env.DrawRound(round)
-
-		type clientOut struct {
-			pick  int
-			loss  float64
-			vec   []float64
-			bn    []float64
-			lat   simlat.Latency
-			bytes int64
-		}
-		outs := make([]clientOut, len(r.Clients))
-		err := fl.ForEachClient(ctx, env.ClientWorkers(), len(r.Clients), r.Seeds, func(slot, i int, crng *rand.Rand) {
-			budget := cal.Budget(r.Devices[i].AvailMemGB)
+	var err error
+	for round := 0; round < env.Cfg.Rounds && err == nil; round++ {
+		err = fl.TrainRound(ctx, run, round, fl.RoundMetrics{}, func(s fl.Seat) (kdUpdate, fl.Client) {
 			// Largest family member that fits.
 			pick := 0
 			for j := range models {
-				if costs[j].TotalBytes <= budget {
+				if costs[j].TotalBytes <= s.Budget {
 					pick = j
 				}
 			}
-			m := replicas[slot][pick]
-			nn.ImportParams(m, globals[pick])
-			nn.ImportBNStats(m, globalsBN[pick])
-			loss, iters := fl.LocalTrain(m, env.Subsets[r.Clients[i]], env.Cfg, r.LR, atk, crng)
-			vec := nn.ExportParams(m)
-			bn := nn.ExportBNStats(m)
-			w := clientWork(costs[pick].ForwardFLOPs, costs[pick].TotalBytes, budget,
-				iters, env.Cfg.Batch, atk.Steps, false)
-			outs[i] = clientOut{pick, loss, vec, bn, simlat.ClientLatency(w, r.Devices[i]),
-				int64(4 * (len(vec) + len(bn)))}
-		})
-		if err != nil {
-			res.Model = big
-			return res, fl.PartialProgress(err, round)
-		}
-
-		vecs := make([][][]float64, len(models))
-		bnVecs := make([][][]float64, len(models))
-		weights := make([][]float64, len(models))
-		var lats []simlat.Latency
-		roundLoss := 0.0
-		for i, o := range outs {
-			vecs[o.pick] = append(vecs[o.pick], o.vec)
-			bnVecs[o.pick] = append(bnVecs[o.pick], o.bn)
-			weights[o.pick] = append(weights[o.pick], float64(env.Subsets[r.Clients[i]].Len()))
-			lats = append(lats, o.lat)
-			roundLoss += o.loss
-			commBytes += o.bytes
-		}
-
-		// FedAvg within each architecture family.
-		for i := range models {
-			if len(vecs[i]) > 0 {
-				globals[i] = env.Aggregate(vecs[i], weights[i])
-				globalsBN[i] = env.Aggregate(bnVecs[i], weights[i])
+			u, c := trainModel(replicas[s.Slot][pick], globals[pick], globalsBN[pick], s, env.Cfg, atk, costs[pick], false)
+			return kdUpdate{u, pick}, c
+		}, func(r fl.Round, ups []kdUpdate) {
+			// FedAvg within each architecture family.
+			family := make([][]update, len(models))
+			for _, u := range ups {
+				family[u.pick] = append(family[u.pick], u.update)
 			}
-			nn.ImportParams(models[i], globals[i])
-			nn.ImportBNStats(models[i], globalsBN[i])
-		}
-
-		// Server-side ensemble distillation into the big model.
-		k.distill(models, big, env, distillIters, r.LR, rng)
-		globals[len(globals)-1] = nn.ExportParams(big)
-		globalsBN[len(globalsBN)-1] = nn.ExportBNStats(big)
-
-		env.Record(res, lats, fl.RoundMetrics{Round: round, Loss: roundLoss / float64(len(r.Clients))})
+			for i, m := range models {
+				if len(family[i]) > 0 {
+					globals[i], globalsBN[i] = average(env, family[i])
+				}
+				nn.ImportParams(m, globals[i])
+				nn.ImportBNStats(m, globalsBN[i])
+			}
+			// Server-side ensemble distillation into the big model.
+			k.distill(models, big, env, distillIters, r.LR, rng)
+			globals[last], globalsBN[last] = nn.ExportParams(big), nn.ExportBNStats(big)
+		})
 	}
-	nn.ImportParams(big, globals[len(globals)-1])
-	nn.ImportBNStats(big, globalsBN[len(globalsBN)-1])
-	res.Extra["mem_full_bytes"] = float64(costs[len(costs)-1].TotalBytes)
-	res.Extra["comm_up_bytes"] = float64(commBytes)
-	return finishResult(res, big, env), nil
+	nn.ImportParams(big, globals[last])
+	nn.ImportBNStats(big, globalsBN[last])
+	return run.Finish(big, err)
 }
 
 // distill runs server-side knowledge distillation of the family ensemble
@@ -174,34 +138,21 @@ func (k *KDTraining) distill(models []*nn.Model, big *nn.Model, env *fl.Env, ite
 	for i := range idx {
 		idx[i] = i
 	}
-	batches := data.Batches(idx, env.Cfg.Batch, rng)
-	done := 0
-	for done < iters {
-		for _, b := range batches {
-			if done >= iters {
-				break
-			}
-			x, y := data.Batch(env.Public, b)
-			if k.Variant == FedET {
-				// FedET transfers robustness by distilling on perturbed
-				// public data as well.
-				if done%2 == 1 {
-					x = attack.Perturb(attack.PGDConfig(env.Cfg.Eps, 3), x,
-						attack.CEGradFn(big, y), rng)
-				}
-			}
-			teacher := k.ensembleProbs(models, x)
-			out := big.Forward(x, true)
-			_, g := nn.KLDivergence(out, teacher)
-			nn.ZeroGrads(big)
-			big.Backward(g)
-			opt.Step(big.Params())
-			done++
+	fl.CycleBatches(idx, env.Cfg.Batch, iters, rng, func(it int, b []int) float64 {
+		x, y := data.Batch(env.Public, b)
+		// FedET transfers robustness by distilling on perturbed public data
+		// as well.
+		if k.Variant == FedET && it%2 == 1 {
+			x = attack.Perturb(attack.PGDConfig(env.Cfg.Eps, 3), x, attack.CEGradFn(big, y), rng)
 		}
-		if len(batches) == 0 {
-			break
-		}
-	}
+		teacher := k.ensembleProbs(models, x)
+		out := big.Forward(x, true)
+		loss, g := nn.KLDivergence(out, teacher)
+		nn.ZeroGrads(big)
+		big.Backward(g)
+		opt.Step(big.Params())
+		return loss
+	})
 }
 
 // ensembleProbs combines the family models' predictions: uniform averaging

@@ -7,7 +7,6 @@ import (
 	"fedprophet/internal/fl"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
-	"fedprophet/internal/simlat"
 )
 
 // PartialVariant selects the sub-model extraction strategy.
@@ -81,59 +80,37 @@ func lastLinear(m *nn.Model) *nn.Linear {
 func (p *PartialTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	global := p.Build(env.Rng)
 	fullCost := memmodel.MemReqModel(global, env.Cfg.Batch)
-	cal := simlat.NewMemCalibration(env.Fleet.PoolMaxMemGB(), fullCost.TotalBytes)
-	res := &fl.Result{Method: p.Name(), Extra: map[string]float64{}}
+	run := env.Start(p.Name(), fullCost.TotalBytes)
 	atk := env.TrainAttackConfig(env.Cfg.TrainPGD)
-	var commBytes int64
 
-	for round := 0; round < env.Cfg.Rounds; round++ {
-		r := env.DrawRound(round)
-
+	type subUpdate struct {
+		sub    *subModel
+		weight float64
+	}
+	var err error
+	for round := 0; round < env.Cfg.Rounds && err == nil; round++ {
 		// Sub-model extraction only reads the global tensors, so clients
 		// run concurrently; their updates are scattered back sequentially
-		// in sampling order after the pool drains.
-		type clientOut struct {
-			loss  float64
-			sub   *subModel
-			lat   simlat.Latency
-			bytes int64
-		}
-		outs := make([]clientOut, len(r.Clients))
-		err := fl.ForEachClient(ctx, env.ClientWorkers(), len(r.Clients), r.Seeds, func(slot, i int, crng *rand.Rand) {
-			budget := cal.Budget(r.Devices[i].AvailMemGB)
-			frac := float64(budget) / float64(fullCost.TotalBytes)
-			if frac > 1 {
-				frac = 1
-			}
-			if frac < 0.1 {
-				frac = 0.1
-			}
-			sub := extractSub(global, frac, p.picker(round, crng), crng)
-			loss, iters := fl.LocalTrain(sub.model, env.Subsets[r.Clients[i]], env.Cfg, r.LR, atk, crng)
+		// in sampling order by the fold.
+		err = fl.TrainRound(ctx, run, round, fl.RoundMetrics{}, func(s fl.Seat) (subUpdate, fl.Client) {
+			frac := min(max(float64(s.Budget)/float64(fullCost.TotalBytes), 0.1), 1)
+			sub := extractSub(global, frac, p.picker(round, s.Rng), s.Rng)
+			loss, iters := fl.LocalTrain(sub.model, s.Data, env.Cfg, s.Round.LR, atk, s.Rng)
 			subCost := memmodel.MemReqModel(sub.model, env.Cfg.Batch)
-			w := clientWork(subCost.ForwardFLOPs, subCost.TotalBytes, budget,
-				iters, env.Cfg.Batch, atk.Steps, false /* sub-model avoids swapping */)
-			outs[i] = clientOut{loss, sub, simlat.ClientLatency(w, r.Devices[i]),
-				int64(4 * (nn.NumParams(sub.model) + len(nn.ExportBNStats(sub.model))))}
+			return subUpdate{sub, float64(s.Data.Len())}, fl.Client{
+				Loss:  loss,
+				Iters: iters,
+				Work: clientWork(subCost.ForwardFLOPs, subCost.TotalBytes, s.Budget,
+					iters, env.Cfg.Batch, atk.Steps, false /* sub-model avoids swapping */),
+				UpBytes: int64(4 * (nn.NumParams(sub.model) + len(nn.ExportBNStats(sub.model)))),
+			}
+		}, func(_ fl.Round, ups []subUpdate) {
+			acc := newAccumulator()
+			for _, u := range ups {
+				u.sub.scatter(acc, u.weight)
+			}
+			acc.apply()
 		})
-		if err != nil {
-			res.Model = global
-			return res, fl.PartialProgress(err, round)
-		}
-
-		acc := newAccumulator()
-		var lats []simlat.Latency
-		roundLoss := 0.0
-		for i, o := range outs {
-			o.sub.scatter(acc, float64(env.Subsets[r.Clients[i]].Len()))
-			lats = append(lats, o.lat)
-			roundLoss += o.loss
-			commBytes += o.bytes
-		}
-		acc.apply()
-		env.Record(res, lats, fl.RoundMetrics{Round: round, Loss: roundLoss / float64(len(r.Clients))})
 	}
-	res.Extra["mem_full_bytes"] = float64(fullCost.TotalBytes)
-	res.Extra["comm_up_bytes"] = float64(commBytes)
-	return finishResult(res, global, env), nil
+	return run.Finish(global, err)
 }

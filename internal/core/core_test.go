@@ -154,7 +154,7 @@ func TestPartialAverageBasic(t *testing.T) {
 			{vec: []float64{3, 4}, weight: 1},
 		},
 	}
-	out := partialAverage(mergeFixed(ups, prev), prev, fl.WeightedAverage)
+	out := partialAverage(ups, prev, fl.WeightedAverage)
 	if out[0][0] != 2 || out[0][1] != 3 {
 		t.Fatalf("module 0 average wrong: %v", out[0])
 	}

@@ -110,9 +110,7 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 		_, cascs[s], fullCost = build()
 	}
 	casc := cascs[0] // server-side view: validation, perturbation collection, final eval
-	cal := simlat.NewMemCalibration(env.Fleet.PoolMaxMemGB(), fullCost.TotalBytes)
-
-	res := &fl.Result{Method: f.Name(), Extra: map[string]float64{}}
+	run := env.Start(f.Name(), fullCost.TotalBytes)
 	valSample := fl.SampleDataset(env.Val, o.ValSize, rng)
 
 	// Per-module global parameter stores (weights, aux heads, BN stats).
@@ -135,18 +133,14 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			}
 		}
 	}
+	finish := func(err error) (*fl.Result, error) {
+		loadGlobalsInto(casc)
+		run.Extra["rounds"] = float64(len(run.History))
+		return run.Finish(casc.Full(), err)
+	}
 
-	globalRound := 0
 	basePert := 0.0  // E[max‖Δz_{m-1}‖] from the previous stage
 	prevRatio := 0.0 // C*/A* of the previous stage
-	var commBytes int64
-
-	finishPartial := func(err error) (*fl.Result, error) {
-		loadGlobalsInto(casc)
-		res.Model = casc.Full()
-		res.Extra["rounds"] = float64(globalRound)
-		return res, fl.PartialProgress(err, globalRound)
-	}
 
 	// stageSet is the frozen-prefix feature set of the current stage: X[i] is
 	// z_{m-1} of training sample i. Modules 0..m-1 are fixed for the whole
@@ -161,12 +155,9 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 		}
 		prefixFwd := casc.PrefixForwardFLOPs(mIdx)
 		apa := NewAPAState(o.AlphaInit, o.DeltaAlpha, o.GammaThresh, basePert, prevRatio, o.UseAPA && mIdx > 0)
-		bestAdv, bestClean, sincImprove := -1.0, 0.0, 0
+		bestAdv, bestClean, sincImprove, stalled := -1.0, 0.0, 0, false
 
-		for local := 0; local < o.RoundsPerModule; local++ {
-			if err := ctx.Err(); err != nil {
-				return finishPartial(err)
-			}
+		for local := 0; local < o.RoundsPerModule && !stalled; local++ {
 			// Module 0 trains against the pluggable input-space attack
 			// (PGD by default; fl.NoAttack or TrainPGD = 0 trains cleanly).
 			// Later modules use the feature-space PGD intrinsic to cascade
@@ -185,61 +176,34 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				atkCfg = attack.FeaturePGDConfig(epsNow, featSteps)
 			}
 
-			r := env.DrawRound(globalRound)
-			perfMin := math.Inf(1)
-			for _, s := range r.Devices {
-				perfMin = math.Min(perfMin, s.AvailPerf)
-			}
-
-			type modVec struct {
-				j     int
-				vec   []float64
-				bytes int64
-			}
-			type clientOut struct {
-				loss     float64
-				lossN    int
-				weight   float64
-				backbone []modVec
-				bn       []modVec
-				aux      *modVec
-				lat      simlat.Latency
-			}
-			outs := make([]clientOut, len(r.Clients))
-			err := fl.ForEachClient(ctx, workers, len(r.Clients), r.Seeds, func(slot, i int, crng *rand.Rand) {
-				c := cascs[slot]
+			train := func(s fl.Seat) (moduleUpload, fl.Client) {
+				c := cascs[s.Slot]
 				loadGlobalsInto(c)
-				budget := cal.Budget(r.Devices[i].AvailMemGB)
-				to := AssignModules(c, mIdx, budget, r.Devices[i].AvailPerf, perfMin, o.UseDMA)
-				opt := nn.NewSGD(r.LR, env.Cfg.Momentum, env.Cfg.WeightDecay)
-				nn.ResetMomentum(c.RangeParams(mIdx, to))
-
-				out := &outs[i]
-				sub := env.Subsets[r.Clients[i]]
-				batches := data.Batches(sub.Indices, env.Cfg.Batch, crng)
-				iters := 0
-				for iters < env.Cfg.LocalIters && len(batches) > 0 {
-					for _, b := range batches {
-						if iters >= env.Cfg.LocalIters {
-							break
-						}
-						z, y := data.Batch(stageSet, b)
-						out.loss += c.AdversarialStep(z, y, mIdx, to, atkCfg, o.Mu, opt, crng)
-						out.lossN++
-						iters++
-					}
+				perfMin := math.Inf(1)
+				for _, d := range s.Round.Devices {
+					perfMin = math.Min(perfMin, d.AvailPerf)
 				}
+				to := AssignModules(c, mIdx, s.Budget, s.Device.AvailPerf, perfMin, o.UseDMA)
+				opt := nn.NewSGD(s.Round.LR, env.Cfg.Momentum, env.Cfg.WeightDecay)
+				nn.ResetMomentum(c.RangeParams(mIdx, to))
+				loss, iters := fl.CycleBatches(s.Data.Indices, env.Cfg.Batch, env.Cfg.LocalIters, s.Rng, func(_ int, b []int) float64 {
+					z, y := data.Batch(stageSet, b)
+					return c.AdversarialStep(z, y, mIdx, to, atkCfg, o.Mu, opt, s.Rng)
+				})
 
-				out.weight = float64(sub.Len())
+				up := moduleUpload{weight: float64(s.Data.Len()), to: to}
+				var upBytes int64
 				for j := mIdx; j <= to; j++ {
 					vec, bytes := f.encodeUpload(nn.ExportParamList(c.Modules[j].BackboneParams()))
-					out.backbone = append(out.backbone, modVec{j, vec, bytes})
 					bn := c.Modules[j].BNStats()
-					out.bn = append(out.bn, modVec{j, bn, int64(4 * len(bn))})
+					up.backbone = append(up.backbone, vec)
+					up.bn = append(up.bn, bn)
+					upBytes += bytes + int64(4*len(bn))
 				}
 				if aux := c.Modules[to].Aux; aux != nil {
 					vec, bytes := f.encodeUpload(nn.ExportParamList(aux.Params()))
-					out.aux = &modVec{to, vec, bytes}
+					up.aux = vec
+					upBytes += bytes
 				}
 
 				// Latency accounting: a simulated device holds no feature set,
@@ -247,75 +211,49 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				// in the paper; the assigned range runs PGD attack passes plus
 				// the training pass.
 				rangeFwd := c.RangeForwardFLOPs(mIdx, to)
-				flops := int64(iters) * (prefixFwd*int64(env.Cfg.Batch) +
-					memmodel.TrainingFLOPs(rangeFwd, env.Cfg.Batch, atkSteps(atkCfg)))
-				out.lat = simlat.ClientLatency(simlat.Work{
-					FLOPs:     flops,
+				return up, fl.Client{Loss: loss, Iters: iters, UpBytes: upBytes, Work: simlat.Work{
+					FLOPs: int64(iters) * (prefixFwd*int64(env.Cfg.Batch) +
+						memmodel.TrainingFLOPs(rangeFwd, env.Cfg.Batch, atkCfg.Steps)),
 					MemReq:    c.RangeMemReq(mIdx, to),
-					MemBudget: budget,
-					Passes:    int64(iters) * simlat.PassesPerBatch(atkSteps(atkCfg)),
+					MemBudget: s.Budget,
+					Passes:    int64(iters) * simlat.PassesPerBatch(atkCfg.Steps),
 					Swap:      false, // DMA never exceeds the budget
-				}, r.Devices[i])
-			})
-			if err != nil {
-				return finishPartial(err)
+				}}
 			}
+			fold := func(_ fl.Round, ups []moduleUpload) {
+				updates := map[int][]moduleUpdate{}
+				auxUpdates := map[int][]moduleUpdate{}
+				bnUpdates := map[int][]moduleUpdate{}
+				for _, u := range ups {
+					for k := range u.backbone {
+						updates[mIdx+k] = append(updates[mIdx+k], moduleUpdate{u.backbone[k], u.weight})
+						bnUpdates[mIdx+k] = append(bnUpdates[mIdx+k], moduleUpdate{u.bn[k], u.weight})
+					}
+					if u.aux != nil {
+						auxUpdates[u.to] = append(auxUpdates[u.to], moduleUpdate{u.aux, u.weight})
+					}
+				}
+				globalBackbone = partialAverage(updates, globalBackbone, env.Aggregate)
+				globalAux = partialAverage(auxUpdates, globalAux, env.Aggregate)
+				globalBN = partialAverage(bnUpdates, globalBN, env.Aggregate)
+				loadGlobalsInto(casc)
 
-			updates := map[int][]moduleUpdate{}
-			auxUpdates := map[int][]moduleUpdate{}
-			bnUpdates := map[int][]moduleUpdate{}
-			var lats []simlat.Latency
-			roundLoss, lossN := 0.0, 0
-			for i := range outs {
-				out := &outs[i]
-				for _, mv := range out.backbone {
-					updates[mv.j] = append(updates[mv.j], moduleUpdate{vec: mv.vec, weight: out.weight})
-					commBytes += mv.bytes
+				// Validation of the cascaded modules for APA and early stopping.
+				comp := casc.Composite(mIdx)
+				cAcc := attack.CleanAccuracy(comp, valSample, env.Cfg.EvalBatch)
+				aAcc := attack.AdvAccuracy(comp, valSample, env.Cfg.EvalBatch,
+					attack.PGDConfig(env.Cfg.Eps, o.ValPGD), rng)
+				apa.Update(cAcc, aAcc)
+				if aAcc > bestAdv {
+					bestAdv, bestClean, sincImprove = aAcc, cAcc, 0
+				} else {
+					sincImprove++
+					stalled = sincImprove >= o.Patience
 				}
-				for _, mv := range out.bn {
-					bnUpdates[mv.j] = append(bnUpdates[mv.j], moduleUpdate{vec: mv.vec, weight: out.weight})
-					commBytes += mv.bytes
-				}
-				if out.aux != nil {
-					auxUpdates[out.aux.j] = append(auxUpdates[out.aux.j], moduleUpdate{vec: out.aux.vec, weight: out.weight})
-					commBytes += out.aux.bytes
-				}
-				roundLoss += out.loss
-				lossN += out.lossN
-				lats = append(lats, out.lat)
 			}
-
-			globalBackbone = partialAverage(mergeFixed(updates, globalBackbone), globalBackbone, env.Aggregate)
-			globalAux = partialAverage(mergeFixed(auxUpdates, globalAux), globalAux, env.Aggregate)
-			globalBN = partialAverage(mergeFixed(bnUpdates, globalBN), globalBN, env.Aggregate)
-			loadGlobalsInto(casc)
-
-			// Validation of the cascaded modules for APA and early stopping.
-			comp := casc.Composite(mIdx)
-			cAcc := attack.CleanAccuracy(comp, valSample, env.Cfg.EvalBatch)
-			aAcc := attack.AdvAccuracy(comp, valSample, env.Cfg.EvalBatch,
-				attack.PGDConfig(env.Cfg.Eps, o.ValPGD), rng)
-			apa.Update(cAcc, aAcc)
-
-			avgLoss := 0.0
-			if lossN > 0 {
-				avgLoss = roundLoss / float64(lossN)
-			}
-			env.Record(res, lats, fl.RoundMetrics{
-				Round:      globalRound,
-				Loss:       avgLoss,
-				PerDimPert: perDimPert(epsNow, casc.Modules[mIdx].InShape, mIdx),
-				Module:     mIdx,
-			})
-			globalRound++
-
-			if aAcc > bestAdv {
-				bestAdv, bestClean, sincImprove = aAcc, cAcc, 0
-			} else {
-				sincImprove++
-				if sincImprove >= o.Patience {
-					break
-				}
+			m := fl.RoundMetrics{PerDimPert: perDimPert(epsNow, casc.Modules[mIdx].InShape, mIdx), Module: mIdx}
+			if err := fl.TrainRound(ctx, run, len(run.History), m, train, fold); err != nil {
+				return finish(err)
 			}
 		}
 
@@ -333,27 +271,32 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			}
 			if mIdx == 0 {
 				// d*_1 = E[max‖Δz_1‖], the quantity plotted in Figure 8.
-				res.Extra["pert_z1"] = basePert
+				run.Extra["pert_z1"] = basePert
 			}
 		}
 	}
 
-	clean, pgd, aa := fl.Evaluate(casc.Full(), env.Test, env.Cfg, rng)
-	res.CleanAcc, res.PGDAcc, res.AAAcc = clean, pgd, aa
-	res.Model = casc.Full()
-	res.Extra["modules"] = float64(len(casc.Modules))
+	run.Extra["modules"] = float64(len(casc.Modules))
 	maxMod := int64(0)
 	for i := range casc.Modules {
 		if r := casc.ModuleMemReq(i); r > maxMod {
 			maxMod = r
 		}
 	}
-	res.Extra["mem_full_bytes"] = float64(fullCost.TotalBytes)
-	res.Extra["mem_module_bytes"] = float64(maxMod)
-	res.Extra["mem_reduction"] = 1 - float64(maxMod)/float64(fullCost.TotalBytes)
-	res.Extra["rounds"] = float64(globalRound)
-	res.Extra["comm_up_bytes"] = float64(commBytes)
-	return res, nil
+	run.Extra["mem_module_bytes"] = float64(maxMod)
+	run.Extra["mem_reduction"] = 1 - float64(maxMod)/float64(fullCost.TotalBytes)
+	return finish(nil)
+}
+
+// moduleUpload is one client's upload: the backbone parameters and BN
+// statistics of every module it trained (from the stage's module to `to`),
+// the aux head of module `to` if it has one, and its FedAvg weight.
+type moduleUpload struct {
+	weight   float64
+	to       int
+	backbone [][]float64
+	bn       [][]float64
+	aux      []float64
 }
 
 // encodeUpload applies the optional low-bit quantization to one upload
@@ -373,9 +316,6 @@ func (f *FedProphet) encodeUpload(vec []float64) ([]float64, int64) {
 	frame := quant.NewEncoder(f.Opts.UploadBits, chunk, len(vec), 1).EncodeAll(vec, deq)
 	return deq, int64(len(frame))
 }
-
-// atkSteps reports the PGD step count of a configured attack.
-func atkSteps(cfg attack.Config) int { return cfg.Steps }
 
 // apaEpsOrInput returns the constraint used on module mIdx's input when
 // measuring its output perturbation: ε0 for the first module, the APA ε for
@@ -415,15 +355,4 @@ func perDimPert(eps float64, inShape []int, mIdx int) float64 {
 		d *= s
 	}
 	return eps / math.Sqrt(float64(d))
-}
-
-// mergeFixed ensures every module key in prev exists in updates so that
-// partialAverage preserves untouched modules.
-func mergeFixed(updates map[int][]moduleUpdate, prev map[int][]float64) map[int][]moduleUpdate {
-	for n := range prev {
-		if _, ok := updates[n]; !ok {
-			updates[n] = nil
-		}
-	}
-	return updates
 }

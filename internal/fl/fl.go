@@ -2,9 +2,13 @@
 // baseline and the wire client of internal/fldist: the experiment environment
 // (federated data split, device fleet, hyperparameters), the round schedule
 // (DrawRound: cohort, per-client seeds, device snapshots, learning rate), the
-// local adversarial-SGD step (LocalTrain), weighted parameter aggregation
-// (FedAvg), the Method/Result training contract, the method registry, and
-// the bounded worker pool that trains a round's clients concurrently.
+// one round driver every method runs (Env.Start, TrainRound, Run.Finish:
+// cohort training on a bounded worker pool with calibrated memory
+// budgets, the fold in sampling order, loss/latency/upload accounting,
+// telemetry, cancellation and the final evaluation), the one batch loop
+// (CycleBatches) under the local adversarial-SGD step (LocalTrain), weighted
+// parameter aggregation (FedAvg), the Method/Result training contract and
+// the method registry. A method supplies only its client step and its fold.
 //
 // The package is deterministic: sampling and per-client training randomness
 // flow from explicit per-round seeds, never the global rand source, so a run
@@ -15,7 +19,6 @@ package fl
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"fedprophet/internal/data"
@@ -101,31 +104,23 @@ type Env struct {
 	TrainAttack Attack
 }
 
-// Workers returns the effective client-training worker count.
-func (e *Env) Workers() int {
-	if e.Parallelism < 1 {
-		return 1
-	}
-	return e.Parallelism
-}
-
-// ClientWorkers returns Workers() capped at the round cohort size: extra
-// workers could never be scheduled, so callers avoid building model
-// replicas for them.
+// ClientWorkers returns the client-training worker count — Parallelism, at
+// least 1 — capped at the round cohort size: extra workers could never be
+// scheduled, so callers avoid building model replicas for them.
 func (e *Env) ClientWorkers() int {
-	w := e.Workers()
+	w := max(e.Parallelism, 1)
 	if c := e.Cfg.ClientsPerRound; c > 0 && w > c {
 		w = c
 	}
 	return w
 }
 
-// Sample draws this round's client cohort with the configured sampler.
-func (e *Env) Sample(rng *rand.Rand) []int {
+// sample draws this round's client cohort with the configured sampler.
+func (e *Env) sample(rng *rand.Rand) []int {
 	if e.Sampler != nil {
 		return e.Sampler.Sample(e.Cfg.NumClients, e.Cfg.ClientsPerRound, rng)
 	}
-	return SampleClients(e.Cfg.NumClients, e.Cfg.ClientsPerRound, rng)
+	return sampleClients(e.Cfg.NumClients, e.Cfg.ClientsPerRound, rng)
 }
 
 // Aggregate combines client parameter vectors with the configured
@@ -135,19 +130,6 @@ func (e *Env) Aggregate(vecs [][]float64, weights []float64) []float64 {
 		return e.Aggregator.Aggregate(vecs, weights)
 	}
 	return WeightedAverage(vecs, weights)
-}
-
-// Record closes one round: its synchronous latency is the slowest of the
-// cohort's client latencies (simlat.RoundLatency), which Record sets in m
-// and accumulates into res.Latency; it then appends m to the result history
-// and streams it to the Hook, if any.
-func (e *Env) Record(res *Result, lats []simlat.Latency, m RoundMetrics) {
-	m.Latency = simlat.RoundLatency(lats)
-	res.Latency.Add(m.Latency)
-	res.History = append(res.History, m)
-	if e.Hook != nil {
-		e.Hook(m)
-	}
 }
 
 // RoundMetrics records the per-round telemetry used by Figures 7 and 10.
@@ -176,20 +158,14 @@ type Result struct {
 // Method is a federated training algorithm. Run trains until the configured
 // round budget is exhausted or ctx is canceled; on cancellation it returns
 // the partial result accumulated so far together with an error wrapping
-// ctx.Err() (see PartialProgress).
+// ctx.Err() (see Run.Finish).
 type Method interface {
 	Name() string
 	Run(ctx context.Context, env *Env) (*Result, error)
 }
 
-// PartialProgress wraps a cancellation error with how far training got; the
-// accompanying Result carries the telemetry of the completed rounds.
-func PartialProgress(err error, completedRounds int) error {
-	return fmt.Errorf("fl: run canceled after %d completed rounds: %w", completedRounds, err)
-}
-
-// SampleClients draws c distinct client indices out of n.
-func SampleClients(n, c int, rng *rand.Rand) []int {
+// sampleClients draws c distinct client indices out of n.
+func sampleClients(n, c int, rng *rand.Rand) []int {
 	if c > n {
 		c = n
 	}
@@ -275,14 +251,4 @@ func FoldDelta(out, g []float64, vecs, bases [][]float64, weights []float64, lo,
 	for i := range o {
 		o[i] = g[i] + o[i]*inv
 	}
-}
-
-// SubsetWeights returns the FedAvg data-size weights qk for the selected
-// clients.
-func SubsetWeights(subsets []*data.Subset, selected []int) []float64 {
-	w := make([]float64, len(selected))
-	for i, k := range selected {
-		w[i] = float64(subsets[k].Len())
-	}
-	return w
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"fedprophet/internal/data"
 )
 
 func TestSampleClientsDistinctAndInRange(t *testing.T) {
@@ -15,7 +13,7 @@ func TestSampleClientsDistinctAndInRange(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 5 + r.Intn(100)
 		c := 1 + r.Intn(n)
-		s := SampleClients(n, c, rng)
+		s := sampleClients(n, c, rng)
 		if len(s) != c {
 			return false
 		}
@@ -35,7 +33,7 @@ func TestSampleClientsDistinctAndInRange(t *testing.T) {
 
 func TestSampleClientsClampsToN(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	s := SampleClients(3, 10, rng)
+	s := sampleClients(3, 10, rng)
 	if len(s) != 3 {
 		t.Fatalf("got %d clients, want 3", len(s))
 	}
@@ -173,19 +171,6 @@ func TestFoldRangesTileTheWholeFold(t *testing.T) {
 				t.Fatalf("cuts %v [%d]: fold %v / %v, want %v / %v", cuts, i, avg[i], delta[i], want[i], wantDelta[i])
 			}
 		}
-	}
-}
-
-func TestSubsetWeights(t *testing.T) {
-	parent := &data.Dataset{Y: []int{0, 0, 0, 0, 0}, NumClasses: 1}
-	subs := []*data.Subset{
-		{Parent: parent, Indices: []int{0, 1}},
-		{Parent: parent, Indices: []int{2}},
-		{Parent: parent, Indices: []int{3, 4}},
-	}
-	w := SubsetWeights(subs, []int{0, 2})
-	if w[0] != 2 || w[1] != 2 {
-		t.Fatalf("weights %v", w)
 	}
 }
 

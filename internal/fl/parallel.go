@@ -6,13 +6,13 @@ import (
 	"sync"
 )
 
-// RoundSeeds draws one child seed per sampled client from the round RNG.
+// roundSeeds draws one child seed per sampled client from the round RNG.
 // Drawing all seeds up front (instead of letting clients consume the shared
 // stream) is what makes parallel client execution bit-identical to
 // sequential execution: the parent stream advances the same way regardless
 // of worker count, and each client derives everything it randomizes —
 // batch order, attack starts, sub-model picks — from its own seed.
-func RoundSeeds(rng *rand.Rand, n int) []int64 {
+func roundSeeds(rng *rand.Rand, n int) []int64 {
 	seeds := make([]int64, n)
 	for i := range seeds {
 		seeds[i] = rng.Int63()
@@ -20,7 +20,7 @@ func RoundSeeds(rng *rand.Rand, n int) []int64 {
 	return seeds
 }
 
-// ForEachClient runs fn(slot, i, rng) for every client index i in [0, n)
+// forEachClient runs fn(slot, i, rng) for every client index i in [0, n)
 // on a bounded pool of min(workers, n) goroutines. slot identifies the
 // worker in [0, workers) so callers can hand each worker its own model
 // replica; rng is a fresh generator seeded with seeds[i].
@@ -28,15 +28,15 @@ func RoundSeeds(rng *rand.Rand, n int) []int64 {
 // fn must be deterministic given (i, rng) and must not depend on which slot
 // or in which order it runs: results should be written into caller-owned
 // storage indexed by i, and aggregated by the caller in index order after
-// ForEachClient returns. Under that discipline a seeded round is
+// forEachClient returns. Under that discipline a seeded round is
 // bit-identical at any worker count.
 //
-// When ctx is canceled, no further clients are dispatched; ForEachClient
+// When ctx is canceled, no further clients are dispatched; forEachClient
 // waits for in-flight clients and returns ctx's error. The caller must then
 // discard the round (some clients never ran).
-func ForEachClient(ctx context.Context, workers, n int, seeds []int64, fn func(slot, i int, rng *rand.Rand)) error {
+func forEachClient(ctx context.Context, workers, n int, seeds []int64, fn func(slot, i int, rng *rand.Rand)) error {
 	if len(seeds) != n {
-		panic("fl: ForEachClient needs exactly one seed per client")
+		panic("fl: forEachClient needs exactly one seed per client")
 	}
 	if workers > n {
 		workers = n

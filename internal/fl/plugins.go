@@ -21,7 +21,7 @@ func (UniformSampler) Name() string { return "uniform" }
 
 // Sample draws clientsPerRound distinct clients uniformly.
 func (UniformSampler) Sample(n, c int, rng *rand.Rand) []int {
-	return SampleClients(n, c, rng)
+	return sampleClients(n, c, rng)
 }
 
 // RoundRobinSampler cycles deterministically through the fleet, giving

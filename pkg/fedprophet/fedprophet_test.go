@@ -158,42 +158,43 @@ func TestCancellationBeforeStart(t *testing.T) {
 
 // The headline determinism guarantee: WithClientParallelism(4) reproduces
 // the sequential run bit-for-bit for a fixed seed — identical accuracies
-// and identical per-round loss/latency series.
+// and identical per-round loss/latency series — for every registered method.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	for _, method := range []string{"jFAT", "FedRolex-AT", "FedProphet"} {
-		run := func(par int) *fedprophet.Result {
-			res, err := fedprophet.Run(context.Background(), append(fastOpts(method),
-				fedprophet.WithRounds(3),
-				fedprophet.WithRoundsPerModule(2),
-				fedprophet.WithClientParallelism(par),
-			)...)
-			if err != nil {
-				t.Fatalf("%s par=%d: %v", method, par, err)
+	for _, method := range fedprophet.Methods() {
+		t.Run(method, func(t *testing.T) {
+			run := func(par int) *fedprophet.Result {
+				res, err := fedprophet.Run(context.Background(), append(fastOpts(method),
+					fedprophet.WithRounds(3),
+					fedprophet.WithRoundsPerModule(2),
+					fedprophet.WithClientParallelism(par),
+				)...)
+				if err != nil {
+					t.Fatalf("par=%d: %v", par, err)
+				}
+				return res
 			}
-			return res
-		}
-		seq := run(1)
-		par := run(4)
+			seq := run(1)
+			par := run(4)
 
-		if seq.CleanAcc != par.CleanAcc || seq.PGDAcc != par.PGDAcc || seq.AAAcc != par.AAAcc {
-			t.Fatalf("%s: accuracies diverge: seq %v/%v/%v vs par %v/%v/%v", method,
-				seq.CleanAcc, seq.PGDAcc, seq.AAAcc, par.CleanAcc, par.PGDAcc, par.AAAcc)
-		}
-		if len(seq.History) != len(par.History) {
-			t.Fatalf("%s: history lengths diverge: %d vs %d", method, len(seq.History), len(par.History))
-		}
-		for i := range seq.History {
-			if seq.History[i] != par.History[i] {
-				t.Fatalf("%s: round %d telemetry diverges:\nseq %+v\npar %+v",
-					method, i, seq.History[i], par.History[i])
+			if seq.CleanAcc != par.CleanAcc || seq.PGDAcc != par.PGDAcc || seq.AAAcc != par.AAAcc {
+				t.Fatalf("accuracies diverge: seq %v/%v/%v vs par %v/%v/%v",
+					seq.CleanAcc, seq.PGDAcc, seq.AAAcc, par.CleanAcc, par.PGDAcc, par.AAAcc)
 			}
-		}
-		if seq.Extra["comm_up_bytes"] != par.Extra["comm_up_bytes"] {
-			t.Fatalf("%s: communication accounting diverges", method)
-		}
+			if len(seq.History) != len(par.History) {
+				t.Fatalf("history lengths diverge: %d vs %d", len(seq.History), len(par.History))
+			}
+			for i := range seq.History {
+				if seq.History[i] != par.History[i] {
+					t.Fatalf("round %d telemetry diverges:\nseq %+v\npar %+v", i, seq.History[i], par.History[i])
+				}
+			}
+			if seq.Extra["comm_up_bytes"] != par.Extra["comm_up_bytes"] {
+				t.Fatal("communication accounting diverges")
+			}
+		})
 	}
 }
 
