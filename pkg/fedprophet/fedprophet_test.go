@@ -158,15 +158,24 @@ func TestCancellationBeforeStart(t *testing.T) {
 
 // The headline determinism guarantee: WithClientParallelism(4) reproduces
 // the sequential run bit-for-bit for a fixed seed — identical accuracies
-// and identical per-round loss/latency series — for every registered method.
+// and identical per-round loss/latency series — for every registered method
+// on CIFAR10-S, and for jFAT on Caltech256-S, whose ResNet34-S replicas run
+// residual blocks on every worker.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
+	type subtest struct{ name, method, workload string }
+	var subtests []subtest
 	for _, method := range fedprophet.Methods() {
-		t.Run(method, func(t *testing.T) {
+		subtests = append(subtests, subtest{method, method, "cifar"})
+	}
+	subtests = append(subtests, subtest{"caltech/jFAT", "jFAT", "caltech"})
+	for _, st := range subtests {
+		t.Run(st.name, func(t *testing.T) {
 			run := func(par int) *fedprophet.Result {
-				res, err := fedprophet.Run(context.Background(), append(fastOpts(method),
+				res, err := fedprophet.Run(context.Background(), append(fastOpts(st.method),
+					fedprophet.WithWorkload(st.workload),
 					fedprophet.WithRounds(3),
 					fedprophet.WithRoundsPerModule(2),
 					fedprophet.WithClientParallelism(par),
