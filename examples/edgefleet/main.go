@@ -35,9 +35,9 @@ func main() {
 	fmt.Printf("partition at Rmin = 20%%: %d modules\n\n", len(casc.Modules))
 	for i := range casc.Modules {
 		fmt.Printf("  module %d: %2d atoms, mem %6.1f KB, fwd %6.2f MFLOPs\n",
-			i+1, len(casc.Modules[i].Atoms),
-			float64(casc.ModuleMemReq(i))/1024,
-			float64(casc.ModuleForwardFLOPs(i))/1e6)
+			i+1, len(casc.Modules[i].Backbone.Layers),
+			float64(casc.RangeMemReq(i, i))/1024,
+			float64(casc.RangeForwardFLOPs(i, i))/1e6)
 	}
 
 	for _, h := range []device.Heterogeneity{device.Balanced, device.Unbalanced} {
@@ -102,9 +102,7 @@ func main() {
 func rangeParams(casc *cascade.Cascade, from, to int) []float64 {
 	var vec []float64
 	for m := from; m <= to; m++ {
-		for _, atom := range casc.Modules[m].Atoms {
-			vec = append(vec, nn.ExportParams(atom)...)
-		}
+		vec = append(vec, nn.ExportParams(casc.Modules[m].Backbone)...)
 	}
 	return vec
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"fedprophet/internal/attack"
 	"fedprophet/internal/data"
@@ -26,31 +27,15 @@ import (
 // early-exit loss).
 type Module struct {
 	Index    int
-	Atoms    []nn.Layer
+	Backbone *nn.Sequential // the module's atoms, not the aux head
 	Aux      *nn.Sequential // flatten + linear; nil for the final module
 	InShape  []int          // per-sample input feature shape
 	OutShape []int          // per-sample output feature shape
 
-	// params lists the atoms' parameters followed by the aux head's, built
-	// once by Partition; the first nBackbone entries are the backbone's.
+	// params lists the backbone's parameters followed by the aux head's,
+	// built once by Partition; the first nBackbone entries are the backbone's.
 	params    []*nn.Param
 	nBackbone int
-}
-
-// ForwardAtoms runs only the backbone atoms (not the aux head).
-func (m *Module) ForwardAtoms(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, a := range m.Atoms {
-		x = a.Forward(x, train)
-	}
-	return x
-}
-
-// BackwardAtoms back-propagates through the backbone atoms.
-func (m *Module) BackwardAtoms(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(m.Atoms) - 1; i >= 0; i-- {
-		grad = m.Atoms[i].Backward(grad)
-	}
-	return grad
 }
 
 // Params returns the module's trainable parameters including the aux head.
@@ -62,43 +47,21 @@ func (m *Module) Params() []*nn.Param { return m.params }
 // calls and must not be modified.
 func (m *Module) BackboneParams() []*nn.Param { return m.params[:m.nBackbone:m.nBackbone] }
 
-// collectParams fills the parameter list once the module's atoms and aux
+// collectParams fills the parameter list once the module's backbone and aux
 // head are final.
 func (m *Module) collectParams() {
-	for _, a := range m.Atoms {
-		m.params = append(m.params, a.Params()...)
-	}
+	m.params = m.Backbone.Params()
 	m.nBackbone = len(m.params)
 	if m.Aux != nil {
 		m.params = append(m.params, m.Aux.Params()...)
 	}
-	m.params = m.params[:len(m.params):len(m.params)]
-}
-
-// BNStats flattens the batch-norm running statistics of the module's atoms;
-// the server aggregates these alongside the weights.
-func (m *Module) BNStats() []float64 {
-	var out []float64
-	for _, a := range m.Atoms {
-		out = append(out, nn.ExportBNStats(a)...)
-	}
-	return out
-}
-
-// SetBNStats restores a vector produced by BNStats.
-func (m *Module) SetBNStats(v []float64) {
-	off := 0
-	for _, a := range m.Atoms {
-		n := nn.NumBNStats(a)
-		nn.ImportBNStats(a, v[off:off+n])
-		off += n
-	}
+	m.params = slices.Clip(m.params)
 }
 
 // MapFeatures runs every sample of in — a dataset of this module's input
-// features — through the module's atoms in eval mode, batch samples at a time,
-// and returns the dataset of its output features: X[i] is the module output
-// for in.X[i] and labels are shared with in. With the module's weights fixed
+// features — through the module's backbone in eval mode, batch samples at a
+// time, and returns the dataset of its output features: X[i] is the module
+// output for in.X[i] and labels are shared with in. With the module's weights fixed
 // this is the frozen-prefix feature set of the next cascade stage. Eval-mode
 // layers treat the samples of a batch independently and reduce each output
 // element in a fixed order, so X[i] is bit-equal to the module's eval-mode
@@ -119,7 +82,7 @@ func (m *Module) MapFeatures(in *data.Dataset, batch int) *data.Dataset {
 			idx = append(idx, i)
 		}
 		x, _ := data.Batch(in, idx)
-		z := m.ForwardAtoms(x, false)
+		z := m.Backbone.Forward(x, false)
 		per := z.Len() / len(idx)
 		for i := range idx {
 			out.X = append(out.X, tensor.FromSlice(z.Data[i*per:(i+1)*per:(i+1)*per], m.OutShape...))
@@ -150,19 +113,13 @@ func NewAuxHead(featShape []int, classes int, rng *rand.Rand) *nn.Sequential {
 	return nn.NewSequential("aux", nn.NewFlatten(), nn.NewLinear(feat, classes, rng))
 }
 
-// moduleMemReq estimates the training memory of a candidate module: its
-// atoms plus (for non-final candidates) an aux head on its output features.
-func moduleMemReq(atoms []nn.Layer, inShape []int, classes, batch int, withAux bool, rng *rand.Rand) int64 {
-	c := memmodel.MemReq(atoms, inShape, batch)
-	total := c.TotalBytes
-	if withAux {
-		shape := inShape
-		for _, a := range atoms {
-			shape = a.OutShape(shape)
-		}
-		aux := NewAuxHead(shape, classes, rng)
-		ac := memmodel.MemReq([]nn.Layer{aux}, shape, batch)
-		total += ac.TotalBytes
+// memReq is the training memory of atoms on per-sample inputs of shape in,
+// plus that of aux (nil for none) on their output features.
+func memReq(atoms []nn.Layer, in []int, aux *nn.Sequential, batch int) int64 {
+	total := memmodel.MemReq(atoms, in, batch).TotalBytes
+	if aux != nil {
+		out := nn.NewSequential("", atoms...).OutShape(in)
+		total += memmodel.MemReq([]nn.Layer{aux}, out, batch).TotalBytes
 	}
 	return total
 }
@@ -175,37 +132,29 @@ func moduleMemReq(atoms []nn.Layer, inShape []int, classes, batch int, withAux b
 // The final module keeps the backbone's own classifier and gets no aux head.
 func Partition(model *nn.Model, rminBytes int64, batch int, rng *rand.Rand) *Cascade {
 	c := &Cascade{Model: model, NumClasses: model.NumClasses, Batch: batch}
+	in := model.InShape
 	var cur []nn.Layer
-	curIn := append([]int(nil), model.InShape...)
-	shape := append([]int(nil), model.InShape...)
-
 	flush := func() {
-		if len(cur) == 0 {
-			return
-		}
 		m := &Module{
-			Index:   len(c.Modules),
-			Atoms:   cur,
-			InShape: append([]int(nil), curIn...),
+			Index:    len(c.Modules),
+			Backbone: nn.NewSequential(fmt.Sprintf("module%d", len(c.Modules)), cur...),
+			InShape:  slices.Clone(in),
 		}
-		out := curIn
-		for _, a := range cur {
-			out = a.OutShape(out)
-		}
-		m.OutShape = append([]int(nil), out...)
+		m.OutShape = slices.Clone(m.Backbone.OutShape(in))
 		c.Modules = append(c.Modules, m)
-		cur = nil
-		curIn = append([]int(nil), out...)
+		cur, in = nil, m.OutShape
 	}
-
 	for _, atom := range model.Atoms {
-		candidate := append(append([]nn.Layer(nil), cur...), atom)
-		if len(cur) > 0 && moduleMemReq(candidate, curIn, model.NumClasses, batch, true, rng) >= rminBytes {
-			flush()
-			candidate = []nn.Layer{atom}
+		if n := len(cur); n > 0 {
+			// The candidate's throw-away aux head draws from rng, which
+			// fixes the initial weights of the aux heads attached below.
+			cand := append(cur[:n:n], atom)
+			aux := NewAuxHead(nn.NewSequential("", cand...).OutShape(in), model.NumClasses, rng)
+			if memReq(cand, in, aux, batch) >= rminBytes {
+				flush()
+			}
 		}
-		cur = candidate
-		shape = atom.OutShape(shape)
+		cur = append(cur, atom)
 	}
 	flush()
 
@@ -219,63 +168,37 @@ func Partition(model *nn.Model, rminBytes int64, batch int, rng *rand.Rand) *Cas
 	return c
 }
 
-// ModuleMemReq returns the training memory requirement (bytes) of module i
-// including its aux head, at the cascade's batch size.
-func (c *Cascade) ModuleMemReq(i int) int64 {
-	m := c.Modules[i]
-	cost := memmodel.MemReq(m.Atoms, m.InShape, c.Batch)
-	total := cost.TotalBytes
-	if m.Aux != nil {
-		ac := memmodel.MemReq([]nn.Layer{m.Aux}, m.OutShape, c.Batch)
-		total += ac.TotalBytes
+// span chains the atoms of modules [from, to] into one layer; an empty range
+// (to = from−1) is the identity.
+func (c *Cascade) span(from, to int) *nn.Sequential {
+	var atoms []nn.Layer
+	for _, m := range c.Modules[from : to+1] {
+		atoms = append(atoms, m.Backbone.Layers...)
 	}
-	return total
+	return nn.NewSequential(fmt.Sprintf("cascade[%d..%d]", from, to), atoms...)
 }
 
 // RangeMemReq returns the training memory of modules [from, to] trained
 // jointly with the aux head of module `to` (Differentiated Module
-// Assignment's memory constraint, Eq. 14).
+// Assignment's memory constraint, Eq. 14), at the cascade's batch size.
 func (c *Cascade) RangeMemReq(from, to int) int64 {
-	var atoms []nn.Layer
-	for i := from; i <= to; i++ {
-		atoms = append(atoms, c.Modules[i].Atoms...)
-	}
-	cost := memmodel.MemReq(atoms, c.Modules[from].InShape, c.Batch)
-	total := cost.TotalBytes
-	if aux := c.Modules[to].Aux; aux != nil {
-		ac := memmodel.MemReq([]nn.Layer{aux}, c.Modules[to].OutShape, c.Batch)
-		total += ac.TotalBytes
-	}
-	return total
+	return memReq(c.span(from, to).Layers, c.Modules[from].InShape, c.Modules[to].Aux, c.Batch)
 }
 
-// ModuleForwardFLOPs returns the per-sample forward FLOPs of module i
-// including its aux head.
-func (c *Cascade) ModuleForwardFLOPs(i int) int64 {
-	m := c.Modules[i]
-	shape := m.InShape
-	var f int64
-	for _, a := range m.Atoms {
-		f += a.ForwardFLOPs(shape)
-		shape = a.OutShape(shape)
+// MaxModuleMemReq returns the largest training memory of a single module
+// with its aux head: the least memory that trains every stage alone.
+func (c *Cascade) MaxModuleMemReq() int64 {
+	var most int64
+	for i := range c.Modules {
+		most = max(most, c.RangeMemReq(i, i))
 	}
-	if m.Aux != nil {
-		f += m.Aux.ForwardFLOPs(m.OutShape)
-	}
-	return f
+	return most
 }
 
 // RangeForwardFLOPs returns the per-sample forward FLOPs of modules
 // [from, to] plus the aux head of `to` (DMA's FLOPs constraint, Eq. 15).
 func (c *Cascade) RangeForwardFLOPs(from, to int) int64 {
-	var f int64
-	shape := c.Modules[from].InShape
-	for i := from; i <= to; i++ {
-		for _, a := range c.Modules[i].Atoms {
-			f += a.ForwardFLOPs(shape)
-			shape = a.OutShape(shape)
-		}
-	}
+	f := c.span(from, to).ForwardFLOPs(c.Modules[from].InShape)
 	if aux := c.Modules[to].Aux; aux != nil {
 		f += aux.ForwardFLOPs(c.Modules[to].OutShape)
 	}
@@ -285,15 +208,7 @@ func (c *Cascade) RangeForwardFLOPs(from, to int) int64 {
 // PrefixForwardFLOPs returns the per-sample forward FLOPs of the fixed
 // prefix modules 0..mIdx-1 (no aux heads) — the cost of producing z_{m-1}.
 func (c *Cascade) PrefixForwardFLOPs(mIdx int) int64 {
-	var f int64
-	shape := c.Model.InShape
-	for i := 0; i < mIdx; i++ {
-		for _, a := range c.Modules[i].Atoms {
-			f += a.ForwardFLOPs(shape)
-			shape = a.OutShape(shape)
-		}
-	}
-	return f
+	return c.span(0, mIdx-1).ForwardFLOPs(c.Model.InShape)
 }
 
 // ForwardPrefix computes the input feature z_{m-1} of module mIdx for raw
@@ -301,24 +216,18 @@ func (c *Cascade) PrefixForwardFLOPs(mIdx int) int64 {
 // reads z_{m-1} from the stage's feature set instead (Module.MapFeatures);
 // this is the on-demand form for inputs outside the training set.
 func (c *Cascade) ForwardPrefix(x *tensor.Tensor, mIdx int) *tensor.Tensor {
-	for i := 0; i < mIdx; i++ {
-		x = c.Modules[i].ForwardAtoms(x, false)
-	}
-	return x
+	return c.span(0, mIdx-1).Forward(x, false)
 }
 
 // Composite builds an evaluable model of modules 0..mIdx plus the aux head
 // of module mIdx (or the real classifier if mIdx is the final module). It is
 // used for validation accuracy C_m, A_m during APA and for final evaluation.
 func (c *Cascade) Composite(mIdx int) nn.Layer {
-	var layers []nn.Layer
-	for i := 0; i <= mIdx; i++ {
-		layers = append(layers, c.Modules[i].Atoms...)
-	}
+	s := c.span(0, mIdx)
 	if aux := c.Modules[mIdx].Aux; aux != nil {
-		layers = append(layers, aux)
+		s.Layers = append(s.Layers, aux)
 	}
-	return nn.NewSequential(fmt.Sprintf("cascade[0..%d]", mIdx), layers...)
+	return s
 }
 
 // Full returns the whole backbone as a single evaluable layer.
@@ -334,11 +243,8 @@ func (c *Cascade) Full() nn.Layer { return c.Composite(len(c.Modules) - 1) }
 // first); in eval mode only the input gradient is produced and no parameter
 // gradient is touched (the nn.Layer contract), so eval callers zero nothing.
 func (c *Cascade) EarlyExitLoss(z *tensor.Tensor, labels []int, from, to int, mu float64, train bool) (float64, *tensor.Tensor) {
-	cur := z
-	for i := from; i <= to; i++ {
-		cur = c.Modules[i].ForwardAtoms(cur, train)
-	}
-	feat := cur
+	body := c.span(from, to)
+	feat := body.Forward(z, train)
 	var logits *tensor.Tensor
 	last := c.Modules[to]
 	if last.Aux != nil {
@@ -371,11 +277,7 @@ func (c *Cascade) EarlyExitLoss(z *tensor.Tensor, labels []int, from, to int, mu
 		}
 	}
 
-	grad := gfeat
-	for i := to; i >= from; i-- {
-		grad = c.Modules[i].BackwardAtoms(grad)
-	}
-	return loss + reg, grad
+	return loss + reg, body.Backward(gfeat)
 }
 
 // FeatureGradFn adapts the early-exit loss to an attack.GradFn over the
@@ -426,17 +328,17 @@ func (c *Cascade) AdversarialStep(z *tensor.Tensor, labels []int, from, to int, 
 // the server collects to set the next module's ε (Eq. 11).
 func (c *Cascade) MaxOutputPerturbation(zin *tensor.Tensor, mIdx int, atk attack.Config, rng *rand.Rand) float64 {
 	m := c.Modules[mIdx]
-	clean := m.ForwardAtoms(zin, false)
+	clean := m.Backbone.Forward(zin, false)
 	cleanCopy := clean.Clone()
 
 	gradFn := func(z *tensor.Tensor) (float64, *tensor.Tensor) {
-		out := m.ForwardAtoms(z, false)
+		out := m.Backbone.Forward(z, false)
 		diff := tensor.Sub(out, cleanCopy)
 		obj := 0.5 * tensor.Dot(diff, diff)
-		return obj, m.BackwardAtoms(diff)
+		return obj, m.Backbone.Backward(diff)
 	}
 	adv := attack.Perturb(atk, zin, gradFn, rng)
-	out := m.ForwardAtoms(adv, false)
+	out := m.Backbone.Forward(adv, false)
 
 	bsz := zin.Dim(0)
 	per := out.Len() / bsz

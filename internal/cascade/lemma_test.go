@@ -39,7 +39,7 @@ func TestLemma1StrongConvexityBound(t *testing.T) {
 	// One-sample batch keeps per-sample and batch-mean norms identical.
 	zin := tensor.Uniform(rng, 0, 1, 1, 2, 8, 8)
 	// Warm the batch-norm statistics, then freeze in eval mode.
-	mod.ForwardAtoms(tensor.Uniform(rng, 0, 1, 8, 2, 8, 8), true)
+	mod.Backbone.Forward(tensor.Uniform(rng, 0, 1, 8, 2, 8, 8), true)
 
 	// lm(zout) and its gradient with respect to zout.
 	lm := func(zout *tensor.Tensor) float64 {
@@ -60,12 +60,12 @@ func TestLemma1StrongConvexityBound(t *testing.T) {
 		return gz
 	}
 
-	zClean := mod.ForwardAtoms(zin, false).Clone()
+	zClean := mod.Backbone.Forward(zin, false).Clone()
 	lClean := lm(zClean)
 	gNorm := gradLm(zClean).L2Norm()
 
 	check := func(zAdvIn *tensor.Tensor, what string) {
-		zOut := mod.ForwardAtoms(zAdvIn, false)
+		zOut := mod.Backbone.Forward(zAdvIn, false)
 		dz := tensor.Sub(zOut, zClean)
 		cPt := lm(zOut) - lClean
 		if cPt < 0 {
@@ -85,10 +85,10 @@ func TestLemma1StrongConvexityBound(t *testing.T) {
 			for _, p := range mod.Params() {
 				p.ZeroGrad()
 			}
-			out := mod.ForwardAtoms(z, false)
+			out := mod.Backbone.Forward(z, false)
 			l := lm(out)
 			g := gradLm(out)
-			return l, mod.BackwardAtoms(g)
+			return l, mod.Backbone.Backward(g)
 		}, rng)
 		check(adv, "adversarial")
 	}

@@ -95,7 +95,7 @@ func TestAssignModulesRespectsMemory(t *testing.T) {
 		t.Skip("need ≥3 modules")
 	}
 	// Budget for exactly one module.
-	b1 := c.ModuleMemReq(0)
+	b1 := c.RangeMemReq(0, 0)
 	got := AssignModules(c, 0, b1, 100, 1, true)
 	if got != 0 {
 		t.Fatalf("tight budget must assign a single module, got up to %d", got)

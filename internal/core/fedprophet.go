@@ -119,7 +119,7 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	globalBN := map[int][]float64{}
 	for i, m := range casc.Modules {
 		globalBackbone[i] = nn.ExportParamList(m.BackboneParams())
-		globalBN[i] = m.BNStats()
+		globalBN[i] = nn.ExportBNStats(m.Backbone)
 		if m.Aux != nil {
 			globalAux[i] = nn.ExportParamList(m.Aux.Params())
 		}
@@ -127,7 +127,7 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	loadGlobalsInto := func(c *cascade.Cascade) {
 		for i, m := range c.Modules {
 			nn.ImportParamList(m.BackboneParams(), globalBackbone[i])
-			m.SetBNStats(globalBN[i])
+			nn.ImportBNStats(m.Backbone, globalBN[i])
 			if m.Aux != nil {
 				nn.ImportParamList(m.Aux.Params(), globalAux[i])
 			}
@@ -195,7 +195,7 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				var upBytes int64
 				for j := mIdx; j <= to; j++ {
 					vec, bytes := f.encodeUpload(nn.ExportParamList(c.Modules[j].BackboneParams()))
-					bn := c.Modules[j].BNStats()
+					bn := nn.ExportBNStats(c.Modules[j].Backbone)
 					up.backbone = append(up.backbone, vec)
 					up.bn = append(up.bn, bn)
 					upBytes += bytes + int64(4*len(bn))
@@ -277,12 +277,7 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	}
 
 	run.Extra["modules"] = float64(len(casc.Modules))
-	maxMod := int64(0)
-	for i := range casc.Modules {
-		if r := casc.ModuleMemReq(i); r > maxMod {
-			maxMod = r
-		}
-	}
+	maxMod := casc.MaxModuleMemReq()
 	run.Extra["mem_module_bytes"] = float64(maxMod)
 	run.Extra["mem_reduction"] = 1 - float64(maxMod)/float64(fullCost.TotalBytes)
 	return finish(nil)

@@ -239,12 +239,7 @@ func Figure6(w Workload, s Scale, seed int64) *Report {
 	model := w.BuildLarge(s)(rng)
 	full := memmodel.MemReqModel(model, 8)
 	casc := cascade.Partition(model, int64(0.2*float64(full.TotalBytes)), 8, rng)
-	maxMod := int64(0)
-	for i := range casc.Modules {
-		if r := casc.ModuleMemReq(i); r > maxMod {
-			maxMod = r
-		}
-	}
+	maxMod := casc.MaxModuleMemReq()
 	rep.Rows = append(rep.Rows,
 		[]string{"jFAT training memory (KB)", fmt.Sprintf("%.1f", float64(full.TotalBytes)/1024)},
 		[]string{"FedProphet training memory (KB)", fmt.Sprintf("%.1f", float64(maxMod)/1024)},
@@ -422,9 +417,9 @@ func PartitionTable(w Workload, s Scale, seed int64) *Report {
 	for i, m := range casc.Modules {
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%d", i+1),
-			fmt.Sprintf("%d", len(m.Atoms)),
-			fmt.Sprintf("%.1f", float64(casc.ModuleMemReq(i))/1024),
-			fmt.Sprintf("%.2f", float64(casc.ModuleForwardFLOPs(i))/1e6),
+			fmt.Sprintf("%d", len(m.Backbone.Layers)),
+			fmt.Sprintf("%.1f", float64(casc.RangeMemReq(i, i))/1024),
+			fmt.Sprintf("%.2f", float64(casc.RangeForwardFLOPs(i, i))/1e6),
 		})
 	}
 	return rep

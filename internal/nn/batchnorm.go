@@ -184,29 +184,9 @@ func (bn *BatchNorm2D) ForwardFLOPs(in []int) int64 { return 4 * int64(prodInts(
 func (bn *BatchNorm2D) Name() string { return "batchnorm2d" }
 
 // CollectBatchNorms returns every BatchNorm2D reachable inside the layer
-// tree (Sequential, BasicBlock, Model containers). FedRBN propagates
-// adversarial robustness through these layers' running statistics.
-func CollectBatchNorms(l Layer) []*BatchNorm2D {
-	var out []*BatchNorm2D
-	switch v := l.(type) {
-	case *BatchNorm2D:
-		out = append(out, v)
-	case *Sequential:
-		for _, sub := range v.Layers {
-			out = append(out, CollectBatchNorms(sub)...)
-		}
-	case *BasicBlock:
-		out = append(out, v.BN1, v.BN2)
-		if v.DownBN != nil {
-			out = append(out, v.DownBN)
-		}
-	case *Model:
-		for _, a := range v.Atoms {
-			out = append(out, CollectBatchNorms(a)...)
-		}
-	}
-	return out
-}
+// tree. FedRBN propagates adversarial robustness through these layers'
+// running statistics.
+func CollectBatchNorms(l Layer) []*BatchNorm2D { return collect[*BatchNorm2D](l) }
 
 // ExportBNStats flattens the running statistics of every batch norm in the
 // layer into one vector (means then variances, per layer).

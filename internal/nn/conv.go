@@ -337,29 +337,8 @@ func (c *Conv2D) ForwardFLOPs(in []int) int64 {
 // Name identifies the layer kind.
 func (c *Conv2D) Name() string { return "conv2d" }
 
-// CollectConvs returns every Conv2D reachable inside the layer tree
-// (Sequential, BasicBlock, Model containers), mirroring CollectBatchNorms.
-func CollectConvs(l Layer) []*Conv2D {
-	var out []*Conv2D
-	switch v := l.(type) {
-	case *Conv2D:
-		out = append(out, v)
-	case *Sequential:
-		for _, sub := range v.Layers {
-			out = append(out, CollectConvs(sub)...)
-		}
-	case *BasicBlock:
-		out = append(out, v.Conv1, v.Conv2)
-		if v.DownConv != nil {
-			out = append(out, v.DownConv)
-		}
-	case *Model:
-		for _, a := range v.Atoms {
-			out = append(out, CollectConvs(a)...)
-		}
-	}
-	return out
-}
+// CollectConvs returns every Conv2D reachable inside the layer tree.
+func CollectConvs(l Layer) []*Conv2D { return collect[*Conv2D](l) }
 
 // ReleaseScratch returns the cached im2col buffers of every convolution in
 // the layer tree to the shared arena. Safe to call on an idle model; the

@@ -134,12 +134,13 @@ func NewBasicBlock(inC, outC, stride int, rng *rand.Rand) *BasicBlock {
 		BN1:   NewBatchNorm2D(outC),
 		Conv2: NewConv2D(outC, outC, 3, 1, 1, false, rng),
 		BN2:   NewBatchNorm2D(outC),
-		relu1: NewReLU(),
-		relu2: NewReLU(),
+		relu:  NewReLU(),
 	}
+	b.main = NewSequential("main", b.Conv1, b.BN1, NewReLU(), b.Conv2, b.BN2)
 	if stride != 1 || inC != outC {
 		b.DownConv = NewConv2D(inC, outC, 1, stride, 0, false, rng)
 		b.DownBN = NewBatchNorm2D(outC)
+		b.skip = NewSequential("skip", b.DownConv, b.DownBN)
 	}
 	return b
 }

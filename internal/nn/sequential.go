@@ -4,9 +4,10 @@ import (
 	"fedprophet/internal/tensor"
 )
 
-// Sequential chains layers, itself satisfying Layer. It is the container for
-// both whole models and the "atoms" (conv+bn+relu triples, residual blocks)
-// that FedProphet's model partitioner treats as indivisible.
+// Sequential chains layers, itself satisfying Layer. It is the one layer
+// container: the "atoms" FedProphet's model partitioner treats as
+// indivisible (conv+bn+relu triples), both branches of a residual block, a
+// cascade module's backbone and the composite models built from them.
 type Sequential struct {
 	Layers []Layer
 	label  string
@@ -170,94 +171,91 @@ func (s *Sequential) ForwardFLOPs(in []int) int64 {
 // Name returns the label given at construction.
 func (s *Sequential) Name() string { return s.label }
 
-// BasicBlock is the ResNet residual unit: conv-bn-relu-conv-bn plus a skip
-// connection (with an optional 1×1 strided projection), followed by ReLU.
+// BasicBlock is the ResNet residual unit: a main branch Conv1 → BN1 → ReLU →
+// Conv2 → BN2 and a skip branch — the identity, or a 1×1 strided projection
+// DownConv → DownBN when the stride or channel count changes — summed and
+// closed by a ReLU. Both branches are Sequentials, so in eval mode the main
+// branch opens with the fused Conv → BN → ReLU run (evalRun).
 type BasicBlock struct {
 	Conv1 *Conv2D
 	BN1   *BatchNorm2D
 	Conv2 *Conv2D
 	BN2   *BatchNorm2D
-	// Downsample projects the identity branch when stride>1 or channels
-	// change; nil otherwise.
+	// DownConv and DownBN are nil for an identity skip.
 	DownConv *Conv2D
 	DownBN   *BatchNorm2D
 
-	relu1, relu2 *ReLU
-	skipInput    *tensor.Tensor
+	main, skip *Sequential // skip is nil for an identity skip
+	relu       *ReLU
 }
 
 // OutShape maps (C,H,W) through the residual block.
-func (b *BasicBlock) OutShape(in []int) []int {
-	s := b.Conv1.OutShape(in)
-	return b.Conv2.OutShape(s)
-}
+func (b *BasicBlock) OutShape(in []int) []int { return b.main.OutShape(in) }
 
-// ForwardFLOPs sums both branches.
+// ForwardFLOPs sums both branches, the residual add and the final ReLU.
 func (b *BasicBlock) ForwardFLOPs(in []int) int64 {
-	mid := b.Conv1.OutShape(in)
-	total := b.Conv1.ForwardFLOPs(in) + b.BN1.ForwardFLOPs(mid) + int64(prodInts(mid))
-	out := b.Conv2.OutShape(mid)
-	total += b.Conv2.ForwardFLOPs(mid) + b.BN2.ForwardFLOPs(out)
-	if b.DownConv != nil {
-		total += b.DownConv.ForwardFLOPs(in) + b.DownBN.ForwardFLOPs(out)
+	total := b.main.ForwardFLOPs(in) + 2*int64(prodInts(b.OutShape(in)))
+	if b.skip != nil {
+		total += b.skip.ForwardFLOPs(in)
 	}
-	total += 2 * int64(prodInts(out)) // residual add + final relu
 	return total
 }
 
-// Forward runs the two-branch computation, caching for backward.
+// Forward runs both branches on x and the ReLU on their sum.
 func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	b.skipInput = x
-	out := b.Conv1.Forward(x, train)
-	out = b.BN1.Forward(out, train)
-	out = b.relu1.Forward(out, train)
-	out = b.Conv2.Forward(out, train)
-	out = b.BN2.Forward(out, train)
-
-	var skip *tensor.Tensor
-	if b.DownConv != nil {
-		skip = b.DownConv.Forward(x, train)
-		skip = b.DownBN.Forward(skip, train)
-	} else {
-		skip = x
+	out := b.main.Forward(x, train)
+	if b.skip != nil {
+		x = b.skip.Forward(x, train)
 	}
-	out = tensor.Add(out, skip)
-	return b.relu2.Forward(out, train)
+	return b.relu.Forward(tensor.Add(out, x), train)
 }
 
 // Backward propagates through both branches and sums the input gradients.
 func (b *BasicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	grad = b.relu2.Backward(grad)
-
-	// Main branch.
-	g := b.BN2.Backward(grad)
-	g = b.Conv2.Backward(g)
-	g = b.relu1.Backward(g)
-	g = b.BN1.Backward(g)
-	dxMain := b.Conv1.Backward(g)
-
-	// Skip branch.
-	var dxSkip *tensor.Tensor
-	if b.DownConv != nil {
-		gs := b.DownBN.Backward(grad)
-		dxSkip = b.DownConv.Backward(gs)
-	} else {
-		dxSkip = grad
+	grad = b.relu.Backward(grad)
+	dx := b.main.Backward(grad)
+	if b.skip != nil {
+		grad = b.skip.Backward(grad)
 	}
-	return tensor.Add(dxMain, dxSkip)
+	return tensor.Add(dx, grad)
 }
 
 // Params concatenates both branches' parameters.
 func (b *BasicBlock) Params() []*Param {
-	ps := append(b.Conv1.Params(), b.BN1.Params()...)
-	ps = append(ps, b.Conv2.Params()...)
-	ps = append(ps, b.BN2.Params()...)
-	if b.DownConv != nil {
-		ps = append(ps, b.DownConv.Params()...)
-		ps = append(ps, b.DownBN.Params()...)
+	ps := b.main.Params()
+	if b.skip != nil {
+		ps = append(ps, b.skip.Params()...)
 	}
 	return ps
 }
 
 // Name identifies the layer kind.
 func (b *BasicBlock) Name() string { return "basicblock" }
+
+// collect returns every T reachable inside the layer tree (Sequential,
+// BasicBlock and Model containers), in forward order.
+func collect[T Layer](l Layer) []T {
+	var out []T
+	var walk func(Layer)
+	walk = func(l Layer) {
+		switch v := l.(type) {
+		case T:
+			out = append(out, v)
+		case *Sequential:
+			for _, sub := range v.Layers {
+				walk(sub)
+			}
+		case *BasicBlock:
+			walk(v.main)
+			if v.skip != nil {
+				walk(v.skip)
+			}
+		case *Model:
+			for _, a := range v.Atoms {
+				walk(a)
+			}
+		}
+	}
+	walk(l)
+	return out
+}
