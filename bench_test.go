@@ -73,11 +73,13 @@ func BenchmarkFigure9RminSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkTable3APADMAAblation(b *testing.B) {
+func BenchmarkTable3AndTable4Ablation(b *testing.B) {
 	s := benchScale()
+	w := exp.CIFAR10S()
 	for i := 0; i < b.N; i++ {
-		rep := exp.Table3(exp.CIFAR10S(), s, device.Balanced, 1)
-		b.Log("\n" + rep.String())
+		results := exp.RunAblation(w, s, device.Balanced, 1)
+		b.Log("\n" + exp.Table3(w, device.Balanced, results).String())
+		b.Log("\n" + exp.Table4(w, device.Balanced, results).String())
 	}
 }
 
@@ -85,14 +87,6 @@ func BenchmarkFigure10PerturbationTrajectory(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
 		rep := exp.Figure10(exp.CIFAR10S(), s, 1)
-		b.Log("\n" + rep.String())
-	}
-}
-
-func BenchmarkTable4DMALatency(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		rep := exp.Table4(exp.CIFAR10S(), s, device.Balanced, 1)
 		b.Log("\n" + rep.String())
 	}
 }

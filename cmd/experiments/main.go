@@ -74,10 +74,13 @@ func main() {
 				fmt.Print(exp.Table2(w, h, results))
 				fmt.Print(exp.Figure7(w, h, results))
 			}
-		case "table3":
-			fmt.Print(exp.Table3(w, s, h, *seed))
-		case "table4":
-			fmt.Print(exp.Table4(w, s, h, *seed))
+		case "table3", "table4":
+			results := exp.RunAblation(w, s, h, *seed)
+			if artifact == "table3" {
+				fmt.Print(exp.Table3(w, h, results))
+			} else {
+				fmt.Print(exp.Table4(w, h, results))
+			}
 		case "fig2":
 			fmt.Print(exp.Figure2(w, s, *seed))
 		case "fig6":
@@ -103,9 +106,10 @@ func main() {
 			fmt.Print(exp.Figure7(w, h, results))
 			fmt.Print(exp.Figure8(w, s, []float64{1e-7, 1e-6, 1e-5, 1e-4, 1e-3}, *seed))
 			fmt.Print(exp.Figure9(w, s, []float64{0.2, 0.4, 0.6, 0.8, 1.0}, *seed))
-			fmt.Print(exp.Table3(w, s, h, *seed))
+			ablation := exp.RunAblation(w, s, h, *seed)
+			fmt.Print(exp.Table3(w, h, ablation))
 			fmt.Print(exp.Figure10(w, s, *seed))
-			fmt.Print(exp.Table4(w, s, h, *seed))
+			fmt.Print(exp.Table4(w, h, ablation))
 			fmt.Print(exp.PartitionTable(w, s, *seed))
 			for _, r := range exp.DeviceTable() {
 				fmt.Print(r)

@@ -6,6 +6,7 @@ import (
 
 	"fedprophet/internal/device"
 	"fedprophet/internal/fl"
+	"fedprophet/internal/simlat"
 )
 
 func TestQuickAndFullScalesAreSane(t *testing.T) {
@@ -144,5 +145,36 @@ func TestTable2AndFigure7FromSharedRuns(t *testing.T) {
 	// jFAT's speedup against itself is 1.0x.
 	if f7.Rows[0][4] != "1.0x" {
 		t.Fatalf("jFAT speedup should be 1.0x, got %v", f7.Rows[0][4])
+	}
+}
+
+func TestTable3AndTable4FromSharedAblation(t *testing.T) {
+	// Synthetic results in RunAblation's order: APA/DMA on/on, off/on,
+	// on/off, off/off. Table 4 is the two APA-on rows of Table 3.
+	var results []*fl.Result
+	for i, acc := range []float64{0.5, 0.4, 0.3, 0.2} {
+		results = append(results, &fl.Result{
+			CleanAcc: acc, PGDAcc: acc / 2,
+			Latency: simlat.Latency{Compute: float64(i + 1), DataAccess: 0.25},
+		})
+	}
+	w := CIFAR10S()
+	t3 := Table3(w, device.Unbalanced, results)
+	want3 := "== Table 3: APA/DMA ablation, CIFAR10-S, unbalanced ==\n" +
+		"APA  DMA  Clean Acc.  Adv Acc.  Total time (s)  \n" +
+		"yes  yes  50.00%      25.00%    1.250           \n" +
+		"no   yes  40.00%      20.00%    2.250           \n" +
+		"yes  no   30.00%      15.00%    3.250           \n" +
+		"no   no   20.00%      10.00%    4.250           \n"
+	if got := t3.String(); got != want3 {
+		t.Fatalf("Table 3:\n%s\nwant:\n%s", got, want3)
+	}
+	t4 := Table4(w, device.Unbalanced, results)
+	want4 := "== Table 4: Training time with/without DMA, CIFAR10-S, unbalanced ==\n" +
+		"Setting  Total time (s)  \n" +
+		"w/ DMA   1.250           \n" +
+		"w/o DMA  3.250           \n"
+	if got := t4.String(); got != want4 {
+		t.Fatalf("Table 4:\n%s\nwant:\n%s", got, want4)
 	}
 }

@@ -332,28 +332,38 @@ func Figure9(w Workload, s Scale, fracs []float64, seed int64) *Report {
 	return rep
 }
 
-// Table3 reproduces Table 3: the APA × DMA ablation.
-func Table3(w Workload, s Scale, h device.Heterogeneity, seed int64) *Report {
+// ablation is the APA × DMA grid of RunAblation, in Table 3's row order.
+var ablation = [...]struct{ apa, dma bool }{{true, true}, {false, true}, {true, false}, {false, false}}
+
+// RunAblation trains FedProphet once per APA × DMA setting and returns the
+// results in Table 3's row order. Table 3 and Table 4 are two views of this
+// output.
+func RunAblation(w Workload, s Scale, h device.Heterogeneity, seed int64) []*fl.Result {
+	var out []*fl.Result
+	for _, a := range ablation {
+		opts := FedProphetOptions(w, s)
+		opts.UseAPA, opts.UseDMA = a.apa, a.dma
+		out = append(out, runMethod(core.New(opts), NewEnv(w, s, h, seed)))
+	}
+	return out
+}
+
+// Table3 formats the APA × DMA ablation of RunAblation's results.
+func Table3(w Workload, h device.Heterogeneity, results []*fl.Result) *Report {
 	rep := &Report{
 		ID:     "Table 3",
 		Title:  fmt.Sprintf("APA/DMA ablation, %s, %s", w.Name, h),
 		Header: []string{"APA", "DMA", "Clean Acc.", "Adv Acc.", "Total time (s)"},
 	}
-	for _, combo := range []struct{ apa, dma bool }{
-		{true, true}, {false, true}, {true, false}, {false, false},
-	} {
-		opts := FedProphetOptions(w, s)
-		opts.UseAPA, opts.UseDMA = combo.apa, combo.dma
-		env := NewEnv(w, s, h, seed)
-		res := runMethod(core.New(opts), env)
-		mark := func(b bool) string {
-			if b {
-				return "yes"
-			}
-			return "no"
+	mark := func(b bool) string {
+		if b {
+			return "yes"
 		}
+		return "no"
+	}
+	for i, res := range results {
 		rep.Rows = append(rep.Rows, []string{
-			mark(combo.apa), mark(combo.dma), pct(res.CleanAcc), pct(res.PGDAcc),
+			mark(ablation[i].apa), mark(ablation[i].dma), pct(res.CleanAcc), pct(res.PGDAcc),
 			fmt.Sprintf("%.3f", res.Latency.Total()),
 		})
 	}
@@ -381,25 +391,18 @@ func Figure10(w Workload, s Scale, seed int64) *Report {
 	return rep
 }
 
-// Table4 reproduces Table 4: FedProphet training time with and without DMA.
-func Table4(w Workload, s Scale, h device.Heterogeneity, seed int64) *Report {
-	rep := &Report{
+// Table4 formats FedProphet's training time with and without DMA: the two
+// APA-on runs of RunAblation's results.
+func Table4(w Workload, h device.Heterogeneity, results []*fl.Result) *Report {
+	return &Report{
 		ID:     "Table 4",
 		Title:  fmt.Sprintf("Training time with/without DMA, %s, %s", w.Name, h),
 		Header: []string{"Setting", "Total time (s)"},
+		Rows: [][]string{
+			{"w/ DMA", fmt.Sprintf("%.3f", results[0].Latency.Total())},
+			{"w/o DMA", fmt.Sprintf("%.3f", results[2].Latency.Total())},
+		},
 	}
-	for _, dma := range []bool{true, false} {
-		opts := FedProphetOptions(w, s)
-		opts.UseDMA = dma
-		env := NewEnv(w, s, h, seed)
-		res := runMethod(core.New(opts), env)
-		name := "w/ DMA"
-		if !dma {
-			name = "w/o DMA"
-		}
-		rep.Rows = append(rep.Rows, []string{name, fmt.Sprintf("%.3f", res.Latency.Total())})
-	}
-	return rep
 }
 
 // PartitionTable reproduces Tables 7/8: the model partition at Rmin = 20%
