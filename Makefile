@@ -69,7 +69,7 @@ test:
 # package takes over a minute, all eight methods alone ~50 s).
 test-race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/fldist/... ./internal/quant/... ./internal/cascade/...
-	$(GO) test -race -run 'EdgeAggregatorPublicSurface|ParamServerBufferedAggregation|WireCompressionOptions|ParallelMatchesSequential/jFAT' ./pkg/fedprophet/
+	$(GO) test -race -run 'EdgeAggregatorPublicSurface|ParamServerBufferedAggregation|ParallelMatchesSequential/jFAT' ./pkg/fedprophet/
 
 # The wire-codec fuzz targets, a short live pass each on top of their seed
 # corpora: FuzzDecode (raw, dense, sparse and corrupted frames through the

@@ -221,21 +221,13 @@ func (r *Runner) Run(ctx context.Context, opts ...Option) (*Result, error) {
 	return method.Run(ctx, env)
 }
 
-// validateWire checks the upload/wire codec options as a group. Top-k and
-// delta-pull are transport-facing (see WireCompression): they must ride a
-// compressed codec, and in-process runs never apply them to module uploads.
+// validateWire checks the upload codec options of WithWireCompression.
 func (cfg *runConfig) validateWire() error {
 	if cfg.uploadBits != 0 && (cfg.uploadBits < 2 || cfg.uploadBits > 8) {
 		return fmt.Errorf("fedprophet: upload/wire-compression bits %d outside [2,8] (0 disables)", cfg.uploadBits)
 	}
 	if cfg.uploadChunk < 0 {
 		return fmt.Errorf("fedprophet: wire-compression chunk %d must be ≥ 0", cfg.uploadChunk)
-	}
-	if cfg.wireTopK < 0 {
-		return fmt.Errorf("fedprophet: wire top-k %d must be ≥ 0 (0 = dense)", cfg.wireTopK)
-	}
-	if (cfg.wireTopK > 0 || cfg.wireDelta) && cfg.uploadBits == 0 {
-		return fmt.Errorf("fedprophet: top-k/delta-pull ride the compressed codec — set WithWireCompression first")
 	}
 	return nil
 }

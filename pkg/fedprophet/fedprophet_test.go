@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"fedprophet/internal/fldist"
 	"fedprophet/pkg/fedprophet"
 )
 
@@ -329,39 +328,12 @@ func TestParamServerBufferedAggregation(t *testing.T) {
 	}
 }
 
-// The transport-facing wire options must resolve to the exact codec a real
-// fleet hands to fldist.Client, and must refuse to ride without a
-// compressed codec underneath.
-func TestWireCompressionOptions(t *testing.T) {
-	comp, err := fedprophet.WireCompression(
-		fedprophet.WithWireCompression(4, 128),
-		fedprophet.WithWireTopK(50),
-		fedprophet.WithWireDeltaPull(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fldist.Compression{Bits: 4, Chunk: 128, TopK: 50, Delta: true}
-	if comp == nil || *comp != want {
-		t.Fatalf("WireCompression = %+v, want %+v", comp, want)
-	}
-
-	// No compression configured: raw protocol, no codec.
-	comp, err = fedprophet.WireCompression()
-	if err != nil || comp != nil {
-		t.Fatalf("raw WireCompression = %+v err %v, want nil/nil", comp, err)
-	}
-
-	// Top-k and delta-pull are codec parameters — without bits they must be
-	// rejected, not silently dropped.
-	if _, err := fedprophet.WireCompression(fedprophet.WithWireTopK(10)); err == nil {
-		t.Fatal("WithWireTopK without WithWireCompression accepted")
-	}
-	if _, err := fedprophet.WireCompression(fedprophet.WithWireDeltaPull()); err == nil {
-		t.Fatal("WithWireDeltaPull without WithWireCompression accepted")
-	}
-	if _, err := fedprophet.WireCompression(
-		fedprophet.WithWireCompression(4, 0), fedprophet.WithWireTopK(-1)); err == nil {
-		t.Fatal("negative top-k accepted")
+// Run refuses an upload codec outside the quantizer's 2–8 bits before it
+// trains anything.
+func TestRunRefusesBadWireCompression(t *testing.T) {
+	_, err := fedprophet.Run(context.Background(), append(fastOpts("FedProphet"),
+		fedprophet.WithWireCompression(9, 0))...)
+	if err == nil {
+		t.Fatal("WithWireCompression(9, 0) accepted")
 	}
 }

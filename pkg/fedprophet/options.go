@@ -1,7 +1,6 @@
 package fedprophet
 
 import (
-	"fedprophet/internal/fldist"
 	"fedprophet/internal/quant"
 )
 
@@ -28,8 +27,6 @@ type runConfig struct {
 	dma         bool
 	uploadBits  int
 	uploadChunk int
-	wireTopK    int
-	wireDelta   bool
 
 	parallelism int
 	hook        func(RoundMetrics)
@@ -118,44 +115,6 @@ func WithWireCompression(bits, chunk int) Option {
 		}
 		c.uploadChunk = chunk
 	}
-}
-
-// WithWireTopK keeps only the k largest-magnitude coordinates of each
-// client's error-fed delta on the wire (FPQ1 sparse frames, docs/WIRE.md);
-// the feedback residual carries everything sparsification drops into the
-// next round. Transport-facing: it shapes the codec WireCompression hands
-// to fldist.Client (cmd/fldist -topk) and is deliberately NOT applied to
-// in-process module uploads — those hand the aggregator full vectors, and
-// sparsifying them with no wire in between would bias training for no byte
-// saving. Requires WithWireCompression with bits != 0; 0 disables.
-func WithWireTopK(k int) Option { return func(c *runConfig) { c.wireTopK = k } }
-
-// WithWireDeltaPull makes a returning client pull only the quantized,
-// error-fed global delta against the round it already holds (FPD1 catch-up
-// envelopes; the first pull lands a cold chain snapshot) instead of the
-// full model. Transport-facing, like WithWireTopK (cmd/fldist -delta-pull).
-// Requires WithWireCompression with bits != 0.
-func WithWireDeltaPull() Option { return func(c *runConfig) { c.wireDelta = true } }
-
-// WireCompression resolves the wire-facing options to the codec a real
-// fleet passes to fldist.Client.Compression (what cmd/fldist builds from
-// -bits/-chunk/-topk/-delta-pull). nil with no error means exact raw frames
-// (no compression configured).
-func WireCompression(opts ...Option) (*fldist.Compression, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if err := cfg.validateWire(); err != nil {
-		return nil, err
-	}
-	if cfg.uploadBits == 0 {
-		return nil, nil
-	}
-	return &fldist.Compression{
-		Bits: cfg.uploadBits, Chunk: cfg.uploadChunk,
-		TopK: cfg.wireTopK, Delta: cfg.wireDelta,
-	}, nil
 }
 
 // WithClientParallelism trains each round's sampled clients on up to n
