@@ -62,14 +62,17 @@ test:
 # with sharded aggregation and concurrent compressed/raw clients, the pooled
 # streaming codec, client workers sharing one cascade stage feature set) under
 # the race detector — plus the public transport surface, filtered to the tests
-# that route a tenant registry to an edge over real HTTP, and one real method
+# that route a tenant registry to an edge over real HTTP, and two real methods
 # through fl's round driver: internal/fl races the driver only with toy
 # client steps, so jFAT's subtest of TestParallelMatchesSequential runs a
-# method's client step on 4 workers (~10 s under -race together; the whole
-# package takes over a minute, all eight methods alone ~50 s).
+# method's client step on 3 workers, and FedProphet's runs its server passes
+# (validation, stage feature map, perturbation collection) as eval batches
+# split across the slot replicas at once (nn.Replicas), which only a real
+# FedProphet round exercises (~20 s under -race together; the whole package
+# takes over a minute, all eight methods alone ~50 s).
 test-race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/fldist/... ./internal/quant/... ./internal/cascade/...
-	$(GO) test -race -run 'EdgeAggregatorPublicSurface|ParamServerBufferedAggregation|ParallelMatchesSequential/jFAT' ./pkg/fedprophet/
+	$(GO) test -race -run 'EdgeAggregatorPublicSurface|ParamServerBufferedAggregation|ParallelMatchesSequential/(jFAT|FedProphet)' ./pkg/fedprophet/
 
 # The wire-codec fuzz targets, a short live pass each on top of their seed
 # corpora: FuzzDecode (raw, dense, sparse and corrupted frames through the

@@ -33,7 +33,7 @@ func BenchmarkTable1ModelSizes(b *testing.B) {
 
 func BenchmarkFigure2OverheadBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, w := range []exp.Workload{exp.CIFAR10S(), exp.Caltech256S(true)} {
+		for _, w := range []exp.Workload{exp.CIFAR10S(), exp.Caltech256S(exp.QuickScale())} {
 			rep := exp.Figure2(w, exp.QuickScale(), 1)
 			b.Log("\n" + rep.String())
 		}
@@ -93,7 +93,7 @@ func BenchmarkFigure10PerturbationTrajectory(b *testing.B) {
 
 func BenchmarkPartitionTables(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, w := range []exp.Workload{exp.CIFAR10S(), exp.Caltech256S(true)} {
+		for _, w := range []exp.Workload{exp.CIFAR10S(), exp.Caltech256S(exp.QuickScale())} {
 			rep := exp.PartitionTable(w, exp.QuickScale(), 1)
 			b.Log("\n" + rep.String())
 		}

@@ -49,7 +49,7 @@ func main() {
 	case "cifar":
 		w = exp.CIFAR10S()
 	case "caltech":
-		w = exp.Caltech256S(*scale != "full")
+		w = exp.Caltech256S(s)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
 		os.Exit(2)

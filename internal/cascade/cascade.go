@@ -58,21 +58,23 @@ func (m *Module) collectParams() {
 	m.params = slices.Clip(m.params)
 }
 
-// MapFeatures runs every sample of in — a dataset of this module's input
-// features — through the module's backbone in eval mode, batch samples at a
-// time, and returns the dataset of its output features: X[i] is the module
-// output for in.X[i] and labels are shared with in. With the module's weights fixed
+// MapFeatures runs every sample of in — a dataset of a module's input
+// features — through body, the module's backbone (or an nn.Replicas over
+// identically loaded replicas of it), in eval mode, batch samples at a time,
+// and returns the dataset of its output features: X[i] is the module output
+// for in.X[i] and labels are shared with in. With the module's weights fixed
 // this is the frozen-prefix feature set of the next cascade stage. Eval-mode
 // layers treat the samples of a batch independently and reduce each output
 // element in a fixed order, so X[i] is bit-equal to the module's eval-mode
 // output for sample i in a batch of any size and composition. The result
 // holds in.Len()·|OutShape|·8 bytes and is read-only.
-func (m *Module) MapFeatures(in *data.Dataset, batch int) *data.Dataset {
+func MapFeatures(body nn.Layer, in *data.Dataset, batch int) *data.Dataset {
+	shape := slices.Clone(body.OutShape(in.InShape))
 	out := &data.Dataset{
 		Name:       in.Name,
 		X:          make([]*tensor.Tensor, 0, in.Len()),
 		Y:          in.Y,
-		InShape:    append([]int(nil), m.OutShape...),
+		InShape:    shape,
 		NumClasses: in.NumClasses,
 	}
 	idx := make([]int, 0, batch)
@@ -82,10 +84,10 @@ func (m *Module) MapFeatures(in *data.Dataset, batch int) *data.Dataset {
 			idx = append(idx, i)
 		}
 		x, _ := data.Batch(in, idx)
-		z := m.Backbone.Forward(x, false)
+		z := body.Forward(x, false)
 		per := z.Len() / len(idx)
 		for i := range idx {
-			out.X = append(out.X, tensor.FromSlice(z.Data[i*per:(i+1)*per:(i+1)*per], m.OutShape...))
+			out.X = append(out.X, tensor.FromSlice(z.Data[i*per:(i+1)*per:(i+1)*per], shape...))
 		}
 	}
 	return out
@@ -211,12 +213,17 @@ func (c *Cascade) PrefixForwardFLOPs(mIdx int) int64 {
 	return c.span(0, mIdx-1).ForwardFLOPs(c.Model.InShape)
 }
 
+// Prefix returns the fixed modules 0..mIdx-1 (no aux heads) as one layer,
+// the producer of module mIdx's input feature z_{m-1}; for mIdx = 0 it is the
+// identity.
+func (c *Cascade) Prefix(mIdx int) nn.Layer { return c.span(0, mIdx-1) }
+
 // ForwardPrefix computes the input feature z_{m-1} of module mIdx for raw
-// input x by running the (fixed) modules 0..mIdx-1 in eval mode. Training
-// reads z_{m-1} from the stage's feature set instead (Module.MapFeatures);
-// this is the on-demand form for inputs outside the training set.
+// input x: Prefix(mIdx) in eval mode. Training reads z_{m-1} from the
+// stage's feature set instead (MapFeatures); this is the on-demand form for
+// inputs outside the training set.
 func (c *Cascade) ForwardPrefix(x *tensor.Tensor, mIdx int) *tensor.Tensor {
-	return c.span(0, mIdx-1).Forward(x, false)
+	return c.Prefix(mIdx).Forward(x, false)
 }
 
 // Composite builds an evaluable model of modules 0..mIdx plus the aux head
@@ -322,23 +329,23 @@ func (c *Cascade) AdversarialStep(z *tensor.Tensor, labels []int, from, to int, 
 	return loss
 }
 
-// MaxOutputPerturbation estimates E[max_{‖δ‖≤eps} ‖Δz_out‖₂] for module
-// mIdx: PGD maximizes ‖z(z_in+δ) − z(z_in)‖² over the input ball and the
+// MaxOutputPerturbation estimates E[max_{‖δ‖≤eps} ‖Δz_out‖₂] for a module
+// whose backbone is body (or an nn.Replicas over identically loaded replicas
+// of it): PGD maximizes ‖z(z_in+δ) − z(z_in)‖² over the input ball and the
 // per-sample output perturbation norms are averaged. This is the quantity
 // the server collects to set the next module's ε (Eq. 11).
-func (c *Cascade) MaxOutputPerturbation(zin *tensor.Tensor, mIdx int, atk attack.Config, rng *rand.Rand) float64 {
-	m := c.Modules[mIdx]
-	clean := m.Backbone.Forward(zin, false)
+func MaxOutputPerturbation(body nn.Layer, zin *tensor.Tensor, atk attack.Config, rng *rand.Rand) float64 {
+	clean := body.Forward(zin, false)
 	cleanCopy := clean.Clone()
 
 	gradFn := func(z *tensor.Tensor) (float64, *tensor.Tensor) {
-		out := m.Backbone.Forward(z, false)
+		out := body.Forward(z, false)
 		diff := tensor.Sub(out, cleanCopy)
 		obj := 0.5 * tensor.Dot(diff, diff)
-		return obj, m.Backbone.Backward(diff)
+		return obj, body.Backward(diff)
 	}
 	adv := attack.Perturb(atk, zin, gradFn, rng)
-	out := m.Backbone.Forward(adv, false)
+	out := body.Forward(adv, false)
 
 	bsz := zin.Dim(0)
 	per := out.Len() / bsz

@@ -236,10 +236,10 @@ func TestMaxOutputPerturbationProperties(t *testing.T) {
 	// Warm BN stats of module 0.
 	c.Modules[0].Backbone.Forward(z, true)
 
-	small := c.MaxOutputPerturbation(z, 0, attack.Config{
+	small := MaxOutputPerturbation(c.Modules[0].Backbone, z, attack.Config{
 		Eps: 0.01, StepSize: 0.005, Steps: 4, Norm: attack.L2, RandomStart: true, ClampMin: 1, ClampMax: 0,
 	}, rng)
-	large := c.MaxOutputPerturbation(z, 0, attack.Config{
+	large := MaxOutputPerturbation(c.Modules[0].Backbone, z, attack.Config{
 		Eps: 0.2, StepSize: 0.1, Steps: 4, Norm: attack.L2, RandomStart: true, ClampMin: 1, ClampMax: 0,
 	}, rng)
 	if small < 0 || large < 0 {
@@ -249,7 +249,7 @@ func TestMaxOutputPerturbationProperties(t *testing.T) {
 		t.Fatalf("larger input ball must produce larger output perturbation: %g vs %g", small, large)
 	}
 	// Zero budget → (near) zero output perturbation.
-	zero := c.MaxOutputPerturbation(z, 0, attack.Config{
+	zero := MaxOutputPerturbation(c.Modules[0].Backbone, z, attack.Config{
 		Eps: 0, StepSize: 0, Steps: 1, Norm: attack.L2, ClampMin: 1, ClampMax: 0,
 	}, rng)
 	if zero > 1e-9 {

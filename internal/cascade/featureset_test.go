@@ -57,7 +57,7 @@ func TestStageFeatureSetsBitEqualForwardPrefix(t *testing.T) {
 			set := train
 			for m := 1; m < len(c.Modules); m++ {
 				// 13 does not divide |Train|: the last mapped batch is partial.
-				set = c.Modules[m-1].MapFeatures(set, 13)
+				set = MapFeatures(c.Modules[m-1].Backbone, set, 13)
 				if set.Len() != train.Len() || !slices.Equal(set.InShape, c.Modules[m].InShape) {
 					t.Fatalf("%s stage %d: set of %d rows shaped %v, want %d shaped %v",
 						fc.name, m, set.Len(), set.InShape, train.Len(), c.Modules[m].InShape)
@@ -94,7 +94,7 @@ func TestStageFeatureSetSharedAcrossWorkers(t *testing.T) {
 	fc := featureCases[0]
 	server, train := fc.cascade(t)
 	const stage = 1
-	set := server.Modules[0].MapFeatures(train, 16)
+	set := MapFeatures(server.Modules[0].Backbone, train, 16)
 	before := make([]float64, 0, set.Len()*set.X[0].Len())
 	for _, x := range set.X {
 		before = append(before, x.Data...)
@@ -156,7 +156,7 @@ func TestFeatureGradFnLeavesParamGradsUntouched(t *testing.T) {
 	}
 	x, y := data.Batch(train, []int{0, 1, 2, 3})
 	attack.Perturb(attack.FeaturePGDConfig(0.1, 2), x, c.FeatureGradFn(y, 0, 1, 1e-5), rand.New(rand.NewSource(1)))
-	c.MaxOutputPerturbation(x, 0, attack.PGDConfig(8.0/255, 2), rand.New(rand.NewSource(2)))
+	MaxOutputPerturbation(c.Modules[0].Backbone, x, attack.PGDConfig(8.0/255, 2), rand.New(rand.NewSource(2)))
 	for _, p := range params {
 		for i, g := range p.Grad.Data {
 			if g != sentinel {

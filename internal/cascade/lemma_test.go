@@ -120,19 +120,19 @@ func TestProposition1RobustnessChain(t *testing.T) {
 	eps := 8.0 / 255
 	atk0 := attack.Config{Eps: eps, StepSize: eps / 2, Steps: 4, Norm: attack.LInf,
 		RandomStart: true, ClampMin: 0, ClampMax: 1}
-	d1 := c.MaxOutputPerturbation(x, 0, atk0, rng)
+	d1 := MaxOutputPerturbation(c.Modules[0].Backbone, x, atk0, rng)
 	if d1 <= 0 {
 		t.Fatal("module 1 must propagate some perturbation")
 	}
 
 	z1 := c.ForwardPrefix(x, 1)
-	d2 := c.MaxOutputPerturbation(z1, 1, attack.FeaturePGDConfig(d1, 4), rng)
+	d2 := MaxOutputPerturbation(c.Modules[1].Backbone, z1, attack.FeaturePGDConfig(d1, 4), rng)
 	if d2 <= 0 {
 		t.Fatal("module 2 must propagate some perturbation")
 	}
 	// The chain must be finite and roughly proportional to its input ball:
 	// quadrupling the input ball must not shrink the output perturbation.
-	d2big := c.MaxOutputPerturbation(z1, 1, attack.FeaturePGDConfig(4*d1, 4), rng)
+	d2big := MaxOutputPerturbation(c.Modules[1].Backbone, z1, attack.FeaturePGDConfig(4*d1, 4), rng)
 	if d2big < d2*0.9 {
 		t.Fatalf("output perturbation should grow with the input ball: %g vs %g", d2, d2big)
 	}

@@ -14,7 +14,6 @@ import (
 	"fedprophet/internal/nn"
 	"fedprophet/internal/quant"
 	"fedprophet/internal/simlat"
-	"fedprophet/internal/tensor"
 )
 
 // Options configures FedProphet beyond the shared fl.Config.
@@ -109,7 +108,19 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	for s := range cascs {
 		_, cascs[s], fullCost = build()
 	}
-	casc := cascs[0] // server-side view: validation, perturbation collection, final eval
+	// Server-side view: cascs[0] holds the globals for the final evaluation.
+	// The per-round server passes — validation, the stage feature map and the
+	// output-perturbation collection — run on every slot replica, each
+	// loaded with the globals by the fold, through one nn.Replicas that
+	// splits their eval-mode batches across the replicas.
+	casc := cascs[0]
+	onReplicas := func(layer func(c *cascade.Cascade) nn.Layer) nn.Layer {
+		ls := make([]nn.Layer, len(cascs))
+		for s, c := range cascs {
+			ls[s] = layer(c)
+		}
+		return nn.NewReplicas(ls...)
+	}
 	run := env.Start(f.Name(), fullCost.TotalBytes)
 	valSample := fl.SampleDataset(env.Val, o.ValSize, rng)
 
@@ -145,13 +156,15 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	// stageSet is the frozen-prefix feature set of the current stage: X[i] is
 	// z_{m-1} of training sample i. Modules 0..m-1 are fixed for the whole
 	// stage and run in eval mode, so z_{m-1} is a constant of the stage: the
-	// server-side cascade, which holds the final globals of stage m-1 here,
-	// maps the previous stage's set through module m-1 once, and every client
+	// server-side replicas, which hold the final globals of stage m-1 here,
+	// map the previous stage's set through module m-1 once, and every client
 	// batch of the stage reads its rows instead of re-running the prefix.
 	stageSet := env.Train
 	for mIdx := range casc.Modules {
 		if mIdx > 0 {
-			stageSet = casc.Modules[mIdx-1].MapFeatures(stageSet, env.Cfg.EvalBatch)
+			stageSet = cascade.MapFeatures(onReplicas(func(c *cascade.Cascade) nn.Layer {
+				return c.Modules[mIdx-1].Backbone
+			}), stageSet, env.Cfg.EvalBatch)
 		}
 		prefixFwd := casc.PrefixForwardFLOPs(mIdx)
 		apa := NewAPAState(o.AlphaInit, o.DeltaAlpha, o.GammaThresh, basePert, prevRatio, o.UseAPA && mIdx > 0)
@@ -236,10 +249,12 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				globalBackbone = partialAverage(updates, globalBackbone, env.Aggregate)
 				globalAux = partialAverage(auxUpdates, globalAux, env.Aggregate)
 				globalBN = partialAverage(bnUpdates, globalBN, env.Aggregate)
-				loadGlobalsInto(casc)
+				for _, c := range cascs {
+					loadGlobalsInto(c)
+				}
 
 				// Validation of the cascaded modules for APA and early stopping.
-				comp := casc.Composite(mIdx)
+				comp := onReplicas(func(c *cascade.Cascade) nn.Layer { return c.Composite(mIdx) })
 				cAcc := attack.CleanAccuracy(comp, valSample, env.Cfg.EvalBatch)
 				aAcc := attack.AdvAccuracy(comp, valSample, env.Cfg.EvalBatch,
 					attack.PGDConfig(env.Cfg.Eps, o.ValPGD), rng)
@@ -265,7 +280,10 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			prevRatio = 0
 		}
 		if mIdx < len(casc.Modules)-1 {
-			basePert = f.collectOutputPerturbation(env, casc, mIdx, apaEpsOrInput(apa, env.Cfg, mIdx), rng)
+			basePert = f.collectOutputPerturbation(env,
+				onReplicas(func(c *cascade.Cascade) nn.Layer { return c.Prefix(mIdx) }),
+				onReplicas(func(c *cascade.Cascade) nn.Layer { return c.Modules[mIdx].Backbone }),
+				apaEpsOrInput(apa, env.Cfg, mIdx), rng)
 			if basePert <= 0 {
 				basePert = 0.1
 			}
@@ -323,8 +341,9 @@ func apaEpsOrInput(apa *APAState, cfg fl.Config, mIdx int) attack.Config {
 }
 
 // collectOutputPerturbation estimates E[max‖Δz_m‖] on validation batches,
-// standing in for the client-side collection of Algorithm 2.
-func (f *FedProphet) collectOutputPerturbation(env *fl.Env, casc *cascade.Cascade, mIdx int, atkCfg attack.Config, rng *rand.Rand) float64 {
+// standing in for the client-side collection of Algorithm 2: prefix maps the
+// inputs to module m's input feature, body is module m's backbone.
+func (f *FedProphet) collectOutputPerturbation(env *fl.Env, prefix, body nn.Layer, atkCfg attack.Config, rng *rand.Rand) float64 {
 	sample := fl.SampleDataset(env.Val, 32, rng)
 	if sample.Len() < 2 {
 		return 0
@@ -334,8 +353,7 @@ func (f *FedProphet) collectOutputPerturbation(env *fl.Env, casc *cascade.Cascad
 		idx[i] = i
 	}
 	x, _ := data.Batch(sample, idx)
-	var zin *tensor.Tensor = casc.ForwardPrefix(x, mIdx)
-	return casc.MaxOutputPerturbation(zin, mIdx, atkCfg, rng)
+	return cascade.MaxOutputPerturbation(body, prefix.Forward(x, false), atkCfg, rng)
 }
 
 // perDimPert converts an ε constraint into the per-dimension magnitude

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,6 +22,31 @@ func TestQuickAndFullScalesAreSane(t *testing.T) {
 	}
 	if TrimmedScale().Rounds >= QuickScale().Rounds {
 		t.Fatal("trimmed scale must run shorter than quick")
+	}
+}
+
+// Caltech256-S shapes follow the scale, and every consumer — Table 1, the
+// commands and the public API — takes them from Caltech256S: 3×16×16 images
+// of 8 classes below full scale, 3×24×24 of 32 at full scale, in the data and
+// in the model alike.
+func TestCaltechShapesFollowScale(t *testing.T) {
+	for _, c := range []struct {
+		s       Scale
+		shape   []int
+		classes int
+	}{
+		{TrimmedScale(), []int{3, 16, 16}, 8},
+		{QuickScale(), []int{3, 16, 16}, 8},
+		{FullScale(), []int{3, 24, 24}, 32},
+	} {
+		w := Caltech256S(c.s)
+		cfg := w.DataCfg(c.s, 1)
+		m := w.BuildLarge(c.s)(rand.New(rand.NewSource(1)))
+		if !slices.Equal(w.Shape, c.shape) || !slices.Equal(cfg.Shape, c.shape) || !slices.Equal(m.InShape, c.shape) ||
+			w.Classes != c.classes || cfg.Classes != c.classes || m.NumClasses != c.classes {
+			t.Fatalf("%s scale: workload %v/%d, data %v/%d, model %v/%d; want %v/%d", c.s.Name,
+				w.Shape, w.Classes, cfg.Shape, cfg.Classes, m.InShape, m.NumClasses, c.shape, c.classes)
+		}
 	}
 }
 

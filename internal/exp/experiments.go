@@ -115,7 +115,7 @@ func Table1(s Scale, seed int64) *Report {
 	}
 	type cell struct{ clean, adv float64 }
 	results := map[string][2]cell{}
-	for wi, w := range []Workload{CIFAR10S(), Caltech256S(s.Name == "quick")} {
+	for wi, w := range []Workload{CIFAR10S(), Caltech256S(s)} {
 		params := ParamsFor(w, s)
 		smallParams := params
 		smallParams.BuildLarge = w.BuildSmall(s)

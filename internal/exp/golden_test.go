@@ -106,7 +106,7 @@ func TestGoldenModelDigests(t *testing.T) {
 			"FedRBN":      0xab368c1ce248be1c,
 		},
 	}, {
-		w: Caltech256S(true), s: caltech,
+		w: Caltech256S(caltech), s: caltech,
 		model: map[string]uint64{
 			"FedProphet":  0xfb2882b573fd87cd,
 			"jFAT":        0xbce4ba17b90d750b,

@@ -16,7 +16,7 @@ import (
 // Scale selects how big an experiment run is. Quick keeps every generator
 // fast enough for `go test -bench`; Full is for the cmd/experiments binary.
 type Scale struct {
-	Name            string
+	Name            string // "quick", "trimmed" or "full"; "full" also picks Caltech256S's full-size shapes
 	TrainPerClass   int
 	TestPerClass    int
 	ValFrac         float64
@@ -123,14 +123,16 @@ func CIFAR10S() Workload {
 }
 
 // Caltech256S is the Caltech-256 surrogate workload: ResNet34-S as the large
-// model, CNN4 as the small one, the Table 6 device pool. The quick scale
-// shrinks the image size and class count further.
-func Caltech256S(quick bool) Workload {
-	shape := []int{3, 24, 24}
-	classes := 32
-	if quick {
-		shape = []int{3, 16, 16}
-		classes = 8
+// model, CNN4 as the small one, the Table 6 device pool. Its shapes follow
+// the scale: 3×24×24 images of 32 classes at full scale, 3×16×16 images of 8
+// classes at every smaller one. Every artifact, command and the public API
+// pick them here.
+func Caltech256S(s Scale) Workload {
+	shape := []int{3, 16, 16}
+	classes := 8
+	if s.Name == "full" {
+		shape = []int{3, 24, 24}
+		classes = 32
 	}
 	return Workload{
 		Name:    "Caltech256-S",

@@ -54,6 +54,12 @@ func (p *Param) NumElems() int { return p.Data.Len() }
 // Sequential so runs a leading Conv2D → BatchNorm2D → ReLU [→ MaxPool2D]
 // (evalRun), leaving each layer the state its own Forward would leave.
 //
+// Eval-mode passes are per-sample: batch norm reads its running statistics
+// and every GEMM reduces over features, never over the batch, so an
+// eval-mode batch split across identically loaded replicas (Replicas) moves
+// no bit. FedProphet's server passes — validation, stage feature maps,
+// perturbation collection — run that way on every worker slot's replica.
+//
 // OutShape and ForwardFLOPs describe the per-sample output geometry and
 // forward cost given a per-sample input shape (excluding the batch
 // dimension); they drive the memory/FLOPs cost model of internal/memmodel.

@@ -147,7 +147,7 @@ func (r *Runner) Run(ctx context.Context, opts ...Option) (*Result, error) {
 	case "cifar":
 		w = exp.CIFAR10S()
 	case "caltech":
-		w = exp.Caltech256S(cfg.scale != "full")
+		w = exp.Caltech256S(s)
 	default:
 		return nil, fmt.Errorf("fedprophet: unknown workload %q (have %v)", cfg.workload, Workloads())
 	}

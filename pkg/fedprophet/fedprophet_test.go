@@ -158,8 +158,10 @@ func TestCancellationBeforeStart(t *testing.T) {
 // The headline determinism guarantee: WithClientParallelism(4) reproduces
 // the sequential run bit-for-bit for a fixed seed — identical accuracies
 // and identical per-round loss/latency series — for every registered method
-// on CIFAR10-S, and for jFAT on Caltech256-S, whose ResNet34-S replicas run
-// residual blocks on every worker.
+// on CIFAR10-S, and for jFAT and FedProphet on Caltech256-S, whose ResNet34-S
+// replicas run residual blocks on every worker. FedProphet's server passes
+// split their eval batches across those replicas, so its subtests also pin
+// that split (unsplit at 1 worker, one slice per core at 4).
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -169,7 +171,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, method := range fedprophet.Methods() {
 		subtests = append(subtests, subtest{method, method, "cifar"})
 	}
-	subtests = append(subtests, subtest{"caltech/jFAT", "jFAT", "caltech"})
+	subtests = append(subtests, subtest{"caltech/jFAT", "jFAT", "caltech"}, subtest{"caltech/FedProphet", "FedProphet", "caltech"})
 	for _, st := range subtests {
 		t.Run(st.name, func(t *testing.T) {
 			run := func(par int) *fedprophet.Result {
