@@ -116,10 +116,10 @@ func BenchmarkAblationQuantizedUploads(b *testing.B) {
 	w := exp.CIFAR10S()
 	for i := 0; i < b.N; i++ {
 		for _, bits := range []int{0, 8, 4} {
-			opts := exp.FedProphetOptions(w, s)
-			opts.UploadBits = bits
+			p := exp.ParamsFor(w, s)
+			p.UploadBits = bits
 			env := exp.NewEnv(w, s, device.Balanced, 1)
-			res, err := core.New(opts).Run(context.Background(), env)
+			res, err := core.New(p).Run(context.Background(), env)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,7 +12,7 @@
 //
 // Flags select the workload (-workload cifar|caltech), the systematic
 // heterogeneity (-hetero balanced|unbalanced), the run scale
-// (-scale quick|full) and the seed (-seed).
+// (-scale quick|trimmed|full) and the seed (-seed). An unknown name exits 2.
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 
-	"fedprophet/internal/device"
 	"fedprophet/internal/exp"
 )
 
@@ -37,26 +36,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	s := exp.QuickScale()
-	switch *scale {
-	case "full":
-		s = exp.FullScale()
-	case "trimmed":
-		s = exp.TrimmedScale()
-	}
-	var w exp.Workload
-	switch *workload {
-	case "cifar":
-		w = exp.CIFAR10S()
-	case "caltech":
-		w = exp.Caltech256S(s)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
+	s, w, h, err := exp.Lookup(*scale, *workload, *hetero)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
-	}
-	h := device.Balanced
-	if *hetero == "unbalanced" {
-		h = device.Unbalanced
 	}
 
 	run := func(artifact string) {

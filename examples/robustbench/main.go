@@ -5,11 +5,11 @@
 //	go run ./examples/robustbench
 //
 // It trains two global models through the public Runner — one with standard
-// federated SGD (WithTrainPGD(0) / NoAttack), one with PGD adversarial
-// training — then sweeps the attack budget ε over the trained models
-// (Result.Model) and reports robust accuracy under FGSM, PGD and the
-// AutoAttack-style ensemble, reproducing the classic robustness/utility
-// trade-off curve that motivates the paper.
+// federated SGD (WithTrainPGD(0)), one with PGD adversarial training — then
+// sweeps the attack budget ε over the trained models (Result.Model) and
+// reports robust accuracy under FGSM, PGD and the AutoAttack-style ensemble,
+// reproducing the classic robustness/utility trade-off curve that motivates
+// the paper.
 package main
 
 import (

@@ -52,12 +52,6 @@ func PGDConfig(eps float64, steps int) Config {
 	}
 }
 
-// FGSMConfig returns the single-step sign attack: ℓ∞ PGD with one
-// full-budget step and no random start, clamped to [0,1].
-func FGSMConfig(eps float64) Config {
-	return Config{Eps: eps, StepSize: eps, Steps: 1, Norm: LInf, ClampMin: 0, ClampMax: 1}
-}
-
 // FeaturePGDConfig returns the intermediate-feature attack used by
 // adversarial cascade learning: an ℓ2 ball of radius eps with no clamping.
 func FeaturePGDConfig(eps float64, steps int) Config {

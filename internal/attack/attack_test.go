@@ -117,7 +117,9 @@ func TestFGSMEqualsOneStepSign(t *testing.T) {
 		}
 		return 0, gr
 	}
-	adv := Perturb(FGSMConfig(0.05), x, g, rng)
+	// FGSM: one full-budget ℓ∞ step, no random start, clamped to [0,1].
+	fgsm := Config{Eps: 0.05, StepSize: 0.05, Steps: 1, Norm: LInf, ClampMin: 0, ClampMax: 1}
+	adv := Perturb(fgsm, x, g, rng)
 	for i := range adv.Data {
 		want := x.Data[i] + 0.05
 		if i%2 == 1 {

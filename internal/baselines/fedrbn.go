@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 
+	"fedprophet/internal/attack"
 	"fedprophet/internal/fl"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
@@ -40,7 +41,7 @@ func (f *FedRBN) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	model := replicas[0]
 	cost := memmodel.MemReqModel(model, env.Cfg.Batch)
 	run := env.Start(f.Name(), cost.TotalBytes)
-	atk := env.TrainAttackConfig(env.Cfg.TrainPGD)
+	atk := env.TrainAttackConfig()
 	atFactor := f.ATCostFactor
 	if atFactor <= 0 {
 		atFactor = 1.0
@@ -54,7 +55,7 @@ func (f *FedRBN) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			doAT := float64(s.Budget) >= atFactor*float64(cost.TotalBytes)
 			catk := atk
 			if !doAT {
-				catk = env.TrainAttackConfig(0)
+				catk = attack.Config{}
 			}
 			u, c := trainModel(replicas[s.Slot], global, globalBN, s, env.Cfg, catk, cost, true /* full model may swap */)
 			return rbnUpdate{u, doAT}, c

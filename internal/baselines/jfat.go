@@ -26,7 +26,7 @@ func (j *JFAT) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	model := replicas[0]
 	cost := memmodel.MemReqModel(model, env.Cfg.Batch)
 	run := env.Start(j.Name(), cost.TotalBytes)
-	atk := env.TrainAttackConfig(env.Cfg.TrainPGD)
+	atk := env.TrainAttackConfig()
 
 	global, globalBN := nn.ExportParams(model), nn.ExportBNStats(model)
 	var err error

@@ -78,7 +78,7 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	last := len(models) - 1
 	big := models[last]
 	run := env.Start(k.Name(), costs[last].TotalBytes)
-	atk := env.TrainAttackConfig(env.Cfg.TrainPGD)
+	atk := env.TrainAttackConfig()
 
 	globals := make([][]float64, len(models))
 	globalsBN := make([][]float64, len(models))

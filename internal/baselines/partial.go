@@ -81,7 +81,7 @@ func (p *PartialTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, err
 	global := p.Build(env.Rng)
 	fullCost := memmodel.MemReqModel(global, env.Cfg.Batch)
 	run := env.Start(p.Name(), fullCost.TotalBytes)
-	atk := env.TrainAttackConfig(env.Cfg.TrainPGD)
+	atk := env.TrainAttackConfig()
 
 	type subUpdate struct {
 		sub    *subModel

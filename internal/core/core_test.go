@@ -226,19 +226,33 @@ func microBuild(rng *rand.Rand) *nn.Model {
 	return nn.CNN3([]int{2, 8, 8}, 4, 4, rng)
 }
 
+// microParams is FedProphet on microBuild with the paper's coordinator
+// values (Rmin 20 %, µ 1e-5, α₀ 0.3, Δα 0.1, γ 0.05, APA and DMA on) and
+// the given per-stage round budget, patience and validation sizes.
+func microParams(rpm, patience, featSteps, valSize, valPGD int) fl.MethodParams {
+	return fl.MethodParams{
+		BuildLarge:      microBuild,
+		RminFrac:        0.2,
+		RoundsPerModule: rpm,
+		Patience:        patience,
+		Mu:              1e-5,
+		AlphaInit:       0.3,
+		DeltaAlpha:      0.1,
+		GammaThresh:     0.05,
+		UseAPA:          true,
+		UseDMA:          true,
+		FeaturePGDSteps: featSteps,
+		ValSize:         valSize,
+		ValPGD:          valPGD,
+	}
+}
+
 func TestFedProphetEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	env := microEnv(t, 5)
-	opts := DefaultOptions(microBuild)
-	opts.RoundsPerModule = 4
-	opts.Patience = 4
-	opts.FeaturePGDSteps = 3
-	opts.ValSize = 24
-	opts.ValPGD = 3
-
-	res := mustRun(t, New(opts), env)
+	res := mustRun(t, New(microParams(4, 4, 3, 24, 3)), env)
 	if res.CleanAcc <= 1.0/4+0.1 {
 		t.Fatalf("FedProphet failed to learn: clean acc %v", res.CleanAcc)
 	}
@@ -270,15 +284,9 @@ func TestFedProphetDeterministicSameSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	opts := DefaultOptions(microBuild)
-	opts.RoundsPerModule = 2
-	opts.Patience = 2
-	opts.FeaturePGDSteps = 2
-	opts.ValSize = 16
-	opts.ValPGD = 2
-
-	r1 := mustRun(t, New(opts), microEnv(t, 9))
-	r2 := mustRun(t, New(opts), microEnv(t, 9))
+	p := microParams(2, 2, 2, 16, 2)
+	r1 := mustRun(t, New(p), microEnv(t, 9))
+	r2 := mustRun(t, New(p), microEnv(t, 9))
 	if r1.CleanAcc != r2.CleanAcc || r1.PGDAcc != r2.PGDAcc {
 		t.Fatalf("same seed must reproduce results: %v/%v vs %v/%v",
 			r1.CleanAcc, r1.PGDAcc, r2.CleanAcc, r2.PGDAcc)

@@ -16,74 +16,21 @@ import (
 	"fedprophet/internal/simlat"
 )
 
-// Options configures FedProphet beyond the shared fl.Config.
-type Options struct {
-	// Build constructs the backbone model.
-	Build func(rng *rand.Rand) *nn.Model
-	// RminFrac sets the minimal reserved memory as a fraction of the
-	// full-model training requirement (0.2 in the paper).
-	RminFrac float64
-	// RoundsPerModule caps the communication rounds spent per module; the
-	// paper uses 500 with early stopping.
-	RoundsPerModule int
-	// Patience stops a module stage early when validation adversarial
-	// accuracy has not improved for this many rounds (50 in the paper).
-	Patience int
-	// Mu is the strong-convexity regularization coefficient (Eq. 9).
-	Mu float64
-	// AlphaInit, DeltaAlpha, GammaThresh parameterize APA (§6.2).
-	AlphaInit, DeltaAlpha, GammaThresh float64
-	// UseAPA / UseDMA toggle the coordinator components (Table 3 ablation).
-	UseAPA, UseDMA bool
-	// FeaturePGDSteps is the PGD iteration count for intermediate-feature
-	// attacks during cascade training.
-	FeaturePGDSteps int
-	// ValSize / ValPGD control the cheap per-round validation used by APA.
-	ValSize, ValPGD int
-	// UploadBits, when in [2,8], quantizes client module uploads with
-	// symmetric low-bit quantization before partial averaging — the
-	// parameter-level compression §8 describes as complementary to module
-	// partitioning. 0 disables quantization.
-	UploadBits int
-	// UploadChunk is the number of values per quantization scale of an
-	// upload (0 selects quant.DefaultChunk), matching the distributed wire
-	// codec; comm-bytes accounting charges the codec's true frame size.
-	UploadChunk int
-}
-
-// DefaultOptions returns the paper's coordinator hyperparameters.
-func DefaultOptions(build func(rng *rand.Rand) *nn.Model) Options {
-	return Options{
-		Build:           build,
-		RminFrac:        0.2,
-		RoundsPerModule: 12,
-		Patience:        6,
-		Mu:              1e-5,
-		AlphaInit:       0.3,
-		DeltaAlpha:      0.1,
-		GammaThresh:     0.05,
-		UseAPA:          true,
-		UseDMA:          true,
-		FeaturePGDSteps: 5,
-		ValSize:         48,
-		ValPGD:          5,
-	}
-}
-
-// FedProphet is the full method of Algorithm 2.
+// FedProphet is the full method of Algorithm 2. Params.BuildLarge builds the
+// backbone; every coordinator knob of Params is read as given.
 type FedProphet struct {
-	Opts Options
+	Params fl.MethodParams
 }
 
-// New constructs FedProphet with the given options.
-func New(opts Options) *FedProphet { return &FedProphet{Opts: opts} }
+// New constructs FedProphet from the registry's method parameters.
+func New(p fl.MethodParams) *FedProphet { return &FedProphet{Params: p} }
 
 // Name identifies the method.
 func (f *FedProphet) Name() string { return "FedProphet" }
 
 // Run executes Algorithm 2 and evaluates the final backbone.
 func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
-	o := f.Opts
+	p := f.Params
 	rng := env.Rng
 	for k, sub := range env.Subsets {
 		if sub.Parent != env.Train {
@@ -97,9 +44,9 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	modelSeed := rng.Int63()
 	partSeed := rng.Int63()
 	build := func() (*nn.Model, *cascade.Cascade, memmodel.Costs) {
-		m := o.Build(rand.New(rand.NewSource(modelSeed)))
+		m := p.BuildLarge(rand.New(rand.NewSource(modelSeed)))
 		cost := memmodel.MemReqModel(m, env.Cfg.Batch)
-		rmin := int64(o.RminFrac * float64(cost.TotalBytes))
+		rmin := int64(p.RminFrac * float64(cost.TotalBytes))
 		return m, cascade.Partition(m, rmin, env.Cfg.Batch, rand.New(rand.NewSource(partSeed))), cost
 	}
 	workers := env.ClientWorkers()
@@ -122,7 +69,7 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 		return nn.NewReplicas(ls...)
 	}
 	run := env.Start(f.Name(), fullCost.TotalBytes)
-	valSample := fl.SampleDataset(env.Val, o.ValSize, rng)
+	valSample := fl.SampleDataset(env.Val, p.ValSize, rng)
 
 	// Per-module global parameter stores (weights, aux heads, BN stats).
 	globalBackbone := map[int][]float64{}
@@ -167,26 +114,24 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 			}), stageSet, env.Cfg.EvalBatch)
 		}
 		prefixFwd := casc.PrefixForwardFLOPs(mIdx)
-		apa := NewAPAState(o.AlphaInit, o.DeltaAlpha, o.GammaThresh, basePert, prevRatio, o.UseAPA && mIdx > 0)
+		apa := NewAPAState(p.AlphaInit, p.DeltaAlpha, p.GammaThresh, basePert, prevRatio, p.UseAPA && mIdx > 0)
 		bestAdv, bestClean, sincImprove, stalled := -1.0, 0.0, 0, false
 
-		for local := 0; local < o.RoundsPerModule && !stalled; local++ {
-			// Module 0 trains against the pluggable input-space attack
-			// (PGD by default; fl.NoAttack or TrainPGD = 0 trains cleanly).
-			// Later modules use the feature-space PGD intrinsic to cascade
-			// learning, disabled alongside input adversarial training.
+		for local := 0; local < p.RoundsPerModule && !stalled; local++ {
+			// Module 0 trains against input-space PGD with TrainPGD steps;
+			// later modules against the feature-space PGD intrinsic to
+			// cascade learning, at APA's ε. TrainPGD ≤ 0 trains every module
+			// cleanly, and the telemetry then reports no perturbation.
 			var atkCfg attack.Config
-			var epsNow float64
-			if mIdx == 0 {
-				atkCfg = env.TrainAttackConfig(env.Cfg.TrainPGD)
+			switch {
+			case mIdx == 0:
+				atkCfg = env.TrainAttackConfig()
+			case env.Cfg.TrainPGD > 0:
+				atkCfg = attack.FeaturePGDConfig(apa.Eps(), p.FeaturePGDSteps)
+			}
+			epsNow := 0.0
+			if atkCfg.Steps > 0 {
 				epsNow = atkCfg.Eps
-			} else {
-				epsNow = apa.Eps()
-				featSteps := o.FeaturePGDSteps
-				if env.Cfg.TrainPGD <= 0 {
-					featSteps = 0
-				}
-				atkCfg = attack.FeaturePGDConfig(epsNow, featSteps)
 			}
 
 			train := func(s fl.Seat) (moduleUpload, fl.Client) {
@@ -196,12 +141,12 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				for _, d := range s.Round.Devices {
 					perfMin = math.Min(perfMin, d.AvailPerf)
 				}
-				to := AssignModules(c, mIdx, s.Budget, s.Device.AvailPerf, perfMin, o.UseDMA)
+				to := AssignModules(c, mIdx, s.Budget, s.Device.AvailPerf, perfMin, p.UseDMA)
 				opt := nn.NewSGD(s.Round.LR, env.Cfg.Momentum, env.Cfg.WeightDecay)
 				nn.ResetMomentum(c.RangeParams(mIdx, to))
 				loss, iters := fl.CycleBatches(s.Data.Indices, env.Cfg.Batch, env.Cfg.LocalIters, s.Rng, func(_ int, b []int) float64 {
 					z, y := data.Batch(stageSet, b)
-					return c.AdversarialStep(z, y, mIdx, to, atkCfg, o.Mu, opt, s.Rng)
+					return c.AdversarialStep(z, y, mIdx, to, atkCfg, p.Mu, opt, s.Rng)
 				})
 
 				up := moduleUpload{weight: float64(s.Data.Len()), to: to}
@@ -257,13 +202,13 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				comp := onReplicas(func(c *cascade.Cascade) nn.Layer { return c.Composite(mIdx) })
 				cAcc := attack.CleanAccuracy(comp, valSample, env.Cfg.EvalBatch)
 				aAcc := attack.AdvAccuracy(comp, valSample, env.Cfg.EvalBatch,
-					attack.PGDConfig(env.Cfg.Eps, o.ValPGD), rng)
+					attack.PGDConfig(env.Cfg.Eps, p.ValPGD), rng)
 				apa.Update(cAcc, aAcc)
 				if aAcc > bestAdv {
 					bestAdv, bestClean, sincImprove = aAcc, cAcc, 0
 				} else {
 					sincImprove++
-					stalled = sincImprove >= o.Patience
+					stalled = sincImprove >= p.Patience
 				}
 			}
 			m := fl.RoundMetrics{PerDimPert: perDimPert(epsNow, casc.Modules[mIdx].InShape, mIdx), Module: mIdx}
@@ -318,15 +263,15 @@ type moduleUpload struct {
 // UploadChunk values (quant.DefaultChunk when unset), which confines each
 // outlier weight's damage to its own chunk.
 func (f *FedProphet) encodeUpload(vec []float64) ([]float64, int64) {
-	if f.Opts.UploadBits < 2 || f.Opts.UploadBits > 8 {
+	if f.Params.UploadBits < 2 || f.Params.UploadBits > 8 {
 		return vec, int64(4 * len(vec))
 	}
-	chunk := f.Opts.UploadChunk
+	chunk := f.Params.UploadChunk
 	if chunk <= 0 {
 		chunk = quant.DefaultChunk
 	}
 	deq := make([]float64, len(vec))
-	frame := quant.NewEncoder(f.Opts.UploadBits, chunk, len(vec), 1).EncodeAll(vec, deq)
+	frame := quant.NewEncoder(f.Params.UploadBits, chunk, len(vec), 1).EncodeAll(vec, deq)
 	return deq, int64(len(frame))
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"fedprophet/internal/fl"
 )
 
 // Quantized uploads (§8's low-bit composition) must cut communication by
@@ -10,15 +12,10 @@ func TestFedProphetQuantizedUploads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	mk := func(bits int) Options {
-		opts := DefaultOptions(microBuild)
-		opts.RoundsPerModule = 3
-		opts.Patience = 3
-		opts.FeaturePGDSteps = 2
-		opts.ValSize = 16
-		opts.ValPGD = 2
-		opts.UploadBits = bits
-		return opts
+	mk := func(bits int) fl.MethodParams {
+		p := microParams(3, 3, 2, 16, 2)
+		p.UploadBits = bits
+		return p
 	}
 
 	full := mustRun(t, New(mk(0)), microEnv(t, 31))
@@ -48,16 +45,10 @@ func TestFedProphetChunkedUploads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	mk := func(bits, chunk int) Options {
-		opts := DefaultOptions(microBuild)
-		opts.RoundsPerModule = 3
-		opts.Patience = 3
-		opts.FeaturePGDSteps = 2
-		opts.ValSize = 16
-		opts.ValPGD = 2
-		opts.UploadBits = bits
-		opts.UploadChunk = chunk
-		return opts
+	mk := func(bits, chunk int) fl.MethodParams {
+		p := microParams(3, 3, 2, 16, 2)
+		p.UploadBits, p.UploadChunk = bits, chunk
+		return p
 	}
 
 	full := mustRun(t, New(mk(0, 0)), microEnv(t, 37))
@@ -82,15 +73,7 @@ func TestCommBytesGrowWithRounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	mk := func(rpm int) Options {
-		opts := DefaultOptions(microBuild)
-		opts.RoundsPerModule = rpm
-		opts.Patience = rpm
-		opts.FeaturePGDSteps = 2
-		opts.ValSize = 8
-		opts.ValPGD = 1
-		return opts
-	}
+	mk := func(rpm int) fl.MethodParams { return microParams(rpm, rpm, 2, 8, 1) }
 	short := mustRun(t, New(mk(1)), microEnv(t, 33))
 	long := mustRun(t, New(mk(3)), microEnv(t, 33))
 	if long.Extra["comm_up_bytes"] <= short.Extra["comm_up_bytes"] {

@@ -4,51 +4,6 @@ import (
 	"fedprophet/internal/fl"
 )
 
-// OptionsFromParams maps the registry's generic method parameters onto
-// FedProphet's coordinator options. Zero-valued numeric knobs keep the
-// paper defaults; the APA/DMA toggles are taken verbatim (Table 3 ablation
-// runs rely on switching them off).
-func OptionsFromParams(p fl.MethodParams) Options {
-	o := DefaultOptions(p.BuildLarge)
-	if p.RminFrac > 0 {
-		o.RminFrac = p.RminFrac
-	}
-	if p.RoundsPerModule > 0 {
-		o.RoundsPerModule = p.RoundsPerModule
-	}
-	if p.Patience > 0 {
-		o.Patience = p.Patience
-	}
-	if p.Mu > 0 {
-		o.Mu = p.Mu
-	}
-	if p.AlphaInit > 0 {
-		o.AlphaInit = p.AlphaInit
-	}
-	if p.DeltaAlpha > 0 {
-		o.DeltaAlpha = p.DeltaAlpha
-	}
-	if p.GammaThresh > 0 {
-		o.GammaThresh = p.GammaThresh
-	}
-	if p.FeaturePGDSteps > 0 {
-		o.FeaturePGDSteps = p.FeaturePGDSteps
-	}
-	if p.ValSize > 0 {
-		o.ValSize = p.ValSize
-	}
-	if p.ValPGD > 0 {
-		o.ValPGD = p.ValPGD
-	}
-	o.UseAPA = p.UseAPA
-	o.UseDMA = p.UseDMA
-	o.UploadBits = p.UploadBits
-	o.UploadChunk = p.UploadChunk
-	return o
-}
-
 func init() {
-	fl.RegisterMethod("FedProphet", func(p fl.MethodParams) fl.Method {
-		return New(OptionsFromParams(p))
-	})
+	fl.RegisterMethod("FedProphet", func(p fl.MethodParams) fl.Method { return New(p) })
 }

@@ -25,6 +25,34 @@ func TestQuickAndFullScalesAreSane(t *testing.T) {
 	}
 }
 
+// Lookup resolves every listed name, to the scale, workload and
+// heterogeneity of that name, and refuses an unknown one.
+func TestLookupResolvesNamesAndRefusesUnknown(t *testing.T) {
+	for _, sn := range ScaleNames() {
+		for _, wn := range WorkloadNames() {
+			for _, h := range []device.Heterogeneity{device.Balanced, device.Unbalanced} {
+				s, w, gotH, err := Lookup(sn, wn, h.String())
+				if err != nil {
+					t.Fatalf("Lookup(%q, %q, %q): %v", sn, wn, h, err)
+				}
+				if s.Name != sn || gotH != h || (wn == "cifar") != (w.Name == "CIFAR10-S") {
+					t.Fatalf("Lookup(%q, %q, %q) = %s, %s, %s", sn, wn, h, s.Name, w.Name, gotH)
+				}
+			}
+		}
+	}
+	for _, bad := range [][3]string{
+		{"galactic", "cifar", "balanced"},
+		{"quick", "imagenet", "balanced"},
+		{"quick", "cifar", "lopsided"},
+		{"", "cifar", "balanced"},
+	} {
+		if _, _, _, err := Lookup(bad[0], bad[1], bad[2]); err == nil {
+			t.Fatalf("Lookup(%q, %q, %q) accepted an unknown name", bad[0], bad[1], bad[2])
+		}
+	}
+}
+
 // Caltech256-S shapes follow the scale, and every consumer — Table 1, the
 // commands and the public API — takes them from Caltech256S: 3×16×16 images
 // of 8 classes below full scale, 3×24×24 of 32 at full scale, in the data and

@@ -71,12 +71,6 @@ func (r *Report) String() string {
 
 func pct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
 
-// FedProphetOptions builds the paper-default FedProphet configuration for a
-// workload at the given scale.
-func FedProphetOptions(w Workload, s Scale) core.Options {
-	return core.OptionsFromParams(ParamsFor(w, s))
-}
-
 // Methods returns the full method roster of Table 2 / Figure 7, in the
 // paper's row order, resolved through the method registry.
 func Methods(w Workload, s Scale) []fl.Method {
@@ -299,10 +293,9 @@ func Figure8(w Workload, s Scale, mus []float64, seed int64) *Report {
 		Header: []string{"mu", "Adv Acc.", "Clean Acc.", "pert L2 d*_1"},
 	}
 	for _, mu := range mus {
-		opts := FedProphetOptions(w, s)
-		opts.Mu = mu
-		env := NewEnv(w, s, device.Balanced, seed)
-		res := runMethod(core.New(opts), env)
+		p := ParamsFor(w, s)
+		p.Mu = mu
+		res := runMethod(core.New(p), NewEnv(w, s, device.Balanced, seed))
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%.0e", mu), pct(res.PGDAcc), pct(res.CleanAcc),
 			fmt.Sprintf("%.3f", res.Extra["pert_z1"]),
@@ -319,10 +312,9 @@ func Figure9(w Workload, s Scale, fracs []float64, seed int64) *Report {
 		Header: []string{"Rmin/Rmax", "Modules", "Clean Acc.", "Adv Acc."},
 	}
 	for _, f := range fracs {
-		opts := FedProphetOptions(w, s)
-		opts.RminFrac = f
-		env := NewEnv(w, s, device.Balanced, seed)
-		res := runMethod(core.New(opts), env)
+		p := ParamsFor(w, s)
+		p.RminFrac = f
+		res := runMethod(core.New(p), NewEnv(w, s, device.Balanced, seed))
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%.1f", f),
 			fmt.Sprintf("%.0f", res.Extra["modules"]),
@@ -341,9 +333,9 @@ var ablation = [...]struct{ apa, dma bool }{{true, true}, {false, true}, {true, 
 func RunAblation(w Workload, s Scale, h device.Heterogeneity, seed int64) []*fl.Result {
 	var out []*fl.Result
 	for _, a := range ablation {
-		opts := FedProphetOptions(w, s)
-		opts.UseAPA, opts.UseDMA = a.apa, a.dma
-		out = append(out, runMethod(core.New(opts), NewEnv(w, s, h, seed)))
+		p := ParamsFor(w, s)
+		p.UseAPA, p.UseDMA = a.apa, a.dma
+		out = append(out, runMethod(core.New(p), NewEnv(w, s, h, seed)))
 	}
 	return out
 }
@@ -373,9 +365,7 @@ func Table3(w Workload, h device.Heterogeneity, results []*fl.Result) *Report {
 // Figure10 reproduces Figure 10: the per-dimension perturbation trajectory
 // across rounds under APA.
 func Figure10(w Workload, s Scale, seed int64) *Report {
-	opts := FedProphetOptions(w, s)
-	env := NewEnv(w, s, device.Balanced, seed)
-	res := runMethod(core.New(opts), env)
+	res := runMethod(core.New(ParamsFor(w, s)), NewEnv(w, s, device.Balanced, seed))
 	rep := &Report{
 		ID:     "Figure 10",
 		Title:  fmt.Sprintf("Perturbation per dimension across rounds, %s", w.Name),

@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"fmt"
 	"math/rand"
 
 	"fedprophet/internal/data"
@@ -77,6 +78,44 @@ func FullScale() Scale {
 		TrainPGD: 5, EvalPGD: 10, EvalAASteps: 10,
 		ValSize: 48,
 	}
+}
+
+// ScaleNames lists the scale names Lookup accepts.
+func ScaleNames() []string { return []string{"quick", "trimmed", "full"} }
+
+// WorkloadNames lists the workload names Lookup accepts.
+func WorkloadNames() []string { return []string{"cifar", "caltech"} }
+
+// Lookup resolves a scale, a workload and a device heterogeneity by the
+// names cmd/experiments' flags and the public API's options take; an
+// unknown name is an error.
+func Lookup(scale, workload, hetero string) (Scale, Workload, device.Heterogeneity, error) {
+	var s Scale
+	switch scale {
+	case "quick":
+		s = QuickScale()
+	case "trimmed":
+		s = TrimmedScale()
+	case "full":
+		s = FullScale()
+	default:
+		return Scale{}, Workload{}, 0, fmt.Errorf("unknown scale %q (have %v)", scale, ScaleNames())
+	}
+	var w Workload
+	switch workload {
+	case "cifar":
+		w = CIFAR10S()
+	case "caltech":
+		w = Caltech256S(s)
+	default:
+		return Scale{}, Workload{}, 0, fmt.Errorf("unknown workload %q (have %v)", workload, WorkloadNames())
+	}
+	for _, h := range []device.Heterogeneity{device.Balanced, device.Unbalanced} {
+		if hetero == h.String() {
+			return s, w, h, nil
+		}
+	}
+	return Scale{}, Workload{}, 0, fmt.Errorf("unknown heterogeneity %q (balanced or unbalanced)", hetero)
 }
 
 // Workload bundles a dataset surrogate with its model family and device pool.
@@ -163,9 +202,9 @@ func Caltech256S(s Scale) Workload {
 }
 
 // ParamsFor assembles the registry method parameters for a workload at the
-// given scale: model builders for every family plus the paper-default
-// FedProphet coordinator knobs (the short-horizon α tweak documented in
-// FedProphetOptions included).
+// given scale: model builders for every family plus FedProphet's
+// coordinator knobs. It is the one place those knobs get their defaults;
+// FedProphet reads them as given.
 func ParamsFor(w Workload, s Scale) fl.MethodParams {
 	return fl.MethodParams{
 		BuildLarge:   w.BuildLarge(s),
@@ -179,7 +218,7 @@ func ParamsFor(w Workload, s Scale) fl.MethodParams {
 		Mu:              1e-5,
 		// The paper initializes α at 0.3 and lets APA raise it over hundreds
 		// of rounds per module; at this reproduction's much shorter horizons
-		// a mid-range start reaches the same operating point.
+		// a mid-range start of 0.5 reaches the same operating point.
 		AlphaInit:       0.5,
 		DeltaAlpha:      0.1,
 		GammaThresh:     0.05,

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"fedprophet/internal/attack"
 	"fedprophet/internal/data"
 	"fedprophet/internal/device"
 	"fedprophet/internal/simlat"
@@ -144,24 +145,6 @@ func TestTrimmedMeanZeroFracIsMean(t *testing.T) {
 	}
 }
 
-func TestRoundRobinSamplerCoversFleet(t *testing.T) {
-	s := &RoundRobinSampler{}
-	seen := map[int]int{}
-	for round := 0; round < 4; round++ {
-		for _, k := range s.Sample(8, 2, nil) {
-			seen[k]++
-		}
-	}
-	if len(seen) != 8 {
-		t.Fatalf("round-robin covered %d of 8 clients", len(seen))
-	}
-	for k, c := range seen {
-		if c != 1 {
-			t.Fatalf("client %d sampled %d times, want exactly 1", k, c)
-		}
-	}
-}
-
 func TestRegistryRegisterAndResolve(t *testing.T) {
 	name := "test-only-method"
 	registered := func() bool {
@@ -185,28 +168,19 @@ func TestRegistryRegisterAndResolve(t *testing.T) {
 }
 
 func TestEnvDefaultsMatchPaperBehaviour(t *testing.T) {
-	e := &Env{Cfg: Config{NumClients: 10, ClientsPerRound: 4, Eps: 0.1}}
+	e := &Env{Cfg: Config{NumClients: 10, ClientsPerRound: 4, Eps: 0.1, TrainPGD: 5}}
 	if e.ClientWorkers() != 1 {
 		t.Fatal("zero parallelism must mean sequential")
-	}
-	rng1 := rand.New(rand.NewSource(3))
-	rng2 := rand.New(rand.NewSource(3))
-	a := e.sample(rng1)
-	b := sampleClients(10, 4, rng2)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("default sampler must be the uniform paper sampler")
-		}
 	}
 	vecs := [][]float64{{2}, {4}}
 	if e.Aggregate(vecs, []float64{1, 1})[0] != 3 {
 		t.Fatal("default aggregator must be FedAvg")
 	}
-	atk := e.TrainAttackConfig(5)
-	if atk.Steps != 5 || atk.Eps != 0.1 {
-		t.Fatalf("default attack must be PGD with the configured budget, got %+v", atk)
+	if atk := e.TrainAttackConfig(); atk != attack.PGDConfig(0.1, 5) {
+		t.Fatalf("training attack must be PGD with the configured budget, got %+v", atk)
 	}
-	if e.TrainAttackConfig(0).Steps != 0 {
+	e.Cfg.TrainPGD = 0
+	if e.TrainAttackConfig() != (attack.Config{}) {
 		t.Fatal("zero steps must disable the attack")
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"context"
 	"math/rand"
 
+	"fedprophet/internal/attack"
 	"fedprophet/internal/data"
 	"fedprophet/internal/device"
 	"fedprophet/internal/nn"
@@ -73,7 +74,9 @@ func DefaultConfig() Config {
 
 // Env is the full experimental environment handed to a Method. The
 // execution-substrate fields are optional; their zero values reproduce the
-// paper's behaviour (sequential clients, uniform sampling, FedAvg, PGD).
+// paper's behaviour (sequential clients, FedAvg). Clients are always drawn
+// uniformly, and local adversarial training is always ℓ∞ PGD with
+// Cfg.TrainPGD steps (TrainAttackConfig).
 type Env struct {
 	Train   *data.Dataset
 	Subsets []*data.Subset // per-client local data
@@ -95,13 +98,8 @@ type Env struct {
 	// training loop, so long runs can be observed (and aborted via context)
 	// mid-flight.
 	Hook func(RoundMetrics)
-	// Sampler overrides uniform client sampling.
-	Sampler ClientSampler
 	// Aggregator overrides FedAvg weighted averaging.
 	Aggregator Aggregator
-	// TrainAttack overrides the PGD attack used during local adversarial
-	// training.
-	TrainAttack Attack
 }
 
 // ClientWorkers returns the client-training worker count — Parallelism, at
@@ -115,12 +113,14 @@ func (e *Env) ClientWorkers() int {
 	return w
 }
 
-// sample draws this round's client cohort with the configured sampler.
-func (e *Env) sample(rng *rand.Rand) []int {
-	if e.Sampler != nil {
-		return e.Sampler.Sample(e.Cfg.NumClients, e.Cfg.ClientsPerRound, rng)
+// TrainAttackConfig is the local-training attack: the paper's ℓ∞ PGD at
+// budget Cfg.Eps with Cfg.TrainPGD steps. TrainPGD ≤ 0 yields the zero
+// config (standard training).
+func (e *Env) TrainAttackConfig() attack.Config {
+	if e.Cfg.TrainPGD <= 0 {
+		return attack.Config{}
 	}
-	return sampleClients(e.Cfg.NumClients, e.Cfg.ClientsPerRound, rng)
+	return attack.PGDConfig(e.Cfg.Eps, e.Cfg.TrainPGD)
 }
 
 // Aggregate combines client parameter vectors with the configured

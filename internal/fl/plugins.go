@@ -1,51 +1,8 @@
 package fl
 
 import (
-	"math/rand"
 	"sort"
 )
-
-// ClientSampler selects which clients participate in a round.
-type ClientSampler interface {
-	Name() string
-	// Sample returns clientsPerRound distinct indices in [0, numClients).
-	Sample(numClients, clientsPerRound int, rng *rand.Rand) []int
-}
-
-// UniformSampler is the paper's sampler: a uniform draw without
-// replacement.
-type UniformSampler struct{}
-
-// Name identifies the sampler.
-func (UniformSampler) Name() string { return "uniform" }
-
-// Sample draws clientsPerRound distinct clients uniformly.
-func (UniformSampler) Sample(n, c int, rng *rand.Rand) []int {
-	return sampleClients(n, c, rng)
-}
-
-// RoundRobinSampler cycles deterministically through the fleet, giving
-// every client the same participation count over time; useful for coverage
-// experiments and debugging.
-type RoundRobinSampler struct {
-	next int
-}
-
-// Name identifies the sampler.
-func (s *RoundRobinSampler) Name() string { return "round-robin" }
-
-// Sample returns the next clientsPerRound clients in cyclic order.
-func (s *RoundRobinSampler) Sample(n, c int, _ *rand.Rand) []int {
-	if c > n {
-		c = n
-	}
-	out := make([]int, c)
-	for i := range out {
-		out[i] = s.next % n
-		s.next++
-	}
-	return out
-}
 
 // Aggregator combines the parameter vectors uploaded by a round's clients
 // into the next global model.

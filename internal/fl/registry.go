@@ -26,20 +26,34 @@ type MethodParams struct {
 	// DistillIters is the KD baselines' server-side distillation budget.
 	DistillIters int
 
-	// FedProphet coordinator knobs (§6, Table 3).
-	RminFrac        float64
+	// FedProphet coordinator knobs (§6, Table 3), read as given; the
+	// defaults live in internal/exp.ParamsFor.
+
+	// RminFrac sets the minimal reserved memory as a fraction of the
+	// full-model training requirement (0.2 in the paper).
+	RminFrac float64
+	// RoundsPerModule caps the communication rounds spent per module; the
+	// paper uses 500 with early stopping.
 	RoundsPerModule int
-	Patience        int
-	Mu              float64
-	AlphaInit       float64
-	DeltaAlpha      float64
-	GammaThresh     float64
-	UseAPA          bool
-	UseDMA          bool
+	// Patience stops a module stage early when validation adversarial
+	// accuracy has not improved for this many rounds (50 in the paper).
+	Patience int
+	// Mu is the strong-convexity regularization coefficient (Eq. 9).
+	Mu float64
+	// AlphaInit, DeltaAlpha, GammaThresh parameterize APA (§6.2).
+	AlphaInit, DeltaAlpha, GammaThresh float64
+	// UseAPA / UseDMA toggle the coordinator components (Table 3 ablation).
+	UseAPA, UseDMA bool
+	// FeaturePGDSteps is the PGD iteration count for intermediate-feature
+	// attacks during cascade training.
 	FeaturePGDSteps int
-	ValSize         int
-	ValPGD          int
-	UploadBits      int
+	// ValSize / ValPGD control the cheap per-round validation used by APA.
+	ValSize, ValPGD int
+	// UploadBits, when in [2,8], quantizes client module uploads with
+	// symmetric low-bit quantization before partial averaging — the
+	// parameter-level compression §8 describes as complementary to module
+	// partitioning. 0 disables quantization.
+	UploadBits int
 	// UploadChunk is the number of values per upload quantization scale,
 	// the wire codec's form; 0 selects internal/quant.DefaultChunk.
 	UploadChunk int

@@ -24,11 +24,11 @@ type Round struct {
 }
 
 // DrawRound draws round t's schedule from e.Rng in the one fixed order every
-// method uses — cohort (sample), then the per-client seeds (roundSeeds), then
+// method uses — cohort (sampleClients), then the per-client seeds (roundSeeds), then
 // each client's device snapshot in sampling order — so a seeded run, in
 // process or replayed over the wire, sees the same schedule.
 func (e *Env) DrawRound(t int) Round {
-	clients := e.sample(e.Rng)
+	clients := sampleClients(e.Cfg.NumClients, e.Cfg.ClientsPerRound, e.Rng)
 	r := Round{
 		Clients: clients,
 		Seeds:   roundSeeds(e.Rng, len(clients)),

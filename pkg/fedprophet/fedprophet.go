@@ -1,8 +1,7 @@
 // Package fedprophet is the public API of the FedProphet reproduction: a
 // context-aware Runner for memory-heterogeneous federated adversarial
-// training, a registry of training methods, pluggable aggregation/sampling/
-// attack strategies, streaming per-round telemetry, and parallel client
-// execution.
+// training, a registry of training methods, pluggable aggregation,
+// streaming per-round telemetry, and parallel client execution.
 //
 // The minimal run is three lines:
 //
@@ -37,7 +36,6 @@ import (
 	"context"
 	"fmt"
 
-	"fedprophet/internal/device"
 	"fedprophet/internal/exp"
 	"fedprophet/internal/fl"
 )
@@ -62,29 +60,14 @@ type (
 	MethodFactory = fl.MethodFactory
 	// Aggregator combines client updates into the next global model.
 	Aggregator = fl.Aggregator
-	// ClientSampler selects each round's participating clients.
-	ClientSampler = fl.ClientSampler
-	// Attack builds the local adversarial-training attack.
-	Attack = fl.Attack
 )
 
-// Built-in execution-substrate implementations, ready to pass to
-// WithAggregator / WithSampler / WithAttack.
+// Built-in aggregators, ready to pass to WithAggregator.
 type (
 	// FedAvg is data-size weighted averaging (the paper default).
 	FedAvg = fl.FedAvg
 	// TrimmedMean is a Byzantine-robust coordinate-wise trimmed mean.
 	TrimmedMean = fl.TrimmedMean
-	// UniformSampler draws clients uniformly without replacement.
-	UniformSampler = fl.UniformSampler
-	// RoundRobinSampler cycles deterministically through the fleet.
-	RoundRobinSampler = fl.RoundRobinSampler
-	// PGDAttack is ℓ∞ projected gradient descent (the paper default).
-	PGDAttack = fl.PGDAttack
-	// FGSMAttack is single-step FGSM.
-	FGSMAttack = fl.FGSMAttack
-	// NoAttack disables adversarial training (standard federated SGD).
-	NoAttack = fl.NoAttack
 )
 
 // Register adds a named training method to the global registry, making it
@@ -98,10 +81,10 @@ func Register(name string, factory MethodFactory) {
 func Methods() []string { return fl.MethodNames() }
 
 // Workloads lists the accepted WithWorkload names.
-func Workloads() []string { return []string{"cifar", "caltech"} }
+func Workloads() []string { return exp.WorkloadNames() }
 
 // Scales lists the accepted WithScale names.
-func Scales() []string { return []string{"quick", "trimmed", "full"} }
+func Scales() []string { return exp.ScaleNames() }
 
 // Runner executes federated training runs. A Runner carries a base option
 // set; Run merges per-call options on top, so one Runner can launch many
@@ -131,34 +114,9 @@ func (r *Runner) Run(ctx context.Context, opts ...Option) (*Result, error) {
 		o(&cfg)
 	}
 
-	var s exp.Scale
-	switch cfg.scale {
-	case "quick":
-		s = exp.QuickScale()
-	case "trimmed":
-		s = exp.TrimmedScale()
-	case "full":
-		s = exp.FullScale()
-	default:
-		return nil, fmt.Errorf("fedprophet: unknown scale %q (have %v)", cfg.scale, Scales())
-	}
-	var w exp.Workload
-	switch cfg.workload {
-	case "cifar":
-		w = exp.CIFAR10S()
-	case "caltech":
-		w = exp.Caltech256S(s)
-	default:
-		return nil, fmt.Errorf("fedprophet: unknown workload %q (have %v)", cfg.workload, Workloads())
-	}
-	var h device.Heterogeneity
-	switch cfg.hetero {
-	case "balanced":
-		h = device.Balanced
-	case "unbalanced":
-		h = device.Unbalanced
-	default:
-		return nil, fmt.Errorf("fedprophet: unknown heterogeneity %q (balanced or unbalanced)", cfg.hetero)
+	s, w, h, err := exp.Lookup(cfg.scale, cfg.workload, cfg.hetero)
+	if err != nil {
+		return nil, fmt.Errorf("fedprophet: %w", err)
 	}
 
 	// Scale overrides must land before the environment is assembled: the
@@ -197,13 +155,8 @@ func (r *Runner) Run(ctx context.Context, opts ...Option) (*Result, error) {
 	}
 
 	env := exp.NewEnv(w, s, h, cfg.seed)
-	if cfg.trainPGD != nil {
-		env.Cfg.TrainPGD = *cfg.trainPGD
-	}
 	env.Parallelism = cfg.parallelism
-	env.Sampler = cfg.sampler
 	env.Aggregator = cfg.aggregator
-	env.TrainAttack = cfg.attack
 	env.Hook = cfg.hook
 	if cfg.ch != nil {
 		ch, hook := cfg.ch, cfg.hook

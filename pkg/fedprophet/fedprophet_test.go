@@ -3,12 +3,19 @@ package fedprophet_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"fedprophet/internal/core"
+	"fedprophet/internal/device"
+	"fedprophet/internal/exp"
+	"fedprophet/internal/nn"
 	"fedprophet/pkg/fedprophet"
 )
 
@@ -212,13 +219,10 @@ func TestPluggableSubstrate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	// A robust aggregator, a deterministic sampler and a one-step attack
-	// must all plug in without disturbing the run contract.
+	// A robust aggregator must plug in without disturbing the run contract.
 	res, err := fedprophet.Run(context.Background(), append(fastOpts("jFAT"),
 		fedprophet.WithRounds(2),
 		fedprophet.WithAggregator(fedprophet.TrimmedMean{Frac: 0.2}),
-		fedprophet.WithSampler(&fedprophet.RoundRobinSampler{}),
-		fedprophet.WithAttack(fedprophet.FGSMAttack{}),
 	)...)
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +249,10 @@ func TestStandardTrainingViaTrainPGDZero(t *testing.T) {
 }
 
 // FedProphet (the default method) must honor the public attack contract:
-// WithTrainPGD(0) and WithAttack(NoAttack) both disable input adversarial
-// training, observable as a zero module-0 perturbation in the telemetry.
+// WithTrainPGD(0) disables adversarial training on every module — input
+// PGD on module 0 and feature PGD on the later ones — observable as a zero
+// perturbation in every round's telemetry, while the default run reports a
+// positive one in every round.
 func TestFedProphetHonorsAttackOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -257,19 +263,70 @@ func TestFedProphetHonorsAttackOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.History) == 0 {
-			t.Fatal("no rounds recorded")
+		if n := len(res.History); n < 2 || res.History[n-1].Module == 0 {
+			t.Fatalf("want rounds past module 0, history %+v", res.History)
 		}
 		return res
 	}
-	if adv := run(); adv.History[0].PerDimPert <= 0 {
-		t.Fatalf("default run must adversarially train module 0, pert %v", adv.History[0].PerDimPert)
+	for _, h := range run().History {
+		if h.PerDimPert <= 0 {
+			t.Fatalf("default run must adversarially train module %d, pert %v", h.Module, h.PerDimPert)
+		}
 	}
-	if clean := run(fedprophet.WithTrainPGD(0)); clean.History[0].PerDimPert != 0 {
-		t.Fatalf("WithTrainPGD(0) must disable module-0 perturbation, got %v", clean.History[0].PerDimPert)
+	for _, h := range run(fedprophet.WithTrainPGD(0)).History {
+		if h.PerDimPert != 0 {
+			t.Fatalf("WithTrainPGD(0) must disable module %d's perturbation, got %v", h.Module, h.PerDimPert)
+		}
 	}
-	if noatk := run(fedprophet.WithAttack(fedprophet.NoAttack{})); noatk.History[0].PerDimPert != 0 {
-		t.Fatalf("WithAttack(NoAttack) must disable module-0 perturbation, got %v", noatk.History[0].PerDimPert)
+}
+
+// modelDigest hashes every parameter and batch-norm statistic bit for bit.
+func modelDigest(l nn.Layer) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, vec := range [][]float64{nn.ExportParams(l), nn.ExportBNStats(l)} {
+		for _, x := range vec {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// WithAPA and WithDMA reach FedProphet unchanged: Run with the defaults, and
+// with both switched off, trains the same model bit for bit as core.New on
+// the registry's parameters (exp.ParamsFor) with the same two switches.
+func TestAPADMASwitchesReachFedProphet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	s := exp.TrimmedScale()
+	s.NumClients, s.ClientsPerRound, s.LocalIters, s.RoundsPerModule = 6, 3, 2, 1
+	w := exp.CIFAR10S()
+	digests := map[bool]uint64{}
+	for _, on := range []bool{true, false} {
+		opts := append(fastOpts("FedProphet"), fedprophet.WithRoundsPerModule(1))
+		if !on {
+			opts = append(opts, fedprophet.WithAPA(false), fedprophet.WithDMA(false))
+		}
+		res, err := fedprophet.Run(context.Background(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := exp.ParamsFor(w, s)
+		p.UseAPA, p.UseDMA = on, on
+		want, err := core.New(p).Run(context.Background(), exp.NewEnv(w, s, device.Balanced, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ref := modelDigest(res.Model), modelDigest(want.Model)
+		if got != ref {
+			t.Fatalf("APA/DMA %v: Run trained model %016x, core.New on ParamsFor %016x", on, got, ref)
+		}
+		digests[on] = got
+	}
+	if digests[true] == digests[false] {
+		t.Fatal("switching APA and DMA off left the model unchanged")
 	}
 }
 

@@ -32,9 +32,7 @@ type runConfig struct {
 	hook        func(RoundMetrics)
 	ch          chan<- RoundMetrics
 
-	sampler    ClientSampler
 	aggregator Aggregator
-	attack     Attack
 }
 
 func defaultConfig() runConfig {
@@ -133,14 +131,5 @@ func WithRoundHook(fn func(RoundMetrics)) Option { return func(c *runConfig) { c
 // events. The channel is not closed when the run ends.
 func WithRoundChannel(ch chan<- RoundMetrics) Option { return func(c *runConfig) { c.ch = ch } }
 
-// WithSampler replaces uniform client sampling.
-func WithSampler(s ClientSampler) Option { return func(c *runConfig) { c.sampler = s } }
-
 // WithAggregator replaces FedAvg weighted averaging.
 func WithAggregator(a Aggregator) Option { return func(c *runConfig) { c.aggregator = a } }
-
-// WithAttack replaces the PGD attack used for input-space local
-// adversarial training (the baselines' training loop and FedProphet's
-// first module). FedProphet's later modules keep the feature-space PGD
-// intrinsic to cascade learning; disable it with WithTrainPGD(0).
-func WithAttack(a Attack) Option { return func(c *runConfig) { c.attack = a } }
