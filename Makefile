@@ -59,7 +59,7 @@ test:
 
 # The concurrency-bearing packages (tensor worker pool + scratch arena,
 # parallel GEMM convolutions, client-parallel training, the HTTP transport
-# with sharded aggregation and concurrent compressed/raw clients, the pooled
+# with parallel commit folds and concurrent compressed/raw clients, the pooled
 # streaming codec, client workers sharing one cascade stage feature set) under
 # the race detector — plus the public transport surface, filtered to the tests
 # that route a tenant registry to an edge over real HTTP, and two real methods

@@ -19,8 +19,8 @@
 // The server accepts compressed and raw clients in the same round and
 // reports bytes-on-wire on GET /stats (and in its shutdown log line).
 //
-// The server aggregates under parameter-range sharding (-shards, default
-// GOMAXPROCS; the model is bit-identical at any count) and exposes
+// The server folds each commit over one range of the parameter vector per
+// processor (the model is bit-identical at any count) and exposes
 // per-update admit-latency percentiles on /stats. -pprof serves
 // net/http/pprof for live profiling of either role.
 //
@@ -102,7 +102,6 @@ func main() {
 		chunk     = flag.Int("chunk", 0, "values per quantization scale (0 = default 256)")
 		topk      = flag.Int("topk", 0, "client mode with -bits: send only the top-k coordinates of each error-fed delta uplink (0 = dense)")
 		deltaPull = flag.Bool("delta-pull", false, "client mode with -bits: pull only the quantized global delta against the last held round (cold pull on the first round)")
-		shards    = flag.Int("shards", 0, "server aggregation shards (0 = GOMAXPROCS; result is identical at any count)")
 		buffer    = flag.Int("buffer", 0, "buffered bounded-staleness aggregation: commit every K admitted updates (0 = synchronous quorum)")
 		stale     = flag.Int("staleness", 4, "buffered mode: admit updates up to this many rounds behind, down-weighted 1/(1+staleness)")
 		pprof     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060) for live profiling")
@@ -158,7 +157,6 @@ func main() {
 				fldist.WithEdgeClientID(idBase + i*fldist.EdgeIDSpan),
 				fldist.WithEdgeFlush(*flushK, *flushAge),
 				fldist.WithEdgeWindow(*stale),
-				fldist.WithEdgeShards(*shards),
 			}
 			if *walDir != "" {
 				// One parked-batch slot per cohort; a restarted process
@@ -226,7 +224,7 @@ func main() {
 			// kernel drops its flock on any exit, crash included), then
 			// resume at its last commit.
 			log.Printf("waiting for WAL handoff from %s", *walDir)
-			s, err := fldist.Handoff(ctx, *walDir, fldist.WithShards(*shards))
+			s, err := fldist.Handoff(ctx, *walDir)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -234,13 +232,13 @@ func main() {
 		case *walDir != "" && fldist.WALExists(*walDir):
 			// Every boot after the first recovers: the aggregation mode and
 			// thresholds come from the log, not the flags.
-			s, err := fldist.RecoverServer(*walDir, fldist.WithShards(*shards))
+			s, err := fldist.RecoverServer(*walDir)
 			if err != nil {
 				log.Fatal(err)
 			}
 			srv, mode = s, fmt.Sprintf("recovered from WAL at round %d", s.Round())
 		default:
-			opts := []fldist.ServerOption{fldist.WithShards(*shards)}
+			var opts []fldist.ServerOption
 			mode = fmt.Sprintf("quorum %d", *quorum)
 			if *buffer > 0 {
 				opts = append(opts, fldist.WithBufferedAggregation(*buffer, *stale))
@@ -252,7 +250,7 @@ func main() {
 			}
 			srv = fldist.NewServer(nn.ExportParams(m), nn.ExportBNStats(m), *quorum, opts...)
 		}
-		log.Printf("parameter server on %s (%s, model %s, %d params, %d shards)",
+		log.Printf("parameter server on %s (%s, model %s, %d params, %d fold ranges)",
 			*addr, mode, m.Label, nn.NumParams(m), srv.Shards())
 		if err := srv.ListenAndServe(ctx, *addr); err != nil {
 			log.Fatal(err)
@@ -266,7 +264,7 @@ func main() {
 		log.Printf("wire traffic: in %d B raw + %d B compressed, out %d B raw + %d B compressed (%d raw / %d compressed updates)",
 			st.BytesInRaw, st.BytesInCompressed, st.BytesOutRaw, st.BytesOutCompressed,
 			st.UpdatesRaw, st.UpdatesCompressed)
-		log.Printf("admit latency: p50 %.0fµs p99 %.0fµs over %d shards",
+		log.Printf("admit latency: p50 %.0fµs p99 %.0fµs, %d fold ranges",
 			st.AdmitP50Micros, st.AdmitP99Micros, st.Shards)
 		log.Printf("pull latency: p50 %.0fµs p99 %.0fµs, %d served-model builds",
 			st.PullP50Micros, st.PullP99Micros, st.ServedBuilds)

@@ -51,7 +51,6 @@ func main() {
 	// The root commits one round per full set of tier deltas: buffered
 	// aggregation with K = number of edges.
 	root := fedprophet.NewParamServer(nn.ExportParams(m), nn.ExportBNStats(m), 1,
-		fedprophet.WithServerShards(4),
 		fedprophet.WithBufferedAggregation(nEdges, 4))
 	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -61,7 +60,7 @@ func main() {
 	rootDone := make(chan error, 1)
 	go func() { rootDone <- root.Serve(serveCtx, rootLn) }()
 	rootURL := "http://" + rootLn.Addr().String()
-	fmt.Printf("root on %s: commits every %d tier deltas, %d shards\n",
+	fmt.Printf("root on %s: commits every %d tier deltas, %d fold ranges\n",
 		rootURL, nEdges, root.Shards())
 
 	// One edge per cohort: flush as soon as the whole cohort has pushed.
@@ -73,8 +72,7 @@ func main() {
 	for i := range edges {
 		edges[i] = fedprophet.NewEdgeAggregator(rootURL,
 			fedprophet.WithEdgeTier(fmt.Sprintf("cohort-%c", 'a'+i)),
-			fedprophet.WithEdgeFlush(fanIn, 0),
-			fedprophet.WithEdgeShards(4))
+			fedprophet.WithEdgeFlush(fanIn, 0))
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			panic(err)

@@ -1,15 +1,14 @@
-// Paramserver: the distributed deployment path — a sharded HTTP parameter
-// server built through the public pkg/fedprophet API, federating a small
+// Paramserver: the distributed deployment path — an HTTP parameter server
+// built through the public pkg/fedprophet API, federating a small
 // concurrent fleet over real HTTP on localhost.
 //
 //	go run ./examples/paramserver
 //
 // Six clients (half pushing exact raw frames, half pushing 8-bit error-fed
 // compressed deltas) train a CNN3 on non-IID shards of the synthetic
-// CIFAR10-S workload for five synchronous rounds. The server aggregates
-// under parameter-range sharding: every push decodes and admits in parallel,
-// a /stats poll never blocks a round, and the global model is bit-identical
-// to single-shard (and pre-shard) aggregation. The final report reads the
+// CIFAR10-S workload for five synchronous rounds. Every push decodes and
+// admits in parallel, a /stats poll never blocks a round, and the global
+// model is bit-identical to a single-range fold. The final report reads the
 // same /stats the benchmark (bench/) and operators use.
 package main
 
@@ -45,8 +44,7 @@ func main() {
 	}
 	m := build()
 
-	srv := fedprophet.NewParamServer(nn.ExportParams(m), nn.ExportBNStats(m), clients,
-		fedprophet.WithServerShards(4))
+	srv := fedprophet.NewParamServer(nn.ExportParams(m), nn.ExportBNStats(m), clients)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
@@ -55,7 +53,7 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(serveCtx, ln) }()
 	url := "http://" + ln.Addr().String()
-	fmt.Printf("parameter server on %s: quorum %d, %d shards, model %s\n",
+	fmt.Printf("parameter server on %s: quorum %d, %d fold ranges, model %s\n",
 		url, clients, srv.Shards(), m.Label)
 
 	train, _ := data.Generate(data.CIFAR10SConfig(40, 10, seed))
@@ -101,6 +99,6 @@ func main() {
 		float64(st.UpdatesRaw+st.UpdatesCompressed)/elapsed.Seconds())
 	fmt.Printf("wire: in %d B raw + %d B compressed | out %d B raw + %d B compressed\n",
 		st.BytesInRaw, st.BytesInCompressed, st.BytesOutRaw, st.BytesOutCompressed)
-	fmt.Printf("admit latency: p50 %.0fµs  p99 %.0fµs  (%d shards, %d raw + %d compressed updates)\n",
+	fmt.Printf("admit latency: p50 %.0fµs  p99 %.0fµs  (%d fold ranges, %d raw + %d compressed updates)\n",
 		st.AdmitP50Micros, st.AdmitP99Micros, st.Shards, st.UpdatesRaw, st.UpdatesCompressed)
 }

@@ -203,7 +203,6 @@ func microEnv(t *testing.T, seed int64) *fl.Env {
 	cfg.EvalAASteps = 5
 	cfg.EvalBatch = 16
 	cfg.LR = 0.05
-	cfg.Seed = seed
 
 	dcfg := data.SyntheticConfig{
 		Name: "micro", Classes: 4, Shape: []int{2, 8, 8},

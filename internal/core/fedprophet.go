@@ -218,13 +218,14 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 		}
 
 		// Fix module mIdx; collect E[max‖Δz_m‖] for the next stage (Eq. 11)
-		// and record C*/A*.
+		// and record C*/A*. The collection only sets the ε of the next
+		// stage's feature attack, so a clean run (TrainPGD ≤ 0) skips it.
 		if bestAdv > 0 {
 			prevRatio = bestClean / bestAdv
 		} else {
 			prevRatio = 0
 		}
-		if mIdx < len(casc.Modules)-1 {
+		if mIdx < len(casc.Modules)-1 && env.Cfg.TrainPGD > 0 {
 			basePert = f.collectOutputPerturbation(env,
 				onReplicas(func(c *cascade.Cascade) nn.Layer { return c.Prefix(mIdx) }),
 				onReplicas(func(c *cascade.Cascade) nn.Layer { return c.Modules[mIdx].Backbone }),

@@ -208,7 +208,6 @@ func Caltech256S(s Scale) Workload {
 func ParamsFor(w Workload, s Scale) fl.MethodParams {
 	return fl.MethodParams{
 		BuildLarge:   w.BuildLarge(s),
-		BuildSmall:   w.BuildSmall(s),
 		KDGroup:      w.KDGroup(s),
 		DistillIters: 2 * s.LocalIters,
 
@@ -244,7 +243,6 @@ func NewEnv(w Workload, s Scale, h device.Heterogeneity, seed int64) *fl.Env {
 	cfg.EvalPGD = s.EvalPGD
 	cfg.EvalAASteps = s.EvalAASteps
 	cfg.EvalBatch = 32
-	cfg.Seed = seed
 
 	train, test := data.Generate(w.DataCfg(s, seed))
 	train, val := data.SplitHoldout(train, s.ValFrac, seed+100)

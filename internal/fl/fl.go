@@ -46,7 +46,6 @@ type Config struct {
 	EvalPGD     int     // PGD-n at evaluation (20 in the paper)
 	EvalAASteps int     // steps for the AutoAttack surrogate
 	EvalBatch   int
-	Seed        int64
 }
 
 // DefaultConfig returns the paper's hyperparameters scaled to the synthetic
@@ -68,7 +67,6 @@ func DefaultConfig() Config {
 		EvalPGD:         20,
 		EvalAASteps:     20,
 		EvalBatch:       32,
-		Seed:            1,
 	}
 }
 
@@ -203,8 +201,8 @@ func WeightedAverage(vecs [][]float64, weights []float64) []float64 {
 // sequence per element — accumulate in vecs order, then scale by the
 // reciprocal of the weight sum — so a fold over a range is bit-identical to
 // the same range of a fold over the whole vector. That is what lets the
-// parameter server's shards (internal/fldist), each folding its own range,
-// reproduce the in-process aggregate exactly. The two folds are different
+// parameter server (internal/fldist), folding a commit over contiguous
+// ranges concurrently, reproduce the in-process aggregate exactly. The two folds are different
 // sequences (the delta fold subtracts before it weights), so neither is
 // expressed through the other.
 

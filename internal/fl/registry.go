@@ -18,8 +18,6 @@ type MethodParams struct {
 	// ResNet34-S in the paper); used by jFAT, the partial-training family,
 	// FedRBN and FedProphet.
 	BuildLarge func(*rand.Rand) *nn.Model
-	// BuildSmall constructs the workload's small model (Table 1).
-	BuildSmall func(*rand.Rand) *nn.Model
 	// KDGroup is the architecture family of the knowledge-distillation
 	// baselines, ordered small → large.
 	KDGroup []func(*rand.Rand) *nn.Model

@@ -96,7 +96,7 @@ func asyncFleet() map[int]*synthClient {
 func runAsyncScenario(t *testing.T, initParams, initBN []float64, shards int, perm [4]int) (
 	gotP, gotBN []float64, commit1, commit2 []asyncPushRec) {
 	t.Helper()
-	srv := NewServer(initParams, initBN, 1, WithShards(shards), WithBufferedAggregation(4, 2))
+	srv := NewServer(initParams, initBN, 1, withSegments(shards), WithBufferedAggregation(4, 2))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	fleet := asyncFleet()
@@ -244,7 +244,7 @@ func TestAsyncArrivalOrderInvariance(t *testing.T) {
 func TestAsyncStalenessWindowSemantics(t *testing.T) {
 	initParams := synthVec(300, 51)
 	initBN := synthVec(4, 52)
-	srv := NewServer(initParams, initBN, 1, WithShards(4), WithBufferedAggregation(2, 1))
+	srv := NewServer(initParams, initBN, 1, withSegments(4), WithBufferedAggregation(2, 1))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -335,7 +335,7 @@ func TestAsyncStragglerNoWastedPasses(t *testing.T) {
 	run := func(t *testing.T, async bool) (slowRetrains int, counted int64) {
 		_, _, subs, build := testSetup(t, 3, 23)
 		m := build()
-		opts := []ServerOption{WithShards(4)}
+		opts := []ServerOption{withSegments(4)}
 		if async {
 			opts = append(opts, WithBufferedAggregation(2, 8))
 		}
@@ -425,7 +425,7 @@ func TestAsyncBufferCommitStress(t *testing.T) {
 	)
 	initParams := synthVec(1200, 61)
 	initBN := synthVec(6, 62)
-	srv := NewServer(initParams, initBN, 1, WithShards(8), WithBufferedAggregation(bufferK, maxStale))
+	srv := NewServer(initParams, initBN, 1, withSegments(8), WithBufferedAggregation(bufferK, maxStale))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

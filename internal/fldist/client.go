@@ -359,7 +359,9 @@ func (c *Client) TrainLocal(lr float64) float64 {
 // Sentinel contract: a 409 response (the server aggregated past the pushed
 // round — or, on a buffered server, past its staleness window) is reported
 // as an error satisfying errors.Is(err, ErrStaleRound), so the caller knows
-// to re-pull and retrain. Always match it with errors.Is, never ==; the
+// to re-pull and retrain. A 409 carrying the retry marker is not stale: the
+// same body is re-sent with backoff until the server answers otherwise or
+// ctx ends. Always match it with errors.Is, never ==; the
 // sentinel may arrive wrapped with call-site context.
 func (c *Client) Push(ctx context.Context, round int) (counted bool, err error) {
 	if c.Compression != nil && c.negotiated {
@@ -480,21 +482,21 @@ func deltaQuantize(params, base, residual []float64, bits, chunk int) ([]byte, [
 }
 
 // postUpdate is the fleet client's push policy over post: a 409 carrying
-// the retry marker is a transient server-side stall (a buffered commit still
-// publishing), not a staleness verdict — the identical body is re-sent a few
-// times before the push is given up as stale, so a fresh training pass is not
-// discarded over a slow commit.
+// the retry marker is a transient server-side condition (a buffered commit
+// still publishing, an edge whose flusher is behind), not a staleness
+// verdict — the identical body is re-sent with retryBackoff until the server
+// admits it, answers anything else, or ctx ends, so a fresh training pass is
+// never discarded over a busy server.
 func (c *Client) postUpdate(ctx context.Context, codec string, body []byte) (bool, error) {
-	const retries = 3
-	for attempt := 0; ; attempt++ {
+	var b retryBackoff
+	for {
 		counted, err := c.post(ctx, codec, body)
-		if errors.Is(err, errRetryPush) {
-			if attempt < retries {
-				continue
-			}
-			return false, ErrStaleRound
+		if !errors.Is(err, errRetryPush) {
+			return counted, err
 		}
-		return counted, err
+		if !b.wait(ctx) {
+			return false, fmt.Errorf("fldist: push: %w", ctx.Err())
+		}
 	}
 }
 
@@ -666,9 +668,27 @@ func (c *Client) awaitRoundAfter(ctx context.Context, round int) error {
 	}
 }
 
+// retryBackoff paces a loop that re-sends one request: jittered waits
+// (jitterDur) from 10 ms, doubling until they pass 2 s. The zero value is
+// ready. It is the one policy of the fleet client's retry-marked pushes and
+// the edge's upstream pushes and pulls.
+type retryBackoff struct{ d time.Duration }
+
+// wait sleeps the next interval, reporting false if ctx ended first.
+func (b *retryBackoff) wait(ctx context.Context) bool {
+	if b.d == 0 {
+		b.d = 10 * time.Millisecond
+	}
+	ok := sleepCtx(ctx, jitterDur(b.d))
+	if b.d < 2*time.Second {
+		b.d *= 2
+	}
+	return ok
+}
+
 // jitterDur draws a duration uniformly from [d/2, d) off the global RNG —
-// shared by the client's round polling and the edge aggregator's upstream
-// retries, so every backoff in the tree is decorrelated the same way. It
+// shared by the client's round polling and every retryBackoff, so every
+// backoff in the tree is decorrelated the same way. It
 // deliberately does NOT use Client.Rng: the number of polls depends on
 // wall-clock timing, so consuming the training RNG here would make a seeded
 // client's batch order — and therefore its trained parameters —

@@ -196,7 +196,7 @@ func TestBuildRecyclesOnlyDeadResiduals(t *testing.T) {
 		{"buffered", []ServerOption{WithBufferedAggregation(1, 2)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			s := NewServer(initP, initBN, 1, append(mode.opts, WithShards(2))...)
+			s := NewServer(initP, initBN, 1, append(mode.opts, withSegments(2))...)
 			var prevErr []float64
 			var residuals [][]float64 // nextErr of each build, as served
 			for r := 0; r < rounds; r++ {
@@ -248,8 +248,7 @@ func TestBuildRecyclingUnderChurn(t *testing.T) {
 	const rounds = 120
 	initP := synthVec(8*256+9, 85)
 	initBN := synthVec(4, 86)
-	s := NewServer(initP, initBN, 1, WithShards(2))
-	s.buildSegments = 2
+	s := NewServer(initP, initBN, 1, withSegments(2))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, comp := range []Compression{{Bits: 8, Chunk: 256}, {Bits: 4, Chunk: 256}, {Bits: 8, Chunk: 256}} {
@@ -327,7 +326,7 @@ func TestSlowPullSurvivesLaterBuilds(t *testing.T) {
 	initP := synthVec(16*256+5, 91)
 	initBN := synthVec(8, 92)
 	comp := Compression{Bits: 8, Chunk: 256}
-	s := NewServer(initP, initBN, 1, WithShards(2))
+	s := NewServer(initP, initBN, 1, withSegments(2))
 	h := s.Handler()
 	advance := func(r int) {
 		if _, err := s.getServed(comp, -1); err != nil {

@@ -36,7 +36,7 @@ func walScript(t *testing.T, dir string, commits, extra, shards int) (srv *Serve
 	initParams := synthVec(257, 71) // odd length: ragged shards
 	initBN := synthVec(5, 72)
 	srv = NewServer(initParams, initBN, 1,
-		WithShards(shards), WithBufferedAggregation(walTestBufferK, 2),
+		withSegments(shards), WithBufferedAggregation(walTestBufferK, 2),
 		WithWAL(dir), withWarnf(t.Logf))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -120,7 +120,7 @@ func walBoundaries(t *testing.T, log []byte) (ends []int64, recoversTo []int) {
 // the reference vectors of wantRound. It closes the recovered server.
 func assertRecovered(t *testing.T, dir string, shards, wantRound int, refP, refBN map[int][]float64) {
 	t.Helper()
-	rec, err := RecoverServer(dir, WithShards(shards), withWarnf(t.Logf))
+	rec, err := RecoverServer(dir, withSegments(shards), withWarnf(t.Logf))
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -302,7 +302,7 @@ func TestWALWriteFaultInjection(t *testing.T) {
 					}
 				}()
 				s = NewServer(synthVec(257, 71), synthVec(5, 72), 1,
-					WithShards(4), WithBufferedAggregation(3, 2), WithWAL(dir),
+					withSegments(4), WithBufferedAggregation(3, 2), WithWAL(dir),
 					withWarnf(func(f string, a ...any) { warns = append(warns, f) }))
 				return s, true
 			}
@@ -401,14 +401,14 @@ func TestWALCrashChildMain(t *testing.T) {
 	}
 	var srv *Server
 	if WALExists(dir) {
-		s, err := RecoverServer(dir, WithShards(2))
+		s, err := RecoverServer(dir, withSegments(2))
 		if err != nil {
 			t.Fatalf("child recover: %v", err)
 		}
 		srv = s
 	} else {
 		srv = NewServer(synthVec(257, 71), synthVec(5, 72), 1,
-			WithShards(2), WithBufferedAggregation(3, 2), WithWAL(dir))
+			withSegments(2), WithBufferedAggregation(3, 2), WithWAL(dir))
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -478,7 +478,7 @@ func TestWALCrashSIGKILL(t *testing.T) {
 			t.Fatalf("incarnation %d: no intact commit in the log", incarnation)
 		}
 		wantRound := lastCommit[len(lastCommit)-1]
-		rec, err := RecoverServer(dir, WithShards(2), withWarnf(t.Logf))
+		rec, err := RecoverServer(dir, withSegments(2), withWarnf(t.Logf))
 		if err != nil {
 			t.Fatalf("incarnation %d: recover: %v", incarnation, err)
 		}

@@ -5,7 +5,7 @@ package fldist
 // topologies nest arbitrarily):
 //
 //   - To its cohort it IS a parameter server. The embedded buffered Server
-//     admits cohort pushes with the very same shard fold, staleness window,
+//     admits cohort pushes with the very same fold, staleness window,
 //     dedup horizon and 1/(1+s) down-weighting as the root — edge.go adds no
 //     second aggregation algorithm.
 //   - To its upstream it is an ordinary Client — the same wire core as the
@@ -56,7 +56,6 @@ type edgeConfig struct {
 	flushK   int
 	flushAge time.Duration
 	window   int
-	shards   int
 	walDir   string
 }
 
@@ -95,12 +94,6 @@ func WithEdgeFlush(k int, age time.Duration) EdgeOption {
 // maxStaleness does for a root. Default 8.
 func WithEdgeWindow(maxStaleness int) EdgeOption {
 	return func(c *edgeConfig) { c.window = maxStaleness }
-}
-
-// WithEdgeShards sets the embedded server's parameter shard count (see
-// WithShards). The edge's pre-fold is bit-identical at any shard count.
-func WithEdgeShards(n int) EdgeOption {
-	return func(c *edgeConfig) { c.shards = n }
 }
 
 // WithEdgeWAL makes the edge's parked upstream batch crash-safe: every
@@ -178,7 +171,6 @@ type Edge struct {
 	flushK   int
 	flushAge time.Duration
 	window   int
-	shards   int
 	walDir   string
 
 	inner        *Server
@@ -258,7 +250,6 @@ func NewEdge(upstream string, opts ...EdgeOption) *Edge {
 		flushK:   cfg.flushK,
 		flushAge: cfg.flushAge,
 		window:   cfg.window,
-		shards:   cfg.shards,
 		walDir:   cfg.walDir,
 		done:     make(chan struct{}),
 	}
@@ -289,8 +280,7 @@ func (e *Edge) Start(ctx context.Context) error {
 		e.started.Store(false)
 		return fmt.Errorf("fldist: edge initial pull: %w", err)
 	}
-	inner := NewServer(params, bn, 1,
-		WithShards(e.shards), WithBufferedAggregation(e.flushK, e.window))
+	inner := NewServer(params, bn, 1, WithBufferedAggregation(e.flushK, e.window))
 	inner.manual = true
 	inner.flushSignal = make(chan struct{}, 1)
 	// Bound the cohort buffer: in manual mode nothing on the admission path
@@ -587,7 +577,7 @@ func (e *Edge) Drain(ctx context.Context) error {
 // acknowledged; e.unpushed is cleared then and kept otherwise.
 func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 	u := e.unpushed
-	backoff := 10 * time.Millisecond
+	var backoff retryBackoff
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -645,11 +635,8 @@ func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 			// server keeps admitting cohort pushes and serving cached pulls;
 			// nothing downstream notices.
 			e.upRetries.Add(1)
-			if !sleepCtx(ctx, jitterDur(backoff)) {
+			if !backoff.wait(ctx) {
 				return ctx.Err()
-			}
-			if backoff < 2*time.Second {
-				backoff *= 2
 			}
 		}
 	}
@@ -703,7 +690,7 @@ func (e *Edge) resyncLocked(ctx context.Context, pushedRound int) {
 // owns: the client core reuses its pull buffers, and the edge keeps these as
 // its base, its last push and a parked batch's base.
 func (e *Edge) pullUpstreamRetry(ctx context.Context, wantP, wantB int) (int, []float64, []float64, error) {
-	backoff := 10 * time.Millisecond
+	var backoff retryBackoff
 	for {
 		round, err := e.up.pull(ctx, wantP, wantB)
 		if err == nil {
@@ -713,11 +700,8 @@ func (e *Edge) pullUpstreamRetry(ctx context.Context, wantP, wantB int) (int, []
 			return 0, nil, nil, cerr
 		}
 		e.upRetries.Add(1)
-		if !sleepCtx(ctx, jitterDur(backoff)) {
+		if !backoff.wait(ctx) {
 			return 0, nil, nil, ctx.Err()
-		}
-		if backoff < 2*time.Second {
-			backoff *= 2
 		}
 	}
 }
@@ -782,11 +766,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // buffered Server. They are deliberately unexported: tiers compose Servers,
 // they do not change what a Server is.
 
-// commitInfo describes one edge-driven commit: the local round it produced,
-// how many cohort updates it folded, and their summed effective weight — the
-// weight the combined tier delta carries upstream.
+// commitInfo describes one edge-driven commit: how many cohort updates it
+// folded, and their summed effective weight — the weight the combined tier
+// delta carries upstream.
 type commitInfo struct {
-	round   int
 	updates int
 	weight  float64
 }
@@ -807,16 +790,12 @@ func (s *Server) signalFlush() {
 // buffer or a commit already in flight. Manual mode only.
 func (s *Server) commitNow() (commitInfo, bool) {
 	s.pendMu.Lock()
-	if s.pendingN == 0 || s.committing {
+	if len(s.pending) == 0 || s.committing {
 		s.pendMu.Unlock()
 		return commitInfo{}, false
 	}
 	s.committing = true
-	info := commitInfo{
-		round:   s.model.Load().round + 1,
-		updates: s.pendingN,
-		weight:  s.pendingW,
-	}
+	info := commitInfo{updates: len(s.pending), weight: s.pendingW}
 	s.pendMu.Unlock()
 	s.commit() // clears committing when it resets the registry
 	return info, true
@@ -830,7 +809,7 @@ func (s *Server) commitNow() (commitInfo, bool) {
 // was in flight keep their retained bases and fold onto the adopted model at
 // the next commit — FedBuff's apply-to-latest semantics, one tier up.
 // Buffered mode only; the edge's flusher is the only caller.
-func (s *Server) adopt(params, bn []float64) int {
+func (s *Server) adopt(params, bn []float64) {
 	s.serveMu.Lock()
 	old := s.model.Load()
 	next := &snapshot{
@@ -845,5 +824,4 @@ func (s *Server) adopt(params, bn []float64) int {
 	s.evictAdmittedLocked(next.round)
 	s.pendMu.Unlock()
 	s.serveMu.Unlock()
-	return next.round
 }

@@ -118,7 +118,7 @@ func cohortRun(t *testing.T, hc *http.Client, edgeURL string, ids []int) {
 // root and returns the committed model.
 func flatRun(t *testing.T, init, initBN []float64, shards int, ids []int) ([]float64, []float64) {
 	t.Helper()
-	root := NewServer(init, initBN, len(ids), WithShards(shards))
+	root := NewServer(init, initBN, len(ids), withSegments(shards))
 	ts := httptest.NewServer(root.Handler())
 	defer ts.Close()
 	hc := ts.Client()
@@ -180,7 +180,7 @@ func TestTwoTierCommitBitIdenticalToFlatFleet(t *testing.T) {
 			wantP, wantBN := flatRun(t, init, initBN, tc.shards, ids)
 
 			quorum := len(tc.cohorts) + len(tc.direct)
-			root := NewServer(init, initBN, quorum, WithShards(tc.shards))
+			root := NewServer(init, initBN, quorum, withSegments(tc.shards))
 			ts := httptest.NewServer(root.Handler())
 			defer ts.Close()
 			hc := ts.Client()
@@ -189,8 +189,7 @@ func TestTwoTierCommitBitIdenticalToFlatFleet(t *testing.T) {
 			for i, cohort := range tc.cohorts {
 				e, edgeURL := startEdge(t, ts.URL,
 					WithEdgeClientID(1000+i*EdgeIDSpan),
-					WithEdgeFlush(len(cohort), 0),
-					WithEdgeShards(tc.shards))
+					WithEdgeFlush(len(cohort), 0))
 				edges = append(edges, e)
 				cohortRun(t, hc, edgeURL, cohort)
 			}
@@ -309,11 +308,11 @@ func TestTwoTierFullPrecisionDeterminism(t *testing.T) {
 
 	run := func(shards, gmp int, order []int) ([]float64, []float64) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
-		root := NewServer(init, initBN, 2, WithShards(shards))
+		root := NewServer(init, initBN, 2, withSegments(shards))
 		ts := httptest.NewServer(root.Handler())
 		defer ts.Close()
-		_, urlA := startEdge(t, ts.URL, WithEdgeClientID(1000), WithEdgeFlush(4, 0), WithEdgeShards(shards))
-		_, urlB := startEdge(t, ts.URL, WithEdgeClientID(1000+EdgeIDSpan), WithEdgeFlush(4, 0), WithEdgeShards(shards))
+		_, urlA := startEdge(t, ts.URL, WithEdgeClientID(1000), WithEdgeFlush(4, 0))
+		_, urlB := startEdge(t, ts.URL, WithEdgeClientID(1000+EdgeIDSpan), WithEdgeFlush(4, 0))
 		for _, id := range order {
 			url := urlA
 			if id >= 4 {

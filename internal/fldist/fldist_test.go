@@ -498,3 +498,65 @@ func TestRoundEndpoint(t *testing.T) {
 		t.Fatalf("Round after quorum = %d, %v; want 1, nil", r, err)
 	}
 }
+
+// A retry-marked 409 is a busy server, not a stale round: the client re-sends
+// the same body with backoff until it is admitted, so the training pass
+// counts and nothing is retrained. The front answers 409 + X-Fldist-Retry for
+// 50 ms from the first push of each round — an edge whose flusher is behind
+// answers exactly so — and then hands the push to the real server.
+func TestRetryMarkedConflictKeepsTrainingPass(t *testing.T) {
+	_, _, subs, build := testSetup(t, 2, 1)
+	m := build()
+	srv := NewServer(nn.ExportParams(m), nn.ExportBNStats(m), 1)
+	inner := srv.Handler()
+	var mu sync.Mutex
+	busyRound, busyUntil := -1, time.Time{}
+	var refused atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/update" {
+			mu.Lock()
+			if busyRound != srv.Round() {
+				busyRound, busyUntil = srv.Round(), time.Now().Add(50*time.Millisecond)
+			}
+			busy := time.Now().Before(busyUntil)
+			mu.Unlock()
+			if busy {
+				refused.Add(1)
+				w.Header().Set(retryHeader, "1")
+				http.Error(w, "update buffer full, retry", http.StatusConflict)
+				return
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := &Client{
+		ID: 0, BaseURL: ts.URL, HTTP: ts.Client(),
+		Model: build(), Subset: subs[0], Cfg: clientCfg(),
+		Rng: rand.New(rand.NewSource(3)),
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	round, err := c.Pull(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.TrainLocal(0.05)
+	counted, err := c.Push(ctx, round)
+	if err != nil || !counted {
+		t.Fatalf("push against a busy server: counted=%v err=%v, want counted and no error", counted, err)
+	}
+	if n := refused.Load(); n < 2 {
+		t.Fatalf("front refused %d pushes, want the busy window to refuse at least 2", n)
+	}
+	if err := c.RunRounds(ctx, 1, 0.05); err != nil {
+		t.Fatal(err)
+	}
+	if c.StaleRetrains != 0 {
+		t.Fatalf("StaleRetrains = %d, want 0: a retry-marked 409 threw a training pass away", c.StaleRetrains)
+	}
+	if got := srv.RoundsCompleted(); got != 2 {
+		t.Fatalf("RoundsCompleted = %d, want 2", got)
+	}
+}

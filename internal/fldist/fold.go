@@ -1,7 +1,6 @@
 package fldist
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,14 +9,14 @@ import (
 	"fedprophet/internal/fl"
 )
 
-// The sharded aggregation plane of the parameter server. The flat weight
-// vector is split into nShards contiguous ranges; each shard owns its range's
-// pending contributions under its own lock, so concurrent /update handlers
-// never serialize on a model-sized critical section. The global model itself
+// The aggregation plane of the parameter server. Every admission appends one
+// contribution to the admission registry's pending list; a commit sorts that
+// list once and folds it into a fresh snapshot, splitting the flat weight
+// vector into contiguous ranges folded concurrently. The global model itself
 // is a copy-on-write snapshot: handlers read the current *snapshot lock-free
 // via an atomic pointer, and only the round-advance barrier installs a new
-// one. See docs/ARCHITECTURE.md ("Sharded aggregation") for the lock
-// hierarchy and the determinism argument.
+// one. See docs/ARCHITECTURE.md ("Aggregation") for the lock hierarchy and
+// the determinism argument.
 
 // snapshot is one round's immutable global model state. Nothing mutates a
 // snapshot after it is published; pulls, pushes and stats all read it without
@@ -58,77 +57,62 @@ type residual struct {
 	carried bool
 }
 
-// contrib is one admitted client's contribution: baseRound tags the round of
-// the base the client trained from, weight is the staleness-discounted
-// effective weight, and vals and base are the whole reconstructed update and
-// the exact base values it is a delta against — each shard folds only its
-// own range of them. The synchronous fold reads only (clientID, weight,
-// vals).
+// contrib is one admitted client's contribution, the pending list's entry:
+// baseRound tags the round of the base the client trained from, weight is
+// the staleness-discounted effective weight, buf holds the whole
+// reconstructed update (leased from bufPool, released by the commit's
+// reset), and baseP/baseBN are the exact base values it is a delta against.
+// The synchronous fold reads only (clientID, weight, buf).
 type contrib struct {
 	clientID  int
 	baseRound int
 	weight    float64
-	vals      []float64
-	base      []float64
+	buf       *updateBuf
+	baseP     []float64
+	baseBN    []float64
 }
 
-// shard owns one contiguous range [lo, hi) of the flat parameter vector (or
-// the whole BN-statistics vector) and the round's pending contributions for
-// it. Its mutex guards only pend: appends are O(1) pointer pushes, and the
-// O(range) fold work happens once per round inside fold.
-type shard struct {
-	mu   sync.Mutex
-	lo   int
-	hi   int
-	pend []contrib
-}
-
-// add appends one contribution for this shard's range.
-func (sh *shard) add(c contrib) {
-	sh.mu.Lock()
-	sh.pend = append(sh.pend, c)
-	sh.mu.Unlock()
-}
-
-// fold runs a commit's fold kernel over the shard's range of dst (zeroed on
-// entry) and resets the pending list: with cur nil, the synchronous quorum's
-// FedAvg fold Σwp/Σw (fl.FoldAverage); otherwise buffered mode's FedBuff
-// fold of the staleness-weighted deltas onto cur, cur + Σw(p−base)/Σw
-// (fl.FoldDelta). Contributions fold in ascending (baseRound, clientID)
-// order — the per-(baseRound, client) dedup horizon makes that key unique
-// within a buffer, and under the quorum's single base round it is clientID
-// order — so the committed model is a pure function of the admitted set,
-// independent of arrival order, shard count and GOMAXPROCS. The kernel is
-// fl's own range form, so the quorum's commit is fl.WeightedAverage over the
-// same clients in ID order by construction.
-func (sh *shard) fold(dst, cur []float64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.sortPend()
-	weights := make([]float64, len(sh.pend))
-	vals := make([][]float64, len(sh.pend))
-	bases := make([][]float64, len(sh.pend))
-	for k, c := range sh.pend {
-		weights[k], vals[k], bases[k] = c.weight, c.vals, c.base
-	}
-	if cur == nil {
-		fl.FoldAverage(dst, vals, weights, sh.lo, sh.hi)
-	} else {
-		fl.FoldDelta(dst, cur, vals, bases, weights, sh.lo, sh.hi)
-	}
-	sh.reset()
-}
-
-// sortPend orders the pending list by (baseRound, clientID) — a key the
-// dedup horizon makes unique within a buffer. Insertion sort: pending lists
-// are buffer-sized (tens of entries), and it avoids sort.Slice's per-call
-// closure allocation on the commit path. Caller holds sh.mu.
-func (sh *shard) sortPend() {
-	for i := 1; i < len(sh.pend); i++ {
-		for j := i; j > 0 && less(sh.pend[j], sh.pend[j-1]); j-- {
-			sh.pend[j], sh.pend[j-1] = sh.pend[j-1], sh.pend[j]
+// foldPending folds the pending list into next — params and BN stats, both
+// zeroed on entry — with one kernel per commit: with cur nil, the
+// synchronous quorum's FedAvg fold Σwp/Σw (fl.FoldAverage); otherwise
+// buffered mode's FedBuff fold of the staleness-weighted deltas onto cur,
+// cur + Σw(p−base)/Σw (fl.FoldDelta). The list is sorted once, by
+// (baseRound, clientID) — the per-(baseRound, client) dedup horizon makes
+// that key unique within a buffer, and under the quorum's single base round
+// it is clientID order — and the parameter vector is folded over foldRanges
+// contiguous ranges concurrently, BN as one more task. Every element sums
+// the same contributions in the same order whatever the range count, so the
+// committed model is a pure function of the admitted set, independent of
+// arrival order, range count and GOMAXPROCS, and the quorum's commit is
+// fl.WeightedAverage over the same clients in ID order by construction.
+// Caller runs under the registry's freeze (see commit).
+func (s *Server) foldPending(next *snapshot, curP, curBN []float64) {
+	pend := s.pending
+	for i := 1; i < len(pend); i++ { // insertion sort: buffer-sized, no closure allocation
+		for j := i; j > 0 && less(pend[j], pend[j-1]); j-- {
+			pend[j], pend[j-1] = pend[j-1], pend[j]
 		}
 	}
+	weights := make([]float64, len(pend))
+	pv, pb := make([][]float64, len(pend)), make([][]float64, len(pend))
+	bv, bb := make([][]float64, len(pend)), make([][]float64, len(pend))
+	for k, c := range pend {
+		weights[k] = c.weight
+		pv[k], bv[k] = c.buf.params, c.buf.bn
+		pb[k], bb[k] = c.baseP, c.baseBN
+	}
+	n, ranges := len(next.params), s.foldRanges()
+	fanOut(ranges+1, func(i int) {
+		dst, cur, v, b, lo, hi := next.params, curP, pv, pb, i*n/ranges, (i+1)*n/ranges
+		if i == ranges {
+			dst, cur, v, b, lo, hi = next.bn, curBN, bv, bb, 0, len(next.bn)
+		}
+		if cur == nil {
+			fl.FoldAverage(dst, v, weights, lo, hi)
+		} else {
+			fl.FoldDelta(dst, cur, v, b, weights, lo, hi)
+		}
+	})
 }
 
 // less orders contributions by (baseRound, clientID).
@@ -139,33 +123,19 @@ func less(a, b contrib) bool {
 	return a.clientID < b.clientID
 }
 
-// reset keeps the pending list's backing array for next round's appends but
-// drops the references so released update buffers are not pinned past the
-// fold.
-func (sh *shard) reset() {
-	for i := range sh.pend {
-		sh.pend[i] = contrib{}
-	}
-	sh.pend = sh.pend[:0]
-}
-
 // updateBuf is a pooled pair of decoded-update vectors: the reconstructed
 // full parameter and BN values of one client's push. Buffers are leased from
-// Server.bufPool for the decode, parked in the shards' pending lists until
-// the round folds, and returned to the pool afterwards — the steady-state
+// Server.bufPool for the decode, parked in the pending list until the round
+// folds, and returned to the pool afterwards — the steady-state
 // push path allocates no model-sized memory.
 type updateBuf struct {
 	params []float64
 	bn     []float64
 }
 
-// maxShards caps the shard count: beyond this, per-update bookkeeping
-// outweighs any contention win.
-const maxShards = 64
-
 // serverConfig carries NewServer's optional settings.
 type serverConfig struct {
-	shards   int
+	segments int
 	bufferK  int
 	maxStale int
 	walDir   string
@@ -188,8 +158,8 @@ const maxStalenessLimit = 64
 // maxStaleness must be in [0, 64] (each retained round costs one model
 // snapshot of server memory); 0 tolerates no staleness but still commits in
 // buffers of k. The committed model is a pure function of each buffer's
-// admitted multiset — bit-identical across arrival order, shard count and
-// GOMAXPROCS (TestAsyncArrivalOrderInvariance).
+// admitted multiset — bit-identical across arrival order, fold range count
+// and GOMAXPROCS (TestAsyncArrivalOrderInvariance).
 func WithBufferedAggregation(k, maxStaleness int) ServerOption {
 	return func(c *serverConfig) {
 		c.bufferK = k
@@ -199,14 +169,6 @@ func WithBufferedAggregation(k, maxStaleness int) ServerOption {
 
 // ServerOption configures NewServer.
 type ServerOption func(*serverConfig)
-
-// WithShards sets the number of parameter shards the server aggregates
-// under. More shards admit more concurrent pushes without lock contention;
-// the aggregate is bit-identical at any shard count. Values < 1 select the
-// default (GOMAXPROCS, capped at 64).
-func WithShards(n int) ServerOption {
-	return func(c *serverConfig) { c.shards = n }
-}
 
 // WithWAL makes the server crash-safe: every commit's snapshot (and, in
 // buffered mode, every admission between commits) is appended to a
@@ -227,38 +189,13 @@ func withWarnf(f func(format string, args ...any)) ServerOption {
 	return func(c *serverConfig) { c.warnf = f }
 }
 
-// resolveShards clamps the configured shard count against the model size.
-func resolveShards(configured, nParams int) int {
-	n := configured
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	if n > nParams {
-		n = nParams
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// makeShards splits [0, n) into count contiguous, nearly equal ranges.
-func makeShards(n, count int) []shard {
-	shards := make([]shard, count)
-	base, rem := n/count, n%count
-	lo := 0
-	for i := range shards {
-		size := base
-		if i < rem {
-			size++
-		}
-		shards[i] = shard{lo: lo, hi: lo + size}
-		lo += size
-	}
-	return shards
+// withSegments pins how many segments a served build or delta-chain frame
+// encodes in and how many ranges a commit folds the parameter vector over;
+// 0 (the default) tracks GOMAXPROCS. Served bytes and committed models are
+// bit-identical at any value (TestServeSegmentInvariance,
+// TestShardCountInvariance). Test seam.
+func withSegments(n int) ServerOption {
+	return func(c *serverConfig) { c.segments = n }
 }
 
 // latRingSize is the sliding window of admit-latency samples backing the

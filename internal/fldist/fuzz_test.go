@@ -43,8 +43,8 @@ func FuzzUpdateEnvelope(f *testing.F) {
 	f.Add(sparse)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, srv := range []*Server{
-			NewServer(initP, initBN, 1, WithShards(2)),
-			NewServer(initP, initBN, 1, WithShards(2), WithBufferedAggregation(1, 1)),
+			NewServer(initP, initBN, 1, withSegments(2)),
+			NewServer(initP, initBN, 1, withSegments(2), WithBufferedAggregation(1, 1)),
 		} {
 			rec := httptest.NewRecorder()
 			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body)))
@@ -157,7 +157,7 @@ func bufferedAdmitLog(tb testing.TB) ([]byte, []loggedRecord) {
 	tb.Helper()
 	const nP, nBN = 96, 4
 	initP, initBN := synthVec(nP, 1), synthVec(nBN, 2)
-	srv := NewServer(initP, initBN, 1, WithShards(2), WithBufferedAggregation(3, 2), WithWAL(tb.TempDir()),
+	srv := NewServer(initP, initBN, 1, withSegments(2), WithBufferedAggregation(3, 2), WithWAL(tb.TempDir()),
 		withWarnf(func(string, ...any) {}))
 	d, dBN := testDelta(nP, nBN)
 	dense, err := encodeUpdateEnvelope(1, 0, 2, quant.Encode(quant.QuantizeChunks(d, 8, 64)), quant.EncodeRaw(dBN))
@@ -202,7 +202,7 @@ func retainedCommitLog(tb testing.TB) ([]byte, loggedRecord) {
 	tb.Helper()
 	const nP, nBN = 96, 4
 	initP, initBN := synthVec(nP, 1), synthVec(nBN, 2)
-	srv := NewServer(initP, initBN, 1, WithShards(2), WithBufferedAggregation(2, 2), WithWAL(tb.TempDir()),
+	srv := NewServer(initP, initBN, 1, withSegments(2), WithBufferedAggregation(2, 2), WithWAL(tb.TempDir()),
 		withWarnf(func(string, ...any) {}))
 	for r := 0; r < 2; r++ {
 		if _, err := srv.getServed(Compression{Bits: 8, Chunk: 64}, -1); err != nil {
@@ -256,7 +256,7 @@ func recoverLog(tb testing.TB, log []byte) (*Server, error) {
 	if err := os.WriteFile(filepath.Join(dir, walLogName), log, 0o644); err != nil {
 		tb.Fatal(err)
 	}
-	return RecoverServer(dir, WithShards(2), withWarnf(func(string, ...any) {}))
+	return RecoverServer(dir, withSegments(2), withWarnf(func(string, ...any) {}))
 }
 
 // infBNAdmit is the frame-form admission payload p with its BN frame
@@ -310,11 +310,11 @@ func FuzzWALAdmitReplay(f *testing.F) {
 				}
 			}
 		}
-		for _, b := range srv.pendingBufs {
-			finite("buffered params", b.params)
-			finite("buffered bn", b.bn)
+		for _, c := range srv.pending {
+			finite("buffered params", c.buf.params)
+			finite("buffered bn", c.buf.bn)
 		}
-		if srv.pendingN > 0 {
+		if len(srv.pending) > 0 {
 			srv.commit()
 		}
 		p, bn := srv.Snapshot()
@@ -354,11 +354,11 @@ func FuzzWALCommitReplay(f *testing.F) {
 				}
 			}
 		}
-		for _, b := range srv.pendingBufs {
-			finite("buffered params", b.params)
-			finite("buffered bn", b.bn)
+		for _, c := range srv.pending {
+			finite("buffered params", c.buf.params)
+			finite("buffered bn", c.buf.bn)
 		}
-		if srv.pendingN > 0 {
+		if len(srv.pending) > 0 {
 			srv.commit()
 		}
 		p, bn := srv.Snapshot()

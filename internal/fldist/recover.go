@@ -35,7 +35,7 @@ package fldist
 // have admitted: values outside the admission range, deltas beyond the
 // difference of two in-range vectors, effective weights outside the
 // registry's discounted weight bounds. TestRecoverBitIdentical* pin
-// bit-identity across modes, shard counts and crash points;
+// bit-identity across modes, fold range counts and crash points;
 // TestRecoverRefusesOutOfRangeAdmit and FuzzWALAdmitReplay the refusals.
 
 import (
@@ -246,7 +246,7 @@ func openWALForRecovery(dir string) (*wal, *walRecovered, error) {
 // logged after it re-enter the buffer, and the log stays open for the
 // recovered server's own appends. The aggregation mode, commit threshold and
 // staleness window come from the log's meta record; opts may tune the
-// runtime-only settings (shards) but not the aggregation mode.
+// runtime-only settings but not the aggregation mode.
 // It returns ErrWALLocked while another live process holds the log — see
 // Handoff for waiting that out.
 func RecoverServer(dir string, opts ...ServerOption) (*Server, error) {
@@ -310,7 +310,7 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 	}
 	R := cur.round
 
-	all := []ServerOption{WithShards(cfg.shards)}
+	all := []ServerOption{withSegments(cfg.segments)}
 	if m.async {
 		all = append(all, WithBufferedAggregation(m.quorumOrK, m.maxStale))
 	}
@@ -404,7 +404,7 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 	// the served variants the buffered pushes decoded against, so the commit
 	// also advances their downlink-EF residuals exactly as the dead process
 	// would have.
-	if s.async && s.pendingN >= s.bufferK {
+	if s.async && len(s.pending) >= s.bufferK {
 		s.commit()
 	}
 	return s, nil

@@ -50,9 +50,9 @@ func TestRecoverBitIdentical(t *testing.T) {
 	mkServer := func(mode string, shards int, opts ...ServerOption) *Server {
 		if mode == "buffered" {
 			opts = append(opts, WithBufferedAggregation(3, 2))
-			return NewServer(initP, initBN, 1, append(opts, WithShards(shards))...)
+			return NewServer(initP, initBN, 1, append(opts, withSegments(shards))...)
 		}
-		return NewServer(initP, initBN, 3, append(opts, WithShards(shards))...)
+		return NewServer(initP, initBN, 3, append(opts, withSegments(shards))...)
 	}
 
 	// The never-crashed references, one per mode (shard count cannot matter —
@@ -90,7 +90,7 @@ func TestRecoverBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					rec, err := RecoverServer(dir, WithShards(shards), withWarnf(t.Logf))
+					rec, err := RecoverServer(dir, withSegments(shards), withWarnf(t.Logf))
 					if err != nil {
 						t.Fatalf("recover: %v", err)
 					}
@@ -149,7 +149,7 @@ func TestHandoff(t *testing.T) {
 	}
 	ch := make(chan result, 1)
 	go func() {
-		s, err := Handoff(ctx, dir, WithShards(4), withWarnf(t.Logf))
+		s, err := Handoff(ctx, dir, withSegments(4), withWarnf(t.Logf))
 		ch <- result{s, err}
 	}()
 
@@ -208,7 +208,7 @@ func TestHandoff(t *testing.T) {
 func edgeRepushFixture(t *testing.T, dir string) (up *Server, ts *httptest.Server, e *Edge, cancel context.CancelFunc) {
 	t.Helper()
 	up = NewServer(gridVec(64, 1), gridVec(8, 2), 1,
-		WithShards(2), WithBufferedAggregation(1, 2))
+		withSegments(2), WithBufferedAggregation(1, 2))
 	ts = httptest.NewServer(up.Handler())
 	t.Cleanup(ts.Close)
 
@@ -230,7 +230,7 @@ func edgeRepushFixture(t *testing.T, dir string) (up *Server, ts *httptest.Serve
 func edgeControlSnapshot(t *testing.T) ([]float64, []float64) {
 	t.Helper()
 	up := NewServer(gridVec(64, 1), gridVec(8, 2), 1,
-		WithShards(2), WithBufferedAggregation(1, 2))
+		withSegments(2), WithBufferedAggregation(1, 2))
 	ts := httptest.NewServer(up.Handler())
 	defer ts.Close()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -78,8 +78,7 @@ func TestServeSegmentInvariance(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			for _, segs := range []int{1, 4, 8} {
-				s := NewServer(initP, initBN, 1, WithShards(4))
-				s.buildSegments = segs
+				s := NewServer(initP, initBN, 1, withSegments(segs))
 				for r := 0; r < rounds; r++ {
 					sm, err := s.getServed(comp, -1)
 					if err != nil {
@@ -329,7 +328,7 @@ func (w hangupWriter) Write(b []byte) (int, error) {
 func TestRetainedRoundBuildsOnDemand(t *testing.T) {
 	initP, initBN := synthVec(3*256+41, 95), synthVec(8, 96)
 	comp := Compression{Bits: 8, Chunk: 256}
-	mk := func() *Server { return NewServer(initP, initBN, 1, WithShards(2), WithBufferedAggregation(3, 2)) }
+	mk := func() *Server { return NewServer(initP, initBN, 1, withSegments(2), WithBufferedAggregation(3, 2)) }
 	eager, lazy := mk(), mk()
 	advance := func(s *Server, r int) {
 		t.Helper()
@@ -385,10 +384,10 @@ func TestRetainedRoundBuildsOnDemand(t *testing.T) {
 	for _, s := range []*Server{eager, lazy} {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK || s.pendingN != 1 {
-			t.Fatalf("push against retained round 1: status %d, %d buffered", rec.Code, s.pendingN)
+		if rec.Code != http.StatusOK || len(s.pending) != 1 {
+			t.Fatalf("push against retained round 1: status %d, %d buffered", rec.Code, len(s.pending))
 		}
-		bufs = append(bufs, s.pendingBufs[0])
+		bufs = append(bufs, s.pending[0].buf)
 	}
 	for _, v := range [][2][]float64{{bufs[0].params, bufs[1].params}, {bufs[0].bn, bufs[1].bn}} {
 		for i := range v[0] {

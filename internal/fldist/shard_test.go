@@ -233,7 +233,7 @@ func referenceRun(initParams, initBN []float64, rounds int) ([]float64, []float6
 // sequentially in client-ID order.
 func serverRun(t *testing.T, initParams, initBN []float64, rounds, shards int) ([]float64, []float64) {
 	t.Helper()
-	srv := NewServer(initParams, initBN, 4, WithShards(shards))
+	srv := NewServer(initParams, initBN, 4, withSegments(shards))
 	if srv.Shards() != shards {
 		t.Fatalf("Shards() = %d, want %d", srv.Shards(), shards)
 	}
@@ -292,7 +292,7 @@ func TestConcurrentMixedFleetStress(t *testing.T) {
 	const rounds = 2
 	initParams := synthVec(2000, 3)
 	initBN := synthVec(8, 4)
-	srv := NewServer(initParams, initBN, clients, WithShards(8))
+	srv := NewServer(initParams, initBN, clients, withSegments(8))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -496,7 +496,7 @@ func TestOversizedPushRejected(t *testing.T) {
 // A server with more shards than parameters must clamp rather than build
 // empty shards, and the shard count must surface on /stats.
 func TestShardClamping(t *testing.T) {
-	srv := NewServer(synthVec(3, 9), nil, 1, WithShards(16))
+	srv := NewServer(synthVec(3, 9), nil, 1, withSegments(16))
 	if got := srv.Shards(); got != 3 {
 		t.Fatalf("Shards() = %d for a 3-param model, want clamp to 3", got)
 	}

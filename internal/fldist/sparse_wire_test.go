@@ -426,7 +426,7 @@ func sparseReferenceRun(initParams, initBN []float64, rounds int) ([]float64, []
 // pushing in the given arrival permutation each round.
 func sparseServerRun(t *testing.T, initParams, initBN []float64, rounds, shards int, perm [4]int) ([]float64, []float64) {
 	t.Helper()
-	srv := NewServer(initParams, initBN, 4, WithShards(shards))
+	srv := NewServer(initParams, initBN, 4, withSegments(shards))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	clients := sparseFleet()

@@ -845,9 +845,11 @@ func (w *wal) stats() *WALStats {
 // wal.idx pins the file offsets of the last (staleness window + 1) commit
 // records so recovery seeks straight to the oldest in-window commit instead
 // of scanning the whole log — O(window), independent of log length. It is
-// rewritten whole (temp + rename, so a crash mid-rewrite leaves the previous
-// idx) at every commit, and it is advisory: recovery validates the entry it
-// lands on and falls back to a full scan on any mismatch.
+// rewritten whole, in place and without an fsync, at every commit: the
+// commit runs under serveMu and pendMu, and the log never stalls admissions
+// on device latency. It is advisory and CRC-checked: a crash mid-rewrite
+// leaves a torn or stale idx, and recovery validates the entry it lands on
+// and falls back to a full scan on any mismatch.
 
 const walIdxMagic = "FWI1"
 
@@ -864,7 +866,7 @@ func writeWALIdx(dir string, entries []walIdxEntry) error {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.off))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, walCRC))
-	return replaceFile(dir, walIdxName, buf)
+	return os.WriteFile(filepath.Join(dir, walIdxName), buf, 0o644)
 }
 
 // replaceFile atomically replaces dir/name with data — temp file in dir,

@@ -188,8 +188,6 @@ func (bn *BatchNorm2D) Name() string { return "batchnorm2d" }
 // running statistics.
 func CollectBatchNorms(l Layer) []*BatchNorm2D { return collect[*BatchNorm2D](l) }
 
-// ExportBNStats flattens the running statistics of every batch norm in the
-// layer into one vector (means then variances, per layer).
 // NumBNStats returns how many running-statistic values ExportBNStats would
 // emit, without materializing them — shape checks on hot paths use this.
 func NumBNStats(l Layer) int {
@@ -200,6 +198,8 @@ func NumBNStats(l Layer) int {
 	return n
 }
 
+// ExportBNStats flattens the running statistics of every batch norm in the
+// layer into one vector (means then variances, per layer).
 func ExportBNStats(l Layer) []float64 {
 	var out []float64
 	for _, bn := range CollectBatchNorms(l) {

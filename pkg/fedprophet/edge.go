@@ -49,10 +49,6 @@ func WithEdgeStalenessWindow(maxStaleness int) EdgeAggregatorOption {
 	return fldist.WithEdgeWindow(maxStaleness)
 }
 
-// WithEdgeShards sets the edge's parameter shard count (see
-// WithServerShards); the pre-fold is bit-identical at any count.
-func WithEdgeShards(n int) EdgeAggregatorOption { return fldist.WithEdgeShards(n) }
-
 // EdgeIDSpan is the block of upstream client IDs each edge owns: an edge
 // whose upstream ID is id pushes its committed batches under IDs in
 // [id, id+EdgeIDSpan), cycling per batch so two batches pushed from one

@@ -34,7 +34,7 @@ func TestEdgeAggregatorPublicSurface(t *testing.T) {
 	for i := range init {
 		init[i] = float64(i) / 128
 	}
-	root := NewParamServer(init, nil, 1, WithServerShards(2))
+	root := NewParamServer(init, nil, 1)
 	rts := httptest.NewServer(root.Handler())
 	defer rts.Close()
 
@@ -42,7 +42,6 @@ func TestEdgeAggregatorPublicSurface(t *testing.T) {
 		WithEdgeTier("plant-7"),
 		WithEdgeFlush(2, 0),
 		WithEdgeStalenessWindow(4),
-		WithEdgeShards(2),
 		WithEdgeUpstreamID(4096))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

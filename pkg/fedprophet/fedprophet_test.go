@@ -268,15 +268,23 @@ func TestFedProphetHonorsAttackOptions(t *testing.T) {
 		}
 		return res
 	}
-	for _, h := range run().History {
+	res := run()
+	for _, h := range res.History {
 		if h.PerDimPert <= 0 {
 			t.Fatalf("default run must adversarially train module %d, pert %v", h.Module, h.PerDimPert)
 		}
 	}
-	for _, h := range run(fedprophet.WithTrainPGD(0)).History {
+	if p := res.Extra["pert_z1"]; p <= 0 {
+		t.Fatalf("default run must collect module 0's output perturbation, pert_z1 = %v", p)
+	}
+	res = run(fedprophet.WithTrainPGD(0))
+	for _, h := range res.History {
 		if h.PerDimPert != 0 {
 			t.Fatalf("WithTrainPGD(0) must disable module %d's perturbation, got %v", h.Module, h.PerDimPert)
 		}
+	}
+	if p, ok := res.Extra["pert_z1"]; ok {
+		t.Fatalf("WithTrainPGD(0) runs no attack, so it must not collect pert_z1, got %v", p)
 	}
 }
 
@@ -337,7 +345,6 @@ func TestAPADMASwitchesReachFedProphet(t *testing.T) {
 func TestParamServerBufferedAggregation(t *testing.T) {
 	params := []float64{0.5, -1.25, 2.0, 0.0, 3.5}
 	srv := fedprophet.NewParamServer(params, nil, 1,
-		fedprophet.WithServerShards(2),
 		fedprophet.WithBufferedAggregation(2, 1))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -11,31 +11,24 @@ import (
 // The distributed deployment surface: a real HTTP parameter server for
 // fleets that federate over the network instead of in-process. The server
 // speaks the wire protocol of docs/WIRE.md (one envelope format carrying
-// exact raw frames or compressed error-fed deltas, negotiated per client) and aggregates under
-// parameter-range sharding — concurrent pushes decode and admit in
-// parallel, a stats poll never blocks aggregation, and the aggregate is
-// bit-identical at any shard count.
+// exact raw frames or compressed error-fed deltas, negotiated per client):
+// concurrent pushes decode and admit in parallel, a stats poll never blocks
+// aggregation, and a commit folds over one range of the parameter vector
+// per processor with a bit-identical aggregate at any range count.
 
 type (
 	// ParamServer is the HTTP parameter server of the distributed
-	// transport: a synchronous FedAvg aggregator with sharded, streaming
+	// transport: a synchronous FedAvg aggregator with streaming, parallel
 	// aggregation. Serve its Handler() (or call ListenAndServe) and point
 	// fldist clients — or any client implementing docs/WIRE.md — at it.
 	ParamServer = fldist.Server
 	// ParamServerOption configures NewParamServer.
 	ParamServerOption = fldist.ServerOption
 	// ServerStats is the GET /stats payload: traffic counters split raw vs
-	// compressed, round progress, shard count, and per-update admit-latency
-	// percentiles.
+	// compressed, round progress, the commit fold's range count, and
+	// per-update admit-latency percentiles.
 	ServerStats = fldist.Stats
 )
-
-// WithServerShards sets how many parameter-range shards the server
-// aggregates under. More shards let more concurrent client pushes admit
-// without contending; the aggregated model is bit-identical at any shard
-// count, so this is purely a throughput knob. Values < 1 select the default
-// (GOMAXPROCS, capped at 64).
-func WithServerShards(n int) ParamServerOption { return fldist.WithShards(n) }
 
 // WithBufferedAggregation switches the parameter server from the
 // synchronous quorum to FedBuff-style buffered bounded-staleness
@@ -75,9 +68,9 @@ func ParamServerWALExists(dir string) bool { return fldist.WALExists(dir) }
 // dir: the model resumes at the last intact commit, admissions logged after
 // it re-enter the buffer, and the log stays open for the recovered server's
 // own appends. The aggregation mode, commit threshold and staleness window
-// come from the log itself; opts may tune runtime-only settings (shards, WAL
-// sync policy). It fails with an error while another live process still
-// holds the log — use HandoffParamServer to wait that out.
+// come from the log itself; opts may not change them. It fails with an error
+// while another live process still holds the log — use HandoffParamServer to
+// wait that out.
 func RecoverParamServer(dir string, opts ...ParamServerOption) (*ParamServer, error) {
 	return fldist.RecoverServer(dir, opts...)
 }
