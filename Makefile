@@ -86,11 +86,12 @@ test-race:
 # panic, only 200/400/409, a finite model after every 200) and
 # FuzzCodecHeader (arbitrary X-Fldist-Codec values, ;topk=K;delta=1;base=R
 # included — no panic, base ≥ −1, an accepted codec's echo re-parses to
-# itself) and FuzzWALAdmitReplay (one admission record of a valid buffered
-# WAL mutated and CRC-resealed — recovery never panics, errors wrap ErrWAL,
-# the replayed buffer and the commit forced from it stay finite) and
-# FuzzWALCommitReplay (the commit record of the retained round an uncommitted
-# frame-form admission decodes against, mutated and CRC-resealed — the same
+# itself) and FuzzWALAdmitReplay (one admission record — a raw, a dense or a
+# delta-chain push's frames, of a valid buffered or synchronous WAL — mutated
+# and CRC-resealed: recovery never panics, errors wrap ErrWAL, the replayed
+# buffer and the commit forced from it stay finite) and FuzzWALCommitReplay
+# (the commit record of the retained round an uncommitted quantized
+# admission decodes against, mutated and CRC-resealed — the same
 # invariants, with the base rebuilt from that record), plus
 # FuzzConvKernelsMatchNaive (arbitrary conv geometries — unroll, scatter,
 # forward GEMM and dW stay bit-equal to their naive references on the AVX2

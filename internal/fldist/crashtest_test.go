@@ -26,18 +26,22 @@ import (
 // the last intact commit record in the log — never a blend, never a torn
 // state, never a panic — and a log with no intact commit is a clean error.
 
-// walScript drives a deterministic buffered fleet against a WAL-backed
-// server: `commits` full buffers of K=3 pushes plus `extra` admitted-but-
-// uncommitted pushes at the end. It returns the reference snapshot after
-// every commit (index = round) and the live server for further inspection.
-// The caller owns srv.Close.
-func walScript(t *testing.T, dir string, commits, extra, shards int) (srv *Server, refP, refBN map[int][]float64) {
+// walScript drives a deterministic fleet against a WAL-backed server —
+// buffered (K=3, window 2) or a synchronous quorum of 3: `commits` full
+// buffers (quorums) of 3 pushes plus `extra` admitted-but-uncommitted pushes
+// at the end. It returns the reference snapshot after every commit (index =
+// round) and the live server for further inspection. The caller owns
+// srv.Close.
+func walScript(t *testing.T, dir string, buffered bool, commits, extra, shards int) (srv *Server, refP, refBN map[int][]float64) {
 	t.Helper()
 	initParams := synthVec(257, 71) // odd length: ragged shards
 	initBN := synthVec(5, 72)
-	srv = NewServer(initParams, initBN, 1,
-		withSegments(shards), WithBufferedAggregation(walTestBufferK, 2),
-		WithWAL(dir), withWarnf(t.Logf))
+	opts := []ServerOption{withSegments(shards), WithWAL(dir), withWarnf(t.Logf)}
+	if buffered {
+		srv = NewServer(initParams, initBN, 1, append(opts, WithBufferedAggregation(walTestBufferK, 2))...)
+	} else {
+		srv = NewServer(initParams, initBN, walTestBufferK, opts...)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -75,8 +79,8 @@ func walScript(t *testing.T, dir string, commits, extra, shards int) (srv *Serve
 	return srv, refP, refBN
 }
 
-// walTestBufferK is the commit threshold every scripted run in this file
-// uses; walBoundaries needs it to predict recovery's folds.
+// walTestBufferK is the commit threshold (buffer or quorum) every scripted
+// run in this file uses; walBoundaries needs it to predict recovery's folds.
 const walTestBufferK = 3
 
 // walBoundaries walks a finished log and returns each record's end offset
@@ -120,7 +124,7 @@ func walBoundaries(t *testing.T, log []byte) (ends []int64, recoversTo []int) {
 // the reference vectors of wantRound. It closes the recovered server.
 func assertRecovered(t *testing.T, dir string, shards, wantRound int, refP, refBN map[int][]float64) {
 	t.Helper()
-	rec, err := RecoverServer(dir, withSegments(shards), withWarnf(t.Logf))
+	rec, err := recoverT(t, dir, shards)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -146,14 +150,25 @@ func assertRecovered(t *testing.T, dir string, shards, wantRound int, refP, refB
 }
 
 // Prefix truncation at every record boundary and at torn cuts inside every
-// record: recovery always lands on the last wholly-contained commit,
-// bit-identically, and errors cleanly (never panics) when no commit survives.
-// Runs the sweep both with the (then stale) idx checkpoint present and
-// without it, so the idx fast path and the full-scan fallback both face every
-// cut.
+// record, in both aggregation modes: recovery always lands on the last
+// wholly-contained commit — or the one a full logged buffer folds to —
+// bit-identically, and errors cleanly (never panics) when no commit
+// survives. Runs the sweep both with the (then stale) idx checkpoint present
+// and without it, so the idx fast path and the full-scan fallback both face
+// every cut.
 func TestWALCrashTruncationSweep(t *testing.T) {
+	for _, buffered := range []bool{true, false} {
+		name := "sync"
+		if buffered {
+			name = "buffered"
+		}
+		t.Run(name, func(t *testing.T) { truncationSweep(t, buffered) })
+	}
+}
+
+func truncationSweep(t *testing.T, buffered bool) {
 	dir := t.TempDir()
-	srv, refP, refBN := walScript(t, dir, 3, 1, 4)
+	srv, refP, refBN := walScript(t, dir, buffered, 3, 1, 4)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +195,7 @@ func TestWALCrashTruncationSweep(t *testing.T) {
 			}
 		}
 		if want < 0 {
-			rec, err := RecoverServer(sub, withWarnf(t.Logf))
+			rec, err := recoverT(t, sub, 0)
 			if err == nil {
 				rec.Close()
 				t.Fatalf("cut %d: recovery succeeded with no intact commit", cut)
@@ -275,7 +290,7 @@ func (fs *faultSink) Close() error { return fs.f.Close() }
 func TestWALWriteFaultInjection(t *testing.T) {
 	// First, a clean run to count appends and capture references.
 	cleanDir := t.TempDir()
-	srv, refP, refBN := walScript(t, cleanDir, 3, 1, 4)
+	srv, refP, refBN := walScript(t, cleanDir, true, 3, 1, 4)
 	total := int(srv.wal.records.Load())
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -360,7 +375,7 @@ func TestWALWriteFaultInjection(t *testing.T) {
 				want = lastCommit[len(lastCommit)-1]
 			}
 			if want < 0 {
-				if rec, err := RecoverServer(dir, withWarnf(t.Logf)); err == nil {
+				if rec, err := recoverT(t, dir, 0); err == nil {
 					rec.Close()
 					t.Fatalf("budget %d: recovery succeeded with no intact commit", budget)
 				}
@@ -401,7 +416,7 @@ func TestWALCrashChildMain(t *testing.T) {
 	}
 	var srv *Server
 	if WALExists(dir) {
-		s, err := RecoverServer(dir, withSegments(2))
+		s, err := recoverT(t, dir, 2)
 		if err != nil {
 			t.Fatalf("child recover: %v", err)
 		}
@@ -478,7 +493,7 @@ func TestWALCrashSIGKILL(t *testing.T) {
 			t.Fatalf("incarnation %d: no intact commit in the log", incarnation)
 		}
 		wantRound := lastCommit[len(lastCommit)-1]
-		rec, err := RecoverServer(dir, withSegments(2), withWarnf(t.Logf))
+		rec, err := recoverT(t, dir, 2)
 		if err != nil {
 			t.Fatalf("incarnation %d: recover: %v", incarnation, err)
 		}

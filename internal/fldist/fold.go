@@ -170,8 +170,8 @@ func WithBufferedAggregation(k, maxStaleness int) ServerOption {
 // ServerOption configures NewServer.
 type ServerOption func(*serverConfig)
 
-// WithWAL makes the server crash-safe: every commit's snapshot (and, in
-// buffered mode, every admission between commits) is appended to a
+// WithWAL makes the server crash-safe: every commit's snapshot and every
+// admission between commits, in either aggregation mode, is appended to a
 // write-ahead log in dir before it takes effect, so a process that dies —
 // SIGKILL included — resumes the federation at its last commit via
 // RecoverServer (or hands it to a live successor via Handoff). The dir must

@@ -148,38 +148,62 @@ func testDelta(nP, nBN int) (d, dBN []float64) {
 	return d, dBN
 }
 
-// bufferedAdmitLog writes a buffered WAL (K = 3, window 2) through the live
-// push handler: the initial commit, then two admissions left uncommitted — a
-// raw push, logged in delta form, and a dense 8-bit push with a raw BN frame,
-// logged as its wire frames. It returns the log's bytes and those two
+// admitLog writes a WAL through the live push handler — buffered (K = 4,
+// window 2) or a synchronous quorum of 4 — holding the initial commit and
+// three admissions left uncommitted: a raw push, a dense 8-bit push with a
+// raw BN frame, and a dense push from a delta-downlink client, whose record
+// carries its chain base. It returns the log's bytes and those three
 // records, in log order.
-func bufferedAdmitLog(tb testing.TB) ([]byte, []loggedRecord) {
+func admitLog(tb testing.TB, buffered bool) ([]byte, []loggedRecord) {
 	tb.Helper()
 	const nP, nBN = 96, 4
 	initP, initBN := synthVec(nP, 1), synthVec(nBN, 2)
-	srv := NewServer(initP, initBN, 1, withSegments(2), WithBufferedAggregation(3, 2), WithWAL(tb.TempDir()),
-		withWarnf(func(string, ...any) {}))
+	opts := []ServerOption{withSegments(2), WithWAL(tb.TempDir()), withWarnf(func(string, ...any) {})}
+	quorum := 4
+	if buffered {
+		opts, quorum = append(opts, WithBufferedAggregation(4, 2)), 1
+	}
+	srv := NewServer(initP, initBN, quorum, opts...)
 	d, dBN := testDelta(nP, nBN)
 	dense, err := encodeUpdateEnvelope(1, 0, 2, quant.Encode(quant.QuantizeChunks(d, 8, 64)), quant.EncodeRaw(dBN))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, body := range [][]byte{rawBodyT(tb, 0, 0, 3, perturb(initP, 0, 0), perturb(initBN, 0, 0)), dense} {
-		postOK(tb, srv, body)
+	postOK(tb, srv, rawBodyT(tb, 0, 0, 3, perturb(initP, 0, 0), perturb(initBN, 0, 0)), "")
+	postOK(tb, srv, dense, "")
+	// The delta client's cold pull seeds its codec's chain; its push then
+	// decodes against the chain entry of round 0.
+	chain := codecValue(Compression{Bits: 8, Chunk: 64, Delta: true})
+	pull := httptest.NewRequest(http.MethodGet, "/model", nil)
+	pull.Header.Set(codecHeader, chain)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, pull)
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("delta pull: status %d: %s", rec.Code, rec.Body)
 	}
+	chainPush, err := encodeUpdateEnvelope(2, 0, 1, quant.Encode(quant.QuantizeChunks(d, 8, 64)), quant.EncodeRaw(dBN))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	postOK(tb, srv, chainPush, chain)
 	log := readLog(tb, srv)
 	admits := recordsOf(tb, log, walRecAdmit)
-	if len(admits) != 2 {
-		tb.Fatalf("log holds %d admission records, want 2", len(admits))
+	if len(admits) != 3 {
+		tb.Fatalf("log holds %d admission records, want 3", len(admits))
 	}
 	return log, admits
 }
 
-// postOK runs one push through srv's handler and requires a 200.
-func postOK(tb testing.TB, srv *Server, body []byte) {
+// postOK runs one push through srv's handler, declaring codec when it is
+// not empty, and requires a 200.
+func postOK(tb testing.TB, srv *Server, body []byte, codec string) {
 	tb.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body))
+	if codec != "" {
+		req.Header.Set(codecHeader, codec)
+	}
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body)))
+	srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		tb.Fatalf("push: status %d: %s", rec.Code, rec.Body)
 	}
@@ -209,7 +233,7 @@ func retainedCommitLog(tb testing.TB) ([]byte, loggedRecord) {
 			tb.Fatal(err)
 		}
 		for id := 0; id < 2; id++ {
-			postOK(tb, srv, rawBodyT(tb, id, r, 1, perturb(initP, id, r), perturb(initBN, id, r)))
+			postOK(tb, srv, rawBodyT(tb, id, r, 1, perturb(initP, id, r), perturb(initBN, id, r)), "")
 		}
 	}
 	d, dBN := testDelta(nP, nBN)
@@ -217,7 +241,7 @@ func retainedCommitLog(tb testing.TB) ([]byte, loggedRecord) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	postOK(tb, srv, dense)
+	postOK(tb, srv, dense, "")
 	log := readLog(tb, srv)
 	commits := recordsOf(tb, log, walRecCommit)
 	if len(commits) != 3 {
@@ -256,46 +280,71 @@ func recoverLog(tb testing.TB, log []byte) (*Server, error) {
 	if err := os.WriteFile(filepath.Join(dir, walLogName), log, 0o644); err != nil {
 		tb.Fatal(err)
 	}
-	return RecoverServer(dir, withSegments(2), withWarnf(func(string, ...any) {}))
+	srv, err := RecoverServer(dir)
+	if err == nil {
+		srv.segs, srv.warnf = 2, func(string, ...any) {}
+	}
+	return srv, err
 }
 
-// infBNAdmit is the frame-form admission payload p with its BN frame
-// replaced by a raw frame holding +Inf — CRC-valid, and never something the
-// live handler admits.
-func infBNAdmit(tb testing.TB, p []byte) []byte {
+// mutatedAdmit returns the admission payload p parsed, changed by mutate and
+// re-encoded.
+func mutatedAdmit(tb testing.TB, p []byte, mutate func(a *walAdmit)) []byte {
 	tb.Helper()
 	a, err := parseWALAdmit(p)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	_, bnFrame, err := quant.DecodeFirst(a.frames)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	bn := make([]float64, 4)
-	bn[2] = math.Inf(1)
-	a.frames = append(a.frames[:len(a.frames)-len(bnFrame):len(a.frames)-len(bnFrame)], quant.EncodeRaw(bn)...)
+	mutate(a)
 	return appendWALAdmit(nil, a)
 }
 
+// infBNAdmit is the admission payload p with its BN frame replaced by a raw
+// frame holding +Inf — CRC-valid, and never something the live handler
+// admits.
+func infBNAdmit(tb testing.TB, p []byte) []byte {
+	tb.Helper()
+	return mutatedAdmit(tb, p, func(a *walAdmit) {
+		_, bnFrame, err := quant.DecodeFirst(a.frames)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bn := make([]float64, 4)
+		bn[2] = math.Inf(1)
+		a.frames = append(a.frames[:len(a.frames)-len(bnFrame):len(a.frames)-len(bnFrame)], quant.EncodeRaw(bn)...)
+	})
+}
+
 // FuzzWALAdmitReplay mutates one admission record's payload inside a valid
-// buffered log — seeded with both records as written and with a raw BN frame
-// holding +Inf — re-seals its CRC, and recovers. Recovery never panics, any
-// error wraps ErrWAL, every buffered value it replays is finite, and the
-// commit forced from the recovered buffer publishes a finite model. (The
-// FedBuff fold of in-range updates is finite, not in range: a delta against
-// an old base reaches 2·maxValue.)
+// log — a buffered and a synchronous one, each holding a raw, a dense and a
+// chain admission, seeded with every record as written and with a raw BN
+// frame holding +Inf — re-seals its CRC, and recovers. Recovery never
+// panics, any error wraps ErrWAL, every buffered value it replays is finite,
+// and the commit forced from the recovered buffer publishes a finite model.
+// (The FedBuff fold of in-range updates is finite, not in range: a delta
+// against an old base reaches 2·maxValue.)
 func FuzzWALAdmitReplay(f *testing.F) {
-	log, admits := bufferedAdmitLog(f)
-	for i, a := range admits {
-		f.Add(uint8(i), a.payload)
+	type target struct {
+		log   []byte
+		admit loggedRecord
 	}
-	f.Add(uint8(1), infBNAdmit(f, admits[1].payload))
+	var targets []target
+	for _, buffered := range []bool{true, false} {
+		log, admits := admitLog(f, buffered)
+		for _, a := range admits {
+			targets = append(targets, target{log, a})
+		}
+	}
+	for i, tg := range targets {
+		f.Add(uint8(i), tg.admit.payload)
+	}
+	f.Add(uint8(1), infBNAdmit(f, targets[1].admit.payload))
 	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
 		if len(payload) == 0 {
 			return // not a record the framing can carry
 		}
-		srv, err := recoverLog(t, withPayload(log, admits[int(which)%len(admits)], payload))
+		tg := targets[int(which)%len(targets)]
+		srv, err := recoverLog(t, withPayload(tg.log, tg.admit, payload))
 		if err != nil {
 			if !errors.Is(err, ErrWAL) {
 				t.Fatalf("recovery error does not wrap ErrWAL: %v", err)
@@ -324,7 +373,7 @@ func FuzzWALAdmitReplay(f *testing.F) {
 }
 
 // FuzzWALCommitReplay mutates the commit record of the retained round an
-// uncommitted frame-form admission decodes against — seeded with the record
+// uncommitted compressed admission decodes against — seeded with the record
 // as written and with each misshapen commit — re-seals its CRC, and
 // recovers. Recovery never panics, any error wraps ErrWAL, every buffered
 // value it replays is finite, and so is the model a commit of the recovered

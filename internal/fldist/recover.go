@@ -15,27 +15,24 @@ package fldist
 //     everything before it is intact by CRC.
 //  3. Truncate the torn tail and resume appending where the intact log ends.
 //
-// Replay is bit-identical to never having crashed, by two arguments:
+// Replay is bit-identical to never having crashed because it re-runs the
+// live arithmetic on the live inputs. Every admission record holds the
+// client's wire frames verbatim, and replay runs them through the push
+// handler's own decoder (decodeUpdate) and base resolver (resolveBase) — the
+// same decode, base add and admission checks — against the base the live
+// push resolved: the snapshot of its round for a raw frame, that snapshot's
+// served variant for a quantized one (buildServed is a byte-deterministic
+// function of snapshot, entry residual and codec, and the commit record
+// carries exactly those inputs), or the logged chain base for a
+// delta-downlink push, whose chain the log does not rebuild. The fold then
+// consumes the same (vals, base) pairs in the same (baseRound, clientID)
+// order. Both aggregation modes log and replay admissions alike.
 //
-// Delta-form admissions (raw and delta-downlink pushes) log d = vals−base.
-// The fold consumes each contribution only as weight·(vals−base) per
-// element, so replaying as (d, 0) feeds the identical difference through the
-// identical (baseRound, clientID)-ordered fold.
-//
-// Frame-form admissions (compressed pushes) log the client's wire frames
-// verbatim, and replay runs them through the push handler's own decoder
-// (decodeUpdate) — the same decode, base add and admission checks — against
-// the served base rebuilt from the base round's commit record: buildServed
-// is a byte-deterministic function of (snapshot, entry residual, codec), and
-// the commit record carries exactly those inputs. (d = (base⊕dq)⊖base
-// generally ≠ dq in IEEE-754, which is why the frames must be replayed
-// through the add, not substituted for a delta.)
-//
-// Either way replay refuses, with ErrWAL, what the live server could never
-// have admitted: values outside the admission range, deltas beyond the
-// difference of two in-range vectors, effective weights outside the
-// registry's discounted weight bounds. TestRecoverBitIdentical* pin
-// bit-identity across modes, fold range counts and crash points;
+// Replay refuses, with ErrWAL, what the live server could never have
+// admitted: values outside the admission range, effective weights outside
+// the registry's discounted weight bounds, a chain base of the wrong shape
+// or beyond twice the admission range. TestRecoverBitIdentical
+// pins bit-identity across modes, fold range counts and crash points;
 // TestRecoverRefusesOutOfRangeAdmit and FuzzWALAdmitReplay the refusals.
 
 import (
@@ -242,19 +239,18 @@ func openWALForRecovery(dir string) (*wal, *walRecovered, error) {
 }
 
 // RecoverServer rebuilds a parameter server from the write-ahead log in dir:
-// the model resumes at the last intact commit, buffered-mode admissions
-// logged after it re-enter the buffer, and the log stays open for the
+// the model resumes at the last intact commit, the admissions logged after
+// it re-enter the buffer (or quorum), and the log stays open for the
 // recovered server's own appends. The aggregation mode, commit threshold and
-// staleness window come from the log's meta record; opts may tune the
-// runtime-only settings but not the aggregation mode.
+// staleness window come from the log's meta record.
 // It returns ErrWALLocked while another live process holds the log — see
 // Handoff for waiting that out.
-func RecoverServer(dir string, opts ...ServerOption) (*Server, error) {
+func RecoverServer(dir string) (*Server, error) {
 	w, st, err := openWALForRecovery(dir)
 	if err != nil {
 		return nil, err
 	}
-	s, err := serverFromWAL(w, st, opts)
+	s, err := serverFromWAL(w, st)
 	if err != nil {
 		w.Close()
 		return nil, err
@@ -269,9 +265,9 @@ func RecoverServer(dir string, opts ...ServerOption) (*Server, error) {
 // lost. The flock on wal.lock is the transfer token; the kernel releases it
 // on any process death, so a crashed incumbent hands off exactly like a
 // graceful one.
-func Handoff(ctx context.Context, dir string, opts ...ServerOption) (*Server, error) {
+func Handoff(ctx context.Context, dir string) (*Server, error) {
 	for {
-		s, err := RecoverServer(dir, opts...)
+		s, err := RecoverServer(dir)
 		if !errors.Is(err, ErrWALLocked) {
 			return s, err
 		}
@@ -282,116 +278,87 @@ func Handoff(ctx context.Context, dir string, opts ...ServerOption) (*Server, er
 }
 
 // serverFromWAL builds the recovered server from scanned state.
-func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, error) {
+func serverFromWAL(w *wal, st *walRecovered) (*Server, error) {
 	m := st.meta
 	if len(st.commits) == 0 {
 		return nil, fmt.Errorf("fldist: WAL in %s has no intact commit record", w.dir)
 	}
-	var cfg serverConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.walDir != "" {
-		return nil, errors.New("fldist: WithWAL is implicit in RecoverServer")
-	}
-	if cfg.bufferK != 0 || cfg.maxStale != 0 {
-		return nil, errors.New("fldist: aggregation mode is fixed by the WAL meta record")
-	}
 
-	// Every snapshot recovery installs — the newest commit's and, in buffered
-	// mode, the retained rounds' — is rebuilt from its own commit record,
-	// residuals included, so a served variant of any of them builds exactly
-	// the bytes the dead process served, on demand, through the live
-	// getServed. Only those records are checked against the meta shape: older
-	// commits never reach a snapshot.
+	// Every snapshot recovery installs — the newest commit's and the
+	// retained rounds' — is rebuilt from its own commit record, residuals
+	// included, so a served variant of any of them builds exactly the bytes
+	// the dead process served, on demand, through the live getServed. Only
+	// those records are checked against the meta shape: older commits never
+	// reach a snapshot.
 	cur, err := snapshotFromCommit(st.commits[len(st.commits)-1].c, m)
 	if err != nil {
 		return nil, err
 	}
 	R := cur.round
 
-	all := []ServerOption{withSegments(cfg.segments)}
+	var opts []ServerOption
 	if m.async {
-		all = append(all, WithBufferedAggregation(m.quorumOrK, m.maxStale))
+		opts = append(opts, WithBufferedAggregation(m.quorumOrK, m.maxStale))
 	}
-	s := NewServer(cur.params, cur.bn, max(m.quorumOrK, 1), all...)
-	if cfg.warnf != nil {
-		s.warnf = cfg.warnf
-	}
+	s := NewServer(cur.params, cur.bn, max(m.quorumOrK, 1), opts...)
 	s.model.Store(cur)
 
-	// Retained rounds inside the staleness window, so post-recovery pushes
-	// against an older base still reconstruct. Served variants are not
-	// persisted: frame-form replay below builds the ones the buffered pushes
-	// decoded against, and any other builds when first asked for.
-	if m.async {
-		for _, cp := range st.commits[:len(st.commits)-1] {
-			if cp.c.round >= R-m.maxStale {
-				sn, err := snapshotFromCommit(cp.c, m)
-				if err != nil {
-					return nil, err
-				}
-				s.history[sn.round] = sn
-			}
-		}
-
-		// Re-mark the dedup horizon for every in-window admission — committed
-		// or not — so a client retrying an already-counted push after the
-		// restart is still answered idempotently, never double-counted. Then
-		// replay the admissions of the round in flight (admitted after the
-		// last commit) into the buffer: delta form as (delta, zero-base)
-		// contributions, frame form through the live handler's own decoder
-		// against the base round's served variant.
-		zero := updateBase{p: make([]float64, m.nParams), bn: make([]float64, m.nBN)}
-		for _, a := range st.admits {
-			stale := a.admitRound - a.baseRound
-			if stale < 0 || stale > m.maxStale || a.admitRound > R {
-				return nil, fmt.Errorf("%w: admission (client %d, base %d, at %d) outside window",
-					ErrWAL, a.clientID, a.baseRound, a.admitRound)
-			}
-			if a.admitRound != R {
-				// Folded by a later logged commit: only its dedup mark lives on.
-				if a.baseRound >= R-m.maxStale {
-					set := s.admitted[a.baseRound]
-					if set == nil {
-						set = map[int]bool{}
-						s.admitted[a.baseRound] = set
-					}
-					set[a.clientID] = true
-				}
-				continue
-			}
-			// The logged effective weight parks as-is: it is the discount the
-			// live registry applied, and re-deriving it from the raw weight
-			// would not round-trip. IEEE division is monotone, so every weight
-			// checkWeight admits discounts into these bounds.
-			if d := float64(1 + stale); !(a.effW >= minWeight/d && a.effW <= maxWeight/d) {
-				return nil, fmt.Errorf("%w: admission weight %v", ErrWAL, a.effW)
-			}
-			buf := s.bufPool.Get().(*updateBuf)
-			base := zero
-			var err error
-			if len(a.frames) > 0 {
-				base, err = s.replayFrames(a, buf)
-			} else if len(a.dp) != m.nParams || len(a.db) != m.nBN {
-				err = fmt.Errorf("delta shape (%d,%d), want (%d,%d)", len(a.dp), len(a.db), m.nParams, m.nBN)
-			} else if !allWithin(a.dp, 2*maxValue) || !allWithin(a.db, 2*maxValue) {
-				// A delta of two in-range vectors stays within 2·maxValue.
-				err = errOutOfRange
-			} else {
-				copy(buf.params, a.dp)
-				copy(buf.bn, a.db)
-			}
+	// Retained rounds inside the staleness window (none under the quorum's
+	// window 0), so post-recovery pushes against an older base still
+	// reconstruct. Served variants are not persisted: replay below builds
+	// the ones the logged pushes decoded against, and any other builds when
+	// first asked for.
+	for _, cp := range st.commits[:len(st.commits)-1] {
+		if cp.c.round >= R-m.maxStale {
+			sn, err := snapshotFromCommit(cp.c, m)
 			if err != nil {
-				s.bufPool.Put(buf)
-				return nil, fmt.Errorf("%w: admission (client %d, base %d): %v", ErrWAL, a.clientID, a.baseRound, err)
+				return nil, err
 			}
-			s.parkLocked(a.clientID, a.baseRound, stale, a.effW, buf, base.p, base.bn)
-			if a.comp {
-				s.updatesComp.Add(1)
-			} else {
-				s.updatesRaw.Add(1)
+			s.history[sn.round] = sn
+		}
+	}
+
+	// Re-mark the dedup horizon for every in-window admission — committed or
+	// not — so a client retrying an already-counted push after the restart is
+	// still answered idempotently, never double-counted. Then replay the
+	// admissions of the round in flight (admitted after the last commit) into
+	// the buffer, through the live handler's decoder and base resolver.
+	for _, a := range st.admits {
+		stale := a.admitRound - a.baseRound
+		if stale < 0 || stale > m.maxStale || a.admitRound > R {
+			return nil, fmt.Errorf("%w: admission (client %d, base %d, at %d) outside window",
+				ErrWAL, a.clientID, a.baseRound, a.admitRound)
+		}
+		if a.admitRound != R {
+			// Folded by a later logged commit: only its dedup mark lives on.
+			if a.baseRound >= R-m.maxStale {
+				set := s.admitted[a.baseRound]
+				if set == nil {
+					set = map[int]bool{}
+					s.admitted[a.baseRound] = set
+				}
+				set[a.clientID] = true
 			}
+			continue
+		}
+		// The logged effective weight parks as-is: it is the discount the
+		// live registry applied, and re-deriving it from the raw weight
+		// would not round-trip. IEEE division is monotone, so every weight
+		// checkWeight admits discounts into these bounds.
+		if d := float64(1 + stale); !(a.effW >= minWeight/d && a.effW <= maxWeight/d) {
+			return nil, fmt.Errorf("%w: admission weight %v", ErrWAL, a.effW)
+		}
+		buf := s.bufPool.Get().(*updateBuf)
+		base, err := s.replayAdmit(a, buf)
+		if err != nil {
+			s.bufPool.Put(buf)
+			return nil, fmt.Errorf("%w: admission (client %d, base %d): %v", ErrWAL, a.clientID, a.baseRound, err)
+		}
+		s.parkLocked(a.clientID, a.baseRound, stale, a.effW, buf, base.p, base.bn)
+		if a.comp {
+			s.updatesComp.Add(1)
+		} else {
+			s.updatesRaw.Add(1)
 		}
 	}
 
@@ -400,11 +367,11 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 
 	// A buffer that had already filled when the crash hit (its K-th admission
 	// record landed, its commit record did not) commits now — exactly the
-	// commit the crashed process was about to write. Frame replay has rebuilt
-	// the served variants the buffered pushes decoded against, so the commit
-	// also advances their downlink-EF residuals exactly as the dead process
-	// would have.
-	if s.async && len(s.pending) >= s.bufferK {
+	// commit the crashed process was about to write. Replay has rebuilt the
+	// served variants the buffered pushes decoded against, so the commit also
+	// advances their downlink-EF residuals exactly as the dead process would
+	// have.
+	if len(s.pending) >= s.bufferK {
 		s.commit()
 	}
 	return s, nil
@@ -435,26 +402,28 @@ func snapshotFromCommit(c walCommit, m walMeta) (*snapshot, error) {
 	return sn, nil
 }
 
-// replayFrames runs a frame-form admission's logged wire frames through the
-// push handler's decoder into buf, against the served variant of the base
-// round the client pulled — built now if the crash took it — and returns
-// that base: exactly the (vals, base) pair register saw before the crash.
-// The writer logs raw pushes in delta form, so a raw params frame here is
-// corruption.
-func (s *Server) replayFrames(a *walAdmit, buf *updateBuf) (updateBase, error) {
+// replayAdmit runs a logged admission's wire frames through the push
+// handler's decoder into buf, against the base resolveBase picks — a
+// served variant built now if the crash took it — and returns that base:
+// exactly the (vals, base) pair register saw before the crash. A logged
+// chain base stands in for the delta chain the log does not rebuild; it must
+// fit the model, and its finiteness verdict is recomputed from its values.
+func (s *Server) replayAdmit(a *walAdmit, buf *updateBuf) (updateBase, error) {
+	chain := a.chain
+	if chain != nil {
+		if len(chain.p) != len(buf.params) || len(chain.bn) != len(buf.bn) {
+			return updateBase{}, errShapeMismatch
+		}
+		// A chain base is a dequantised image of committed models, near
+		// the admission range; one far beyond it could drive the fold's
+		// x − base past the float range.
+		if !allWithin(chain.p, 2*maxValue) || !allWithin(chain.bn, 2*maxValue) {
+			return updateBase{}, errOutOfRange
+		}
+		chain.finite = allWithin(chain.p, maxValue)
+	}
 	var pd, bd quant.StreamDecoder
 	return decodeUpdate(bytes.NewReader(a.frames), &pd, &bd, buf, func(pd *quant.StreamDecoder) (updateBase, error) {
-		if pd.IsRaw() {
-			return updateBase{}, errors.New("frame-form admission carries a raw params frame")
-		}
-		comp, err := Compression{Bits: pd.Bits(), Chunk: pd.Chunk()}.normalize()
-		if err != nil {
-			return updateBase{}, err
-		}
-		sm, err := s.getServed(comp, a.baseRound)
-		if err != nil {
-			return updateBase{}, err
-		}
-		return sm.base(), nil
+		return s.resolveBase(pd, a.baseRound, chain)
 	})
 }

@@ -10,8 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"fedprophet/internal/nn"
+	"fedprophet/internal/quant"
 )
 
 // Recovery determinism: a federation that crashes and recovers must end,
@@ -20,6 +25,17 @@ import (
 // file pins that across aggregation modes and shard counts, plus the live
 // handoff path, the edge restart re-push (deduplicated exactly once
 // upstream), and the shutdown warning contract for abandoned buffered work.
+
+// recoverT recovers the server in dir for a test: its served segments and
+// fold ranges pinned to segs (0 tracks GOMAXPROCS), its warnings on the test
+// log.
+func recoverT(t testing.TB, dir string, segs int) (*Server, error) {
+	s, err := RecoverServer(dir)
+	if err == nil {
+		s.segs, s.warnf = segs, t.Logf
+	}
+	return s, err
+}
 
 // fedPush runs one scripted client: pull the current model, train (perturb),
 // push. Clients push exactly once, so their update bytes depend only on the
@@ -40,9 +56,8 @@ func fedPush(t *testing.T, ts *httptest.Server, id int) {
 // TestRecoverBitIdentical crashes a WAL-backed federation mid-run — between
 // commits, at a commit boundary, mid-quorum — recovers it, finishes the
 // scripted pushes, and demands the final model be bit-identical to the
-// never-crashed reference. Buffered mode replays its logged admissions;
-// sync mode resumes at the last commit and the clients whose pushes died
-// with the process push again, exactly as the wire contract tells them to.
+// never-crashed reference. Both modes replay their logged admissions, so the
+// federation resumes at the crash point: no accepted push is pushed again.
 func TestRecoverBitIdentical(t *testing.T) {
 	const nPush = 9 // 3 commits of 3 in both modes
 	initP, initBN := synthVec(257, 71), synthVec(5, 72)
@@ -90,7 +105,7 @@ func TestRecoverBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					rec, err := RecoverServer(dir, withSegments(shards), withWarnf(t.Logf))
+					rec, err := recoverT(t, dir, shards)
 					if err != nil {
 						t.Fatalf("recover: %v", err)
 					}
@@ -98,18 +113,9 @@ func TestRecoverBitIdentical(t *testing.T) {
 					ts2 := httptest.NewServer(rec.Handler())
 					defer ts2.Close()
 
-					// Where the federation resumes: buffered mode replayed every
-					// admission the WAL held, so the next push is exactly the
-					// next scripted one; sync mode lost the partial quorum and
-					// those clients re-push from the recovered round's start.
-					resume := crashAt
-					if mode == "sync" {
-						resume = rec.Round() * 3
-						if resume > crashAt {
-							t.Fatalf("sync recovery at round %d implies %d pushes, but only %d happened", rec.Round(), resume, crashAt)
-						}
-					}
-					for id := resume; id < nPush; id++ {
+					// Recovery replayed every admission the WAL held, so the
+					// next push is exactly the next scripted one.
+					for id := crashAt; id < nPush; id++ {
 						fedPush(t, ts2, id)
 					}
 
@@ -134,12 +140,74 @@ func TestRecoverBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSyncRecoveryReleasesWaitingClients pins the synchronous-mode crash
+// contract for real clients. A client whose push got its 200 never pushes it
+// again: it waits for the round to move past it. With the quorum equal to
+// the fleet, recovery must therefore bring that push back, or the round can
+// never fill. Client 0 pushes and waits; the server crashes and recovers
+// behind a stable front address; client 1 then pushes, and the round must
+// advance, releasing client 0, before the deadline.
+func TestSyncRecoveryReleasesWaitingClients(t *testing.T) {
+	_, _, _, build := testSetup(t, 3, 3)
+	m := build()
+	dir := t.TempDir()
+	srv := NewServer(nn.ExportParams(m), nn.ExportBNStats(m), 2, WithWAL(dir), withWarnf(t.Logf))
+	var live atomic.Pointer[Server]
+	live.Store(srv)
+	// A client polls /round only once a push of its got its 200.
+	waiting := make(chan struct{})
+	var once sync.Once
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/round" {
+			once.Do(func() { close(waiting) })
+		}
+		live.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	clients := []*Client{
+		mkClient(t, front, 0, 10, &Compression{Bits: 8, Chunk: 64}),
+		mkClient(t, front, 1, 11, nil),
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	errs := make(chan error, len(clients))
+	run := func(c *Client) { errs <- c.RunRounds(ctx, 2, 0.05) }
+	go run(clients[0])
+	// Client 0 got its 200 and waits on the quorum. Crash: the process dies
+	// with the WAL released.
+	select {
+	case <-waiting:
+	case <-ctx.Done():
+		t.Fatal("client 0 never pushed")
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := recoverT(t, dir, 0)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer rec.Close()
+	live.Store(rec)
+
+	go run(clients[1])
+	for range clients {
+		if err := <-errs; err != nil {
+			t.Fatalf("client: %v", err)
+		}
+	}
+	if rec.Round() != 2 {
+		t.Fatalf("recovered server at round %d, want 2", rec.Round())
+	}
+}
+
 // Live handoff: a successor blocks on the incumbent's flock and takes over
 // at its exact round the moment the incumbent closes — no state lost, no
 // double ownership, and the federation keeps moving under the successor.
 func TestHandoff(t *testing.T) {
 	dir := t.TempDir()
-	srv, refP, _ := walScript(t, dir, 2, 0, 2)
+	srv, refP, _ := walScript(t, dir, true, 2, 0, 2)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -149,7 +217,10 @@ func TestHandoff(t *testing.T) {
 	}
 	ch := make(chan result, 1)
 	go func() {
-		s, err := Handoff(ctx, dir, withSegments(4), withWarnf(t.Logf))
+		s, err := Handoff(ctx, dir)
+		if err == nil {
+			s.segs, s.warnf = 4, t.Logf
+		}
 		ch <- result{s, err}
 	}()
 
@@ -404,33 +475,43 @@ func TestCloseWarnsAboutAbandonedUpdates(t *testing.T) {
 		ts.Close()
 	}
 
-	t.Run("buffered with WAL: recoverable, and recovery proves it", func(t *testing.T) {
-		dir := t.TempDir()
-		var warns []string
-		srv := NewServer(initP, initBN, 1,
-			WithBufferedAggregation(3, 2), WithWAL(dir), capture(&warns))
-		oneAdmit(srv)
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if len(warns) != 1 || !strings.Contains(warns[0], "1 buffered update(s)") || !strings.Contains(warns[0], "all logged") {
-			t.Fatalf("warnings = %q, want one mentioning the count and full WAL coverage", warns)
-		}
-		// The promise in the warning: recovery replays the abandoned update,
-		// so two more pushes complete the buffer of three.
-		rec, err := RecoverServer(dir, withWarnf(t.Logf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rec.Close()
-		ts := httptest.NewServer(rec.Handler())
-		defer ts.Close()
-		fedPush(t, ts, 1)
-		fedPush(t, ts, 2)
-		if rec.Round() != 1 {
-			t.Fatalf("recovered server at round %d after completing the buffer, want 1", rec.Round())
-		}
-	})
+	// With a WAL, in either mode: recoverable, and recovery proves it.
+	for _, tc := range []struct {
+		name   string
+		quorum int
+		opts   []ServerOption
+	}{
+		{"buffered with WAL: recoverable, and recovery proves it", 1, []ServerOption{WithBufferedAggregation(3, 2)}},
+		{"sync with WAL: recoverable", 3, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var warns []string
+			srv := NewServer(initP, initBN, tc.quorum, append(tc.opts, WithWAL(dir), capture(&warns))...)
+			oneAdmit(srv)
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(warns) != 1 || !strings.Contains(warns[0], "1 buffered update(s)") || !strings.Contains(warns[0], "all logged") {
+				t.Fatalf("warnings = %q, want one mentioning the count and full WAL coverage", warns)
+			}
+			// The promise in the warning: recovery replays the abandoned
+			// update, so two more pushes complete the buffer (or quorum) of
+			// three.
+			rec, err := recoverT(t, dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			ts := httptest.NewServer(rec.Handler())
+			defer ts.Close()
+			fedPush(t, ts, 1)
+			fedPush(t, ts, 2)
+			if rec.Round() != 1 {
+				t.Fatalf("recovered server at round %d after completing the buffer, want 1", rec.Round())
+			}
+		})
+	}
 
 	t.Run("buffered without WAL: lost", func(t *testing.T) {
 		var warns []string
@@ -439,16 +520,6 @@ func TestCloseWarnsAboutAbandonedUpdates(t *testing.T) {
 		srv.Close()
 		if len(warns) != 1 || !strings.Contains(warns[0], "no WAL") {
 			t.Fatalf("warnings = %q, want one saying the update is lost without a WAL", warns)
-		}
-	})
-
-	t.Run("sync with WAL: partial quorum not logged", func(t *testing.T) {
-		var warns []string
-		srv := NewServer(initP, initBN, 3, WithWAL(t.TempDir()), capture(&warns))
-		oneAdmit(srv)
-		srv.Close()
-		if len(warns) != 1 || !strings.Contains(warns[0], "sync mode logs commits only") {
-			t.Fatalf("warnings = %q, want one saying sync mode does not log admissions", warns)
 		}
 	})
 
@@ -469,7 +540,7 @@ func TestCloseWarnsAboutAbandonedUpdates(t *testing.T) {
 // history round's served base. A compressed client pulls, the federation
 // commits past its base round, and its stale push is admitted (within the
 // staleness window) just before the process dies — so the WAL holds an
-// uncommitted frame-form admission whose base round is no longer the head.
+// uncommitted compressed admission whose base round is no longer the head.
 // Recovery must re-run the handler's decode against the identical served
 // base, rebuilt from the base round's logged snapshot and entry residual
 // (getServed on a retained snapshot), and the finished federation must
@@ -515,7 +586,7 @@ func TestRecoverStaleCompressedAdmit(t *testing.T) {
 	refP, refBN := ref.Snapshot()
 	ref.Close()
 
-	// Crashed run: die with the stale frame-form admission uncommitted.
+	// Crashed run: die with the stale compressed admission uncommitted.
 	dir := t.TempDir()
 	srv := mk(WithWAL(dir), withWarnf(t.Logf))
 	ts = httptest.NewServer(srv.Handler())
@@ -528,7 +599,7 @@ func TestRecoverStaleCompressedAdmit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := RecoverServer(dir, withWarnf(t.Logf))
+	rec, err := recoverT(t, dir, 0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -554,24 +625,25 @@ func TestRecoverStaleCompressedAdmit(t *testing.T) {
 }
 
 // TestRecoverRefusesOutOfRangeAdmit pins that WAL replay admits nothing the
-// live handler would refuse: a CRC-valid frame-form admission whose raw BN
-// frame holds +Inf, a delta-form admission holding NaN, and an effective
-// weight no registry discount produces each fail recovery with ErrWAL
-// instead of parking a value the next commit would publish.
+// live handler would refuse: a CRC-valid admission whose raw BN frame holds
+// +Inf, a raw params frame holding NaN, a logged chain base holding NaN or
+// one value short, and an effective weight no registry discount produces
+// each fail recovery with ErrWAL instead of parking a value the next commit
+// would publish.
 func TestRecoverRefusesOutOfRangeAdmit(t *testing.T) {
-	log, admits := bufferedAdmitLog(t)
+	log, admits := admitLog(t, true)
 	if srv, err := recoverLog(t, log); err != nil {
 		t.Fatalf("unmutated log: %v", err)
 	} else {
 		srv.Close()
 	}
-	mutate := func(p []byte, f func(a *walAdmit)) []byte {
-		a, err := parseWALAdmit(p)
-		if err != nil {
-			t.Fatal(err)
+	nanParams := func(a *walAdmit) {
+		f, bnFrame, err := quant.DecodeFirst(a.frames)
+		if err != nil || !f.IsRaw() {
+			t.Fatalf("admission 0 is not a raw push: %v", err)
 		}
-		f(a)
-		return appendWALAdmit(nil, a)
+		f.Raw[5] = math.NaN()
+		a.frames = append(quant.EncodeRaw(f.Raw), bnFrame...)
 	}
 	for _, tc := range []struct {
 		name    string
@@ -579,8 +651,10 @@ func TestRecoverRefusesOutOfRangeAdmit(t *testing.T) {
 		payload []byte
 	}{
 		{"frame-form BN +Inf", admits[1], infBNAdmit(t, admits[1].payload)},
-		{"delta-form NaN", admits[0], mutate(admits[0].payload, func(a *walAdmit) { a.dp[5] = math.NaN() })},
-		{"weight beyond the discount bounds", admits[0], mutate(admits[0].payload, func(a *walAdmit) { a.effW = 1e300 })},
+		{"raw frame NaN", admits[0], mutatedAdmit(t, admits[0].payload, nanParams)},
+		{"chain base NaN", admits[2], mutatedAdmit(t, admits[2].payload, func(a *walAdmit) { a.chain.p[5] = math.NaN() })},
+		{"chain base short", admits[2], mutatedAdmit(t, admits[2].payload, func(a *walAdmit) { a.chain.bn = a.chain.bn[1:] })},
+		{"weight beyond the discount bounds", admits[0], mutatedAdmit(t, admits[0].payload, func(a *walAdmit) { a.effW = 1e300 })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := recoverLog(t, withPayload(log, tc.admit, tc.payload))
@@ -598,7 +672,7 @@ func TestRecoverRefusesOutOfRangeAdmit(t *testing.T) {
 // TestRecoverRefusesMisshapenRetainedCommit pins that recovery checks every
 // commit record it rebuilds a snapshot from, not just the newest: a retained
 // round's commit one value short in params, in BN or in a variant residual —
-// CRC-valid, with a frame-form admission decoding against that round after
+// CRC-valid, with a compressed admission decoding against that round after
 // it — fails with ErrWAL instead of panicking in the decode or silently
 // dropping the residual from the rebuilt base.
 func TestRecoverRefusesMisshapenRetainedCommit(t *testing.T) {

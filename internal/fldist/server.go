@@ -234,9 +234,10 @@ type Server struct {
 	bufPool sync.Pool
 
 	// wal, when non-nil, is the open write-ahead log (WithWAL /
-	// RecoverServer): commits and buffered-mode admissions are logged before
-	// they take effect, so a crashed process resumes at its last commit. Set
-	// before serving, never changed.
+	// RecoverServer): every admission and every commit is logged before it
+	// takes effect, in both aggregation modes, so a crashed process resumes
+	// at its last commit with the admissions after it. Set before serving,
+	// never changed.
 	wal *wal
 
 	// warnf receives operational warnings (WAL write failures, lossy
@@ -719,10 +720,11 @@ var pushScratchPool = sync.Pool{
 // itself and is admitted against the snapshot of its round (baseAt); a
 // quantized frame, dense or sparse, carries a delta the server applies to
 // the exact base it served at the same codec parameters — or, for a
-// delta-downlink client, to the chain entry of its round. The body is
-// stream-decoded chunk-by-chunk (decodeUpdate) — O(chunk) transient memory,
-// never the whole wire body — into a pooled buffer, and all forms leave
-// through one admission tail (finishUpdate).
+// delta-downlink client, to the chain entry of its round (resolveBase, which
+// WAL replay shares). The body is stream-decoded chunk-by-chunk
+// (decodeUpdate) — O(chunk) transient memory, never the whole wire body —
+// into a pooled buffer, and all forms leave through one admission tail
+// (finishUpdate).
 //
 // No MaxBytesReader is needed: every read is closed-form bounded before it
 // happens — the fixed 21-byte envelope header, two 14-byte frame headers,
@@ -787,10 +789,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 	// A delta-downlink client (codec negotiated with delta=1) declares its
 	// codec on the push too: its training base is a chain entry in the
-	// per-round base registry (servedelta.go), not a served model. Those
-	// admissions skip the verbatim frame tee below — the chain is not
-	// persisted across restarts, so with a WAL attached they are captured in
-	// delta form instead (finishUpdate), which replays without a base.
+	// per-round base registry (servedelta.go), not a served model.
 	pushComp, _, pushNeg, err := parseCodec(r.Header.Get(codecHeader))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -800,14 +799,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 	// With an admission log, tee the rest of the body — the wire frames,
 	// verbatim — into a pooled admission capture as the decoders stream it:
-	// the log's frame-form record replays them through this same decoder on
-	// recovery (recover.go). ~50µs of memcpy for an 8-bit frame, against the
-	// ~ms of delta capture and raw-frame encode the delta-form record would
-	// cost on the same push. Speculative: rejected pushes release the capture
+	// recovery replays the record through this same decoder and resolver
+	// (recover.go). Speculative: rejected pushes release the capture
 	// unwritten.
 	var wrec *walAdmit
 	src := io.Reader(&sc.cr)
-	if s.logsAdmits() && !deltaPush {
+	if s.wal != nil {
 		wrec = s.wal.newAdmit()
 		defer func() {
 			if wrec != nil {
@@ -819,29 +816,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	sc.br.Reset(src)
 
-	// The base the client trained from: for a raw push, the snapshot of its
-	// round; for a delta-mode client, the chain entry at its held round (the
-	// per-round base registry, servedelta.go); otherwise the served
-	// dequantized model of that snapshot at the same codec parameters —
-	// deterministic, so building it on first use yields the values its
-	// client pulled.
+	// A delta-mode client's quantized frames decode against the chain entry
+	// at its held round; the log cannot rebuild chains, so the capture keeps
+	// that base. Every other form resolves through resolveBase alone.
 	buf := s.bufPool.Get().(*updateBuf)
 	base, err := decodeUpdate(sc.br, &sc.pd, &sc.bd, buf, func(pd *quant.StreamDecoder) (updateBase, error) {
 		raw, sparse = pd.IsRaw(), pd.IsSparse()
-		switch {
-		case raw:
-			// The delta-form record (finishUpdate) logs a raw push — replay
-			// admits only quantized frames — so the capture teed so far goes.
-			if wrec != nil {
-				sc.tee.b = nil
-				wrec.frames = wrec.frames[:0]
-			}
-			b, err := s.baseAt(round)
-			if err != nil {
-				return updateBase{}, err
-			}
-			return updateBase{p: b.params, bn: b.bn}, nil
-		case deltaPush:
+		var chain *updateBase
+		if deltaPush && !raw {
 			e, ok := s.deltaBaseAt(pushComp, round)
 			if !ok {
 				// No chain (the server restarted) or the round fell out of
@@ -849,17 +831,13 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 				// fresh chain — and retrain.
 				return updateBase{}, errStaleServe
 			}
-			return updateBase{p: e.baseP, bn: e.baseBN, finite: e.finite}, nil
+			chain = &updateBase{p: e.baseP, bn: e.baseBN, finite: e.finite}
+			if wrec != nil {
+				// Its own copy, so chain stays off the heap without a log.
+				wrec.chain = &updateBase{p: e.baseP, bn: e.baseBN}
+			}
 		}
-		comp, err := Compression{Bits: pd.Bits(), Chunk: pd.Chunk()}.normalize()
-		if err != nil {
-			return updateBase{}, err
-		}
-		sm, err := s.getServed(comp, round)
-		if err != nil {
-			return updateBase{}, err
-		}
-		return sm.base(), nil
+		return s.resolveBase(pd, round, chain)
 	})
 	if err != nil {
 		s.bufPool.Put(buf)
@@ -870,9 +848,42 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if wrec != nil {
+		wrec.clientID, wrec.baseRound, wrec.comp = clientID, round, !raw
+	}
 	rec := wrec
 	wrec = nil // ownership passes; finishUpdate releases on rejection
 	s.finishUpdate(w, clientID, round, weight, buf, base.p, base.bn, raw, sparse, start, rec)
+}
+
+// resolveBase is the one base resolver of an update, shared by the push
+// handler and WAL replay; it runs once decodeUpdate has read the params
+// frame header. A raw frame carries the trained vector itself and resolves
+// to the snapshot of its round (baseAt). A quantized frame is a delta: onto
+// chain, the delta-chain entry a delta-downlink client trained from, when
+// there is one, and otherwise onto the served dequantized model of that
+// round at the frame's codec (getServed) — deterministic, so building it on
+// first use yields the values its client pulled.
+func (s *Server) resolveBase(pd *quant.StreamDecoder, round int, chain *updateBase) (updateBase, error) {
+	switch {
+	case pd.IsRaw():
+		b, err := s.baseAt(round)
+		if err != nil {
+			return updateBase{}, err
+		}
+		return updateBase{p: b.params, bn: b.bn}, nil
+	case chain != nil:
+		return *chain, nil
+	}
+	comp, err := Compression{Bits: pd.Bits(), Chunk: pd.Chunk()}.normalize()
+	if err != nil {
+		return updateBase{}, err
+	}
+	sm, err := s.getServed(comp, round)
+	if err != nil {
+		return updateBase{}, err
+	}
+	return sm.base(), nil
 }
 
 // updateBase is the base an update decodes against: the parameters a
@@ -892,8 +903,8 @@ func (sm *servedModel) base() updateBase {
 }
 
 // decodeUpdate is the one decoder of an update's frames: the push handler
-// runs it over the request body, WAL replay over a logged frame-form
-// admission. It reads the params frame header from r, asks resolve for the
+// runs it over the request body, WAL replay over a logged admission's
+// frames. It reads the params frame header from r, asks resolve for the
 // base the update trained from (resolve inspects the frame's form and
 // codec), and decodes into buf: a raw frame is the trained vector itself, a
 // dense or sparse quantized frame a delta added onto the base. The BN frame
@@ -968,10 +979,6 @@ var (
 	errOutOfRange    = errors.New("fldist: value out of range in update")
 )
 
-// logsAdmits reports whether admissions are written to the WAL: buffered
-// mode only — the synchronous quorum logs its commits alone.
-func (s *Server) logsAdmits() bool { return s.async && s.wal != nil }
-
 // admissibleRound runs the cheap pre-admission round check against the
 // lock-free snapshot (the admission registry re-checks authoritatively): the
 // update's base round must sit inside the admission window — under the
@@ -995,13 +1002,11 @@ func (s *Server) rejectStale(w http.ResponseWriter, round int) {
 }
 
 // appendWriter is the tee target of the push handler's WAL capture: an
-// io.Writer appending into a pooled byte slice, or discarding while b is nil.
+// io.Writer appending into a pooled byte slice.
 type appendWriter struct{ b *[]byte }
 
 func (w *appendWriter) Write(p []byte) (int, error) {
-	if w.b != nil {
-		*w.b = append(*w.b, p...)
-	}
+	*w.b = append(*w.b, p...)
 	return len(p), nil
 }
 
@@ -1121,29 +1126,6 @@ func (s *Server) parkLocked(clientID, baseRound, stale int, effW float64, buf *u
 // only once the update actually counts.
 func (s *Server) finishUpdate(w http.ResponseWriter, clientID, baseRound int, weight float64,
 	buf *updateBuf, baseP, baseBN []float64, raw, sparse bool, start time.Time, wrec *walAdmit) {
-	// With an admission log and no wire-frame capture teed off by the caller
-	// (raw and delta-downlink pushes), capture the update's delta against its
-	// base here — outside every lock, while this handler still owns buf — so
-	// the log can replay the contribution bit-identically as (delta, zero
-	// base): the fold only ever consumes weight·(vals−base), and vals−0 ≡
-	// delta. Speculative on the rare non-admitted outcomes; the capture is
-	// pooled either way.
-	if s.logsAdmits() {
-		if wrec == nil {
-			wrec = s.wal.newAdmit()
-		}
-		if len(wrec.frames) == 0 {
-			if wrec.dp == nil {
-				wrec.dp = make([]float64, len(baseP))
-				wrec.db = make([]float64, len(baseBN))
-			}
-			subVec(wrec.dp, buf.params, baseP)
-			subVec(wrec.db, buf.bn, baseBN)
-		}
-		wrec.clientID = clientID
-		wrec.baseRound = baseRound
-		wrec.comp = !raw
-	}
 	for {
 		outcome, observed := s.register(clientID, baseRound, weight, buf, baseP, baseBN, wrec)
 		switch outcome {
@@ -1303,13 +1285,6 @@ func (s *Server) logCommitLocked(next *snapshot) {
 		c.downErr = append(c.downErr, walVariantErr{comp: comp, residual: r.v})
 	}
 	_ = s.wal.appendCommit(s.wal.reserve(), c)
-}
-
-// subVec writes a−b into dst, element-wise.
-func subVec(dst, a, b []float64) {
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
 }
 
 // retireRoundLocked is the serve-plane half of a round transition, shared by
@@ -1539,12 +1514,12 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // Close releases the server's durable resources (the WAL and its lock — the
 // handoff signal for a waiting successor) and accounts for what a stop at
 // this instant abandons: a non-empty admission buffer is work clients
-// already got a 200 for. With a WAL in buffered mode every such update is in
-// the log and RecoverServer replays it; in every other configuration the
-// buffered state dies with the process and the close warns with the count,
-// so operators can tell a clean drain from a lossy stop. Serve calls Close
-// on the way out; call it directly when the handlers are mounted on an
-// external mux. Idempotent.
+// already got a 200 for. With a WAL every such update is in the log and
+// RecoverServer replays it, in either aggregation mode; without one the
+// buffered state dies with the process, and the close warns with the count
+// either way, so operators can tell a clean drain from a lossy stop. Serve
+// calls Close on the way out; call it directly when the handlers are mounted
+// on an external mux. Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.pendMu.Lock()
@@ -1552,17 +1527,12 @@ func (s *Server) Close() error {
 		s.pendMu.Unlock()
 		if n > 0 {
 			switch {
-			case s.wal != nil && s.async:
-				logged := s.wal.uncommitted.Load()
-				if logged == int64(n) {
-					s.warn("fldist: closing with %d buffered update(s) uncommitted — all logged; RecoverServer replays them", n)
-				} else {
-					s.warn("fldist: closing with %d buffered update(s) uncommitted but only %d in the WAL (write failures?) — the missing ones are lost; their clients must re-push", n, logged)
-				}
-			case s.wal != nil:
-				s.warn("fldist: closing with %d update(s) of an unfilled quorum — sync mode logs commits only; their clients must re-push after recovery", n)
-			default:
+			case s.wal == nil:
 				s.warn("fldist: closing with %d buffered update(s) pending and no WAL — they are lost; their clients must re-push", n)
+			case s.wal.uncommitted.Load() == int64(n):
+				s.warn("fldist: closing with %d buffered update(s) uncommitted — all logged; RecoverServer replays them", n)
+			default:
+				s.warn("fldist: closing with %d buffered update(s) uncommitted but only %d in the WAL (write failures?) — the missing ones are lost; their clients must re-push", n, s.wal.uncommitted.Load())
 			}
 		}
 		if s.wal != nil {

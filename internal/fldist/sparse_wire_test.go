@@ -543,33 +543,7 @@ func TestTopK4BitConvergesNearRaw(t *testing.T) {
 	}
 }
 
-// TestWALMetaFormatCompat pins the log format level: this binary writes
-// format 2 (18-byte meta payload), still reads a format-1 log (17 bytes, no
-// format byte), and refuses a log stamped with a future format instead of
-// misreading it.
-func TestWALMetaFormatCompat(t *testing.T) {
-	m := walMeta{async: true, quorumOrK: 3, maxStale: 5, nParams: 100, nBN: 4}
-	p := appendWALMeta(nil, m)
-	if len(p) != 18 || p[17] != walFormat {
-		t.Fatalf("meta payload %d bytes, final byte %d; want 18 and format %d", len(p), p[len(p)-1], walFormat)
-	}
-	got, err := parseWALMeta(p)
-	if err != nil || got != m {
-		t.Fatalf("parseWALMeta round-trip: %+v err %v", got, err)
-	}
-	// A format-1 log: same fields, no trailing format byte.
-	got, err = parseWALMeta(p[:17])
-	if err != nil || got != m {
-		t.Fatalf("format-1 meta rejected: %+v err %v", got, err)
-	}
-	// A future format must be refused loudly.
-	future := append(append([]byte(nil), p[:17]...), walFormat+1)
-	if _, err := parseWALMeta(future); err == nil {
-		t.Fatalf("future log format %d accepted", walFormat+1)
-	}
-}
-
-// TestRecoverSparseAdmit pins WAL replay of a sparse frame-form admission: a
+// TestRecoverSparseAdmit pins WAL replay of a sparse admission: a
 // top-k client's stale push is admitted just before the crash, so the log
 // holds its verbatim sparse frames. Recovery must re-run the handler's
 // scatter-add against the identical rebuilt served base and finish on the
@@ -607,7 +581,7 @@ func TestRecoverSparseAdmit(t *testing.T) {
 	refP, refBN := ref.Snapshot()
 	ref.Close()
 
-	// Crashed run: die with the sparse frame-form admission uncommitted.
+	// Crashed run: die with the sparse admission uncommitted.
 	dir := t.TempDir()
 	srv := mk(WithWAL(dir), withWarnf(t.Logf))
 	ts = httptest.NewServer(srv.Handler())
@@ -620,7 +594,7 @@ func TestRecoverSparseAdmit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := RecoverServer(dir, withWarnf(t.Logf))
+	rec, err := recoverT(t, dir, 0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

@@ -2,8 +2,9 @@ package fldist
 
 // The write-ahead log behind WithWAL: everything a restarted (or taking-over)
 // process needs to resume the federation at the last commit — committed
-// snapshots, buffered-mode admission deltas, and the downlink error-feedback
-// residuals per served codec variant — appended as CRC-guarded FWL1 records.
+// snapshots with the downlink error-feedback residuals per served codec
+// variant, and every admission as the wire frames it arrived as — appended
+// as CRC-guarded FWL1 records.
 // recover.go holds the replay side; docs/ARCHITECTURE.md ("Durability") the
 // format and the determinism argument.
 //
@@ -62,9 +63,9 @@ const (
 const walGroupSyncEvery = 100 * time.Millisecond
 
 // Record types. The meta record is always first in the file; commit records
-// carry full snapshots; admit records the buffered-mode admissions between
-// commits; the edge batch record is the single-slot parked-push file an Edge
-// keeps (edge.go), reusing the same framing.
+// carry full snapshots; admit records the admissions between commits, in
+// both aggregation modes; the edge batch record is the single-slot
+// parked-push file an Edge keeps (edge.go), reusing the same framing.
 const (
 	walRecMeta      byte = 1
 	walRecCommit    byte = 2
@@ -127,22 +128,17 @@ type walCommit struct {
 	downErr []walVariantErr
 }
 
-// walAdmit is one buffered-mode admission, captured in one of two forms:
+// walAdmit is one admission, in either aggregation mode: the client's wire
+// frames, verbatim — the params frame (raw, dense or sparse) and the BN
+// frame exactly as they crossed the network. Replay re-runs the handler's
+// own path — decodeUpdate, against the base resolveBase picks for the frame
+// — so the arithmetic is bit-for-bit the live handler's: a raw frame's base
+// is the snapshot of its round, a quantized frame's the served model of that
+// round, both rebuilt deterministically from the logged commit records.
 //
-// Delta form (raw and delta-downlink pushes): the update's *delta* against
-// its base (vals − base), computed at admission. The commit fold only ever
-// consumes weight·(vals−base) per element, so replaying the contribution as
-// (delta, zero-base) feeds the identical difference into the identical fold
-// — without persisting any base vector.
-//
-// Frame form (compressed pushes): the client's wire frames, verbatim — the
-// quantized params frame and the raw BN frame exactly as they crossed the
-// network. Replay re-runs the handler's own path — stream-decode, add the
-// served base the client pulled, fold as (vals, base) — against a base that
-// recovery rebuilds deterministically from the base round's commit record
-// (snapshot + entry residual), so the arithmetic is bit-for-bit the live
-// handler's. An 8-bit frame is ~8× smaller than its raw delta, which is what
-// keeps the per-admission log cost off the admission path's critical budget.
+// A delta-downlink push decodes against its codec's delta chain, which the
+// log does not hold, so its record also carries that chain base (chain),
+// the exact vectors the live decode added the frames onto.
 type walAdmit struct {
 	seq        uint64
 	admitRound int // the round the registry observed at admission
@@ -150,9 +146,9 @@ type walAdmit struct {
 	clientID   int
 	comp       bool // stats attribution only: arrived via the compressed path
 	effW       float64
-	dp, db     []float64 // delta form: delta params / delta BN
-	frames     []byte    // frame form (len > 0): params frame ++ bn frame, wire bytes
-	enc        []byte    // record scratch, reused across admissions
+	chain      *updateBase // delta-downlink push: the chain base, else nil
+	frames     []byte      // params frame ++ bn frame, wire bytes
+	enc        []byte      // record scratch, reused across admissions
 }
 
 // walEdgeBatch is an edge's parked upstream batch (edge.go): everything a
@@ -256,13 +252,12 @@ func parseWALRecord(b []byte) (typ byte, seq uint64, payload []byte, size int, e
 // re-encodes to identical bytes and the corruption checks come for free.
 
 // walFormat is the log's feature level, appended as the meta payload's final
-// byte. Format 2 marks a log that may contain sparse (top-k) frames inside
-// frame-form admission records. The byte sits at the payload's *end* on
-// purpose: a pre-sparse binary's meta parser demanded exactly 17 bytes, so
-// it refuses a format-2 log outright instead of replaying sparse admissions
-// it cannot decode; this parser accepts the old 17-byte form (format 1) and
-// refuses formats above its own.
-const walFormat = 2
+// byte. Format 3 logs every admission, in both aggregation modes, as its wire
+// frames (walAdmit). Formats 1 (a 17-byte meta payload, no format byte) and 2
+// hold buffered admissions as deltas against their base, a record form this
+// reader no longer replays, so such a log is refused whole at open — before
+// any record is read or the tail truncated — and so is a newer format.
+const walFormat = 3
 
 func appendWALMeta(dst []byte, m walMeta) []byte {
 	mode := byte(0)
@@ -278,14 +273,16 @@ func appendWALMeta(dst []byte, m walMeta) []byte {
 }
 
 func parseWALMeta(p []byte) (walMeta, error) {
-	if len(p) != 17 && len(p) != 18 {
-		return walMeta{}, fmt.Errorf("%w: meta payload %d bytes, want 17 or 18", ErrWAL, len(p))
-	}
-	if len(p) == 18 && p[17] > walFormat {
-		return walMeta{}, fmt.Errorf("%w: log format %d requires a newer binary (this one reads up to %d)",
-			ErrWAL, p[17], walFormat)
-	}
-	if p[0] > 1 {
+	switch {
+	case len(p) == 17:
+		return walMeta{}, fmt.Errorf("%w: log format 1 holds delta-form admissions; this binary reads format %d only", ErrWAL, walFormat)
+	case len(p) != 18:
+		return walMeta{}, fmt.Errorf("%w: meta payload %d bytes, want 18", ErrWAL, len(p))
+	case p[17] < walFormat:
+		return walMeta{}, fmt.Errorf("%w: log format %d holds delta-form admissions; this binary reads format %d only", ErrWAL, p[17], walFormat)
+	case p[17] > walFormat:
+		return walMeta{}, fmt.Errorf("%w: log format %d requires a newer binary (this one reads format %d)", ErrWAL, p[17], walFormat)
+	case p[0] > 1:
 		return walMeta{}, fmt.Errorf("%w: meta mode %d", ErrWAL, p[0])
 	}
 	return walMeta{
@@ -365,32 +362,35 @@ func parseWALCommit(p []byte) (walCommit, error) {
 	return c, nil
 }
 
-// Admit flag bits. walAdmitFrames selects the frame form: the fixed fields
-// are followed by the push's verbatim wire frames instead of two raw delta
-// frames.
+// Admit flag bits. walAdmitFrames is set on every record: formats 1 and 2
+// marked the frame form with it, so a frame record keeps its bytes and a
+// delta-form record reads as one without it. walAdmitChain marks a
+// delta-downlink push: two raw frames of its chain base (params, BN) precede
+// the wire frames.
 const (
 	walAdmitComp   byte = 1
 	walAdmitFrames byte = 2
+	walAdmitChain  byte = 4
 )
 
 func appendWALAdmit(dst []byte, a *walAdmit) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.admitRound))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.baseRound))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.clientID))
-	flags := byte(0)
+	flags := walAdmitFrames
 	if a.comp {
 		flags |= walAdmitComp
 	}
-	if len(a.frames) > 0 {
-		flags |= walAdmitFrames
+	if a.chain != nil {
+		flags |= walAdmitChain
 	}
 	dst = append(dst, flags)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.effW))
-	if len(a.frames) > 0 {
-		return append(dst, a.frames...)
+	if a.chain != nil {
+		dst = quant.AppendRaw(dst, a.chain.p)
+		dst = quant.AppendRaw(dst, a.chain.bn)
 	}
-	dst = quant.AppendRaw(dst, a.dp)
-	return quant.AppendRaw(dst, a.db)
+	return append(dst, a.frames...)
 }
 
 func parseWALAdmit(p []byte) (*walAdmit, error) {
@@ -404,29 +404,28 @@ func parseWALAdmit(p []byte) (*walAdmit, error) {
 		comp:       p[12]&walAdmitComp != 0,
 		effW:       math.Float64frombits(binary.LittleEndian.Uint64(p[13:21])),
 	}
-	if flags := p[12]; flags&^(walAdmitComp|walAdmitFrames) != 0 {
+	flags := p[12]
+	if flags&^(walAdmitComp|walAdmitFrames|walAdmitChain) != 0 || flags&walAdmitFrames == 0 {
 		return nil, fmt.Errorf("%w: admit flags %#x", ErrWAL, flags)
 	}
-	if p[12]&walAdmitFrames != 0 {
-		// Frame form: the rest of the payload is the push's wire frames. Their
-		// internal structure is validated by the replay decoder; the record
-		// CRC already vouches for the bytes.
-		if len(p) == 21 {
-			return nil, fmt.Errorf("%w: frame-form admit with no frame bytes", ErrWAL)
+	p = p[21:]
+	if flags&walAdmitChain != 0 {
+		a.chain = new(updateBase)
+		var err error
+		if a.chain.p, p, err = walFrame(p); err != nil {
+			return nil, err
 		}
-		a.frames = p[21:]
-		return a, nil
+		if a.chain.bn, p, err = walFrame(p); err != nil {
+			return nil, err
+		}
 	}
-	var err error
-	if a.dp, p, err = walFrame(p[21:]); err != nil {
-		return nil, err
+	// The rest of the payload is the push's wire frames. Their internal
+	// structure is validated by the replay decoder; the record CRC already
+	// vouches for the bytes.
+	if len(p) == 0 {
+		return nil, fmt.Errorf("%w: admit record with no frame bytes", ErrWAL)
 	}
-	if a.db, p, err = walFrame(p); err != nil {
-		return nil, err
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after admit payload", ErrWAL, len(p))
-	}
+	a.frames = p
 	return a, nil
 }
 
@@ -509,7 +508,7 @@ type wal struct {
 	syncing   bool // the background fsync goroutine is alive
 	idx       []walIdxEntry
 
-	admitPool sync.Pool // *walAdmit with model-sized dp/db
+	admitPool sync.Pool // *walAdmit, its frame and record scratch kept across reuses
 
 	records     atomic.Int64
 	commits     atomic.Int64
@@ -592,9 +591,6 @@ func newWAL(dir string, f, lf *os.File, m walMeta) *wal {
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.closeCh = make(chan struct{})
-	// Captures start empty: the frame form never touches dp/db, so the
-	// model-sized delta scratch is allocated lazily by the first delta-form
-	// capture a pooled object serves (and kept across reuses).
 	w.admitPool.New = func() any { return new(walAdmit) }
 	return w
 }
@@ -673,6 +669,7 @@ func (w *wal) append(seq uint64, typ byte, rec []byte) (int64, error) {
 func (w *wal) newAdmit() *walAdmit {
 	a := w.admitPool.Get().(*walAdmit)
 	a.frames = a.frames[:0]
+	a.chain = nil
 	return a
 }
 

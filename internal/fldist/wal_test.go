@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fedprophet/internal/quant"
@@ -46,17 +49,22 @@ func goldenWALRecords() map[string][]byte {
 			{comp: Compression{Bits: 4, Chunk: 32}, residual: goldenVec(5, -0.5)},
 		},
 	}
-	admit := &walAdmit{
-		admitRound: 3, baseRound: 2, clientID: 9, comp: true, effW: 1.5,
-		dp: goldenVec(5, 2), db: goldenVec(2, 0.75),
-	}
-	// Frame form: wire frames verbatim — a quantized params frame (power-of-two
-	// scales, so the encoding is exact and platform-stable) and a raw BN frame.
+	// Wire frames verbatim — a quantized params frame (power-of-two scales, so
+	// the encoding is exact and platform-stable) and a raw BN frame.
 	frameAdmit := &walAdmit{
 		admitRound: 4, baseRound: 3, clientID: 11, comp: true, effW: 0.5,
 		frames: append(
 			quant.Encode(quant.QuantizeChunks(goldenVec(8, 0.5), 8, 4)),
 			quant.EncodeRaw(goldenVec(2, 1))...),
+	}
+	// A delta-downlink push: its chain base, as two raw frames, ahead of the
+	// wire frames.
+	chainAdmit := &walAdmit{
+		admitRound: 3, baseRound: 2, clientID: 9, comp: true, effW: 1.5,
+		chain: &updateBase{p: goldenVec(8, 2), bn: goldenVec(2, 0.75)},
+		frames: append(
+			quant.Encode(quant.QuantizeChunks(goldenVec(8, 0.25), 8, 4)),
+			quant.EncodeRaw(goldenVec(2, 0.5))...),
 	}
 	edge := walEdgeBatch{
 		pushID: 1 << 20, pushSeq: 3, baseRnd: 2, weight: 2.5, updates: 4,
@@ -66,7 +74,7 @@ func goldenWALRecords() map[string][]byte {
 	return map[string][]byte{
 		"fwl1_meta.bin":         appendWALRecord(nil, walRecMeta, 0, appendWALMeta(nil, meta)),
 		"fwl1_commit.bin":       appendWALRecord(nil, walRecCommit, 7, appendWALCommit(nil, commit)),
-		"fwl1_admit.bin":        appendWALRecord(nil, walRecAdmit, 8, appendWALAdmit(nil, admit)),
+		"fwl1_admit_chain.bin":  appendWALRecord(nil, walRecAdmit, 8, appendWALAdmit(nil, chainAdmit)),
 		"fwl1_admit_frames.bin": appendWALRecord(nil, walRecAdmit, 9, appendWALAdmit(nil, frameAdmit)),
 		"fwl1_edge.bin":         appendWALRecord(nil, walRecEdgeBatch, 0, appendWALEdgeBatch(nil, edge)),
 	}
@@ -122,7 +130,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		}
 	}
 
-	_, _, payload, _, err = parseWALRecord(recs["fwl1_admit.bin"])
+	_, _, payload, _, err = parseWALRecord(recs["fwl1_admit_chain.bin"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +138,22 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.admitRound != 3 || a.baseRound != 2 || a.clientID != 9 || !a.comp || a.effW != 1.5 {
-		t.Fatalf("admit content: %+v", a)
+	if a.admitRound != 3 || a.baseRound != 2 || a.clientID != 9 || !a.comp || a.effW != 1.5 || a.chain == nil {
+		t.Fatalf("chain admit content: %+v", a)
 	}
-	if len(a.frames) != 0 {
-		t.Fatalf("delta-form admit decoded with %d frame bytes", len(a.frames))
+	for i, v := range goldenVec(8, 2) {
+		if a.chain.p[i] != v {
+			t.Fatalf("chain base params[%d] = %v, want %v", i, a.chain.p[i], v)
+		}
+	}
+	if len(a.chain.bn) != 2 || a.chain.bn[1] != goldenVec(2, 0.75)[1] {
+		t.Fatalf("chain base bn = %v", a.chain.bn)
+	}
+	wantChainFrames := append(
+		quant.Encode(quant.QuantizeChunks(goldenVec(8, 0.25), 8, 4)),
+		quant.EncodeRaw(goldenVec(2, 0.5))...)
+	if !bytes.Equal(a.frames, wantChainFrames) {
+		t.Fatalf("chain admit: frames did not round-trip verbatim (%d vs %d bytes)", len(a.frames), len(wantChainFrames))
 	}
 
 	_, _, payload, _, err = parseWALRecord(recs["fwl1_admit_frames.bin"])
@@ -154,8 +173,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if !bytes.Equal(fa.frames, wantFrames) {
 		t.Fatalf("frame admit: frames did not round-trip verbatim (%d vs %d bytes)", len(fa.frames), len(wantFrames))
 	}
-	if fa.dp != nil || fa.db != nil {
-		t.Fatalf("frame-form admit decoded delta vectors: dp=%v db=%v", fa.dp, fa.db)
+	if fa.chain != nil {
+		t.Fatalf("frame admit decoded a chain base: %+v", fa.chain)
 	}
 
 	_, _, payload, _, err = parseWALRecord(recs["fwl1_edge.bin"])
@@ -241,7 +260,7 @@ func TestWALPayloadCorruption(t *testing.T) {
 	if _, err := parseWALMeta([]byte{1, 2, 3}); !errors.Is(err, ErrWAL) {
 		t.Fatalf("short meta: %v", err)
 	}
-	if _, err := parseWALMeta(append([]byte{7}, make([]byte, 16)...)); !errors.Is(err, ErrWAL) {
+	if _, err := parseWALMeta(append(append([]byte{7}, make([]byte, 16)...), walFormat)); !errors.Is(err, ErrWAL) {
 		t.Fatalf("bad meta mode: %v", err)
 	}
 
@@ -273,11 +292,25 @@ func TestWALPayloadCorruption(t *testing.T) {
 	if _, err := parseWALAdmit(make([]byte, 10)); !errors.Is(err, ErrWAL) {
 		t.Fatalf("short admit: %v", err)
 	}
-	// Frame-form flag set but no frame bytes behind the fixed header.
+	// No frame bytes behind the fixed header.
 	emptyFrames := make([]byte, 21)
 	emptyFrames[12] = walAdmitFrames
 	if _, err := parseWALAdmit(emptyFrames); !errors.Is(err, ErrWAL) {
-		t.Fatalf("frame-form admit with no frames: %v", err)
+		t.Fatalf("admit with no frames: %v", err)
+	}
+	// A delta-form record of formats 1–2: frames flag clear, two raw delta
+	// frames behind the fixed header.
+	deltaForm := append(make([]byte, 21), quant.EncodeRaw(goldenVec(3, 1))...)
+	deltaForm = append(deltaForm, quant.EncodeRaw(goldenVec(2, 1))...)
+	deltaForm[12] = walAdmitComp
+	if _, err := parseWALAdmit(deltaForm); !errors.Is(err, ErrWAL) {
+		t.Fatalf("delta-form admit: %v", err)
+	}
+	// A chain record whose base stops after the params frame.
+	chainCut := append(make([]byte, 21), quant.EncodeRaw(goldenVec(3, 1))...)
+	chainCut[12] = walAdmitFrames | walAdmitChain
+	if _, err := parseWALAdmit(chainCut); !errors.Is(err, ErrWAL) {
+		t.Fatalf("chain admit with a truncated base: %v", err)
 	}
 	// Unknown flag bits: refused rather than silently reinterpreted by a
 	// future reader that assigns them meaning.
@@ -288,6 +321,72 @@ func TestWALPayloadCorruption(t *testing.T) {
 	}
 	if _, err := parseWALEdgeBatch(make([]byte, 10)); !errors.Is(err, ErrWAL) {
 		t.Fatalf("short edge batch: %v", err)
+	}
+}
+
+// TestWALMetaFormatCompat pins the log format level: this binary writes and
+// reads format 3 (18-byte meta payload) only. Formats 1 (17 bytes, no format
+// byte) and 2 hold delta-form admissions and are refused with an error naming
+// their format; a future format is refused instead of misread.
+func TestWALMetaFormatCompat(t *testing.T) {
+	m := walMeta{async: true, quorumOrK: 3, maxStale: 5, nParams: 100, nBN: 4}
+	p := appendWALMeta(nil, m)
+	if len(p) != 18 || p[17] != 3 || walFormat != 3 {
+		t.Fatalf("meta payload %d bytes, final byte %d; want 18 and format 3", len(p), p[len(p)-1])
+	}
+	got, err := parseWALMeta(p)
+	if err != nil || got != m {
+		t.Fatalf("parseWALMeta round-trip: %+v err %v", got, err)
+	}
+	for format, meta := range map[int][]byte{
+		1: p[:17],
+		2: append(append([]byte(nil), p[:17]...), 2),
+		4: append(append([]byte(nil), p[:17]...), 4),
+	} {
+		_, err := parseWALMeta(meta)
+		if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), fmt.Sprintf("format %d ", format)) {
+			t.Fatalf("format-%d meta: err %v, want ErrWAL naming format %d", format, err, format)
+		}
+	}
+}
+
+// TestRecoverRefusesOldFormatUntouched pins that a format-2 log — meta, the
+// initial commit and a delta-form admission — is refused whole at open:
+// RecoverServer fails with ErrWAL naming the format and leaves the file
+// byte-identical, instead of truncating it at its first delta record.
+func TestRecoverRefusesOldFormatUntouched(t *testing.T) {
+	meta := appendWALMeta(nil, walMeta{async: true, quorumOrK: 3, maxStale: 2, nParams: 6, nBN: 2})
+	meta[17] = 2
+	log := appendWALRecord(nil, walRecMeta, 0, meta)
+	log = appendWALRecord(log, walRecCommit, 1, appendWALCommit(nil, walCommit{params: synthVec(6, 1), bn: synthVec(2, 2)}))
+	delta := binary.LittleEndian.AppendUint32(nil, 0)  // admit round
+	delta = binary.LittleEndian.AppendUint32(delta, 0) // base round
+	delta = binary.LittleEndian.AppendUint32(delta, 7) // client
+	delta = append(delta, walAdmitComp)                // flags: no frames bit
+	delta = binary.LittleEndian.AppendUint64(delta, math.Float64bits(1))
+	delta = quant.AppendRaw(delta, synthVec(6, 3))
+	delta = quant.AppendRaw(delta, synthVec(2, 4))
+	log = appendWALRecord(log, walRecAdmit, 2, delta)
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, walLogName)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := RecoverServer(dir)
+	if err == nil {
+		rec.Close()
+		t.Fatal("recovered a format-2 log")
+	}
+	if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), "format 2 ") {
+		t.Fatalf("error %v, want ErrWAL naming format 2", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, log) {
+		t.Fatalf("refused log changed: %d bytes, was %d", len(after), len(log))
 	}
 }
 

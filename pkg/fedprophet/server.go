@@ -49,10 +49,10 @@ func WithBufferedAggregation(k, maxStaleness int) ParamServerOption {
 	return fldist.WithBufferedAggregation(k, maxStaleness)
 }
 
-// WithServerWAL makes the parameter server crash-safe: every commit (and, in
-// buffered mode, every admission between commits) is appended to a
-// write-ahead log in dir before it takes effect. A process that dies — power
-// loss, SIGKILL, panic — resumes the federation at its last commit via
+// WithServerWAL makes the parameter server crash-safe: every admission and
+// every commit, in either aggregation mode, is appended to a write-ahead log
+// in dir before it takes effect. A process that dies — power loss, SIGKILL,
+// panic — resumes the federation at its last commit via
 // RecoverParamServer, replaying the admissions its buffer held; clients never
 // observe a model older than one they already pulled. The dir must not
 // already hold a WAL (recover, don't re-create). See docs/ARCHITECTURE.md
@@ -66,13 +66,13 @@ func ParamServerWALExists(dir string) bool { return fldist.WALExists(dir) }
 
 // RecoverParamServer rebuilds a parameter server from the write-ahead log in
 // dir: the model resumes at the last intact commit, admissions logged after
-// it re-enter the buffer, and the log stays open for the recovered server's
-// own appends. The aggregation mode, commit threshold and staleness window
-// come from the log itself; opts may not change them. It fails with an error
-// while another live process still holds the log — use HandoffParamServer to
-// wait that out.
-func RecoverParamServer(dir string, opts ...ParamServerOption) (*ParamServer, error) {
-	return fldist.RecoverServer(dir, opts...)
+// it re-enter the buffer (or quorum), and the log stays open for the
+// recovered server's own appends. The aggregation mode, commit threshold and
+// staleness window come from the log itself. It fails with an error while
+// another live process still holds the log — use HandoffParamServer to wait
+// that out.
+func RecoverParamServer(dir string) (*ParamServer, error) {
+	return fldist.RecoverServer(dir)
 }
 
 // HandoffParamServer blocks until the process currently holding the WAL in
@@ -80,8 +80,8 @@ func RecoverParamServer(dir string, opts ...ParamServerOption) (*ParamServer, er
 // returns the server — the live-handoff path: start the successor with
 // HandoffParamServer, stop the incumbent, and the federation resumes at its
 // last commit with no state lost.
-func HandoffParamServer(ctx context.Context, dir string, opts ...ParamServerOption) (*ParamServer, error) {
-	return fldist.Handoff(ctx, dir, opts...)
+func HandoffParamServer(ctx context.Context, dir string) (*ParamServer, error) {
+	return fldist.Handoff(ctx, dir)
 }
 
 // NewParamServer builds a parameter server seeded with the given global
