@@ -33,11 +33,14 @@
 // window. Clients run one loop in both modes (against a buffered server it
 // pipelines pull→train→push), and the wire protocol is identical.
 //
-// Passing -wal <dir> makes the server crash-safe: commits (and, in buffered
-// mode, every admission between commits) are appended to a write-ahead log in
-// <dir> before they take effect, and any later boot with the same -wal
-// recovers at the last commit — kill -9 included; the aggregation flags are
-// then read from the log, not the command line. -wal-handoff starts a
+// Passing -wal <dir> makes the server crash-safe: commits and, in both
+// aggregation modes, every admission between commits are appended to a
+// write-ahead log in <dir> before they take effect, and any later boot with
+// the same -wal recovers at the last commit with the admissions after it
+// replayed — kill -9 included; the aggregation flags are then read from the
+// log, not the command line. A -connect client waits out the restart: a
+// refused connection, reset or 502/503/504 is re-sent with backoff until the
+// server answers again. -wal-handoff starts a
 // successor that blocks until the incumbent exits (or dies) and takes over
 // the federation at its last commit. On an edge, -wal durably parks the
 // committed-but-unacknowledged upstream batch so a restarted edge re-pushes

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"fedprophet/internal/attack"
@@ -78,6 +79,11 @@ type Client struct {
 	heldRound int
 	hasChain  bool
 
+	// retries counts send's waits before a re-send: every time the peer
+	// could not answer yet. An edge reports its upstream client's count as
+	// upstream.retries.
+	retries atomic.Int64
+
 	// testAfterTrain, when non-nil, runs after every local training pass
 	// and before the push. Tests use it to simulate stragglers without
 	// touching the training loop.
@@ -126,26 +132,20 @@ func errorBody(r io.Reader) []byte {
 // frames are raw and Push sends raw frames.
 func (c *Client) pull(ctx context.Context, wantP, wantB int) (int, error) {
 	var comp Compression
+	codec := ""
 	if c.Compression != nil {
 		var err error
 		if comp, err = c.Compression.normalize(); err != nil {
 			return 0, err
 		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/model", nil)
-	if err != nil {
-		return 0, fmt.Errorf("fldist: pull: %w", err)
-	}
-	if c.Compression != nil {
-		v := codecValue(comp)
+		codec = codecValue(comp)
 		if comp.Delta && c.hasChain {
 			// Declare the chain round we hold so the server can answer with
 			// just the delta frames from there to the head.
-			v += ";base=" + strconv.Itoa(c.heldRound)
+			codec += ";base=" + strconv.Itoa(c.heldRound)
 		}
-		req.Header.Set(codecHeader, v)
 	}
-	resp, err := c.HTTP.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/model", codec, nil)
 	if err != nil {
 		return 0, fmt.Errorf("fldist: pull: %w", err)
 	}
@@ -353,16 +353,17 @@ func (c *Client) TrainLocal(lr float64) float64 {
 // when the server had already counted an update from this client for the
 // round (the X-Fldist-Duplicate marker) and idempotently dropped this copy.
 // Canceling ctx aborts the request. Pushes are idempotent per
-// (client, round): the server counts only the first copy, so retrying after
-// a lost response is safe — the retry just reports counted=false.
+// (client, round): the server counts only the first copy, so the re-send
+// that follows a lost response, a refused connection or a busy answer (see
+// send) is safe — it just reports counted=false when the first copy landed.
 //
-// Sentinel contract: a 409 response (the server aggregated past the pushed
-// round — or, on a buffered server, past its staleness window) is reported
-// as an error satisfying errors.Is(err, ErrStaleRound), so the caller knows
-// to re-pull and retrain. A 409 carrying the retry marker is not stale: the
-// same body is re-sent with backoff until the server answers otherwise or
-// ctx ends. Always match it with errors.Is, never ==; the
-// sentinel may arrive wrapped with call-site context.
+// Sentinel contract: a plain 409 response (the server aggregated past the
+// pushed round — or, on a buffered server, past its staleness window) is
+// reported as an error satisfying errors.Is(err, ErrStaleRound), so the
+// caller knows to re-pull and retrain. A 409 carrying the retry marker is
+// not stale: send re-sends the same body until the server answers otherwise
+// or ctx ends. Always match it with errors.Is, never ==; the sentinel may
+// arrive wrapped with call-site context.
 func (c *Client) Push(ctx context.Context, round int) (counted bool, err error) {
 	if c.Compression != nil && c.negotiated {
 		return c.pushDelta(ctx, round)
@@ -372,7 +373,7 @@ func (c *Client) Push(ctx context.Context, round int) (counted bool, err error) 
 	if err != nil {
 		return false, err
 	}
-	return c.postUpdate(ctx, "", body)
+	return c.post(ctx, "", body)
 }
 
 // pushDelta sends the compressed update: the quantized difference between
@@ -443,7 +444,7 @@ func (c *Client) pushDelta(ctx context.Context, round int) (counted bool, err er
 	if comp.Delta {
 		codec = codecValue(comp)
 	}
-	counted, err = c.postUpdate(ctx, codec, body)
+	counted, err = c.post(ctx, codec, body)
 	if err == nil && c.residualRound != round+1 {
 		// 200 (counted, or duplicate of an already-counted push of this
 		// same delta whose response was lost): the quantized delta is part
@@ -481,47 +482,12 @@ func deltaQuantize(params, base, residual []float64, bits, chunk int) ([]byte, [
 	return frame, d
 }
 
-// postUpdate is the fleet client's push policy over post: a 409 carrying
-// the retry marker is a transient server-side condition (a buffered commit
-// still publishing, an edge whose flusher is behind), not a staleness
-// verdict — the identical body is re-sent with retryBackoff until the server
-// admits it, answers anything else, or ctx ends, so a fresh training pass is
-// never discarded over a busy server.
-func (c *Client) postUpdate(ctx context.Context, codec string, body []byte) (bool, error) {
-	var b retryBackoff
-	for {
-		counted, err := c.post(ctx, codec, body)
-		if !errors.Is(err, errRetryPush) {
-			return counted, err
-		}
-		if !b.wait(ctx) {
-			return false, fmt.Errorf("fldist: push: %w", ctx.Err())
-		}
-	}
-}
-
-// errRetryPush reports a 409 carrying the retry marker: the server could not
-// admit the update right now (a commit still in flight, a full tier buffer),
-// and the identical body may be re-sent. It is never a staleness verdict, so
-// a caller must not rebase or retrain on it.
-var errRetryPush = errors.New("fldist: push: server busy, retry the same body")
-
 // post is the client's wire core for POST /update: it sends one FPU1 body
-// once and maps the server's verdict — (counted, nil) on 200, where counted
-// is false for a duplicate of an already-counted push; ErrStaleRound on a
-// plain 409; errRetryPush on a retry-marked 409; any other status or a
-// transport failure as a plain error. Retry policy is the caller's.
+// through send and maps the server's verdict — (counted, nil) on 200, where
+// counted is false for a duplicate of an already-counted push; ErrStaleRound
+// on a plain 409; any other status, or ctx's end, as a plain error.
 func (c *Client) post(ctx context.Context, codec string, body []byte) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/update",
-		bytes.NewReader(body))
-	if err != nil {
-		return false, fmt.Errorf("fldist: push: %w", err)
-	}
-	req.Header.Set("Content-Type", contentTypeDelta)
-	if codec != "" {
-		req.Header.Set(codecHeader, codec)
-	}
-	resp, err := c.HTTP.Do(req)
+	resp, err := c.send(ctx, http.MethodPost, "/update", codec, body)
 	if err != nil {
 		return false, fmt.Errorf("fldist: push: %w", err)
 	}
@@ -530,9 +496,6 @@ func (c *Client) post(ctx context.Context, codec string, body []byte) (bool, err
 	case http.StatusOK:
 		return resp.Header.Get("X-Fldist-Duplicate") == "", nil
 	case http.StatusConflict:
-		if resp.Header.Get(retryHeader) != "" {
-			return false, errRetryPush
-		}
 		return false, ErrStaleRound
 	default:
 		return false, fmt.Errorf("fldist: push: %s: %s", resp.Status, errorBody(resp.Body))
@@ -546,16 +509,19 @@ func (c *Client) post(ctx context.Context, codec string, body []byte) (bool, err
 var ErrStaleRound = errors.New("fldist: update for a stale round")
 
 // RunRounds participates in n federated rounds: pull, train, push, with one
-// loop for both server modes. After a push the server accepted — counted, or
-// a duplicate of an already-counted one — the client waits for the round to
-// move past the pushed round before pulling again: a push from the same base
-// would only be dropped as a duplicate, so training on it would be wasted
-// work. Against a synchronous server that wait is the round barrier; against
-// a buffered one (WithBufferedAggregation) it returns at its first /round
-// probe whenever a commit has landed since, so pull → train → push pipelines
-// with no barrier and a slow client's push still counts inside the staleness
-// window. A stale push (HTTP 409) re-pulls and retrains at once; each such
-// retrain is tallied in StaleRetrains.
+// loop for both server modes. A round is done once the server answers the
+// push with 200 — counted, or a duplicate of a copy of this same push that
+// it already counted, as when a re-send follows a lost response. The client
+// then waits for the round to move past the pushed round before pulling
+// again: a push from the same base would only be dropped as a duplicate, so
+// training on it would be wasted work. Against a synchronous server that
+// wait is the round barrier; against a buffered one (WithBufferedAggregation)
+// it returns at its first /round probe whenever a commit has landed since,
+// so pull → train → push pipelines with no barrier and a slow client's push
+// still counts inside the staleness window. A stale push (HTTP 409) re-pulls
+// and retrains at once; each such retrain is tallied in StaleRetrains. A
+// server that cannot answer — restarting, or busy — is waited out (see
+// send), so a fleet outlasts a server restart.
 //
 // Canceling ctx stops between steps and aborts in-flight requests.
 func (c *Client) RunRounds(ctx context.Context, n int, lr float64) error {
@@ -575,12 +541,10 @@ func (c *Client) RunRounds(ctx context.Context, n int, lr float64) error {
 			return err
 		}
 		c.trainPass(lr)
-		counted, err := c.Push(ctx, round)
+		_, err = c.Push(ctx, round)
 		switch {
 		case err == nil:
-			if counted {
-				done++
-			}
+			done++
 			pushed = round
 		case errors.Is(err, ErrStaleRound):
 			c.StaleRetrains++
@@ -602,11 +566,7 @@ func (c *Client) trainPass(lr float64) {
 // Round fetches the server's current round number without transferring the
 // model blob.
 func (c *Client) Round(ctx context.Context) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/round", nil)
-	if err != nil {
-		return 0, fmt.Errorf("fldist: round: %w", err)
-	}
-	resp, err := c.HTTP.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/round", "", nil)
 	if err != nil {
 		return 0, fmt.Errorf("fldist: round: %w", err)
 	}
@@ -656,11 +616,9 @@ func (c *Client) awaitRoundAfter(ctx context.Context, round int) error {
 		if cur > round {
 			return nil
 		}
-		select {
-		case <-ctx.Done():
+		if !sleepCtx(ctx, jitterDur(backoff)) {
 			return fmt.Errorf("fldist: client %d canceled waiting for round %d: %w",
 				c.ID, round+1, ctx.Err())
-		case <-time.After(jitterDur(backoff)):
 		}
 		if backoff < maxBackoff {
 			backoff *= 2
@@ -668,10 +626,62 @@ func (c *Client) awaitRoundAfter(ctx context.Context, round int) error {
 	}
 }
 
-// retryBackoff paces a loop that re-sends one request: jittered waits
-// (jitterDur) from 10 ms, doubling until they pass 2 s. The zero value is
-// ready. It is the one policy of the fleet client's retry-marked pushes and
-// the edge's upstream pushes and pulls.
+// send is the client's one request path and its one fault policy: every
+// GET /model, POST /update and GET /round — a fleet client's and an edge's
+// upstream ones alike — goes through it. While the peer cannot answer yet it
+// re-sends the identical request under retryBackoff: no response at all
+// (dial failure, reset, client timeout), a 502, 503 or 504, or a 409 carrying
+// the retry marker (a commit still publishing, a full edge buffer). Every
+// other answer is a verdict and is returned at once for the caller to map
+// and close. When ctx ends it returns ctx's error. A server restart therefore
+// costs a waiting client time, not its run, and re-sending a push is safe:
+// the server counts one copy per (client, round) and answers the rest as
+// duplicates.
+func (c *Client) send(ctx context.Context, method, path, codec string, body []byte) (*http.Response, error) {
+	var b retryBackoff
+	for {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+		if err != nil {
+			return nil, err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", contentTypeDelta)
+		}
+		if codec != "" {
+			req.Header.Set(codecHeader, codec)
+		}
+		resp, err := c.HTTP.Do(req)
+		if err == nil {
+			switch resp.StatusCode {
+			case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+				// The peer cannot answer yet: re-send below.
+			case http.StatusConflict:
+				if resp.Header.Get(retryHeader) == "" {
+					return resp, nil // the staleness verdict
+				}
+			default:
+				return resp, nil
+			}
+			// Read what the cap allows so the connection can carry the re-send.
+			errorBody(resp.Body)
+			resp.Body.Close()
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		c.retries.Add(1)
+		if !b.wait(ctx) {
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// retryBackoff paces send's re-sends: jittered waits (jitterDur) from 10 ms,
+// doubling until they pass 2 s. The zero value is ready.
 type retryBackoff struct{ d time.Duration }
 
 // wait sleeps the next interval, reporting false if ctx ended first.
@@ -684,6 +694,18 @@ func (b *retryBackoff) wait(ctx context.Context) bool {
 		b.d *= 2
 	}
 	return ok
+}
+
+// sleepCtx sleeps for d, reporting false if ctx was canceled first.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
 }
 
 // jitterDur draws a duration uniformly from [d/2, d) off the global RNG —

@@ -8,9 +8,9 @@ package fldist
 //     admits cohort pushes with the very same fold, staleness window,
 //     dedup horizon and 1/(1+s) down-weighting as the root — edge.go adds no
 //     second aggregation algorithm.
-//   - To its upstream it is an ordinary Client — the same wire core as the
-//     fleet's, with the edge's own retry policy around it. Each flush
-//     pre-folds the buffered cohort updates into ONE combined update —
+//   - To its upstream it is an ordinary Client — the same wire core and
+//     fault policy as the fleet's (Client.send). Each flush pre-folds the
+//     buffered cohort updates into ONE combined update —
 //     weight = the sum of the cohort's effective weights, base round = the
 //     upstream round the edge last adopted — and pushes it as a plain raw
 //     update (the root cannot tell an edge from a big client, and its
@@ -130,12 +130,12 @@ var edgeAutoID atomic.Int64
 func init() { edgeAutoID.Store(1 << 20) }
 
 // unpushedBatch is a committed cohort batch whose upstream push has not
-// succeeded yet (the flush was interrupted by context cancellation). Drain
-// completes it before committing anything further — one inner commit per
-// upstream push is the exactness invariant. pushID is the batch's dedup
-// identity within the edge's EdgeIDSpan block, fixed at commit time so
-// retries and rebases of this batch stay idempotent upstream while the next
-// batch pushes under a fresh key.
+// succeeded yet (ctx ended first, or the upstream refused it). The next
+// flush or Drain completes it before committing anything further — one
+// inner commit per upstream push is the exactness invariant. pushID is the
+// batch's dedup identity within the edge's EdgeIDSpan block, fixed at commit
+// time so retries and rebases of this batch stay idempotent upstream while
+// the next batch pushes under a fresh key.
 // The payload and base are frozen at park time (parkBatchLocked), not at push
 // time: what the WAL holds is byte-for-byte what the wire will carry, so a
 // restarted edge re-pushes exactly what the crashed one would have. snap is
@@ -209,7 +209,6 @@ type Edge struct {
 	done chan struct{}
 
 	upPushes     atomic.Int64
-	upRetries    atomic.Int64
 	upRebased    atomic.Int64
 	flushByK     atomic.Int64
 	flushByAge   atomic.Int64
@@ -261,8 +260,8 @@ func (e *Edge) Name() string { return e.name }
 // ClientID returns the client ID the edge pushes upstream under.
 func (e *Edge) ClientID() int { return e.clientID }
 
-// Start pulls the initial model from the upstream (retrying transport
-// failures with jittered backoff until ctx is canceled), seeds the embedded
+// Start pulls the initial model from the upstream (waiting out an upstream
+// that cannot answer yet, as every client request does), seeds the embedded
 // cohort server with it, and launches the flusher goroutine. The flusher
 // stops when ctx is canceled; Start must be called at most once.
 func (e *Edge) Start(ctx context.Context) error {
@@ -275,7 +274,7 @@ func (e *Edge) Start(ctx context.Context) error {
 			return err
 		}
 	}
-	round, params, bn, err := e.pullUpstreamRetry(ctx, -1, -1)
+	round, params, bn, err := e.pullUpstream(ctx, -1, -1)
 	if err != nil {
 		e.started.Store(false)
 		return fmt.Errorf("fldist: edge initial pull: %w", err)
@@ -284,10 +283,11 @@ func (e *Edge) Start(ctx context.Context) error {
 	inner.manual = true
 	inner.flushSignal = make(chan struct{}, 1)
 	// Bound the cohort buffer: in manual mode nothing on the admission path
-	// drains it, so while the flusher is wedged (an upstream outage's retry
-	// loop, a stalled resync) admissions would otherwise retain model-sized
-	// buffers without limit. Beyond a few flushes' worth, cohort pushes get
-	// the retryable buffer-full verdict until the flusher catches up.
+	// drains it, so while the flusher is wedged (a push waiting out an
+	// upstream outage, a stalled resync) admissions would otherwise retain
+	// model-sized buffers without limit. Beyond a few flushes' worth, cohort
+	// pushes get the retryable buffer-full verdict until the flusher catches
+	// up.
 	inner.manualCap = 4 * e.flushK
 	e.inner = inner
 	e.innerHandler = inner.Handler()
@@ -379,7 +379,7 @@ func (e *Edge) Stats() Stats {
 		Cohort:      e.name,
 		BaseRound:   int(e.baseRoundA.Load()),
 		Pushes:      e.upPushes.Load(),
-		Retries:     e.upRetries.Load(),
+		Retries:     e.up.retries.Load(),
 		Rebased:     e.upRebased.Load(),
 		FlushK:      e.flushByK.Load(),
 		FlushAge:    e.flushByAge.Load(),
@@ -458,8 +458,9 @@ func (e *Edge) flusher(ctx context.Context) {
 	}
 }
 
-// flush runs one complete flush cycle. On context cancellation mid-push the
-// committed batch is parked for Drain to complete.
+// flush runs one complete flush cycle. A push the upstream did not
+// acknowledge — ctx canceled, or a verdict other than staleness — leaves the
+// committed batch parked for the next flush or Drain to re-send.
 func (e *Edge) flush(ctx context.Context, reason *atomic.Int64) {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
@@ -471,9 +472,9 @@ func (e *Edge) flush(ctx context.Context, reason *atomic.Int64) {
 		reason.Add(1)
 		e.parkBatchLocked(batch)
 	}
-	if err := e.pushBatchLocked(ctx, true); err != nil {
-		return // ctx canceled; e.unpushed survives for Drain
-	}
+	// An unacknowledged batch stays parked: the next flush or Drain re-sends
+	// it, so there is nothing more to do with the error here.
+	_ = e.pushBatchLocked(ctx, true)
 }
 
 // nextPushIDLocked draws the upstream dedup identity for a freshly committed
@@ -545,7 +546,8 @@ func (e *Edge) persistUnpushedLocked() {
 // buffer. Serve calls it on graceful shutdown (with a fresh context — the
 // serve context is already canceled by then); it is also safe to call
 // directly on an edge mounted on an external mux. The returned error is
-// non-nil only when ctx expired before the upstream acknowledged.
+// non-nil when the upstream did not acknowledge: ctx expired first, or it
+// answered with a verdict other than staleness.
 func (e *Edge) Drain(ctx context.Context) error {
 	if e.inner == nil {
 		return nil
@@ -569,19 +571,16 @@ func (e *Edge) Drain(ctx context.Context) error {
 	return nil
 }
 
-// pushBatchLocked pushes e.unpushed upstream, retrying transport failures
-// and retry-marked 409s with jittered exponential backoff and rebasing on a
-// staleness 409, then — when resync is set — waits for the upstream round
-// that includes the push and adopts the fresh upstream model as the next
-// base. Caller holds flushMu. It returns nil exactly when the push was
-// acknowledged; e.unpushed is cleared then and kept otherwise.
+// pushBatchLocked pushes e.unpushed upstream — the client core waits out an
+// upstream that cannot answer yet — rebasing and re-sending on a staleness
+// 409, then, when resync is set, waits for the upstream round that includes
+// the push and adopts the fresh upstream model as the next base. Caller
+// holds flushMu. It returns nil exactly when the push was acknowledged;
+// e.unpushed is cleared then and kept otherwise, for the next flush or Drain
+// to re-send.
 func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 	u := e.unpushed
-	var backoff retryBackoff
 	for {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
 		body, err := rawUpdate(u.pushID, u.baseRound, u.batch.weight, u.payloadP, u.payloadB)
 		if err != nil {
 			return err
@@ -589,57 +588,48 @@ func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 		// A duplicate 200 means an earlier attempt of this same batch already
 		// counted — equally done.
 		_, err = e.up.post(ctx, "", body)
-		switch {
-		case err == nil:
-			e.upPushes.Add(1)
-			if u.snap != nil {
-				// A recovered batch (nil snap) has no inner model to record:
-				// Start adopts a fresh upstream base right after this push.
-				e.lastPushedP = u.snap.params
-				e.lastPushedB = u.snap.bn
-				e.cleanBase = false
-			}
-			e.unpushed = nil
-			if e.walDir != "" {
-				if cerr := clearEdgeWAL(e.walDir); cerr != nil {
-					log.Printf("fldist: edge: clearing pushed batch: %v", cerr)
-				}
-			}
-			if resync {
-				e.resyncLocked(ctx, u.baseRound)
-			}
-			return nil
-		case errors.Is(err, ErrStaleRound):
-			// The upstream aggregated past our base's staleness window while
-			// the batch buffered. The cohort's training is not thrown away:
-			// pull the current upstream model and re-express the combined
-			// delta against it — the rebased payload carries the identical
-			// cohort delta at a fresh (possibly zero) staleness. The parked
-			// slot (and its WAL record) is rewritten before the re-push so
-			// durable state always matches what the wire will carry.
-			round, params, bn, perr := e.pullUpstreamRetry(ctx, len(u.payloadP), len(u.payloadB))
-			if perr != nil {
-				return perr
-			}
-			u.payloadP = rebaseVec(params, u.payloadP, u.baseP)
-			u.payloadB = rebaseVec(bn, u.payloadB, u.baseB)
-			u.baseRound = round
-			u.baseP, u.baseB = params, bn
-			e.persistUnpushedLocked()
-			e.upRebased.Add(1)
-		default:
-			// Transport failure, upstream commit stall or full buffer
-			// (errRetryPush — never a rebase: b + (p − b) ≠ p in floating
-			// point): the upstream is unreachable or busy. Retry the same
-			// body forever (bounded only by ctx) — meanwhile the embedded
-			// server keeps admitting cohort pushes and serving cached pulls;
-			// nothing downstream notices.
-			e.upRetries.Add(1)
-			if !backoff.wait(ctx) {
-				return ctx.Err()
-			}
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrStaleRound) {
+			return err
+		}
+		// The upstream aggregated past our base's staleness window while the
+		// batch buffered. The cohort's training is not thrown away: pull the
+		// current upstream model and re-express the combined delta against it
+		// — the rebased payload carries the identical cohort delta at a fresh
+		// (possibly zero) staleness. The parked slot (and its WAL record) is
+		// rewritten before the re-push so durable state always matches what
+		// the wire will carry.
+		round, params, bn, err := e.pullUpstream(ctx, len(u.payloadP), len(u.payloadB))
+		if err != nil {
+			return err
+		}
+		u.payloadP = rebaseVec(params, u.payloadP, u.baseP)
+		u.payloadB = rebaseVec(bn, u.payloadB, u.baseB)
+		u.baseRound = round
+		u.baseP, u.baseB = params, bn
+		e.persistUnpushedLocked()
+		e.upRebased.Add(1)
+	}
+	e.upPushes.Add(1)
+	if u.snap != nil {
+		// A recovered batch (nil snap) has no inner model to record: Start
+		// adopts a fresh upstream base right after this push.
+		e.lastPushedP = u.snap.params
+		e.lastPushedB = u.snap.bn
+		e.cleanBase = false
+	}
+	e.unpushed = nil
+	if e.walDir != "" {
+		if cerr := clearEdgeWAL(e.walDir); cerr != nil {
+			log.Printf("fldist: edge: clearing pushed batch: %v", cerr)
 		}
 	}
+	if resync {
+		e.resyncLocked(ctx, u.baseRound)
+	}
+	return nil
 }
 
 // rebaseVec re-expresses a model vector against a new base:
@@ -656,25 +646,15 @@ func rebaseVec(newBase, vec, oldBase []float64) []float64 {
 // commit that folds our flush in), pulls the resulting model, and adopts it:
 // the embedded server installs it as a new local round (retaining the old
 // snapshot for the staleness window, leaving buffered admissions untouched)
-// and the edge records it as the base of the next flush. Transport failures
-// retry with the same jittered backoff as the client fleet's round polling.
-// Caller holds flushMu.
+// and the edge records it as the base of the next flush. If ctx ends or the
+// upstream answers with an error first, the old base stays adopted and the
+// next flush pushes against it. Caller holds flushMu.
 func (e *Edge) resyncLocked(ctx context.Context, pushedRound int) {
-	for {
-		err := e.up.awaitRoundAfter(ctx, pushedRound)
-		if err == nil {
-			break
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		e.upRetries.Add(1)
-		if !sleepCtx(ctx, jitterDur(50*time.Millisecond)) {
-			return
-		}
+	if e.up.awaitRoundAfter(ctx, pushedRound) != nil {
+		return
 	}
 	snap := e.inner.model.Load()
-	round, params, bn, err := e.pullUpstreamRetry(ctx, len(snap.params), len(snap.bn))
+	round, params, bn, err := e.pullUpstream(ctx, len(snap.params), len(snap.bn))
 	if err != nil {
 		return
 	}
@@ -682,28 +662,18 @@ func (e *Edge) resyncLocked(ctx context.Context, pushedRound int) {
 	e.setBase(round, params, bn)
 }
 
-// pullUpstreamRetry pulls the upstream model raw — the edge's base must be
-// the upstream's exact float64 state for the tier algebra to be exact;
-// cohort links are where compression pays — retrying failures with jittered
-// exponential backoff until ctx is canceled. wantP/wantB are the expected
-// shape (negative before the first pull). The vectors are copies the edge
-// owns: the client core reuses its pull buffers, and the edge keeps these as
-// its base, its last push and a parked batch's base.
-func (e *Edge) pullUpstreamRetry(ctx context.Context, wantP, wantB int) (int, []float64, []float64, error) {
-	var backoff retryBackoff
-	for {
-		round, err := e.up.pull(ctx, wantP, wantB)
-		if err == nil {
-			return round, append([]float64(nil), e.up.baseParams...), append([]float64(nil), e.up.baseBN...), nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, nil, nil, cerr
-		}
-		e.upRetries.Add(1)
-		if !backoff.wait(ctx) {
-			return 0, nil, nil, ctx.Err()
-		}
+// pullUpstream pulls the upstream model raw — the edge's base must be the
+// upstream's exact float64 state for the tier algebra to be exact; cohort
+// links are where compression pays. wantP/wantB are the expected shape
+// (negative before the first pull). The vectors are copies the edge owns:
+// the client core reuses its pull buffers, and the edge keeps these as its
+// base, its last push and a parked batch's base.
+func (e *Edge) pullUpstream(ctx context.Context, wantP, wantB int) (int, []float64, []float64, error) {
+	round, err := e.up.pull(ctx, wantP, wantB)
+	if err != nil {
+		return 0, nil, nil, err
 	}
+	return round, append([]float64(nil), e.up.baseParams...), append([]float64(nil), e.up.baseBN...), nil
 }
 
 // ListenAndServe runs the edge on addr until ctx is canceled, then shuts the
@@ -745,18 +715,6 @@ func (e *Edge) Serve(ctx context.Context, ln net.Listener) error {
 		return e.Drain(drainCtx)
 	case err := <-errc:
 		return fmt.Errorf("fldist: edge serve: %w", err)
-	}
-}
-
-// sleepCtx sleeps for d, reporting false if ctx was canceled first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
 	}
 }
 

@@ -499,64 +499,162 @@ func TestRoundEndpoint(t *testing.T) {
 	}
 }
 
-// A retry-marked 409 is a busy server, not a stale round: the client re-sends
-// the same body with backoff until it is admitted, so the training pass
-// counts and nothing is retrained. The front answers 409 + X-Fldist-Retry for
-// 50 ms from the first push of each round — an edge whose flusher is behind
-// answers exactly so — and then hands the push to the real server.
-func TestRetryMarkedConflictKeepsTrainingPass(t *testing.T) {
-	_, _, subs, build := testSetup(t, 2, 1)
-	m := build()
-	srv := NewServer(nn.ExportParams(m), nn.ExportBNStats(m), 1)
-	inner := srv.Handler()
-	var mu sync.Mutex
-	busyRound, busyUntil := -1, time.Time{}
-	var refused atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/update" {
-			mu.Lock()
-			if busyRound != srv.Round() {
-				busyRound, busyUntil = srv.Round(), time.Now().Add(50*time.Millisecond)
-			}
-			busy := time.Now().Before(busyUntil)
-			mu.Unlock()
-			if busy {
-				refused.Add(1)
-				w.Header().Set(retryHeader, "1")
-				http.Error(w, "update buffer full, retry", http.StatusConflict)
-				return
-			}
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	c := &Client{
-		ID: 0, BaseURL: ts.URL, HTTP: ts.Client(),
-		Model: build(), Subset: subs[0], Cfg: clientCfg(),
-		Rng: rand.New(rand.NewSource(3)),
+// hangUp closes the request's connection without answering — what a client
+// sees from a dead process's port, or from a response lost on the way.
+func hangUp(w http.ResponseWriter) {
+	if conn, _, err := http.NewResponseController(w).Hijack(); err == nil {
+		conn.Close()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+}
 
-	round, err := c.Pull(ctx)
-	if err != nil {
-		t.Fatal(err)
+// A server that cannot answer yet — busy (a retry-marked 409), unavailable
+// (503) or gone (a hang-up) — is not a stale round: the client re-sends the
+// same request with backoff until it is answered, so every training pass
+// counts and nothing is retrained. The front refuses each path (/model,
+// /update, /round) for 50 ms from its first request in each server round,
+// so the pull, the push and the round wait all meet it.
+func TestRetryMarkedConflictKeepsTrainingPass(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		refuse func(w http.ResponseWriter)
+	}{
+		{"retry-marked 409", func(w http.ResponseWriter) {
+			w.Header().Set(retryHeader, "1")
+			http.Error(w, "update buffer full, retry", http.StatusConflict)
+		}},
+		{"503", func(w http.ResponseWriter) {
+			http.Error(w, "restarting", http.StatusServiceUnavailable)
+		}},
+		{"hang-up", hangUp},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, subs, build := testSetup(t, 2, 1)
+			m := build()
+			srv := NewServer(nn.ExportParams(m), nn.ExportBNStats(m), 1)
+			inner := srv.Handler()
+			type window struct {
+				path  string
+				round int
+			}
+			var mu sync.Mutex
+			busyUntil := map[window]time.Time{}
+			refused := map[string]int{}
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				k := window{r.URL.Path, srv.Round()}
+				if _, ok := busyUntil[k]; !ok {
+					busyUntil[k] = time.Now().Add(50 * time.Millisecond)
+				}
+				busy := time.Now().Before(busyUntil[k])
+				if busy {
+					refused[r.URL.Path]++
+				}
+				mu.Unlock()
+				if busy {
+					tc.refuse(w)
+					return
+				}
+				inner.ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+			c := &Client{
+				ID: 0, BaseURL: ts.URL, HTTP: ts.Client(),
+				Model: build(), Subset: subs[0], Cfg: clientCfg(),
+				Rng: rand.New(rand.NewSource(3)),
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+
+			if err := c.RunRounds(ctx, 2, 0.05); err != nil {
+				t.Fatal(err)
+			}
+			if c.StaleRetrains != 0 {
+				t.Fatalf("StaleRetrains = %d, want 0: a refused request threw a training pass away", c.StaleRetrains)
+			}
+			if got := srv.RoundsCompleted(); got != 2 {
+				t.Fatalf("RoundsCompleted = %d, want 2", got)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, path := range []string{"/model", "/update", "/round"} {
+				if refused[path] == 0 {
+					t.Fatalf("front refused no %s request (refused %v)", path, refused)
+				}
+			}
+			if n := c.retries.Load(); n == 0 {
+				t.Fatal("retry count 0 after refused requests")
+			}
+		})
 	}
-	c.TrainLocal(0.05)
-	counted, err := c.Push(ctx, round)
-	if err != nil || !counted {
-		t.Fatalf("push against a busy server: counted=%v err=%v, want counted and no error", counted, err)
+}
+
+// A push whose response is lost is re-sent, and the server answers the
+// re-send as a duplicate of the copy it already counted. That 200 completes
+// the client's round: otherwise the client falls a round behind its fleet
+// and trains and pushes one round more, into a quorum no other client
+// fills. The front hands
+// client 0's first push to the server, then hangs up without answering;
+// client 1 starts once the re-send has been answered.
+func TestLostPushResponseCountsRound(t *testing.T) {
+	_, _, _, build := testSetup(t, 3, 3)
+	m := build()
+	srv := NewServer(nn.ExportParams(m), nn.ExportBNStats(m), 2)
+	inner := srv.Handler()
+	var pushes atomic.Int64
+	resent := make(chan struct{})
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/update" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		switch pushes.Add(1) {
+		case 1:
+			inner.ServeHTTP(httptest.NewRecorder(), r)
+			hangUp(w)
+		case 2:
+			inner.ServeHTTP(w, r)
+			close(resent)
+		default:
+			inner.ServeHTTP(w, r)
+		}
+	}))
+	defer front.Close()
+	direct := httptest.NewServer(inner)
+	defer direct.Close()
+	const rounds = 2
+	clients := []*Client{
+		mkClient(t, front, 0, 10, nil),
+		mkClient(t, direct, 1, 11, nil),
 	}
-	if n := refused.Load(); n < 2 {
-		t.Fatalf("front refused %d pushes, want the busy window to refuse at least 2", n)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	errs := make(chan error, len(clients))
+	run := func(c *Client) { errs <- c.RunRounds(ctx, rounds, 0.05) }
+	go run(clients[0])
+	select {
+	case <-resent:
+	case err := <-errs:
+		t.Fatalf("client 0 stopped before re-sending its push: %v", err)
+	case <-ctx.Done():
+		t.Fatal("client 0 never re-sent its push")
 	}
-	if err := c.RunRounds(ctx, 1, 0.05); err != nil {
-		t.Fatal(err)
+	go run(clients[1])
+	for range clients {
+		if err := <-errs; err != nil {
+			t.Fatalf("client: %v", err)
+		}
 	}
-	if c.StaleRetrains != 0 {
-		t.Fatalf("StaleRetrains = %d, want 0: a retry-marked 409 threw a training pass away", c.StaleRetrains)
+	if srv.Round() != rounds {
+		t.Fatalf("server at round %d, want %d", srv.Round(), rounds)
 	}
-	if got := srv.RoundsCompleted(); got != 2 {
-		t.Fatalf("RoundsCompleted = %d, want 2", got)
+	// One push per round plus the one re-send: a client that did not count
+	// the duplicate 200 trains and pushes a round more, into a quorum no
+	// other client fills.
+	if n := pushes.Load(); n != rounds+1 {
+		t.Fatalf("client 0 sent %d pushes, want %d (one per round and one re-send)", n, rounds+1)
+	}
+	if clients[0].retries.Load() == 0 {
+		t.Fatal("client 0 counted no retry after its lost response")
 	}
 }

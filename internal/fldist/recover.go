@@ -6,7 +6,9 @@ package fldist
 //
 //  1. Read the meta record at offset 0 and the wal.idx checkpoint; seek to
 //     the oldest in-window commit the idx pins (full forward scan from the
-//     meta record only if the idx is missing or disagrees with the log).
+//     meta record only if the idx is missing or disagrees with the log —
+//     read record by record, keeping only the window, so even then memory
+//     is O(staleness window)).
 //  2. Forward-scan to EOF: commit records rebuild the retained-round history
 //     and the latest snapshot + downlink-EF residuals; admission records
 //     re-mark the dedup horizon and, for the round after the last commit,
@@ -44,6 +46,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"fedprophet/internal/quant"
@@ -144,22 +147,28 @@ func scanWALFile(f *os.File, dir string) (*walRecovered, int64, error) {
 	return st, end, nil
 }
 
-// scanWALFrom forward-scans records in [start, size), accumulating into st,
-// and returns the offset where the intact prefix ends.
+// scanWALFrom forward-scans records in [start, size) one at a time,
+// accumulating into st, and returns the offset where the intact prefix ends.
+// It holds only what recovery uses — the last maxStale+1 commits and the
+// admissions whose admit round lies inside the newest commit's window — so a
+// scan from the meta record (no usable idx) costs the window's memory, not
+// the log's.
 func scanWALFrom(f *os.File, st *walRecovered, start, size int64) (int64, error) {
-	buf := make([]byte, size-start)
-	if _, err := f.ReadAt(buf, start); err != nil && err != io.EOF {
-		return 0, err
+	keep := st.meta.maxStale + 1
+	if st.commits == nil {
+		st.commits = make([]walRecCommitPos, 0, keep)
 	}
 	off := start
-	rest := buf
-	for len(rest) > 0 {
-		typ, seq, payload, n, err := parseWALRecord(rest)
-		if err != nil {
+	for off < size {
+		typ, seq, payload, end, err := readWALRecordAt(f, off, size)
+		if errors.Is(err, ErrWAL) {
 			// Torn final record (crash mid-append) or trailing corruption:
 			// the intact prefix ends here.
 			st.torn = true
 			break
+		}
+		if err != nil {
+			return 0, err
 		}
 		switch typ {
 		case walRecCommit:
@@ -168,7 +177,15 @@ func scanWALFrom(f *os.File, st *walRecovered, start, size int64) (int64, error)
 				st.torn = true
 				return off, nil
 			}
+			if len(st.commits) == keep {
+				st.commits = slices.Delete(st.commits, 0, 1)
+			}
 			st.commits = append(st.commits, walRecCommitPos{c: c, off: off})
+			// An admission folded before the window opened can neither
+			// replay nor mark a dedup horizon recovery keeps.
+			st.admits = slices.DeleteFunc(st.admits, func(a *walAdmit) bool {
+				return a.admitRound < c.round-st.meta.maxStale
+			})
 		case walRecAdmit:
 			a, aerr := parseWALAdmit(payload)
 			if aerr != nil {
@@ -177,22 +194,17 @@ func scanWALFrom(f *os.File, st *walRecovered, start, size int64) (int64, error)
 			}
 			a.seq = seq
 			st.admits = append(st.admits, a)
-		case walRecMeta, walRecEdgeBatch:
-			// A second meta record or an edge record inside a server log is
-			// not something this writer produces; stop at it.
-			st.torn = true
-			return off, nil
 		default:
-			// Unknown record type from a newer writer: stop, recover the
-			// prefix this version understands.
+			// A second meta record or an edge record inside a server log is
+			// not something this writer produces, and an unknown type comes
+			// from a newer writer: stop, recover the prefix understood.
 			st.torn = true
 			return off, nil
 		}
 		if seq > st.lastSeq {
 			st.lastSeq = seq
 		}
-		off += int64(n)
-		rest = rest[n:]
+		off = end
 	}
 	return off, nil
 }
@@ -225,11 +237,9 @@ func openWALForRecovery(dir string) (*wal, *walRecovered, error) {
 	w.off = end
 	w.nextSeq = st.lastSeq + 1
 	w.writeSeq = st.lastSeq + 1
+	// The scan kept the last w.keep commits: exactly the idx's entries.
 	for _, c := range st.commits {
 		w.idx = append(w.idx, walIdxEntry{round: c.c.round, off: c.off})
-	}
-	if len(w.idx) > w.keep {
-		w.idx = w.idx[len(w.idx)-w.keep:]
 	}
 	w.commits.Store(int64(len(st.commits)))
 	if n := len(st.commits); n > 0 {

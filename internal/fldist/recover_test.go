@@ -146,8 +146,21 @@ func TestRecoverBitIdentical(t *testing.T) {
 // the fleet, recovery must therefore bring that push back, or the round can
 // never fill. Client 0 pushes and waits; the server crashes and recovers
 // behind a stable front address; client 1 then pushes, and the round must
-// advance, releasing client 0, before the deadline.
+// advance, releasing client 0, before the deadline. In the "hang-up gap"
+// case the front hangs up on every request between the crash and the swap
+// to the recovered server, as a dead process's port does, and client 0's
+// round wait must outlast that gap.
 func TestSyncRecoveryReleasesWaitingClients(t *testing.T) {
+	for _, gap := range []bool{false, true} {
+		name := "stable address"
+		if gap {
+			name = "hang-up gap"
+		}
+		t.Run(name, func(t *testing.T) { syncRecoveryReleasesWaitingClients(t, gap) })
+	}
+}
+
+func syncRecoveryReleasesWaitingClients(t *testing.T, gap bool) {
 	_, _, _, build := testSetup(t, 3, 3)
 	m := build()
 	dir := t.TempDir()
@@ -157,7 +170,14 @@ func TestSyncRecoveryReleasesWaitingClients(t *testing.T) {
 	// A client polls /round only once a push of its got its 200.
 	waiting := make(chan struct{})
 	var once sync.Once
+	var down atomic.Bool
+	var hungUp atomic.Int64
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			hungUp.Add(1)
+			hangUp(w)
+			return
+		}
 		if r.URL.Path == "/round" {
 			once.Do(func() { close(waiting) })
 		}
@@ -181,8 +201,21 @@ func TestSyncRecoveryReleasesWaitingClients(t *testing.T) {
 	case <-ctx.Done():
 		t.Fatal("client 0 never pushed")
 	}
+	down.Store(gap)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if gap {
+		// Client 0's round wait meets the dead port before the restart.
+		for hungUp.Load() == 0 {
+			select {
+			case err := <-errs:
+				t.Fatalf("client 0 stopped in the restart gap: %v", err)
+			case <-ctx.Done():
+				t.Fatal("client 0 never polled during the restart gap")
+			case <-time.After(time.Millisecond):
+			}
+		}
 	}
 	rec, err := recoverT(t, dir, 0)
 	if err != nil {
@@ -190,6 +223,7 @@ func TestSyncRecoveryReleasesWaitingClients(t *testing.T) {
 	}
 	defer rec.Close()
 	live.Store(rec)
+	down.Store(false)
 
 	go run(clients[1])
 	for range clients {
@@ -200,6 +234,99 @@ func TestSyncRecoveryReleasesWaitingClients(t *testing.T) {
 	if rec.Round() != 2 {
 		t.Fatalf("recovered server at round %d, want 2", rec.Round())
 	}
+}
+
+// Without a usable wal.idx (missing, stale or torn) recovery scans from the
+// meta record. The scan must still hold only the staleness window — the last
+// window+1 commits and the admissions inside the newest one's window — and
+// recover the very server the idx path recovers: the same snapshot, and the
+// same commit once the buffered round fills.
+func TestRecoverWithoutIdxHoldsOnlyWindow(t *testing.T) {
+	const commits, window, extra = 12, 2, 2 // walScript's buffered window is 2
+	withIdx := t.TempDir()
+	srv, refP, refBN := walScript(t, withIdx, true, commits, extra, 0)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	noIdx := t.TempDir()
+	log, err := os.ReadFile(filepath.Join(withIdx, walLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(noIdx, walLogName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(filepath.Join(noIdx, walLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := scanWALFile(f, noIdx)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The commit slice is allocated at the window's size and never grows,
+	// so the scan never held more than window+1 commits at once.
+	if len(st.commits) != window+1 || cap(st.commits) != window+1 {
+		t.Fatalf("scan holds %d commits (capacity %d), want the window's %d",
+			len(st.commits), cap(st.commits), window+1)
+	}
+	if r := st.commits[window].c.round; r != commits {
+		t.Fatalf("newest scanned commit is round %d, want %d", r, commits)
+	}
+	if want := window*walTestBufferK + extra; len(st.admits) != want {
+		t.Fatalf("scan holds %d admissions, want the window's %d", len(st.admits), want)
+	}
+	for _, a := range st.admits {
+		if a.admitRound < commits-window {
+			t.Fatalf("scan kept an admission of round %d, outside the window", a.admitRound)
+		}
+	}
+
+	var snaps [2][2][]float64
+	for i, dir := range []string{withIdx, noIdx} {
+		rec, err := recoverT(t, dir, 0)
+		if err != nil {
+			t.Fatalf("recover %s: %v", dir, err)
+		}
+		p, bn := rec.Snapshot()
+		if !bitsEqualT(p, refP[commits]) || !bitsEqualT(bn, refBN[commits]) {
+			t.Fatalf("recovery %d is not bit-identical to round %d", i, commits)
+		}
+		ts := httptest.NewServer(rec.Handler())
+		// The last push fills the replayed buffer: the commit folds the
+		// replayed admissions too.
+		c := &synthClient{id: commits*walTestBufferK + extra, weight: 2}
+		if r := c.pull(t, ts); r != commits {
+			t.Fatalf("pulled round %d, want %d", r, commits)
+		}
+		if st, dup, _, _ := c.push(t, ts, commits); st != http.StatusOK || dup {
+			t.Fatalf("push: status %d dup %v", st, dup)
+		}
+		ts.Close()
+		if rec.Round() != commits+1 {
+			t.Fatalf("recovery %d at round %d after the buffer filled, want %d", i, rec.Round(), commits+1)
+		}
+		snaps[i][0], snaps[i][1] = rec.Snapshot()
+		rec.Close()
+	}
+	if !bitsEqualT(snaps[0][0], snaps[1][0]) || !bitsEqualT(snaps[0][1], snaps[1][1]) {
+		t.Fatal("recovery without the idx committed a different model than with it")
+	}
+}
+
+// bitsEqualT reports whether two vectors are equal bit for bit.
+func bitsEqualT(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Live handoff: a successor blocks on the incumbent's flock and takes over

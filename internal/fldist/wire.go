@@ -340,8 +340,9 @@ type WALStats struct {
 // counts combined cohort deltas admitted upstream; Rebased counts flushes
 // whose base fell out of the upstream staleness window mid-buffer and were
 // re-expressed against a freshly pulled base instead of being thrown away;
-// Retries counts transport-level retry sleeps against an unreachable or
-// stalled upstream. FlushK / FlushAge / FlushDrain split the flushes by what
+// Retries counts the waits of the edge's upstream client before a re-send —
+// each time the upstream could not answer yet: no response, a 502, 503 or
+// 504, or a retry-marked 409 (see Client.send). FlushK / FlushAge / FlushDrain split the flushes by what
 // triggered them (buffer depth K, oldest-update age T, graceful drain).
 // CohortPulls counts cohort GET /model requests served from the edge's
 // pull-through cache — every one of them is a pull the root did not see.
