@@ -7,7 +7,6 @@
 #                         BENCHMARK.json; see bench/README.md) at smoke sizes:
 #                         every workload and output check in <5 s, plus the
 #                         nested bench module's own tests (in ci)
-#   make bench   - paper tables/figures as go benchmarks with -benchmem
 #   make check-docs     - fail on dead relative links in README/docs
 #   make cross   - cross-build for arm64 and vet tensor/nn/quant there: the
 #                  portable GEMM path that every platform but amd64 runs, and
@@ -20,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: all build vet cross lint test test-race fuzz check-docs bench-smoke ci bench cover clean
+.PHONY: all build vet cross lint test test-race fuzz check-docs bench-smoke ci cover clean
 
 all: ci
 
@@ -62,8 +61,8 @@ test:
 # with parallel commit folds and concurrent compressed/raw clients, the pooled
 # streaming codec, client workers sharing one cascade stage feature set) under
 # the race detector — plus the public transport surface, filtered to the tests
-# that route a tenant registry to an edge over real HTTP, and two real methods
-# through fl's round driver: internal/fl races the driver only with toy
+# that drive an edge behind an http.ServeMux tenant path and a buffered root
+# over real HTTP, and two real methods through fl's round driver: internal/fl races the driver only with toy
 # client steps, so jFAT's subtest of TestParallelMatchesSequential runs a
 # method's client step on 3 workers, and FedProphet's runs its server passes
 # (validation, stage feature map, perturbation collection) as eval batches
@@ -125,9 +124,6 @@ bench-smoke:
 # lint runs right after vet: invariant violations fail the build before the
 # minutes-long test/race/benchmark stages spend their time.
 ci: build vet cross lint test test-race fuzz check-docs bench-smoke
-
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x .
 
 cover:
 	$(GO) test -cover ./...

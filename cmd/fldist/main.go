@@ -57,9 +57,9 @@
 // -upstream — the root, or another edge — as an ordinary wire update, so N
 // clients cost the upstream one push per flush instead of N. -cohort takes
 // a comma-separated list of names; with more than one, the process hosts
-// one edge per cohort behind a multi-tenant registry (clients use
-// http://edge:8081/<name>). SIGTERM drains: buffered cohort work is pushed
-// upstream before the process exits.
+// one edge per cohort on one listener, each under its own path prefix
+// (clients use http://edge:8081/<name>). SIGTERM drains: buffered cohort
+// work is pushed upstream before the process exits.
 //
 // Each edge pushes upstream under a block of client IDs (-edge-id is the
 // first block's base; successive cohorts take the following blocks). Edge
@@ -75,6 +75,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -110,7 +111,7 @@ func main() {
 		pprof     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060) for live profiling")
 		edge      = flag.Bool("edge", false, "run an edge aggregator between a client cohort and -upstream")
 		upstream  = flag.String("upstream", "", "edge mode: upstream server URL (root or another edge)")
-		cohort    = flag.String("cohort", "", "edge mode: cohort name(s), comma-separated; >1 mounts a multi-tenant registry")
+		cohort    = flag.String("cohort", "", "edge mode: cohort name(s), comma-separated; >1 serves each under /<name>/ on one listener")
 		flushK    = flag.Int("flush", 8, "edge mode: push upstream once this many cohort updates buffered")
 		flushAge  = flag.Duration("flush-age", 500*time.Millisecond, "edge mode: push upstream once the oldest buffered update is this old (0 = depth/drain only)")
 		edgeID    = flag.Int("edge-id", 0, "edge mode: base of this process's upstream client ID blocks, one block of fldist.EdgeIDSpan IDs per cohort; must be disjoint across edge processes sharing an upstream (0 = randomize)")
@@ -181,39 +182,22 @@ func main() {
 			logEdgeStats(e)
 			return
 		}
-		// Multi-tenant: one edge per cohort behind the registry mux, each
-		// drained on shutdown.
-		reg := fldist.NewRegistry()
-		edges := make([]*fldist.Edge, 0, len(names))
+		// Several cohorts: one edge each, mounted under /<name>/ on one
+		// listener, each drained on shutdown.
+		edges := make([]*fldist.Edge, len(names))
 		for i, name := range names {
-			e := mkEdge(name, i)
-			if err := e.Start(ctx); err != nil {
-				log.Fatal(err)
-			}
-			if err := reg.Add(name, e.Handler()); err != nil {
-				log.Fatal(err)
-			}
-			edges = append(edges, e)
+			edges[i] = mkEdge(name, i)
 		}
-		log.Printf("edge registry on %s → %s (cohorts %v, upstream IDs from %d, flush K=%d age=%s)",
-			*addr, *upstream, reg.Names(), idBase, *flushK, *flushAge)
-		hs := fldist.NewHTTPServer(reg.Handler())
-		hs.Addr = *addr
-		go func() {
-			<-ctx.Done()
-			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = hs.Shutdown(shutCtx)
-		}()
-		if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("edge cohorts on %s → %s (cohorts %v, upstream IDs from %d, flush K=%d age=%s)",
+			*addr, *upstream, names, idBase, *flushK, *flushAge)
+		if err := fldist.ServeCohorts(ctx, ln, edges); err != nil {
 			log.Fatal(err)
 		}
 		for _, e := range edges {
-			drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			if err := e.Drain(drainCtx); err != nil {
-				log.Printf("edge %q drain: %v", e.Name(), err)
-			}
-			cancel()
 			logEdgeStats(e)
 		}
 

@@ -4,7 +4,7 @@
 //
 //	go run ./examples/robustbench
 //
-// It trains two global models through the public Runner — one with standard
+// It trains two global models through fedprophet.Run — one with standard
 // federated SGD (WithTrainPGD(0)), one with PGD adversarial training — then
 // sweeps the attack budget ε over the trained models (Result.Model) and
 // reports robust accuracy under FGSM, PGD and the AutoAttack-style ensemble,

@@ -291,3 +291,16 @@ func TestFedProphetDeterministicSameSeed(t *testing.T) {
 			r1.CleanAcc, r1.PGDAcc, r2.CleanAcc, r2.PGDAcc)
 	}
 }
+
+func TestCommBytesGrowWithRounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	mk := func(rpm int) fl.MethodParams { return microParams(rpm, rpm, 2, 8, 1) }
+	short := mustRun(t, New(mk(1)), microEnv(t, 33))
+	long := mustRun(t, New(mk(3)), microEnv(t, 33))
+	if long.Extra["comm_up_bytes"] <= short.Extra["comm_up_bytes"] {
+		t.Fatalf("more rounds must upload more: %v vs %v",
+			short.Extra["comm_up_bytes"], long.Extra["comm_up_bytes"])
+	}
+}

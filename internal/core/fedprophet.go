@@ -12,7 +12,6 @@ import (
 	"fedprophet/internal/fl"
 	"fedprophet/internal/memmodel"
 	"fedprophet/internal/nn"
-	"fedprophet/internal/quant"
 	"fedprophet/internal/simlat"
 )
 
@@ -152,16 +151,15 @@ func (f *FedProphet) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				up := moduleUpload{weight: float64(s.Data.Len()), to: to}
 				var upBytes int64
 				for j := mIdx; j <= to; j++ {
-					vec, bytes := f.encodeUpload(nn.ExportParamList(c.Modules[j].BackboneParams()))
+					vec := nn.ExportParamList(c.Modules[j].BackboneParams())
 					bn := nn.ExportBNStats(c.Modules[j].Backbone)
 					up.backbone = append(up.backbone, vec)
 					up.bn = append(up.bn, bn)
-					upBytes += bytes + int64(4*len(bn))
+					upBytes += int64(4 * (len(vec) + len(bn)))
 				}
 				if aux := c.Modules[to].Aux; aux != nil {
-					vec, bytes := f.encodeUpload(nn.ExportParamList(aux.Params()))
-					up.aux = vec
-					upBytes += bytes
+					up.aux = nn.ExportParamList(aux.Params())
+					upBytes += int64(4 * len(up.aux))
 				}
 
 				// Latency accounting: a simulated device holds no feature set,
@@ -256,24 +254,6 @@ type moduleUpload struct {
 	backbone [][]float64
 	bn       [][]float64
 	aux      []float64
-}
-
-// encodeUpload applies the optional low-bit quantization to one upload
-// vector, returning the (possibly lossy) vector the server will aggregate
-// and its wire size in bytes: the wire codec's dense frame, one scale per
-// UploadChunk values (quant.DefaultChunk when unset), which confines each
-// outlier weight's damage to its own chunk.
-func (f *FedProphet) encodeUpload(vec []float64) ([]float64, int64) {
-	if f.Params.UploadBits < 2 || f.Params.UploadBits > 8 {
-		return vec, int64(4 * len(vec))
-	}
-	chunk := f.Params.UploadChunk
-	if chunk <= 0 {
-		chunk = quant.DefaultChunk
-	}
-	deq := make([]float64, len(vec))
-	frame := quant.NewEncoder(f.Params.UploadBits, chunk, len(vec), 1).EncodeAll(vec, deq)
-	return deq, int64(len(frame))
 }
 
 // apaEpsOrInput returns the constraint used on module mIdx's input when

@@ -47,14 +47,6 @@ type MethodParams struct {
 	FeaturePGDSteps int
 	// ValSize / ValPGD control the cheap per-round validation used by APA.
 	ValSize, ValPGD int
-	// UploadBits, when in [2,8], quantizes client module uploads with
-	// symmetric low-bit quantization before partial averaging — the
-	// parameter-level compression §8 describes as complementary to module
-	// partitioning. 0 disables quantization.
-	UploadBits int
-	// UploadChunk is the number of values per upload quantization scale,
-	// the wire codec's form; 0 selects internal/quant.DefaultChunk.
-	UploadChunk int
 }
 
 // MethodFactory instantiates a Method for one workload's parameters.

@@ -79,6 +79,11 @@ type Client struct {
 	heldRound int
 	hasChain  bool
 
+	// pushBody/pushCodec are the last push answered 200, by the instance
+	// pushServer (serverHeader): awaitRoundAfter re-sends it after a restart.
+	pushBody              []byte
+	pushCodec, pushServer string
+
 	// retries counts send's waits before a re-send: every time the peer
 	// could not answer yet. An edge reports its upstream client's count as
 	// upstream.retries.
@@ -494,6 +499,7 @@ func (c *Client) post(ctx context.Context, codec string, body []byte) (bool, err
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
+		c.pushBody, c.pushCodec, c.pushServer = body, codec, resp.Header.Get(serverHeader)
 		return resp.Header.Get("X-Fldist-Duplicate") == "", nil
 	case http.StatusConflict:
 		return false, ErrStaleRound
@@ -521,7 +527,8 @@ var ErrStaleRound = errors.New("fldist: update for a stale round")
 // still counts inside the staleness window. A stale push (HTTP 409) re-pulls
 // and retrains at once; each such retrain is tallied in StaleRetrains. A
 // server that cannot answer — restarting, or busy — is waited out (see
-// send), so a fleet outlasts a server restart.
+// send), so a fleet outlasts a server restart — and re-sends a push the
+// restart lost (awaitRoundAfter).
 //
 // Canceling ctx stops between steps and aborts in-flight requests.
 func (c *Client) RunRounds(ctx context.Context, n int, lr float64) error {
@@ -531,7 +538,10 @@ func (c *Client) RunRounds(ctx context.Context, n int, lr float64) error {
 			return fmt.Errorf("fldist: client %d stopped after %d rounds: %w", c.ID, done, err)
 		}
 		if pushed >= 0 {
-			if err := c.awaitRoundAfter(ctx, pushed); err != nil {
+			if err := c.awaitRoundAfter(ctx, pushed); errors.Is(err, ErrStaleRound) {
+				done-- // a restarted server refused the re-send of a push it lost
+				c.StaleRetrains++
+			} else if err != nil {
 				return err
 			}
 			pushed = -1
@@ -563,37 +573,37 @@ func (c *Client) trainPass(lr float64) {
 	}
 }
 
-// Round fetches the server's current round number without transferring the
-// model blob.
-func (c *Client) Round(ctx context.Context) (int, error) {
+// round fetches the server's current round number without transferring the
+// model blob, and the answering instance's ID (serverHeader).
+func (c *Client) round(ctx context.Context) (int, string, error) {
 	resp, err := c.send(ctx, http.MethodGet, "/round", "", nil)
 	if err != nil {
-		return 0, fmt.Errorf("fldist: round: %w", err)
+		return 0, "", fmt.Errorf("fldist: round: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("fldist: round: %s: %s", resp.Status, errorBody(resp.Body))
+		return 0, "", fmt.Errorf("fldist: round: %s: %s", resp.Status, errorBody(resp.Body))
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRoundBody))
 	if err != nil {
-		return 0, fmt.Errorf("fldist: round: %w", err)
+		return 0, "", fmt.Errorf("fldist: round: %w", err)
 	}
 	if len(body) == maxRoundBody {
 		// No decimal round comes near the cap: whatever fills it is garbage,
 		// and the rest of it stays unread.
-		return 0, fmt.Errorf("fldist: round: body of %d bytes or more is not a round number", maxRoundBody)
+		return 0, "", fmt.Errorf("fldist: round: body of %d bytes or more is not a round number", maxRoundBody)
 	}
 	// strconv.Atoi over the trimmed body, not fmt.Sscanf: Sscanf("%d") stops
 	// at the first non-digit and would silently accept a corrupted body like
 	// "3 oops" as round 3. Anything but a bare decimal is a protocol error.
 	round, err := strconv.Atoi(string(bytes.TrimSpace(body)))
 	if err != nil {
-		return 0, fmt.Errorf("fldist: round: malformed body %q: %w", body, err)
+		return 0, "", fmt.Errorf("fldist: round: malformed body %q: %w", body, err)
 	}
 	if round < 0 {
-		return 0, fmt.Errorf("fldist: round: negative round %d", round)
+		return 0, "", fmt.Errorf("fldist: round: negative round %d", round)
 	}
-	return round, nil
+	return round, resp.Header.Get(serverHeader), nil
 }
 
 // awaitRoundAfter polls the server's round counter (not the full model)
@@ -601,20 +611,28 @@ func (c *Client) Round(ctx context.Context) (int, error) {
 // The jitter matters at fleet scale: a synchronous round releases every
 // client at the same instant, so a fixed backoff schedule keeps the whole
 // fleet polling /round in lockstep — a thundering herd that shows up clearly
-// at 64 concurrent clients. Drawing each sleep uniformly from [backoff/2, backoff)
-// decorrelates the fleet while keeping the same mean. It returns when the
-// aggregation that includes this client's update has completed, or with
-// ctx's error on cancellation.
+// at 64 concurrent clients. Drawing each sleep uniformly from [backoff/2,
+// backoff) decorrelates the fleet while keeping the same mean. A new server
+// instance answering (serverHeader) restarted and may have lost the push: it
+// is re-sent once per instance; a 200 resumes the wait, a 409 returns
+// ErrStaleRound. It returns nil once the aggregation that includes this
+// client's update has completed, ctx's error on cancellation.
 func (c *Client) awaitRoundAfter(ctx context.Context, round int) error {
 	backoff := 2 * time.Millisecond
 	const maxBackoff = 100 * time.Millisecond
 	for {
-		cur, err := c.Round(ctx)
+		cur, server, err := c.round(ctx)
 		if err != nil {
 			return err
 		}
 		if cur > round {
 			return nil
+		}
+		if server != c.pushServer {
+			if _, err := c.post(ctx, c.pushCodec, c.pushBody); err != nil {
+				return err
+			}
+			continue
 		}
 		if !sleepCtx(ctx, jitterDur(backoff)) {
 			return fmt.Errorf("fldist: client %d canceled waiting for round %d: %w",

@@ -44,6 +44,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,7 +64,7 @@ type edgeConfig struct {
 type EdgeOption func(*edgeConfig)
 
 // WithEdgeName names the edge's cohort; the name appears in the stats
-// upstream section and is the tenant name a Registry mounts the edge under.
+// upstream section and, under ServeCohorts, is the edge's path prefix.
 func WithEdgeName(name string) EdgeOption {
 	return func(c *edgeConfig) { c.name = name }
 }
@@ -676,8 +677,7 @@ func (e *Edge) pullUpstream(ctx context.Context, wantP, wantB int) (int, []float
 	return round, append([]float64(nil), e.up.baseParams...), append([]float64(nil), e.up.baseBN...), nil
 }
 
-// ListenAndServe runs the edge on addr until ctx is canceled, then shuts the
-// cohort listener down gracefully and drains the remaining buffer upstream.
+// ListenAndServe listens on addr and runs Serve.
 func (e *Edge) ListenAndServe(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -686,36 +686,58 @@ func (e *Edge) ListenAndServe(ctx context.Context, addr string) error {
 	return e.Serve(ctx, ln)
 }
 
-// Serve runs the edge on an existing listener until ctx is canceled
-// (starting it first if Start has not run), then shuts down gracefully:
-// in-flight cohort pushes finish and land in the buffer, the flusher stops,
-// and a final drain pushes everything still buffered upstream under a fresh
-// timeout — SIGTERM never strands admitted cohort work on the edge.
+// Serve starts the edge if Start has not run, serves it on ln until ctx is
+// canceled, then shuts down gracefully: in-flight cohort pushes land in the
+// buffer and a final drain pushes it upstream, so SIGTERM strands no work.
 func (e *Edge) Serve(ctx context.Context, ln net.Listener) error {
-	if e.inner == nil {
-		if err := e.Start(ctx); err != nil {
+	return serveEdges(ctx, ln, e.Handler, e)
+}
+
+// ServeCohorts hosts several edges on one listener, each under /<name>/ of an
+// http.ServeMux, prefix stripped, and otherwise runs like Serve. Names must be
+// distinct, not "." or "..", with no character a path escapes (checked first).
+func ServeCohorts(ctx context.Context, ln net.Listener, edges []*Edge) error {
+	seen := map[string]bool{}
+	for _, e := range edges {
+		if n := e.name; n == "" || n == "." || n == ".." || url.PathEscape(n) != n || seen[n] {
 			ln.Close()
-			return err
+			return fmt.Errorf("fldist: cohort name %q must be a distinct path segment of unreserved characters", n)
+		}
+		seen[e.name] = true
+	}
+	return serveEdges(ctx, ln, func() http.Handler {
+		mux := http.NewServeMux()
+		for _, e := range edges {
+			mux.Handle("/"+e.name+"/", http.StripPrefix("/"+e.name, e.Handler()))
+		}
+		return mux
+	}, edges...)
+}
+
+// serveEdges starts the edges not yet started, serves mount() on ln until ctx
+// is canceled, then drains each edge once its flusher stops, 5 s apiece.
+func serveEdges(ctx context.Context, ln net.Listener, mount func() http.Handler, edges ...*Edge) error {
+	for _, e := range edges {
+		if e.inner == nil {
+			if err := e.Start(ctx); err != nil {
+				ln.Close()
+				return err
+			}
 		}
 	}
-	hs := NewHTTPServer(e.Handler())
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutCtx); err != nil {
-			return fmt.Errorf("fldist: edge shutdown: %w", err)
-		}
-		<-errc // drain the ErrServerClosed from Serve
+	if err := serve(ctx, ln, NewHTTPServer(mount())); err != nil {
+		return err
+	}
+	var errs []error
+	for _, e := range edges {
 		<-e.done
-		drainCtx, cancelDrain := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancelDrain()
-		return e.Drain(drainCtx)
-	case err := <-errc:
-		return fmt.Errorf("fldist: edge serve: %w", err)
+		drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := e.Drain(drainCtx); err != nil {
+			errs = append(errs, fmt.Errorf("edge %q: %w", e.name, err))
+		}
+		cancel()
 	}
+	return errors.Join(errs...)
 }
 
 // ---- Server tier hooks -----------------------------------------------------

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -441,6 +442,70 @@ func TestEdgeDrainFlushesBufferedUpdates(t *testing.T) {
 		if gotP[i] != want {
 			t.Fatalf("params[%d] = %v, want %v", i, gotP[i], want)
 		}
+	}
+}
+
+// ServeCohorts hosts each edge under its own path prefix on one listener
+// and drains every one upstream on shutdown: two drain-only edges, one
+// cohort client each, fill a root quorum of 2 only once ctx ends. Names that
+// are not distinct plain path segments — empty, slashed, spaced, a mux
+// wildcard, ".." — are refused before any edge contacts its upstream.
+func TestServeCohortsMountsAndDrainsEachEdge(t *testing.T) {
+	for _, names := range [][]string{{"a", "a"}, {""}, {"x/y"}, {"a b"}, {"{x}"}, {".."}} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := make([]*Edge, len(names))
+		for i, n := range names {
+			edges[i] = NewEdge("http://127.0.0.1:1", WithEdgeName(n))
+		}
+		// A canceled ctx: a name that passed the check would fail in Start.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := ServeCohorts(ctx, ln, edges); err == nil || !strings.Contains(err.Error(), "cohort name") {
+			t.Fatalf("cohort names %q: err %v, want the name refused", names, err)
+		}
+	}
+
+	const nParams, nBN = 65, 3
+	init := gridVec(nParams, 7)
+	root := NewServer(init, gridVec(nBN, 8), 2)
+	ts := httptest.NewServer(root.Handler())
+	defer ts.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	edges := []*Edge{
+		NewEdge(ts.URL, WithEdgeName("a"), WithEdgeClientID(1000), WithEdgeFlush(100, 0)),
+		NewEdge(ts.URL, WithEdgeName("b"), WithEdgeClientID(1000+EdgeIDSpan), WithEdgeFlush(100, 0)),
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- ServeCohorts(ctx, ln, edges) }()
+	base := "http://" + ln.Addr().String()
+	awaitFn(t, "cohorts serving", func() bool {
+		resp, err := http.Get(base + "/b/round")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
+	cohortRun(t, ts.Client(), base+"/a", []int{0})
+	cohortRun(t, ts.Client(), base+"/b", []int{1})
+	a, b := edges[0].Stats().Upstream, edges[1].Stats().Upstream
+	if a.Buffered != 1 || b.Buffered != 1 || root.Round() != 0 {
+		t.Fatalf("edges buffered %d and %d, root at round %d before drain; want 1, 1, 0",
+			a.Buffered, b.Buffered, root.Round())
+	}
+	cancel()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve cohorts: %v", err)
+	}
+	if root.Round() != 1 {
+		t.Fatalf("drains did not fill the root quorum: round %d", root.Round())
 	}
 }
 

@@ -177,16 +177,16 @@ func TestRoundParsingRejectsGarbage(t *testing.T) {
 			fmt.Fprint(w, tc.body)
 		}))
 		c := &Client{ID: 0, BaseURL: ts.URL, HTTP: ts.Client()}
-		got, err := c.Round(context.Background())
+		got, _, err := c.round(context.Background())
 		ts.Close()
 		if tc.ok {
 			if err != nil || got != tc.want {
-				t.Fatalf("Round(%q) = %d, %v; want %d, nil", tc.body, got, err, tc.want)
+				t.Fatalf("round(%q) = %d, %v; want %d, nil", tc.body, got, err, tc.want)
 			}
 			continue
 		}
 		if err == nil {
-			t.Fatalf("Round(%q) = %d, want protocol error", tc.body, got)
+			t.Fatalf("round(%q) = %d, want protocol error", tc.body, got)
 		}
 	}
 }
@@ -244,7 +244,7 @@ func TestClientBoundsResponseBodies(t *testing.T) {
 		cap  int64
 		call func() error
 	}{
-		{"round", maxRoundBody, func() error { _, err := c.Round(ctx); return err }},
+		{"round", maxRoundBody, func() error { _, _, err := c.round(ctx); return err }},
 		{"pull error", maxErrorBody, func() error { _, err := c.pull(ctx, -1, -1); return err }},
 		{"push error", maxErrorBody, func() error { _, err := c.post(ctx, "", []byte("FPU1")); return err }},
 	} {
@@ -484,8 +484,8 @@ func TestRoundEndpoint(t *testing.T) {
 		Rng: rand.New(rand.NewSource(60)),
 	}
 	ctx := context.Background()
-	if r, err := c.Round(ctx); err != nil || r != 0 {
-		t.Fatalf("Round = %d, %v; want 0, nil", r, err)
+	if r, _, err := c.round(ctx); err != nil || r != 0 {
+		t.Fatalf("round = %d, %v; want 0, nil", r, err)
 	}
 	if _, err := c.Pull(ctx); err != nil {
 		t.Fatal(err)
@@ -494,8 +494,8 @@ func TestRoundEndpoint(t *testing.T) {
 	if counted, err := c.Push(ctx, 0); err != nil || !counted {
 		t.Fatalf("push: counted=%v err=%v", counted, err)
 	}
-	if r, err := c.Round(ctx); err != nil || r != 1 {
-		t.Fatalf("Round after quorum = %d, %v; want 1, nil", r, err)
+	if r, _, err := c.round(ctx); err != nil || r != 1 {
+		t.Fatalf("round after quorum = %d, %v; want 1, nil", r, err)
 	}
 }
 

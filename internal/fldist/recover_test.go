@@ -236,6 +236,115 @@ func syncRecoveryReleasesWaitingClients(t *testing.T, gap bool) {
 	}
 }
 
+// A server restarted without a WAL has lost every push it had admitted, so a
+// client that got its 200 and waits on the quorum would wait for good. The
+// fresh instance answers /round under a new server ID, and the waiting client
+// re-sends its accepted push once: client 0 pushes and waits, a fresh server
+// (no WAL) is swapped in behind the front, client 1 pushes, and both must
+// finish their two rounds.
+func TestRestartWithoutWALReleasesWaitingClients(t *testing.T) {
+	_, _, _, build := testSetup(t, 3, 3)
+	m := build()
+	srv := NewServer(nn.ExportParams(m), nn.ExportBNStats(m), 2, withWarnf(t.Logf))
+	var live atomic.Pointer[Server]
+	live.Store(srv)
+	waiting := make(chan struct{})
+	var once sync.Once
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/round" {
+			once.Do(func() { close(waiting) })
+		}
+		live.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	clients := []*Client{
+		mkClient(t, front, 0, 10, &Compression{Bits: 8, Chunk: 64}),
+		mkClient(t, front, 1, 11, nil),
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	errs := make(chan error, len(clients))
+	run := func(c *Client) { errs <- c.RunRounds(ctx, 2, 0.05) }
+	go run(clients[0])
+	select {
+	case <-waiting:
+	case <-ctx.Done():
+		t.Fatal("client 0 never pushed")
+	}
+	srv.Close()
+	fresh := NewServer(nn.ExportParams(m), nn.ExportBNStats(m), 2, withWarnf(t.Logf))
+	live.Store(fresh)
+
+	go run(clients[1])
+	for range clients {
+		if err := <-errs; err != nil {
+			t.Fatalf("client: %v", err)
+		}
+	}
+	if fresh.Round() != 2 {
+		t.Fatalf("restarted server at round %d, want 2", fresh.Round())
+	}
+}
+
+// A server restarted without a WAL at a round before the lost push answers
+// its re-send with a stale 409, and RunRounds pulls and trains again without
+// counting the lost round. Client 1 fills round 0 on the
+// first server; client 0 pushes round 0 (the commit) and round 1, then a
+// fresh server at round 0 is swapped in while client 0 waits on round 1.
+func TestRestartWithoutWALRetrainsStalePush(t *testing.T) {
+	_, _, _, build := testSetup(t, 3, 3)
+	m := build()
+	newSrv := func() *Server { return NewServer(nn.ExportParams(m), nn.ExportBNStats(m), 2, withWarnf(t.Logf)) }
+	first, fresh := newSrv(), newSrv()
+	var live atomic.Pointer[Server]
+	live.Store(first)
+	var pushes atomic.Int64
+	swapped := make(chan struct{})
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/update":
+			pushes.Add(1)
+		case r.URL.Path == "/round" && pushes.Load() == 2 && live.CompareAndSwap(first, fresh):
+			close(swapped)
+		}
+		live.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+
+	pushDirect := func(s *Server) {
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		c := mkClient(t, ts, 1, 11, nil)
+		r, err := c.Pull(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Push(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pushDirect(first)
+	c0 := mkClient(t, front, 0, 10, nil)
+	errc := make(chan error, 1)
+	go func() { errc <- c0.RunRounds(ctx, 3, 0.05) }()
+	select {
+	case <-swapped:
+	case err := <-errc:
+		t.Fatalf("client 0 stopped before the restart: %v", err)
+	}
+	pushDirect(fresh)
+	if err := <-errc; err != nil {
+		t.Fatalf("client 0: %v", err)
+	}
+	if c0.StaleRetrains != 1 || fresh.Round() != 1 {
+		t.Fatalf("client 0 retrained %d stale rounds, restarted server at round %d; want 1 and 1",
+			c0.StaleRetrains, fresh.Round())
+	}
+}
+
 // Without a usable wal.idx (missing, stale or torn) recovery scans from the
 // meta record. The scan must still hold only the staleness window — the last
 // window+1 commits and the admissions inside the newest one's window — and

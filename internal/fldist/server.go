@@ -52,6 +52,7 @@ package fldist
 import (
 	"bufio"
 	"context"
+	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -100,6 +101,8 @@ import (
 //
 //lint:lockorder servedEntry.mu -> Server.serveMu -> Server.pendMu
 type Server struct {
+	id string // names this instance, new at every boot (serverHeader)
+
 	// The admission policy. bufferK is the commit threshold and maxStale the
 	// admission window in rounds: the synchronous quorum is bufferK =
 	// quorum, maxStale = 0. async selects buffered mode
@@ -298,6 +301,7 @@ func NewServer(initParams, initBN []float64, updatesPerRound int, opts ...Server
 		o(&cfg)
 	}
 	s := &Server{
+		id:          rand.Text(),
 		bufferK:     updatesPerRound,
 		segs:        cfg.segments,
 		admitted:    map[int]map[int]bool{},
@@ -386,6 +390,7 @@ func (s *Server) handleRound(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain")
+	w.Header().Set(serverHeader, s.id)
 	fmt.Fprintf(w, "%d", s.model.Load().round)
 }
 
@@ -739,6 +744,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	w.Header().Set(serverHeader, s.id)
 	snap := s.model.Load()
 	sc := pushScratchPool.Get().(*pushScratch)
 	sc.cr = countReader{r: r.Body}
@@ -1467,34 +1473,16 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-// NewHTTPServer returns the http.Server the tiers serve h on: the slow-peer
-// bounds above and nothing else set. Server.Serve, Edge.Serve and cmd/fldist's
-// edge registry all listen through it.
+// NewHTTPServer returns the http.Server every tier serves h on (serve): the
+// slow-peer bounds above and nothing else set.
 func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
-// ListenAndServe runs the parameter server on addr until ctx is canceled,
-// then shuts the HTTP server down gracefully (in-flight pulls and pushes
-// finish; new connections are refused). It returns nil on a clean
-// ctx-triggered shutdown.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("fldist: listen: %w", err)
-	}
-	return s.Serve(ctx, ln)
-}
-
-// Serve runs the parameter server on an existing listener until ctx is
-// canceled, then shuts down gracefully. The listener is closed on return,
-// and so is the server (Close — the WAL is released for a successor).
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	defer s.Close()
-	hs := NewHTTPServer(s.Handler())
-	if s.headerTimeout > 0 {
-		hs.ReadHeaderTimeout = s.headerTimeout
-	}
+// serve is the tiers' one serve loop: it serves hs on ln until ctx is
+// canceled, then shuts it down gracefully — in-flight requests get 5 s to
+// finish, new connections are refused. It returns nil on that shutdown.
+func serve(ctx context.Context, ln net.Listener, hs *http.Server) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -1509,6 +1497,27 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	case err := <-errc:
 		return fmt.Errorf("fldist: serve: %w", err)
 	}
+}
+
+// ListenAndServe listens on addr and runs Serve.
+func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("fldist: listen: %w", err)
+	}
+	return s.Serve(ctx, ln)
+}
+
+// Serve runs the parameter server on an existing listener until ctx is
+// canceled, then shuts down gracefully (serve). The listener is closed on
+// return, and so is the server (Close — the WAL is released for a successor).
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	defer s.Close()
+	hs := NewHTTPServer(s.Handler())
+	if s.headerTimeout > 0 {
+		hs.ReadHeaderTimeout = s.headerTimeout
+	}
+	return serve(ctx, ln, hs)
 }
 
 // Close releases the server's durable resources (the WAL and its lock — the

@@ -107,6 +107,10 @@ const (
 	// the 409 as stale still behave correctly, just wastefully.
 	retryHeader = "X-Fldist-Retry"
 
+	// serverHeader names the answering server instance on /round and push
+	// answers, so a waiting client can tell a restart (awaitRoundAfter).
+	serverHeader = "X-Fldist-Server"
+
 	contentTypeModel = "application/x-fldist-model"
 	contentTypeDelta = "application/x-fldist-delta"
 	// contentTypeModelDelta marks a catch-up pull body: an FPD1 envelope of

@@ -24,14 +24,10 @@ type (
 	EdgeAggregator = fldist.Edge
 	// EdgeAggregatorOption configures NewEdgeAggregator.
 	EdgeAggregatorOption = fldist.EdgeOption
-	// TenantRegistry mounts several named aggregators — edges, roots — behind
-	// one listener, each under its own path prefix.
-	TenantRegistry = fldist.Registry
 )
 
 // WithEdgeTier names the edge's cohort; the name appears in the /stats
-// upstream section and is the tenant name a TenantRegistry mounts the edge
-// under.
+// upstream section.
 func WithEdgeTier(name string) EdgeAggregatorOption { return fldist.WithEdgeName(name) }
 
 // WithEdgeFlush sets the flush policy: the edge pushes its combined cohort
@@ -76,6 +72,3 @@ func WithEdgeWAL(dir string) EdgeAggregatorOption { return fldist.WithEdgeWAL(di
 func NewEdgeAggregator(upstream string, opts ...EdgeAggregatorOption) *EdgeAggregator {
 	return fldist.NewEdge(upstream, opts...)
 }
-
-// NewTenantRegistry creates an empty multi-tenant registry.
-func NewTenantRegistry() *TenantRegistry { return fldist.NewRegistry() }

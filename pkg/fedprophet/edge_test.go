@@ -26,9 +26,9 @@ func RawUpdateBody(id, round int, weight float64, params, bn []float64) []byte {
 }
 
 // The public hierarchical surface end-to-end: a root ParamServer, an
-// EdgeAggregator in front of it mounted in a TenantRegistry, and a cohort
-// client pushing through the tenant path. The cohort's update must reach
-// the root as one combined tier push.
+// EdgeAggregator in front of it mounted under a tenant path of an
+// http.ServeMux, and cohort clients pulling and pushing through that path.
+// The cohort's updates must reach the root as one combined tier push.
 func TestEdgeAggregatorPublicSurface(t *testing.T) {
 	init := make([]float64, 64)
 	for i := range init {
@@ -48,12 +48,20 @@ func TestEdgeAggregatorPublicSurface(t *testing.T) {
 	if err := edge.Start(ctx); err != nil {
 		t.Fatalf("edge start: %v", err)
 	}
-	reg := NewTenantRegistry()
-	if err := reg.Add("plant-7", edge.Handler()); err != nil {
+	mux := http.NewServeMux()
+	mux.Handle("/plant-7/", http.StripPrefix("/plant-7", edge.Handler()))
+	ets := httptest.NewServer(mux)
+	defer ets.Close()
+
+	resp, err := http.Get(ets.URL + "/plant-7/model")
+	if err != nil {
 		t.Fatal(err)
 	}
-	ets := httptest.NewServer(reg.Handler())
-	defer ets.Close()
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || edge.Stats().Upstream.CohortPulls != 1 {
+		t.Fatalf("cohort pull via tenant path: status %d, edge counted %d pulls",
+			resp.StatusCode, edge.Stats().Upstream.CohortPulls)
+	}
 
 	for id := 0; id < 2; id++ {
 		params := make([]float64, len(init))

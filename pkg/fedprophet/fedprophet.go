@@ -1,7 +1,8 @@
-// Package fedprophet is the public API of the FedProphet reproduction: a
-// context-aware Runner for memory-heterogeneous federated adversarial
-// training, a registry of training methods, pluggable aggregation,
-// streaming per-round telemetry, and parallel client execution.
+// Package fedprophet is the public API of the FedProphet reproduction: one
+// context-aware entry point, Run, for memory-heterogeneous federated
+// adversarial training, a registry of training methods, pluggable
+// aggregation, per-round telemetry through a hook, and parallel client
+// execution.
 //
 // The minimal run is three lines:
 //
@@ -86,30 +87,12 @@ func Workloads() []string { return exp.WorkloadNames() }
 // Scales lists the accepted WithScale names.
 func Scales() []string { return exp.ScaleNames() }
 
-// Runner executes federated training runs. A Runner carries a base option
-// set; Run merges per-call options on top, so one Runner can launch many
-// related experiments. The zero Runner is valid and runs the paper-default
-// FedProphet configuration.
-type Runner struct {
-	base []Option
-}
-
-// NewRunner returns a Runner with the given base options.
-func NewRunner(opts ...Option) *Runner { return &Runner{base: opts} }
-
-// Run is a convenience wrapper for NewRunner(opts...).Run(ctx).
-func Run(ctx context.Context, opts ...Option) (*Result, error) {
-	return NewRunner(opts...).Run(ctx)
-}
-
-// Run executes one training run. It blocks until the configured rounds
-// complete or ctx is canceled; on cancellation it returns the partial
+// Run executes one training run configured by opts, on top of the
+// paper-default FedProphet configuration. It blocks until the configured
+// rounds complete or ctx is canceled; on cancellation it returns the partial
 // result accumulated so far together with an error wrapping ctx.Err().
-func (r *Runner) Run(ctx context.Context, opts ...Option) (*Result, error) {
+func Run(ctx context.Context, opts ...Option) (*Result, error) {
 	cfg := defaultConfig()
-	for _, o := range r.base {
-		o(&cfg)
-	}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -140,15 +123,9 @@ func (r *Runner) Run(ctx context.Context, opts ...Option) (*Result, error) {
 		s.TrainPGD = *cfg.trainPGD
 	}
 
-	if err := cfg.validateWire(); err != nil {
-		return nil, err
-	}
-
 	params := exp.ParamsFor(w, s)
 	params.UseAPA = cfg.apa
 	params.UseDMA = cfg.dma
-	params.UploadBits = cfg.uploadBits
-	params.UploadChunk = cfg.uploadChunk
 	method, err := fl.NewMethod(cfg.method, params)
 	if err != nil {
 		return nil, err
@@ -158,29 +135,5 @@ func (r *Runner) Run(ctx context.Context, opts ...Option) (*Result, error) {
 	env.Parallelism = cfg.parallelism
 	env.Aggregator = cfg.aggregator
 	env.Hook = cfg.hook
-	if cfg.ch != nil {
-		ch, hook := cfg.ch, cfg.hook
-		env.Hook = func(m RoundMetrics) {
-			if hook != nil {
-				hook(m)
-			}
-			select {
-			case ch <- m:
-			case <-ctx.Done():
-			}
-		}
-	}
-
 	return method.Run(ctx, env)
-}
-
-// validateWire checks the upload codec options of WithWireCompression.
-func (cfg *runConfig) validateWire() error {
-	if cfg.uploadBits != 0 && (cfg.uploadBits < 2 || cfg.uploadBits > 8) {
-		return fmt.Errorf("fedprophet: upload/wire-compression bits %d outside [2,8] (0 disables)", cfg.uploadBits)
-	}
-	if cfg.uploadChunk < 0 {
-		return fmt.Errorf("fedprophet: wire-compression chunk %d must be ≥ 0", cfg.uploadChunk)
-	}
-	return nil
 }

@@ -93,28 +93,6 @@ func TestRoundHookOneEventPerRound(t *testing.T) {
 	}
 }
 
-func TestRoundChannelStreams(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	const rounds = 3
-	ch := make(chan fedprophet.RoundMetrics, rounds)
-	if _, err := fedprophet.Run(context.Background(), append(fastOpts("jFAT"),
-		fedprophet.WithRounds(rounds),
-		fedprophet.WithRoundChannel(ch),
-	)...); err != nil {
-		t.Fatal(err)
-	}
-	close(ch)
-	got := 0
-	for range ch {
-		got++
-	}
-	if got != rounds {
-		t.Fatalf("channel received %d events, want %d", got, rounds)
-	}
-}
-
 func TestCancellationMidRoundReturnsPartialProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -391,15 +369,5 @@ func TestParamServerBufferedAggregation(t *testing.T) {
 	var syncStats fedprophet.ServerStats = fedprophet.NewParamServer(params, nil, 1).Stats()
 	if syncStats.Buffered != nil {
 		t.Fatalf("synchronous server leaked the buffered stats section: %+v", syncStats)
-	}
-}
-
-// Run refuses an upload codec outside the quantizer's 2–8 bits before it
-// trains anything.
-func TestRunRefusesBadWireCompression(t *testing.T) {
-	_, err := fedprophet.Run(context.Background(), append(fastOpts("FedProphet"),
-		fedprophet.WithWireCompression(9, 0))...)
-	if err == nil {
-		t.Fatal("WithWireCompression(9, 0) accepted")
 	}
 }

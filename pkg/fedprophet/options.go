@@ -1,11 +1,7 @@
 package fedprophet
 
-import (
-	"fedprophet/internal/quant"
-)
-
-// Option configures a Runner or a single Run call. Options compose left to
-// right; later options win.
+// Option configures a Run call. Options compose left to right; later options
+// win.
 type Option func(*runConfig)
 
 // runConfig is the resolved option set of one Run call.
@@ -23,14 +19,11 @@ type runConfig struct {
 	localIters      int
 	trainPGD        *int
 
-	apa         bool
-	dma         bool
-	uploadBits  int
-	uploadChunk int
+	apa bool
+	dma bool
 
 	parallelism int
 	hook        func(RoundMetrics)
-	ch          chan<- RoundMetrics
 
 	aggregator Aggregator
 }
@@ -97,24 +90,6 @@ func WithAPA(on bool) Option { return func(c *runConfig) { c.apa = on } }
 // Default on.
 func WithDMA(on bool) Option { return func(c *runConfig) { c.dma = on } }
 
-// WithWireCompression configures the compressed wire protocol parameters:
-// client uploads are quantized at `bits` (2–8) with one scale per `chunk`
-// values (0 selects the transport default of 256), exactly as
-// internal/fldist frames deltas on the wire, and communication-byte
-// accounting charges the codec's true frame size. In-process runs apply it
-// to FedProphet's module uploads; for a real fleet, pass the same numbers
-// to fldist.Client.Compression (cmd/fldist -bits/-chunk). Bits 0 disables
-// compression.
-func WithWireCompression(bits, chunk int) Option {
-	return func(c *runConfig) {
-		c.uploadBits = bits
-		if bits != 0 && chunk == 0 {
-			chunk = quant.DefaultChunk
-		}
-		c.uploadChunk = chunk
-	}
-}
-
 // WithClientParallelism trains each round's sampled clients on up to n
 // concurrent workers. The result is bit-identical to sequential execution
 // for a fixed seed; only the wall clock changes. Values ≤ 1 run
@@ -124,12 +99,6 @@ func WithClientParallelism(n int) Option { return func(c *runConfig) { c.paralle
 // WithRoundHook streams every completed round's telemetry to fn,
 // synchronously from the training loop, before the next round starts.
 func WithRoundHook(fn func(RoundMetrics)) Option { return func(c *runConfig) { c.hook = fn } }
-
-// WithRoundChannel streams every completed round's telemetry into ch. The
-// send blocks until the consumer receives or the run's context is
-// canceled, so a slow consumer backpressures training rather than losing
-// events. The channel is not closed when the run ends.
-func WithRoundChannel(ch chan<- RoundMetrics) Option { return func(c *runConfig) { c.ch = ch } }
 
 // WithAggregator replaces FedAvg weighted averaging.
 func WithAggregator(a Aggregator) Option { return func(c *runConfig) { c.aggregator = a } }
