@@ -86,12 +86,15 @@ test-race:
 # FuzzCodecHeader (arbitrary X-Fldist-Codec values, ;topk=K;delta=1;base=R
 # included — no panic, base ≥ −1, an accepted codec's echo re-parses to
 # itself) and FuzzWALAdmitReplay (one admission record — a raw, a dense or a
-# delta-chain push's frames, of a valid buffered or synchronous WAL — mutated
-# and CRC-resealed: recovery never panics, errors wrap ErrWAL, the replayed
-# buffer and the commit forced from it stay finite) and FuzzWALCommitReplay
-# (the commit record of the retained round an uncommitted quantized
-# admission decodes against, mutated and CRC-resealed — the same
-# invariants, with the base rebuilt from that record), plus
+# delta-chain push's frames, of a valid buffered or synchronous WAL, whose
+# segments the target concatenates in round order and splits back into
+# per-round segment files at each meta record — mutated and CRC-resealed:
+# recovery never panics, errors wrap ErrWAL, the replayed buffer and the
+# commit forced from it stay finite) and FuzzWALCommitReplay (the commit
+# record of the retained round an uncommitted quantized admission decodes
+# against, the record that opens round 1's segment, mutated and
+# CRC-resealed — the same invariants, with the base rebuilt from that
+# record), plus
 # FuzzConvKernelsMatchNaive (arbitrary conv geometries — unroll, scatter,
 # forward GEMM and dW stay bit-equal to their naive references on the AVX2
 # tile and the portable twin) and FuzzEvalEpilogueMatchesLayers (arbitrary

@@ -38,7 +38,10 @@
 // write-ahead log in <dir> before they take effect, and any later boot with
 // the same -wal recovers at the last commit with the admissions after it
 // replayed — kill -9 included; the aggregation flags are then read from the
-// log, not the command line. A -connect client waits out the restart: a
+// log, not the command line. The log is one wal-<round>.seg file per round,
+// and only the staleness window's newest are kept: after a clean stop <dir>
+// holds wal.lock and -staleness+1 segments (one under -quorum). A <dir>
+// holding the single-file wal.log of an earlier release is refused. A -connect client waits out the restart: a
 // refused connection, reset or 502/503/504 is re-sent with backoff until the
 // server answers again. -wal-handoff starts a
 // successor that blocks until the incumbent exits (or dies) and takes over
@@ -115,7 +118,7 @@ func main() {
 		flushK    = flag.Int("flush", 8, "edge mode: push upstream once this many cohort updates buffered")
 		flushAge  = flag.Duration("flush-age", 500*time.Millisecond, "edge mode: push upstream once the oldest buffered update is this old (0 = depth/drain only)")
 		edgeID    = flag.Int("edge-id", 0, "edge mode: base of this process's upstream client ID blocks, one block of fldist.EdgeIDSpan IDs per cohort; must be disjoint across edge processes sharing an upstream (0 = randomize)")
-		walDir    = flag.String("wal", "", "server/edge mode: write-ahead log directory; a restart (or crash) resumes from it, so the first boot creates the log and every later boot recovers")
+		walDir    = flag.String("wal", "", "server/edge mode: write-ahead log directory (a server keeps one segment file per round, only the staleness window's); a restart (or crash) resumes from it, so the first boot creates the log and every later boot recovers")
 		handoff   = flag.Bool("wal-handoff", false, "server mode with -wal: wait for the process currently holding the WAL to exit, then take over at its last commit")
 	)
 	flag.Parse()

@@ -1,6 +1,7 @@
 package fldist
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -153,9 +154,8 @@ func assertRecovered(t *testing.T, dir string, shards, wantRound int, refP, refB
 // record, in both aggregation modes: recovery always lands on the last
 // wholly-contained commit — or the one a full logged buffer folds to —
 // bit-identically, and errors cleanly (never panics) when no commit
-// survives. Runs the sweep both with the (then stale) idx checkpoint present
-// and without it, so the idx fast path and the full-scan fallback both face
-// every cut.
+// survives. The cuts run over the log's whole history, recorded as written:
+// on disk the paced fsync and Close prune it to the staleness window.
 func TestWALCrashTruncationSweep(t *testing.T) {
 	for _, buffered := range []bool{true, false} {
 		name := "sync"
@@ -167,33 +167,17 @@ func TestWALCrashTruncationSweep(t *testing.T) {
 }
 
 func truncationSweep(t *testing.T, buffered bool) {
-	dir := t.TempDir()
-	srv, refP, refBN := walScript(t, dir, buffered, 3, 1, 4)
+	history := recordWAL(t)
+	srv, refP, refBN := walScript(t, t.TempDir(), buffered, 3, 1, 4)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	logBytes, err := os.ReadFile(filepath.Join(dir, walLogName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idxBytes, err := os.ReadFile(filepath.Join(dir, walIdxName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	logBytes := history()
 	ends, lastCommit := walBoundaries(t, logBytes)
 
-	try := func(t *testing.T, cut int64, want int, withIdx bool) {
+	try := func(t *testing.T, cut int64, want int) {
 		sub := t.TempDir()
-		if err := os.WriteFile(filepath.Join(sub, walLogName), logBytes[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if withIdx {
-			// The idx from the end of the run: stale for most cuts, so it may
-			// point past the truncation — recovery must detect and rescan.
-			if err := os.WriteFile(filepath.Join(sub, walIdxName), idxBytes, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		writeLogDir(t, sub, logBytes, cut)
 		if want < 0 {
 			rec, err := recoverT(t, sub, 0)
 			if err == nil {
@@ -205,83 +189,198 @@ func truncationSweep(t *testing.T, buffered bool) {
 		assertRecovered(t, sub, 2, want, refP, refBN)
 	}
 
-	for _, withIdx := range []bool{false, true} {
-		// Every record boundary.
-		prevEnd := int64(0)
-		for i, end := range ends {
-			try(t, end, lastCommit[i], withIdx)
-			// Torn cuts inside this record: one byte in (mid-header) and one
-			// byte short of complete (mid-payload) — the prefix covers only
-			// the earlier records.
-			covered := -1
-			if i > 0 {
-				covered = lastCommit[i-1]
-			}
-			if prevEnd+1 < end {
-				try(t, prevEnd+1, covered, withIdx)
-			}
-			if end-1 > prevEnd {
-				try(t, end-1, covered, withIdx)
-			}
-			prevEnd = end
+	// Every record boundary.
+	prevEnd := int64(0)
+	for i, end := range ends {
+		try(t, end, lastCommit[i])
+		// Torn cuts inside this record: one byte in (mid-header) and one
+		// byte short of complete (mid-payload) — the prefix covers only
+		// the earlier records.
+		covered := -1
+		if i > 0 {
+			covered = lastCommit[i-1]
 		}
+		if prevEnd+1 < end {
+			try(t, prevEnd+1, covered)
+		}
+		if end-1 > prevEnd {
+			try(t, end-1, covered)
+		}
+		prevEnd = end
 	}
 
 	// A recovered-then-truncated log is itself recoverable: recovery truncated
 	// the torn tail in place, so a second recovery sees a clean log.
 	sub := t.TempDir()
 	cut := ends[len(ends)-1] - 2 // torn final record
-	if err := os.WriteFile(filepath.Join(sub, walLogName), logBytes[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeLogDir(t, sub, logBytes, cut)
 	want := lastCommit[len(ends)-2]
 	assertRecovered(t, sub, 1, want, refP, refBN)
 	assertRecovered(t, sub, 4, want, refP, refBN)
+
+	// A bad record mid-log ends the intact log there: recovery deletes the
+	// segments past it, so they never resurface behind the ones the
+	// recovered server writes.
+	sub = t.TempDir()
+	writeLogDir(t, sub, logBytes, int64(len(logBytes)))
+	mid := len(ends) / 2
+	rounds, err := walSegments(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip the last payload byte of record mid, in the segment holding it:
+	// its CRC fails.
+	for off, i := ends[mid]-1, 0; ; i++ {
+		path := filepath.Join(sub, walSegName(rounds[i]))
+		seg, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off < int64(len(seg)) {
+			seg[off] ^= 1
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		off -= int64(len(seg))
+	}
+	assertRecovered(t, sub, 2, lastCommit[mid-1], refP, refBN)
+	if rounds, err = walSegments(sub); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rounds); n == 0 || rounds[n-1] > lastCommit[mid-1]+1 {
+		t.Fatalf("segments %v left after recovering to round %d", rounds, lastCommit[mid-1])
+	}
 }
 
-// faultSink is the walWrapFile fault injection: it forwards writes until the
-// budget runs out, then optionally writes a partial prefix (a torn record)
-// and fails every write (and sync) from then on. Its own mutex makes it safe
-// against the WAL's background group-commit fsync, which calls Sync from a
-// goroutine concurrent with appends.
-type faultSink struct {
+// recordWAL records every byte written to the WAL segments opened until the
+// returned function is called, which stops the recording and returns the
+// bytes in write order: a fresh log's whole history, the concatenation of
+// its segments from round 0 on.
+func recordWAL(t *testing.T) func() []byte {
+	var history bytes.Buffer
+	walWrapFile = func(f walFile) walFile { return teeSink{f, &history} }
+	t.Cleanup(func() { walWrapFile = nil })
+	return func() []byte {
+		walWrapFile = nil
+		return history.Bytes()
+	}
+}
+
+// teeSink copies what its segment is written into the recorded history.
+// Writes arrive under the log's write gate, one at a time.
+type teeSink struct {
+	walFile
+	history *bytes.Buffer
+}
+
+func (s teeSink) Write(p []byte) (int, error) {
+	n, err := s.walFile.Write(p)
+	s.history.Write(p[:n])
+	return n, err
+}
+
+// writeLogDir writes log — the concatenation of a fresh log's segments,
+// round 0 first — cut at byte cut into dir as segment files: each meta
+// record opens the next round's segment. A cut at a segment's first byte
+// leaves that segment created but empty, as a crash between the create and
+// the first write does.
+func writeLogDir(tb testing.TB, dir string, log []byte, cut int64) {
+	tb.Helper()
+	var starts []int64
+	for off := int64(0); off < int64(len(log)); {
+		typ, _, _, n, err := parseWALRecord(log[off:])
+		if err != nil {
+			break
+		}
+		if typ == walRecMeta {
+			starts = append(starts, off)
+		}
+		off += int64(n)
+	}
+	for r, start := range starts {
+		if start > cut {
+			break
+		}
+		end := int64(len(log))
+		if r+1 < len(starts) {
+			end = starts[r+1]
+		}
+		if err := os.WriteFile(filepath.Join(dir, walSegName(r)), log[start:min(end, cut)], 0o644); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// readWALDir returns dir's segments concatenated in round order: the byte
+// sequence recovery scans.
+func readWALDir(tb testing.TB, dir string) []byte {
+	tb.Helper()
+	rounds, err := walSegments(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var log []byte
+	for _, r := range rounds {
+		b, err := os.ReadFile(filepath.Join(dir, walSegName(r)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		log = append(log, b...)
+	}
+	return log
+}
+
+// faultDisk is the walWrapFile fault injection, one budget shared by every
+// segment the log opens: it forwards writes until the budget runs out, then
+// optionally writes a partial prefix (a torn record) and fails every write
+// (and sync) from then on. Its own mutex makes it safe against the WAL's
+// background group-commit fsync, which syncs from a goroutine concurrent
+// with appends.
+type faultDisk struct {
 	mu      sync.Mutex
-	f       walFile
 	budget  int // appends to allow before failing
 	partial int // bytes of the failing write to let through (torn tail)
 	broken  bool
 }
 
+// faultSink is one segment written through a faultDisk.
+type faultSink struct {
+	d *faultDisk
+	f walFile
+}
+
 var errInjected = errors.New("injected WAL fault")
 
-func (fs *faultSink) Write(p []byte) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.broken {
+func (fs faultSink) Write(p []byte) (int, error) {
+	fs.d.mu.Lock()
+	defer fs.d.mu.Unlock()
+	if fs.d.broken {
 		return 0, errInjected
 	}
-	if fs.budget > 0 {
-		fs.budget--
+	if fs.d.budget > 0 {
+		fs.d.budget--
 		return fs.f.Write(p)
 	}
-	fs.broken = true
-	if fs.partial > 0 && fs.partial < len(p) {
-		n, _ := fs.f.Write(p[:fs.partial])
+	fs.d.broken = true
+	if fs.d.partial > 0 && fs.d.partial < len(p) {
+		n, _ := fs.f.Write(p[:fs.d.partial])
 		return n, errInjected
 	}
 	return 0, errInjected
 }
 
-func (fs *faultSink) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.broken {
+func (fs faultSink) Sync() error {
+	fs.d.mu.Lock()
+	defer fs.d.mu.Unlock()
+	if fs.d.broken {
 		return errInjected
 	}
 	return fs.f.Sync()
 }
 
-func (fs *faultSink) Close() error { return fs.f.Close() }
+func (fs faultSink) Close() error { return fs.f.Close() }
 
 // A WAL whose sink starts failing mid-run (cleanly or with a torn partial
 // record): the server must keep serving — every push still admitted, every
@@ -295,16 +394,13 @@ func TestWALWriteFaultInjection(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { walWrapFile = nil })
 
 	for _, partial := range []int{0, 7} {
 		for budget := 0; budget < total; budget++ {
 			dir := t.TempDir()
-			var sink *faultSink
-			walWrapFile = func(f walFile) walFile {
-				sink = &faultSink{f: f, budget: budget, partial: partial}
-				return sink
-			}
-			restore := func() { walWrapFile = nil }
+			disk := &faultDisk{budget: budget, partial: partial}
+			walWrapFile = func(f walFile) walFile { return faultSink{disk, f} }
 
 			var warns []string
 			// The meta record and initial commit are appended inside NewServer
@@ -322,7 +418,6 @@ func TestWALWriteFaultInjection(t *testing.T) {
 				return s, true
 			}
 			s, ok := created()
-			restore()
 			if !ok {
 				if budget >= 2 {
 					t.Fatalf("budget %d: NewServer panicked after the initial records", budget)
@@ -354,7 +449,7 @@ func TestWALWriteFaultInjection(t *testing.T) {
 			}
 			ts.Close()
 
-			if sink.broken {
+			if disk.broken {
 				if len(warns) == 0 {
 					t.Fatalf("budget %d: WAL broke with no warning", budget)
 				}
@@ -363,13 +458,10 @@ func TestWALWriteFaultInjection(t *testing.T) {
 				}
 			}
 			s.Close()
+			walWrapFile = nil
 
 			// Recovery: bit-identical to the last commit that reached disk.
-			logBytes, err := os.ReadFile(filepath.Join(dir, walLogName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, lastCommit := walBoundaries(t, truncateToIntact(logBytes))
+			_, lastCommit := walBoundaries(t, truncateToIntact(readWALDir(t, dir)))
 			want := -1
 			if len(lastCommit) > 0 {
 				want = lastCommit[len(lastCommit)-1]
@@ -483,11 +575,7 @@ func TestWALCrashSIGKILL(t *testing.T) {
 
 		// The kernel has released the dead child's flock; recovery must land
 		// exactly on the last intact commit record.
-		logBytes, err := os.ReadFile(filepath.Join(dir, walLogName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		intact := truncateToIntact(logBytes)
+		intact := truncateToIntact(readWALDir(t, dir))
 		_, lastCommit := walBoundaries(t, intact)
 		if len(lastCommit) == 0 || lastCommit[len(lastCommit)-1] < 0 {
 			t.Fatalf("incarnation %d: no intact commit in the log", incarnation)
@@ -508,12 +596,8 @@ func TestWALCrashSIGKILL(t *testing.T) {
 		// Re-read the log: recovery appends a commit record when it folds a
 		// full recovered buffer, and bit-identity is checked against the
 		// record for whatever round the recovered server landed on.
-		logBytes, err = os.ReadFile(filepath.Join(dir, walLogName))
-		if err != nil {
-			t.Fatal(err)
-		}
 		var wantC *walCommit
-		rest := truncateToIntact(logBytes)
+		rest := truncateToIntact(readWALDir(t, dir))
 		for len(rest) > 0 {
 			typ, _, payload, n, perr := parseWALRecord(rest)
 			if perr != nil {

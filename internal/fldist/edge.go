@@ -138,20 +138,13 @@ func init() { edgeAutoID.Store(1 << 20) }
 // time so retries and rebases of this batch stay idempotent upstream while
 // the next batch pushes under a fresh key.
 // The payload and base are frozen at park time (parkBatchLocked), not at push
-// time: what the WAL holds is byte-for-byte what the wire will carry, so a
-// restarted edge re-pushes exactly what the crashed one would have. snap is
-// nil for a batch recovered from the edge WAL — the inner model it came from
-// died with the previous process.
+// time: the embedded walEdgeBatch is what the edge WAL slot holds, so a
+// restarted edge re-pushes byte-for-byte what the crashed one would have.
+// snap is nil for a batch recovered from the edge WAL — the inner model it
+// came from died with the previous process.
 type unpushedBatch struct {
-	snap   *snapshot
-	batch  commitInfo
-	pushID int
-
-	payloadP  []float64
-	payloadB  []float64
-	baseRound int
-	baseP     []float64
-	baseB     []float64
+	walEdgeBatch
+	snap *snapshot
 }
 
 // Edge is an edge aggregator: a buffered parameter server for its cohort and
@@ -315,15 +308,7 @@ func (e *Edge) recoverParkedBatch(ctx context.Context) error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 	e.pushSeq = b.pushSeq
-	e.unpushed = &unpushedBatch{
-		batch:     commitInfo{updates: b.updates, weight: b.weight},
-		pushID:    b.pushID,
-		payloadP:  b.payloadP,
-		payloadB:  b.payloadB,
-		baseRound: b.baseRnd,
-		baseP:     b.baseP,
-		baseB:     b.baseBN,
-	}
+	e.unpushed = &unpushedBatch{walEdgeBatch: b}
 	if err := e.pushBatchLocked(ctx, false); err != nil {
 		return fmt.Errorf("fldist: edge wal recovery: %w", err)
 	}
@@ -504,16 +489,13 @@ func (e *Edge) parkBatchLocked(batch commitInfo) {
 		params = rebaseVec(e.baseParams, snap.params, e.lastPushedP)
 		bn = rebaseVec(e.baseBN, snap.bn, e.lastPushedB)
 	}
-	e.unpushed = &unpushedBatch{
-		snap:      snap,
-		batch:     batch,
-		pushID:    e.nextPushIDLocked(),
-		payloadP:  params,
-		payloadB:  bn,
-		baseRound: e.baseRound,
-		baseP:     e.baseParams,
-		baseB:     e.baseBN,
-	}
+	id := e.nextPushIDLocked()
+	e.unpushed = &unpushedBatch{snap: snap, walEdgeBatch: walEdgeBatch{
+		pushID: id, pushSeq: e.pushSeq, baseRnd: e.baseRound,
+		weight: batch.weight, updates: batch.updates,
+		payloadP: params, payloadB: bn,
+		baseP: e.baseParams, baseBN: e.baseBN,
+	}}
 	e.persistUnpushedLocked()
 }
 
@@ -525,19 +507,7 @@ func (e *Edge) persistUnpushedLocked() {
 	if e.walDir == "" || e.unpushed == nil {
 		return
 	}
-	u := e.unpushed
-	err := writeEdgeWAL(e.walDir, walEdgeBatch{
-		pushID:   u.pushID,
-		pushSeq:  e.pushSeq,
-		baseRnd:  u.baseRound,
-		weight:   u.batch.weight,
-		updates:  u.batch.updates,
-		payloadP: u.payloadP,
-		payloadB: u.payloadB,
-		baseP:    u.baseP,
-		baseBN:   u.baseB,
-	})
-	if err != nil {
+	if err := writeEdgeWAL(e.walDir, e.unpushed.walEdgeBatch); err != nil {
 		log.Printf("fldist: edge: parking batch durably failed (a crash before the push lands would lose it): %v", err)
 	}
 }
@@ -582,7 +552,7 @@ func (e *Edge) Drain(ctx context.Context) error {
 func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 	u := e.unpushed
 	for {
-		body, err := rawUpdate(u.pushID, u.baseRound, u.batch.weight, u.payloadP, u.payloadB)
+		body, err := rawUpdate(u.pushID, u.baseRnd, u.weight, u.payloadP, u.payloadB)
 		if err != nil {
 			return err
 		}
@@ -607,9 +577,9 @@ func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 			return err
 		}
 		u.payloadP = rebaseVec(params, u.payloadP, u.baseP)
-		u.payloadB = rebaseVec(bn, u.payloadB, u.baseB)
-		u.baseRound = round
-		u.baseP, u.baseB = params, bn
+		u.payloadB = rebaseVec(bn, u.payloadB, u.baseBN)
+		u.baseRnd = round
+		u.baseP, u.baseBN = params, bn
 		e.persistUnpushedLocked()
 		e.upRebased.Add(1)
 	}
@@ -628,7 +598,7 @@ func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 		}
 	}
 	if resync {
-		e.resyncLocked(ctx, u.baseRound)
+		e.resyncLocked(ctx, u.baseRnd)
 	}
 	return nil
 }

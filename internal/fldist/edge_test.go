@@ -893,3 +893,41 @@ func TestEdgeAgeDeadlineRunsFromAdmission(t *testing.T) {
 		t.Fatalf("upstream stats: %+v, want one K flush and one age flush", upSt)
 	}
 }
+
+// WithEdgeWindow governs cohort admission: with a window of 2 (the default
+// is 8), a cohort push exactly 2 local rounds stale is admitted, at
+// staleness 2, and one a round older is refused with a staleness 409.
+func TestEdgeWindowGovernsAdmission(t *testing.T) {
+	const nParams, window = 33, 2
+	root := NewServer(gridVec(nParams, 15), nil, 1, WithBufferedAggregation(1, 8))
+	ts := httptest.NewServer(root.Handler())
+	defer ts.Close()
+	e, url := startEdge(t, ts.URL, WithEdgeClientID(1000), WithEdgeFlush(1, 0), WithEdgeWindow(window))
+	hc := ts.Client()
+
+	// Each cohort push flushes: a local commit, then the adopt of the
+	// upstream round it landed in — two local rounds apiece.
+	for i, id := range []int{0, 1} {
+		cohortRun(t, hc, url, []int{id})
+		awaitFn(t, "edge flush", func() bool { return e.inner.Round() == 2*(i+1) })
+	}
+	round, params, _ := pullRawT(t, hc, url)
+	if got := e.Stats().Buffered.MaxStaleness; got != window {
+		t.Fatalf("edge reports window %d, want %d", got, window)
+	}
+	push := func(base int) int {
+		return pushRawT(t, hc, url, 7, base, 1, addVecs(params, gridDelta(nParams, 7)), nil)
+	}
+	if st := push(round - window - 1); st != http.StatusConflict {
+		t.Fatalf("push %d rounds stale: status %d, want 409", window+1, st)
+	}
+	if got := e.Stats().Buffered.StaleRejected; got != 1 {
+		t.Fatalf("stale rejections = %d, want 1", got)
+	}
+	if st := push(round - window); st != http.StatusOK {
+		t.Fatalf("push %d rounds stale: status %d, want 200", window, st)
+	}
+	if hist := e.Stats().Buffered.StalenessHist; hist[window] != 1 {
+		t.Fatalf("edge staleness histogram = %v, want one admission at %d", hist, window)
+	}
+}

@@ -174,11 +174,12 @@ type ServerOption func(*serverConfig)
 // admission between commits, in either aggregation mode, is appended to a
 // write-ahead log in dir before it takes effect, so a process that dies —
 // SIGKILL included — resumes the federation at its last commit via
-// RecoverServer (or hands it to a live successor via Handoff). The dir must
-// not already hold a WAL; NewServer panics otherwise (recovery, not
-// re-creation, is the path there — cmd/fldist switches on WALExists). See
-// docs/ARCHITECTURE.md ("Durability") for the record format, fsync pacing
-// and recovery guarantees.
+// RecoverServer (or hands it to a live successor via Handoff). The log keeps
+// one segment file per round, only the staleness window's, however long the
+// federation runs. The dir must not already hold a WAL; NewServer panics
+// otherwise (recovery, not re-creation, is the path there — cmd/fldist
+// switches on WALExists). See docs/ARCHITECTURE.md ("Durability") for the
+// segment layout, record format, fsync pacing and recovery guarantees.
 func WithWAL(dir string) ServerOption {
 	return func(c *serverConfig) { c.walDir = dir }
 }

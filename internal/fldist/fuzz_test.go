@@ -6,8 +6,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"fedprophet/internal/quant"
@@ -106,7 +104,8 @@ type loggedRecord struct {
 	payload  []byte
 }
 
-// recordsOf returns the records of type typ in a finished log, in log order.
+// recordsOf returns the records of type typ in a finished log — its
+// segments concatenated in round order — in log order.
 func recordsOf(tb testing.TB, log []byte, typ byte) []loggedRecord {
 	tb.Helper()
 	var recs []loggedRecord
@@ -123,17 +122,18 @@ func recordsOf(tb testing.TB, log []byte, typ byte) []loggedRecord {
 	return recs
 }
 
-// readLog closes srv and returns its log's bytes.
+// readLog closes srv and returns its log: its segments, concatenated in
+// round order from round 0 — the logs built here never outgrow the window
+// Close keeps.
 func readLog(tb testing.TB, srv *Server) []byte {
 	tb.Helper()
 	if err := srv.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	log, err := os.ReadFile(filepath.Join(srv.wal.dir, walLogName))
-	if err != nil {
-		tb.Fatal(err)
+	if rounds, err := walSegments(srv.wal.dir); err != nil || len(rounds) == 0 || rounds[0] != 0 {
+		tb.Fatalf("log segments %v (%v), want them all from round 0", rounds, err)
 	}
-	return log
+	return readWALDir(tb, srv.wal.dir)
 }
 
 // testDelta is a small deterministic parameter and BN delta.
@@ -273,13 +273,12 @@ func mutatedCommit(tb testing.TB, p []byte, mutate func(c *walCommit)) []byte {
 	return appendWALCommit(nil, c)
 }
 
-// recoverLog recovers a server from a directory holding just log.
+// recoverLog recovers a server from a directory holding just log's
+// segments.
 func recoverLog(tb testing.TB, log []byte) (*Server, error) {
 	tb.Helper()
 	dir := tb.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, walLogName), log, 0o644); err != nil {
-		tb.Fatal(err)
-	}
+	writeLogDir(tb, dir, log, int64(len(log)))
 	srv, err := RecoverServer(dir)
 	if err == nil {
 		srv.segs, srv.warnf = 2, func(string, ...any) {}

@@ -2,20 +2,22 @@ package fldist
 
 // Recovery and handoff for the write-ahead log (wal.go). The algorithm —
 // documented with the determinism argument in docs/ARCHITECTURE.md
-// ("Durability") — is O(staleness window), independent of log length:
+// ("Durability") — reads only the segments on disk, which the paced fsync
+// keeps to the staleness window plus the rounds of one fsync interval:
 //
-//  1. Read the meta record at offset 0 and the wal.idx checkpoint; seek to
-//     the oldest in-window commit the idx pins (full forward scan from the
-//     meta record only if the idx is missing or disagrees with the log —
-//     read record by record, keeping only the window, so even then memory
-//     is O(staleness window)).
-//  2. Forward-scan to EOF: commit records rebuild the retained-round history
-//     and the latest snapshot + downlink-EF residuals; admission records
-//     re-mark the dedup horizon and, for the round after the last commit,
-//     re-enter the admission machinery. The first structurally bad record
-//     ends the scan — a torn final record is a crash mid-append, and
-//     everything before it is intact by CRC.
-//  3. Truncate the torn tail and resume appending where the intact log ends.
+//  1. List the segments (wal-<round>.seg; the listing sorts by round) and
+//     scan them oldest first, record by record. The oldest segment's meta
+//     record fixes the log's shape; every segment must open with the same
+//     meta record and its own round's commit. Commit records rebuild the
+//     retained-round history and the latest snapshot + downlink-EF
+//     residuals, keeping only the newest window+1; admission records re-mark
+//     the dedup horizon and, for the round after the last commit, re-enter
+//     the admission machinery. The first bad record ends the intact log — a
+//     torn final record is a crash mid-append, and everything before it is
+//     intact by CRC.
+//  2. Cut the log back to that end: delete the segments past it (and the one
+//     it ends in, if that one's meta or commit record is bad), truncate the
+//     torn tail, and resume appending to the segment the intact log ends in.
 //
 // Replay is bit-identical to never having crashed because it re-runs the
 // live arithmetic on the live inputs. Every admission record holds the
@@ -40,10 +42,8 @@ package fldist
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -52,199 +52,174 @@ import (
 	"fedprophet/internal/quant"
 )
 
-// walRecCommitPos is one intact commit record found by the scan.
-type walRecCommitPos struct {
-	c   walCommit
-	off int64
-}
-
-// walRecovered is everything the forward scan extracted from the intact log
-// prefix.
+// walRecovered is everything the scan extracted from the intact log, and
+// where that log ends.
 type walRecovered struct {
 	meta    walMeta
-	commits []walRecCommitPos // in log order; last is the current round
-	admits  []*walAdmit       // in log order
+	metaP   []byte      // the meta payload every segment opens with
+	commits []walCommit // the newest maxStale+1, in log order; last is the current round
+	admits  []*walAdmit // in log order
 	lastSeq uint64
-	torn    bool // the log ended in a torn/corrupt record that was truncated
+
+	tail int   // round of the segment the intact log ends in
+	end  int64 // that segment's intact length
+	drop []int // segments past the intact log
 }
 
-// readWALRecordAt reads and validates the single record starting at off.
-func readWALRecordAt(f io.ReaderAt, off, size int64) (typ byte, seq uint64, payload []byte, end int64, err error) {
-	if size-off < walHeaderSize {
-		return 0, 0, nil, 0, fmt.Errorf("%w: %d bytes at offset %d, header needs %d",
-			ErrWAL, size-off, off, walHeaderSize)
+// scanWAL reads dir's segments oldest first. It changes nothing on disk:
+// a log it refuses — a single-file wal.log of an earlier release, an oldest
+// segment whose meta record is bad or of another format — stays as it was.
+func scanWAL(dir string) (*walRecovered, error) {
+	if _, err := os.Stat(filepath.Join(dir, walOldLogName)); err == nil {
+		return nil, fmt.Errorf("%w: %s holds a single-file %s; this binary reads per-round segments only",
+			ErrWAL, dir, walOldLogName)
 	}
-	hdr := make([]byte, walHeaderSize)
-	if _, err := f.ReadAt(hdr, off); err != nil {
-		return 0, 0, nil, 0, err
-	}
-	// Validate magic and declared length from the header alone, so the full
-	// read is sized without trusting a corrupt length field.
-	if string(hdr[:4]) != walMagic {
-		return 0, 0, nil, 0, fmt.Errorf("%w: magic %q at offset %d", ErrWAL, hdr[:4], off)
-	}
-	plen := int64(binary.LittleEndian.Uint32(hdr[5:9]))
-	if plen <= 0 || plen > walMaxPayload || off+walHeaderSize+plen > size {
-		return 0, 0, nil, 0, fmt.Errorf("%w: record at offset %d truncated or corrupt", ErrWAL, off)
-	}
-	rec := make([]byte, walHeaderSize+plen)
-	if _, err := f.ReadAt(rec, off); err != nil {
-		return 0, 0, nil, 0, err
-	}
-	typ, seq, payload, n, err := parseWALRecord(rec)
+	rounds, err := walSegments(dir)
 	if err != nil {
-		return 0, 0, nil, 0, err
+		return nil, err
 	}
-	return typ, seq, payload, off + int64(n), nil
+	st := &walRecovered{}
+	ended := false
+	for _, r := range rounds {
+		if ended {
+			st.drop = append(st.drop, r)
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, walSegName(r)))
+		if err != nil {
+			return nil, err
+		}
+		if st.metaP == nil {
+			if err := st.readMeta(b); err != nil {
+				return nil, err
+			}
+		}
+		// The first bad record ends the intact log. A segment without an
+		// intact meta and commit record adds nothing to it and goes too.
+		end := st.scanSegment(r, b)
+		ended = end == 0 || end < len(b)
+		if end == 0 {
+			st.drop = append(st.drop, r)
+		} else {
+			st.tail, st.end = r, int64(end)
+		}
+	}
+	if len(st.commits) == 0 {
+		return nil, fmt.Errorf("fldist: WAL in %s has no intact commit record", dir)
+	}
+	return st, nil
 }
 
-// scanWALFile extracts the recovered state and the end of the intact prefix.
-func scanWALFile(f *os.File, dir string) (*walRecovered, int64, error) {
-	fi, err := f.Stat()
+// readMeta parses the meta record at the head of the oldest segment.
+func (st *walRecovered) readMeta(b []byte) error {
+	typ, _, p, _, err := parseWALRecord(b)
 	if err != nil {
-		return nil, 0, err
-	}
-	size := fi.Size()
-
-	typ, seq, payload, metaEnd, err := readWALRecordAt(f, 0, size)
-	if err != nil {
-		return nil, 0, fmt.Errorf("fldist: WAL meta record: %w", err)
+		return fmt.Errorf("fldist: WAL meta record: %w", err)
 	}
 	if typ != walRecMeta {
-		return nil, 0, fmt.Errorf("%w: first record type %d, want meta", ErrWAL, typ)
+		return fmt.Errorf("%w: first record type %d, want meta", ErrWAL, typ)
 	}
-	meta, err := parseWALMeta(payload)
-	if err != nil {
-		return nil, 0, err
+	if st.meta, err = parseWALMeta(p); err != nil {
+		return err
 	}
-	st := &walRecovered{meta: meta, lastSeq: seq}
-
-	// The idx pins the oldest in-window commit; trust it only if a commit
-	// record actually parses there, otherwise fall back to the full scan.
-	scanStart := metaEnd
-	if idx, ierr := readWALIdx(dir); ierr == nil && len(idx) > 0 {
-		off := idx[0].off
-		if off >= metaEnd && off < size {
-			if t, _, _, _, rerr := readWALRecordAt(f, off, size); rerr == nil && t == walRecCommit {
-				scanStart = off
-			}
-		}
-	}
-
-	end, err := scanWALFrom(f, st, scanStart, size)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(st.commits) == 0 && scanStart != metaEnd {
-		// A stale or lying idx pointed past the intact prefix; rescan from
-		// the top before declaring the log commitless.
-		st.commits, st.admits, st.torn = nil, nil, false
-		st.lastSeq = seq
-		if end, err = scanWALFrom(f, st, metaEnd, size); err != nil {
-			return nil, 0, err
-		}
-	}
-	return st, end, nil
+	st.metaP = bytes.Clone(p) // b is the whole segment
+	st.commits = make([]walCommit, 0, st.meta.maxStale+1)
+	return nil
 }
 
-// scanWALFrom forward-scans records in [start, size) one at a time,
-// accumulating into st, and returns the offset where the intact prefix ends.
-// It holds only what recovery uses — the last maxStale+1 commits and the
-// admissions whose admit round lies inside the newest commit's window — so a
-// scan from the meta record (no usable idx) costs the window's memory, not
-// the log's.
-func scanWALFrom(f *os.File, st *walRecovered, start, size int64) (int64, error) {
-	keep := st.meta.maxStale + 1
-	if st.commits == nil {
-		st.commits = make([]walRecCommitPos, 0, keep)
-	}
-	off := start
-	for off < size {
-		typ, seq, payload, end, err := readWALRecordAt(f, off, size)
-		if errors.Is(err, ErrWAL) {
-			// Torn final record (crash mid-append) or trailing corruption:
-			// the intact prefix ends here.
-			st.torn = true
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
-		switch typ {
-		case walRecCommit:
-			c, cerr := parseWALCommit(payload)
-			if cerr != nil {
-				st.torn = true
-				return off, nil
-			}
-			if len(st.commits) == keep {
-				st.commits = slices.Delete(st.commits, 0, 1)
-			}
-			st.commits = append(st.commits, walRecCommitPos{c: c, off: off})
-			// An admission folded before the window opened can neither
-			// replay nor mark a dedup horizon recovery keeps.
-			st.admits = slices.DeleteFunc(st.admits, func(a *walAdmit) bool {
-				return a.admitRound < c.round-st.meta.maxStale
-			})
-		case walRecAdmit:
-			a, aerr := parseWALAdmit(payload)
-			if aerr != nil {
-				st.torn = true
-				return off, nil
-			}
-			a.seq = seq
-			st.admits = append(st.admits, a)
+// scanSegment adds segment r's records to st and returns the length of its
+// intact prefix: 0 when its meta or commit record is bad, else the end of
+// the record before the first bad one.
+func (st *walRecovered) scanSegment(r int, b []byte) int {
+	off, k := 0, 0
+	for ; off < len(b); k++ {
+		typ, seq, p, n, err := parseWALRecord(b[off:])
+		ok := err == nil
+		switch {
+		case !ok:
+		case k == 0:
+			ok = typ == walRecMeta && bytes.Equal(p, st.metaP)
+		case k == 1:
+			ok = typ == walRecCommit && st.addCommit(r, p)
 		default:
 			// A second meta record or an edge record inside a server log is
 			// not something this writer produces, and an unknown type comes
 			// from a newer writer: stop, recover the prefix understood.
-			st.torn = true
-			return off, nil
+			ok = typ == walRecAdmit && st.addAdmit(seq, p)
 		}
-		if seq > st.lastSeq {
-			st.lastSeq = seq
+		if !ok {
+			break
 		}
-		off = end
+		st.lastSeq = max(st.lastSeq, seq)
+		off += n
 	}
-	return off, nil
+	if k < 2 {
+		return 0
+	}
+	return off
 }
 
-// openWALForRecovery locks dir, scans the log, truncates any torn tail, and
-// returns the log opened for further appends plus the recovered state.
+// addCommit keeps round r's commit record, if it parses as one, in the
+// window: the newest maxStale+1 commits, and the admissions inside the
+// newest one's staleness window. An admission folded before the window
+// opened can neither replay nor mark a dedup horizon recovery keeps.
+func (st *walRecovered) addCommit(r int, p []byte) bool {
+	c, err := parseWALCommit(p)
+	if err != nil || c.round != r {
+		return false
+	}
+	if len(st.commits) == cap(st.commits) {
+		st.commits = slices.Delete(st.commits, 0, 1)
+	}
+	st.commits = append(st.commits, c)
+	st.admits = slices.DeleteFunc(st.admits, func(a *walAdmit) bool {
+		return a.admitRound < c.round-st.meta.maxStale
+	})
+	return true
+}
+
+// addAdmit keeps an admission record, if it parses as one.
+func (st *walRecovered) addAdmit(seq uint64, p []byte) bool {
+	a, err := parseWALAdmit(p)
+	if err != nil {
+		return false
+	}
+	a.seq = seq
+	st.admits = append(st.admits, a)
+	return true
+}
+
+// openWALForRecovery locks dir, scans the log, cuts it back to its intact
+// end, and returns the log opened for further appends plus the recovered
+// state.
 func openWALForRecovery(dir string) (*wal, *walRecovered, error) {
 	lf, err := lockWALDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, walLogName), os.O_RDWR, 0)
-	if err != nil {
-		lf.Close()
-		return nil, nil, err
-	}
-	st, end, err := scanWALFile(f, dir)
-	if err == nil && st.torn {
-		err = f.Truncate(end)
+	st, err := scanWAL(dir)
+	var f *os.File
+	if err == nil {
+		err = removeSegments(dir, st.drop)
 	}
 	if err == nil {
-		_, err = f.Seek(end, io.SeekStart)
+		f, err = os.OpenFile(filepath.Join(dir, walSegName(st.tail)), os.O_WRONLY|os.O_APPEND, 0)
+	}
+	if err == nil {
+		if err = f.Truncate(st.end); err != nil {
+			f.Close()
+		}
 	}
 	if err != nil {
-		f.Close()
 		lf.Close()
 		return nil, nil, err
 	}
-	w := newWAL(dir, f, lf, st.meta)
-	w.off = end
+	w := newWAL(dir, lf, st.meta)
+	w.setSegmentLocked(f) // not yet shared
 	w.nextSeq = st.lastSeq + 1
 	w.writeSeq = st.lastSeq + 1
-	// The scan kept the last w.keep commits: exactly the idx's entries.
-	for _, c := range st.commits {
-		w.idx = append(w.idx, walIdxEntry{round: c.c.round, off: c.off})
-	}
 	w.commits.Store(int64(len(st.commits)))
-	if n := len(st.commits); n > 0 {
-		w.lastRound.Store(int64(st.commits[n-1].c.round))
-	}
+	w.lastRound.Store(int64(st.commits[len(st.commits)-1].round))
 	return w, st, nil
 }
 
@@ -290,9 +265,6 @@ func Handoff(ctx context.Context, dir string) (*Server, error) {
 // serverFromWAL builds the recovered server from scanned state.
 func serverFromWAL(w *wal, st *walRecovered) (*Server, error) {
 	m := st.meta
-	if len(st.commits) == 0 {
-		return nil, fmt.Errorf("fldist: WAL in %s has no intact commit record", w.dir)
-	}
 
 	// Every snapshot recovery installs — the newest commit's and the
 	// retained rounds' — is rebuilt from its own commit record, residuals
@@ -300,7 +272,7 @@ func serverFromWAL(w *wal, st *walRecovered) (*Server, error) {
 	// the dead process served, on demand, through the live getServed. Only
 	// those records are checked against the meta shape: older commits never
 	// reach a snapshot.
-	cur, err := snapshotFromCommit(st.commits[len(st.commits)-1].c, m)
+	cur, err := snapshotFromCommit(st.commits[len(st.commits)-1], m)
 	if err != nil {
 		return nil, err
 	}
@@ -318,9 +290,9 @@ func serverFromWAL(w *wal, st *walRecovered) (*Server, error) {
 	// reconstruct. Served variants are not persisted: replay below builds
 	// the ones the logged pushes decoded against, and any other builds when
 	// first asked for.
-	for _, cp := range st.commits[:len(st.commits)-1] {
-		if cp.c.round >= R-m.maxStale {
-			sn, err := snapshotFromCommit(cp.c, m)
+	for _, c := range st.commits[:len(st.commits)-1] {
+		if c.round >= R-m.maxStale {
+			sn, err := snapshotFromCommit(c, m)
 			if err != nil {
 				return nil, err
 			}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -345,63 +346,87 @@ func TestRestartWithoutWALRetrainsStalePush(t *testing.T) {
 	}
 }
 
-// Without a usable wal.idx (missing, stale or torn) recovery scans from the
-// meta record. The scan must still hold only the staleness window — the last
-// window+1 commits and the admissions inside the newest one's window — and
-// recover the very server the idx path recovers: the same snapshot, and the
-// same commit once the buffered round fills.
-func TestRecoverWithoutIdxHoldsOnlyWindow(t *testing.T) {
+// The log keeps only the staleness window. Once the paced fsync has sealed
+// the last commit, and after Close, the directory holds wal.lock and the
+// window+1 newest segments, nothing more. Recovery from them, and from the
+// log's whole recorded history, holds at most window+1 commits at once and
+// only the admissions inside the newest one's window, lands bit-identically
+// on the last commit, and folds the replayed buffer exactly like the live
+// server, which never crashed.
+func TestWALHoldsOnlyWindow(t *testing.T) {
 	const commits, window, extra = 12, 2, 2 // walScript's buffered window is 2
-	withIdx := t.TempDir()
-	srv, refP, refBN := walScript(t, withIdx, true, commits, extra, 0)
+	live, _, _ := walScript(t, t.TempDir(), true, commits, extra+1, 0)
+	if live.Round() != commits+1 {
+		t.Fatalf("live server at round %d, want %d", live.Round(), commits+1)
+	}
+	liveP, liveBN := live.Snapshot()
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	history := recordWAL(t)
+	pruned := t.TempDir()
+	srv, refP, refBN := walScript(t, pruned, true, commits, extra, 0)
+	var want []string // in os.ReadDir's order: by name
+	for r := commits - window; r <= commits; r++ {
+		want = append(want, walSegName(r))
+	}
+	want = append(want, walLockName)
+	onDisk := func() []string {
+		entries, err := os.ReadDir(pruned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	for deadline := time.Now().Add(5 * time.Second); !slices.Equal(onDisk(), want); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("live server's WAL dir holds %v, want %v once the paced fsync ran", onDisk(), want)
+		}
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	noIdx := t.TempDir()
-	log, err := os.ReadFile(filepath.Join(withIdx, walLogName))
-	if err != nil {
-		t.Fatal(err)
+	if got := onDisk(); !slices.Equal(got, want) {
+		t.Fatalf("closed WAL dir holds %v, want %v", got, want)
 	}
-	if err := os.WriteFile(filepath.Join(noIdx, walLogName), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	whole, log := t.TempDir(), history()
+	writeLogDir(t, whole, log, int64(len(log)))
 
-	f, err := os.Open(filepath.Join(noIdx, walLogName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _, err := scanWALFile(f, noIdx)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The commit slice is allocated at the window's size and never grows,
-	// so the scan never held more than window+1 commits at once.
-	if len(st.commits) != window+1 || cap(st.commits) != window+1 {
-		t.Fatalf("scan holds %d commits (capacity %d), want the window's %d",
-			len(st.commits), cap(st.commits), window+1)
-	}
-	if r := st.commits[window].c.round; r != commits {
-		t.Fatalf("newest scanned commit is round %d, want %d", r, commits)
-	}
-	if want := window*walTestBufferK + extra; len(st.admits) != want {
-		t.Fatalf("scan holds %d admissions, want the window's %d", len(st.admits), want)
-	}
-	for _, a := range st.admits {
-		if a.admitRound < commits-window {
-			t.Fatalf("scan kept an admission of round %d, outside the window", a.admitRound)
+	for _, dir := range []string{pruned, whole} {
+		st, err := scanWAL(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		// The commit slice is allocated at the window's size and never
+		// grows, so the scan never held more than window+1 commits at once.
+		if len(st.commits) != window+1 || cap(st.commits) != window+1 {
+			t.Fatalf("scan holds %d commits (capacity %d), want the window's %d",
+				len(st.commits), cap(st.commits), window+1)
+		}
+		if r := st.commits[window].round; r != commits {
+			t.Fatalf("newest scanned commit is round %d, want %d", r, commits)
+		}
+		if want := window*walTestBufferK + extra; len(st.admits) != want {
+			t.Fatalf("scan holds %d admissions, want the window's %d", len(st.admits), want)
+		}
+		for _, a := range st.admits {
+			if a.admitRound < commits-window {
+				t.Fatalf("scan kept an admission of round %d, outside the window", a.admitRound)
+			}
+		}
 
-	var snaps [2][2][]float64
-	for i, dir := range []string{withIdx, noIdx} {
 		rec, err := recoverT(t, dir, 0)
 		if err != nil {
 			t.Fatalf("recover %s: %v", dir, err)
 		}
 		p, bn := rec.Snapshot()
 		if !bitsEqualT(p, refP[commits]) || !bitsEqualT(bn, refBN[commits]) {
-			t.Fatalf("recovery %d is not bit-identical to round %d", i, commits)
+			t.Fatalf("recovery of %s is not bit-identical to round %d", dir, commits)
 		}
 		ts := httptest.NewServer(rec.Handler())
 		// The last push fills the replayed buffer: the commit folds the
@@ -415,13 +440,13 @@ func TestRecoverWithoutIdxHoldsOnlyWindow(t *testing.T) {
 		}
 		ts.Close()
 		if rec.Round() != commits+1 {
-			t.Fatalf("recovery %d at round %d after the buffer filled, want %d", i, rec.Round(), commits+1)
+			t.Fatalf("recovery of %s at round %d after the buffer filled, want %d", dir, rec.Round(), commits+1)
 		}
-		snaps[i][0], snaps[i][1] = rec.Snapshot()
+		p, bn = rec.Snapshot()
 		rec.Close()
-	}
-	if !bitsEqualT(snaps[0][0], snaps[1][0]) || !bitsEqualT(snaps[0][1], snaps[1][1]) {
-		t.Fatal("recovery without the idx committed a different model than with it")
+		if !bitsEqualT(p, liveP) || !bitsEqualT(bn, liveBN) {
+			t.Fatalf("recovery of %s committed a different model than the live server", dir)
+		}
 	}
 }
 

@@ -4,13 +4,13 @@ package fldist
 // process needs to resume the federation at the last commit — committed
 // snapshots with the downlink error-feedback residuals per served codec
 // variant, and every admission as the wire frames it arrived as — appended
-// as CRC-guarded FWL1 records.
+// as CRC-guarded FWL1 records to one segment file per round.
 // recover.go holds the replay side; docs/ARCHITECTURE.md ("Durability") the
 // format and the determinism argument.
 //
 // Durability contract: a commit record is written before the commit's
 // snapshot is published to any client, and every admission record the commit
-// folded precedes it in the file — so a recoverable commit always has its
+// folded precedes it in the log — so a recoverable commit always has its
 // full input history. A process crash (SIGKILL) loses nothing: the kernel
 // holds the written pages. Against power loss, the log group-commits: a
 // background goroutine fsyncs after commit records, rate-limited to one
@@ -21,6 +21,9 @@ package fldist
 // keeps the log off the admission path's critical budget). If power fails
 // inside the window, recovery resumes from the last fsynced commit plus the
 // admissions logged after it — the same torn-tail case it already handles.
+// Only that fsync deletes segments, and only those older than the window of
+// the commit it sealed, so the segments a recovery from any commit that may
+// survive a power loss reads are still on disk.
 
 import (
 	"encoding/binary"
@@ -31,6 +34,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,7 +46,6 @@ import (
 
 const (
 	walMagic      = "FWL1"
-	walVersion    = 1
 	walHeaderSize = 21 // magic(4) + type(1) + payload len(4) + seq(8) + crc32c(4)
 
 	// walMaxPayload bounds a record's declared payload length before anything
@@ -50,9 +53,10 @@ const (
 	// as wire bytes (a corrupted length must not drive an allocation).
 	walMaxPayload = 1 << 30
 
-	walLogName  = "wal.log"
-	walIdxName  = "wal.idx"
 	walLockName = "wal.lock"
+	// walOldLogName is the single-file log of earlier releases: WALExists
+	// reports it and RecoverServer refuses it, untouched.
+	walOldLogName = "wal.log"
 )
 
 // walGroupSyncEvery paces the background fsync: at most one
@@ -62,7 +66,7 @@ const (
 // contention with concurrent appends (see the durability contract above).
 const walGroupSyncEvery = 100 * time.Millisecond
 
-// Record types. The meta record is always first in the file; commit records
+// Record types. The meta record is always first in a segment; commit records
 // carry full snapshots; admit records the admissions between commits, in
 // both aggregation modes; the edge batch record is the single-slot
 // parked-push file an Edge keeps (edge.go), reusing the same framing.
@@ -96,7 +100,7 @@ type walFile interface {
 	Close() error
 }
 
-// walWrapFile, when non-nil, wraps every freshly opened WAL log file. Test
+// walWrapFile, when non-nil, wraps every freshly opened WAL segment. Test
 // seam for fault injection; set only by tests in this package, never in
 // production.
 var walWrapFile func(walFile) walFile
@@ -471,32 +475,80 @@ func parseWALEdgeBatch(p []byte) (walEdgeBatch, error) {
 }
 
 // ---- the log ---------------------------------------------------------------
+//
+// One segment file per round, named so the directory listing sorts by round
+// and is the index: segment r holds the meta record, round r's commit record
+// and the admissions logged while r was current. The paced fsync deletes the
+// segments older than the staleness window of the commit it sealed.
 
-// walIdxEntry is one retained commit's position in the log.
-type walIdxEntry struct {
-	round int
-	off   int64
+// walSegName is the file name of round's segment.
+func walSegName(round int) string { return fmt.Sprintf("wal-%010d.seg", round) }
+
+// walSegRound parses a segment file name back to its round.
+func walSegRound(name string) (r int, ok bool) {
+	_, err := fmt.Sscanf(name, "wal-%d.seg", &r)
+	return r, err == nil && walSegName(r) == name
+}
+
+// walSegments lists dir's segment rounds, oldest first.
+func walSegments(dir string) ([]int, error) {
+	entries, err := os.ReadDir(dir) // sorted by name, so by round
+	if err != nil {
+		return nil, err
+	}
+	var rounds []int
+	for _, e := range entries {
+		if r, ok := walSegRound(e.Name()); ok {
+			rounds = append(rounds, r)
+		}
+	}
+	return rounds, nil
+}
+
+// removeSegments deletes dir's segments of the given rounds; one already
+// gone is no error.
+func removeSegments(dir string, rounds []int) error {
+	for _, r := range rounds {
+		if err := os.Remove(filepath.Join(dir, walSegName(r))); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return nil
+}
+
+// syncDir fsyncs dir, making the names created, renamed or removed in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // wal is the open write-ahead log. Appends are seq-ordered: a writer reserves
 // its sequence number inside the admission registry's critical section
 // (pendMu), where logical order is decided, then encodes and writes outside
-// it — the cond gate below replays the pendMu order onto the file, so file
+// it — the cond gate below replays the pendMu order onto the log, so log
 // order always equals admission order and a commit record is always preceded
 // by every admission it folded.
 type wal struct {
-	dir   string
-	f     *os.File
-	sink  walFile // f, possibly wrapped by the fault-injection seam
-	lockF *os.File
-	keep  int // commits retained in the idx (staleness window + 1)
+	dir      string
+	lockF    *os.File
+	metaRec  []byte // the meta record every segment opens with
+	maxStale int
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	nextSeq     uint64
 	writeSeq    uint64
-	off         int64
-	werr        error // sticky first write failure; later appends are refused
+	sink        walFile   // the current segment, possibly wrapped by the fault-injection seam
+	retired     []walFile // replaced segments the next fsync seals and closes
+	werr        error     // sticky first write failure; later appends are refused
 	closed      bool
 	syncPending bool          // a commit landed since the last fsync started
 	closeCh     chan struct{} // closed by Close; wakes the paced fsync sleep
@@ -506,7 +558,6 @@ type wal struct {
 	// calls is safe, and it spares a model-sized allocation per round.
 	commitEnc []byte
 	syncing   bool // the background fsync goroutine is alive
-	idx       []walIdxEntry
 
 	admitPool sync.Pool // *walAdmit, its frame and record scratch kept across reuses
 
@@ -516,7 +567,7 @@ type wal struct {
 	bytes       atomic.Int64
 	writeErrs   atomic.Int64
 	uncommitted atomic.Int64 // admit records since the last commit record
-	lastRound   atomic.Int64
+	lastRound   atomic.Int64 // round of the newest commit record written whole
 
 	warnOnce sync.Once
 	warnf    func(format string, args ...any)
@@ -542,15 +593,24 @@ func lockWALDir(dir string) (*os.File, error) {
 	return lf, nil
 }
 
-// WALExists reports whether dir holds a WAL with any content — the
-// create-or-recover switch for cmd/fldist's -wal flag.
+// WALExists reports whether dir holds a WAL with any content — a non-empty
+// segment, or the single-file wal.log of an earlier release, which
+// RecoverServer refuses — the create-or-recover switch for cmd/fldist's -wal
+// flag.
 func WALExists(dir string) bool {
-	fi, err := os.Stat(filepath.Join(dir, walLogName))
-	return err == nil && fi.Size() > 0
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if _, seg := walSegRound(e.Name()); seg || e.Name() == walOldLogName {
+			if fi, err := e.Info(); err == nil && fi.Size() > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
-// createWAL starts a fresh log in dir: meta record first, then the caller
-// logs the initial commit. It refuses a dir that already holds log content —
+// createWAL starts a fresh log in dir; the caller's initial commit opens its
+// first segment. It refuses a dir that already holds log content —
 // recovery, not re-creation, is the path there (RecoverServer).
 func createWAL(dir string, m walMeta) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -563,31 +623,15 @@ func createWAL(dir string, m walMeta) (*wal, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, walLogName), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		lf.Close()
-		return nil, err
-	}
-	w := newWAL(dir, f, lf, m)
-	seq := w.reserve()
-	rec := appendWALRecord(nil, walRecMeta, seq, appendWALMeta(nil, m))
-	if _, err := w.append(seq, walRecMeta, rec); err != nil {
-		w.Close()
-		return nil, err
-	}
-	return w, nil
+	return newWAL(dir, lf, m), nil
 }
 
-func newWAL(dir string, f, lf *os.File, m walMeta) *wal {
+func newWAL(dir string, lf *os.File, m walMeta) *wal {
 	w := &wal{
-		dir:   dir,
-		f:     f,
-		lockF: lf,
-		keep:  m.maxStale + 1,
-	}
-	w.sink = walFile(f)
-	if walWrapFile != nil {
-		w.sink = walWrapFile(w.sink)
+		dir:      dir,
+		lockF:    lf,
+		metaRec:  appendWALRecord(nil, walRecMeta, 0, appendWALMeta(nil, m)),
+		maxStale: m.maxStale,
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.closeCh = make(chan struct{})
@@ -595,9 +639,21 @@ func newWAL(dir string, f, lf *os.File, m walMeta) *wal {
 	return w
 }
 
+// setSegmentLocked makes f the segment appends go to, retiring the previous
+// one to the next fsync.
+func (w *wal) setSegmentLocked(f *os.File) {
+	if w.sink != nil {
+		w.retired = append(w.retired, w.sink)
+	}
+	w.sink = walFile(f)
+	if walWrapFile != nil {
+		w.sink = walWrapFile(w.sink)
+	}
+}
+
 // reserve claims the next sequence number. Callers on the admission path
 // invoke it while holding pendMu, so the sequence order is the admission
-// order; the write gate in append then makes it the file order too.
+// order; the write gate then makes it the file order too.
 func (w *wal) reserve() uint64 {
 	w.mu.Lock()
 	s := w.nextSeq
@@ -606,51 +662,46 @@ func (w *wal) reserve() uint64 {
 	return s
 }
 
-// append writes one framed record at its sequence slot, waiting for every
-// earlier reservation to hit the file first, and returns the offset the
-// record starts at. A failed write sticks: the record boundary where the
-// failure happened is the end of the recoverable log, and every later append
-// is refused with the same error rather than scribbling records after a
-// hole. The slot always advances — a failure never wedges later writers
-// waiting on the gate. Every record but an admission schedules the paced
-// fsync. The uncommitted-admissions gauge is maintained here, under the
-// write gate, so it tracks the exact record order on disk.
-func (w *wal) append(seq uint64, typ byte, rec []byte) (int64, error) {
+// enter waits until every earlier reservation has hit the log and returns
+// with w.mu held — slot seq's records go in now — and with the error that
+// refuses them: the sticky first failure, whose record boundary is the end
+// of the recoverable log, or a closed log. leave frees the slot. The slot
+// always advances, so a failure never wedges later writers on the gate.
+func (w *wal) enter(seq uint64) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	for w.writeSeq != seq {
 		w.cond.Wait()
 	}
-	defer func() {
-		w.writeSeq++
-		w.cond.Broadcast()
-	}()
-	off := w.off
-	if w.werr != nil {
-		return off, w.werr
+	if w.werr == nil && w.closed {
+		return errors.New("fldist: WAL closed")
 	}
-	if w.closed {
-		return off, errors.New("fldist: WAL closed")
-	}
+	return w.werr
+}
+
+func (w *wal) leave() {
+	w.writeSeq++
+	w.cond.Broadcast()
+	w.mu.Unlock()
+}
+
+// failLocked makes err the log's sticky failure: every later append is
+// refused with it rather than scribbling records after a hole.
+func (w *wal) failLocked(err error) error {
+	w.werr = err
+	w.writeErrs.Add(1)
+	return err
+}
+
+// writeLocked writes one framed record to the current segment. The
+// uncommitted-admissions gauge is maintained here, under the write gate, so
+// it tracks the exact record order on disk.
+func (w *wal) writeLocked(typ byte, rec []byte) error {
 	n, err := w.sink.Write(rec)
 	if err == nil && n < len(rec) {
 		err = io.ErrShortWrite
 	}
-	if err == nil && typ != walRecAdmit {
-		// Group commit: the fsync runs on a background goroutine so the
-		// admission pipeline — the caller holds serveMu and pendMu across a
-		// commit append — is never stalled on device flush latency. A commit
-		// is durable against power loss once that fsync lands (a process
-		// crash loses nothing either way: the kernel holds the written
-		// pages); until then recovery falls back to the previous commit plus
-		// the admissions logged after it, which is exactly the torn-tail case
-		// it already handles.
-		w.scheduleSyncLocked()
-	}
 	if err != nil {
-		w.werr = err
-		w.writeErrs.Add(1)
-		return off, err
+		return w.failLocked(err)
 	}
 	switch typ {
 	case walRecAdmit:
@@ -658,10 +709,9 @@ func (w *wal) append(seq uint64, typ byte, rec []byte) (int64, error) {
 	case walRecCommit:
 		w.uncommitted.Store(0)
 	}
-	w.off += int64(len(rec))
 	w.records.Add(1)
 	w.bytes.Add(int64(len(rec)))
-	return off, nil
+	return nil
 }
 
 // newAdmit leases an admission capture from the pool, its frame scratch
@@ -686,7 +736,11 @@ func (w *wal) appendAdmit(a *walAdmit) error {
 	enc = appendWALAdmit(enc, a)
 	finishWALRecord(enc, 0, walRecAdmit, a.seq)
 	a.enc = enc
-	_, err := w.append(a.seq, walRecAdmit, a.enc)
+	err := w.enter(a.seq)
+	if err == nil {
+		err = w.writeLocked(walRecAdmit, a.enc)
+	}
+	w.leave()
 	w.releaseAdmit(a)
 	if err != nil {
 		w.warnWriteErr(err)
@@ -696,35 +750,44 @@ func (w *wal) appendAdmit(a *walAdmit) error {
 	return nil
 }
 
-// appendCommit appends one commit record and rewrites the idx checkpoint.
-// Called with serveMu and pendMu held, just before the commit's snapshot is
-// published — log-then-publish is the write-ahead property. The paced fsync
-// it schedules also seals every admission record this commit folded: they
-// precede it in the file.
+// appendCommit opens round c.round's segment and writes its meta and commit
+// records there. Called with serveMu and pendMu held, just before the
+// commit's snapshot is published — log-then-publish is the write-ahead
+// property. Every admission the commit folded precedes it in the log.
 func (w *wal) appendCommit(seq uint64, c walCommit) error {
 	rec := reserveWALHeader(w.commitEnc[:0])
 	rec = appendWALCommit(rec, c)
 	finishWALRecord(rec, 0, walRecCommit, seq)
 	w.commitEnc = rec
-	off, err := w.append(seq, walRecCommit, rec)
+	err := w.enter(seq)
+	if err == nil {
+		var f *os.File
+		f, err = os.OpenFile(filepath.Join(w.dir, walSegName(c.round)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+		if err != nil {
+			w.failLocked(err)
+		} else {
+			w.setSegmentLocked(f)
+			err = w.writeLocked(walRecMeta, w.metaRec)
+		}
+	}
+	if err == nil {
+		err = w.writeLocked(walRecCommit, rec)
+	}
+	if err == nil {
+		// Group commit: the fsync that seals this commit — and every
+		// admission before it — runs on a background goroutine, so the
+		// admission pipeline is never stalled on device flush latency. Until
+		// it lands, a power loss falls back to the previous commit plus the
+		// admissions logged after it: the torn-tail case recovery handles.
+		w.lastRound.Store(int64(c.round))
+		w.scheduleSyncLocked()
+	}
+	w.leave()
 	if err != nil {
 		w.warnWriteErr(err)
 		return err
 	}
 	w.commits.Add(1)
-	w.lastRound.Store(int64(c.round))
-	w.mu.Lock()
-	w.idx = append(w.idx, walIdxEntry{round: c.round, off: off})
-	if len(w.idx) > w.keep {
-		w.idx = w.idx[len(w.idx)-w.keep:]
-	}
-	idx := append([]walIdxEntry(nil), w.idx...)
-	w.mu.Unlock()
-	if err := writeWALIdx(w.dir, idx); err != nil {
-		// The idx is an optimization: recovery falls back to a full forward
-		// scan without it. Warn, don't fail the commit.
-		w.warnWriteErr(err)
-	}
 	return nil
 }
 
@@ -740,23 +803,25 @@ func (w *wal) scheduleSyncLocked() {
 	}
 }
 
-// runSync is the background group-commit fsync loop: flush, then — if more
-// commits landed meanwhile — wait out the pacing interval and flush again.
+// runSync is the background group-commit fsync loop: seal, then — if more
+// commits landed meanwhile — wait out the pacing interval and seal again.
 // The pacing matters for throughput, not just politeness: an fsync writes
 // back every dirty log page and holds the filesystem journal while it does,
 // which stalls concurrent record appends; one paced fsync seals a burst of
 // rounds at a fraction of that contention. A sync failure is sticky like a
 // write failure — later appends are refused at the same boundary recovery
 // will find. Close waits for this goroutine (via syncing/cond) before
-// closing the file, and wakes the pacing sleep through closeCh.
+// closing the segment, and wakes the pacing sleep through closeCh.
 func (w *wal) runSync() {
 	w.mu.Lock()
 	for w.syncPending && w.werr == nil && !w.closed {
 		w.syncPending = false
+		retired, cur, round := w.retired, w.sink, int(w.lastRound.Load())
+		w.retired = nil
 		w.mu.Unlock()
 		//lint:ignore determinism group-sync pacing only; record contents and order are clock-free
 		start := time.Now()
-		err := w.sink.Sync()
+		err := w.seal(retired, cur, round)
 		if err == nil {
 			//lint:ignore determinism group-sync pacing only; record contents and order are clock-free
 			if d := walGroupSyncEvery - time.Since(start); d > 0 {
@@ -770,8 +835,7 @@ func (w *wal) runSync() {
 		}
 		w.mu.Lock()
 		if err != nil && w.werr == nil {
-			w.werr = err
-			w.writeErrs.Add(1)
+			w.failLocked(err)
 			w.mu.Unlock()
 			w.warnWriteErr(err)
 			w.mu.Lock()
@@ -780,6 +844,37 @@ func (w *wal) runSync() {
 	w.syncing = false
 	w.cond.Broadcast()
 	w.mu.Unlock()
+}
+
+// seal makes the log durable up to the commit of round — fsyncing and
+// closing the retired segments, fsyncing the current one and the directory
+// that names them — and then deletes every segment older than that
+// commit's staleness window: recovery from it or from any later commit
+// never reads them.
+func (w *wal) seal(retired []walFile, cur walFile, round int) error {
+	var err error
+	for _, f := range retired {
+		if serr := f.Sync(); err == nil {
+			err = serr
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = cur.Sync()
+	}
+	if err == nil {
+		err = syncDir(w.dir)
+	}
+	if err != nil {
+		return err
+	}
+	rounds, err := walSegments(w.dir)
+	if i := slices.IndexFunc(rounds, func(r int) bool { return r >= round-w.maxStale }); err == nil && i > 0 {
+		err = removeSegments(w.dir, rounds[:i])
+	}
+	return err
 }
 
 // warnWriteErr reports the first WAL write failure once. The server keeps
@@ -795,7 +890,8 @@ func (w *wal) warnWriteErr(err error) {
 	})
 }
 
-// Close flushes, fsyncs and closes the log and releases the lock file (and
+// Close seals the log — the directory then holds the staleness window's
+// segments and nothing older — closes it and releases the lock file (and
 // with it the flock — the handoff signal). Idempotent.
 func (w *wal) Close() error {
 	w.mu.Lock()
@@ -808,10 +904,14 @@ func (w *wal) Close() error {
 	for w.syncing {
 		w.cond.Wait()
 	}
+	retired, cur := w.retired, w.sink
 	w.mu.Unlock()
-	err := w.sink.Sync()
-	if cerr := w.sink.Close(); err == nil {
-		err = cerr
+	var err error
+	if cur != nil {
+		err = w.seal(retired, cur, int(w.lastRound.Load()))
+		if cerr := cur.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if w.lockF != nil {
 		w.lockF.Close() // closing drops the flock
@@ -837,39 +937,10 @@ func (w *wal) stats() *WALStats {
 	}
 }
 
-// ---- idx checkpoint --------------------------------------------------------
-//
-// wal.idx pins the file offsets of the last (staleness window + 1) commit
-// records so recovery seeks straight to the oldest in-window commit instead
-// of scanning the whole log — O(window), independent of log length. It is
-// rewritten whole, in place and without an fsync, at every commit: the
-// commit runs under serveMu and pendMu, and the log never stalls admissions
-// on device latency. It is advisory and CRC-checked: a crash mid-rewrite
-// leaves a torn or stale idx, and recovery validates the entry it lands on
-// and falls back to a full scan on any mismatch.
-
-const walIdxMagic = "FWI1"
-
-func writeWALIdx(dir string, entries []walIdxEntry) error {
-	if len(entries) > 255 {
-		entries = entries[len(entries)-255:]
-	}
-	buf := make([]byte, 0, 9+12*len(entries)+4)
-	buf = append(buf, walIdxMagic...)
-	buf = append(buf, walVersion)
-	buf = append(buf, byte(len(entries)))
-	for _, e := range entries {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.round))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.off))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, walCRC))
-	return os.WriteFile(filepath.Join(dir, walIdxName), buf, 0o644)
-}
-
 // replaceFile atomically replaces dir/name with data — temp file in dir,
-// write, fsync, close, rename — so a crash at any instant leaves either the
-// previous file or the new one whole. The temp file never outlives a
-// failure.
+// write, fsync, close, rename, fsync dir — so a crash or power loss at any
+// instant leaves either the previous file or the new one whole. The temp
+// file never outlives a failure.
 func replaceFile(dir, name string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
@@ -887,34 +958,9 @@ func replaceFile(dir, name string, data []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
+		return err
 	}
-	return err
-}
-
-func readWALIdx(dir string) ([]walIdxEntry, error) {
-	b, err := os.ReadFile(filepath.Join(dir, walIdxName))
-	if err != nil {
-		return nil, err
-	}
-	if len(b) < 10 || string(b[:4]) != walIdxMagic || b[4] != walVersion {
-		return nil, fmt.Errorf("%w: bad idx header", ErrWAL)
-	}
-	n := int(b[5])
-	if len(b) != 6+12*n+4 {
-		return nil, fmt.Errorf("%w: idx length %d for %d entries", ErrWAL, len(b), n)
-	}
-	if crc32.Checksum(b[:len(b)-4], walCRC) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
-		return nil, fmt.Errorf("%w: idx crc mismatch", ErrWAL)
-	}
-	entries := make([]walIdxEntry, n)
-	for i := range entries {
-		off := 6 + 12*i
-		entries[i] = walIdxEntry{
-			round: int(binary.LittleEndian.Uint32(b[off : off+4])),
-			off:   int64(binary.LittleEndian.Uint64(b[off+4 : off+12])),
-		}
-	}
-	return entries, nil
+	return syncDir(dir)
 }
 
 // ---- edge parked-batch slot ------------------------------------------------

@@ -350,10 +350,13 @@ func TestWALMetaFormatCompat(t *testing.T) {
 	}
 }
 
-// TestRecoverRefusesOldFormatUntouched pins that a format-2 log — meta, the
-// initial commit and a delta-form admission — is refused whole at open:
-// RecoverServer fails with ErrWAL naming the format and leaves the file
-// byte-identical, instead of truncating it at its first delta record.
+// TestRecoverRefusesOldFormatUntouched pins that a log of an earlier
+// release is refused whole at open, its file byte-identical and WALExists
+// reporting it, so no fresh log starts beside it: a single-file wal.log,
+// whatever it holds, and a segment whose meta record names format 2 (the
+// segment holds the meta, the initial commit and a delta-form admission;
+// recovery fails with ErrWAL naming the format instead of truncating the
+// segment at its first delta record).
 func TestRecoverRefusesOldFormatUntouched(t *testing.T) {
 	meta := appendWALMeta(nil, walMeta{async: true, quorumOrK: 3, maxStale: 2, nParams: 6, nBN: 2})
 	meta[17] = 2
@@ -368,66 +371,39 @@ func TestRecoverRefusesOldFormatUntouched(t *testing.T) {
 	delta = quant.AppendRaw(delta, synthVec(2, 4))
 	log = appendWALRecord(log, walRecAdmit, 2, delta)
 
-	dir := t.TempDir()
-	path := filepath.Join(dir, walLogName)
-	if err := os.WriteFile(path, log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := RecoverServer(dir)
-	if err == nil {
-		rec.Close()
-		t.Fatal("recovered a format-2 log")
-	}
-	if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), "format 2 ") {
-		t.Fatalf("error %v, want ErrWAL naming format 2", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, log) {
-		t.Fatalf("refused log changed: %d bytes, was %d", len(after), len(log))
-	}
-}
-
-// The idx checkpoint: round trip, the 255-entry cap, and the corruption
-// contract (a bad idx must read as ErrWAL so recovery falls back to the full
-// scan instead of trusting it).
-func TestWALIdxRoundTripAndCorruption(t *testing.T) {
-	dir := t.TempDir()
-	in := []walIdxEntry{{round: 3, off: 17}, {round: 4, off: 900}, {round: 5, off: 4096}}
-	if err := writeWALIdx(dir, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := readWALIdx(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("read %d entries, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, out[i], in[i])
-		}
-	}
-
-	path := filepath.Join(dir, walIdxName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, mut := range map[string]func([]byte) []byte{
-		"flipped crc":    func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
-		"bad magic":      func(b []byte) []byte { b[0] ^= 1; return b },
-		"length mangled": func(b []byte) []byte { return b[:len(b)-5] },
-		"truncated":      func(b []byte) []byte { return b[:4] },
+	for name, wantErr := range map[string]string{
+		walOldLogName: "single-file wal.log",
+		walSegName(0): "format 2 ",
 	} {
-		if err := os.WriteFile(path, mut(append([]byte(nil), raw...)), 0o644); err != nil {
+		dir := t.TempDir()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, log, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := readWALIdx(dir); !errors.Is(err, ErrWAL) {
-			t.Fatalf("%s: err = %v, want ErrWAL", name, err)
+		if !WALExists(dir) {
+			t.Fatalf("%s: WALExists reports no log", name)
+		}
+		rec, err := RecoverServer(dir)
+		if err == nil {
+			rec.Close()
+			t.Fatalf("%s: recovered a format-2 log", name)
+		}
+		if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("%s: error %v, want ErrWAL naming %q", name, err, wantErr)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, log) {
+			t.Fatalf("%s: refused log changed: %d bytes, was %d", name, len(after), len(log))
+		}
+		wantSegs := 1
+		if name == walOldLogName {
+			wantSegs = 0 // no fresh log beside the old one
+		}
+		if rounds, _ := walSegments(dir); len(rounds) != wantSegs {
+			t.Fatalf("%s: refusal left segments %v", name, rounds)
 		}
 	}
 }

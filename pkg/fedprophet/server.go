@@ -54,9 +54,12 @@ func WithBufferedAggregation(k, maxStaleness int) ParamServerOption {
 // in dir before it takes effect. A process that dies — power loss, SIGKILL,
 // panic — resumes the federation at its last commit via
 // RecoverParamServer, replaying the admissions its buffer held; clients never
-// observe a model older than one they already pulled. The dir must not
-// already hold a WAL (recover, don't re-create). See docs/ARCHITECTURE.md
-// ("Durability") for the record format, fsync pacing and guarantees.
+// observe a model older than one they already pulled. The log keeps one
+// segment file per round and only the staleness window's newest, so its
+// size does not grow with the number of rounds. The dir must not already
+// hold a WAL (recover, don't re-create). See docs/ARCHITECTURE.md
+// ("Durability") for the segment layout, record format, fsync pacing and
+// guarantees.
 func WithServerWAL(dir string) ParamServerOption { return fldist.WithWAL(dir) }
 
 // ParamServerWALExists reports whether dir holds a write-ahead log — the
