@@ -402,25 +402,10 @@ func (c *Client) pushDelta(ctx context.Context, round int) (counted bool, err er
 		// a stale residual must not be folded into the delta.
 		c.errParams = nil
 	}
-	var pFrame []byte
-	var eP []float64
-	if comp.TopK > 0 {
-		// Top-k sparse uplink: form the error-fed delta, keep only the K
-		// largest-magnitude coordinates as a sparse frame, and let the
-		// residual absorb everything sparsification dropped — an unsent
-		// coordinate's entire delta rides to the next round, so sparsifying
-		// delays small movements instead of losing them.
-		d := formDelta(params, c.baseParams, c.errParams)
-		idx := quant.TopKIndices(d, comp.TopK)
-		deq := make([]float64, len(idx))
-		pFrame = quant.EncodeSparse(d, idx, comp.Bits, comp.Chunk, deq)
-		for j, ix := range idx {
-			d[ix] -= deq[j]
-		}
-		eP = d
-	} else {
-		pFrame, eP = deltaQuantize(params, c.baseParams, c.errParams, comp.Bits, comp.Chunk)
-	}
+	// The error-fed delta, top-k sparse or dense as comp says; the sender
+	// leaves the next residual in eP.
+	eP := formDelta(params, c.baseParams, c.errParams)
+	pFrame := sendErrorFed(eP, comp, 1, nil)
 	// The BN statistics delta: raw on a dense push — a handful of values
 	// whose quantization damage (running variances crushed toward zero) far
 	// outweighs the bytes, and raw means no residual to feed back. On a
@@ -433,10 +418,10 @@ func (c *Client) pushDelta(ctx context.Context, round int) (counted bool, err er
 		if len(c.errBN) != len(bn) {
 			c.errBN = nil
 		}
-		bnFrame, eBN = deltaQuantize(bn, c.baseBN, c.errBN, bnDeltaBits, comp.Chunk)
+		eBN = formDelta(bn, c.baseBN, c.errBN)
+		bnFrame = sendErrorFed(eBN, Compression{Bits: bnDeltaBits, Chunk: comp.Chunk}, 1, nil)
 	} else {
-		dB := formDelta(bn, c.baseBN, nil)
-		bnFrame = quant.EncodeRaw(dB)
+		bnFrame = quant.EncodeRaw(formDelta(bn, c.baseBN, nil))
 	}
 	body, err := encodeUpdateEnvelope(c.ID, round, float64(c.Subset.Len()), pFrame, bnFrame)
 	if err != nil {
@@ -461,7 +446,10 @@ func (c *Client) pushDelta(ctx context.Context, round int) (counted bool, err er
 	return counted, err
 }
 
-// formDelta returns trained − base (+ residual when non-nil), element-wise.
+// formDelta returns (trained − base) + residual, element-wise, or trained −
+// base when residual is nil. With a new base as the residual it rebases a
+// model vector: newBase + (vec − oldBase), bit for bit, as IEEE addition
+// commutes.
 func formDelta(trained, base, residual []float64) []float64 {
 	d := make([]float64, len(trained))
 	for i := range d {
@@ -471,20 +459,6 @@ func formDelta(trained, base, residual []float64) []float64 {
 		}
 	}
 	return d
-}
-
-// deltaQuantize forms the error-fed delta d = (params − base) + residual and
-// encodes it as one dense frame, returning the frame and the next residual
-// d − dequantize(frame) — the encoder writes the dequantized values as it
-// packs them, so this is one pass over d, not three.
-func deltaQuantize(params, base, residual []float64, bits, chunk int) ([]byte, []float64) {
-	d := formDelta(params, base, residual)
-	deq := make([]float64, len(d))
-	frame := quant.NewEncoder(bits, chunk, len(d), 1).EncodeAll(d, deq)
-	for i := range d {
-		d[i] -= deq[i]
-	}
-	return frame, d
 }
 
 // post is the client's wire core for POST /update: it sends one FPU1 body

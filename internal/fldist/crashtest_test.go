@@ -254,6 +254,76 @@ func truncationSweep(t *testing.T, buffered bool) {
 	}
 }
 
+// TestWALSegmentContinuity damages a middle segment of a 4-commit buffered
+// log the way a power loss inside one paced fsync can: the older segment
+// loses its tail or its whole file while newer ones survive. Every segment
+// after the oldest must open with the commit that continues its
+// predecessor's sequence, so recovery ends the intact log before the gap —
+// bit-identically, with the admissions logged there replayed — and deletes
+// every segment past it, instead of landing on a newer commit without the
+// dedup marks of the admissions it folded.
+func TestWALSegmentContinuity(t *testing.T) {
+	history := recordWAL(t)
+	srv, refP, refBN := walScript(t, t.TempDir(), true, 4, 0, 2)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logBytes := history()
+	seg2 := func(dir string) string { return filepath.Join(dir, walSegName(2)) }
+	for _, tc := range []struct {
+		name   string
+		damage func(dir string) error
+		// Round 1's segment holds a full buffer, which recovery replays and
+		// folds into round 2 when segment 2 is lost.
+		round, pending int
+	}{
+		{"lost tail", func(dir string) error {
+			b, err := os.ReadFile(seg2(dir))
+			last := 0
+			for off := 0; err == nil && off < len(b); {
+				var n int
+				_, _, _, n, err = parseWALRecord(b[off:])
+				last, off = off, off+n
+			}
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(seg2(dir), b[:last], 0o644) // client 8's admission
+		}, 2, 2},
+		{"missing segment", func(dir string) error { return os.Remove(seg2(dir)) }, 2, 0},
+		{"segment renamed to a later round", func(dir string) error {
+			return os.Rename(seg2(dir), filepath.Join(dir, walSegName(5)))
+		}, 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeLogDir(t, dir, logBytes, int64(len(logBytes)))
+			if err := tc.damage(dir); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := recoverT(t, dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			round, pending := rec.Round(), len(rec.pending)
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if round != tc.round || pending != tc.pending {
+				t.Fatalf("recovered round %d with %d pending, want round %d with %d", round, pending, tc.round, tc.pending)
+			}
+			rounds, err := walSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rounds[len(rounds)-1] > tc.round {
+				t.Fatalf("segments %v left after recovering to round %d", rounds, tc.round)
+			}
+			assertRecovered(t, dir, 2, tc.round, refP, refBN)
+		})
+	}
+}
+
 // recordWAL records every byte written to the WAL segments opened until the
 // returned function is called, which stops the recording and returns the
 // bytes in write order: a fresh log's whole history, the concatenation of

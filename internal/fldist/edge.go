@@ -486,8 +486,8 @@ func (e *Edge) parkBatchLocked(batch commitInfo) {
 	snap := e.inner.model.Load()
 	params, bn := snap.params, snap.bn
 	if !e.cleanBase {
-		params = rebaseVec(e.baseParams, snap.params, e.lastPushedP)
-		bn = rebaseVec(e.baseBN, snap.bn, e.lastPushedB)
+		params = formDelta(snap.params, e.lastPushedP, e.baseParams)
+		bn = formDelta(snap.bn, e.lastPushedB, e.baseBN)
 	}
 	id := e.nextPushIDLocked()
 	e.unpushed = &unpushedBatch{snap: snap, walEdgeBatch: walEdgeBatch{
@@ -576,8 +576,8 @@ func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 		if err != nil {
 			return err
 		}
-		u.payloadP = rebaseVec(params, u.payloadP, u.baseP)
-		u.payloadB = rebaseVec(bn, u.payloadB, u.baseBN)
+		u.payloadP = formDelta(u.payloadP, u.baseP, params)
+		u.payloadB = formDelta(u.payloadB, u.baseBN, bn)
 		u.baseRnd = round
 		u.baseP, u.baseBN = params, bn
 		e.persistUnpushedLocked()
@@ -601,16 +601,6 @@ func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 		e.resyncLocked(ctx, u.baseRnd)
 	}
 	return nil
-}
-
-// rebaseVec re-expresses a model vector against a new base:
-// newBase + (vec − oldBase), element-wise.
-func rebaseVec(newBase, vec, oldBase []float64) []float64 {
-	out := make([]float64, len(vec))
-	for i := range out {
-		out[i] = newBase[i] + (vec[i] - oldBase[i])
-	}
-	return out
 }
 
 // resyncLocked waits until the upstream round exceeds pushedRound (the

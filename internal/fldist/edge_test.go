@@ -3,16 +3,21 @@ package fldist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fedprophet/internal/quant"
 )
 
 // The hierarchical-aggregation tests. The bit-identity tests drive both the
@@ -676,6 +681,83 @@ func TestEdgeStalePushLandsWithCombinedStaleness(t *testing.T) {
 		if gotP[i] != want {
 			t.Fatalf("params[%d] = %v, want %v (staleness discount misapplied)", i, gotP[i], want)
 		}
+	}
+}
+
+// A batch whose base fell out of a buffered root's window while the edge
+// held it is not thrown away: on the 409 the edge pulls the root's current
+// model and re-sends the batch rebased onto it — newBase + (payload −
+// oldBase), bit for bit — and the root counts it once.
+func TestEdgeStaleFlushRebasesPayload(t *testing.T) {
+	const edgeID = 1000
+	init, initBN := synthVec(97, 81), synthVec(3, 82)
+	root := NewServer(init, initBN, 1, WithBufferedAggregation(1, 1))
+	rootH := root.Handler()
+	var mu sync.Mutex
+	var pushes [][]byte // the edge's push bodies, in arrival order
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/update" {
+			body, err := io.ReadAll(r.Body)
+			if err == nil && len(body) >= 21 && binary.LittleEndian.Uint32(body[5:9]) == edgeID {
+				mu.Lock()
+				pushes = append(pushes, body)
+				mu.Unlock()
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		rootH.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	e, edgeURL := startEdge(t, ts.URL, WithEdgeClientID(edgeID), WithEdgeFlush(100, 0))
+	cohortRun(t, ts.Client(), edgeURL, []int{0})
+
+	// Two direct pushes commit root rounds 1 and 2: the edge's base round 0
+	// is then 2 rounds stale, outside the root's window of 1.
+	for _, id := range []int{50, 51} {
+		round, base, baseBN := pullRawT(t, ts.Client(), ts.URL)
+		if st := pushRawT(t, ts.Client(), ts.URL, id, round, 1, addVecs(base, gridDelta(len(base), id)), baseBN); st != http.StatusOK {
+			t.Fatalf("direct client %d push: status %d", id, st)
+		}
+	}
+	_, newP, newBN := pullRawT(t, ts.Client(), ts.URL)
+	if err := e.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	if n := e.Stats().Upstream.Rebased; n != 1 {
+		t.Fatalf("edge rebased %d batches, want 1", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(pushes) != 2 {
+		t.Fatalf("edge sent %d pushes, want the stale one and its rebased re-send", len(pushes))
+	}
+	decode := func(body []byte) (round int, vecs [2][]float64) {
+		round, rest := int(binary.LittleEndian.Uint32(body[9:13])), body[21:]
+		for i := range vecs {
+			f, r, err := quant.DecodeFirst(rest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vecs[i], rest = f.Raw, r
+		}
+		return round, vecs
+	}
+	r0, stale := decode(pushes[0])
+	r1, resent := decode(pushes[1])
+	if r0 != 0 || r1 != 2 {
+		t.Fatalf("pushes from base rounds %d, %d; want 0, 2", r0, r1)
+	}
+	for k, base := range [2][2][]float64{{init, newP}, {initBN, newBN}} {
+		for i, got := range resent[k] {
+			if want := base[1][i] + (stale[k][i] - base[0][i]); got != want {
+				t.Fatalf("re-sent vector %d [%d] = %v, want newBase + (payload − oldBase) = %v", k, i, got, want)
+			}
+		}
+	}
+	if st := root.Stats(); root.Round() != 3 || st.UpdatesRaw != 3 || st.DuplicatesDropped != 0 {
+		t.Fatalf("root at round %d with %d updates (%d duplicates), want the batch counted once: round 3, 3 updates",
+			root.Round(), st.UpdatesRaw, st.DuplicatesDropped)
 	}
 }
 

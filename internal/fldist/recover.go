@@ -8,7 +8,8 @@ package fldist
 //  1. List the segments (wal-<round>.seg; the listing sorts by round) and
 //     scan them oldest first, record by record. The oldest segment's meta
 //     record fixes the log's shape; every segment must open with the same
-//     meta record and its own round's commit. Commit records rebuild the
+//     meta record and its own round's commit, whose seq continues the
+//     previous segment's. Commit records rebuild the
 //     retained-round history and the latest snapshot + downlink-EF
 //     residuals, keeping only the newest window+1; admission records re-mark
 //     the dedup horizon and, for the round after the last commit, re-enter
@@ -140,7 +141,9 @@ func (st *walRecovered) scanSegment(r int, b []byte) int {
 		case k == 0:
 			ok = typ == walRecMeta && bytes.Equal(p, st.metaP)
 		case k == 1:
-			ok = typ == walRecCommit && st.addCommit(r, p)
+			// A later segment continues its predecessor's sequence; a gap is
+			// an older segment that lost its tail, or the whole file.
+			ok = typ == walRecCommit && (len(st.commits) == 0 || seq == st.lastSeq+1) && st.addCommit(r, p)
 		default:
 			// A second meta record or an edge record inside a server log is
 			// not something this writer produces, and an unknown type comes
@@ -344,6 +347,7 @@ func serverFromWAL(w *wal, st *walRecovered) (*Server, error) {
 		}
 	}
 
+	w.uncommitted.Store(int64(len(s.pending))) // every replayed admission is in the log
 	w.warnf = s.warn
 	s.wal = w
 

@@ -756,11 +756,27 @@ func TestCloseWarnsAboutAbandonedUpdates(t *testing.T) {
 			if len(warns) != 1 || !strings.Contains(warns[0], "1 buffered update(s)") || !strings.Contains(warns[0], "all logged") {
 				t.Fatalf("warnings = %q, want one mentioning the count and full WAL coverage", warns)
 			}
+			// A recovered server counts the replayed update as logged: /stats
+			// reads it, and its own Close warns the same way.
+			rec, err := recoverT(t, dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warns = nil
+			rec.warnf = func(f string, a ...any) { warns = append(warns, fmt.Sprintf(f, a...)) }
+			if got := rec.Stats().WAL.PendingAdmits; got != 1 {
+				t.Fatalf("recovered server reports %d pending admits, want the 1 it replayed", got)
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(warns) != 1 || !strings.Contains(warns[0], "1 buffered update(s)") || !strings.Contains(warns[0], "all logged") {
+				t.Fatalf("recovered server's close warnings = %q, want one mentioning full WAL coverage", warns)
+			}
 			// The promise in the warning: recovery replays the abandoned
 			// update, so two more pushes complete the buffer (or quorum) of
 			// three.
-			rec, err := recoverT(t, dir, 0)
-			if err != nil {
+			if rec, err = recoverT(t, dir, 0); err != nil {
 				t.Fatal(err)
 			}
 			defer rec.Close()

@@ -8,8 +8,9 @@ package fldist
 // The chain is its own subsystem beside the dense served cache: a
 // deltaChain per variant, advanced lazily at pull time from the immutable
 // model snapshot. Each advance quantizes (model − chainBase + err) — top-k
-// sparse when the variant negotiated topk, dense otherwise — appends the
-// frames as a deltaEntry, and folds the reconstruction error into err, the
+// sparse when the variant negotiated topk, dense otherwise — through
+// sendErrorFed, the sender of the client uplink too, appends the frames as a
+// deltaEntry, and folds the reconstruction error into err, the
 // downlink error-feedback residual that keeps the chain base tracking the
 // true model over rounds instead of drifting on the quantization grid. The
 // entry also records the post-delta chain base vectors: the per-round base
@@ -32,8 +33,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"fedprophet/internal/quant"
 )
 
 // bnDeltaBits is the fixed dense quantization width of the BatchNorm frames
@@ -172,55 +171,13 @@ func (s *Server) advanceDeltaChainLocked(ch *deltaChain, c Compression, snap *sn
 	if snap.round <= ch.round {
 		return
 	}
-	lastP := ch.entries[len(ch.entries)-1].baseP
-	lastBN := ch.entries[len(ch.entries)-1].baseBN
-
-	// Params: quantize (model − chainBase + err), fold the reconstruction
-	// error back into err. Top-k keeps only the largest-magnitude
-	// coordinates; everything sparsification drops lands in err and is
-	// retried next advance — error feedback absorbs sparsification exactly
-	// as it absorbs quantization.
-	n := len(snap.params)
-	d := make([]float64, n)
-	for i := range d {
-		d[i] = snap.params[i] - lastP[i] + ch.errP[i]
-	}
-	newP := append([]float64(nil), lastP...)
-	var pFrame []byte
-	if c.TopK > 0 {
-		idx := quant.TopKIndices(d, c.TopK)
-		deq := make([]float64, len(idx))
-		e := quant.NewSparseEncoder(c.Bits, c.Chunk, n, idx, s.segments())
-		pFrame = make([]byte, e.Size())
-		encodeFrame(e, pFrame, d, deq, nil, nil)
-		for j, ix := range idx {
-			newP[ix] += deq[j]
-			d[ix] -= deq[j]
-		}
-	} else {
-		deq := make([]float64, n)
-		e := quant.NewEncoder(c.Bits, c.Chunk, n, s.segments())
-		pFrame = make([]byte, e.Size())
-		encodeFrame(e, pFrame, d, deq, nil, nil)
-		for i := range newP {
-			newP[i] += deq[i]
-			d[i] -= deq[i]
-		}
-	}
-	ch.errP = d
-
-	db := make([]float64, len(snap.bn))
-	for i := range db {
-		db[i] = snap.bn[i] - lastBN[i] + ch.errBN[i]
-	}
-	deqb := make([]float64, len(db))
-	bnFrame := quant.NewEncoder(bnDeltaBits, c.Chunk, len(db), 1).EncodeAll(db, deqb)
-	newBN := append([]float64(nil), lastBN...)
-	for i := range newBN {
-		newBN[i] += deqb[i]
-		db[i] -= deqb[i]
-	}
-	ch.errBN = db
+	last := ch.entries[len(ch.entries)-1]
+	ch.errP = formDelta(snap.params, last.baseP, ch.errP)
+	newP := append([]float64(nil), last.baseP...)
+	pFrame := sendErrorFed(ch.errP, c, s.segments(), newP)
+	ch.errBN = formDelta(snap.bn, last.baseBN, ch.errBN)
+	newBN := append([]float64(nil), last.baseBN...)
+	bnFrame := sendErrorFed(ch.errBN, Compression{Bits: bnDeltaBits, Chunk: c.Chunk}, 1, newBN)
 
 	ch.entries = append(ch.entries, deltaEntry{
 		round:     snap.round,

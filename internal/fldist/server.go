@@ -660,7 +660,7 @@ func (s *Server) foldRanges() int {
 }
 
 // encodeFrame encodes v into frame (e.Size() bytes), one goroutine per
-// segment of e — the one fan-out of the served build and the delta chain.
+// segment of e — the one fan-out of the served build and sendErrorFed.
 // pre and post, when non-nil, run on each segment's value range [lo, hi) on
 // its goroutine, before and after its encode.
 func encodeFrame(e *quant.Encoder, frame []byte, v, deq []float64, pre, post func(lo, hi int)) {
@@ -674,6 +674,39 @@ func encodeFrame(e *quant.Encoder, frame []byte, v, deq []float64, pre, post fun
 			post(b[k], b[k+1])
 		}
 	})
+}
+
+// sendErrorFed is the one error-fed sender of the client uplink and the
+// delta chain. owed is the new movement plus the carried residual; it is
+// encoded over segs segments — top-k sparse when c.TopK > 0, dense otherwise
+// — and left holding the next residual, owed minus what the frame carries.
+// When base is non-nil, what the frame carries is added to it: the chain
+// base a decoder of the frame reconstructs. Every coordinate top-k drops
+// stays whole in owed, so sparsifying delays a movement instead of losing it.
+func sendErrorFed(owed []float64, c Compression, segs int, base []float64) []byte {
+	var e *quant.Encoder
+	var idx []int
+	carried := len(owed)
+	if c.TopK > 0 {
+		idx = quant.TopKIndices(owed, c.TopK)
+		e, carried = quant.NewSparseEncoder(c.Bits, c.Chunk, len(owed), idx, segs), len(idx)
+	} else {
+		e = quant.NewEncoder(c.Bits, c.Chunk, len(owed), segs)
+	}
+	deq := make([]float64, carried)
+	frame := make([]byte, e.Size())
+	encodeFrame(e, frame, owed, deq, nil, nil)
+	for j, d := range deq {
+		i := j
+		if idx != nil {
+			i = idx[j]
+		}
+		owed[i] -= d
+		if base != nil {
+			base[i] += d
+		}
+	}
+	return frame
 }
 
 // Admission bounds. Finite values alone do not keep a commit finite: the

@@ -92,11 +92,12 @@ func sparseDelta(trained, base, residual []float64, comp Compression) (frame []b
 	return frame, rec, d
 }
 
-// denseDelta is sparseDelta's dense counterpart: the client's deltaQuantize
-// frame, what the server reconstructs from it (base + the decoded delta) and
-// the next residual.
+// denseDelta is sparseDelta's dense counterpart: the client's dense
+// sendErrorFed frame, what the server reconstructs from it (base + the
+// decoded delta) and the next residual.
 func denseDelta(trained, base, residual []float64, comp Compression) (frame []byte, rec, next []float64) {
-	frame, next = deltaQuantize(trained, base, residual, comp.Bits, comp.Chunk)
+	next = formDelta(trained, base, residual)
+	frame = sendErrorFed(next, Compression{Bits: comp.Bits, Chunk: comp.Chunk}, 1, nil)
 	f, err := quant.Decode(frame)
 	if err != nil {
 		panic(err) // a frame the encoder just wrote; unreachable

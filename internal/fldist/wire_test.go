@@ -171,7 +171,8 @@ func TestErrorFeedbackCarriesResidual(t *testing.T) {
 	}
 	c.TrainLocal(0.05)
 	trained := nn.ExportParams(c.Model)
-	_, wantResidual := deltaQuantize(trained, c.baseParams, nil, comp.Bits, comp.Chunk)
+	wantResidual := formDelta(trained, c.baseParams, nil)
+	sendErrorFed(wantResidual, comp, 1, nil)
 	if _, err := c.Push(ctx, round); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestCorruptDeltaRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.TrainLocal(0.05)
-	pFrame, _ := deltaQuantize(nn.ExportParams(c.Model), c.baseParams, nil, comp.Bits, comp.Chunk)
+	pFrame := sendErrorFed(formDelta(nn.ExportParams(c.Model), c.baseParams, nil), comp, 1, nil)
 	env, err := encodeUpdateEnvelope(0, 0, 1, pFrame,
 		quant.EncodeRaw(make([]float64, len(c.baseBN))))
 	if err != nil {

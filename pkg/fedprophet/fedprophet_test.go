@@ -371,3 +371,56 @@ func TestParamServerBufferedAggregation(t *testing.T) {
 		t.Fatalf("synchronous server leaked the buffered stats section: %+v", syncStats)
 	}
 }
+
+// The public durability surface: a buffered server built WithServerWAL logs
+// its partial buffer, ParamServerWALExists sees the log, RecoverParamServer
+// resumes at the same round with the pending update, and HandoffParamServer
+// returns its ctx's error while the recovered server holds the log.
+func TestParamServerWALSurface(t *testing.T) {
+	dir := t.TempDir()
+	params := []float64{0.5, -1.25, 2.0, 0.0, 3.5}
+	push := func(srv *fedprophet.ParamServer, id int) {
+		t.Helper()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		body := fedprophet.RawUpdateBody(id, srv.Round(), 1, []float64{0.1, 0.1, 0.1, 0.1, 0.1}, nil)
+		resp, err := ts.Client().Post(ts.URL+"/update", "application/x-fldist-delta", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("push %d: status %d", id, resp.StatusCode)
+		}
+	}
+	srv := fedprophet.NewParamServer(params, nil, 1,
+		fedprophet.WithBufferedAggregation(2, 1), fedprophet.WithServerWAL(dir))
+	for id := range 3 { // a full buffer commits round 1; the third update stays pending
+		push(srv, id)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !fedprophet.ParamServerWALExists(dir) {
+		t.Fatal("ParamServerWALExists is false after a WAL-backed server ran")
+	}
+
+	rec, err := fedprophet.RecoverParamServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if st := rec.Stats(); rec.Round() != 1 || st.WAL == nil || st.WAL.PendingAdmits != 1 {
+		t.Fatalf("recovered at round %d with WAL stats %+v, want round 1 with 1 pending update", rec.Round(), st.WAL)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if s, err := fedprophet.HandoffParamServer(ctx, dir); !errors.Is(err, context.Canceled) {
+		t.Fatalf("handoff under a canceled ctx while the log is held: %v, %v; want context.Canceled", s, err)
+	}
+	// The replayed update is in the buffer: one more push fills it.
+	push(rec, 3)
+	if rec.Round() != 2 {
+		t.Fatalf("round %d after filling the recovered buffer, want 2", rec.Round())
+	}
+}
