@@ -47,8 +47,7 @@ cross:
 # caller. Run from bench/, the pattern fedprophet/... loads the root module
 # and the nested bench module as one program, so the benchmark's uses count.
 # Built from this module with the standard library only — pinned, offline, no
-# tool downloads. Also runnable (without the whole-program unusedexport pass)
-# as `go vet -vettool=$(CURDIR)/bin/fplint ./...`.
+# tool downloads.
 lint:
 	$(GO) build -o bin/fplint ./cmd/fplint
 	cd bench && ../bin/fplint fedprophet/...

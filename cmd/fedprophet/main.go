@@ -33,7 +33,7 @@ func main() {
 		hetero   = flag.String("hetero", "balanced", "balanced or unbalanced")
 		scale    = flag.String("scale", "quick", "quick, trimmed or full")
 		seed     = flag.Int64("seed", 1, "random seed")
-		parallel = flag.Int("parallel", 1, "concurrent client trainers per round")
+		parallel = flag.Int("parallel", 0, "concurrent client trainers per round (0 = one per core)")
 		rounds   = flag.Int("rounds", 0, "override baseline communication rounds (0 = scale default; FedProphet uses -rounds-per-module)")
 		rpm      = flag.Int("rounds-per-module", 0, "override FedProphet rounds per module stage (0 = scale default)")
 		verbose  = flag.Bool("v", false, "stream per-round telemetry")

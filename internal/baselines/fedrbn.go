@@ -19,10 +19,6 @@ import (
 // clients cannot afford AT — the behaviour Table 2 reports.
 type FedRBN struct {
 	Build func(rng *rand.Rand) *nn.Model
-	// ATCostFactor scales the memory a client needs before it is allowed to
-	// adversarially train: AT needs the full training state plus the
-	// perturbed-batch workspace.
-	ATCostFactor float64
 }
 
 // Name identifies the method.
@@ -42,17 +38,15 @@ func (f *FedRBN) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 	cost := memmodel.MemReqModel(model, env.Cfg.Batch)
 	run := env.Start(f.Name(), cost.TotalBytes)
 	atk := env.TrainAttackConfig()
-	atFactor := f.ATCostFactor
-	if atFactor <= 0 {
-		atFactor = 1.0
-	}
 
 	global, globalBN := nn.ExportParams(model), nn.ExportBNStats(model)
 	atClients, totalClients := 0, 0
 	var err error
 	for round := 0; round < env.Cfg.Rounds && err == nil; round++ {
 		err = fl.TrainRound(ctx, run, round, fl.RoundMetrics{}, func(s fl.Seat) (rbnUpdate, fl.Client) {
-			doAT := float64(s.Budget) >= atFactor*float64(cost.TotalBytes)
+			// A client trains adversarially only if its budget holds the
+			// full model's training memory.
+			doAT := s.Budget >= cost.TotalBytes
 			catk := atk
 			if !doAT {
 				catk = attack.Config{}

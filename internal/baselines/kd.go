@@ -37,9 +37,6 @@ type KDTraining struct {
 	// CIFAR-10, {CNN4, ResNet10, ResNet18, ResNet34} on Caltech-256).
 	Group   []func(rng *rand.Rand) *nn.Model
 	Variant KDVariant
-	// DistillIters is the number of server-side distillation steps per
-	// round (128 in the paper; scaled down with everything else here).
-	DistillIters int
 }
 
 // Name identifies the method.
@@ -86,10 +83,6 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 		globals[i] = nn.ExportParams(m)
 		globalsBN[i] = nn.ExportBNStats(m)
 	}
-	distillIters := k.DistillIters
-	if distillIters <= 0 {
-		distillIters = 16
-	}
 
 	var err error
 	for round := 0; round < env.Cfg.Rounds && err == nil; round++ {
@@ -117,7 +110,7 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 				nn.ImportBNStats(m, globalsBN[i])
 			}
 			// Server-side ensemble distillation into the big model.
-			k.distill(models, big, env, distillIters, r.LR, rng)
+			k.distill(models, big, env, r.LR, rng)
 			globals[last], globalsBN[last] = nn.ExportParams(big), nn.ExportBNStats(big)
 		})
 	}
@@ -127,8 +120,9 @@ func (k *KDTraining) Run(ctx context.Context, env *fl.Env) (*fl.Result, error) {
 }
 
 // distill runs server-side knowledge distillation of the family ensemble
-// into the big model on the public dataset.
-func (k *KDTraining) distill(models []*nn.Model, big *nn.Model, env *fl.Env, iters int, lr float64, rng *rand.Rand) {
+// into the big model on the public dataset, for 2·LocalIters steps (128 in
+// the paper; scaled down with the local budget here).
+func (k *KDTraining) distill(models []*nn.Model, big *nn.Model, env *fl.Env, lr float64, rng *rand.Rand) {
 	if env.Public == nil || env.Public.Len() < 2 {
 		return
 	}
@@ -138,7 +132,7 @@ func (k *KDTraining) distill(models []*nn.Model, big *nn.Model, env *fl.Env, ite
 	for i := range idx {
 		idx[i] = i
 	}
-	fl.CycleBatches(idx, env.Cfg.Batch, iters, rng, func(it int, b []int) float64 {
+	fl.CycleBatches(idx, env.Cfg.Batch, 2*env.Cfg.LocalIters, rng, func(it int, b []int) float64 {
 		x, y := data.Batch(env.Public, b)
 		// FedET transfers robustness by distilling on perturbed public data
 		// as well.

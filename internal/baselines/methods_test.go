@@ -139,7 +139,7 @@ func TestKDTrainingRuns(t *testing.T) {
 	group := []func(*rand.Rand) *nn.Model{microBuildTiny, microBuild}
 	for _, v := range []KDVariant{FedDF, FedET} {
 		env := microEnv(t, 17+int64(v))
-		res := mustRun(t, &KDTraining{Group: group, Variant: v, DistillIters: 4}, env)
+		res := mustRun(t, &KDTraining{Group: group, Variant: v}, env)
 		checkResult(t, res, env.Cfg.Rounds)
 	}
 }
@@ -156,7 +156,7 @@ func TestFedRBNRuns(t *testing.T) {
 		t.Skip("integration test")
 	}
 	env := microEnv(t, 19)
-	res := mustRun(t, &FedRBN{Build: microBuild, ATCostFactor: 1}, env)
+	res := mustRun(t, &FedRBN{Build: microBuild}, env)
 	checkResult(t, res, env.Cfg.Rounds)
 	frac, ok := res.Extra["at_client_frac"]
 	if !ok || frac < 0 || frac > 1 {
@@ -165,7 +165,7 @@ func TestFedRBNRuns(t *testing.T) {
 	// No round, no client: the fraction is 0, not 0/0.
 	env = microEnv(t, 19)
 	env.Cfg.Rounds = 0
-	res = mustRun(t, &FedRBN{Build: microBuild, ATCostFactor: 1}, env)
+	res = mustRun(t, &FedRBN{Build: microBuild}, env)
 	if frac := res.Extra["at_client_frac"]; frac != 0 {
 		t.Fatalf("at_client_frac with 0 rounds = %v, want 0", frac)
 	}

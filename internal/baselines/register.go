@@ -11,10 +11,10 @@ func init() {
 		return &JFAT{Build: p.BuildLarge}
 	})
 	fl.RegisterMethod("FedDF-AT", func(p fl.MethodParams) fl.Method {
-		return &KDTraining{Group: p.KDGroup, Variant: FedDF, DistillIters: p.DistillIters}
+		return &KDTraining{Group: p.KDGroup, Variant: FedDF}
 	})
 	fl.RegisterMethod("FedET-AT", func(p fl.MethodParams) fl.Method {
-		return &KDTraining{Group: p.KDGroup, Variant: FedET, DistillIters: p.DistillIters}
+		return &KDTraining{Group: p.KDGroup, Variant: FedET}
 	})
 	fl.RegisterMethod("HeteroFL-AT", func(p fl.MethodParams) fl.Method {
 		return &PartialTraining{Build: p.BuildLarge, Variant: HeteroFL}
@@ -26,6 +26,6 @@ func init() {
 		return &PartialTraining{Build: p.BuildLarge, Variant: FedRolex}
 	})
 	fl.RegisterMethod("FedRBN", func(p fl.MethodParams) fl.Method {
-		return &FedRBN{Build: p.BuildLarge, ATCostFactor: 1}
+		return &FedRBN{Build: p.BuildLarge}
 	})
 }

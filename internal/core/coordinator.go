@@ -11,6 +11,14 @@ import (
 	"fedprophet/internal/cascade"
 )
 
+// APA's step Δα and dead-zone half-width γ (§6.2), and the PGD steps of
+// the per-round validation it reads.
+const (
+	deltaAlpha = 0.1
+	gamma      = 0.05
+	valPGD     = 3
+)
+
 // APAState tracks Adaptive Perturbation Adjustment for the module currently
 // in training. The perturbation constraint is
 //
@@ -20,10 +28,8 @@ import (
 // and α(t) moves by ±Δα when the clean/adversarial validation accuracy ratio
 // drifts more than γ away from the previous module's final ratio (Eq. 12).
 type APAState struct {
-	Alpha      float64 // α(t)
-	BasePert   float64 // E[max‖Δz_{m-1}‖] collected from clients
-	DeltaAlpha float64 // Δα
-	Gamma      float64 // γ
+	Alpha    float64 // α(t)
+	BasePert float64 // E[max‖Δz_{m-1}‖] collected from clients
 	// PrevRatio is C*_{m-1}/A*_{m-1}, the utility/robustness balance of the
 	// previously fixed cascade.
 	PrevRatio float64
@@ -31,12 +37,8 @@ type APAState struct {
 }
 
 // NewAPAState initializes APA for one module stage.
-func NewAPAState(alphaInit, deltaAlpha, gamma, basePert, prevRatio float64, enabled bool) *APAState {
-	return &APAState{
-		Alpha: alphaInit, BasePert: basePert,
-		DeltaAlpha: deltaAlpha, Gamma: gamma,
-		PrevRatio: prevRatio, Enabled: enabled,
-	}
+func NewAPAState(alphaInit, basePert, prevRatio float64, enabled bool) *APAState {
+	return &APAState{Alpha: alphaInit, BasePert: basePert, PrevRatio: prevRatio, Enabled: enabled}
 }
 
 // Eps returns the current perturbation constraint ε(t) = α(t)·basePert.
@@ -51,15 +53,15 @@ func (s *APAState) Update(cleanAcc, advAcc float64) {
 	}
 	if advAcc <= 0 {
 		// Robustness collapsed: the ratio is effectively infinite, raise ε.
-		s.Alpha += s.DeltaAlpha
+		s.Alpha += deltaAlpha
 		return
 	}
 	ratio := cleanAcc / advAcc
 	switch {
-	case ratio > (1+s.Gamma)*s.PrevRatio:
-		s.Alpha += s.DeltaAlpha
-	case ratio < (1-s.Gamma)*s.PrevRatio:
-		s.Alpha -= s.DeltaAlpha
+	case ratio > (1+gamma)*s.PrevRatio:
+		s.Alpha += deltaAlpha
+	case ratio < (1-gamma)*s.PrevRatio:
+		s.Alpha -= deltaAlpha
 	}
 	if s.Alpha < 0 {
 		s.Alpha = 0

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fedprophet/internal/cascade"
@@ -14,7 +15,7 @@ import (
 )
 
 func TestAPAEpsIsAlphaTimesBase(t *testing.T) {
-	s := NewAPAState(0.3, 0.1, 0.05, 2.0, 1.5, true)
+	s := NewAPAState(0.3, 2.0, 1.5, true)
 	if s.Eps() != 0.6 {
 		t.Fatalf("Eps = %v, want 0.6", s.Eps())
 	}
@@ -22,7 +23,7 @@ func TestAPAEpsIsAlphaTimesBase(t *testing.T) {
 
 func TestAPAUpdateRaisesAlphaWhenRatioTooHigh(t *testing.T) {
 	// PrevRatio 1.5; clean/adv = 0.9/0.4 = 2.25 > 1.05·1.5 → α += Δα.
-	s := NewAPAState(0.3, 0.1, 0.05, 1, 1.5, true)
+	s := NewAPAState(0.3, 1, 1.5, true)
 	s.Update(0.9, 0.4)
 	if s.Alpha != 0.4 {
 		t.Fatalf("Alpha = %v, want 0.4", s.Alpha)
@@ -31,7 +32,7 @@ func TestAPAUpdateRaisesAlphaWhenRatioTooHigh(t *testing.T) {
 
 func TestAPAUpdateLowersAlphaWhenRatioTooLow(t *testing.T) {
 	// clean/adv = 0.5/0.48 ≈ 1.04 < 0.95·1.5 → α −= Δα.
-	s := NewAPAState(0.3, 0.1, 0.05, 1, 1.5, true)
+	s := NewAPAState(0.3, 1, 1.5, true)
 	s.Update(0.5, 0.48)
 	if s.Alpha >= 0.3 {
 		t.Fatalf("Alpha = %v, want < 0.3", s.Alpha)
@@ -40,7 +41,7 @@ func TestAPAUpdateLowersAlphaWhenRatioTooLow(t *testing.T) {
 
 func TestAPAUpdateDeadZone(t *testing.T) {
 	// ratio within ±γ of PrevRatio keeps α.
-	s := NewAPAState(0.3, 0.1, 0.05, 1, 1.5, true)
+	s := NewAPAState(0.3, 1, 1.5, true)
 	s.Update(0.6, 0.4) // ratio 1.5 exactly
 	if s.Alpha != 0.3 {
 		t.Fatalf("Alpha = %v, want unchanged 0.3", s.Alpha)
@@ -48,7 +49,7 @@ func TestAPAUpdateDeadZone(t *testing.T) {
 }
 
 func TestAPADisabledNeverMoves(t *testing.T) {
-	s := NewAPAState(0.3, 0.1, 0.05, 1, 1.5, false)
+	s := NewAPAState(0.3, 1, 1.5, false)
 	s.Update(1.0, 0.01)
 	if s.Alpha != 0.3 {
 		t.Fatal("disabled APA must not adjust alpha")
@@ -56,7 +57,7 @@ func TestAPADisabledNeverMoves(t *testing.T) {
 }
 
 func TestAPAZeroAdvAccRaises(t *testing.T) {
-	s := NewAPAState(0.3, 0.1, 0.05, 1, 1.5, true)
+	s := NewAPAState(0.3, 1, 1.5, true)
 	s.Update(0.8, 0)
 	if s.Alpha != 0.4 {
 		t.Fatalf("Alpha = %v, want 0.4 on robustness collapse", s.Alpha)
@@ -64,7 +65,7 @@ func TestAPAZeroAdvAccRaises(t *testing.T) {
 }
 
 func TestAPAAlphaNeverNegative(t *testing.T) {
-	s := NewAPAState(0.05, 0.1, 0.05, 1, 1.5, true)
+	s := NewAPAState(0.05, 1, 1.5, true)
 	s.Update(0.5, 0.49) // force decrease
 	if s.Alpha < 0 {
 		t.Fatalf("Alpha went negative: %v", s.Alpha)
@@ -143,40 +144,6 @@ func TestAssignModulesNeverBelowCurrent(t *testing.T) {
 	}
 }
 
-func TestPartialAverageBasic(t *testing.T) {
-	prev := map[int][]float64{
-		0: {0, 0},
-		1: {7, 7},
-	}
-	ups := map[int][]moduleUpdate{
-		0: {
-			{vec: []float64{1, 2}, weight: 1},
-			{vec: []float64{3, 4}, weight: 1},
-		},
-	}
-	out := partialAverage(ups, prev, fl.WeightedAverage)
-	if out[0][0] != 2 || out[0][1] != 3 {
-		t.Fatalf("module 0 average wrong: %v", out[0])
-	}
-	if out[1][0] != 7 || out[1][1] != 7 {
-		t.Fatalf("untouched module must keep previous value: %v", out[1])
-	}
-}
-
-func TestPartialAverageWeighted(t *testing.T) {
-	prev := map[int][]float64{0: {0}}
-	ups := map[int][]moduleUpdate{
-		0: {
-			{vec: []float64{0}, weight: 3},
-			{vec: []float64{4}, weight: 1},
-		},
-	}
-	out := partialAverage(ups, prev, fl.WeightedAverage)
-	if out[0][0] != 1 {
-		t.Fatalf("weighted average wrong: %v", out[0])
-	}
-}
-
 func TestExportImportRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := nn.NewLinear(4, 3, rng)
@@ -226,9 +193,9 @@ func microBuild(rng *rand.Rand) *nn.Model {
 }
 
 // microParams is FedProphet on microBuild with the paper's coordinator
-// values (Rmin 20 %, µ 1e-5, α₀ 0.3, Δα 0.1, γ 0.05, APA and DMA on) and
-// the given per-stage round budget, patience and validation sizes.
-func microParams(rpm, patience, featSteps, valSize, valPGD int) fl.MethodParams {
+// values (Rmin 20 %, µ 1e-5, α₀ 0.3, APA and DMA on) and the given
+// per-stage round budget, patience and validation sample size.
+func microParams(rpm, patience, valSize int) fl.MethodParams {
 	return fl.MethodParams{
 		BuildLarge:      microBuild,
 		RminFrac:        0.2,
@@ -236,13 +203,9 @@ func microParams(rpm, patience, featSteps, valSize, valPGD int) fl.MethodParams 
 		Patience:        patience,
 		Mu:              1e-5,
 		AlphaInit:       0.3,
-		DeltaAlpha:      0.1,
-		GammaThresh:     0.05,
 		UseAPA:          true,
 		UseDMA:          true,
-		FeaturePGDSteps: featSteps,
 		ValSize:         valSize,
-		ValPGD:          valPGD,
 	}
 }
 
@@ -251,7 +214,7 @@ func TestFedProphetEndToEnd(t *testing.T) {
 		t.Skip("integration test")
 	}
 	env := microEnv(t, 5)
-	res := mustRun(t, New(microParams(4, 4, 3, 24, 3)), env)
+	res := mustRun(t, New(microParams(4, 4, 24)), env)
 	if res.CleanAcc <= 1.0/4+0.1 {
 		t.Fatalf("FedProphet failed to learn: clean acc %v", res.CleanAcc)
 	}
@@ -283,7 +246,7 @@ func TestFedProphetDeterministicSameSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	p := microParams(2, 2, 2, 16, 2)
+	p := microParams(2, 2, 16)
 	r1 := mustRun(t, New(p), microEnv(t, 9))
 	r2 := mustRun(t, New(p), microEnv(t, 9))
 	if r1.CleanAcc != r2.CleanAcc || r1.PGDAcc != r2.PGDAcc {
@@ -296,11 +259,105 @@ func TestCommBytesGrowWithRounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	mk := func(rpm int) fl.MethodParams { return microParams(rpm, rpm, 2, 8, 1) }
+	mk := func(rpm int) fl.MethodParams { return microParams(rpm, rpm, 8) }
 	short := mustRun(t, New(mk(1)), microEnv(t, 33))
 	long := mustRun(t, New(mk(3)), microEnv(t, 33))
 	if long.Extra["comm_up_bytes"] <= short.Extra["comm_up_bytes"] {
 		t.Fatalf("more rounds must upload more: %v vs %v",
 			short.Extra["comm_up_bytes"], long.Extra["comm_up_bytes"])
+	}
+}
+
+// constState is a module state shaped like st with every value v.
+func constState(st moduleState, v float64) moduleState {
+	fill := func(src []float64) []float64 {
+		out := make([]float64, len(src))
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	return moduleState{backbone: fill(st.backbone), bn: fill(st.bn), aux: fill(st.aux)}
+}
+
+func allEqual(vec []float64, v float64) bool {
+	for _, x := range vec {
+		if x != v {
+			return false
+		}
+	}
+	return true
+}
+
+// newMicroRun opens stage 0 of a FedProphet run on the micro environment,
+// with at least three modules so module 1 still has an aux head.
+func newMicroRun(t *testing.T, dma bool) (*cascadeRun, *fl.Env) {
+	t.Helper()
+	p := microParams(1, 1, 8)
+	p.UseDMA = dma
+	env := microEnv(t, 3)
+	r := newCascadeRun("FedProphet", p, env)
+	if len(r.global) < 3 {
+		t.Fatalf("micro partition has %d modules, want ≥ 3", len(r.global))
+	}
+	r.begin(0)
+	return r, env
+}
+
+// TestFoldPartialAverage drives the round fold Run uses: module n averages
+// the uploads with m ≤ n ≤ to (Eq. 16), its aux head only those with
+// to == n (Eq. 17), and a module no client trained keeps its value.
+func TestFoldPartialAverage(t *testing.T) {
+	r, _ := newMicroRun(t, true)
+	g := r.global
+	untouched := moduleState{slices.Clone(g[2].backbone), slices.Clone(g[2].bn), slices.Clone(g[2].aux)}
+	ups := []moduleUpload{
+		{weight: 3, to: 0, modules: []moduleState{constState(g[0], 0)}},
+		// B's module 0 carries an aux head the fold must ignore.
+		{weight: 1, to: 1, modules: []moduleState{constState(g[0], 4), constState(g[1], 4)}},
+	}
+	r.fold(fl.Round{}, ups)
+
+	g = r.global
+	if !allEqual(g[0].backbone, 1) || !allEqual(g[0].bn, 1) {
+		t.Fatal("module 0 must be the 3:1 weighted average of both uploads")
+	}
+	if !allEqual(g[0].aux, 0) {
+		t.Fatal("module 0's aux head must come only from the upload that stopped at 0")
+	}
+	if !allEqual(g[1].backbone, 4) || !allEqual(g[1].bn, 4) || !allEqual(g[1].aux, 4) {
+		t.Fatal("module 1 must be the one upload that trained it")
+	}
+	if !slices.Equal(g[2].backbone, untouched.backbone) || !slices.Equal(g[2].bn, untouched.bn) ||
+		!slices.Equal(g[2].aux, untouched.aux) {
+		t.Fatal("untrained module 2 must keep its value")
+	}
+}
+
+// TestClientStepDMA drives one client step through the code Run uses: with
+// DMA off the client trains exactly the stage's module; with it on, a client
+// whose budget and speed admit modules 0..1 trains both.
+func TestClientStepDMA(t *testing.T) {
+	for _, dma := range []bool{false, true} {
+		r, env := newMicroRun(t, dma)
+		round := env.DrawRound(0)
+		dev := round.Devices[0]
+		dev.AvailPerf = 1e9 // Eq. 15 does not bind
+		c := r.cascs[0]
+		up, cl := r.clientStep(fl.Seat{
+			Round: &round, Rng: rand.New(rand.NewSource(1)), Data: env.Subsets[0],
+			Device: dev, Budget: c.RangeMemReq(0, 1),
+		})
+		want := 0
+		if dma {
+			want = 1
+		}
+		if up.to != want || len(up.modules) != want+1 || cl.Iters == 0 {
+			t.Fatalf("DMA %v: trained 0..%d (%d uploads, %d iters), want 0..%d", dma, up.to, len(up.modules), cl.Iters, want)
+		}
+		moved := !slices.Equal(nn.ExportParamList(c.Modules[1].BackboneParams()), r.global[1].backbone)
+		if moved != dma {
+			t.Fatalf("DMA %v: module 1 moved = %v", dma, moved)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"fedprophet/internal/data"
 	"fedprophet/internal/device"
@@ -207,9 +208,8 @@ func Caltech256S(s Scale) Workload {
 // FedProphet reads them as given.
 func ParamsFor(w Workload, s Scale) fl.MethodParams {
 	return fl.MethodParams{
-		BuildLarge:   w.BuildLarge(s),
-		KDGroup:      w.KDGroup(s),
-		DistillIters: 2 * s.LocalIters,
+		BuildLarge: w.BuildLarge(s),
+		KDGroup:    w.KDGroup(s),
 
 		RminFrac:        0.2,
 		RoundsPerModule: s.RoundsPerModule,
@@ -218,19 +218,16 @@ func ParamsFor(w Workload, s Scale) fl.MethodParams {
 		// The paper initializes α at 0.3 and lets APA raise it over hundreds
 		// of rounds per module; at this reproduction's much shorter horizons
 		// a mid-range start of 0.5 reaches the same operating point.
-		AlphaInit:       0.5,
-		DeltaAlpha:      0.1,
-		GammaThresh:     0.05,
-		UseAPA:          true,
-		UseDMA:          true,
-		FeaturePGDSteps: s.TrainPGD,
-		ValSize:         s.ValSize,
-		ValPGD:          3,
+		AlphaInit: 0.5,
+		UseAPA:    true,
+		UseDMA:    true,
+		ValSize:   s.ValSize,
 	}
 }
 
 // NewEnv assembles the federated environment for a workload under the given
-// systematic heterogeneity and seed.
+// systematic heterogeneity and seed. It trains a round's clients on one
+// worker per core: a seeded run is bit-identical at any parallelism.
 func NewEnv(w Workload, s Scale, h device.Heterogeneity, seed int64) *fl.Env {
 	cfg := fl.DefaultConfig()
 	cfg.NumClients = s.NumClients
@@ -252,6 +249,6 @@ func NewEnv(w Workload, s Scale, h device.Heterogeneity, seed int64) *fl.Env {
 	fleet := device.NewFleet(w.Pool, cfg.NumClients, h, rng)
 	return &fl.Env{
 		Train: train, Subsets: subs, Val: val, Test: test, Public: public,
-		Fleet: fleet, Cfg: cfg, Rng: rng,
+		Fleet: fleet, Cfg: cfg, Rng: rng, Parallelism: runtime.GOMAXPROCS(0),
 	}
 }

@@ -21,8 +21,6 @@ type MethodParams struct {
 	// KDGroup is the architecture family of the knowledge-distillation
 	// baselines, ordered small → large.
 	KDGroup []func(*rand.Rand) *nn.Model
-	// DistillIters is the KD baselines' server-side distillation budget.
-	DistillIters int
 
 	// FedProphet coordinator knobs (§6, Table 3), read as given; the
 	// defaults live in internal/exp.ParamsFor.
@@ -38,15 +36,12 @@ type MethodParams struct {
 	Patience int
 	// Mu is the strong-convexity regularization coefficient (Eq. 9).
 	Mu float64
-	// AlphaInit, DeltaAlpha, GammaThresh parameterize APA (§6.2).
-	AlphaInit, DeltaAlpha, GammaThresh float64
+	// AlphaInit is APA's initial scaling factor α (§6.2).
+	AlphaInit float64
 	// UseAPA / UseDMA toggle the coordinator components (Table 3 ablation).
 	UseAPA, UseDMA bool
-	// FeaturePGDSteps is the PGD iteration count for intermediate-feature
-	// attacks during cascade training.
-	FeaturePGDSteps int
-	// ValSize / ValPGD control the cheap per-round validation used by APA.
-	ValSize, ValPGD int
+	// ValSize is the sample size of the per-round validation APA reads.
+	ValSize int
 }
 
 // MethodFactory instantiates a Method for one workload's parameters.

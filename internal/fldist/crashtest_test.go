@@ -665,7 +665,12 @@ func TestWALCrashSIGKILL(t *testing.T) {
 		}
 		// Re-read the log: recovery appends a commit record when it folds a
 		// full recovered buffer, and bit-identity is checked against the
-		// record for whatever round the recovered server landed on.
+		// record for whatever round the recovered server landed on. Close
+		// first: the paced fsync prunes segments in the background, and a
+		// segment deleted between listing and reading would fail the read.
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
 		var wantC *walCommit
 		rest := truncateToIntact(readWALDir(t, dir))
 		for len(rest) > 0 {
@@ -697,9 +702,6 @@ func TestWALCrashSIGKILL(t *testing.T) {
 			if bn[i] != wantC.bn[i] {
 				t.Fatalf("incarnation %d: bn[%d] = %v, want logged %v", incarnation, i, bn[i], wantC.bn[i])
 			}
-		}
-		if err := rec.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -334,17 +334,16 @@ func serverFromWAL(w *wal, st *walRecovered) (*Server, error) {
 			return nil, fmt.Errorf("%w: admission weight %v", ErrWAL, a.effW)
 		}
 		buf := s.bufPool.Get().(*updateBuf)
-		base, err := s.replayAdmit(a, buf)
+		base, sparse, err := s.replayAdmit(a, buf)
 		if err != nil {
 			s.bufPool.Put(buf)
 			return nil, fmt.Errorf("%w: admission (client %d, base %d): %v", ErrWAL, a.clientID, a.baseRound, err)
 		}
 		s.parkLocked(a.clientID, a.baseRound, stale, a.effW, buf, base.p, base.bn)
-		if a.comp {
-			s.updatesComp.Add(1)
-		} else {
-			s.updatesRaw.Add(1)
-		}
+		// Charged as the live handler charged the push: its envelope header
+		// plus the logged wire frames.
+		s.countBytesIn(!a.comp, sparse, int64(updateHeaderLen+len(a.frames)))
+		s.countUpdate(!a.comp, sparse)
 	}
 
 	w.uncommitted.Store(int64(len(s.pending))) // every replayed admission is in the log
@@ -394,22 +393,25 @@ func snapshotFromCommit(c walCommit, m walMeta) (*snapshot, error) {
 // exactly the (vals, base) pair register saw before the crash. A logged
 // chain base stands in for the delta chain the log does not rebuild; it must
 // fit the model, and its finiteness verdict is recomputed from its values.
-func (s *Server) replayAdmit(a *walAdmit, buf *updateBuf) (updateBase, error) {
+// sparse reports whether the params frame is in the sparse top-k form.
+func (s *Server) replayAdmit(a *walAdmit, buf *updateBuf) (base updateBase, sparse bool, err error) {
 	chain := a.chain
 	if chain != nil {
 		if len(chain.p) != len(buf.params) || len(chain.bn) != len(buf.bn) {
-			return updateBase{}, errShapeMismatch
+			return updateBase{}, false, errShapeMismatch
 		}
 		// A chain base is a dequantised image of committed models, near
 		// the admission range; one far beyond it could drive the fold's
 		// x − base past the float range.
 		if !allWithin(chain.p, 2*maxValue) || !allWithin(chain.bn, 2*maxValue) {
-			return updateBase{}, errOutOfRange
+			return updateBase{}, false, errOutOfRange
 		}
 		chain.finite = allWithin(chain.p, maxValue)
 	}
 	var pd, bd quant.StreamDecoder
-	return decodeUpdate(bytes.NewReader(a.frames), &pd, &bd, buf, func(pd *quant.StreamDecoder) (updateBase, error) {
+	base, err = decodeUpdate(bytes.NewReader(a.frames), &pd, &bd, buf, func(pd *quant.StreamDecoder) (updateBase, error) {
+		sparse = pd.IsSparse()
 		return s.resolveBase(pd, a.baseRound, chain)
 	})
+	return base, sparse, err
 }

@@ -972,3 +972,50 @@ func TestRecoverRefusesMisshapenRetainedCommit(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoverCountsReplayedTraffic pins the traffic counters of a recovered
+// server: each admission it replays is charged what the live handler charged
+// its push — the whole body, to bytes_in_raw or bytes_in_compressed, and a
+// top-k push also to bytes_in_sparse and updates_sparse.
+func TestRecoverCountsReplayedTraffic(t *testing.T) {
+	dir := t.TempDir()
+	srv := NewServer(synthVec(257, 91), synthVec(5, 92), 3, WithWAL(dir), withWarnf(t.Logf))
+	var mu sync.Mutex
+	var sizes []int64 // the body size of each push, in push order
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/update" {
+			mu.Lock()
+			sizes = append(sizes, r.ContentLength)
+			mu.Unlock()
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	// Quorum 3: both admissions are still in flight when the server dies.
+	for _, c := range []*synthClient{{id: 0, weight: 2}, {id: 1, weight: 3, comp: &Compression{Bits: 4, Chunk: 64, TopK: 30}}} {
+		c.pull(t, ts)
+		if st, dup, _, _ := c.pushAny(t, ts, 0); st != http.StatusOK || dup {
+			t.Fatalf("client %d push: status %d dup %v", c.id, st, dup)
+		}
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := recoverT(t, dir, 0)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer rec.Close()
+	st := rec.Stats()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sizes) != 2 {
+		t.Fatalf("%d pushes, want 2", len(sizes))
+	}
+	type traffic struct{ InRaw, InComp, InSparse, UpdRaw, UpdComp, UpdSparse int64 }
+	got := traffic{st.BytesInRaw, st.BytesInCompressed, st.BytesInSparse, st.UpdatesRaw, st.UpdatesCompressed, st.UpdatesSparse}
+	if want := (traffic{sizes[0], sizes[1], sizes[1], 1, 1, 1}); got != want {
+		t.Fatalf("recovered counters %+v, want %+v", got, want)
+	}
+}

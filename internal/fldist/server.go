@@ -783,14 +783,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	sc.cr = countReader{r: r.Body}
 	raw, sparse := false, false // the params frame's form, once it is known
 	defer func() {
-		if raw {
-			s.bytesInRaw.Add(sc.cr.n)
-		} else {
-			s.bytesInComp.Add(sc.cr.n)
-		}
-		if sparse {
-			s.bytesInSparse.Add(sc.cr.n)
-		}
+		s.countBytesIn(raw, sparse, sc.cr.n)
 		sc.tee.b = nil
 		sc.br.Reset(nil) // drop the request body reference before pooling
 		pushScratchPool.Put(sc)
@@ -801,7 +794,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// into the admission capture, and the tee must see every byte the
 	// decoders consume — bufio read-ahead that started before the tee would
 	// smuggle frame bytes past it.
-	var hdr [21]byte
+	var hdr [updateHeaderLen]byte
 	if _, err := io.ReadFull(&sc.cr, hdr[:]); err != nil {
 		http.Error(w, fmt.Sprintf("fldist: update envelope header: %v", err), http.StatusBadRequest)
 		return
@@ -1156,6 +1149,31 @@ func (s *Server) parkLocked(clientID, baseRound, stale int, effW float64, buf *u
 	s.stalenessHist[stale].Add(1)
 }
 
+// countBytesIn charges n push-body bytes to the counters of the params
+// frame's form: raw or compressed, and sparse as a subset of compressed.
+func (s *Server) countBytesIn(raw, sparse bool, n int64) {
+	if raw {
+		s.bytesInRaw.Add(n)
+	} else {
+		s.bytesInComp.Add(n)
+	}
+	if sparse {
+		s.bytesInSparse.Add(n)
+	}
+}
+
+// countUpdate counts one admitted update by its params frame's form.
+func (s *Server) countUpdate(raw, sparse bool) {
+	if raw {
+		s.updatesRaw.Add(1)
+		return
+	}
+	s.updatesComp.Add(1)
+	if sparse {
+		s.updatesSparse.Add(1)
+	}
+}
+
 // finishUpdate is the transport-independent tail of every push: admission,
 // stats attribution, the commit barrier when the buffer fills, and the HTTP
 // verdict. buf goes back to bufPool on every outcome but admission (the
@@ -1205,15 +1223,7 @@ func (s *Server) finishUpdate(w http.ResponseWriter, clientID, baseRound int, we
 			w.WriteHeader(http.StatusOK)
 			return
 		}
-		switch {
-		case raw:
-			s.updatesRaw.Add(1)
-		case sparse:
-			s.updatesComp.Add(1)
-			s.updatesSparse.Add(1)
-		default:
-			s.updatesComp.Add(1)
-		}
+		s.countUpdate(raw, sparse)
 		//lint:ignore determinism latency histogram only; /stats is observability, not state
 		s.admitLat.record(time.Since(start))
 		if wrec != nil {

@@ -122,6 +122,10 @@ const (
 	updateMagic = "FPU1"
 	deltaMagic  = "FPD1"
 	envVersion  = 1
+
+	// updateHeaderLen is the FPU1 header: magic, version, u32 client id,
+	// u32 round, f64 weight.
+	updateHeaderLen = 21
 )
 
 // codecValue formats the negotiation header value. New parameters are only
@@ -223,7 +227,7 @@ func encodeUpdateEnvelope(clientID, round int, weight float64, params, bn []byte
 	if clientID < 0 || int64(clientID) > math.MaxUint32 {
 		return nil, fmt.Errorf("fldist: client id %d not representable on the wire", clientID)
 	}
-	buf := make([]byte, 0, 21+len(params)+len(bn))
+	buf := make([]byte, 0, updateHeaderLen+len(params)+len(bn))
 	buf = append(buf, updateMagic...)
 	buf = append(buf, envVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(clientID))
@@ -249,8 +253,10 @@ func rawUpdate(clientID, round int, weight float64, params, bn []float64) ([]byt
 // (receive → counted toward the round) over a sliding window of recent
 // admitted pushes — the same numbers the benchmark reports as
 // fldist.admit_p50_us / fldist.admit_p99_us, so operators and the benchmark
-// read one source. Every field is backed by an atomic or
-// the immutable model snapshot: polling /stats never blocks aggregation.
+// read one source. A server recovered from its WAL counts the admissions it
+// replays in the byte and update counters as the live handler counted them,
+// but they carry no admit-latency sample. Every field is backed by an atomic
+// or the immutable model snapshot: polling /stats never blocks aggregation.
 type Stats struct {
 	Round              int     `json:"round"`
 	RoundsCompleted    int     `json:"rounds_completed"`

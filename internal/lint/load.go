@@ -43,22 +43,12 @@ type Package struct {
 
 	// testFiles marks which of Files are _test.go sources.
 	testFiles map[*ast.File]bool
-	// program is every package type-checked by the same Load; nil for a
-	// package built by hand (unusedexport then has nothing to resolve in).
+	// program is every package type-checked by the same Load.
 	program *program
 }
 
 // IsTestFile reports whether f is one of the package's _test.go sources.
 func (p *Package) IsTestFile(f *ast.File) bool { return p.testFiles[f] }
-
-// MarkTestFile records f as a _test.go source; used by loaders that build a
-// Package by hand (cmd/fplint's vet-tool mode) instead of through Load.
-func (p *Package) MarkTestFile(f *ast.File) {
-	if p.testFiles == nil {
-		p.testFiles = map[*ast.File]bool{}
-	}
-	p.testFiles[f] = true
-}
 
 // listedPkg is the subset of `go list -json` fields the loader consumes.
 type listedPkg struct {
@@ -175,7 +165,7 @@ func typecheck(fset *token.FileSet, t listedPkg, exports map[string]string) (*Pa
 	if i := strings.IndexByte(typePath, ' '); i >= 0 {
 		typePath = typePath[:i]
 	}
-	tpkg, info, err := Check(fset, typePath, pkg.Files, t.ImportMap, exports)
+	tpkg, info, err := check(fset, typePath, pkg.Files, t.ImportMap, exports)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %s: %v", t.ImportPath, err)
 	}
@@ -184,12 +174,11 @@ func typecheck(fset *token.FileSet, t listedPkg, exports map[string]string) (*Pa
 	return pkg, nil
 }
 
-// Check type-checks the parsed files of one package, resolving every import
+// check type-checks the parsed files of one package, resolving every import
 // through export data files: importMap translates source import strings to
 // listed package keys (test variants), exportFiles maps those keys to the
-// compiler export data on disk. Shared by the loader and cmd/fplint's
-// `go vet -vettool` mode, whose .cfg hands it the same two maps.
-func Check(fset *token.FileSet, pkgPath string, files []*ast.File,
+// compiler export data on disk.
+func check(fset *token.FileSet, pkgPath string, files []*ast.File,
 	importMap, exportFiles map[string]string) (*types.Package, *types.Info, error) {
 	lookup := func(path string) (io.ReadCloser, error) {
 		if mapped, ok := importMap[path]; ok {

@@ -18,8 +18,7 @@ import (
 // A method that implements an interface the program can see — declared in
 // the module or in any package it imports, fmt.Stringer and error included —
 // is exempt: it is reached through the interface, not by name. pkg/ packages
-// are the public API and are never checked. The pass needs the whole program,
-// so in go vet's one-package-at-a-time vet-tool mode it reports nothing.
+// are the public API and are never checked.
 var UnusedExportAnalyzer = &Analyzer{
 	Name: "unusedexport",
 	Doc:  "flags exported identifiers of internal/ packages that no non-test file of the loaded program references",
@@ -39,7 +38,7 @@ type program struct {
 
 func runUnusedExport(pass *Pass) error {
 	prog, pkg := pass.Pkg.program, pass.Pkg
-	if prog == nil || !strings.Contains("/"+pkg.Types.Path()+"/", "/internal/") {
+	if !strings.Contains("/"+pkg.Types.Path()+"/", "/internal/") {
 		return nil
 	}
 	if prog.used == nil {

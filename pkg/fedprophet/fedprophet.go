@@ -132,7 +132,9 @@ func Run(ctx context.Context, opts ...Option) (*Result, error) {
 	}
 
 	env := exp.NewEnv(w, s, h, cfg.seed)
-	env.Parallelism = cfg.parallelism
+	if cfg.parallelism >= 1 {
+		env.Parallelism = cfg.parallelism
+	}
 	env.Aggregator = cfg.aggregator
 	env.Hook = cfg.hook
 	return method.Run(ctx, env)

@@ -92,8 +92,8 @@ func WithDMA(on bool) Option { return func(c *runConfig) { c.dma = on } }
 
 // WithClientParallelism trains each round's sampled clients on up to n
 // concurrent workers. The result is bit-identical to sequential execution
-// for a fixed seed; only the wall clock changes. Values ≤ 1 run
-// sequentially (the default).
+// for a fixed seed; only the wall clock changes. 1 runs sequentially; the
+// default, and any n ≤ 0, is one worker per core (GOMAXPROCS).
 func WithClientParallelism(n int) Option { return func(c *runConfig) { c.parallelism = n } }
 
 // WithRoundHook streams every completed round's telemetry to fn,
