@@ -304,13 +304,44 @@ func newMicroRun(t *testing.T, dma bool) (*cascadeRun, *fl.Env) {
 	return r, env
 }
 
-// TestFoldPartialAverage drives the round fold Run uses: module n averages
-// the uploads with m ≤ n ≤ to (Eq. 16), its aux head only those with
-// to == n (Eq. 17), and a module no client trained keeps its value.
-func TestFoldPartialAverage(t *testing.T) {
+// cloneState is a deep copy of st.
+func cloneState(st moduleState) moduleState {
+	return moduleState{slices.Clone(st.backbone), slices.Clone(st.bn), slices.Clone(st.aux)}
+}
+
+func stateEqual(a, b moduleState) bool {
+	return slices.Equal(a.backbone, b.backbone) && slices.Equal(a.bn, b.bn) && slices.Equal(a.aux, b.aux)
+}
+
+// TestPartialAverageBasic drives the round fold Run uses: two equal-weight
+// uploads that stopped at module 0 average there (Eqs. 16-17), and the
+// modules no client trained keep their values.
+func TestPartialAverageBasic(t *testing.T) {
 	r, _ := newMicroRun(t, true)
 	g := r.global
-	untouched := moduleState{slices.Clone(g[2].backbone), slices.Clone(g[2].bn), slices.Clone(g[2].aux)}
+	prev1, prev2 := cloneState(g[1]), cloneState(g[2])
+	ups := []moduleUpload{
+		{weight: 1, to: 0, modules: []moduleState{constState(g[0], 1)}},
+		{weight: 1, to: 0, modules: []moduleState{constState(g[0], 3)}},
+	}
+	r.fold(fl.Round{}, ups)
+
+	g = r.global
+	if !allEqual(g[0].backbone, 2) || !allEqual(g[0].bn, 2) || !allEqual(g[0].aux, 2) {
+		t.Fatal("module 0 must be the plain average of both uploads")
+	}
+	if !stateEqual(g[1], prev1) || !stateEqual(g[2], prev2) {
+		t.Fatal("untrained modules must keep their values")
+	}
+}
+
+// TestPartialAverageWeighted drives the same fold with a 3:1 weighting:
+// module n averages the uploads with m ≤ n ≤ to (Eq. 16), its aux head only
+// those with to == n (Eq. 17), and a module no client trained keeps its value.
+func TestPartialAverageWeighted(t *testing.T) {
+	r, _ := newMicroRun(t, true)
+	g := r.global
+	untouched := cloneState(g[2])
 	ups := []moduleUpload{
 		{weight: 3, to: 0, modules: []moduleState{constState(g[0], 0)}},
 		// B's module 0 carries an aux head the fold must ignore.
@@ -328,8 +359,7 @@ func TestFoldPartialAverage(t *testing.T) {
 	if !allEqual(g[1].backbone, 4) || !allEqual(g[1].bn, 4) || !allEqual(g[1].aux, 4) {
 		t.Fatal("module 1 must be the one upload that trained it")
 	}
-	if !slices.Equal(g[2].backbone, untouched.backbone) || !slices.Equal(g[2].bn, untouched.bn) ||
-		!slices.Equal(g[2].aux, untouched.aux) {
+	if !stateEqual(g[2], untouched) {
 		t.Fatal("untrained module 2 must keep its value")
 	}
 }
