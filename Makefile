@@ -85,7 +85,8 @@ test-race:
 # FuzzCodecHeader (arbitrary X-Fldist-Codec values, ;topk=K;delta=1;base=R
 # included — no panic, base ≥ −1, an accepted codec's echo re-parses to
 # itself) and FuzzWALAdmitReplay (one admission record — a raw, a dense or a
-# delta-chain push's frames, of a valid buffered or synchronous WAL, whose
+# delta-chain push's body, envelope header included, and a delta-chain
+# push's logged base, of a valid buffered or synchronous WAL, whose
 # segments the target concatenates in round order and splits back into
 # per-round segment files at each meta record — mutated and CRC-resealed:
 # recovery never panics, errors wrap ErrWAL, the replayed buffer and the

@@ -356,10 +356,15 @@ func (e *Edge) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // Stats returns the embedded cohort server's stats with the Upstream tier
-// section filled in. Like (*Server).Stats it reads only atomics — it never
+// section filled in; before Start, the Upstream section alone, its cohort
+// counters zero. Like (*Server).Stats it reads only atomics — it never
 // blocks cohort admission or an in-flight flush.
 func (e *Edge) Stats() Stats {
-	st := e.inner.Stats()
+	var st Stats
+	var buffered int64
+	if e.inner != nil {
+		st, buffered = e.inner.Stats(), e.inner.bufferedNow.Load()
+	}
 	st.Upstream = &UpstreamStats{
 		URL:         e.up.BaseURL,
 		Cohort:      e.name,
@@ -371,7 +376,7 @@ func (e *Edge) Stats() Stats {
 		FlushAge:    e.flushByAge.Load(),
 		FlushDrain:  e.flushByDrain.Load(),
 		CohortPulls: e.cohortPulls.Load(),
-		Buffered:    e.inner.bufferedNow.Load(),
+		Buffered:    buffered,
 	}
 	return st
 }
@@ -475,14 +480,15 @@ func (e *Edge) nextPushIDLocked() int {
 	return id
 }
 
-// parkBatchLocked freezes a freshly committed batch into the unpushed slot:
-// it draws the batch's upstream dedup identity, computes the exact payload
-// the push will carry — the inner model verbatim on the first push since the
-// last adopt, otherwise re-expressed as base + (model − lastPushed) so the
-// previous push from this base is not double-counted upstream — and, when the
-// edge has a WAL dir, persists the parked batch so a restarted edge re-pushes
-// it under the same identity. Caller holds flushMu.
-func (e *Edge) parkBatchLocked(batch commitInfo) {
+// parkBatchLocked freezes a freshly committed batch of summed weight weight
+// into the unpushed slot: it draws the batch's upstream dedup identity,
+// computes the exact payload the push will carry — the inner model verbatim
+// on the first push since the last adopt, otherwise re-expressed as base +
+// (model − lastPushed) so the previous push from this base is not
+// double-counted upstream — and, when the edge has a WAL dir, persists the
+// parked batch so a restarted edge re-pushes it under the same identity.
+// Caller holds flushMu.
+func (e *Edge) parkBatchLocked(weight float64) {
 	snap := e.inner.model.Load()
 	params, bn := snap.params, snap.bn
 	if !e.cleanBase {
@@ -491,8 +497,7 @@ func (e *Edge) parkBatchLocked(batch commitInfo) {
 	}
 	id := e.nextPushIDLocked()
 	e.unpushed = &unpushedBatch{snap: snap, walEdgeBatch: walEdgeBatch{
-		pushID: id, pushSeq: e.pushSeq, baseRnd: e.baseRound,
-		weight: batch.weight, updates: batch.updates,
+		pushID: id, pushSeq: e.pushSeq, baseRnd: e.baseRound, weight: weight,
 		payloadP: params, payloadB: bn,
 		baseP: e.baseParams, baseBN: e.baseBN,
 	}}
@@ -706,14 +711,6 @@ func serveEdges(ctx context.Context, ln net.Listener, mount func() http.Handler,
 // buffered Server. They are deliberately unexported: tiers compose Servers,
 // they do not change what a Server is.
 
-// commitInfo describes one edge-driven commit: how many cohort updates it
-// folded, and their summed effective weight — the weight the combined tier
-// delta carries upstream.
-type commitInfo struct {
-	updates int
-	weight  float64
-}
-
 // signalFlush wakes the flusher without blocking the admission path; the
 // capacity-1 channel coalesces bursts.
 func (s *Server) signalFlush() {
@@ -726,19 +723,20 @@ func (s *Server) signalFlush() {
 // commitNow runs one edge-driven buffer commit: it freezes admission
 // (registrations racing the fold wait it out exactly as they wait out an
 // auto-mode commit), folds whatever the buffer holds — all of it, not just
-// K — and reports the folded batch. ok=false (nothing committed) on an empty
-// buffer or a commit already in flight. Manual mode only.
-func (s *Server) commitNow() (commitInfo, bool) {
+// K — and reports the folded batch's summed effective weight, the weight the
+// combined tier delta carries upstream. ok=false (nothing committed) on an
+// empty buffer or a commit already in flight. Manual mode only.
+func (s *Server) commitNow() (weight float64, ok bool) {
 	s.pendMu.Lock()
 	if len(s.pending) == 0 || s.committing {
 		s.pendMu.Unlock()
-		return commitInfo{}, false
+		return 0, false
 	}
 	s.committing = true
-	info := commitInfo{updates: len(s.pending), weight: s.pendingW}
+	weight = s.pendingW
 	s.pendMu.Unlock()
 	s.commit() // clears committing when it resets the registry
-	return info, true
+	return weight, true
 }
 
 // adopt installs an externally supplied model — the tier's freshly pulled

@@ -818,6 +818,20 @@ func TestEdgeStatsEndpoint(t *testing.T) {
 	}
 }
 
+// An edge's stats before Start: the Upstream section alone, its cohort
+// counters zero, and no cohort server section — the edge has none yet.
+func TestEdgeStatsBeforeStart(t *testing.T) {
+	e := NewEdge("http://upstream.invalid", WithEdgeName("cohort-a"), WithEdgeClientID(1000))
+	st := e.Stats()
+	want := UpstreamStats{URL: "http://upstream.invalid", Cohort: "cohort-a"}
+	if st.Upstream == nil || *st.Upstream != want {
+		t.Fatalf("upstream section = %+v, want %+v", st.Upstream, want)
+	}
+	if st.Buffered != nil || st.Round != 0 || st.UpdatesRaw != 0 {
+		t.Fatalf("unstarted edge reports a cohort server: %+v", st)
+	}
+}
+
 // Two drain pushes from one adopted base land as two distinct admissions at
 // a buffered upstream: each committed batch pushes under its own identity
 // inside the edge's EdgeIDSpan ID block, so the upstream's per-(round,

@@ -304,17 +304,18 @@ func mutatedAdmit(tb testing.TB, p []byte, mutate func(a *walAdmit)) []byte {
 func infBNAdmit(tb testing.TB, p []byte) []byte {
 	tb.Helper()
 	return mutatedAdmit(tb, p, func(a *walAdmit) {
-		_, bnFrame, err := quant.DecodeFirst(a.frames)
+		_, bnFrame, err := quant.DecodeFirst(a.body[updateHeaderLen:])
 		if err != nil {
 			tb.Fatal(err)
 		}
 		bn := make([]float64, 4)
 		bn[2] = math.Inf(1)
-		a.frames = append(a.frames[:len(a.frames)-len(bnFrame):len(a.frames)-len(bnFrame)], quant.EncodeRaw(bn)...)
+		a.body = append(a.body[:len(a.body)-len(bnFrame):len(a.body)-len(bnFrame)], quant.EncodeRaw(bn)...)
 	})
 }
 
-// FuzzWALAdmitReplay mutates one admission record's payload inside a valid
+// FuzzWALAdmitReplay mutates one admission record's payload — the logged
+// push body, header included, and a chain admission's base — inside a valid
 // log — a buffered and a synchronous one, each holding a raw, a dense and a
 // chain admission, seeded with every record as written and with a raw BN
 // frame holding +Inf — re-seals its CRC, and recovers. Recovery never

@@ -11,9 +11,10 @@ package fldist
 //     meta record and its own round's commit, whose seq continues the
 //     previous segment's. Commit records rebuild the
 //     retained-round history and the latest snapshot + downlink-EF
-//     residuals, keeping only the newest window+1; admission records re-mark
+//     residuals, keeping only the newest window+1; admission records, each
+//     taking its segment's round as the round it was admitted at, re-mark
 //     the dedup horizon and, for the round after the last commit, re-enter
-//     the admission machinery. The first bad record ends the intact log — a
+//     the admission registry. The first bad record ends the intact log — a
 //     torn final record is a crash mid-append, and everything before it is
 //     intact by CRC.
 //  2. Cut the log back to that end: delete the segments past it (and the one
@@ -21,11 +22,13 @@ package fldist
 //     torn tail, and resume appending to the segment the intact log ends in.
 //
 // Replay is bit-identical to never having crashed because it re-runs the
-// live arithmetic on the live inputs. Every admission record holds the
-// client's wire frames verbatim, and replay runs them through the push
-// handler's own decoder (decodeUpdate) and base resolver (resolveBase) — the
-// same decode, base add and admission checks — against the base the live
-// push resolved: the snapshot of its round for a raw frame, that snapshot's
+// live operations on the live inputs. Every admission record holds the
+// client's push body verbatim, and replay runs it through the push handler's
+// own header parser (parseUpdateHeader), weight check, decoder
+// (decodeUpdate), base resolver (resolveBase) and admission registry
+// (register) — the same decode, base add, window, duplicate, buffer and
+// weight rules — against the base the live push resolved: the snapshot of
+// its round for a raw frame, that snapshot's
 // served variant for a quantized one (buildServed is a byte-deterministic
 // function of snapshot, entry residual and codec, and the commit record
 // carries exactly those inputs), or the logged chain base for a
@@ -34,11 +37,13 @@ package fldist
 // order. Both aggregation modes log and replay admissions alike.
 //
 // Replay refuses, with ErrWAL, what the live server could never have
-// admitted: values outside the admission range, effective weights outside
-// the registry's discounted weight bounds, a chain base of the wrong shape
-// or beyond twice the admission range. TestRecoverBitIdentical
-// pins bit-identity across modes, fold range counts and crash points;
-// TestRecoverRefusesOutOfRangeAdmit and FuzzWALAdmitReplay the refusals.
+// admitted: a push body the handler answers 400 or 409, one the registry
+// turns away (a duplicate, a stale round, a push past the full buffer), a
+// chain base of the wrong shape or beyond twice the admission range.
+// TestRecoverBitIdentical pins bit-identity across modes, fold range counts
+// and crash points; TestRecoverRefusesOutOfRangeAdmit,
+// TestRecoverRefusesDuplicateAdmit, TestRecoverRefusesOverfullBuffer and
+// FuzzWALAdmitReplay the refusals.
 
 import (
 	"bytes"
@@ -148,7 +153,7 @@ func (st *walRecovered) scanSegment(r int, b []byte) int {
 			// A second meta record or an edge record inside a server log is
 			// not something this writer produces, and an unknown type comes
 			// from a newer writer: stop, recover the prefix understood.
-			ok = typ == walRecAdmit && st.addAdmit(seq, p)
+			ok = typ == walRecAdmit && st.addAdmit(r, seq, p)
 		}
 		if !ok {
 			break
@@ -181,13 +186,13 @@ func (st *walRecovered) addCommit(r int, p []byte) bool {
 	return true
 }
 
-// addAdmit keeps an admission record, if it parses as one.
-func (st *walRecovered) addAdmit(seq uint64, p []byte) bool {
+// addAdmit keeps an admission record of segment r, if it parses as one.
+func (st *walRecovered) addAdmit(r int, seq uint64, p []byte) bool {
 	a, err := parseWALAdmit(p)
 	if err != nil {
 		return false
 	}
-	a.seq = seq
+	a.seq, a.admitRound = seq, r
 	st.admits = append(st.admits, a)
 	return true
 }
@@ -307,43 +312,11 @@ func serverFromWAL(w *wal, st *walRecovered) (*Server, error) {
 	// not — so a client retrying an already-counted push after the restart is
 	// still answered idempotently, never double-counted. Then replay the
 	// admissions of the round in flight (admitted after the last commit) into
-	// the buffer, through the live handler's decoder and base resolver.
+	// the buffer, through the live handler's path.
 	for _, a := range st.admits {
-		stale := a.admitRound - a.baseRound
-		if stale < 0 || stale > m.maxStale || a.admitRound > R {
-			return nil, fmt.Errorf("%w: admission (client %d, base %d, at %d) outside window",
-				ErrWAL, a.clientID, a.baseRound, a.admitRound)
+		if err := s.replayAdmit(a); err != nil {
+			return nil, fmt.Errorf("%w: admission record %d (round %d): %v", ErrWAL, a.seq, a.admitRound, err)
 		}
-		if a.admitRound != R {
-			// Folded by a later logged commit: only its dedup mark lives on.
-			if a.baseRound >= R-m.maxStale {
-				set := s.admitted[a.baseRound]
-				if set == nil {
-					set = map[int]bool{}
-					s.admitted[a.baseRound] = set
-				}
-				set[a.clientID] = true
-			}
-			continue
-		}
-		// The logged effective weight parks as-is: it is the discount the
-		// live registry applied, and re-deriving it from the raw weight
-		// would not round-trip. IEEE division is monotone, so every weight
-		// checkWeight admits discounts into these bounds.
-		if d := float64(1 + stale); !(a.effW >= minWeight/d && a.effW <= maxWeight/d) {
-			return nil, fmt.Errorf("%w: admission weight %v", ErrWAL, a.effW)
-		}
-		buf := s.bufPool.Get().(*updateBuf)
-		base, sparse, err := s.replayAdmit(a, buf)
-		if err != nil {
-			s.bufPool.Put(buf)
-			return nil, fmt.Errorf("%w: admission (client %d, base %d): %v", ErrWAL, a.clientID, a.baseRound, err)
-		}
-		s.parkLocked(a.clientID, a.baseRound, stale, a.effW, buf, base.p, base.bn)
-		// Charged as the live handler charged the push: its envelope header
-		// plus the logged wire frames.
-		s.countBytesIn(!a.comp, sparse, int64(updateHeaderLen+len(a.frames)))
-		s.countUpdate(!a.comp, sparse)
 	}
 
 	w.uncommitted.Store(int64(len(s.pending))) // every replayed admission is in the log
@@ -387,31 +360,72 @@ func snapshotFromCommit(c walCommit, m walMeta) (*snapshot, error) {
 	return sn, nil
 }
 
-// replayAdmit runs a logged admission's wire frames through the push
-// handler's decoder into buf, against the base resolveBase picks — a
-// served variant built now if the crash took it — and returns that base:
-// exactly the (vals, base) pair register saw before the crash. A logged
-// chain base stands in for the delta chain the log does not rebuild; it must
-// fit the model, and its finiteness verdict is recomputed from its values.
-// sparse reports whether the params frame is in the sparse top-k form.
-func (s *Server) replayAdmit(a *walAdmit, buf *updateBuf) (base updateBase, sparse bool, err error) {
-	chain := a.chain
-	if chain != nil {
-		if len(chain.p) != len(buf.params) || len(chain.bn) != len(buf.bn) {
-			return updateBase{}, false, errShapeMismatch
+// replayAdmit re-admits a logged push body of the round in flight through
+// the push handler's path: its header parser and weight check, decodeUpdate
+// against the base resolveBase picks — a served variant built now if the
+// crash took it — and register, which parks exactly the contribution it
+// parked before the crash, or refuses what it refused live. A logged chain
+// base stands in for the delta chain the log does not rebuild; it must fit
+// the model, and its finiteness verdict is recomputed from its values. An
+// admission a later logged commit folded only re-marks its dedup horizon,
+// once its round is checked against the window of the round it was
+// admitted at.
+func (s *Server) replayAdmit(a *walAdmit) error {
+	clientID, round, weight, err := parseUpdateHeader(a.body)
+	if err != nil {
+		return err
+	}
+	if R := s.model.Load().round; a.admitRound != R {
+		if stale := a.admitRound - round; stale < 0 || stale > s.maxStale {
+			return fmt.Errorf("client %d's round %d outside the window", clientID, round)
 		}
-		// A chain base is a dequantised image of committed models, near
-		// the admission range; one far beyond it could drive the fold's
-		// x − base past the float range.
-		if !allWithin(chain.p, 2*maxValue) || !allWithin(chain.bn, 2*maxValue) {
-			return updateBase{}, false, errOutOfRange
+		if round >= R-s.maxStale {
+			s.markAdmittedLocked(round, clientID)
 		}
-		chain.finite = allWithin(chain.p, maxValue)
+		return nil
+	}
+	if err := checkWeight(weight); err != nil {
+		return err
 	}
 	var pd, bd quant.StreamDecoder
-	base, err = decodeUpdate(bytes.NewReader(a.frames), &pd, &bd, buf, func(pd *quant.StreamDecoder) (updateBase, error) {
-		sparse = pd.IsSparse()
-		return s.resolveBase(pd, a.baseRound, chain)
+	raw, sparse := false, false
+	buf := s.bufPool.Get().(*updateBuf)
+	base, err := decodeUpdate(bytes.NewReader(a.body[updateHeaderLen:]), &pd, &bd, buf, func(pd *quant.StreamDecoder) (updateBase, error) {
+		raw, sparse = pd.IsRaw(), pd.IsSparse()
+		if c := a.chain; c != nil {
+			if len(c.p) != len(buf.params) || len(c.bn) != len(buf.bn) {
+				return updateBase{}, errShapeMismatch
+			}
+			// A chain base is a dequantised image of committed models, near
+			// the admission range; one far beyond it could drive the fold's
+			// x − base past the float range.
+			if !allWithin(c.p, 2*maxValue) || !allWithin(c.bn, 2*maxValue) {
+				return updateBase{}, errOutOfRange
+			}
+			c.finite = allWithin(c.p, maxValue)
+		}
+		return s.resolveBase(pd, round, a.chain)
 	})
-	return base, sparse, err
+	if err == nil {
+		if outcome, _ := s.register(clientID, round, weight, buf, base.p, base.bn, nil); replayVerdict[outcome] != "" {
+			err = fmt.Errorf("client %d's push of round %d is %s", clientID, round, replayVerdict[outcome])
+		}
+	}
+	if err != nil {
+		s.bufPool.Put(buf)
+		return err
+	}
+	// Charged as the live handler charged the push: its whole body.
+	s.countBytesIn(raw, sparse, int64(len(a.body)))
+	s.countUpdate(raw, sparse)
+	return nil
+}
+
+// replayVerdict names the registry outcomes that refuse a replayed push; the
+// two admissions have none.
+var replayVerdict = [...]string{
+	regDuplicate:  "a duplicate",
+	regStale:      "outside the window",
+	regQuorumFull: "past the full buffer",
+	regBufferFull: "past the full buffer",
 }

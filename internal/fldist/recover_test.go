@@ -2,6 +2,7 @@ package fldist
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -904,9 +905,9 @@ func TestRecoverStaleCompressedAdmit(t *testing.T) {
 // TestRecoverRefusesOutOfRangeAdmit pins that WAL replay admits nothing the
 // live handler would refuse: a CRC-valid admission whose raw BN frame holds
 // +Inf, a raw params frame holding NaN, a logged chain base holding NaN or
-// one value short, and an effective weight no registry discount produces
-// each fail recovery with ErrWAL instead of parking a value the next commit
-// would publish.
+// one value short, a header weight outside [2^-64, 2^64], and a bad
+// envelope magic or version each fail recovery with ErrWAL instead of
+// parking a value the next commit would publish.
 func TestRecoverRefusesOutOfRangeAdmit(t *testing.T) {
 	log, admits := admitLog(t, true)
 	if srv, err := recoverLog(t, log); err != nil {
@@ -915,12 +916,18 @@ func TestRecoverRefusesOutOfRangeAdmit(t *testing.T) {
 		srv.Close()
 	}
 	nanParams := func(a *walAdmit) {
-		f, bnFrame, err := quant.DecodeFirst(a.frames)
+		f, bnFrame, err := quant.DecodeFirst(a.body[updateHeaderLen:])
 		if err != nil || !f.IsRaw() {
 			t.Fatalf("admission 0 is not a raw push: %v", err)
 		}
 		f.Raw[5] = math.NaN()
-		a.frames = append(quant.EncodeRaw(f.Raw), bnFrame...)
+		a.body = append(append(a.body[:updateHeaderLen:updateHeaderLen], quant.EncodeRaw(f.Raw)...), bnFrame...)
+	}
+	header := func(off int, b ...byte) func(a *walAdmit) {
+		return func(a *walAdmit) {
+			a.body = append([]byte(nil), a.body...) // a.body aliases the log
+			copy(a.body[off:], b)
+		}
 	}
 	for _, tc := range []struct {
 		name    string
@@ -931,7 +938,11 @@ func TestRecoverRefusesOutOfRangeAdmit(t *testing.T) {
 		{"raw frame NaN", admits[0], mutatedAdmit(t, admits[0].payload, nanParams)},
 		{"chain base NaN", admits[2], mutatedAdmit(t, admits[2].payload, func(a *walAdmit) { a.chain.p[5] = math.NaN() })},
 		{"chain base short", admits[2], mutatedAdmit(t, admits[2].payload, func(a *walAdmit) { a.chain.bn = a.chain.bn[1:] })},
-		{"weight beyond the discount bounds", admits[0], mutatedAdmit(t, admits[0].payload, func(a *walAdmit) { a.effW = 1e300 })},
+		{"header weight above 2^64", admits[0], mutatedAdmit(t, admits[0].payload,
+			header(13, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e300))...))},
+		{"header weight zero", admits[1], mutatedAdmit(t, admits[1].payload, header(13, make([]byte, 8)...))},
+		{"envelope magic", admits[0], mutatedAdmit(t, admits[0].payload, header(0, 'F', 'P', 'M', '1'))},
+		{"envelope version", admits[2], mutatedAdmit(t, admits[2].payload, header(4, envVersion+1))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := recoverLog(t, withPayload(log, tc.admit, tc.payload))
@@ -942,6 +953,86 @@ func TestRecoverRefusesOutOfRangeAdmit(t *testing.T) {
 			if !errors.Is(err, ErrWAL) {
 				t.Fatalf("error %v does not wrap ErrWAL", err)
 			}
+		})
+	}
+}
+
+// appendAdmits returns log with one admission record per payload appended,
+// their sequence numbers continuing from the log's last admission record.
+func appendAdmits(log []byte, last loggedRecord, payloads ...[]byte) []byte {
+	out := append([]byte(nil), log...)
+	for i, p := range payloads {
+		out = appendWALRecord(out, walRecAdmit, last.seq+1+uint64(i), p)
+	}
+	return out
+}
+
+// rawAdmitPayloads returns the admission payloads of raw round-0 pushes from
+// clients ids, logged by a buffered server of admitLog's model that commits
+// none of them — records a log of admitLog's shape can carry after its own.
+func rawAdmitPayloads(tb testing.TB, ids ...int) [][]byte {
+	tb.Helper()
+	const nP, nBN = 96, 4
+	initP, initBN := synthVec(nP, 1), synthVec(nBN, 2)
+	srv := NewServer(initP, initBN, 1, withSegments(2), WithBufferedAggregation(len(ids)+1, 2),
+		WithWAL(tb.TempDir()), withWarnf(func(string, ...any) {}))
+	for _, id := range ids {
+		postOK(tb, srv, rawBodyT(tb, id, 0, 1, perturb(initP, id, 0), perturb(initBN, id, 0)), "")
+	}
+	var payloads [][]byte
+	for _, r := range recordsOf(tb, readLog(tb, srv), walRecAdmit) {
+		payloads = append(payloads, r.payload)
+	}
+	return payloads
+}
+
+// refuseRecovery recovers log and requires ErrWAL.
+func refuseRecovery(t *testing.T, log []byte) {
+	t.Helper()
+	srv, err := recoverLog(t, log)
+	if err == nil {
+		round := srv.Round()
+		srv.Close()
+		t.Fatalf("recovered at round %d instead of refusing the log", round)
+	}
+	if !errors.Is(err, ErrWAL) {
+		t.Fatalf("error %v does not wrap ErrWAL", err)
+	}
+}
+
+// TestRecoverRefusesDuplicateAdmit pins that replay applies the live
+// registry's duplicate rule: a CRC-valid log holding one in-flight (client,
+// base round) admission twice — which the live server answers as a
+// duplicate and never logs — is refused with ErrWAL, in buffered and
+// synchronous mode, instead of folding the push twice.
+func TestRecoverRefusesDuplicateAdmit(t *testing.T) {
+	for _, buffered := range []bool{true, false} {
+		t.Run(fmt.Sprintf("buffered=%v", buffered), func(t *testing.T) {
+			log, admits := admitLog(t, buffered)
+			refuseRecovery(t, appendAdmits(log, admits[2], admits[0].payload))
+		})
+	}
+}
+
+// TestRecoverRefusesOverfullBuffer pins that replay applies the live
+// registry's buffer rule: a CRC-valid log holding K+1 in-flight admissions
+// of distinct clients — the live server parks K and commits before it admits
+// another — is refused with ErrWAL, in buffered (K = 4) and synchronous
+// (quorum 4) mode, instead of folding all K+1.
+func TestRecoverRefusesOverfullBuffer(t *testing.T) {
+	extra := rawAdmitPayloads(t, 3, 4)
+	for _, buffered := range []bool{true, false} {
+		t.Run(fmt.Sprintf("buffered=%v", buffered), func(t *testing.T) {
+			log, admits := admitLog(t, buffered)
+			if srv, err := recoverLog(t, appendAdmits(log, admits[2], extra[0])); err != nil {
+				t.Fatalf("K admissions: %v", err)
+			} else if r := srv.Round(); r != 1 {
+				srv.Close()
+				t.Fatalf("K admissions recovered at round %d, want the filled buffer committed", r)
+			} else {
+				srv.Close()
+			}
+			refuseRecovery(t, appendAdmits(log, admits[2], extra...))
 		})
 	}
 }

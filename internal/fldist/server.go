@@ -789,28 +789,37 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		pushScratchPool.Put(sc)
 	}()
 
+	// With an admission log, tee the body — envelope header and wire frames,
+	// verbatim — into a pooled admission capture as it is read: recovery
+	// replays the record through this same header parser, decoder, resolver
+	// and registry (recover.go). Speculative: rejected pushes release the
+	// capture unwritten.
+	var wrec *walAdmit
+	src := io.Reader(&sc.cr)
+	if s.wal != nil {
+		wrec = s.wal.newAdmit()
+		defer func() {
+			if wrec != nil {
+				s.wal.releaseAdmit(wrec)
+			}
+		}()
+		sc.tee.b = &wrec.body
+		src = io.TeeReader(src, &sc.tee)
+	}
+
 	// The envelope header is read straight off the body, not through the
-	// buffered reader: with a WAL attached the frame bytes after it are teed
-	// into the admission capture, and the tee must see every byte the
-	// decoders consume — bufio read-ahead that started before the tee would
-	// smuggle frame bytes past it.
+	// buffered reader: a push refused on its header has read, and is charged,
+	// the header alone.
 	var hdr [updateHeaderLen]byte
-	if _, err := io.ReadFull(&sc.cr, hdr[:]); err != nil {
+	if _, err := io.ReadFull(src, hdr[:]); err != nil {
 		http.Error(w, fmt.Sprintf("fldist: update envelope header: %v", err), http.StatusBadRequest)
 		return
 	}
-	if string(hdr[:4]) != updateMagic {
-		http.Error(w, fmt.Sprintf("fldist: update envelope magic %q", hdr[:4]), http.StatusBadRequest)
+	clientID, round, weight, err := parseUpdateHeader(hdr[:])
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if hdr[4] != envVersion {
-		http.Error(w, fmt.Sprintf("fldist: update envelope version %d, want %d", hdr[4], envVersion),
-			http.StatusBadRequest)
-		return
-	}
-	clientID := int(binary.LittleEndian.Uint32(hdr[5:9]))
-	round := int(binary.LittleEndian.Uint32(hdr[9:13]))
-	weight := math.Float64frombits(binary.LittleEndian.Uint64(hdr[13:21]))
 	if !s.admissibleRound(w, round, snap) {
 		return
 	}
@@ -829,23 +838,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	deltaPush := pushNeg && pushComp.Delta
 
-	// With an admission log, tee the rest of the body — the wire frames,
-	// verbatim — into a pooled admission capture as the decoders stream it:
-	// recovery replays the record through this same decoder and resolver
-	// (recover.go). Speculative: rejected pushes release the capture
-	// unwritten.
-	var wrec *walAdmit
-	src := io.Reader(&sc.cr)
-	if s.wal != nil {
-		wrec = s.wal.newAdmit()
-		defer func() {
-			if wrec != nil {
-				s.wal.releaseAdmit(wrec)
-			}
-		}()
-		sc.tee.b = &wrec.frames
-		src = io.TeeReader(src, &sc.tee)
-	}
 	sc.br.Reset(src)
 
 	// A delta-mode client's quantized frames decode against the chain entry
@@ -879,9 +871,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	if wrec != nil {
-		wrec.clientID, wrec.baseRound, wrec.comp = clientID, round, !raw
 	}
 	rec := wrec
 	wrec = nil // ownership passes; finishUpdate releases on rejection
@@ -1067,21 +1056,22 @@ const (
 )
 
 // register is the admission registry — the small global critical section of
-// the push path, one for both aggregation modes: the authoritative window
-// check, the per-(baseRound, client) duplicate check, the buffer count, and
-// the park (one append to the pending list). The model-sized work — decode,
-// dequantize, base reconstruction, finiteness — happened before this call,
-// outside any lock. The contribution's effective weight is discounted here —
-// weight/(1+staleness) — with the staleness the registry observes, which is
-// stable until the next commit; under the synchronous quorum the window is 0
-// and weight/1 is weight exactly. baseP/baseBN are the exact base vectors
-// the update trained from (snapshot, served model or chain entry — immutable
-// either way). It returns the outcome plus the round the registry observed,
-// so a quorum-full caller can wait out the in-flight commit and retry. wrec,
-// when non-nil, is the update's WAL capture: on admission its sequence
-// number is reserved here — inside pendMu, where logical order is decided,
-// so the log's file order matches admission order — along with the observed
-// round and effective weight.
+// the push path, one for both aggregation modes and for WAL replay: the
+// authoritative window check, the per-(baseRound, client) duplicate check,
+// the buffer count, and the park (one append to the pending list). The
+// model-sized work — decode, dequantize, base reconstruction, finiteness —
+// happened before this call, outside any lock. The contribution's effective
+// weight is discounted here — weight/(1+staleness) — with the staleness the
+// registry observes, which is stable until the next commit; under the
+// synchronous quorum the window is 0 and weight/1 is weight exactly.
+// baseP/baseBN are the exact base vectors the update trained from (snapshot,
+// served model or chain entry — immutable either way); buf is leased from
+// bufPool and, once parked, released by the commit's reset. It returns the
+// outcome plus the round the registry observed, so a quorum-full caller can
+// wait out the in-flight commit and retry. wrec, when non-nil, is the
+// update's WAL capture: on admission its sequence number is reserved here —
+// inside pendMu, where logical order is decided, so the log's file order
+// matches admission order.
 func (s *Server) register(clientID, baseRound int, weight float64, buf *updateBuf,
 	baseP, baseBN []float64, wrec *walAdmit) (registerOutcome, int) {
 	s.pendMu.Lock()
@@ -1114,30 +1104,7 @@ func (s *Server) register(clientID, baseRound int, weight float64, buf *updateBu
 		return regBufferFull, snap.round
 	}
 	effW := weight / float64(1+stale)
-	s.parkLocked(clientID, baseRound, stale, effW, buf, baseP, baseBN)
-	if wrec != nil {
-		wrec.seq = s.wal.reserve()
-		wrec.admitRound = snap.round
-		wrec.effW = effW
-	}
-	if !s.manual && len(s.pending) == s.bufferK {
-		return regAdmittedLast, snap.round
-	}
-	return regAdmitted, snap.round
-}
-
-// parkLocked enters one admitted contribution into the buffer: the dedup
-// mark, the weight sum, and the one pending-list entry the next commit
-// folds. buf is leased from bufPool and released by the commit's reset.
-// Caller holds pendMu — or is recovery, replaying logged admissions before
-// the server serves.
-func (s *Server) parkLocked(clientID, baseRound, stale int, effW float64, buf *updateBuf, baseP, baseBN []float64) {
-	set := s.admitted[baseRound]
-	if set == nil {
-		set = map[int]bool{}
-		s.admitted[baseRound] = set
-	}
-	set[clientID] = true
+	s.markAdmittedLocked(baseRound, clientID)
 	if len(s.pending) == 0 {
 		//lint:ignore determinism admission age clock paces edge flushes; folded bytes are unaffected
 		s.oldestAdmit.Store(time.Now().UnixNano())
@@ -1147,6 +1114,25 @@ func (s *Server) parkLocked(clientID, baseRound, stale int, effW float64, buf *u
 	s.pendingW += effW
 	s.bufferedNow.Add(1)
 	s.stalenessHist[stale].Add(1)
+	if wrec != nil {
+		wrec.seq = s.wal.reserve()
+	}
+	if !s.manual && len(s.pending) == s.bufferK {
+		return regAdmittedLast, snap.round
+	}
+	return regAdmitted, snap.round
+}
+
+// markAdmittedLocked enters (baseRound, clientID) into the dedup horizon.
+// Caller holds pendMu, or is recovery re-marking a folded admission before
+// the server serves.
+func (s *Server) markAdmittedLocked(baseRound, clientID int) {
+	set := s.admitted[baseRound]
+	if set == nil {
+		set = map[int]bool{}
+		s.admitted[baseRound] = set
+	}
+	set[clientID] = true
 }
 
 // countBytesIn charges n push-body bytes to the counters of the params

@@ -3,7 +3,7 @@ package fldist
 // The write-ahead log behind WithWAL: everything a restarted (or taking-over)
 // process needs to resume the federation at the last commit — committed
 // snapshots with the downlink error-feedback residuals per served codec
-// variant, and every admission as the wire frames it arrived as — appended
+// variant, and every admission as the push body it arrived as — appended
 // as CRC-guarded FWL1 records to one segment file per round.
 // recover.go holds the replay side; docs/ARCHITECTURE.md ("Durability") the
 // format and the determinism argument.
@@ -132,26 +132,23 @@ type walCommit struct {
 	downErr []walVariantErr
 }
 
-// walAdmit is one admission, in either aggregation mode: the client's wire
-// frames, verbatim — the params frame (raw, dense or sparse) and the BN
-// frame exactly as they crossed the network. Replay re-runs the handler's
-// own path — decodeUpdate, against the base resolveBase picks for the frame
-// — so the arithmetic is bit-for-bit the live handler's: a raw frame's base
-// is the snapshot of its round, a quantized frame's the served model of that
-// round, both rebuilt deterministically from the logged commit records.
+// walAdmit is one admission, in either aggregation mode: the client's FPU1
+// push body, verbatim — envelope header, params frame (raw, dense or sparse)
+// and BN frame exactly as they crossed the network. Replay re-runs the live
+// path on it — parseUpdateHeader, decodeUpdate against the base resolveBase
+// picks, register — so the admission rules and the arithmetic are the live
+// handler's: a raw frame's base is the snapshot of its round, a quantized
+// frame's the served model of that round, both rebuilt deterministically
+// from the logged commit records.
 //
 // A delta-downlink push decodes against its codec's delta chain, which the
 // log does not hold, so its record also carries that chain base (chain),
 // the exact vectors the live decode added the frames onto.
 type walAdmit struct {
 	seq        uint64
-	admitRound int // the round the registry observed at admission
-	baseRound  int
-	clientID   int
-	comp       bool // stats attribution only: arrived via the compressed path
-	effW       float64
+	admitRound int         // its segment's round: the round the registry observed (set by the scan)
 	chain      *updateBase // delta-downlink push: the chain base, else nil
-	frames     []byte      // params frame ++ bn frame, wire bytes
+	body       []byte      // the FPU1 push body, wire bytes
 	enc        []byte      // record scratch, reused across admissions
 }
 
@@ -164,7 +161,6 @@ type walEdgeBatch struct {
 	pushSeq  int // e.pushSeq after this batch drew its ID
 	baseRnd  int
 	weight   float64
-	updates  int
 	payloadP []float64
 	payloadB []float64
 	baseP    []float64
@@ -256,12 +252,13 @@ func parseWALRecord(b []byte) (typ byte, seq uint64, payload []byte, size int, e
 // re-encodes to identical bytes and the corruption checks come for free.
 
 // walFormat is the log's feature level, appended as the meta payload's final
-// byte. Format 3 logs every admission, in both aggregation modes, as its wire
-// frames (walAdmit). Formats 1 (a 17-byte meta payload, no format byte) and 2
-// hold buffered admissions as deltas against their base, a record form this
-// reader no longer replays, so such a log is refused whole at open — before
-// any record is read or the tail truncated — and so is a newer format.
-const walFormat = 3
+// byte. Format 4 logs every admission, in both aggregation modes, as its push
+// body (walAdmit). Formats 1 (a 17-byte meta payload, no format byte) and 2
+// hold buffered admissions as deltas against their base, format 3 as wire
+// frames beside fields the registry derived — record forms this reader no
+// longer replays — so such a log is refused whole at open, before any record
+// is read or the tail truncated, and so is a newer format.
+const walFormat = 4
 
 func appendWALMeta(dst []byte, m walMeta) []byte {
 	mode := byte(0)
@@ -277,15 +274,18 @@ func appendWALMeta(dst []byte, m walMeta) []byte {
 }
 
 func parseWALMeta(p []byte) (walMeta, error) {
-	switch {
-	case len(p) == 17:
-		return walMeta{}, fmt.Errorf("%w: log format 1 holds delta-form admissions; this binary reads format %d only", ErrWAL, walFormat)
-	case len(p) != 18:
+	if len(p) != 17 && len(p) != 18 {
 		return walMeta{}, fmt.Errorf("%w: meta payload %d bytes, want 18", ErrWAL, len(p))
-	case p[17] < walFormat:
-		return walMeta{}, fmt.Errorf("%w: log format %d holds delta-form admissions; this binary reads format %d only", ErrWAL, p[17], walFormat)
-	case p[17] > walFormat:
-		return walMeta{}, fmt.Errorf("%w: log format %d requires a newer binary (this one reads format %d)", ErrWAL, p[17], walFormat)
+	}
+	format := byte(1) // a 17-byte payload predates the format byte
+	if len(p) == 18 {
+		format = p[17]
+	}
+	switch {
+	case format < walFormat:
+		return walMeta{}, fmt.Errorf("%w: log format %d holds admissions in an older record form; this binary reads format %d only", ErrWAL, format, walFormat)
+	case format > walFormat:
+		return walMeta{}, fmt.Errorf("%w: log format %d requires a newer binary (this one reads format %d)", ErrWAL, format, walFormat)
 	case p[0] > 1:
 		return walMeta{}, fmt.Errorf("%w: meta mode %d", ErrWAL, p[0])
 	}
@@ -366,54 +366,27 @@ func parseWALCommit(p []byte) (walCommit, error) {
 	return c, nil
 }
 
-// Admit flag bits. walAdmitFrames is set on every record: formats 1 and 2
-// marked the frame form with it, so a frame record keeps its bytes and a
-// delta-form record reads as one without it. walAdmitChain marks a
-// delta-downlink push: two raw frames of its chain base (params, BN) precede
-// the wire frames.
-const (
-	walAdmitComp   byte = 1
-	walAdmitFrames byte = 2
-	walAdmitChain  byte = 4
-)
+// walAdmitChain, an admit record's flag byte, marks a delta-downlink push:
+// two raw frames of its chain base (params, BN) precede the push body.
+const walAdmitChain byte = 1
 
 func appendWALAdmit(dst []byte, a *walAdmit) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.admitRound))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.baseRound))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(a.clientID))
-	flags := walAdmitFrames
-	if a.comp {
-		flags |= walAdmitComp
+	if a.chain == nil {
+		return append(append(dst, 0), a.body...)
 	}
-	if a.chain != nil {
-		flags |= walAdmitChain
-	}
-	dst = append(dst, flags)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.effW))
-	if a.chain != nil {
-		dst = quant.AppendRaw(dst, a.chain.p)
-		dst = quant.AppendRaw(dst, a.chain.bn)
-	}
-	return append(dst, a.frames...)
+	dst = append(dst, walAdmitChain)
+	dst = quant.AppendRaw(dst, a.chain.p)
+	dst = quant.AppendRaw(dst, a.chain.bn)
+	return append(dst, a.body...)
 }
 
 func parseWALAdmit(p []byte) (*walAdmit, error) {
-	if len(p) < 21 {
-		return nil, fmt.Errorf("%w: admit payload %d bytes", ErrWAL, len(p))
+	if len(p) == 0 || p[0]&^walAdmitChain != 0 {
+		return nil, fmt.Errorf("%w: admit payload of %d bytes without a valid flag byte", ErrWAL, len(p))
 	}
-	a := &walAdmit{
-		admitRound: int(binary.LittleEndian.Uint32(p[:4])),
-		baseRound:  int(binary.LittleEndian.Uint32(p[4:8])),
-		clientID:   int(binary.LittleEndian.Uint32(p[8:12])),
-		comp:       p[12]&walAdmitComp != 0,
-		effW:       math.Float64frombits(binary.LittleEndian.Uint64(p[13:21])),
-	}
-	flags := p[12]
-	if flags&^(walAdmitComp|walAdmitFrames|walAdmitChain) != 0 || flags&walAdmitFrames == 0 {
-		return nil, fmt.Errorf("%w: admit flags %#x", ErrWAL, flags)
-	}
-	p = p[21:]
-	if flags&walAdmitChain != 0 {
+	a, flags := &walAdmit{}, p[0]
+	p = p[1:]
+	if flags == walAdmitChain {
 		a.chain = new(updateBase)
 		var err error
 		if a.chain.p, p, err = walFrame(p); err != nil {
@@ -423,13 +396,9 @@ func parseWALAdmit(p []byte) (*walAdmit, error) {
 			return nil, err
 		}
 	}
-	// The rest of the payload is the push's wire frames. Their internal
-	// structure is validated by the replay decoder; the record CRC already
-	// vouches for the bytes.
-	if len(p) == 0 {
-		return nil, fmt.Errorf("%w: admit record with no frame bytes", ErrWAL)
-	}
-	a.frames = p
+	// The rest of the payload is the push body. Replay validates it as the
+	// push handler does; the record CRC already vouches for the bytes.
+	a.body = p
 	return a, nil
 }
 
@@ -437,7 +406,6 @@ func appendWALEdgeBatch(dst []byte, b walEdgeBatch) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.pushID))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.pushSeq))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.baseRnd))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.updates))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.weight))
 	dst = quant.AppendRaw(dst, b.payloadP)
 	dst = quant.AppendRaw(dst, b.payloadB)
@@ -447,16 +415,15 @@ func appendWALEdgeBatch(dst []byte, b walEdgeBatch) []byte {
 
 func parseWALEdgeBatch(p []byte) (walEdgeBatch, error) {
 	var b walEdgeBatch
-	if len(p) < 24 {
+	if len(p) < 20 {
 		return b, fmt.Errorf("%w: edge batch payload %d bytes", ErrWAL, len(p))
 	}
 	b.pushID = int(binary.LittleEndian.Uint32(p[:4]))
 	b.pushSeq = int(binary.LittleEndian.Uint32(p[4:8]))
 	b.baseRnd = int(binary.LittleEndian.Uint32(p[8:12]))
-	b.updates = int(binary.LittleEndian.Uint32(p[12:16]))
-	b.weight = math.Float64frombits(binary.LittleEndian.Uint64(p[16:24]))
+	b.weight = math.Float64frombits(binary.LittleEndian.Uint64(p[12:20]))
 	var err error
-	if b.payloadP, p, err = walFrame(p[24:]); err != nil {
+	if b.payloadP, p, err = walFrame(p[20:]); err != nil {
 		return b, err
 	}
 	if b.payloadB, p, err = walFrame(p); err != nil {
@@ -559,7 +526,7 @@ type wal struct {
 	commitEnc []byte
 	syncing   bool // the background fsync goroutine is alive
 
-	admitPool sync.Pool // *walAdmit, its frame and record scratch kept across reuses
+	admitPool sync.Pool // *walAdmit, its body and record scratch kept across reuses
 
 	records     atomic.Int64
 	commits     atomic.Int64
@@ -714,11 +681,11 @@ func (w *wal) writeLocked(typ byte, rec []byte) error {
 	return nil
 }
 
-// newAdmit leases an admission capture from the pool, its frame scratch
+// newAdmit leases an admission capture from the pool, its body scratch
 // emptied for a fresh tee.
 func (w *wal) newAdmit() *walAdmit {
 	a := w.admitPool.Get().(*walAdmit)
-	a.frames = a.frames[:0]
+	a.body = a.body[:0]
 	a.chain = nil
 	return a
 }

@@ -49,25 +49,18 @@ func goldenWALRecords() map[string][]byte {
 			{comp: Compression{Bits: 4, Chunk: 32}, residual: goldenVec(5, -0.5)},
 		},
 	}
-	// Wire frames verbatim — a quantized params frame (power-of-two scales, so
-	// the encoding is exact and platform-stable) and a raw BN frame.
-	frameAdmit := &walAdmit{
-		admitRound: 4, baseRound: 3, clientID: 11, comp: true, effW: 0.5,
-		frames: append(
-			quant.Encode(quant.QuantizeChunks(goldenVec(8, 0.5), 8, 4)),
-			quant.EncodeRaw(goldenVec(2, 1))...),
-	}
+	// A push body verbatim — the FPU1 header, a quantized params frame
+	// (power-of-two scales, so the encoding is exact and platform-stable) and
+	// a raw BN frame.
+	frameAdmit := &walAdmit{body: goldenFrameBody()}
 	// A delta-downlink push: its chain base, as two raw frames, ahead of the
-	// wire frames.
+	// push body.
 	chainAdmit := &walAdmit{
-		admitRound: 3, baseRound: 2, clientID: 9, comp: true, effW: 1.5,
 		chain: &updateBase{p: goldenVec(8, 2), bn: goldenVec(2, 0.75)},
-		frames: append(
-			quant.Encode(quant.QuantizeChunks(goldenVec(8, 0.25), 8, 4)),
-			quant.EncodeRaw(goldenVec(2, 0.5))...),
+		body:  goldenChainBody(),
 	}
 	edge := walEdgeBatch{
-		pushID: 1 << 20, pushSeq: 3, baseRnd: 2, weight: 2.5, updates: 4,
+		pushID: 1 << 20, pushSeq: 3, baseRnd: 2, weight: 2.5,
 		payloadP: goldenVec(5, 1), payloadB: goldenVec(2, -1),
 		baseP: goldenVec(5, 0.5), baseBN: goldenVec(2, 4),
 	}
@@ -78,6 +71,22 @@ func goldenWALRecords() map[string][]byte {
 		"fwl1_admit_frames.bin": appendWALRecord(nil, walRecAdmit, 9, appendWALAdmit(nil, frameAdmit)),
 		"fwl1_edge.bin":         appendWALRecord(nil, walRecEdgeBatch, 0, appendWALEdgeBatch(nil, edge)),
 	}
+}
+
+// goldenFrameBody is the golden frame-form admission's push body: client 11,
+// round 3, weight 0.5.
+func goldenFrameBody() []byte {
+	b, _ := encodeUpdateEnvelope(11, 3, 0.5,
+		quant.Encode(quant.QuantizeChunks(goldenVec(8, 0.5), 8, 4)), quant.EncodeRaw(goldenVec(2, 1)))
+	return b
+}
+
+// goldenChainBody is the golden chain admission's push body: client 9,
+// round 2, weight 1.5.
+func goldenChainBody() []byte {
+	b, _ := encodeUpdateEnvelope(9, 2, 1.5,
+		quant.Encode(quant.QuantizeChunks(goldenVec(8, 0.25), 8, 4)), quant.EncodeRaw(goldenVec(2, 0.5)))
+	return b
 }
 
 // Encode byte-stability: every record type's encoding matches the checked-in
@@ -138,8 +147,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.admitRound != 3 || a.baseRound != 2 || a.clientID != 9 || !a.comp || a.effW != 1.5 || a.chain == nil {
-		t.Fatalf("chain admit content: %+v", a)
+	if id, round, w, err := parseUpdateHeader(a.body); err != nil || id != 9 || round != 2 || w != 1.5 || a.chain == nil {
+		t.Fatalf("chain admit content: client %d round %d weight %v (%v), chain %v", id, round, w, err, a.chain)
 	}
 	for i, v := range goldenVec(8, 2) {
 		if a.chain.p[i] != v {
@@ -149,11 +158,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if len(a.chain.bn) != 2 || a.chain.bn[1] != goldenVec(2, 0.75)[1] {
 		t.Fatalf("chain base bn = %v", a.chain.bn)
 	}
-	wantChainFrames := append(
-		quant.Encode(quant.QuantizeChunks(goldenVec(8, 0.25), 8, 4)),
-		quant.EncodeRaw(goldenVec(2, 0.5))...)
-	if !bytes.Equal(a.frames, wantChainFrames) {
-		t.Fatalf("chain admit: frames did not round-trip verbatim (%d vs %d bytes)", len(a.frames), len(wantChainFrames))
+	if want := goldenChainBody(); !bytes.Equal(a.body, want) {
+		t.Fatalf("chain admit: body did not round-trip verbatim (%d vs %d bytes)", len(a.body), len(want))
 	}
 
 	_, _, payload, _, err = parseWALRecord(recs["fwl1_admit_frames.bin"])
@@ -164,14 +170,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fa.admitRound != 4 || fa.baseRound != 3 || fa.clientID != 11 || !fa.comp || fa.effW != 0.5 {
-		t.Fatalf("frame admit content: %+v", fa)
-	}
-	wantFrames := append(
-		quant.Encode(quant.QuantizeChunks(goldenVec(8, 0.5), 8, 4)),
-		quant.EncodeRaw(goldenVec(2, 1))...)
-	if !bytes.Equal(fa.frames, wantFrames) {
-		t.Fatalf("frame admit: frames did not round-trip verbatim (%d vs %d bytes)", len(fa.frames), len(wantFrames))
+	if want := goldenFrameBody(); !bytes.Equal(fa.body, want) {
+		t.Fatalf("frame admit: body did not round-trip verbatim (%d vs %d bytes)", len(fa.body), len(want))
 	}
 	if fa.chain != nil {
 		t.Fatalf("frame admit decoded a chain base: %+v", fa.chain)
@@ -185,7 +185,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.pushID != 1<<20 || b.pushSeq != 3 || b.baseRnd != 2 || b.weight != 2.5 || b.updates != 4 {
+	if b.pushID != 1<<20 || b.pushSeq != 3 || b.baseRnd != 2 || b.weight != 2.5 {
 		t.Fatalf("edge batch content: %+v", b)
 	}
 
@@ -289,33 +289,17 @@ func TestWALPayloadCorruption(t *testing.T) {
 		t.Fatalf("quantized frame in commit: %v", err)
 	}
 
-	if _, err := parseWALAdmit(make([]byte, 10)); !errors.Is(err, ErrWAL) {
-		t.Fatalf("short admit: %v", err)
-	}
-	// No frame bytes behind the fixed header.
-	emptyFrames := make([]byte, 21)
-	emptyFrames[12] = walAdmitFrames
-	if _, err := parseWALAdmit(emptyFrames); !errors.Is(err, ErrWAL) {
-		t.Fatalf("admit with no frames: %v", err)
-	}
-	// A delta-form record of formats 1–2: frames flag clear, two raw delta
-	// frames behind the fixed header.
-	deltaForm := append(make([]byte, 21), quant.EncodeRaw(goldenVec(3, 1))...)
-	deltaForm = append(deltaForm, quant.EncodeRaw(goldenVec(2, 1))...)
-	deltaForm[12] = walAdmitComp
-	if _, err := parseWALAdmit(deltaForm); !errors.Is(err, ErrWAL) {
-		t.Fatalf("delta-form admit: %v", err)
+	if _, err := parseWALAdmit(nil); !errors.Is(err, ErrWAL) {
+		t.Fatalf("empty admit: %v", err)
 	}
 	// A chain record whose base stops after the params frame.
-	chainCut := append(make([]byte, 21), quant.EncodeRaw(goldenVec(3, 1))...)
-	chainCut[12] = walAdmitFrames | walAdmitChain
+	chainCut := append([]byte{walAdmitChain}, quant.EncodeRaw(goldenVec(3, 1))...)
 	if _, err := parseWALAdmit(chainCut); !errors.Is(err, ErrWAL) {
 		t.Fatalf("chain admit with a truncated base: %v", err)
 	}
 	// Unknown flag bits: refused rather than silently reinterpreted by a
 	// future reader that assigns them meaning.
-	unknownFlags := make([]byte, 22)
-	unknownFlags[12] = walAdmitFrames | 0x80
+	unknownFlags := append([]byte{walAdmitChain | 0x80}, goldenFrameBody()...)
 	if _, err := parseWALAdmit(unknownFlags); !errors.Is(err, ErrWAL) {
 		t.Fatalf("unknown admit flags: %v", err)
 	}
@@ -325,14 +309,15 @@ func TestWALPayloadCorruption(t *testing.T) {
 }
 
 // TestWALMetaFormatCompat pins the log format level: this binary writes and
-// reads format 3 (18-byte meta payload) only. Formats 1 (17 bytes, no format
-// byte) and 2 hold delta-form admissions and are refused with an error naming
-// their format; a future format is refused instead of misread.
+// reads format 4 (18-byte meta payload) only. Formats 1 (17 bytes, no format
+// byte) and 2 hold delta-form admissions, format 3 frame-form ones beside
+// registry-derived fields; each is refused with an error naming its format,
+// and a future format is refused instead of misread.
 func TestWALMetaFormatCompat(t *testing.T) {
 	m := walMeta{async: true, quorumOrK: 3, maxStale: 5, nParams: 100, nBN: 4}
 	p := appendWALMeta(nil, m)
-	if len(p) != 18 || p[17] != 3 || walFormat != 3 {
-		t.Fatalf("meta payload %d bytes, final byte %d; want 18 and format 3", len(p), p[len(p)-1])
+	if len(p) != 18 || p[17] != 4 || walFormat != 4 {
+		t.Fatalf("meta payload %d bytes, final byte %d; want 18 and format 4", len(p), p[len(p)-1])
 	}
 	got, err := parseWALMeta(p)
 	if err != nil || got != m {
@@ -341,7 +326,8 @@ func TestWALMetaFormatCompat(t *testing.T) {
 	for format, meta := range map[int][]byte{
 		1: p[:17],
 		2: append(append([]byte(nil), p[:17]...), 2),
-		4: append(append([]byte(nil), p[:17]...), 4),
+		3: append(append([]byte(nil), p[:17]...), 3),
+		5: append(append([]byte(nil), p[:17]...), 5),
 	} {
 		_, err := parseWALMeta(meta)
 		if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), fmt.Sprintf("format %d ", format)) {
@@ -353,57 +339,72 @@ func TestWALMetaFormatCompat(t *testing.T) {
 // TestRecoverRefusesOldFormatUntouched pins that a log of an earlier
 // release is refused whole at open, its file byte-identical and WALExists
 // reporting it, so no fresh log starts beside it: a single-file wal.log,
-// whatever it holds, and a segment whose meta record names format 2 (the
-// segment holds the meta, the initial commit and a delta-form admission;
-// recovery fails with ErrWAL naming the format instead of truncating the
-// segment at its first delta record).
+// whatever it holds, and a segment whose meta record names format 2 or 3
+// (the segment holds the meta, the initial commit and an admission in that
+// format's record form — delta form, or frames beside registry-derived
+// fields; recovery fails with ErrWAL naming the format instead of truncating
+// the segment at its first admission record).
 func TestRecoverRefusesOldFormatUntouched(t *testing.T) {
-	meta := appendWALMeta(nil, walMeta{async: true, quorumOrK: 3, maxStale: 2, nParams: 6, nBN: 2})
-	meta[17] = 2
-	log := appendWALRecord(nil, walRecMeta, 0, meta)
-	log = appendWALRecord(log, walRecCommit, 1, appendWALCommit(nil, walCommit{params: synthVec(6, 1), bn: synthVec(2, 2)}))
-	delta := binary.LittleEndian.AppendUint32(nil, 0)  // admit round
-	delta = binary.LittleEndian.AppendUint32(delta, 0) // base round
-	delta = binary.LittleEndian.AppendUint32(delta, 7) // client
-	delta = append(delta, walAdmitComp)                // flags: no frames bit
-	delta = binary.LittleEndian.AppendUint64(delta, math.Float64bits(1))
-	delta = quant.AppendRaw(delta, synthVec(6, 3))
-	delta = quant.AppendRaw(delta, synthVec(2, 4))
-	log = appendWALRecord(log, walRecAdmit, 2, delta)
+	segment := func(format byte, admit []byte) []byte {
+		meta := appendWALMeta(nil, walMeta{async: true, quorumOrK: 3, maxStale: 2, nParams: 6, nBN: 2})
+		meta[17] = format
+		log := appendWALRecord(nil, walRecMeta, 0, meta)
+		log = appendWALRecord(log, walRecCommit, 1, appendWALCommit(nil, walCommit{params: synthVec(6, 1), bn: synthVec(2, 2)}))
+		return appendWALRecord(log, walRecAdmit, 2, admit)
+	}
+	// Both old admission forms open with admit round, base round, client, a
+	// flag byte (bit 1: compressed, bit 2: frame form) and the weight.
+	oldAdmit := func(flags byte, vectors ...[]byte) []byte {
+		a := binary.LittleEndian.AppendUint32(nil, 0) // admit round
+		a = binary.LittleEndian.AppendUint32(a, 0)    // base round
+		a = binary.LittleEndian.AppendUint32(a, 7)    // client
+		a = append(a, flags)                          // flags
+		a = binary.LittleEndian.AppendUint64(a, math.Float64bits(1))
+		for _, v := range vectors {
+			a = append(a, v...)
+		}
+		return a
+	}
+	delta := oldAdmit(1, quant.EncodeRaw(synthVec(6, 3)), quant.EncodeRaw(synthVec(2, 4)))
+	frames := oldAdmit(2, quant.EncodeRaw(synthVec(6, 3)), quant.EncodeRaw(synthVec(2, 4)))
 
-	for name, wantErr := range map[string]string{
-		walOldLogName: "single-file wal.log",
-		walSegName(0): "format 2 ",
+	for _, tc := range []struct {
+		name, file, wantErr string
+		log                 []byte
+	}{
+		{"single file", walOldLogName, "single-file wal.log", segment(2, delta)},
+		{"format 2", walSegName(0), "format 2 ", segment(2, delta)},
+		{"format 3", walSegName(0), "format 3 ", segment(3, frames)},
 	} {
 		dir := t.TempDir()
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, log, 0o644); err != nil {
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, tc.log, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if !WALExists(dir) {
-			t.Fatalf("%s: WALExists reports no log", name)
+			t.Fatalf("%s: WALExists reports no log", tc.name)
 		}
 		rec, err := RecoverServer(dir)
 		if err == nil {
 			rec.Close()
-			t.Fatalf("%s: recovered a format-2 log", name)
+			t.Fatalf("%s: recovered an old log", tc.name)
 		}
-		if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), wantErr) {
-			t.Fatalf("%s: error %v, want ErrWAL naming %q", name, err, wantErr)
+		if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("%s: error %v, want ErrWAL naming %q", tc.name, err, tc.wantErr)
 		}
 		after, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(after, log) {
-			t.Fatalf("%s: refused log changed: %d bytes, was %d", name, len(after), len(log))
+		if !bytes.Equal(after, tc.log) {
+			t.Fatalf("%s: refused log changed: %d bytes, was %d", tc.name, len(after), len(tc.log))
 		}
 		wantSegs := 1
-		if name == walOldLogName {
+		if tc.file == walOldLogName {
 			wantSegs = 0 // no fresh log beside the old one
 		}
 		if rounds, _ := walSegments(dir); len(rounds) != wantSegs {
-			t.Fatalf("%s: refusal left segments %v", name, rounds)
+			t.Fatalf("%s: refusal left segments %v", tc.name, rounds)
 		}
 	}
 }
@@ -417,7 +418,7 @@ func TestEdgeWALSlot(t *testing.T) {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
 	in := walEdgeBatch{
-		pushID: 42, pushSeq: 7, baseRnd: 3, weight: 1.25, updates: 2,
+		pushID: 42, pushSeq: 7, baseRnd: 3, weight: 1.25,
 		payloadP: goldenVec(6, 1), payloadB: goldenVec(2, 2),
 		baseP: goldenVec(6, 3), baseBN: goldenVec(2, 4),
 	}
@@ -429,7 +430,7 @@ func TestEdgeWALSlot(t *testing.T) {
 		t.Fatalf("read: ok=%v err=%v", ok, err)
 	}
 	if out.pushID != in.pushID || out.pushSeq != in.pushSeq || out.baseRnd != in.baseRnd ||
-		out.weight != in.weight || out.updates != in.updates {
+		out.weight != in.weight {
 		t.Fatalf("slot round trip: %+v", out)
 	}
 	for i := range in.payloadP {
@@ -459,6 +460,23 @@ func TestEdgeWALSlot(t *testing.T) {
 	}
 	if _, _, err := readEdgeWAL(dir); !errors.Is(err, ErrWAL) {
 		t.Fatalf("corrupt slot: err = %v, want ErrWAL", err)
+	}
+
+	// A slot in the layout of earlier releases — a u32 update count between
+	// the base round and the weight — is refused, not misread.
+	old := binary.LittleEndian.AppendUint32(nil, uint32(in.pushID))
+	old = binary.LittleEndian.AppendUint32(old, uint32(in.pushSeq))
+	old = binary.LittleEndian.AppendUint32(old, uint32(in.baseRnd))
+	old = binary.LittleEndian.AppendUint32(old, 2) // update count
+	old = binary.LittleEndian.AppendUint64(old, math.Float64bits(in.weight))
+	for _, v := range [][]float64{in.payloadP, in.payloadB, in.baseP, in.baseBN} {
+		old = quant.AppendRaw(old, v)
+	}
+	if err := os.WriteFile(filepath.Join(dir, edgeWALName), appendWALRecord(nil, walRecEdgeBatch, 0, old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readEdgeWAL(dir); !errors.Is(err, ErrWAL) {
+		t.Fatalf("slot in the old layout: err = %v, want ErrWAL", err)
 	}
 
 	if err := clearEdgeWAL(dir); err != nil {

@@ -219,8 +219,9 @@ func rawModelEnvelope(round int, params, bn []float64) []byte {
 }
 
 // Decoding of these envelopes is streaming-only: the server parses pushes in
-// handleUpdate and the client parses pulls in streamModelEnvelope, both on
-// quant.StreamDecoder, so there is exactly one parser per direction.
+// handleUpdate (header: parseUpdateHeader) and the client parses pulls in
+// streamModelEnvelope, both on quant.StreamDecoder, so there is exactly one
+// parser per direction.
 
 // encodeUpdateEnvelope frames a push; rawUpdate is its raw-frame form.
 func encodeUpdateEnvelope(clientID, round int, weight float64, params, bn []byte) ([]byte, error) {
@@ -236,6 +237,21 @@ func encodeUpdateEnvelope(clientID, round int, weight float64, params, bn []byte
 	buf = append(buf, params...)
 	buf = append(buf, bn...)
 	return buf, nil
+}
+
+// parseUpdateHeader parses the FPU1 header at the head of a push body — the
+// push handler's and WAL replay's one reading of it.
+func parseUpdateHeader(h []byte) (clientID, round int, weight float64, err error) {
+	switch {
+	case len(h) < updateHeaderLen:
+		return 0, 0, 0, fmt.Errorf("fldist: update envelope header: %d bytes, want %d", len(h), updateHeaderLen)
+	case string(h[:4]) != updateMagic:
+		return 0, 0, 0, fmt.Errorf("fldist: update envelope magic %q", h[:4])
+	case h[4] != envVersion:
+		return 0, 0, 0, fmt.Errorf("fldist: update envelope version %d, want %d", h[4], envVersion)
+	}
+	return int(binary.LittleEndian.Uint32(h[5:9])), int(binary.LittleEndian.Uint32(h[9:13])),
+		math.Float64frombits(binary.LittleEndian.Uint64(h[13:21])), nil
 }
 
 // rawUpdate frames a raw push: the trained vectors themselves, exact, as two
