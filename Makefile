@@ -9,9 +9,9 @@
 #                         nested bench module's own tests (in ci)
 #   make check-docs     - fail on dead relative links in README/docs
 #   make cross   - cross-build for arm64 and vet tensor/nn/quant there: the
-#                  portable GEMM path that every platform but amd64 runs, and
-#                  the codec kernels whose bytes must not depend on the
-#                  platform (in ci)
+#                  portable Go twins of the GEMM tile and the dense codec
+#                  chunk that every platform but amd64 runs, whose bytes must
+#                  not depend on the platform (in ci)
 #   make lint    - fplint: the repo's own analyzers (atomicfield, lockorder,
 #                  determinism, sentinelerr, poolleak, unusedexport) over the
 #                  whole module and the nested bench module, as one program
@@ -29,12 +29,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# internal/tensor has one assembly file (gemm_amd64.s, checked by vet's
-# asmdecl above); every other platform runs its portable Go twin. Building
-# the module and vetting tensor/nn for arm64 — pure Go, offline, nothing is
-# executed — keeps a break of that path from landing unseen on an amd64 box.
-# internal/quant rides along: its kernels are pure Go on every platform, and
-# the frames they emit are a wire format.
+# internal/tensor (gemm_amd64.s) and internal/quant (kernel_amd64.s) each
+# have one assembly file, checked by vet's asmdecl above and chosen by the
+# one CPUID probe in internal/cpuid; every other platform runs their Go
+# twins. Building the module and vetting tensor/nn/quant for arm64 — pure Go,
+# offline, nothing is executed — makes the arm64 build and vet check those
+# twins, so a break of that path cannot land unseen on an amd64 box; the
+# codec twin's frames are a wire format.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/nn/... ./internal/quant/...
@@ -76,9 +77,13 @@ test-race:
 # corpora: FuzzDecode (raw, dense, sparse and corrupted frames through the
 # one parser, quant.StreamDecoder — Decode, DecodeAll and ApplyDelta keep
 # returning ErrCodec instead of panicking or over-allocating, agree with each
-# other value for value, and accepted frames re-encode canonically) and
-# FuzzQuantizeMatchesReference (arbitrary chunks — the quantize/pack/unpack
-# kernels stay bit-identical to their math.Round / bit-cursor references),
+# other value for value, and accepted frames re-encode canonically),
+# FuzzQuantizeMatchesReference (arbitrary chunks — the dense chunk kernel
+# stays bit-identical to its math.Round / bit-cursor references on both
+# paths, the AVX2 kernel and its Go twin) and FuzzErrorFedMatchesThreePasses
+# (arbitrary vectors and carries — the fused error-fed encode writes the
+# frame, deq and residual of the separate add, encode and fold passes, and
+# ApplyDelta the same sums or the same failing index, on both paths),
 # plus FuzzUpdateEnvelope (arbitrary POST /update bodies against a synchronous
 # and a buffered server — the one push handler covers every push form: no
 # panic, only 200/400/409, a finite model after every 200) and
@@ -100,10 +105,11 @@ test-race:
 # tile and the portable twin) and FuzzEvalEpilogueMatchesLayers (arbitrary
 # channel counts, map sizes, bias/pool choices and raw float64 values — the
 # fused eval-mode Conv→BN→ReLU[→MaxPool] run stays bit-equal to the
-# layer-by-layer pass: output, mask, argmax and dX). ~24s; part of ci.
+# layer-by-layer pass: output, mask, argmax and dX). ~27s; part of ci.
 fuzz:
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzQuantizeMatchesReference$$' -fuzztime 4s
+	$(GO) test ./internal/quant -run '^$$' -fuzz '^FuzzErrorFedMatchesThreePasses$$' -fuzztime 3s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzUpdateEnvelope$$' -fuzztime 3s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzCodecHeader$$' -fuzztime 2s
 	$(GO) test ./internal/fldist -run '^$$' -fuzz '^FuzzWALAdmitReplay$$' -fuzztime 2s

@@ -14,12 +14,16 @@ package fldist
 //     residuals, keeping only the newest window+1; admission records, each
 //     taking its segment's round as the round it was admitted at, re-mark
 //     the dedup horizon and, for the round after the last commit, re-enter
-//     the admission registry. The first bad record ends the intact log — a
-//     torn final record is a crash mid-append, and everything before it is
-//     intact by CRC.
+//     the admission registry. The first torn record — short, or failing its
+//     CRC: a crash mid-append — ends the intact log, as does a segment that
+//     does not continue it (a lost or renamed file); everything before is
+//     intact by CRC. Any other record the scan cannot take was written
+//     whole, so no crash explains it: the whole log is refused with ErrWAL
+//     and its files stay as they are.
 //  2. Cut the log back to that end: delete the segments past it (and the one
-//     it ends in, if that one's meta or commit record is bad), truncate the
-//     torn tail, and resume appending to the segment the intact log ends in.
+//     it ends in, if that one's meta or commit record is torn or out of
+//     sequence), truncate the torn tail, and resume appending to the segment
+//     the intact log ends in.
 //
 // Replay is bit-identical to never having crashed because it re-runs the
 // live operations on the live inputs. Every admission record holds the
@@ -100,9 +104,12 @@ func scanWAL(dir string) (*walRecovered, error) {
 				return nil, err
 			}
 		}
-		// The first bad record ends the intact log. A segment without an
+		// The first torn record ends the intact log. A segment without an
 		// intact meta and commit record adds nothing to it and goes too.
-		end := st.scanSegment(r, b)
+		end, err := st.scanSegment(r, b)
+		if err != nil {
+			return nil, err
+		}
 		ended = end == 0 || end < len(b)
 		if end == 0 {
 			st.drop = append(st.drop, r)
@@ -134,48 +141,59 @@ func (st *walRecovered) readMeta(b []byte) error {
 }
 
 // scanSegment adds segment r's records to st and returns the length of its
-// intact prefix: 0 when its meta or commit record is bad, else the end of
-// the record before the first bad one.
-func (st *walRecovered) scanSegment(r int, b []byte) int {
+// intact prefix: 0 when its meta or commit record is torn or does not
+// continue the log (a sequence gap, or another round's commit under this
+// round's name: a lost or renamed file), else the end of the record before
+// the first torn one — short or failing its CRC, what a crash mid-append
+// leaves. Any other record the scan cannot take was written whole, so no
+// crash made it; recovering past it would silently drop what follows, so
+// the log is refused with ErrWAL.
+func (st *walRecovered) scanSegment(r int, b []byte) (int, error) {
 	off, k := 0, 0
 	for ; off < len(b); k++ {
 		typ, seq, p, n, err := parseWALRecord(b[off:])
-		ok := err == nil
-		switch {
-		case !ok:
-		case k == 0:
-			ok = typ == walRecMeta && bytes.Equal(p, st.metaP)
-		case k == 1:
-			// A later segment continues its predecessor's sequence; a gap is
-			// an older segment that lost its tail, or the whole file.
-			ok = typ == walRecCommit && (len(st.commits) == 0 || seq == st.lastSeq+1) && st.addCommit(r, p)
-		default:
-			// A second meta record or an edge record inside a server log is
-			// not something this writer produces, and an unknown type comes
-			// from a newer writer: stop, recover the prefix understood.
-			ok = typ == walRecAdmit && st.addAdmit(r, seq, p)
+		if err != nil {
+			break // torn
 		}
-		if !ok {
-			break
+		switch {
+		case k == 0 && (typ != walRecMeta || !bytes.Equal(p, st.metaP)):
+			err = fmt.Errorf("%w: not the log's meta record", ErrWAL)
+		case k == 1 && typ != walRecCommit, k > 1 && typ != walRecAdmit:
+			// No writer of this log's format puts it here: a newer writer
+			// bumps the meta record's format, which is refused whole.
+			err = fmt.Errorf("%w: record type %d out of place", ErrWAL, typ)
+		case k == 1:
+			var c walCommit
+			if c, err = parseWALCommit(p); err == nil {
+				if (len(st.commits) > 0 && seq != st.lastSeq+1) || c.round != r {
+					return 0, nil
+				}
+				st.addCommit(c)
+			}
+		case k > 1:
+			var a *walAdmit
+			if a, err = parseWALAdmit(p); err == nil {
+				a.seq, a.admitRound = seq, r
+				st.admits = append(st.admits, a)
+			}
+		}
+		if err != nil {
+			return 0, fmt.Errorf("segment %d, record %d (seq %d): %w", r, k, seq, err)
 		}
 		st.lastSeq = max(st.lastSeq, seq)
 		off += n
 	}
 	if k < 2 {
-		return 0
+		return 0, nil
 	}
-	return off
+	return off, nil
 }
 
-// addCommit keeps round r's commit record, if it parses as one, in the
-// window: the newest maxStale+1 commits, and the admissions inside the
-// newest one's staleness window. An admission folded before the window
-// opened can neither replay nor mark a dedup horizon recovery keeps.
-func (st *walRecovered) addCommit(r int, p []byte) bool {
-	c, err := parseWALCommit(p)
-	if err != nil || c.round != r {
-		return false
-	}
+// addCommit keeps commit c in the window: the newest maxStale+1 commits,
+// and the admissions inside the newest one's staleness window. An admission
+// folded before the window opened can neither replay nor mark a dedup
+// horizon recovery keeps.
+func (st *walRecovered) addCommit(c walCommit) {
 	if len(st.commits) == cap(st.commits) {
 		st.commits = slices.Delete(st.commits, 0, 1)
 	}
@@ -183,18 +201,6 @@ func (st *walRecovered) addCommit(r int, p []byte) bool {
 	st.admits = slices.DeleteFunc(st.admits, func(a *walAdmit) bool {
 		return a.admitRound < c.round-st.meta.maxStale
 	})
-	return true
-}
-
-// addAdmit keeps an admission record of segment r, if it parses as one.
-func (st *walRecovered) addAdmit(r int, seq uint64, p []byte) bool {
-	a, err := parseWALAdmit(p)
-	if err != nil {
-		return false
-	}
-	a.seq, a.admitRound = seq, r
-	st.admits = append(st.admits, a)
-	return true
 }
 
 // openWALForRecovery locks dir, scans the log, cuts it back to its intact

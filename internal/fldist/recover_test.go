@@ -1,6 +1,7 @@
 package fldist
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -997,6 +998,46 @@ func refuseRecovery(t *testing.T, log []byte) {
 	}
 	if !errors.Is(err, ErrWAL) {
 		t.Fatalf("error %v does not wrap ErrWAL", err)
+	}
+}
+
+// TestRecoverRefusesUnreadableRecord pins that only a torn record — short,
+// or failing its CRC — ends the intact log. A CRC-valid record the scan
+// cannot take was written whole, so no crash explains it: an admission whose
+// flag byte is unknown (0x80 on admission 0, which once recovered round 0
+// with none of the three admissions and no error), a record of an unknown
+// type, a commit record inside a segment. Recovery refuses the whole log
+// with ErrWAL and leaves every segment file as it was.
+func TestRecoverRefusesUnreadableRecord(t *testing.T) {
+	log, admits := admitLog(t, true)
+	commit := recordsOf(t, log, walRecCommit)[0]
+	badFlag := append([]byte(nil), admits[0].payload...)
+	badFlag[0] = 0x80
+	last := admits[2].seq
+	for _, tc := range []struct {
+		name string
+		log  []byte
+	}{
+		{"unknown admit flag", withPayload(log, admits[0], badFlag)},
+		{"unknown record type", appendWALRecord(append([]byte(nil), log...), 9, last+1, []byte{1})},
+		{"commit inside a segment", appendWALRecord(append([]byte(nil), log...), walRecCommit, last+1, commit.payload)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeLogDir(t, dir, tc.log, int64(len(tc.log)))
+			srv, err := RecoverServer(dir)
+			if err == nil {
+				round, pending := srv.Round(), len(srv.pending)
+				srv.Close()
+				t.Fatalf("recovered at round %d with %d of 3 admissions instead of refusing the log", round, pending)
+			}
+			if !errors.Is(err, ErrWAL) {
+				t.Fatalf("error %v does not wrap ErrWAL", err)
+			}
+			if !bytes.Equal(readWALDir(t, dir), tc.log) {
+				t.Fatal("a refused log's segments changed on disk")
+			}
+		})
 	}
 }
 

@@ -397,3 +397,28 @@ func TestRetainedRoundBuildsOnDemand(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkServedBuild times one served-variant build (buildServed) at the
+// size of the benchmark's serve.push model — 234,562 parameters and 1,056
+// BatchNorm values — for both variants its compressed pushes decode against,
+// on 1 and 2 segments, with a downlink residual carried in as in every round
+// after the first. MB/s counts the parameters' float64 bytes, so it reads
+// against BenchmarkCodecKernels' copy row; the residual the build hands out
+// goes back to the free list, as a retired round returns it.
+func BenchmarkServedBuild(b *testing.B) {
+	const nP, nBN = 234_562, 1_056
+	for _, c := range []Compression{{Bits: 8, Chunk: 256}, {Bits: 4, Chunk: 256}} {
+		for _, segs := range []int{1, 2} {
+			b.Run(fmt.Sprintf("bits=%d/segs=%d", c.Bits, segs), func(b *testing.B) {
+				s := NewServer(synthVec(nP, 1), synthVec(nBN, 2), 1, withSegments(segs))
+				snap := *s.model.Load()
+				snap.downErr = map[Compression]residual{c: {v: synthVec(nP, 3)}}
+				b.SetBytes(8 * nP)
+				for i := 0; i < b.N; i++ {
+					sm := s.buildServed(&snap, c)
+					s.errFree = append(s.errFree[:0], sm.nextErr)
+				}
+			})
+		}
+	}
+}

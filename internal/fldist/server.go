@@ -581,15 +581,15 @@ func (s *Server) baseAt(round int) (*snapshot, error) {
 // snapshot, segment-parallel: the frame size follows from the codec
 // parameters (quant.Encoder), so the exact-size body is allocated up front,
 // the envelope header written in place, and each chunk-aligned segment
-// encoded by its own goroutine into its disjoint byte range — EF-residual
-// add before the encode and residual fold after it both happen per segment,
-// so no pass over the model is serial. The stitch identity
+// encoded by its own goroutine into its disjoint byte range. The
+// EF-residual add, the encode and the residual fold are one pass per chunk
+// (quant.Encoder.EncodeErrorFed), so no pass over the model is serial and
+// none leaves the chunk's cache lines. The stitch identity
 // (TestSegmentStitchGoldenBytes) makes the result byte-identical to a
 // one-segment encode at any segment count and GOMAXPROCS;
 // TestServeSegmentInvariance pins that end to end.
 func (s *Server) buildServed(snap *snapshot, c Compression) *servedModel {
 	n := len(snap.params)
-	prevErr := snap.downErr[c].v
 	sm := &servedModel{
 		round:  snap.round,
 		params: make([]float64, n),
@@ -612,28 +612,20 @@ func (s *Server) buildServed(snap *snapshot, c Compression) *servedModel {
 	binary.LittleEndian.PutUint32(body[5:9], uint32(snap.round))
 	copy(body[9+e.Size():], bnFrame)
 
-	// Per segment: residual add, encode (which writes deq from the code in
-	// hand), residual fold with the finiteness verdict on deq riding along.
-	// Every element of next, sm.params and the frame is overwritten, so a
-	// recycled next needs no clearing.
+	// Per segment, in one pass per chunk: residual add, encode (which writes
+	// deq from the code in hand), residual fold, with the finiteness verdict
+	// on deq riding along as the segment's peak. Every element of next,
+	// sm.params and the frame is overwritten, so a recycled next needs no
+	// clearing.
+	carry := snap.downErr[c].v
+	if len(carry) != n {
+		carry = nil
+	}
 	var nonFinite atomic.Bool
-	encodeFrame(e, body[9:9+e.Size()], next, sm.params, func(lo, hi int) {
-		v, p := next[lo:hi], snap.params[lo:hi]
-		if len(prevErr) == n {
-			pe := prevErr[lo:hi]
-			for i := range v {
-				v[i] = p[i] + pe[i]
-			}
-		} else {
-			copy(v, p)
-		}
-	}, func(lo, hi int) {
-		v := next[lo:hi]
-		for i, d := range sm.params[lo:hi] {
-			v[i] -= d
-			if !inRange(d) {
-				nonFinite.Store(true)
-			}
+	frame := body[9 : 9+e.Size()]
+	fanOut(len(e.Bounds())-1, func(k int) {
+		if !inRange(e.EncodeErrorFed(frame, snap.params, carry, sm.params, next, k)) {
+			nonFinite.Store(true)
 		}
 	})
 	sm.finite = !nonFinite.Load()
@@ -659,30 +651,14 @@ func (s *Server) foldRanges() int {
 	return max(min(s.segments(), len(s.model.Load().params)), 1)
 }
 
-// encodeFrame encodes v into frame (e.Size() bytes), one goroutine per
-// segment of e — the one fan-out of the served build and sendErrorFed.
-// pre and post, when non-nil, run on each segment's value range [lo, hi) on
-// its goroutine, before and after its encode.
-func encodeFrame(e *quant.Encoder, frame []byte, v, deq []float64, pre, post func(lo, hi int)) {
-	b := e.Bounds()
-	fanOut(len(b)-1, func(k int) {
-		if pre != nil {
-			pre(b[k], b[k+1])
-		}
-		e.EncodeSegment(frame, v, deq, k)
-		if post != nil {
-			post(b[k], b[k+1])
-		}
-	})
-}
-
 // sendErrorFed is the one error-fed sender of the client uplink and the
 // delta chain. owed is the new movement plus the carried residual; it is
-// encoded over segs segments — top-k sparse when c.TopK > 0, dense otherwise
-// — and left holding the next residual, owed minus what the frame carries.
-// When base is non-nil, what the frame carries is added to it: the chain
-// base a decoder of the frame reconstructs. Every coordinate top-k drops
-// stays whole in owed, so sparsifying delays a movement instead of losing it.
+// encoded over segs segments, one goroutine each — top-k sparse when
+// c.TopK > 0, dense otherwise — and left holding the next residual, owed
+// minus what the frame carries. When base is non-nil, what the frame carries
+// is added to it: the chain base a decoder of the frame reconstructs. Every
+// coordinate top-k drops stays whole in owed, so sparsifying delays a
+// movement instead of losing it.
 func sendErrorFed(owed []float64, c Compression, segs int, base []float64) []byte {
 	var e *quant.Encoder
 	var idx []int
@@ -695,13 +671,19 @@ func sendErrorFed(owed []float64, c Compression, segs int, base []float64) []byt
 	}
 	deq := make([]float64, carried)
 	frame := make([]byte, e.Size())
-	encodeFrame(e, frame, owed, deq, nil, nil)
+	fanOut(len(e.Bounds())-1, func(k int) {
+		if idx == nil {
+			e.EncodeErrorFed(frame, owed, nil, deq, owed, k)
+		} else {
+			e.EncodeSegment(frame, owed, deq, k)
+		}
+	})
 	for j, d := range deq {
 		i := j
 		if idx != nil {
 			i = idx[j]
+			owed[i] -= d
 		}
-		owed[i] -= d
 		if base != nil {
 			base[i] += d
 		}

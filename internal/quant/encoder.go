@@ -137,26 +137,12 @@ func (e *Encoder) EncodeSegment(frame []byte, v, deq []float64, k int) {
 	if e.sparse {
 		want = len(e.idx)
 	}
-	if len(frame) != e.size || len(v) != e.n || (deq != nil && len(deq) != want) {
-		panic(fmt.Sprintf("quant: EncodeSegment: %d-byte frame, %d values, %d deq; want %d, %d, %d",
-			len(frame), len(v), len(deq), e.size, e.n, want))
-	}
-	if k == 0 {
-		bits := e.bits
-		if e.sparse {
-			bits |= sparseFlag
-			binary.LittleEndian.PutUint32(frame[FrameHeaderSize:], uint32(len(e.idx)))
-		}
-		appendHeader(frame[:0], bits, e.n, e.chunk)
-	}
-	s, off := e.segs[k], e.segs[k].blockOff
+	e.begin(frame, len(v), deq != nil && len(deq) != want, k)
 	if !e.sparse {
-		for lo := e.bounds[k]; lo < e.bounds[k+1]; lo += e.chunk {
-			hi := min(lo+e.chunk, e.n)
-			off = e.putBlock(frame, off, v[lo:hi], sub(deq, lo, hi))
-		}
+		e.dense(frame, v, nil, deq, nil, k)
 		return
 	}
+	s, off := e.segs[k], e.segs[k].blockOff
 	prev := 0
 	if s.iLo > 0 {
 		prev = e.idx[s.iLo-1]
@@ -173,27 +159,73 @@ func (e *Encoder) EncodeSegment(frame []byte, v, deq []float64, k int) {
 		for _, ix := range e.idx[i:j] {
 			vals = append(vals, v[ix])
 		}
-		off = e.putBlock(frame, off, vals, sub(deq, i, j))
+		off, _ = e.putBlock(frame, off, vals, nil, sub(deq, i, j), nil)
 		i = j
 	}
 }
 
-// putBlock writes one chunk block — the scale fitted to vals, then their
-// packed codes — at frame[off:] and returns the offset after it.
-func (e *Encoder) putBlock(frame []byte, off int, vals, deq []float64) int {
-	scale := chunkScale(vals, e.bits)
-	binary.LittleEndian.PutUint64(frame[off:], math.Float64bits(scale))
-	nb := codeBytes(len(vals), e.bits)
-	packCodes(frame[off+8:off+8+nb], deq, vals, scale, e.bits)
-	return off + 8 + nb
+// EncodeErrorFed is the error-fed form of a dense EncodeSegment: segment k
+// of the frame encodes v = p + carry (p itself when carry is nil), deq
+// receives what a decoder reconstructs and next the residual v − deq, each
+// in one pass per chunk. p, deq and next hold n values (carry too, when
+// non-nil), of which segment k writes its own; next may be p or carry
+// itself, deq neither. It returns the largest magnitude segment k writes to
+// deq. Safe to call concurrently for distinct k on one frame.
+func (e *Encoder) EncodeErrorFed(frame []byte, p, carry, deq, next []float64, k int) float64 {
+	e.begin(frame, len(p), e.sparse || (carry != nil && len(carry) != e.n) || len(deq) != e.n || len(next) != e.n, k)
+	return e.dense(frame, p, carry, deq, next, k)
 }
 
-// sub returns deq[lo:hi], or nil when deq is nil.
-func sub(deq []float64, lo, hi int) []float64 {
-	if deq == nil {
+// begin checks an encode call's shapes — frame size, value count, and the
+// caller's verdict bad on the rest — panicking on a mismatch, a programming
+// error, and writes the frame header when k is segment 0.
+func (e *Encoder) begin(frame []byte, n int, bad bool, k int) {
+	if bad || len(frame) != e.size || n != e.n {
+		panic(fmt.Sprintf("quant: encode into a %d-byte frame of %d values (sparse %v); want %d bytes, %d values",
+			len(frame), n, e.sparse, e.size, e.n))
+	}
+	if k == 0 {
+		bits := e.bits
+		if e.sparse {
+			bits |= sparseFlag
+			binary.LittleEndian.PutUint32(frame[FrameHeaderSize:], uint32(len(e.idx)))
+		}
+		appendHeader(frame[:0], bits, e.n, e.chunk)
+	}
+}
+
+// dense encodes segment k of a dense frame chunk by chunk and returns the
+// largest magnitude it writes to deq.
+func (e *Encoder) dense(frame []byte, p, carry, deq, next []float64, k int) float64 {
+	off, peak := e.segs[k].blockOff, 0.0
+	for lo := e.bounds[k]; lo < e.bounds[k+1]; lo += e.chunk {
+		hi := min(lo+e.chunk, e.n)
+		var pk float64
+		off, pk = e.putBlock(frame, off, p[lo:hi], sub(carry, lo, hi), sub(deq, lo, hi), sub(next, lo, hi))
+		peak = max(peak, pk)
+	}
+	return peak
+}
+
+// putBlock writes one chunk block — the scale fitted to p + carry, then the
+// packed codes (encodeChunk) — at frame[off:] and returns the offset after
+// it and, for the error-fed form (next non-nil), the block's largest |deq|.
+func (e *Encoder) putBlock(frame []byte, off int, p, carry, deq, next []float64) (int, float64) {
+	nb := codeBytes(len(p), e.bits)
+	scale, maxAbs := encodeChunk(frame[off+8:off+8+nb], deq, next, p, carry, e.bits)
+	binary.LittleEndian.PutUint64(frame[off:], math.Float64bits(scale))
+	if next == nil {
+		return off + 8 + nb, 0
+	}
+	return off + 8 + nb, peakOf(scale, maxAbs, e.bits)
+}
+
+// sub returns s[lo:hi], or nil when s is nil.
+func sub(s []float64, lo, hi int) []float64 {
+	if s == nil {
 		return nil
 	}
-	return deq[lo:hi]
+	return s[lo:hi]
 }
 
 // EncodeAll returns the whole frame of v, every segment in turn on the

@@ -5,7 +5,8 @@ import "math"
 // Reference kernels, written the obvious way: math.Round for the rounding,
 // one generic bit cursor for every width, IsNaN+IsInf for the finiteness
 // check. Test-only. The differential and fuzz tests in kernel_test.go hold
-// chunkScale, packCodes and unpackCodes to these bit for bit.
+// the chunk kernel (encodeChunk, on both paths) and unpackCodes to these
+// bit for bit.
 
 func refChunkScale(v []float64, bits int) float64 {
 	maxAbs := 0.0

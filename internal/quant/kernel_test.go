@@ -6,50 +6,74 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// diffKernels holds the three kernels to their references on one chunk:
-// scale bits, code bytes (into a garbage-filled dst, with and without deq,
-// nothing written past the codes) and every dequantized value's bits —
-// packCodes's fused deq and unpackCodes alike.
+// forEachPath runs f on the vector kernels, when the CPU has them, and then
+// on the Go twin, flipping useAVX2 in-package. Tests in this package do not
+// run in parallel, so the flip is seen by f alone.
+func forEachPath(f func(path string)) {
+	if useAVX2 {
+		f("avx2")
+		useAVX2 = false
+		defer func() { useAVX2 = true }()
+	}
+	f("go")
+}
+
+// diffKernels holds the dense chunk kernel to the references on one chunk,
+// on every kernel path: scale bits, code bytes (into a garbage-filled dst,
+// with and without deq, nothing written past the codes), every dequantized
+// value's bits against a decode of the reference codes, and the peak
+// against the largest of them — then unpackCodes alike.
 func diffKernels(t testing.TB, v []float64, bits int) {
 	t.Helper()
-	scale := chunkScale(v, bits)
-	if want := refChunkScale(v, bits); math.Float64bits(scale) != math.Float64bits(want) {
-		t.Fatalf("bits=%d n=%d: chunkScale %x, reference %x", bits, len(v), math.Float64bits(scale), math.Float64bits(want))
-	}
+	wantScale := refChunkScale(v, bits)
 	nb := codeBytes(len(v), bits)
 	want := make([]byte, nb)
-	refPackCodes(want, v, scale, bits)
+	refPackCodes(want, v, wantScale, bits)
 	wantDeq := make([]float64, len(v))
-	refUnpackCodes(wantDeq, want, scale, bits)
+	refUnpackCodes(wantDeq, want, wantScale, bits)
+	wantPeak := 0.0
+	for _, d := range wantDeq {
+		wantPeak = max(wantPeak, math.Abs(d))
+	}
 
 	const guard = 0xA5
-	for _, withDeq := range []bool{false, true} {
-		got := bytes.Repeat([]byte{guard}, nb+2)
-		var deq []float64
-		if withDeq {
-			deq = make([]float64, len(v))
+	forEachPath(func(path string) {
+		for _, withDeq := range []bool{false, true} {
+			got := bytes.Repeat([]byte{guard}, nb+2)
+			var deq []float64
+			if withDeq {
+				deq = make([]float64, len(v))
+				for i := range deq {
+					deq[i] = math.NaN()
+				}
+			}
+			scale, maxAbs := encodeChunk(got[:nb], deq, nil, v, nil, bits)
+			peak := peakOf(scale, maxAbs, bits)
+			if math.Float64bits(scale) != math.Float64bits(wantScale) {
+				t.Fatalf("%s bits=%d n=%d: scale %x, reference %x", path, bits, len(v), math.Float64bits(scale), math.Float64bits(wantScale))
+			}
+			if !bytes.Equal(got[:nb], want) {
+				t.Fatalf("%s bits=%d n=%d deq=%v scale=%g: codes\n got %x\nwant %x\n   v %v", path, bits, len(v), withDeq, scale, got[:nb], want, v)
+			}
+			if got[nb] != guard || got[nb+1] != guard {
+				t.Fatalf("%s bits=%d n=%d: encodeChunk wrote past its %d code bytes", path, bits, len(v), nb)
+			}
+			if math.Float64bits(peak) != math.Float64bits(wantPeak) {
+				t.Fatalf("%s bits=%d n=%d: peak %g, largest dequantized magnitude %g", path, bits, len(v), peak, wantPeak)
+			}
 			for i := range deq {
-				deq[i] = math.NaN()
+				if math.Float64bits(deq[i]) != math.Float64bits(wantDeq[i]) {
+					t.Fatalf("%s bits=%d n=%d: fused deq[%d] = %x, reference decode %x (v=%g scale=%g)",
+						path, bits, len(v), i, math.Float64bits(deq[i]), math.Float64bits(wantDeq[i]), v[i], scale)
+				}
 			}
 		}
-		packCodes(got[:nb], deq, v, scale, bits)
-		if !bytes.Equal(got[:nb], want) {
-			t.Fatalf("bits=%d n=%d deq=%v scale=%g: codes\n got %x\nwant %x\n   v %v", bits, len(v), withDeq, scale, got[:nb], want, v)
-		}
-		if got[nb] != guard || got[nb+1] != guard {
-			t.Fatalf("bits=%d n=%d: packCodes wrote past its %d code bytes", bits, len(v), nb)
-		}
-		for i := range deq {
-			if math.Float64bits(deq[i]) != math.Float64bits(wantDeq[i]) {
-				t.Fatalf("bits=%d n=%d: fused deq[%d] = %x, reference decode %x (v=%g scale=%g)",
-					bits, len(v), i, math.Float64bits(deq[i]), math.Float64bits(wantDeq[i]), v[i], scale)
-			}
-		}
-	}
-	diffUnpack(t, want, len(v), scale, bits)
+	})
+	diffUnpack(t, want, len(v), wantScale, bits)
 }
 
 // diffUnpack holds unpackCodes to its reference on arbitrary code bytes —
@@ -113,6 +137,9 @@ func TestKernelsMatchReference(t *testing.T) {
 	for bits := 2; bits <= 8; bits++ {
 		for _, v := range adversarialChunks(bits) {
 			diffKernels(t, v, bits)
+			// Tiled past 16 values, the same chunk (same scale) reaches the
+			// vector kernel too.
+			diffKernels(t, slices.Repeat(v, 1+35/len(v)), bits)
 			// Odd and ragged prefixes move every value across byte and
 			// nibble positions.
 			for n := 1; n < len(v) && n <= 9; n++ {
@@ -138,9 +165,9 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// TestKernelsThroughEncoders runs the differential at the encoder level: for
-// ragged vector lengths, Encode's bytes equal a frame assembled from the
-// reference kernels chunk by chunk.
+// TestKernelsThroughEncoders runs the differential at the encoder level, on
+// both kernel paths: for ragged vector lengths, Encode's bytes equal a frame
+// assembled from the reference kernels chunk by chunk.
 func TestKernelsThroughEncoders(t *testing.T) {
 	for bits := 2; bits <= 8; bits++ {
 		for _, chunk := range []int{1, 2, 3, 255, 256, 257} {
@@ -155,9 +182,11 @@ func TestKernelsThroughEncoders(t *testing.T) {
 					refPackCodes(codes, part, scale, bits)
 					want = append(want, codes...)
 				}
-				if got := Encode(QuantizeChunks(v, bits, chunk)); !bytes.Equal(got, want) {
-					t.Fatalf("bits=%d chunk=%d n=%d: Encode differs from the reference-kernel frame", bits, chunk, n)
-				}
+				forEachPath(func(path string) {
+					if got := Encode(QuantizeChunks(v, bits, chunk)); !bytes.Equal(got, want) {
+						t.Fatalf("%s bits=%d chunk=%d n=%d: Encode differs from the reference-kernel frame", path, bits, chunk, n)
+					}
+				})
 			}
 		}
 	}
@@ -165,7 +194,7 @@ func TestKernelsThroughEncoders(t *testing.T) {
 
 // TestFusedDeqEqualsDecode pins the encoders' deq output — written from the
 // code in hand — to what a decoder reconstructs from the bytes they produced,
-// for the dense segment, stream and sparse forms.
+// for the dense segment, stream and sparse forms, on both kernel paths.
 func TestFusedDeqEqualsDecode(t *testing.T) {
 	sameBits := func(t *testing.T, form string, got, want []float64) {
 		t.Helper()
@@ -181,89 +210,99 @@ func TestFusedDeqEqualsDecode(t *testing.T) {
 	for bits := 2; bits <= 8; bits++ {
 		for _, chunk := range []int{1, 3, 256, 257} {
 			for _, n := range []int{1, 255, 256, 257, 1031} {
-				name := fmt.Sprintf("bits=%d chunk=%d n=%d", bits, chunk, n)
-				v := randVec(n, int64(bits+chunk+n))
-				v[n/2] = 0
-				if n > 300 {
-					v[300] = math.NaN() // one degenerate chunk
-				}
+				forEachPath(func(path string) {
+					name := fmt.Sprintf("%s bits=%d chunk=%d n=%d", path, bits, chunk, n)
+					v := randVec(n, int64(bits+chunk+n))
+					v[n/2] = 0
+					if n > 300 {
+						v[300] = math.NaN() // one degenerate chunk
+					}
 
-				deq := make([]float64, n)
-				e := NewEncoder(bits, chunk, n, 3)
-				frame := make([]byte, e.Size())
-				for k := len(e.Bounds()) - 2; k >= 0; k-- {
-					e.EncodeSegment(frame, v, deq, k)
-				}
-				fr, err := Decode(frame)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				sameBits(t, name+" segment", deq, fr.Vector())
+					deq := make([]float64, n)
+					e := NewEncoder(bits, chunk, n, 3)
+					frame := make([]byte, e.Size())
+					for k := len(e.Bounds()) - 2; k >= 0; k-- {
+						e.EncodeSegment(frame, v, deq, k)
+					}
+					fr, err := Decode(frame)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					sameBits(t, name+" segment", deq, fr.Vector())
 
-				var buf bytes.Buffer
-				sdeq := make([]float64, n)
-				if err := EncodeStream(&buf, v, bits, chunk, sdeq); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), frame) {
-					t.Fatalf("%s: stream and segment frames differ", name)
-				}
-				sameBits(t, name+" stream", sdeq, fr.Vector())
+					var buf bytes.Buffer
+					sdeq := make([]float64, n)
+					if err := EncodeStream(&buf, v, bits, chunk, sdeq); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(buf.Bytes(), frame) {
+						t.Fatalf("%s: stream and segment frames differ", name)
+					}
+					sameBits(t, name+" stream", sdeq, fr.Vector())
 
-				idx := TopKIndices(v, n/3+1)
-				spdeq := make([]float64, len(idx))
-				sp, err := Decode(EncodeSparse(v, idx, bits, chunk, spdeq))
-				if err != nil {
-					t.Fatalf("%s sparse: %v", name, err)
-				}
-				dense := sp.Vector()
-				stored := make([]float64, len(idx))
-				for j, ix := range idx {
-					stored[j] = dense[ix]
-				}
-				sameBits(t, name+" sparse", spdeq, stored)
+					idx := TopKIndices(v, n/3+1)
+					spdeq := make([]float64, len(idx))
+					sp, err := Decode(EncodeSparse(v, idx, bits, chunk, spdeq))
+					if err != nil {
+						t.Fatalf("%s sparse: %v", name, err)
+					}
+					dense := sp.Vector()
+					stored := make([]float64, len(idx))
+					for j, ix := range idx {
+						stored[j] = dense[ix]
+					}
+					sameBits(t, name+" sparse", spdeq, stored)
+				})
 			}
 		}
 	}
 }
 
-// FuzzQuantizeMatchesReference feeds arbitrary chunks to the differential.
-// raw reads the bytes as float64 bit patterns (NaNs, infinities, subnormals
-// and all); otherwise each byte pair becomes a half-integer multiple of a
-// power-of-two scale, pinned by a value at mc, so quotients sit exactly on
-// and next to the rounding ties.
+// FuzzQuantizeMatchesReference feeds arbitrary chunks to the differential,
+// on both kernel paths (diffKernels), built by fuzzValues.
 func FuzzQuantizeMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xE0, 0x3F, 0, 0, 0, 0, 0, 0, 0xF8, 0x7F}, uint8(8), true, int8(0))
 	f.Add([]byte{1, 0, 255, 255, 3, 0, 253, 255, 127, 0, 129, 255}, uint8(4), false, int8(-3))
 	f.Add([]byte{5, 0, 7, 0, 9, 0}, uint8(3), false, int8(40))
+	f.Add(rawBytes(190*minSub, -3*minSub, 150*minSub, 0, minSub, -minSub, 5*minSub, 7*minSub,
+		9*minSub, -11*minSub, 13*minSub, 2*minSub, -4*minSub, 6*minSub, 8*minSub, -10*minSub, 12*minSub), uint8(6), true, int8(0))
 	f.Fuzz(func(t *testing.T, data []byte, width uint8, raw bool, exp int8) {
 		bits := 2 + int(width)%7
-		var v []float64
-		if raw {
-			for ; len(data) >= 8; data = data[8:] {
-				v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(data)))
-			}
-		} else {
-			s := math.Ldexp(1, int(exp))
-			v = append(v, float64(maxCode(bits))*s)
-			for ; len(data) >= 2; data = data[2:] {
-				v = append(v, float64(int16(binary.LittleEndian.Uint16(data)))/2*s)
-			}
-		}
-		if len(v) > 4096 {
-			v = v[:4096]
-		}
-		diffKernels(t, v, bits)
+		diffKernels(t, fuzzValues(data, bits, raw, exp), bits)
 	})
+}
+
+// fuzzValues turns fuzz bytes into at most 4096 values. raw reads them as
+// float64 bit patterns (NaNs, infinities, subnormals and all); otherwise
+// each byte pair becomes a half-integer multiple of the power-of-two scale
+// 2^exp, after a first value at mc·2^exp that pins the chunk's scale there,
+// so quotients sit exactly on and next to the rounding ties.
+func fuzzValues(data []byte, bits int, raw bool, exp int8) []float64 {
+	var v []float64
+	if raw {
+		for ; len(data) >= 8; data = data[8:] {
+			v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+	} else {
+		s := math.Ldexp(1, int(exp))
+		v = append(v, float64(maxCode(bits))*s)
+		for ; len(data) >= 2; data = data[2:] {
+			v = append(v, float64(int16(binary.LittleEndian.Uint16(data)))/2*s)
+		}
+	}
+	return v[:min(len(v), 4096)]
 }
 
 // BenchmarkCodecKernels states the codec against memcpy: every sub-benchmark
 // moves the same 250k-value vector (SetBytes counts its float64 bytes, so
 // MB/s is comparable across rows) and "copy" is the baseline — the codec's
 // arithmetic is one divide, one round and one multiply per value on top of
-// it. Encode rows are the served-model build's form (segment encode with the
-// fused deq); decode rows are StreamDecoder.DecodeAll, apply rows the push
-// handler's StreamDecoder.ApplyDelta onto a base.
+// it. Encode rows are a segment encode with the fused deq; build rows the
+// served-model build's error-fed form (EncodeErrorFed: residual add, encode,
+// deq and residual fold in one pass per chunk); decode rows are
+// StreamDecoder.DecodeAll, apply rows the push handler's
+// StreamDecoder.ApplyDelta onto a base. Rows run on the vector kernels when
+// the CPU has them.
 func BenchmarkCodecKernels(b *testing.B) {
 	const n, chunk = 250_000, 256
 	v := randVec(n, 1)
@@ -282,6 +321,17 @@ func BenchmarkCodecKernels(b *testing.B) {
 			b.SetBytes(8 * n)
 			for i := 0; i < b.N; i++ {
 				e.EncodeSegment(dst, v, deq, 0)
+			}
+		})
+	}
+	for _, bits := range []int{8, 4} {
+		b.Run(fmt.Sprintf("build%d", bits), func(b *testing.B) {
+			e := NewEncoder(bits, chunk, n, 1)
+			dst := make([]byte, e.Size())
+			carry, deq, next := randVec(n, 3), make([]float64, n), make([]float64, n)
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				e.EncodeErrorFed(dst, v, carry, deq, next, 0)
 			}
 		})
 	}
@@ -313,6 +363,7 @@ func BenchmarkCodecKernels(b *testing.B) {
 	})
 	for name, frame := range map[string][]byte{
 		"apply8":       Encode(QuantizeChunks(v, 8, chunk)),
+		"apply4":       Encode(QuantizeChunks(v, 4, chunk)),
 		"apply-sparse": EncodeSparse(v, idx, 4, chunk, nil),
 	} {
 		b.Run(name, func(b *testing.B) {

@@ -284,18 +284,14 @@ func (d *StreamDecoder) ApplyDelta(dst, base []float64, limit float64) error {
 	}
 	return d.blocks(func(b block, idx []uint32) error {
 		vals := d.scratch(b.m)
-		d.unpack(vals, b)
 		if idx == nil {
-			in, out := base[b.at:b.at+len(vals)], dst[b.at:b.at+len(vals)]
-			for t, x := range vals {
-				sum := in[t] + x
-				if !(math.Abs(sum) <= limit) {
-					return beyond(b.at + t)
-				}
-				out[t] = sum
+			lo, hi := b.at, b.at+b.m
+			if t := applyCodes(dst[lo:hi], base[lo:hi], b.codes, b.scale, limit, d.bits, vals); t < b.m {
+				return beyond(lo + t)
 			}
 			return nil
 		}
+		d.unpack(vals, b)
 		for t, x := range vals {
 			i := idx[b.at+t]
 			sum := dst[i] + x
